@@ -40,9 +40,6 @@ const (
 	// CodeDeadlineExpired: the request's deadline passed before a model
 	// could run it.
 	CodeDeadlineExpired = "deadline_expired"
-	// CodePartialRoll: a reload failed after mutating some shards — the
-	// fleet is split across generations until a follow-up roll lands.
-	CodePartialRoll = "partial_roll"
 	// CodeInternal: any other server-side failure.
 	CodeInternal = "internal"
 )

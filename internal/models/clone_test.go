@@ -67,10 +67,10 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestSwapWeightsFrom pins the hot-reload hook: swapping from a retrained
-// source makes a diverged replica predict bit-identically to it again, and
-// a non-Prestroid source is refused.
-func TestSwapWeightsFrom(t *testing.T) {
+// TestCopyWeightsFrom pins the weight-copy primitive under Clone: copying
+// from a retrained source makes a diverged replica predict bit-identically to
+// it again.
+func TestCopyWeightsFrom(t *testing.T) {
 	b := bed(t)
 	src := clonePrestroid(t, b)
 	replica := src.Clone().(*Prestroid)
@@ -92,28 +92,23 @@ func TestSwapWeightsFrom(t *testing.T) {
 		}
 	}
 	if !diverged {
-		t.Fatal("retraining did not change predictions; swap has nothing to prove")
+		t.Fatal("retraining did not change predictions; the copy has nothing to prove")
 	}
 
-	if err := replica.SwapWeightsFrom(src); err != nil {
+	if err := replica.CopyWeightsFrom(src); err != nil {
 		t.Fatal(err)
 	}
 	got := replica.Predict(traces)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
-			t.Fatalf("trace %d: swapped replica predicts %v, source %v (must be bit-identical)",
+			t.Fatalf("trace %d: replica predicts %v after the copy, source %v (must be bit-identical)",
 				i, got.Data[i], want.Data[i])
 		}
-	}
-
-	var notPrestroid struct{ Model }
-	if err := replica.SwapWeightsFrom(notPrestroid); err == nil {
-		t.Fatal("SwapWeightsFrom accepted a non-Prestroid source")
 	}
 }
 
 // TestCopyWeightsFromMismatch checks the shape validation that guards
-// replica construction and future hot-swaps.
+// replica construction.
 func TestCopyWeightsFromMismatch(t *testing.T) {
 	b := bed(t)
 	src := clonePrestroid(t, b)

@@ -71,22 +71,10 @@ type Cloner interface {
 	Clone() Model
 }
 
-// WeightSwapper is the optional hot-reload extension: SwapWeightsFrom
-// overwrites the model's trainable parameters and non-trainable layer state
-// (batch-norm running statistics) with src's, after validating that the two
-// architectures match — the in-memory analogue of persist.LoadWeights. The
-// serving layer uses it to roll a freshly retrained bundle across live
-// replicas one shard at a time. Callers own serialisation: the usual model
-// concurrency contract applies, so a swap must not overlap Prepare, Predict
-// or TrainBatch on the destination model.
-type WeightSwapper interface {
-	SwapWeightsFrom(src Model) error
-}
-
-// PipelineRebuilder is the optional full-identity hot-reload extension, one
-// step beyond WeightSwapper: RebuildWithPipeline constructs a fresh,
-// freshly-initialised model of the same architecture family and
-// hyperparameters over a different feature pipeline. Because the pipeline
+// PipelineRebuilder is the optional full-identity hot-reload extension:
+// RebuildWithPipeline constructs a fresh, freshly-initialised model of the
+// same architecture family and hyperparameters over a different feature
+// pipeline. Because the pipeline
 // decides the per-node feature width, the rebuilt model's parameter shapes
 // follow the new pipeline, not the receiver's — so a retrain that grew the
 // table universe can ship as a (pipeline, weights) pair: rebuild off the new

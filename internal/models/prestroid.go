@@ -639,8 +639,7 @@ func (m *Prestroid) RebuildWithPipeline(pipe *Pipeline) (Model, error) {
 // non-trainable layer state with src's, validating tensor count and shapes
 // the same way persist.LoadWeights validates an on-disk bundle. It is the
 // in-memory half of the weight-shipment story: a bundle loaded once fans out
-// to N replicas via Clone, and a retrained model can later hot-swap its
-// weights into live replicas through this method.
+// to N replicas via Clone, which copies through this method.
 func (m *Prestroid) CopyWeightsFrom(src *Prestroid) error {
 	if len(src.params) != len(m.params) {
 		return fmt.Errorf("models: source has %d tensors, destination has %d", len(src.params), len(m.params))
@@ -677,17 +676,6 @@ func (m *Prestroid) CopyWeightsFrom(src *Prestroid) error {
 		m.packInt8()
 	}
 	return nil
-}
-
-// SwapWeightsFrom implements the WeightSwapper extension over
-// CopyWeightsFrom: only another Prestroid is an acceptable source, since
-// parameter order is only defined within one architecture family.
-func (m *Prestroid) SwapWeightsFrom(src Model) error {
-	s, ok := src.(*Prestroid)
-	if !ok {
-		return fmt.Errorf("models: cannot swap weights from %T into *Prestroid", src)
-	}
-	return m.CopyWeightsFrom(s)
 }
 
 // Weights exposes the trainable parameters for persistence and for

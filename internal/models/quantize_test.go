@@ -107,11 +107,11 @@ func TestQuantizedConvCacheConsistent(t *testing.T) {
 	}
 }
 
-// TestQuantizedCloneAndSwapRepack pins the packed tables to the weights
+// TestQuantizedCloneAndCopyRepack pins the packed tables to the weights
 // through the two replica lifecycles: Clone packs the clone's own tables, and
-// SwapWeightsFrom repacks so the very next quantised prediction serves the
-// swapped-in weights.
-func TestQuantizedCloneAndSwapRepack(t *testing.T) {
+// CopyWeightsFrom repacks so the very next quantised prediction serves the
+// copied-in weights.
+func TestQuantizedCloneAndCopyRepack(t *testing.T) {
 	m, test := predictIntoBed(t)
 	m.SetQuantized(true)
 
@@ -129,20 +129,20 @@ func TestQuantizedCloneAndSwapRepack(t *testing.T) {
 		}
 	}
 
-	// Train the source further, then hot-swap into the clone: the clone's
+	// Train the source further, then copy into the clone: the clone's
 	// quantised predictions must follow the new weights.
 	b := bed(t)
 	trainFor(t, m, b, 2)
 	after := make([]float64, len(test))
 	m.PredictInto(test, after)
-	if err := c.SwapWeightsFrom(m); err != nil {
+	if err := c.CopyWeightsFrom(m); err != nil {
 		t.Fatal(err)
 	}
 	swapped := make([]float64, len(test))
 	c.PredictInto(test, swapped)
 	for i := range swapped {
 		if math.Float64bits(swapped[i]) != math.Float64bits(after[i]) {
-			t.Fatalf("row %d after swap: clone %v, source %v", i, swapped[i], after[i])
+			t.Fatalf("row %d after the copy: clone %v, source %v", i, swapped[i], after[i])
 		}
 	}
 }

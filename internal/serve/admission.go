@@ -95,72 +95,88 @@ func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64,
 	return nil, minWaitMicros, true
 }
 
-// PredictSQLCtx is PredictSQLGenCtx without the generation tag.
-func (se *ShardedEngine) PredictSQLCtx(ctx context.Context, sql string) (Prediction, error) {
-	p, _, err := se.PredictSQLGenCtx(ctx, sql)
-	return p, err
+// PredictSQLGenCtx canonicalises the query once, dispatches it to a shard
+// and returns that shard's prediction plus the generation that produced it,
+// under a per-request deadline and (when MaxEstWait is set) bounded-wait
+// admission. A nil ctx means no deadline, like context.Background().
+//
+// Generations are monotone per canonical key for any single observer: once
+// a caller has received generation g for a key, every request it *starts
+// afterwards* for that key is served from weights (or cache entries) of
+// generation >= g — shard generations only advance, the dispatcher only
+// detours between same-generation shards, and cache segments drop
+// cross-generation deposits. Responses of concurrent requests may still
+// complete out of order (a detour queued behind a slow peer can finish after
+// the roll), so the guarantee is happens-before monotonicity, not global
+// completion-order monotonicity. One narrow carve-out: a shard so saturated
+// that its roll-time drain exceeds drainTimeout can answer jobs that were
+// already queued behind the swap under the *new* generation while earlier
+// shards in the roll order still serve the old one — a caller that received
+// such an early new-generation answer can then briefly observe the old
+// generation for the same key until the roll completes. Bounding the drain
+// is deliberate: waiting for a saturated queue to empty could stall the roll
+// indefinitely.
+func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return se.predictKey(ctx, sql, CanonicalSQL(sql))
 }
 
-// PredictSQLGenCtx is PredictSQLGen with per-request deadlines and bounded-
-// wait admission. A nil ctx means no deadline; with the bound also unset
-// (MaxEstWait <= 0) the call delegates to the exact pre-admission dispatch
-// path, so a deployment that enables neither feature serves byte-identically
-// to the blocking engine.
+// predictKey is PredictSQLGenCtx with the canonical key already computed, so
+// a caller that needed the key itself (the registry's canary split) does not
+// canonicalise twice.
 //
-// Deadlines: work that is already expired is dropped here — before
-// canonical-key dispatch picks a batcher — and counted against the home
-// shard; expiry deeper in the pipeline is handled by predictKeyCtx. Both
-// surface as *ExpiredError.
+// Deadlines: work that is already expired is dropped here — before dispatch
+// picks a batcher — and counted against the home shard; expiry deeper in the
+// pipeline is handled by Engine.predictKey. Both surface as *ExpiredError.
 //
-// Shedding: a home cache hit never queues, so it is served before the
-// admission decision — hot templates ride through overload for free, which
-// is what keeps shed-mode throughput at the unshedded peak. Only a miss
-// pays the admit() check, and a refusal surfaces as *OverloadError charged
-// to the home shard's Shed counter.
-func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, error) {
-	if ctx == nil && se.maxEstWaitMicros <= 0 {
-		return se.PredictSQLGen(sql)
-	}
-	key := CanonicalSQL(sql)
+// The only branch is how the shard is chosen. Unbounded (MaxEstWait <= 0),
+// pick() detours around a saturated or quiescing home. Bounded, a home cache
+// hit is served before the admission decision — it never queues, so hot
+// templates ride through overload for free, which is what keeps shed-mode
+// throughput at the unshedded peak — and only a miss pays the admit() check;
+// a refusal surfaces as *OverloadError charged to the home shard's Shed
+// counter.
+func (se *ShardedEngine) predictKey(ctx context.Context, sql, key string) (Prediction, int64, error) {
 	home := se.shards[se.shardOf(key)]
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			home.tel.Expired.Inc()
-			return Prediction{}, 0, &ExpiredError{}
-		}
+	if ctx.Err() != nil {
+		home.tel.Expired.Inc()
+		return Prediction{}, 0, &ExpiredError{}
 	}
+	sh := home
 	if se.maxEstWaitMicros <= 0 {
-		// Deadline-only mode: today's dispatch, with the context threaded
-		// through so mid-queue expiry can abandon the wait.
-		sh := se.pick(home)
-		if sh == home {
-			return home.predictKeyCtx(ctx, sql, key)
-		}
-		if p, g, ok := home.cachePeek(key); ok {
+		sh = se.pick(home)
+	} else {
+		if p, g, ok := home.cache.Peek(key); ok {
 			return p, g, nil
 		}
-		p, g, err := sh.predictKeyCtx(ctx, sql, key)
-		if err == nil {
-			home.cachePut(key, p, g)
+		var minWait float64
+		var shed bool
+		if sh, minWait, shed = se.admit(home); shed {
+			home.tel.Shed.Inc()
+			return Prediction{}, 0, &OverloadError{EstWaitMicros: minWait, BoundMicros: se.maxEstWaitMicros}
 		}
-		return p, g, err
-	}
-	if p, g, ok := home.cachePeek(key); ok {
-		return p, g, nil
-	}
-	sh, minWait, shed := se.admit(home)
-	if shed {
-		home.tel.Shed.Inc()
-		return Prediction{}, 0, &OverloadError{EstWaitMicros: minWait, BoundMicros: se.maxEstWaitMicros}
 	}
 	if sh == home {
-		return home.predictKeyCtx(ctx, sql, key)
+		return home.predictKey(ctx, sql, key)
 	}
-	p, g, err := sh.predictKeyCtx(ctx, sql, key)
+	// Detour: the home cache segment never touches the jobs queue, so a
+	// cached answer is still the cheapest path — without this check, hot
+	// templates would be recomputed on another shard exactly when the service
+	// is overloaded. Peek leaves the miss for the shard that serves the query
+	// (bounded mode already peeked before admit; once more is noise next to
+	// a detour).
+	if p, g, ok := home.cache.Peek(key); ok {
+		return p, g, nil
+	}
+	p, g, err := sh.predictKey(ctx, sql, key)
 	if err == nil {
-		// Same deposit rule as the saturation detour: land the answer where
-		// future lookups for the key will hash.
-		home.cachePut(key, p, g)
+		// Deposit the result where future lookups will hash: an entry
+		// stranded only on the detour shard is unreachable once the home
+		// queue drains. The home segment drops the deposit if its generation
+		// moved between dispatch and completion.
+		home.cache.Put(key, p, g)
 	}
 	return p, g, err
 }

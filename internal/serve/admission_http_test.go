@@ -129,12 +129,24 @@ func TestDeadlineHeadersHTTP(t *testing.T) {
 		{"garbage budget", "Request-Timeout", "soonish", http.StatusBadRequest},
 		{"negative budget", "Request-Timeout", "-5s", http.StatusBadRequest},
 		{"zero budget", "Request-Timeout", "0", http.StatusBadRequest},
+		{"NaN budget", "Request-Timeout", "NaN", http.StatusBadRequest},
+		{"infinite budget", "Request-Timeout", "Inf", http.StatusBadRequest},
+		{"budget past the Duration range", "Request-Timeout", "1e30", http.StatusBadRequest},
 		{"garbage deadline", "X-Request-Deadline", "yesterday", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		w := postWith(t, srv, "/v1/predict", q, map[string]string{tc.header: tc.value})
 		if w.Code != tc.want {
 			t.Errorf("%s: got %d, want %d (body %s)", tc.name, w.Code, tc.want, w.Body)
+		}
+		// The method guard outranks the headers: a GET is a 405 whether its
+		// deadline header is well-formed or garbage.
+		req := httptest.NewRequest(http.MethodGet, "/v1/predict", nil)
+		req.Header.Set(tc.header, tc.value)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s: GET answered %d, want 405 (body %s)", tc.name, rec.Code, rec.Body)
 		}
 	}
 	tot := srv.Snapshot().Default().Engine.Totals()

@@ -206,7 +206,7 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	sql := "SELECT a FROM t WHERE a > 7"
-	_, _, err := eng.predictKeyCtx(ctx, sql, CanonicalSQL(sql))
+	_, _, err := eng.predictKey(ctx, sql, CanonicalSQL(sql))
 	var expired *ExpiredError
 	if !errors.As(err, &expired) {
 		t.Fatalf("queued expiry returned %v, want *ExpiredError", err)
@@ -222,7 +222,7 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	if n := m.predicts.Load(); n != 0 {
 		t.Fatalf("expired job occupied a model slot (%d calls)", n)
 	}
-	if n := eng.cache.Len(); n != 0 {
+	if n, _ := eng.cache.Stats(); n != 0 {
 		t.Fatalf("expired request left %d cache entries", n)
 	}
 }

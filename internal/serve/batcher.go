@@ -93,7 +93,7 @@ type concurrentEncoder interface {
 // that identity's label normaliser — all read under the same lock as the
 // model call, so the tag is always truthful and the caller denormalises with
 // the normaliser that belongs to the weights that ran, never the one a
-// concurrent full-bundle roll just installed.
+// concurrent roll just installed.
 type predictResult struct {
 	y    float64
 	gen  int64
@@ -103,9 +103,9 @@ type predictResult struct {
 // predictJob is one in-flight query travelling from an HTTP handler
 // goroutine to the batcher and back.
 type predictJob struct {
-	// ctx carries the request deadline into the queue; nil means the job
-	// cannot expire (the pre-admission paths never set it). A flush drops
-	// jobs whose ctx has ended before the model sees them.
+	// ctx carries the request deadline into the queue (context.Background()
+	// for a job that cannot expire). A flush drops jobs whose ctx has ended
+	// before the model sees them.
 	ctx   context.Context
 	trace *workload.Trace
 	key   string // canonical SQL, for single-flight dedup in flush
@@ -134,9 +134,9 @@ type Engine struct {
 	cache *predictionCache // nil when disabled
 
 	// convCache is the shard's sub-tree partial-result segment, installed
-	// into the replica at construction (and into its successor on a full
-	// replica swap); nil when disabled or when the model takes no conv cache.
-	convCache *subtreeCache
+	// into the replica at construction (and into its successor on a replica
+	// swap); zero when disabled or when the model takes no conv cache.
+	convCache subtreeCache
 
 	// tmplCache is the shard's prepared-template front-end segment; nil when
 	// disabled. Unlike convCache it is engine-owned end to end — the model
@@ -265,7 +265,7 @@ func (e *Engine) Close() {
 // cache hits replay the stored result, and per-row model outputs are
 // independent of batch composition.
 func (e *Engine) PredictSQL(sql string) (Prediction, error) {
-	p, _, err := e.predictKey(sql, CanonicalSQL(sql))
+	p, _, err := e.predictKey(context.Background(), sql, CanonicalSQL(sql))
 	return p, err
 }
 
@@ -341,7 +341,7 @@ func (e *Engine) resolveSQL(sql string) (frontEnd, error) {
 // by Put's generation guard if it lands mid-build); the entry would describe
 // a retired identity.
 func (e *Engine) depositTemplate(fe frontEnd, gen int64) {
-	if e.tmplCache == nil || fe.tkey == "" {
+	if fe.tkey == "" {
 		return
 	}
 	e.pred.mu.Lock()
@@ -359,7 +359,7 @@ func (e *Engine) depositTemplate(fe frontEnd, gen int64) {
 		// intact for this build to finish against.
 		te = tm.BuildTemplateEncoding(fe.plan)
 	}
-	e.tmplCache.Put(fe.tkey, fe.stmt, te, gen)
+	e.tmplCache.Put(fe.tkey, &templateEntry{stmt: fe.stmt, enc: te}, gen)
 }
 
 // PlanOnly resolves sql to its logical plan through the same template front
@@ -372,58 +372,27 @@ func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fe.tkey != "" && e.tmplCache != nil {
-		e.tmplCache.PutStmt(fe.tkey, fe.stmt)
+	if fe.tkey != "" {
+		e.tmplCache.PutCurrent(fe.tkey, &templateEntry{stmt: fe.stmt})
 	}
 	return fe.plan, nil
 }
 
-// predictKey is PredictSQL with the canonical key already computed: the
+// predictKey is PredictSQL with the canonical key already computed — the
 // sharded dispatcher hashes the key to pick a shard, then hands it down so
-// canonicalisation runs exactly once per request. Alongside the prediction
-// it reports the weight generation that produced it — for a cache hit, the
-// generation recorded when the entry was admitted.
-func (e *Engine) predictKey(sql, key string) (Prediction, int64, error) {
-	if e.cache != nil {
-		if p, g, ok := e.cache.Get(key); ok {
-			return p, g, nil
-		}
-	}
-	fe, err := e.resolveSQL(sql)
-	if err != nil {
-		return Prediction{}, 0, fmt.Errorf("parse: %w", err)
-	}
-	tr := &workload.Trace{SQL: sql, Plan: fe.plan, Template: -1}
-	y, gen, norm := e.submit(tr, key, fe.enc, fe.encGen)
-	p := Prediction{
-		CPUMinutes: norm.Denormalize(y),
-		Normalized: y,
-		PlanNodes:  fe.plan.NodeCount(),
-		PlanDepth:  fe.plan.MaxDepth(),
-		Tables:     len(fe.plan.Tables()),
-	}
-	if e.cache != nil {
-		e.cache.Put(key, p, gen)
-	}
-	e.depositTemplate(fe, gen)
-	return p, gen, nil
-}
-
-// predictKeyCtx is predictKey with a request deadline. A nil ctx delegates
-// to the exact pre-deadline path. Cache hits are served regardless of the
-// deadline — they cost nothing and never touch a batcher. On a miss, work
-// whose deadline has already passed is dropped before planning (and so
-// before any batcher), and a deadline that expires while the job is queued
-// abandons the wait without occupying a model slot. Both drops count once
-// on this shard's Expired counter and surface as ExpiredError.
-func (e *Engine) predictKeyCtx(ctx context.Context, sql, key string) (Prediction, int64, error) {
-	if ctx == nil {
-		return e.predictKey(sql, key)
-	}
-	if e.cache != nil {
-		if p, g, ok := e.cache.Get(key); ok {
-			return p, g, nil
-		}
+// canonicalisation runs exactly once per request — and a request deadline
+// (context.Background() when there is none). Alongside the prediction it
+// reports the weight generation that produced it.
+//
+// Cache hits are served regardless of the deadline — they cost nothing and
+// never touch a batcher. On a miss, work whose deadline has already passed
+// is dropped before planning (and so before any batcher), and a deadline
+// that expires while the job is queued abandons the wait without occupying a
+// model slot. Both drops count once on this shard's Expired counter and
+// surface as ExpiredError.
+func (e *Engine) predictKey(ctx context.Context, sql, key string) (Prediction, int64, error) {
+	if p, g, ok := e.cache.Get(key); ok {
+		return p, g, nil
 	}
 	if ctx.Err() != nil {
 		e.tel.Expired.Inc()
@@ -434,52 +403,33 @@ func (e *Engine) predictKeyCtx(ctx context.Context, sql, key string) (Prediction
 		return Prediction{}, 0, fmt.Errorf("parse: %w", err)
 	}
 	tr := &workload.Trace{SQL: sql, Plan: fe.plan, Template: -1}
-	y, gen, norm, err := e.submitCtx(ctx, tr, key, fe.enc, fe.encGen)
+	res, err := e.submit(ctx, tr, key, fe.enc, fe.encGen)
 	if err != nil {
 		return Prediction{}, 0, err
 	}
 	p := Prediction{
-		CPUMinutes: norm.Denormalize(y),
-		Normalized: y,
+		CPUMinutes: res.norm.Denormalize(res.y),
+		Normalized: res.y,
 		PlanNodes:  fe.plan.NodeCount(),
 		PlanDepth:  fe.plan.MaxDepth(),
 		Tables:     len(fe.plan.Tables()),
 	}
-	if e.cache != nil {
-		e.cache.Put(key, p, gen)
-	}
-	e.depositTemplate(fe, gen)
-	return p, gen, nil
+	e.cache.Put(key, p, res.gen)
+	e.depositTemplate(fe, res.gen)
+	return p, res.gen, nil
 }
 
-// submit enqueues a planned trace and blocks for its prediction. When the
-// queue is saturated or the engine is closed it degrades to the serialised
+// submit enqueues a planned trace and blocks for its prediction. The job
+// carries ctx into the queue, and the wait is abandoned the moment the
+// deadline passes — the flush that eventually drains the job sees its dead
+// context and drops it before the model runs, so an expired request never
+// occupies a model slot. A result that is already delivered when the
+// deadline fires is still returned rather than wasted. When the queue is
+// saturated or the engine is closed, submit degrades to the serialised
 // single-query path instead of blocking or failing. enc/encGen carry a
 // template-cache featurization into the job; the serialised fallback ignores
 // them and re-encodes from the plan, byte-identically.
-func (e *Engine) submit(tr *workload.Trace, key string, enc any, encGen int64) (float64, int64, workload.Normalizer) {
-	e.mu.RLock()
-	if !e.closed {
-		job := &predictJob{trace: tr, key: key, enc: enc, encGen: encGen, done: make(chan predictResult, 1)}
-		select {
-		case e.jobs <- job:
-			e.mu.RUnlock()
-			res := <-job.done
-			return res.y, res.gen, res.norm
-		default:
-		}
-	}
-	e.mu.RUnlock()
-	return e.serialPredict(tr)
-}
-
-// submitCtx is submit with a deadline: the job carries ctx into the queue,
-// and the wait is abandoned the moment the deadline passes — the flush that
-// eventually drains the job sees its dead context and drops it before the
-// model runs, so an expired request never occupies a model slot. A result
-// that is already delivered when the deadline fires is still returned
-// rather than wasted.
-func (e *Engine) submitCtx(ctx context.Context, tr *workload.Trace, key string, enc any, encGen int64) (float64, int64, workload.Normalizer, error) {
+func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc any, encGen int64) (predictResult, error) {
 	e.mu.RLock()
 	if !e.closed {
 		job := &predictJob{ctx: ctx, trace: tr, key: key, enc: enc, encGen: encGen, done: make(chan predictResult, 1)}
@@ -488,15 +438,15 @@ func (e *Engine) submitCtx(ctx context.Context, tr *workload.Trace, key string, 
 			e.mu.RUnlock()
 			select {
 			case res := <-job.done:
-				return res.y, res.gen, res.norm, nil
+				return res, nil
 			case <-ctx.Done():
 				select {
 				case res := <-job.done:
-					return res.y, res.gen, res.norm, nil
+					return res, nil
 				default:
 				}
 				e.tel.Expired.Inc()
-				return 0, 0, workload.Normalizer{}, &ExpiredError{}
+				return predictResult{}, &ExpiredError{}
 			}
 		default:
 		}
@@ -504,40 +454,18 @@ func (e *Engine) submitCtx(ctx context.Context, tr *workload.Trace, key string, 
 	e.mu.RUnlock()
 	if ctx.Err() != nil {
 		e.tel.Expired.Inc()
-		return 0, 0, workload.Normalizer{}, &ExpiredError{}
+		return predictResult{}, &ExpiredError{}
 	}
-	y, gen, norm := e.serialPredict(tr)
-	return y, gen, norm, nil
+	return e.serialPredict(tr), nil
 }
 
 // serialPredict is the engine's serialised fallback: one model round trip
 // under the predictor lock, with the generation and normaliser read under
 // that same lock so a concurrent hot-swap can never mislabel the result.
-func (e *Engine) serialPredict(tr *workload.Trace) (float64, int64, workload.Normalizer) {
+func (e *Engine) serialPredict(tr *workload.Trace) predictResult {
 	e.pred.mu.Lock()
 	defer e.pred.mu.Unlock()
-	return e.pred.predictTraceLocked(tr), e.weightGen.Load(), e.pred.Norm
-}
-
-// cachePeek consults the engine's cache segment without recording a miss:
-// the dispatcher checks the home shard's cache before a saturation detour,
-// and the shard that finally serves the query accounts its own lookup.
-func (e *Engine) cachePeek(key string) (Prediction, int64, bool) {
-	if e.cache == nil {
-		return Prediction{}, 0, false
-	}
-	return e.cache.Peek(key)
-}
-
-// cachePut lands a finished prediction in the engine's cache segment; the
-// dispatcher uses it to deposit detour results where future lookups for
-// the key will actually hash. The generation guard inside Put drops the
-// deposit if this segment has moved to a different weight generation than
-// the one the detour shard computed under.
-func (e *Engine) cachePut(key string, p Prediction, gen int64) {
-	if e.cache != nil {
-		e.cache.Put(key, p, gen)
-	}
+	return predictResult{y: e.pred.predictTraceLocked(tr), gen: e.weightGen.Load(), norm: e.pred.Norm}
 }
 
 // queued reports how many jobs are waiting in the engine's queue; the
@@ -613,10 +541,10 @@ func (e *Engine) flush(batch []*predictJob) {
 	// expiry) through its context, so the skip itself is accounting-free.
 	live := batch
 	for _, j := range batch {
-		if j.ctx != nil && j.ctx.Err() != nil {
+		if j.ctx.Err() != nil {
 			live = batch[:0]
 			for _, k := range batch {
-				if k.ctx == nil || k.ctx.Err() == nil {
+				if k.ctx.Err() == nil {
 					live = append(live, k)
 				}
 			}
@@ -644,8 +572,8 @@ func (e *Engine) flush(batch []*predictJob) {
 		traces[i] = j.trace
 	}
 	// The encode fan-out is pure and runs outside the lock, but the model it
-	// encodes against must be pinned: a full-bundle roll can replace the
-	// replica (and its pipeline) between here and the locked section below.
+	// encodes against must be pinned: a roll can replace the replica (and
+	// its pipeline) between here and the locked section below.
 	// Jobs that arrived with a template-cache featurization (enc already set)
 	// skip the fan-out; their validity is decided per job under the lock.
 	e.pred.mu.Lock()
@@ -741,18 +669,9 @@ func (e *Engine) estWaitMicros() float64 { return e.tel.EstWaitMicros(len(e.jobs
 // generation). The shard index is 0; a ShardedEngine overwrites it with the
 // dispatcher's numbering.
 func (e *Engine) Snapshot() telemetry.ShardSnapshot {
-	entries := 0
-	if e.cache != nil {
-		entries = e.cache.Len()
-	}
-	subEntries, subBytes := 0, int64(0)
-	if e.convCache != nil {
-		subEntries, subBytes = e.convCache.Stats()
-	}
-	tmplEntries, tmplBytes := 0, int64(0)
-	if e.tmplCache != nil {
-		tmplEntries, tmplBytes = e.tmplCache.Stats()
-	}
+	entries, _ := e.cache.Stats()
+	subEntries, subBytes := e.convCache.Stats()
+	tmplEntries, tmplBytes := e.tmplCache.Stats()
 	return e.tel.Snapshot(telemetry.ShardGauges{
 		Queued:          len(e.jobs),
 		CacheEntries:    entries,

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"container/list"
 	"strings"
-	"sync"
 
 	"prestroid/internal/telemetry"
 )
@@ -117,114 +115,13 @@ func canonicalAlready(sql string) bool {
 	return true
 }
 
-// predictionCache is a thread-safe LRU of finished predictions keyed by
+// predictionCache is the per-shard segment of finished predictions keyed by
 // canonicalised SQL. Repeated templates — the dominant case in the paper's
-// Grab workload — skip parse, encode and model inference entirely.
-//
-// Every entry is tagged with the weight generation its prediction was
-// computed under, and the cache itself carries the generation it is serving.
-// Put drops any result from a different generation: during a weight reload a
-// request can finish its model call under the old weights after the shard's
-// segment was already invalidated, and silently admitting that result would
-// let one canonical key alternate between generations within a single cache
-// lifetime.
-type predictionCache struct {
-	mu    sync.Mutex
-	max   int
-	gen   int64      // weight generation this segment serves
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-
-	// hits/misses live in the owning shard's telemetry group so cache
-	// accounting feeds the same snapshot as every other counter.
-	hits   *telemetry.Counter
-	misses *telemetry.Counter
-}
-
-type cacheEntry struct {
-	key  string
-	pred Prediction
-}
+// Grab workload — skip parse, encode and model inference entirely. A present
+// key is overwritten (within one generation the answer is byte-identical
+// anyway) and entries are not byte-accounted.
+type predictionCache = genLRU[string, Prediction]
 
 func newPredictionCache(max int, gen int64, hits, misses *telemetry.Counter) *predictionCache {
-	return &predictionCache{
-		max:    max,
-		gen:    gen,
-		order:  list.New(),
-		items:  make(map[string]*list.Element, max),
-		hits:   hits,
-		misses: misses,
-	}
-}
-
-// Get returns the cached prediction for a canonical key and the weight
-// generation it was computed under, marking it most recently used.
-func (c *predictionCache) Get(key string) (Prediction, int64, bool) {
-	p, g, ok := c.Peek(key)
-	if !ok {
-		c.misses.Inc()
-	}
-	return p, g, ok
-}
-
-// Peek is Get without miss accounting: a hit still counts and refreshes
-// recency, but a miss is left for whichever cache segment ultimately serves
-// the query, so the dispatcher's pre-detour home lookup doesn't
-// double-count lookups. The reported generation is the segment's: the Put
-// guard plus Invalidate keep every live entry at exactly that generation,
-// so no per-entry tag is stored.
-func (c *predictionCache) Peek(key string) (Prediction, int64, bool) {
-	c.mu.Lock()
-	el, ok := c.items[key]
-	if !ok {
-		c.mu.Unlock()
-		return Prediction{}, 0, false
-	}
-	c.order.MoveToFront(el)
-	p, g := el.Value.(*cacheEntry).pred, c.gen
-	c.mu.Unlock()
-	c.hits.Inc()
-	return p, g, true
-}
-
-// Put stores a prediction computed under weight generation gen, evicting the
-// least recently used entry when full. A prediction from any other
-// generation than the one the segment currently serves is dropped, keeping
-// the invariant that all live entries share the segment's generation.
-func (c *predictionCache) Put(key string, p Prediction, gen int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).pred = p
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, pred: p})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// Invalidate drops every entry and advances the segment to a new weight
-// generation; in-flight Puts tagged with the old generation are rejected
-// from then on. Hit/miss counters survive — they are lifetime serving
-// stats, not per-generation ones.
-func (c *predictionCache) Invalidate(gen int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen = gen
-	c.order.Init()
-	c.items = make(map[string]*list.Element, c.max)
-}
-
-// Len reports the number of live entries.
-func (c *predictionCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+	return newGenLRU[string, Prediction](max, gen, hits, misses, nil, nil)
 }

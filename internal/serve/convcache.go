@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
 	"prestroid/internal/models"
 	"prestroid/internal/telemetry"
 )
@@ -15,105 +12,45 @@ type convCacheSetter interface {
 	SetConvCache(models.ConvCache)
 }
 
-// subtreeCache is the per-shard partial-result cache behind models.ConvCache:
-// a thread-safe LRU of pooled tree-convolution outputs keyed by the flattened
+// subtreeCache is the per-shard partial-result segment behind
+// models.ConvCache: pooled tree-convolution outputs keyed by the flattened
 // sub-tree's content hash (treecnn.Tree.Hash). A hit replaces an entire conv
 // stack forward over that sub-tree, which is what makes structurally
 // overlapping workloads cheaper than their distinct-template cost.
 //
-// Unlike the prediction cache there is no Peek: the dispatcher never
-// pre-checks this cache, so Get accounts its own miss. Entries are only valid
-// for the weights they were computed under; the cache carries the generation
-// it serves and the reload machinery invalidates it under the same predictor
-// lock as the weight swap, so a deposit can never cross generations — every
-// Put happens inside a model call serialised on that same lock.
+// The model deposits with no generation in hand, so Put lands under the
+// segment's current one. That is sound because every deposit happens inside
+// a model call serialised on the predictor lock, the same lock under which
+// the reload machinery swaps the replica and invalidates the segment — a
+// deposit can never cross generations. The zero value (no segment) is the
+// disabled cache.
 type subtreeCache struct {
-	mu    sync.Mutex
-	max   int
-	gen   int64 // weight generation this segment serves
-	bytes int64 // payload bytes across live entries (8 per float64)
-	order *list.List
-	items map[uint64]*list.Element
-
-	hits   *telemetry.Counter
-	misses *telemetry.Counter
+	*genLRU[uint64, []float64]
 }
 
-type subtreeEntry struct {
-	key    uint64
-	pooled []float64
+func newSubtreeCache(max int, gen int64, hits, misses *telemetry.Counter) subtreeCache {
+	return subtreeCache{newGenLRU(max, gen, hits, misses, admitSubtree,
+		func(_ uint64, v []float64) int64 { return int64(8 * len(v)) })}
 }
 
-func newSubtreeCache(max int, gen int64, hits, misses *telemetry.Counter) *subtreeCache {
-	return &subtreeCache{
-		max:    max,
-		gen:    gen,
-		order:  list.New(),
-		items:  make(map[uint64]*list.Element, max),
-		hits:   hits,
-		misses: misses,
-	}
-}
-
-// Get returns the cached pooled output for a sub-tree hash, marking it most
-// recently used. The returned slice is owned by the cache and never mutated
-// after admission, satisfying the ConvCache immutability contract.
-func (c *subtreeCache) Get(hash uint64) ([]float64, bool) {
-	c.mu.Lock()
-	el, ok := c.items[hash]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Inc()
+// admitSubtree keeps a present entry — within one generation the conv stack
+// is deterministic, so the stored values are byte-identical anyway — and
+// copies a new one: the caller's backing slice is only valid for the
+// duration of the call.
+func admitSubtree(_ []float64, present bool, in []float64) ([]float64, bool) {
+	if present {
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	v := el.Value.(*subtreeEntry).pooled
-	c.mu.Unlock()
-	c.hits.Inc()
-	return v, true
+	return append([]float64(nil), in...), true
 }
 
-// Put admits a pooled output, copying it — the caller's backing slice is only
-// valid for the duration of the call — and evicts least recently used entries
-// when full. Re-putting a present key refreshes recency but keeps the stored
-// values: within one generation the conv stack is deterministic, so they are
-// byte-identical anyway.
-func (c *subtreeCache) Put(hash uint64, pooled []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[hash]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	v := append([]float64(nil), pooled...)
-	c.items[hash] = c.order.PushFront(&subtreeEntry{key: hash, pooled: v})
-	c.bytes += int64(8 * len(v))
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		ent := oldest.Value.(*subtreeEntry)
-		delete(c.items, ent.key)
-		c.bytes -= int64(8 * len(ent.pooled))
-	}
+// Get returns the cached pooled output for a sub-tree hash. The returned
+// slice is owned by the cache and never mutated after admission, satisfying
+// the ConvCache immutability contract.
+func (c subtreeCache) Get(hash uint64) ([]float64, bool) {
+	v, _, ok := c.genLRU.Get(hash)
+	return v, ok
 }
 
-// Invalidate drops every entry and advances the segment to a new weight
-// generation. It must run under the same lock that serialises the weight swap
-// against model calls (the predictor mutex), which is what guarantees no
-// stale pooled output computed under the old weights can be deposited after
-// the flush. Hit/miss counters survive as lifetime serving stats.
-func (c *subtreeCache) Invalidate(gen int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen = gen
-	c.bytes = 0
-	c.order.Init()
-	c.items = make(map[uint64]*list.Element, c.max)
-}
-
-// Stats reports live entries and payload bytes for telemetry sampling.
-func (c *subtreeCache) Stats() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len(), c.bytes
-}
+// Put admits a copy of a pooled output.
+func (c subtreeCache) Put(hash uint64, pooled []float64) { c.PutCurrent(hash, pooled) }

@@ -3,24 +3,22 @@ package serve
 import (
 	"bytes"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"prestroid/internal/models"
 	"prestroid/internal/telemetry"
 )
 
-// TestSubtreeCacheLRUAndBytes pins the segment's mechanics: Put copies and
-// accounts payload bytes, Get refreshes recency and counts its own misses,
-// eviction walks from the LRU end, and Invalidate flushes everything while
-// the lifetime counters survive.
-func TestSubtreeCacheLRUAndBytes(t *testing.T) {
+// TestSubtreeCacheKeepsAndCopies pins the sub-tree segment's own policy on
+// top of the shared LRU (see genlru_test.go): it satisfies models.ConvCache,
+// copies the caller's slice on admission, prices entries at 8 bytes per
+// float, and keeps the stored values when a present key is re-put.
+func TestSubtreeCacheKeepsAndCopies(t *testing.T) {
 	var hits, misses telemetry.Counter
-	c := newSubtreeCache(2, 1, &hits, &misses)
+	var c models.ConvCache = newSubtreeCache(2, 1, &hits, &misses)
 
-	if _, ok := c.Get(1); ok {
-		t.Fatal("empty cache reported a hit")
+	if _, ok := c.Get(1); ok || misses.Load() != 1 {
+		t.Fatalf("empty cache: hit=%v misses=%d, want a counted miss", ok, misses.Load())
 	}
 	src := []float64{1, 2, 3}
 	c.Put(1, src)
@@ -29,29 +27,12 @@ func TestSubtreeCacheLRUAndBytes(t *testing.T) {
 	if !ok || v[0] != 1 {
 		t.Fatalf("Get(1) = %v, %v; want the values as deposited", v, ok)
 	}
-	if e, b := c.Stats(); e != 1 || b != 24 {
+	c.Put(1, []float64{7, 8, 9, 10}) // present key: stored values stay
+	if again, _ := c.Get(1); &again[0] != &v[0] {
+		t.Fatal("re-putting a present key replaced the stored slice")
+	}
+	if e, b := c.(subtreeCache).Stats(); e != 1 || b != 24 {
 		t.Fatalf("stats = %d entries / %d bytes, want 1/24", e, b)
-	}
-
-	c.Put(2, []float64{4})
-	c.Get(1) // refresh 1 so 2 is now least recently used
-	c.Put(3, []float64{5, 6})
-	if _, ok := c.Get(2); ok {
-		t.Fatal("LRU key 2 survived an over-capacity Put")
-	}
-	if e, b := c.Stats(); e != 2 || b != 24+16 {
-		t.Fatalf("stats after eviction = %d/%d, want 2/40", e, b)
-	}
-
-	c.Invalidate(2)
-	if e, b := c.Stats(); e != 0 || b != 0 {
-		t.Fatalf("stats after Invalidate = %d/%d, want 0/0", e, b)
-	}
-	if _, ok := c.Get(1); ok {
-		t.Fatal("entry survived Invalidate")
-	}
-	if hits.Load() == 0 || misses.Load() == 0 {
-		t.Fatal("lifetime hit/miss counters were reset")
 	}
 }
 
@@ -157,42 +138,5 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 				t.Fatalf("shard %d call %d: %v != new-weight reference %v", si, i, got.Normalized, want.Normalized)
 			}
 		}
-	}
-}
-
-func pprofGet(t *testing.T, srv *Server, path, remote, token string) *httptest.ResponseRecorder {
-	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, path, nil)
-	req.RemoteAddr = remote
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, req)
-	return w
-}
-
-// TestPprofGuard pins the profiling surface's trust boundary: the same
-// guard as /v1/reload — loopback-only by default, bearer token for remote
-// access once configured (and then required even from loopback).
-func TestPprofGuard(t *testing.T) {
-	srv, _ := newTestServer(t)
-
-	if w := pprofGet(t, srv, "/debug/pprof/", "192.0.2.7:1000", ""); w.Code != http.StatusForbidden {
-		t.Fatalf("remote pprof without token = %d, want 403", w.Code)
-	}
-	if w := pprofGet(t, srv, "/debug/pprof/", "127.0.0.1:1000", ""); w.Code != http.StatusOK {
-		t.Fatalf("loopback pprof index = %d: %s", w.Code, w.Body)
-	}
-	if w := pprofGet(t, srv, "/debug/pprof/heap?debug=1", "127.0.0.1:1000", ""); w.Code != http.StatusOK {
-		t.Fatalf("loopback heap profile = %d", w.Code)
-	}
-
-	srv.SetReloadToken("sekrit")
-	if w := pprofGet(t, srv, "/debug/pprof/", "127.0.0.1:1000", ""); w.Code != http.StatusUnauthorized {
-		t.Fatalf("tokenless pprof with token configured = %d, want 401", w.Code)
-	}
-	if w := pprofGet(t, srv, "/debug/pprof/heap?debug=1", "192.0.2.7:1000", "sekrit"); w.Code != http.StatusOK {
-		t.Fatalf("remote pprof with valid token = %d", w.Code)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -74,7 +75,7 @@ func TestFullReloadRollsAllShards(t *testing.T) {
 	t.Cleanup(se.Close)
 
 	sql := "SELECT a FROM t WHERE a > 5"
-	before, g, err := se.PredictSQLGen(sql)
+	before, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestFullReloadRollsAllShards(t *testing.T) {
 
 	// The pre-reload cache entry must be gone: the dispatcher now answers
 	// the new identity's value — pipeline, weights and normaliser together.
-	after, g, err := se.PredictSQLGen(sql)
+	after, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFullReloadRejectionsLeaveServingUntouched(t *testing.T) {
 	t.Cleanup(se.Close)
 
 	sql := "SELECT b FROM t WHERE b < 3"
-	before, _, err := se.PredictSQLGen(sql) // misses, lands in the cache
+	before, _, err := se.PredictSQLGenCtx(context.Background(), sql) // misses, lands in the cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestFullReloadRejectionsLeaveServingUntouched(t *testing.T) {
 			t.Fatalf("%s: rejected bundle disturbed the cache: %d entries, want %d",
 				name, entries, entriesBefore)
 		}
-		after, g, err := se.PredictSQLGen(sql)
+		after, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +325,7 @@ func TestInterleavedReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, g, _ := se.PredictSQLGen(sql); g != 2 || got != want {
+	if got, g, _ := se.PredictSQLGenCtx(context.Background(), sql); g != 2 || got != want {
 		t.Fatalf("after weight roll: gen %d %+v, want gen 2 %+v", g, got, want)
 	}
 
@@ -337,7 +338,7 @@ func TestInterleavedReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, g, _ := se.PredictSQLGen(sql); g != 3 || got != want {
+	if got, g, _ := se.PredictSQLGenCtx(context.Background(), sql); g != 3 || got != want {
 		t.Fatalf("after full roll: gen %d %+v, want gen 3 %+v", g, got, want)
 	}
 
@@ -360,7 +361,7 @@ func TestInterleavedReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, g, _ := se.PredictSQLGen(sql); g != 4 || got != want {
+	if got, g, _ := se.PredictSQLGenCtx(context.Background(), sql); g != 4 || got != want {
 		t.Fatalf("after weight roll on new identity: gen %d %+v, want gen 4 %+v", g, got, want)
 	}
 	if se.Reloads() != 3 {
@@ -455,7 +456,7 @@ func TestFullReloadUnderConcurrentTraffic(t *testing.T) {
 				}
 				sql := queries[(i+w)%len(queries)]
 				key := CanonicalSQL(sql)
-				p, g, err := se.PredictSQLGen(sql)
+				p, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 				if err != nil {
 					errCh <- err
 					return

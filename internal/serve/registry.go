@@ -175,30 +175,29 @@ func (en *ModelEntry) roll() (*ShardedEngine, *stagedRoll) {
 // live engine when no roll is staged (the byte-identical single-model path);
 // during a canary, to the staged engine for the deterministic keyspace slice
 // canaryBucket selects; during a shadow, to the live engine with the result
-// mirrored to the staged bundle off the hot path. Alongside the prediction
-// and its generation it reports the kernel mode of the engine that answered.
+// mirrored to the staged bundle off the hot path. The query is canonicalised
+// once, here, for both the canary split and the engine's dispatch. A nil ctx
+// means no deadline. Alongside the prediction and its generation it reports
+// the kernel mode of the engine that answered.
 func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, string, error) {
-	live, st := en.roll()
-	if st == nil {
-		p, g, err := live.PredictSQLGenCtx(ctx, sql)
-		return p, g, live.Kernel(), err
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	switch st.mode {
-	case api.StateCanary:
-		if canaryBucket(CanonicalSQL(sql)) < st.percent {
-			p, g, err := st.eng.PredictSQLGenCtx(ctx, sql)
-			return p, g, st.eng.Kernel(), err
-		}
-	case api.StateShadow:
+	key := CanonicalSQL(sql)
+	eng, st := en.roll()
+	if st != nil && st.mode == api.StateShadow {
 		start := time.Now()
-		p, g, err := live.PredictSQLGenCtx(ctx, sql)
+		p, g, err := eng.predictKey(ctx, sql, key)
 		if err == nil {
 			st.mirror(sql, p, time.Since(start))
 		}
-		return p, g, live.Kernel(), err
+		return p, g, eng.Kernel(), err
 	}
-	p, g, err := live.PredictSQLGenCtx(ctx, sql)
-	return p, g, live.Kernel(), err
+	if st != nil && st.mode == api.StateCanary && canaryBucket(key) < st.percent {
+		eng = st.eng
+	}
+	p, g, err := eng.predictKey(ctx, sql, key)
+	return p, g, eng.Kernel(), err
 }
 
 // ExplainSQL resolves a query to its logical plan through the live engine's

@@ -30,10 +30,7 @@ const initialGeneration = 1
 const drainTimeout = 2 * time.Second
 
 // ErrReloadInProgress is returned when a reload is requested while another
-// bundle — weight-only or full — is still rolling across the shards. One
-// roll machinery serves both paths: a shard quiesced for a replica swap is
-// mid-roll, and an interleaved weight-only roll against it must be refused,
-// not layered on top.
+// bundle — weight-only or full — is still rolling across the shards.
 var ErrReloadInProgress = errors.New("serve: a reload is already in progress")
 
 // beginQuiesce stops the dispatcher from routing new work to this shard;
@@ -58,55 +55,21 @@ func (e *Engine) drainQueue(timeout time.Duration) bool {
 	return true
 }
 
-// swapWeights runs the quiesce/drain/swap/resume protocol on one shard:
+// swapReplica runs the quiesce/drain/swap/resume protocol on one shard:
 // divert new dispatcher traffic, let the batcher drain what is already
 // queued between batches, then — under the predictor lock, so no model call
-// can overlap — copy src's weights into the replica, advance the shard's
-// weight generation and invalidate its cache segment in one critical
-// section. Any request racing the swap either finished its model call
-// before the lock was taken (old generation; its late cache deposit is
-// rejected by the invalidated segment) or runs after (new generation,
-// admitted into the fresh segment). No response can mix the two.
-func (e *Engine) swapWeights(src models.Model, gen int64) error {
-	sw, ok := e.pred.Model.(models.WeightSwapper)
-	if !ok {
-		return fmt.Errorf("serve: %T does not support weight hot-swap", e.pred.Model)
-	}
-	e.beginQuiesce()
-	defer e.endQuiesce()
-	e.drainQueue(drainTimeout)
-	e.pred.mu.Lock()
-	defer e.pred.mu.Unlock()
-	if err := sw.SwapWeightsFrom(src); err != nil {
-		return err
-	}
-	e.weightGen.Store(gen)
-	if e.cache != nil {
-		e.cache.Invalidate(gen)
-	}
-	// Pooled conv outputs belong to the weights that computed them; flushing
-	// under the same lock as the swap means no stale entry can survive into —
-	// or be deposited after — the new generation.
-	if e.convCache != nil {
-		e.convCache.Invalidate(gen)
-	}
-	// Template featurizations likewise: a weight-only swap keeps the pipeline,
-	// but the generation contract ("encGen == gen ⟹ the entry's identity is
-	// the serving identity") is what lets flush adopt cached trees without
-	// inspecting pipelines, so the segment rolls with everything else.
-	if e.tmplCache != nil {
-		e.tmplCache.Invalidate(gen)
-	}
-	return nil
-}
-
-// swapReplica runs the same quiesce/drain/swap/resume protocol as
-// swapWeights, but replaces the shard's whole predictor identity — model
-// replica, feature pipeline and label normaliser — instead of copying
-// weights into the live replica. This is the ownership-model shift a
-// full-bundle reload needs: the shard's model pointer is no longer stable
-// for the process lifetime, which is why every consumer of e.pred resolves
-// the fields under pred.mu (see flush, serialPredict, predictTrace,
+// can overlap — replace the shard's whole predictor identity (model replica,
+// feature pipeline, label normaliser), advance its weight generation and
+// invalidate its cache segments in one critical section. Any request racing
+// the swap either finished its model call before the lock was taken (old
+// generation; its late cache deposit is rejected by the invalidated segment)
+// or runs after (new generation, admitted into the fresh segment). No
+// response can mix the two.
+//
+// This is the only swap primitive: a weight-only reload hands in the live
+// pipeline and normaliser unchanged. The shard's model pointer is therefore
+// not stable for the process lifetime, which is why every consumer of e.pred
+// resolves the fields under pred.mu (see flush, serialPredict, predictTrace,
 // ModelInfo). The replica handed in must be exclusively the shard's: it is
 // mutated by every model call from here on.
 func (e *Engine) swapReplica(m models.Model, pipe *models.Pipeline, norm workload.Normalizer, gen int64) {
@@ -119,23 +82,19 @@ func (e *Engine) swapReplica(m models.Model, pipe *models.Pipeline, norm workloa
 	e.pred.Pipe = pipe
 	e.pred.Norm = norm
 	e.weightGen.Store(gen)
-	if e.cache != nil {
-		e.cache.Invalidate(gen)
-	}
+	e.cache.Invalidate(gen)
+	// Cached template featurizations were built by the outgoing identity.
+	// Even when the pipeline is kept, the generation contract ("encGen == gen
+	// ⟹ the entry's identity is the serving identity") is what lets flush
+	// adopt cached trees without inspecting pipelines, so the segment rolls
+	// with everything else.
+	e.tmplCache.Invalidate(gen)
 	// The shard's sub-tree cache segment outlives the replica: flush it and
 	// hand it to the incoming model (clones never inherit a conv cache —
 	// placement belongs to the serving layer, here).
-	if e.convCache != nil {
-		e.convCache.Invalidate(gen)
-		if cs, ok := m.(convCacheSetter); ok {
-			cs.SetConvCache(e.convCache)
-		}
-	}
-	// Cached template featurizations were built by the outgoing pipeline;
-	// flush them under the same critical section so no stale encoding can be
-	// rebound — or deposited — against the new identity.
-	if e.tmplCache != nil {
-		e.tmplCache.Invalidate(gen)
+	e.convCache.Invalidate(gen)
+	if cs, ok := m.(convCacheSetter); ok && e.convCache.genLRU != nil {
+		cs.SetConvCache(e.convCache)
 	}
 	// The kernel mode likewise outlives the replica: re-quantise the incoming
 	// model (packing its int8 tables under this same critical section) and
@@ -147,131 +106,103 @@ func (e *Engine) swapReplica(m models.Model, pipe *models.Pipeline, norm workloa
 	}
 }
 
-// Reload installs a retrained weight bundle into every live replica without
-// stopping the service. The bundle is decoded and shape-validated exactly
-// once, against a staging clone of the live model, before any shard is
-// touched — a bad bundle is rejected atomically with zero serving impact.
-// The staging replica then rolls across the shards one at a time via
-// swapWeights, so at every instant all but at most one shard are accepting
-// dispatcher traffic, and the dispatcher's generation-matched detours keep
-// every canonical key on a single generation throughout the roll. On
-// success it returns the new generation, now reported by every shard.
-func (se *ShardedEngine) Reload(r io.Reader) (int64, error) {
-	return se.countRejected(se.reloadWeights(r))
-}
-
-// countRejected folds a roll outcome into the reload telemetry: a failure
-// before any replica was touched — a decode or validation rejection — is
-// counted on the rejected-bundle surface. A lost race for the roll lock is
-// no rejection, and a PartialRollError is deliberately *not* counted
-// either: its contract ("rejected before touching any replica, zero
-// serving impact") would be a lie for a roll that already mutated shards.
-func (se *ShardedEngine) countRejected(gen int64, err error) (int64, error) {
-	var partial *PartialRollError
-	if err != nil && !errors.Is(err, ErrReloadInProgress) && !errors.As(err, &partial) {
+// reload is the one roll every entry point funnels into. The lock comes
+// first: a roll already in flight must answer ErrReloadInProgress, not
+// whatever the decoder thinks of the stream. stage then decodes and validates
+// the artefact into a staging predictor without touching a shard — a bad
+// bundle fails there with zero serving impact — and rollLocked swaps it into
+// every shard. Every failure past the lock happens before any replica is
+// touched, and is counted on the rejected-bundle surface operators alert on;
+// a lost race for the lock is a conflict, not a rejection.
+func (se *ShardedEngine) reload(stage func() (*Predictor, error)) (int64, error) {
+	if !se.reloadMu.TryLock() {
+		return 0, ErrReloadInProgress
+	}
+	defer se.reloadMu.Unlock()
+	staged, err := stage()
+	if err != nil {
+		se.rejected.Inc()
+		return 0, err
+	}
+	gen, err := se.rollLocked(staged)
+	if err != nil {
 		se.rejected.Inc()
 	}
 	return gen, err
 }
 
-// PartialRollError reports a roll that failed after some shards were
-// already swapped: serving stays generation-consistent (the dispatcher
-// never detours across generations) but the fleet is split between the old
-// and new weights until a follow-up roll completes. Unreachable with a
-// validated bundle and architecture-identical replicas, but surfaced
-// distinctly — as a 500, not a 422 — because "the bundle was rejected with
-// zero serving impact" would be the wrong thing to tell an operator.
-type PartialRollError struct {
-	Applied int // shards already carrying the new weights
-	Shards  int
-	Err     error
-}
-
-func (e *PartialRollError) Error() string {
-	return fmt.Sprintf("serve: reload applied to %d/%d shards, then: %v", e.Applied, e.Shards, e.Err)
-}
-
-func (e *PartialRollError) Unwrap() error { return e.Err }
-
-func (se *ShardedEngine) reloadWeights(r io.Reader) (int64, error) {
-	if !se.reloadMu.TryLock() {
-		return 0, ErrReloadInProgress
-	}
-	defer se.reloadMu.Unlock()
-	bundle, err := persist.DecodeBundle(r)
-	if err != nil {
-		return 0, err
-	}
-	base := se.shards[0].pred.Model
-	cl, ok := base.(models.Cloner)
-	if !ok {
-		return 0, fmt.Errorf("serve: %T does not support cloning; cannot stage a reload", base)
-	}
-	staging := cl.Clone()
-	ws, ok := staging.(persist.WeightStore)
-	if !ok {
-		return 0, fmt.Errorf("serve: %T does not expose weights; cannot stage a reload", staging)
-	}
-	// Apply validates the full bundle against the live architecture before
-	// writing anything, and writes only into the staging clone.
-	if err := bundle.Apply(ws); err != nil {
-		return 0, err
-	}
-	gen := se.generation.Load() + 1
-	for i, sh := range se.shards {
-		if err := sh.swapWeights(staging, gen); err != nil {
-			return 0, &PartialRollError{Applied: i, Shards: len(se.shards), Err: err}
+// Reload installs a retrained weight bundle into every live shard without
+// stopping the service: a full-identity roll that keeps the live pipeline
+// and normaliser. The bundle is decoded and shape-validated exactly once,
+// into a staging clone of the live model (so the feature dimension must be
+// unchanged), and the staging replica then rolls across the shards one at a
+// time, so at every instant all but at most one shard are accepting
+// dispatcher traffic, and the dispatcher's generation-matched detours keep
+// every canonical key on a single generation throughout the roll. On success
+// it returns the new generation, now reported by every shard.
+func (se *ShardedEngine) Reload(r io.Reader) (int64, error) {
+	return se.reload(func() (*Predictor, error) {
+		bundle, err := persist.DecodeBundle(r)
+		if err != nil {
+			return nil, err
 		}
-	}
-	se.generation.Store(gen)
-	se.reloads.Inc()
-	return gen, nil
+		// Shard 0's identity is only stable under the roll lock, held here.
+		live := se.shards[0].pred
+		cl, ok := live.Model.(models.Cloner)
+		if !ok {
+			return nil, fmt.Errorf("serve: %T does not support cloning; cannot stage a reload", live.Model)
+		}
+		staging := cl.Clone()
+		if err := applyWeights(bundle, staging); err != nil {
+			return nil, err
+		}
+		return &Predictor{Model: staging, Pipe: live.Pipe, Norm: live.Norm}, nil
+	})
 }
 
 // ReloadBundle installs a complete retrained predictor identity — feature
 // pipeline, label normaliser and weights — into every live shard without
-// stopping the service. Where Reload copies weights into the existing
-// replicas (and therefore requires the feature dimension to be unchanged),
-// ReloadBundle builds fresh replicas off the bundle's own pipeline and swaps
-// them in shard by shard with the same quiesce/drain machinery, so a retrain
-// that grew the table universe or shifted the label range rolls out with the
-// exact guarantees of a weight roll: the bundle is decoded and validated
-// exactly once against a staging model before any shard is touched (the
-// staging model's shape validation is the feature-dim check), at every
-// instant all but at most one shard accept dispatcher traffic, detours stay
-// within one generation, and cache segments reject cross-generation
-// deposits. On success it returns the new generation of the full identity.
+// stopping the service. Where Reload stages a clone of the live model,
+// ReloadBundle stages a fresh model built off the bundle's own pipeline, so
+// a retrain that grew the table universe or shifted the label range rolls
+// out with the exact guarantees of a weight roll (the staging model's shape
+// validation is the feature-dim check). On success it returns the new
+// generation of the full identity.
 func (se *ShardedEngine) ReloadBundle(r io.Reader) (int64, error) {
-	return se.countRejected(se.reloadFullBundle(r))
+	return se.reload(func() (*Predictor, error) {
+		fb, err := persist.DecodeFullBundle(r)
+		if err != nil {
+			return nil, err
+		}
+		return se.stageBundleLocked(fb)
+	})
 }
 
 // ReloadBundleDecoded is ReloadBundle for a bundle the caller already
 // decoded — the multi-model registry decodes once to read the bundle's
 // embedded model name before resolving which identity the roll targets.
 func (se *ShardedEngine) ReloadBundleDecoded(fb *persist.FullBundle) (int64, error) {
-	return se.countRejected(se.rollFullBundle(fb))
+	return se.reload(func() (*Predictor, error) { return se.stageBundleLocked(fb) })
 }
 
-func (se *ShardedEngine) reloadFullBundle(r io.Reader) (int64, error) {
-	// The lock comes before the decode: a roll already in flight must answer
-	// ErrReloadInProgress, not whatever the decoder thinks of the stream.
-	if !se.reloadMu.TryLock() {
-		return 0, ErrReloadInProgress
+// applyWeights writes a decoded weight bundle into a staging model. Apply
+// validates every tensor against the staging model's architecture before
+// writing anything.
+func applyWeights(b *persist.Bundle, staging models.Model) error {
+	ws, ok := staging.(persist.WeightStore)
+	if !ok {
+		return fmt.Errorf("serve: %T does not expose weights; cannot stage a reload", staging)
 	}
-	defer se.reloadMu.Unlock()
-	fb, err := persist.DecodeFullBundle(r)
-	if err != nil {
-		return 0, err
-	}
-	return se.rollFullBundleLocked(fb)
+	return b.Apply(ws)
 }
 
-// buildStagingLocked builds and shape-validates a fresh model off a decoded
-// full bundle, using shard 0's live model as the architecture base. Nothing
-// in the serving path is touched: a bad bundle fails here with zero impact.
-// Callers must hold reloadMu — the base model pointer is only stable under
-// the roll lock.
-func (se *ShardedEngine) buildStagingLocked(fb *persist.FullBundle) (models.Model, error) {
+// stageBundleLocked builds and shape-validates a fresh predictor off a
+// decoded full bundle, using shard 0's live model as the architecture base.
+// The weights are applied to a model built off the bundle's own pipeline, so
+// a triple whose weights were trained against a different feature dimension
+// fails here. Callers must hold reloadMu — the base model pointer is only
+// stable under the roll lock.
+func (se *ShardedEngine) stageBundleLocked(fb *persist.FullBundle) (*Predictor, error) {
 	base := se.shards[0].pred.Model
 	rb, ok := base.(models.PipelineRebuilder)
 	if !ok {
@@ -281,18 +212,10 @@ func (se *ShardedEngine) buildStagingLocked(fb *persist.FullBundle) (models.Mode
 	if err != nil {
 		return nil, err
 	}
-	ws, ok := staging.(persist.WeightStore)
-	if !ok {
-		return nil, fmt.Errorf("serve: %T does not expose weights; cannot stage a full reload", staging)
-	}
-	// Apply validates the bundle's weight tensors against the staging model
-	// built off the bundle's own pipeline: a triple whose weights were
-	// trained against a different feature dimension fails here, before the
-	// serving path is touched.
-	if err := fb.Weights().Apply(ws); err != nil {
+	if err := applyWeights(fb.Weights(), staging); err != nil {
 		return nil, err
 	}
-	return staging, nil
+	return &Predictor{Model: staging, Pipe: fb.Pipeline(), Norm: fb.Norm()}, nil
 }
 
 // stagePredictor builds a validated predictor off a decoded full bundle
@@ -305,50 +228,36 @@ func (se *ShardedEngine) stagePredictor(fb *persist.FullBundle) (*Predictor, err
 		return nil, ErrReloadInProgress
 	}
 	defer se.reloadMu.Unlock()
-	staging, err := se.buildStagingLocked(fb)
+	staged, err := se.stageBundleLocked(fb)
 	if err != nil {
 		se.rejected.Inc()
-		return nil, err
 	}
-	return &Predictor{Model: staging, Pipe: fb.Pipeline(), Norm: fb.Norm()}, nil
+	return staged, err
 }
 
-func (se *ShardedEngine) rollFullBundle(fb *persist.FullBundle) (int64, error) {
-	if !se.reloadMu.TryLock() {
-		return 0, ErrReloadInProgress
-	}
-	defer se.reloadMu.Unlock()
-	return se.rollFullBundleLocked(fb)
-}
-
-func (se *ShardedEngine) rollFullBundleLocked(fb *persist.FullBundle) (int64, error) {
-	pipe := fb.Pipeline()
-	staging, err := se.buildStagingLocked(fb)
-	if err != nil {
-		return 0, err
-	}
-	// Build every shard's replica up front so the roll below cannot fail
-	// mid-way: shard 0 takes the staging model itself, the rest take clones
-	// (bit-identical weights, shared pipeline and forward-semaphore).
+// rollLocked swaps a staged identity into every shard. Every shard's replica
+// is built up front so the roll itself cannot fail mid-way: shard 0 takes
+// the staging model, the rest take clones (bit-identical weights, shared
+// pipeline and forward-semaphore).
+func (se *ShardedEngine) rollLocked(staged *Predictor) (int64, error) {
 	repls := make([]models.Model, len(se.shards))
-	repls[0] = staging
+	repls[0] = staged.Model
 	if len(se.shards) > 1 {
-		cl, ok := staging.(models.Cloner)
+		cl, ok := staged.Model.(models.Cloner)
 		if !ok {
-			return 0, fmt.Errorf("serve: %T does not support cloning; cannot build %d replicas", staging, len(se.shards))
+			return 0, fmt.Errorf("serve: %T does not support cloning; cannot build %d replicas", staged.Model, len(se.shards))
 		}
 		for i := 1; i < len(se.shards); i++ {
 			repls[i] = cl.Clone()
 		}
 	}
-	norm := fb.Norm()
 	// Snapshot the new identity before the staging model is installed
 	// anywhere (after the roll it belongs to shard 0 and may only be
 	// touched under that shard's lock).
-	ident := &modelIdent{name: staging.Name(), params: staging.ParamCount()}
+	ident := &modelIdent{name: staged.Model.Name(), params: staged.Model.ParamCount()}
 	gen := se.generation.Load() + 1
 	for i, sh := range se.shards {
-		sh.swapReplica(repls[i], pipe, norm, gen)
+		sh.swapReplica(repls[i], staged.Pipe, staged.Norm, gen)
 	}
 	se.generation.Store(gen)
 	se.ident.Store(ident)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,19 +22,25 @@ import (
 )
 
 // TestRejectedCounterSemantics pins what the rejected-bundle counter
-// counts: pre-roll rejections only. A lost race for the roll lock is no
-// rejection, and a partial roll — shards already mutated — must not hide
-// behind a counter whose contract is "zero serving impact".
+// counts: artefacts refused while staging, before any replica is touched. A
+// lost race for the roll lock is no rejection — and must not even run the
+// staging step.
 func TestRejectedCounterSemantics(t *testing.T) {
 	se := &ShardedEngine{}
-	if _, err := se.countRejected(0, ErrReloadInProgress); !errors.Is(err, ErrReloadInProgress) {
-		t.Fatal("countRejected must pass the error through")
+	bad := errors.New("serve: bundle failed validation")
+	stage := func() (*Predictor, error) { return nil, bad }
+
+	se.reloadMu.Lock()
+	if _, err := se.reload(stage); !errors.Is(err, ErrReloadInProgress) {
+		t.Fatalf("reload under a held roll lock returned %v, want ErrReloadInProgress", err)
 	}
-	se.countRejected(0, &PartialRollError{Applied: 1, Shards: 4, Err: errors.New("swap failed")})
+	se.reloadMu.Unlock()
 	if got := se.rejected.Load(); got != 0 {
-		t.Fatalf("rejected = %d after in-progress + partial-roll errors, want 0", got)
+		t.Fatalf("rejected = %d after an in-progress conflict, want 0", got)
 	}
-	se.countRejected(0, errors.New("serve: bundle failed validation"))
+	if _, err := se.reload(stage); !errors.Is(err, bad) {
+		t.Fatalf("reload returned %v, want the staging error passed through", err)
+	}
 	if got := se.rejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d after a validation failure, want 1", got)
 	}
@@ -81,7 +88,7 @@ func TestReloadRollsAllShards(t *testing.T) {
 	t.Cleanup(se.Close)
 
 	sql := "SELECT a FROM t WHERE a > 5"
-	before, g, err := se.PredictSQLGen(sql)
+	before, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +120,7 @@ func TestReloadRollsAllShards(t *testing.T) {
 
 	// The pre-reload cache entry for this key must be gone: the dispatcher
 	// answer now carries the new generation and the new-weight value.
-	after, g, err := se.PredictSQLGen(sql)
+	after, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +154,7 @@ func TestReloadRejectsBadBundle(t *testing.T) {
 	t.Cleanup(se.Close)
 
 	sql := "SELECT b FROM t WHERE b < 3"
-	before, _, err := se.PredictSQLGen(sql)
+	before, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +177,7 @@ func TestReloadRejectsBadBundle(t *testing.T) {
 	if se.Generation() != 1 || se.Reloads() != 0 {
 		t.Fatalf("rejected bundle advanced generation: gen %d, reloads %d", se.Generation(), se.Reloads())
 	}
-	after, g, err := se.PredictSQLGen(sql)
+	after, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +293,7 @@ func TestReloadUnderConcurrentTraffic(t *testing.T) {
 				}
 				sql := queries[(i+w)%len(queries)]
 				key := CanonicalSQL(sql)
-				p, g, err := se.PredictSQLGen(sql)
+				p, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 				if err != nil {
 					errCh <- err
 					return

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -50,7 +51,7 @@ import (
 // its feature pipeline and the label normaliser fit on training data.
 //
 // The three fields are one predictor identity and change together: a
-// full-bundle reload (see Engine.swapReplica) replaces all of them under mu,
+// reload (see Engine.swapReplica) replaces all of them under mu,
 // so any path that reads more than one field — or pairs a field with a model
 // output — must do so inside a single critical section, or a roll racing the
 // read could denormalise one generation's output with another generation's
@@ -405,21 +406,28 @@ func decodePredict(w http.ResponseWriter, r *http.Request) (api.PredictRequest, 
 	return req, 0, nil
 }
 
+// maxTimeoutSeconds is the largest plain-seconds Request-Timeout that still
+// fits a time.Duration.
+const maxTimeoutSeconds = float64(math.MaxInt64 / int64(time.Second))
+
 // requestDeadline derives the per-request context from the deadline
 // headers. Request-Timeout carries a relative budget — a Go duration string
 // ("250ms") or a plain number of seconds ("0.25") — and X-Request-Deadline
 // an absolute RFC 3339 instant; when both are present the earlier deadline
-// wins. The returned context is nil when neither header is set, which
-// selects the engine's deadline-free path; otherwise it descends from the
-// request context, so a client that hangs up cancels its queued work the
-// same way an expiry would.
+// wins. With neither header set the context is context.Background(), not the
+// request's: a client hang-up must not start cancelling work that never asked
+// for a deadline. A deadline context does descend from the request context,
+// so a client that hangs up cancels its queued work the same way an expiry
+// would.
 func requestDeadline(r *http.Request) (context.Context, context.CancelFunc, error) {
 	var deadline time.Time
 	if v := r.Header.Get("Request-Timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
 			secs, ferr := strconv.ParseFloat(v, 64)
-			if ferr != nil {
+			// NaN, ±Inf and anything past the Duration range are refused here:
+			// converting them is implementation-defined, not reliably negative.
+			if ferr != nil || math.IsNaN(secs) || math.Abs(secs) > maxTimeoutSeconds {
 				return nil, nil, fmt.Errorf("bad Request-Timeout header: %q", v)
 			}
 			d = time.Duration(secs * float64(time.Second))
@@ -439,7 +447,7 @@ func requestDeadline(r *http.Request) (context.Context, context.CancelFunc, erro
 		}
 	}
 	if deadline.IsZero() {
-		return nil, nil, nil
+		return context.Background(), func() {}, nil
 	}
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	return ctx, cancel, nil
@@ -512,19 +520,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.throttle(w, r) {
 		return
 	}
-	ctx, cancel, err := requestDeadline(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, err)
-		return
-	}
-	if cancel != nil {
-		defer cancel()
-	}
+	// The method guard (inside decodePredict) runs before the deadline
+	// headers are looked at: a GET is a 405 whatever its headers say.
 	req, code, err := decodePredict(w, r)
 	if err != nil {
 		s.fail(w, code, codeForStatus(code), err)
 		return
 	}
+	ctx, cancel, err := requestDeadline(r)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, err)
+		return
+	}
+	defer cancel()
 	en := s.resolveModel(w, req.Model)
 	if en == nil {
 		return
@@ -761,18 +769,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			gen, err = en.Stage(fb, req.Mode, req.Percent)
 		}
 	}
-	var partial *PartialRollError
 	switch {
 	case errors.Is(err, ErrReloadInProgress):
 		writeError(w, http.StatusConflict, api.CodeConflict, err.Error())
 		return
 	case errors.Is(err, ErrRollPending):
 		writeError(w, http.StatusConflict, api.CodeConflict, err.Error())
-		return
-	case errors.As(err, &partial):
-		// The roll failed after mutating some shards: not a rejection, the
-		// fleet is split across generations until a follow-up roll lands.
-		writeError(w, http.StatusInternalServerError, api.CodePartialRoll, err.Error())
 		return
 	case err != nil:
 		// The bundle was rejected before any replica was touched.

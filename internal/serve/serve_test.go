@@ -505,3 +505,40 @@ func TestPredictorEvictsCache(t *testing.T) {
 		t.Fatalf("predictions unstable: %+v vs %+v", a, b)
 	}
 }
+
+func pprofGet(t *testing.T, srv *Server, path, remote, token string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.RemoteAddr = remote
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	return w
+}
+
+// TestPprofGuard pins the profiling surface's trust boundary: the same
+// guard as /v1/reload — loopback-only by default, bearer token for remote
+// access once configured (and then required even from loopback).
+func TestPprofGuard(t *testing.T) {
+	srv, _ := newTestServer(t)
+
+	if w := pprofGet(t, srv, "/debug/pprof/", "192.0.2.7:1000", ""); w.Code != http.StatusForbidden {
+		t.Fatalf("remote pprof without token = %d, want 403", w.Code)
+	}
+	if w := pprofGet(t, srv, "/debug/pprof/", "127.0.0.1:1000", ""); w.Code != http.StatusOK {
+		t.Fatalf("loopback pprof index = %d: %s", w.Code, w.Body)
+	}
+	if w := pprofGet(t, srv, "/debug/pprof/heap?debug=1", "127.0.0.1:1000", ""); w.Code != http.StatusOK {
+		t.Fatalf("loopback heap profile = %d", w.Code)
+	}
+
+	srv.SetReloadToken("sekrit")
+	if w := pprofGet(t, srv, "/debug/pprof/", "127.0.0.1:1000", ""); w.Code != http.StatusUnauthorized {
+		t.Fatalf("tokenless pprof with token configured = %d, want 401", w.Code)
+	}
+	if w := pprofGet(t, srv, "/debug/pprof/heap?debug=1", "192.0.2.7:1000", "sekrit"); w.Code != http.StatusOK {
+		t.Fatalf("remote pprof with valid token = %d", w.Code)
+	}
+}

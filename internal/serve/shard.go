@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -75,7 +76,7 @@ type ShardedEngine struct {
 
 	// maxEstWaitMicros is the bounded-wait admission target in microseconds
 	// (Config.MaxEstWait), fixed at construction. <= 0 disables shedding:
-	// PredictSQLGenCtx then dispatches exactly like PredictSQLGen.
+	// dispatch then goes through pick() alone.
 	maxEstWaitMicros float64
 
 	// reloadMu serialises rolls of either kind (weight-only and
@@ -97,8 +98,8 @@ type ShardedEngine struct {
 	// ident is the serving identity snapshot (model name + parameter
 	// count) for operator surfaces. It is kept out of the shards'
 	// predictor locks — /v1/stats polls must not queue behind multi-
-	// millisecond model batches — and republished by ReloadBundle, the
-	// only roll kind that changes it.
+	// millisecond model batches — and republished by every roll (only a
+	// full-bundle one can change it).
 	ident atomic.Pointer[modelIdent]
 }
 
@@ -210,55 +211,13 @@ func (se *ShardedEngine) pick(home *Engine) *Engine {
 	return best
 }
 
-// PredictSQL canonicalises the query once, dispatches it to a shard and
-// returns that shard's prediction. The single-engine guarantee carries
-// over: identical SQL yields byte-identical predictions regardless of
-// replica count or which shard answered.
+// PredictSQL is PredictSQLGenCtx with no deadline and without the
+// generation tag. The single-engine guarantee carries over: identical SQL
+// yields byte-identical predictions regardless of replica count or which
+// shard answered.
 func (se *ShardedEngine) PredictSQL(sql string) (Prediction, error) {
-	p, _, err := se.PredictSQLGen(sql)
+	p, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	return p, err
-}
-
-// PredictSQLGen is PredictSQL plus the generation that produced the
-// answer. Generations are monotone per canonical key for any single
-// observer: once a caller has received generation g for a key, every
-// request it *starts afterwards* for that key is served from weights (or
-// cache entries) of generation >= g — shard generations only advance, the
-// dispatcher only detours between same-generation shards, and cache
-// segments drop cross-generation deposits. Responses of concurrent
-// requests may still complete out of order (a detour queued behind a slow
-// peer can finish after the roll), so the guarantee is happens-before
-// monotonicity, not global completion-order monotonicity. One narrow
-// carve-out: a shard so saturated that its roll-time drain exceeds
-// drainTimeout can answer jobs that were already queued behind the swap
-// under the *new* generation while earlier shards in the roll order still
-// serve the old one — a caller that received such an early new-generation
-// answer can then briefly observe the old generation for the same key
-// until the roll completes. Bounding the drain is deliberate: waiting for
-// a saturated queue to empty could stall the roll indefinitely.
-func (se *ShardedEngine) PredictSQLGen(sql string) (Prediction, int64, error) {
-	key := CanonicalSQL(sql)
-	home := se.shards[se.shardOf(key)]
-	sh := se.pick(home)
-	if sh == home {
-		return home.predictKey(sql, key)
-	}
-	// Saturation detour: the home cache segment never touches the jobs
-	// queue, so a cached answer is still the cheapest path — without this
-	// check, hot templates would be recomputed on another shard exactly
-	// when the service is overloaded.
-	if p, g, ok := home.cachePeek(key); ok {
-		return p, g, nil
-	}
-	p, g, err := sh.predictKey(sql, key)
-	if err == nil {
-		// Deposit the result where future lookups will hash: an entry
-		// stranded only on the detour shard is unreachable once the home
-		// queue drains. The home segment drops the deposit if its
-		// generation moved between pick and completion.
-		home.cachePut(key, p, g)
-	}
-	return p, g, err
 }
 
 // ExplainSQL resolves a query to its logical plan through the home shard's

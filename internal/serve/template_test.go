@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"prestroid/internal/logicalplan"
 	"prestroid/internal/models"
 	"prestroid/internal/sqlparse"
 	"prestroid/internal/telemetry"
@@ -132,10 +134,10 @@ func TestTemplateRebindSurvivesRoll(t *testing.T) {
 			n, n%97+1, n%19+1)
 	}
 	// Warm the template under generation 1 and take a rebind-path hit.
-	if _, _, err := se.PredictSQLGen(variant(1)); err != nil {
+	if _, _, err := se.PredictSQLGenCtx(context.Background(), variant(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := se.PredictSQLGen(variant(2)); err != nil {
+	if _, _, err := se.PredictSQLGenCtx(context.Background(), variant(2)); err != nil {
 		t.Fatal(err)
 	}
 	if hits := se.Snapshot().Totals().TemplateHits; hits == 0 {
@@ -161,7 +163,7 @@ func TestTemplateRebindSurvivesRoll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, g, err := se.PredictSQLGen(variant(n))
+		got, g, err := se.PredictSQLGenCtx(context.Background(), variant(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,38 +214,46 @@ func TestTemplateExplainWarmsPredict(t *testing.T) {
 	}
 }
 
-// TestTemplateCacheCrossGenerationDeposit pins the deposit guard at the
-// segment level: an encoding tagged with any generation but the one the
-// segment serves is dropped entirely, including deposits racing an
-// Invalidate.
-func TestTemplateCacheCrossGenerationDeposit(t *testing.T) {
+// TestTemplateCacheUpgradeInPlace pins the template segment's own policy on
+// top of the shared LRU (see genlru_test.go): a skeleton-only entry is
+// upgraded in place — and re-priced — when a deposit brings an encoding, and
+// an encoded entry is never downgraded or replaced by a later deposit.
+func TestTemplateCacheUpgradeInPlace(t *testing.T) {
 	var hits, misses telemetry.Counter
 	c := newTemplateCache(8, 1, &hits, &misses)
-	stmt, err := sqlparse.Parse("SELECT a FROM t WHERE a > 1")
+	const sql = "SELECT a FROM t WHERE a > 1"
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := logicalplan.Plan(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := newTestPredictor(t).Model.(*models.Prestroid).BuildTemplateEncoding(plan)
+	if enc.Bytes() == 0 {
+		t.Fatal("test encoding accounts no bytes; the re-pricing check would prove nothing")
+	}
 
-	c.Put("k1", stmt, nil, 2) // future generation: dropped
-	if _, _, ok := c.Get("k1"); ok {
-		t.Fatal("cross-generation deposit was admitted")
+	c.PutCurrent("k", &templateEntry{stmt: stmt})
+	_, skeletonBytes := c.Stats()
+	if ent, _, ok := c.Get("k"); !ok || ent.enc != nil {
+		t.Fatalf("skeleton deposit: ok=%v ent=%+v, want a skeleton-only entry", ok, ent)
 	}
-	c.Put("k1", stmt, nil, 1)
-	if _, _, ok := c.Get("k1"); !ok {
-		t.Fatal("current-generation deposit was dropped")
+	c.Put("k", &templateEntry{stmt: stmt, enc: enc}, 1)
+	if ent, _, _ := c.Get("k"); ent.enc != enc {
+		t.Fatal("an encoded deposit did not upgrade the skeleton-only entry")
 	}
-
-	c.Invalidate(2)
-	if n, b := c.Stats(); n != 0 || b != 0 {
-		t.Fatalf("after invalidate: entries=%d bytes=%d, want 0/0", n, b)
+	if n, b := c.Stats(); n != 1 || b != skeletonBytes+int64(enc.Bytes()) {
+		t.Fatalf("after upgrade: entries=%d bytes=%d, want 1/%d", n, b, skeletonBytes+int64(enc.Bytes()))
 	}
-	c.Put("k2", stmt, nil, 1) // in-flight deposit from the retired generation
-	if _, _, ok := c.Get("k2"); ok {
-		t.Fatal("stale-generation deposit admitted after invalidate")
+	c.PutCurrent("k", &templateEntry{stmt: stmt})
+	c.Put("k", &templateEntry{stmt: stmt, enc: &models.TemplateEncoding{}}, 1)
+	if _, b := c.Stats(); b != skeletonBytes+int64(enc.Bytes()) {
+		t.Fatalf("refused deposits moved the bytes gauge to %d", b)
 	}
-	c.Put("k2", stmt, nil, 2)
-	if _, g, ok := c.Get("k2"); !ok || g != 2 {
-		t.Fatalf("new-generation deposit: ok=%v gen=%d, want true/2", ok, g)
+	if ent, _, _ := c.Get("k"); ent.enc != enc {
+		t.Fatal("a later deposit replaced an already-encoded entry")
 	}
 }
 
@@ -299,7 +309,7 @@ func TestTemplateCacheConcurrentReloadRoll(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				i := rng.Intn(len(queries))
-				p, g, err := se.PredictSQLGen(queries[i])
+				p, g, err := se.PredictSQLGenCtx(context.Background(), queries[i])
 				if err != nil {
 					errc <- fmt.Errorf("predict: %w", err)
 					return

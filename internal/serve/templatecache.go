@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
 	"prestroid/internal/logicalplan"
 	"prestroid/internal/models"
 	"prestroid/internal/sqlparse"
@@ -18,150 +15,47 @@ type templateEncoder interface {
 	BuildTemplateEncoding(plan *logicalplan.Node) *models.TemplateEncoding
 }
 
-// templateCache is the per-shard prepared-template segment: an LRU keyed by
-// the ExtractTemplate canonical form, holding the parsed skeleton statement
-// and (when the model supports it) a rebindable featurization. A hit turns a
-// front-end pass — lex, parse, plan, recast, sample, flatten, encode — into
-// a literal rebind over cached immutable state.
+// templateCache is the per-shard prepared-template segment, keyed by the
+// ExtractTemplate canonical form. A hit turns a front-end pass — lex, parse,
+// plan, recast, sample, flatten, encode — into a literal rebind over cached
+// immutable state.
 //
 // The skeleton statement is weight-independent (parsing knows nothing about
 // the model), but the encoding is not: its trees were featurized by one
-// predictor identity's pipeline. The segment therefore carries the weight
-// generation it serves, exactly like the prediction and sub-tree segments:
-// Put drops encodings from any other generation — deposits run on handler
-// goroutines, outside the predictor lock, so a roll can land between a
-// prediction and its deposit — and the reload machinery invalidates the
-// whole segment under the same predictor lock as the swap. Get returns the
-// generation read under the same mutex as the entry, so a rebind result is
-// always tagged with the generation its trees belong to.
-type templateCache struct {
-	mu    sync.Mutex
-	max   int
-	gen   int64
-	bytes int64
-	order *list.List
-	items map[string]*list.Element
-
-	hits   *telemetry.Counter
-	misses *telemetry.Counter
-}
+// predictor identity's pipeline. Deposits run on handler goroutines, outside
+// the predictor lock, so a roll can land between a prediction and its
+// deposit; the generation guard then drops the whole entry — not demoting it
+// to skeleton-only, since its statement came from the same racing request
+// and depositing nothing is always safe. Skeleton-only entries (the explain
+// path, which has no prediction and so no generation in hand) deposit with
+// PutCurrent.
+type templateCache = genLRU[string, *templateEntry]
 
 // templateEntry is one cached template: the parsed skeleton and, once a
 // prediction deposited one, the model's rebindable featurization.
 type templateEntry struct {
-	key   string
-	stmt  *sqlparse.SelectStmt
-	enc   *models.TemplateEncoding // nil until a predict deposit lands one
-	bytes int64
+	stmt *sqlparse.SelectStmt
+	enc  *models.TemplateEncoding // nil until a predict deposit lands one
 }
 
 func newTemplateCache(max int, gen int64, hits, misses *telemetry.Counter) *templateCache {
-	return &templateCache{
-		max:    max,
-		gen:    gen,
-		order:  list.New(),
-		items:  make(map[string]*list.Element, max),
-		hits:   hits,
-		misses: misses,
-	}
+	return newGenLRU(max, gen, hits, misses, admitTemplate, templateBytes)
 }
 
-// entryBytes approximates an entry's heap footprint for the bytes gauge: the
-// key, a statement estimate proportional to the key (the skeleton's node
+// admitTemplate replaces a present entry only to upgrade it: the explain
+// path deposits skeleton-only entries that a later prediction enriches with
+// its featurization.
+func admitTemplate(old *templateEntry, present bool, in *templateEntry) (*templateEntry, bool) {
+	return in, !present || (old.enc == nil && in.enc != nil)
+}
+
+// templateBytes approximates an entry's heap footprint for the bytes gauge:
+// the key, a statement estimate proportional to the key (the skeleton's node
 // count tracks its token count), and the encoding's own accounting.
-func entryBytes(key string, enc *models.TemplateEncoding) int64 {
+func templateBytes(key string, ent *templateEntry) int64 {
 	b := int64(2 * len(key))
-	if enc != nil {
-		b += int64(enc.Bytes())
+	if ent.enc != nil {
+		b += int64(ent.enc.Bytes())
 	}
 	return b
-}
-
-// Get returns the cached entry for a template key together with the
-// generation its encoding (if any) belongs to, marking it most recently
-// used. The entry's fields are immutable after admission; callers only read.
-func (c *templateCache) Get(key string) (*templateEntry, int64, bool) {
-	c.mu.Lock()
-	el, ok := c.items[key]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Inc()
-		return nil, 0, false
-	}
-	c.order.MoveToFront(el)
-	ent, g := el.Value.(*templateEntry), c.gen
-	c.mu.Unlock()
-	c.hits.Inc()
-	return ent, g, true
-}
-
-// Put admits a template entry computed under weight generation gen, evicting
-// least recently used entries when full. An encoding from any other
-// generation than the one the segment serves is dropped entirely — not
-// demoted to a skeleton-only entry, since its statement came from the same
-// racing request and depositing nothing is always safe. Re-putting a present
-// key refreshes recency; it upgrades the stored entry only when the old one
-// lacks an encoding and the new one has a current-generation one (the
-// explain path deposits skeleton-only entries that a later prediction
-// enriches).
-func (c *templateCache) Put(key string, stmt *sqlparse.SelectStmt, enc *models.TemplateEncoding, gen int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		ent := el.Value.(*templateEntry)
-		if ent.enc == nil && enc != nil {
-			fresh := &templateEntry{key: key, stmt: stmt, enc: enc, bytes: entryBytes(key, enc)}
-			c.bytes += fresh.bytes - ent.bytes
-			el.Value = fresh
-		}
-		return
-	}
-	ent := &templateEntry{key: key, stmt: stmt, enc: enc, bytes: entryBytes(key, enc)}
-	c.items[key] = c.order.PushFront(ent)
-	c.bytes += ent.bytes
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		old := oldest.Value.(*templateEntry)
-		delete(c.items, old.key)
-		c.bytes -= old.bytes
-	}
-}
-
-// PutStmt admits a skeleton-only entry under the segment's own current
-// generation. Parse output is weight-independent, so a statement deposit is
-// valid for whatever generation the segment happens to serve — this is the
-// explain path's deposit, which has no prediction (and so no generation) in
-// hand.
-func (c *templateCache) PutStmt(key string, stmt *sqlparse.SelectStmt) {
-	c.mu.Lock()
-	gen := c.gen
-	c.mu.Unlock()
-	c.Put(key, stmt, nil, gen)
-}
-
-// Invalidate drops every entry and advances the segment to a new weight
-// generation; in-flight deposits tagged with the old generation are rejected
-// from then on. It must run under the predictor lock alongside the weight
-// swap, like the other segments'. Hit/miss counters survive as lifetime
-// serving stats.
-func (c *templateCache) Invalidate(gen int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen = gen
-	c.bytes = 0
-	c.order.Init()
-	c.items = make(map[string]*list.Element, c.max)
-}
-
-// Stats reports live entries and approximate payload bytes for telemetry
-// sampling.
-func (c *templateCache) Stats() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len(), c.bytes
 }

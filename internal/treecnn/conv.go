@@ -315,7 +315,6 @@ func (n *Network) Params() []*nn.Param {
 
 // Context carries the per-tree caches between Forward and Backward.
 type Context struct {
-	tree   *tensor.Tensor // unused placeholder to keep struct non-empty
 	states []*layerState
 	t      *Tree
 	argmax []int // per output dim, node index that won the pooling max (-1 none)

@@ -13,7 +13,9 @@
 # throughput dropped more than the tolerance below its baseline, or its
 # allocs/op rose past the allocation slack. The environment is pinned
 # (GOMAXPROCS=4, GOGC=100) so allocation and scheduling behaviour is
-# comparable across hosts and runs.
+# comparable across hosts and runs. The artifact also carries a "loc"
+# object — scripts/loc.sh's per-package and total code-line counts — so the
+# size of the code is recorded next to its speed (recorded, not gated).
 #
 #   scripts/bench_record.sh                                    # record only
 #   scripts/bench_record.sh -baseline scripts/bench_baseline.json
@@ -38,16 +40,19 @@ done
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
+loc="$(scripts/loc.sh)"
 
 GOMAXPROCS=4 GOGC=100 go test -run '^$' \
   -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkFloatProject|BenchmarkInt8Project' \
   -benchtime 100ms -count 5 -benchmem . | tee "$raw"
 
-python3 - "$raw" "$out" "$tolerance" "$baseline" <<'PY'
+python3 - "$raw" "$out" "$tolerance" "$loc" "$baseline" <<'PY'
 import json, re, statistics, sys
 
 raw, out, tolerance = sys.argv[1], sys.argv[2], float(sys.argv[3])
-baseline_path = sys.argv[4] if len(sys.argv) > 4 else ""
+# "<dir> <lines>" rows from scripts/loc.sh, the last one being the total.
+loc = {name: int(n) for name, n in (line.split() for line in sys.argv[4].splitlines())}
+baseline_path = sys.argv[5] if len(sys.argv) > 5 else ""
 
 # Lines look like:
 #   BenchmarkServePredict/coalesced-8   1   123456 ns/op   2345 B/op   67 allocs/op
@@ -95,6 +100,7 @@ def entry(v):
 record = {
     "goos": goos, "goarch": goarch, "cpu": cpu,
     "tolerance_pct": tolerance,
+    "loc": loc,
     "benchmarks": {name: entry(v) for name, v in sorted(best.items())},
 }
 with open(out, "w") as f:
