@@ -95,12 +95,12 @@ type ExplainResponse struct {
 // Bundle, each naming an artefact written by the retraining job (`prestroidd
 // -train`) and readable by the serving process.
 //
-// Weights rolls a weight-only bundle into the target model's existing
-// replicas (feature pipeline and normaliser unchanged). Bundle rolls a full
-// (pipeline, normaliser, weights) bundle; with Mode empty it replaces the
-// live identity in place via the quiesce/drain/swap roll, with Mode "shadow"
-// or "canary" it stages the bundle next to the live identity instead (full
-// bundles only — a staged roll builds a complete second engine).
+// Weights rolls a weight-only bundle (feature pipeline and normaliser
+// unchanged). Bundle rolls a full (pipeline, normaliser, weights) bundle.
+// Either way a complete new engine is built beside the live one: with Mode
+// empty it is swapped in at once, with Mode "shadow" or "canary" it is
+// staged next to the live identity until promoted or aborted (full bundles
+// only).
 //
 // Model names the identity the roll targets; empty falls back to the name
 // embedded in the bundle at train time, then to the default model. Percent
@@ -110,15 +110,15 @@ type ReloadRequest struct {
 	Weights string `json:"weights,omitempty"`
 	Bundle  string `json:"bundle,omitempty"`
 	Model   string `json:"model,omitempty"`
-	Mode    string `json:"mode,omitempty"` // "" (in-place), "shadow" or "canary"
+	Mode    string `json:"mode,omitempty"` // "" (direct), "shadow" or "canary"
 	Percent int    `json:"percent,omitempty"`
 }
 
 // ReloadResponse reports a completed roll or staging. Generation is the
-// generation now serving (in-place roll) or staged (shadow/canary). Mode is
+// generation now serving (direct roll) or staged (shadow/canary). Mode is
 // the artefact kind ("weights" or "bundle" — the historical field). Roll
-// reports the deployment mode when the bundle was staged rather than rolled
-// in place, and Percent the canary share.
+// reports the deployment mode when the bundle was staged rather than swapped
+// in, and Percent the canary share.
 type ReloadResponse struct {
 	Generation int64   `json:"generation"`
 	Shards     int     `json:"shards"`

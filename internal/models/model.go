@@ -96,8 +96,9 @@ type PipelineRebuilder interface {
 // several goroutines at once. Get's returned slice must stay immutable and
 // valid indefinitely; Put must copy the values, whose backing slice is only
 // valid for the duration of the call. Entries are only valid for the weights
-// they were computed under — whoever swaps weights must invalidate the cache
-// before the next prediction (internal/serve does both under one lock).
+// they were computed under — whoever swaps a model's weights must invalidate
+// the cache before the next prediction (internal/serve never does either: a
+// roll builds new replicas over new, empty caches).
 type ConvCache interface {
 	Get(hash uint64) ([]float64, bool)
 	Put(hash uint64, pooled []float64)

@@ -24,15 +24,21 @@ func (e *OverloadError) Error() string {
 }
 
 // RetryAfter is the client back-off hint: the time for the least-loaded
-// candidate's backlog to drain back inside the bound, never less than one
-// second (429 Retry-After has whole-second granularity).
+// candidate's backlog to drain back inside the bound, rounded up to whole
+// seconds (429 Retry-After has whole-second granularity, and a hint rounded
+// down sends the client back before there is room for it) and never less
+// than one.
 func (e *OverloadError) RetryAfter() time.Duration {
-	d := time.Duration((e.EstWaitMicros - e.BoundMicros) * 1e3 * float64(time.Nanosecond))
-	d = d.Round(time.Second)
-	if d < time.Second {
-		d = time.Second
+	return ceilSeconds(time.Duration((e.EstWaitMicros - e.BoundMicros) * 1e3 * float64(time.Nanosecond)))
+}
+
+// ceilSeconds rounds a Retry-After hint up to a whole number of seconds, at
+// least one.
+func ceilSeconds(d time.Duration) time.Duration {
+	if d <= time.Second {
+		return time.Second
 	}
-	return d
+	return (d + time.Second - 1).Truncate(time.Second)
 }
 
 // ExpiredError reports a query dropped because its deadline passed before a
@@ -56,19 +62,17 @@ func (e *ExpiredError) Error() string { return "request deadline expired before 
 func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64, shed bool) {
 	bound := se.maxEstWaitMicros
 	hw := home.estWaitMicros()
-	if hw <= bound && !home.saturated() && !home.quiescing.Load() {
+	if hw <= bound && !home.saturated() {
 		return home, hw, false
 	}
-	// Candidates mirror pick()'s detour rules — same weight generation, not
-	// quiescing — plus a saturation check, but rank by wait estimate rather
-	// than raw queue depth: two equal-depth queues drain at different rates
-	// once their service times diverge.
-	gen := home.weightGen.Load()
+	// Candidates are pick()'s — every peer — minus the saturated ones, ranked
+	// by wait estimate rather than raw queue depth: two equal-depth queues
+	// drain at different rates once their service times diverge.
 	minWaitMicros = hw
 	var best *Engine
 	bestWait := 0.0
 	for _, s := range se.shards {
-		if s == home || s.quiescing.Load() || s.weightGen.Load() != gen {
+		if s == home {
 			continue
 		}
 		w := s.estWaitMicros()
@@ -86,7 +90,7 @@ func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64,
 		return best, minWaitMicros, false
 	}
 	// No peer qualifies. Home keeps its traffic as long as its own estimate
-	// is inside the bound: a saturated or quiescing home still answers
+	// is inside the bound: a saturated home still answers
 	// today (through the serialised fallback), and bounded mode must not
 	// take that away — it only adds the right to refuse unbounded waits.
 	if hw <= bound {
@@ -96,26 +100,16 @@ func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64,
 }
 
 // PredictSQLGenCtx canonicalises the query once, dispatches it to a shard
-// and returns that shard's prediction plus the generation that produced it,
-// under a per-request deadline and (when MaxEstWait is set) bounded-wait
-// admission. A nil ctx means no deadline, like context.Background().
+// and returns that shard's prediction plus the engine's generation, under a
+// per-request deadline and (when MaxEstWait is set) bounded-wait admission.
+// A nil ctx means no deadline, like context.Background().
 //
-// Generations are monotone per canonical key for any single observer: once
-// a caller has received generation g for a key, every request it *starts
-// afterwards* for that key is served from weights (or cache entries) of
-// generation >= g — shard generations only advance, the dispatcher only
-// detours between same-generation shards, and cache segments drop
-// cross-generation deposits. Responses of concurrent requests may still
-// complete out of order (a detour queued behind a slow peer can finish after
-// the roll), so the guarantee is happens-before monotonicity, not global
-// completion-order monotonicity. One narrow carve-out: a shard so saturated
-// that its roll-time drain exceeds drainTimeout can answer jobs that were
-// already queued behind the swap under the *new* generation while earlier
-// shards in the roll order still serve the old one — a caller that received
-// such an early new-generation answer can then briefly observe the old
-// generation for the same key until the roll completes. Bounding the drain
-// is deliberate: waiting for a saturated queue to empty could stall the roll
-// indefinitely.
+// The generation is a constant of the engine, so the pair is truthful by
+// construction: whatever path answered — a cache segment, a batcher, the
+// serialised fallback of an engine a roll has since closed — ran on this
+// engine's one set of weights. Per-key monotonicity across rolls is the
+// caller's pointer discipline (see ModelEntry): a request started after a
+// roll returned reads the successor engine.
 func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -132,25 +126,33 @@ func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Pred
 // pipeline is handled by Engine.predictKey. Both surface as *ExpiredError.
 //
 // The only branch is how the shard is chosen. Unbounded (MaxEstWait <= 0),
-// pick() detours around a saturated or quiescing home. Bounded, a home cache
-// hit is served before the admission decision — it never queues, so hot
-// templates ride through overload for free, which is what keeps shed-mode
-// throughput at the unshedded peak — and only a miss pays the admit() check;
-// a refusal surfaces as *OverloadError charged to the home shard's Shed
-// counter.
+// pick() detours around a saturated home. Bounded, only a home-cache miss
+// pays the admit() check; a refusal surfaces as *OverloadError charged to the
+// home shard's Shed counter.
 func (se *ShardedEngine) predictKey(ctx context.Context, sql, key string) (Prediction, int64, error) {
 	home := se.shards[se.shardOf(key)]
 	if ctx.Err() != nil {
 		home.tel.Expired.Inc()
 		return Prediction{}, 0, &ExpiredError{}
 	}
+	bounded := se.maxEstWaitMicros > 0
 	sh := home
-	if se.maxEstWaitMicros <= 0 {
+	if !bounded {
 		sh = se.pick(home)
-	} else {
-		if p, g, ok := home.cache.Peek(key); ok {
-			return p, g, nil
+	}
+	// One look at the home segment covers both reasons to look before
+	// computing. Bounded: a hit never queues, so it is served before the
+	// admission decision — hot templates ride through overload for free, which
+	// keeps shed-mode throughput at the unshedded peak. Detoured: a cached
+	// answer is still the cheapest path — without it hot templates would be
+	// recomputed on another shard exactly when the service is overloaded. Peek
+	// leaves the miss for the shard that serves the query.
+	if bounded || sh != home {
+		if p, ok := home.cache.Peek(key); ok {
+			return p, se.gen, nil
 		}
+	}
+	if bounded {
 		var minWait float64
 		var shed bool
 		if sh, minWait, shed = se.admit(home); shed {
@@ -158,25 +160,14 @@ func (se *ShardedEngine) predictKey(ctx context.Context, sql, key string) (Predi
 			return Prediction{}, 0, &OverloadError{EstWaitMicros: minWait, BoundMicros: se.maxEstWaitMicros}
 		}
 	}
-	if sh == home {
-		return home.predictKey(ctx, sql, key)
+	p, err := sh.predictKey(ctx, sql, key)
+	if err != nil {
+		return Prediction{}, 0, err
 	}
-	// Detour: the home cache segment never touches the jobs queue, so a
-	// cached answer is still the cheapest path — without this check, hot
-	// templates would be recomputed on another shard exactly when the service
-	// is overloaded. Peek leaves the miss for the shard that serves the query
-	// (bounded mode already peeked before admit; once more is noise next to
-	// a detour).
-	if p, g, ok := home.cache.Peek(key); ok {
-		return p, g, nil
+	if sh != home {
+		// Deposit the result where future lookups will hash: an entry stranded
+		// only on the detour shard is unreachable once the home queue drains.
+		home.cache.Put(key, p)
 	}
-	p, g, err := sh.predictKey(ctx, sql, key)
-	if err == nil {
-		// Deposit the result where future lookups will hash: an entry
-		// stranded only on the detour shard is unreachable once the home
-		// queue drains. The home segment drops the deposit if its generation
-		// moved between dispatch and completion.
-		home.cache.Put(key, p, g)
-	}
-	return p, g, err
+	return p, se.gen, nil
 }

@@ -83,7 +83,7 @@ func TestShedSurfacesOverloadError(t *testing.T) {
 	sh0 := waitEngine(64, 20, 1000)
 	sh1 := waitEngine(64, 20, 1000)
 	for _, e := range []*Engine{sh0, sh1} {
-		e.cache = newPredictionCache(4, 0, &e.tel.CacheHits, &e.tel.CacheMisses)
+		e.cache = newPredictionCache(4, &e.tel.CacheHits, &e.tel.CacheMisses)
 	}
 	se := &ShardedEngine{shards: []*Engine{sh0, sh1}, maxEstWaitMicros: 10_000}
 
@@ -106,10 +106,35 @@ func TestShedSurfacesOverloadError(t *testing.T) {
 	// A cached answer rides through the same overload untouched: the
 	// engines are unstarted, so any path but the home cache would hang.
 	want := Prediction{CPUMinutes: 42, Normalized: 0.5, PlanNodes: 3}
-	sh0.cache.Put(CanonicalSQL(sql), want, 0)
+	sh0.cache.Put(CanonicalSQL(sql), want)
 	got, _, err := se.PredictSQLGenCtx(nil, sql)
 	if err != nil || got != want {
 		t.Fatalf("cache hit shed under overload: %+v, %v", got, err)
+	}
+}
+
+// TestOverloadRetryAfterRoundsUp pins the back-off hint's rounding: whole
+// seconds, never less than one, and always up — a hint rounded to nearest
+// sends the client back up to half a second before the backlog has drained
+// inside the bound, straight into a second 429.
+func TestOverloadRetryAfterRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		overMicros float64 // estimated wait past the bound
+		want       time.Duration
+	}{
+		{1, time.Second},
+		{400_000, time.Second},
+		{1_000_000, time.Second},
+		{1_000_001, 2 * time.Second},
+		{1_400_000, 2 * time.Second},
+		{1_600_000, 2 * time.Second},
+		{2_000_000, 2 * time.Second},
+		{2_400_000, 3 * time.Second},
+	} {
+		e := &OverloadError{EstWaitMicros: 10_000 + c.overMicros, BoundMicros: 10_000}
+		if got := e.RetryAfter(); got != c.want {
+			t.Errorf("backlog %v µs past the bound: Retry-After %v, want %v", c.overMicros, got, c.want)
+		}
 	}
 }
 
@@ -155,7 +180,7 @@ func TestFlushDropsExpiredJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-		return &predictJob{ctx: ctx, trace: tr, key: CanonicalSQL(sql), done: make(chan predictResult, 1)}
+		return &predictJob{ctx: ctx, trace: tr, key: CanonicalSQL(sql), done: make(chan float64, 1)}
 	}
 	expiredDup := mk(dead, "SELECT a FROM t WHERE a > 1") // same key as live
 	live := mk(context.Background(), "SELECT a FROM t WHERE a > 1")
@@ -164,9 +189,9 @@ func TestFlushDropsExpiredJobs(t *testing.T) {
 	eng.flush([]*predictJob{expiredDup, live, expiredOnly})
 
 	select {
-	case res := <-live.done:
-		if want := stubScore(live.trace); res.y != want {
-			t.Fatalf("live duplicate of an expired job got %v, want %v", res.y, want)
+	case y := <-live.done:
+		if want := stubScore(live.trace); y != want {
+			t.Fatalf("live duplicate of an expired job got %v, want %v", y, want)
 		}
 	default:
 		t.Fatal("live job starved: expired duplicate poisoned the dedup")
@@ -201,12 +226,12 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	m := &stubModel{}
 	eng := &Engine{pred: &Predictor{Model: m}, cfg: Config{MaxBatch: 8},
 		jobs: make(chan *predictJob, 8), tel: telemetry.NewShardGroup()}
-	eng.cache = newPredictionCache(8, 0, &eng.tel.CacheHits, &eng.tel.CacheMisses)
+	eng.cache = newPredictionCache(8, &eng.tel.CacheHits, &eng.tel.CacheMisses)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	sql := "SELECT a FROM t WHERE a > 7"
-	_, _, err := eng.predictKey(ctx, sql, CanonicalSQL(sql))
+	_, err := eng.predictKey(ctx, sql, CanonicalSQL(sql))
 	var expired *ExpiredError
 	if !errors.As(err, &expired) {
 		t.Fatalf("queued expiry returned %v, want *ExpiredError", err)
@@ -229,8 +254,7 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 
 // TestDeadlinesUnderConcurrentReloadRolls is the -race gate for the
 // deadline machinery: clients with aggressive deadlines hammer the sharded
-// dispatcher while weight rolls quiesce, drain and swap the shards under
-// them. The invariants: the only error a client ever sees is expiry, no
+// identity while weight rolls replace the live engine under them. The invariants: the only error a client ever sees is expiry, no
 // request observes a generation older than one it already saw for the same
 // key (per-key monotonicity — the cache/generation state the issue names),
 // and the engine still serves correctly afterwards.
@@ -239,8 +263,7 @@ func TestDeadlinesUnderConcurrentReloadRolls(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
 	cfg.MaxBatch = 4
-	se := NewShardedEngine(Replicas(pred, 2), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
 
 	const clients, perClient = 8, 60
 	var wg sync.WaitGroup
@@ -257,7 +280,7 @@ func TestDeadlinesUnderConcurrentReloadRolls(t *testing.T) {
 				// dispatch, some in the queue, and some are served.
 				budget := time.Duration(50+137*((c+i)%7)) * time.Microsecond
 				ctx, cancel := context.WithTimeout(context.Background(), budget)
-				_, gen, err := se.PredictSQLGenCtx(ctx, sql)
+				_, gen, _, err := en.PredictSQLGenCtx(ctx, sql)
 				cancel()
 				if err != nil {
 					var expired *ExpiredError
@@ -290,7 +313,7 @@ func TestDeadlinesUnderConcurrentReloadRolls(t *testing.T) {
 	go func() {
 		defer close(rollDone)
 		for r := 0; ; r++ {
-			if _, err := se.Reload(bytes.NewReader(bundles[r%len(bundles)])); err != nil && !errors.Is(err, ErrReloadInProgress) {
+			if _, err := en.ReloadWeights(bytes.NewReader(bundles[r%len(bundles)])); err != nil {
 				errs <- fmt.Errorf("roll %d: %v", r, err)
 				return
 			}
@@ -310,6 +333,7 @@ func TestDeadlinesUnderConcurrentReloadRolls(t *testing.T) {
 	}
 
 	// The engine must still answer deadline-free traffic coherently.
+	se := en.Live()
 	p1, err := se.PredictSQL("SELECT a FROM t WHERE a > 1")
 	if err != nil {
 		t.Fatal(err)

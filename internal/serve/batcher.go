@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"prestroid/internal/logicalplan"
@@ -60,8 +59,8 @@ type Config struct {
 	// model supports them (models.Quantizer). Predictions then carry a
 	// bounded quantisation error instead of being byte-identical to the
 	// float path; the worst error observed is exported per shard. The mode
-	// is fixed for the engine's lifetime and survives weight and full-bundle
-	// reloads (swapped-in replicas are re-quantised before serving). The
+	// is fixed for the identity's lifetime: every engine a reload or
+	// promotion builds is quantised from the same Config. The
 	// PRESTROID_QUANTIZE environment variable (any non-empty value but "0")
 	// forces it on regardless of this field, so a test suite or CI job can
 	// flip a whole deployment's kernel mode without touching call sites.
@@ -88,18 +87,6 @@ type concurrentEncoder interface {
 	AdoptEncoding(tr *workload.Trace, enc any)
 }
 
-// predictResult is the batcher's answer to one job: the normalised
-// prediction, the generation of the predictor identity that computed it, and
-// that identity's label normaliser — all read under the same lock as the
-// model call, so the tag is always truthful and the caller denormalises with
-// the normaliser that belongs to the weights that ran, never the one a
-// concurrent roll just installed.
-type predictResult struct {
-	y    float64
-	gen  int64
-	norm workload.Normalizer
-}
-
 // predictJob is one in-flight query travelling from an HTTP handler
 // goroutine to the batcher and back.
 type predictJob struct {
@@ -110,15 +97,13 @@ type predictJob struct {
 	trace *workload.Trace
 	key   string // canonical SQL, for single-flight dedup in flush
 	// enc carries the trace's feature encoding when something computed it
-	// ahead of the model call: the flush's concurrent encode stage fills it
-	// (encGen stays 0 — validity is "the model that encoded is the model that
-	// predicts"), or the template front end submits it pre-filled with encGen
-	// set to the weight generation its cached featurization belongs to. A
-	// flush adopts an encoding only when its validity condition holds;
-	// otherwise Prepare re-encodes from the trace's plan, byte-identically.
-	enc    any
-	encGen int64
-	done   chan predictResult // buffered; receives the prediction + generation
+	// ahead of the model call: the template front end submits it pre-filled
+	// from its cached featurization, or the flush's concurrent encode stage
+	// fills it. Either way it was produced by this engine's own pipeline, so
+	// the flush adopts it unconditionally; a job without one is encoded by
+	// Prepare from the trace's plan, byte-identically.
+	enc  any
+	done chan float64 // buffered; receives the normalised prediction
 }
 
 // Engine is the batched, concurrent inference front end around a Predictor.
@@ -128,20 +113,25 @@ type predictJob struct {
 // goroutines, and issues one Model.Predict per coalesced group — replacing
 // the old predict-one-query-under-a-global-mutex path. An LRU keyed by
 // canonicalised SQL short-circuits repeated templates entirely.
+//
+// An Engine is immutable: the predictor (model replica, pipeline,
+// normaliser), the generation, the three cache segments and the kernel mode
+// are fixed when newEngineAt returns, and the only field written afterwards
+// is closed. New weights never reach a running engine — a roll builds a
+// successor (see ModelEntry) — so everything an engine computes, caches or
+// answers belongs to the one identity it was built with, and pred.mu has a
+// single job: models are not safe for concurrent use.
 type Engine struct {
-	pred  *Predictor
-	cfg   Config
-	cache *predictionCache // nil when disabled
+	pred *Predictor
+	cfg  Config
+	gen  int64 // generation of the identity this engine serves
 
-	// convCache is the shard's sub-tree partial-result segment, installed
-	// into the replica at construction (and into its successor on a replica
-	// swap); zero when disabled or when the model takes no conv cache.
-	convCache subtreeCache
-
-	// tmplCache is the shard's prepared-template front-end segment; nil when
-	// disabled. Unlike convCache it is engine-owned end to end — the model
-	// never sees it — so it needs no installation on replica swaps, only the
-	// same under-lock invalidation as the other segments.
+	// The shard's cache segments, each nil when disabled: finished
+	// predictions, the sub-tree partial results installed into the replica
+	// (nil too when the model takes no conv cache), and the prepared-template
+	// front end. All three are born empty with the engine and die with it.
+	cache     *predictionCache
+	convCache *subtreeCache
 	tmplCache *templateCache
 
 	jobs chan *predictJob
@@ -151,25 +141,16 @@ type Engine struct {
 	mu     sync.RWMutex // guards closed against late submits
 	closed bool
 
-	// quiescing diverts new dispatcher traffic away from this shard while
-	// its replica's weights are being swapped (see reload.go); the shard
-	// itself keeps answering whatever still reaches it, tagged with the
-	// generation of the weights that actually ran.
-	quiescing atomic.Bool
-	// weightGen is the bundle generation of the replica's current weights.
-	// It is written only under pred.mu (alongside the swap itself) and read
-	// under pred.mu at every model call, so each prediction carries exactly
-	// the generation that produced it.
-	weightGen atomic.Int64
-
 	// tel is the shard's counter group: batch and cache counters land here
-	// as atomic adds, and Snapshot folds them with the sampled gauges.
+	// as atomic adds, and Snapshot folds them with the sampled gauges. The
+	// group is lent, not owned: a serving identity hands each shard's group
+	// from the engine a roll retires to its successor, so counters and the
+	// admission EWMA carry across rolls.
 	tel *telemetry.ShardGroup
 
-	// quantized records whether this shard serves through the int8 kernels.
-	// It is decided once in NewEngine (config or PRESTROID_QUANTIZE, and only
-	// if the model supports quantisation) and never changes, so plain reads
-	// are safe; replica swaps re-apply it to the incoming model.
+	// quantized records whether this shard serves through the int8 kernels:
+	// decided at construction (config or PRESTROID_QUANTIZE, and only if the
+	// model supports quantisation).
 	quantized bool
 }
 
@@ -180,59 +161,52 @@ type maxGaugeSink struct{ g *telemetry.MaxGauge }
 
 func (s maxGaugeSink) ObserveQuantError(e float64) { s.g.Observe(e) }
 
-// applyQuantization routes m through its int8 kernels with errors reported
-// to this shard's gauge. Callers own the locking (construction happens
-// before the engine is shared; swaps run under pred.mu).
-func (e *Engine) applyQuantization(m models.Quantizer) {
-	m.SetQuantErrorSink(maxGaugeSink{g: &e.tel.QuantErr})
-	m.SetQuantized(true)
-}
-
-// NewEngine starts the batcher goroutine. Callers must Close the engine to
-// release it.
+// NewEngine starts the batcher goroutine over pred, which the engine owns
+// from here on. Callers must Close the engine to release it.
 func NewEngine(pred *Predictor, cfg Config) *Engine {
-	return newEngineAt(pred, cfg, initialGeneration)
+	return newEngineAt(pred, cfg, initialGeneration, nil)
 }
 
-// newEngineAt is NewEngine with an explicit starting generation: a staged
-// shadow/canary engine is born at the generation its bundle will carry once
-// promoted, so the generation a client observes for a key never moves
-// backwards across a promotion.
-func newEngineAt(pred *Predictor, cfg Config, gen int64) *Engine {
+// newEngineAt is NewEngine with an explicit generation and counter group:
+// the successor a roll builds is born at its predecessor's generation + 1
+// and, when it replaces the predecessor outright, counts into the same
+// group. A nil tel starts a fresh one.
+func newEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGroup) *Engine {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1
 	}
 	if cfg.MaxWait < 0 {
 		cfg.MaxWait = 0
 	}
+	if tel == nil {
+		tel = telemetry.NewShardGroup()
+	}
 	e := &Engine{
 		pred: pred,
 		cfg:  cfg,
+		gen:  gen,
 		jobs: make(chan *predictJob, 4*cfg.MaxBatch),
 		quit: make(chan struct{}),
-		tel:  telemetry.NewShardGroup(),
+		tel:  tel,
 	}
-	e.weightGen.Store(gen)
 	if cfg.CacheSize > 0 {
-		e.cache = newPredictionCache(cfg.CacheSize, gen,
-			&e.tel.CacheHits, &e.tel.CacheMisses)
+		e.cache = newPredictionCache(cfg.CacheSize, &tel.CacheHits, &tel.CacheMisses)
 	}
 	if cfg.SubtreeCacheSize > 0 {
 		if cs, ok := pred.Model.(convCacheSetter); ok {
-			e.convCache = newSubtreeCache(cfg.SubtreeCacheSize, gen,
-				&e.tel.SubtreeHits, &e.tel.SubtreeMisses)
+			e.convCache = newSubtreeCache(cfg.SubtreeCacheSize, &tel.SubtreeHits, &tel.SubtreeMisses)
 			cs.SetConvCache(e.convCache)
 		}
 	}
 	if cfg.TemplateCacheSize > 0 {
 		// No model probe: skeleton-only entries already skip lex/parse/plan,
 		// so the cache pays off even for models without rebindable encodings.
-		e.tmplCache = newTemplateCache(cfg.TemplateCacheSize, gen,
-			&e.tel.TemplateHits, &e.tel.TemplateMisses)
+		e.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &tel.TemplateHits, &tel.TemplateMisses)
 	}
 	if cfg.Quantize || envQuantize {
 		if q, ok := pred.Model.(models.Quantizer); ok {
-			e.applyQuantization(q)
+			q.SetQuantErrorSink(maxGaugeSink{g: &tel.QuantErr})
+			q.SetQuantized(true)
 			e.quantized = true
 		}
 	}
@@ -241,11 +215,12 @@ func newEngineAt(pred *Predictor, cfg Config, gen int64) *Engine {
 	return e
 }
 
-// Close flushes queued work and stops the batcher. It reuses the reload
-// quiesce machinery: the shard first stops admitting dispatcher traffic and
-// drains its queue while the batcher is still coalescing, then the batcher
-// exits. Queries arriving after Close fall back to the serialised predict
-// path, so Close never strands an in-flight request.
+// Close flushes queued work and stops the batcher: once closed is set no
+// submit can enqueue, and the batcher drains whatever was already queued
+// before it exits. Queries arriving after Close — stragglers that picked the
+// engine up just before a roll retired it — fall back to the serialised
+// predict path on the same replica, so Close never strands a request and a
+// retired engine keeps answering under its own generation.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -254,8 +229,6 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	e.beginQuiesce()
-	e.drainQueue(drainTimeout)
 	close(e.quit)
 	e.wg.Wait()
 }
@@ -265,28 +238,26 @@ func (e *Engine) Close() {
 // cache hits replay the stored result, and per-row model outputs are
 // independent of batch composition.
 func (e *Engine) PredictSQL(sql string) (Prediction, error) {
-	p, _, err := e.predictKey(context.Background(), sql, CanonicalSQL(sql))
-	return p, err
+	return e.predictKey(context.Background(), sql, CanonicalSQL(sql))
 }
 
 // frontEnd is the result of resolving one query through the prepared-template
 // cache: the logical plan (always exact — on a hit it is planned from the
 // rebound statement, carrying the request's own literals), the pre-rebound
-// feature encoding when the cached entry had one (with the generation it
-// belongs to), and the deposit the caller should make on a miss.
+// feature encoding when the cached entry had one, and the deposit the caller
+// should make on a miss.
 type frontEnd struct {
-	plan   *logicalplan.Node
-	enc    any                  // pre-rebound trees; nil when unavailable
-	encGen int64                // weight generation enc belongs to; 0 when enc is nil
-	tkey   string               // template key to deposit under; "" = no deposit
-	stmt   *sqlparse.SelectStmt // parsed skeleton to deposit
+	plan *logicalplan.Node
+	enc  any                  // pre-rebound trees; nil when unavailable
+	tkey string               // template key to deposit under; "" = no deposit
+	stmt *sqlparse.SelectStmt // parsed skeleton to deposit
 }
 
 // resolveSQL turns sql into a logical plan through the template cache. On a
 // hit it skips lexing and parsing entirely: the cached skeleton is rebound
 // with the query's literal vector (extracted in the same single lexer pass
 // that produced the key) and replanned, so every downstream consumer — the
-// batcher, the serialised fallback, a post-roll re-encode — sees a plan
+// batcher, the serialised fallback — sees a plan
 // byte-identical to what the full parse would have built. Errors are
 // byte-identical to the uncached path's: extraction failures and rebind
 // mismatches (impossible for a genuine template match, but handled
@@ -302,14 +273,13 @@ func (e *Engine) resolveSQL(sql string) (frontEnd, error) {
 		plan, err := logicalplan.PlanSQL(sql)
 		return frontEnd{plan: plan}, err
 	}
-	if ent, gen, ok := e.tmplCache.Get(tkey); ok {
+	if ent, ok := e.tmplCache.Get(tkey); ok {
 		if stmt, err := ent.stmt.Rebind(lits); err == nil {
 			if plan, err := logicalplan.Plan(stmt); err == nil {
 				fe := frontEnd{plan: plan}
 				if ent.enc != nil {
 					if trees, ok := ent.enc.Rebind(plan); ok {
 						fe.enc = trees
-						fe.encGen = gen
 					}
 				} else {
 					// Skeleton-only entry (explain-warmed): keep the deposit
@@ -334,32 +304,19 @@ func (e *Engine) resolveSQL(sql string) (frontEnd, error) {
 
 // depositTemplate lands a miss's skeleton — and, when the model supports
 // rebindable encodings, its featurization of the plan — in the template
-// cache, tagged with the generation the prediction ran under. It runs on the
-// handler goroutine after the prediction returned: the featurization is the
-// one-time cost that turns every later sight of the template into a rebind.
-// If a roll landed since the prediction, the deposit is skipped (or dropped
-// by Put's generation guard if it lands mid-build); the entry would describe
-// a retired identity.
-func (e *Engine) depositTemplate(fe frontEnd, gen int64) {
+// cache. It runs on the handler goroutine after the prediction returned: the
+// featurization is the one-time cost that turns every later sight of the
+// template into a rebind. No lock is needed: BuildTemplateEncoding reads only
+// the pipeline's immutable tables.
+func (e *Engine) depositTemplate(fe frontEnd) {
 	if fe.tkey == "" {
 		return
 	}
-	e.pred.mu.Lock()
-	m := e.pred.Model
-	cur := e.weightGen.Load()
-	e.pred.mu.Unlock()
-	if cur != gen {
-		return
-	}
 	var te *models.TemplateEncoding
-	if tm, ok := m.(templateEncoder); ok {
-		// Built outside any lock: BuildTemplateEncoding reads only the
-		// pipeline's immutable tables, and a racing replica swap both bumps
-		// the generation (failing the Put guard) and leaves the old pipeline
-		// intact for this build to finish against.
+	if tm, ok := e.pred.Model.(templateEncoder); ok {
 		te = tm.BuildTemplateEncoding(fe.plan)
 	}
-	e.tmplCache.Put(fe.tkey, &templateEntry{stmt: fe.stmt, enc: te}, gen)
+	e.tmplCache.Put(fe.tkey, &templateEntry{stmt: fe.stmt, enc: te})
 }
 
 // PlanOnly resolves sql to its logical plan through the same template front
@@ -373,7 +330,7 @@ func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
 		return nil, err
 	}
 	if fe.tkey != "" {
-		e.tmplCache.PutCurrent(fe.tkey, &templateEntry{stmt: fe.stmt})
+		e.tmplCache.Put(fe.tkey, &templateEntry{stmt: fe.stmt})
 	}
 	return fe.plan, nil
 }
@@ -381,8 +338,8 @@ func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
 // predictKey is PredictSQL with the canonical key already computed — the
 // sharded dispatcher hashes the key to pick a shard, then hands it down so
 // canonicalisation runs exactly once per request — and a request deadline
-// (context.Background() when there is none). Alongside the prediction it
-// reports the weight generation that produced it.
+// (context.Background() when there is none). The answer belongs to this
+// engine's generation, whichever path produced it.
 //
 // Cache hits are served regardless of the deadline — they cost nothing and
 // never touch a batcher. On a miss, work whose deadline has already passed
@@ -390,33 +347,27 @@ func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
 // that expires while the job is queued abandons the wait without occupying a
 // model slot. Both drops count once on this shard's Expired counter and
 // surface as ExpiredError.
-func (e *Engine) predictKey(ctx context.Context, sql, key string) (Prediction, int64, error) {
-	if p, g, ok := e.cache.Get(key); ok {
-		return p, g, nil
+func (e *Engine) predictKey(ctx context.Context, sql, key string) (Prediction, error) {
+	if p, ok := e.cache.Get(key); ok {
+		return p, nil
 	}
 	if ctx.Err() != nil {
 		e.tel.Expired.Inc()
-		return Prediction{}, 0, &ExpiredError{}
+		return Prediction{}, &ExpiredError{}
 	}
 	fe, err := e.resolveSQL(sql)
 	if err != nil {
-		return Prediction{}, 0, fmt.Errorf("parse: %w", err)
+		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
 	tr := &workload.Trace{SQL: sql, Plan: fe.plan, Template: -1}
-	res, err := e.submit(ctx, tr, key, fe.enc, fe.encGen)
+	y, err := e.submit(ctx, tr, key, fe.enc)
 	if err != nil {
-		return Prediction{}, 0, err
+		return Prediction{}, err
 	}
-	p := Prediction{
-		CPUMinutes: res.norm.Denormalize(res.y),
-		Normalized: res.y,
-		PlanNodes:  fe.plan.NodeCount(),
-		PlanDepth:  fe.plan.MaxDepth(),
-		Tables:     len(fe.plan.Tables()),
-	}
-	e.cache.Put(key, p, res.gen)
-	e.depositTemplate(fe, res.gen)
-	return p, res.gen, nil
+	p := e.pred.prediction(fe.plan, y)
+	e.cache.Put(key, p)
+	e.depositTemplate(fe)
+	return p, nil
 }
 
 // submit enqueues a planned trace and blocks for its prediction. The job
@@ -426,27 +377,28 @@ func (e *Engine) predictKey(ctx context.Context, sql, key string) (Prediction, i
 // occupies a model slot. A result that is already delivered when the
 // deadline fires is still returned rather than wasted. When the queue is
 // saturated or the engine is closed, submit degrades to the serialised
-// single-query path instead of blocking or failing. enc/encGen carry a
-// template-cache featurization into the job; the serialised fallback ignores
-// them and re-encodes from the plan, byte-identically.
-func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc any, encGen int64) (predictResult, error) {
+// single-query path (one model round trip under the predictor lock) instead
+// of blocking or failing. enc carries a template-cache featurization into the
+// job; the serialised fallback ignores it and re-encodes from the plan,
+// byte-identically.
+func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc any) (float64, error) {
 	e.mu.RLock()
 	if !e.closed {
-		job := &predictJob{ctx: ctx, trace: tr, key: key, enc: enc, encGen: encGen, done: make(chan predictResult, 1)}
+		job := &predictJob{ctx: ctx, trace: tr, key: key, enc: enc, done: make(chan float64, 1)}
 		select {
 		case e.jobs <- job:
 			e.mu.RUnlock()
 			select {
-			case res := <-job.done:
-				return res, nil
+			case y := <-job.done:
+				return y, nil
 			case <-ctx.Done():
 				select {
-				case res := <-job.done:
-					return res, nil
+				case y := <-job.done:
+					return y, nil
 				default:
 				}
 				e.tel.Expired.Inc()
-				return predictResult{}, &ExpiredError{}
+				return 0, &ExpiredError{}
 			}
 		default:
 		}
@@ -454,18 +406,9 @@ func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc
 	e.mu.RUnlock()
 	if ctx.Err() != nil {
 		e.tel.Expired.Inc()
-		return predictResult{}, &ExpiredError{}
+		return 0, &ExpiredError{}
 	}
-	return e.serialPredict(tr), nil
-}
-
-// serialPredict is the engine's serialised fallback: one model round trip
-// under the predictor lock, with the generation and normaliser read under
-// that same lock so a concurrent hot-swap can never mislabel the result.
-func (e *Engine) serialPredict(tr *workload.Trace) predictResult {
-	e.pred.mu.Lock()
-	defer e.pred.mu.Unlock()
-	return predictResult{y: e.pred.predictTraceLocked(tr), gen: e.weightGen.Load(), norm: e.pred.Norm}
+	return e.pred.predictTrace(tr), nil
 }
 
 // queued reports how many jobs are waiting in the engine's queue; the
@@ -571,15 +514,10 @@ func (e *Engine) flush(batch []*predictJob) {
 	for i, j := range uniq {
 		traces[i] = j.trace
 	}
-	// The encode fan-out is pure and runs outside the lock, but the model it
-	// encodes against must be pinned: a roll can replace the replica (and
-	// its pipeline) between here and the locked section below.
-	// Jobs that arrived with a template-cache featurization (enc already set)
-	// skip the fan-out; their validity is decided per job under the lock.
-	e.pred.mu.Lock()
-	encModel := e.pred.Model
-	e.pred.mu.Unlock()
-	ce, canEncode := encModel.(concurrentEncoder)
+	// The encode fan-out is pure and runs outside the lock. Jobs that arrived
+	// with a template-cache featurization (enc already set) skip it.
+	m := e.pred.Model
+	ce, canEncode := m.(concurrentEncoder)
 	var fanned []*predictJob
 	if canEncode {
 		for _, j := range uniq {
@@ -602,28 +540,12 @@ func (e *Engine) flush(batch []*predictJob) {
 		wg.Wait()
 	}
 	e.pred.mu.Lock()
-	gen := e.weightGen.Load()
-	norm := e.pred.Norm
-	m := e.pred.Model
-	// Adopt each pre-computed encoding only while it is provably the current
-	// identity's: a fan-out encoding is valid iff the model that encoded is
-	// the model about to predict (a replica swap in between retires it), and
-	// a template-cache encoding (encGen != 0) is valid iff its generation is
-	// still the one serving — the generation advances under this same lock,
-	// atomically with every swap and segment invalidation. Everything not
-	// adopted is re-encoded by Prepare from the job's exact plan (on a
-	// template hit, the rebound plan carrying the request's own literals), so
-	// every fallback stays byte-identical.
+	// Every pre-computed encoding came from this engine's own pipeline —
+	// fanned out above or rebound from its template segment — so all are
+	// adopted; Prepare encodes whatever is left from the job's exact plan.
 	if canEncode {
 		for _, j := range uniq {
-			if j.enc == nil {
-				continue
-			}
-			if j.encGen != 0 {
-				if j.encGen == gen {
-					ce.AdoptEncoding(j.trace, j.enc)
-				}
-			} else if m == encModel {
+			if j.enc != nil {
 				ce.AdoptEncoding(j.trace, j.enc)
 			}
 		}
@@ -655,7 +577,7 @@ func (e *Engine) flush(batch []*predictJob) {
 	// admission estimates need.
 	e.tel.ServiceTime.Observe(float64(time.Since(start).Nanoseconds()) / 1e3 / float64(len(batch)))
 	for i, j := range batch {
-		j.done <- predictResult{y: ys[rows[i]], gen: gen, norm: norm}
+		j.done <- ys[rows[i]]
 	}
 }
 
@@ -665,7 +587,7 @@ func (e *Engine) flush(batch []*predictJob) {
 func (e *Engine) estWaitMicros() float64 { return e.tel.EstWaitMicros(len(e.jobs)) }
 
 // Snapshot returns the shard's telemetry snapshot: the group's atomic
-// counters plus the gauges sampled here (queue depth, cache entries, weight
+// counters plus the gauges sampled here (queue depth, cache entries,
 // generation). The shard index is 0; a ShardedEngine overwrites it with the
 // dispatcher's numbering.
 func (e *Engine) Snapshot() telemetry.ShardSnapshot {
@@ -679,7 +601,7 @@ func (e *Engine) Snapshot() telemetry.ShardSnapshot {
 		SubtreeBytes:    subBytes,
 		TemplateEntries: tmplEntries,
 		TemplateBytes:   tmplBytes,
-		Generation:      e.weightGen.Load(),
+		Generation:      e.gen,
 		Quantized:       e.quantized,
 	})
 }

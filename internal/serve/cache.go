@@ -118,10 +118,10 @@ func canonicalAlready(sql string) bool {
 // predictionCache is the per-shard segment of finished predictions keyed by
 // canonicalised SQL. Repeated templates — the dominant case in the paper's
 // Grab workload — skip parse, encode and model inference entirely. A present
-// key is overwritten (within one generation the answer is byte-identical
-// anyway) and entries are not byte-accounted.
-type predictionCache = genLRU[string, Prediction]
+// key is overwritten (one engine's answer for a key is byte-identical every
+// time) and entries are not byte-accounted.
+type predictionCache = lru[string, Prediction]
 
-func newPredictionCache(max int, gen int64, hits, misses *telemetry.Counter) *predictionCache {
-	return newGenLRU[string, Prediction](max, gen, hits, misses, nil, nil)
+func newPredictionCache(max int, hits, misses *telemetry.Counter) *predictionCache {
+	return newLRU[string, Prediction](max, hits, misses, nil, nil)
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // TestSubtreeCacheKeepsAndCopies pins the sub-tree segment's own policy on
-// top of the shared LRU (see genlru_test.go): it satisfies models.ConvCache,
+// top of the shared LRU (see lru_test.go): it satisfies models.ConvCache,
 // copies the caller's slice on admission, prices entries at 8 bytes per
 // float, and keeps the stored values when a present key is re-put.
 func TestSubtreeCacheKeepsAndCopies(t *testing.T) {
 	var hits, misses telemetry.Counter
-	var c models.ConvCache = newSubtreeCache(2, 1, &hits, &misses)
+	var c models.ConvCache = newSubtreeCache(2, &hits, &misses)
 
 	if _, ok := c.Get(1); ok || misses.Load() != 1 {
 		t.Fatalf("empty cache: hit=%v misses=%d, want a counted miss", ok, misses.Load())
@@ -31,7 +31,7 @@ func TestSubtreeCacheKeepsAndCopies(t *testing.T) {
 	if again, _ := c.Get(1); &again[0] != &v[0] {
 		t.Fatal("re-putting a present key replaced the stored slice")
 	}
-	if e, b := c.(subtreeCache).Stats(); e != 1 || b != 24 {
+	if e, b := c.(*subtreeCache).Stats(); e != 1 || b != 24 {
 		t.Fatalf("stats = %d entries / %d bytes, want 1/24", e, b)
 	}
 }
@@ -92,8 +92,8 @@ func TestEngineSubtreeCacheByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSubtreeCacheAcrossReloadRoll pins generation safety: a weight roll
-// flushes every shard's sub-tree segment under the same lock as the swap, so
+// TestSubtreeCacheAcrossReloadRoll pins generation safety: the engine a
+// weight roll installs starts every shard on an empty sub-tree segment, so
 // post-roll predictions are byte-identical to a cache-free serialised
 // reference over the new weights — both the recomputation that repopulates
 // the cache and the replay that follows it.
@@ -102,8 +102,8 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
 	cfg.CacheSize = 0 // every request must reach the model
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
+	se := en.Live()
 
 	sql := "SELECT a FROM t WHERE a > 5"
 	for _, sh := range se.shards { // warm every shard's segment
@@ -122,9 +122,10 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Reload(bytes.NewReader(bundle)); err != nil {
+	if _, err := en.ReloadWeights(bytes.NewReader(bundle)); err != nil {
 		t.Fatal(err)
 	}
+	se = en.Live()
 	if tot := se.Snapshot().Totals(); tot.SubtreeEntries != 0 || tot.SubtreeBytes != 0 {
 		t.Fatalf("roll left stale sub-tree entries: %+v", tot)
 	}

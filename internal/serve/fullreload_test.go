@@ -62,17 +62,17 @@ func retrainedFullBundle(t *testing.T, pred *Predictor, normShift float64, extra
 }
 
 // TestFullReloadRollsAllShards checks the tentpole happy path: a full bundle
-// whose pipeline has a different feature-table universe stages once, rolls
-// fresh replicas onto every shard, invalidates the cache segments, and the
-// engine thereafter answers byte-identically to the serialised reference
+// whose pipeline has a different feature-table universe stages once, installs
+// an engine of fresh replicas over empty cache segments, and the identity
+// thereafter answers byte-identically to the serialised reference
 // over the bundle's own (pipeline, normaliser, weights) triple — including
 // CPUMinutes, which proves the normaliser rolled with the weights.
 func TestFullReloadRollsAllShards(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
 	cfg.Replicas = 3
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
+	se := en.Live()
 
 	sql := "SELECT a FROM t WHERE a > 5"
 	before, g, err := se.PredictSQLGenCtx(context.Background(), sql)
@@ -82,7 +82,7 @@ func TestFullReloadRollsAllShards(t *testing.T) {
 	if g != 1 {
 		t.Fatalf("initial generation = %d, want 1", g)
 	}
-	_, paramsBefore := se.ModelInfo()
+	paramsBefore := se.Snapshot().Params
 
 	bundle, reference := retrainedFullBundle(t, pred, 0.5, "full_reload_extra")
 	want, err := reference.PredictSQL(sql)
@@ -93,12 +93,13 @@ func TestFullReloadRollsAllShards(t *testing.T) {
 		t.Fatal("retrained bundle predicts identically; the test cannot distinguish identities")
 	}
 
-	gen, err := se.ReloadBundle(bytes.NewReader(bundle))
+	gen, err := reloadFull(en, bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 2 || se.Generation() != 2 || se.Reloads() != 1 {
-		t.Fatalf("full reload reported gen %d (engine %d, reloads %d), want 2/2/1", gen, se.Generation(), se.Reloads())
+	se = en.Live()
+	if gen != 2 || se.Generation() != 2 || en.reloads.Load() != 1 {
+		t.Fatalf("full reload reported gen %d (engine %d, reloads %d), want 2/2/1", gen, se.Generation(), en.reloads.Load())
 	}
 	for i, m := range se.Snapshot().Shards {
 		if m.Generation != 2 {
@@ -107,7 +108,7 @@ func TestFullReloadRollsAllShards(t *testing.T) {
 	}
 	// The serving identity changed shape: the wider feature dim grows the
 	// conv stack, visible in the live parameter count.
-	if _, paramsAfter := se.ModelInfo(); paramsAfter <= paramsBefore {
+	if paramsAfter := se.Snapshot().Params; paramsAfter <= paramsBefore {
 		t.Fatalf("live parameter count %d after full reload, want > %d", paramsAfter, paramsBefore)
 	}
 
@@ -146,8 +147,8 @@ func TestFullReloadRejectionsLeaveServingUntouched(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
+	se := en.Live()
 
 	sql := "SELECT b FROM t WHERE b < 3"
 	before, _, err := se.PredictSQLGenCtx(context.Background(), sql) // misses, lands in the cache
@@ -186,12 +187,12 @@ func TestFullReloadRejectionsLeaveServingUntouched(t *testing.T) {
 		"truncated pipeline":   truncated,
 		"normaliser inversion": inverted.Bytes(),
 	} {
-		if _, err := se.ReloadBundle(bytes.NewReader(bundle)); err == nil {
+		if _, err := reloadFull(en, bundle); err == nil {
 			t.Fatalf("%s: full reload accepted the bundle", name)
 		}
-		if se.Generation() != 1 || se.Reloads() != 0 {
+		if en.Live() != se || se.Generation() != 1 || en.reloads.Load() != 0 {
 			t.Fatalf("%s: rejected bundle advanced the engine: gen %d, reloads %d",
-				name, se.Generation(), se.Reloads())
+				name, en.Live().Generation(), en.reloads.Load())
 		}
 		if entries := se.Snapshot().Totals().CacheEntries; entries != entriesBefore {
 			t.Fatalf("%s: rejected bundle disturbed the cache: %d entries, want %d",
@@ -212,7 +213,7 @@ func TestFullReloadRejectionsLeaveServingUntouched(t *testing.T) {
 		t.Fatalf("cache hits %d after 3 post-rejection lookups, want %d", hits, hitsBefore+3)
 	}
 	// Each rejection is visible on the operator surface.
-	if rejected := se.Snapshot().RejectedBundles; rejected != 3 {
+	if rejected := en.Snapshot().Engine.RejectedBundles; rejected != 3 {
 		t.Fatalf("rejected-bundle counter = %d after 3 rejections, want 3", rejected)
 	}
 }
@@ -293,79 +294,80 @@ func TestFullReloadEndpoint(t *testing.T) {
 
 // TestInterleavedReloads pins the one-roll-machinery contract: while any
 // roll is in flight, both weight-only and full-bundle reloads are refused
-// with ErrReloadInProgress (409 over HTTP) — a shard quiesced for a replica
-// swap can never have a weight roll layered on top — and sequential
+// with ErrReloadInProgress (409 over HTTP), and sequential
 // interleavings of the two kinds share one monotone generation sequence.
 func TestInterleavedReloads(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
+	sql := "SELECT a FROM t WHERE a > 5"
+	predict := func() (Prediction, int64, error) {
+		p, g, _, err := en.PredictSQLGenCtx(context.Background(), sql)
+		return p, g, err
+	}
 
 	// In-flight roll (the mutex is held exactly for a roll's duration):
 	// both kinds must conflict, not queue.
-	se.reloadMu.Lock()
-	if _, err := se.Reload(strings.NewReader("")); err != ErrReloadInProgress {
+	en.rollMu.Lock()
+	if _, err := en.ReloadWeights(strings.NewReader("")); err != ErrReloadInProgress {
 		t.Fatalf("weight reload during a roll returned %v, want ErrReloadInProgress", err)
 	}
-	if _, err := se.ReloadBundle(strings.NewReader("")); err != ErrReloadInProgress {
+	if _, err := reloadFull(en, nil); err != ErrReloadInProgress {
 		t.Fatalf("full reload during a roll returned %v, want ErrReloadInProgress", err)
 	}
-	se.reloadMu.Unlock()
-
-	sql := "SELECT a FROM t WHERE a > 5"
+	en.rollMu.Unlock()
 
 	// Generation 2: weight-only roll.
 	wb, wref := perturbedBundle(t, pred, 0.25)
-	if gen, err := se.Reload(bytes.NewReader(wb)); err != nil || gen != 2 {
+	if gen, err := en.ReloadWeights(bytes.NewReader(wb)); err != nil || gen != 2 {
 		t.Fatalf("weight roll: gen %d, err %v", gen, err)
 	}
 	want, err := wref.PredictSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, g, _ := se.PredictSQLGenCtx(context.Background(), sql); g != 2 || got != want {
+	if got, g, _ := predict(); g != 2 || got != want {
 		t.Fatalf("after weight roll: gen %d %+v, want gen 2 %+v", g, got, want)
 	}
 
 	// Generation 3: full-bundle roll — new pipeline, normaliser, weights.
 	fb, fref := retrainedFullBundle(t, pred, 0.5, "interleaved_extra")
-	if gen, err := se.ReloadBundle(bytes.NewReader(fb)); err != nil || gen != 3 {
+	if gen, err := reloadFull(en, fb); err != nil || gen != 3 {
 		t.Fatalf("full roll: gen %d, err %v", gen, err)
 	}
 	want, err = fref.PredictSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, g, _ := se.PredictSQLGenCtx(context.Background(), sql); g != 3 || got != want {
+	if got, g, _ := predict(); g != 3 || got != want {
 		t.Fatalf("after full roll: gen %d %+v, want gen 3 %+v", g, got, want)
 	}
 
 	// A weight-only bundle of the *old* architecture is now rejected — the
 	// full roll changed the live feature dim under it — with zero impact.
-	if _, err := se.Reload(bytes.NewReader(wb)); err == nil {
+	if _, err := en.ReloadWeights(bytes.NewReader(wb)); err == nil {
 		t.Fatal("weight roll of the old architecture accepted after a full roll")
 	}
-	if se.Generation() != 3 {
-		t.Fatalf("rejected stale weight roll moved the generation to %d", se.Generation())
+	if g := en.Live().Generation(); g != 3 {
+		t.Fatalf("rejected stale weight roll moved the generation to %d", g)
 	}
 
 	// Generation 4: weight-only roll against the new identity works — the
 	// two kinds keep sharing one generation counter.
 	wb2, wref2 := perturbedBundle(t, fref, 0.2)
-	if gen, err := se.Reload(bytes.NewReader(wb2)); err != nil || gen != 4 {
+	if gen, err := en.ReloadWeights(bytes.NewReader(wb2)); err != nil || gen != 4 {
 		t.Fatalf("weight roll on new identity: gen %d, err %v", gen, err)
 	}
 	want, err = wref2.PredictSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, g, _ := se.PredictSQLGenCtx(context.Background(), sql); g != 4 || got != want {
+	if got, g, _ := predict(); g != 4 || got != want {
 		t.Fatalf("after weight roll on new identity: gen %d %+v, want gen 4 %+v", g, got, want)
 	}
-	if se.Reloads() != 3 {
-		t.Fatalf("reloads = %d, want 3", se.Reloads())
+	if n := en.reloads.Load(); n != 3 {
+		t.Fatalf("reloads = %d, want 3", n)
 	}
 }
 
@@ -376,8 +378,8 @@ func TestInterleavedReloadConflictHTTP(t *testing.T) {
 	if err := os.WriteFile(path, []byte("irrelevant"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv.Engine().reloadMu.Lock()
-	defer srv.Engine().reloadMu.Unlock()
+	srv.Models().Default().rollMu.Lock()
+	defer srv.Models().Default().rollMu.Unlock()
 	if w := reloadHTTP(t, srv, fmt.Sprintf(`{"weights":%q}`, path), "127.0.0.1:1000", ""); w.Code != http.StatusConflict {
 		t.Fatalf("weight reload during a roll = %d, want 409", w.Code)
 	}
@@ -399,8 +401,7 @@ func TestFullReloadUnderConcurrentTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Replicas = 4
 	cfg.CacheSize = 64
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
 
 	queries := []string{
 		"SELECT a FROM t WHERE a > 5",
@@ -456,7 +457,7 @@ func TestFullReloadUnderConcurrentTraffic(t *testing.T) {
 				}
 				sql := queries[(i+w)%len(queries)]
 				key := CanonicalSQL(sql)
-				p, g, err := se.PredictSQLGenCtx(context.Background(), sql)
+				p, g, _, err := en.PredictSQLGenCtx(context.Background(), sql)
 				if err != nil {
 					errCh <- err
 					return
@@ -484,9 +485,9 @@ func TestFullReloadUnderConcurrentTraffic(t *testing.T) {
 		var gen int64
 		var err error
 		if rollKind[g] == "bundle" {
-			gen, err = se.ReloadBundle(bytes.NewReader(rolls[g]))
+			gen, err = reloadFull(en, rolls[g])
 		} else {
-			gen, err = se.Reload(bytes.NewReader(rolls[g]))
+			gen, err = en.ReloadWeights(bytes.NewReader(rolls[g]))
 		}
 		if err != nil || gen != int64(g) {
 			close(stop)
@@ -502,6 +503,7 @@ func TestFullReloadUnderConcurrentTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	se := en.Live()
 	if se.Generation() != lastGen {
 		t.Fatalf("engine generation = %d, want %d", se.Generation(), lastGen)
 	}

@@ -172,8 +172,7 @@ func TestQuantizedWeightReloadRepacks(t *testing.T) {
 	cfg.Replicas = 2
 	cfg.CacheSize = 0 // force every request through the model
 	cfg.Quantize = true
-	eng := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	defer eng.Close()
+	en := newTestEntry(t, pred, cfg)
 
 	// Retrain the source model and ship its weights as a bundle.
 	retrain := newTestPredictor(t)
@@ -188,14 +187,17 @@ func TestQuantizedWeightReloadRepacks(t *testing.T) {
 	if math.Abs(newFloat.Normalized-oldFloat.Normalized) < 1e-9 {
 		t.Skip("retrained weights predict identically; roll would be unobservable")
 	}
-	gen, err := eng.Reload(&buf)
+	gen, err := en.ReloadWeights(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen != initialGeneration+1 {
 		t.Fatalf("generation after roll = %d", gen)
 	}
-	got, err := eng.PredictSQL(sql)
+	if k := en.Live().Kernel(); k != "int8" {
+		t.Fatalf("successor engine serves kernel %q, want int8", k)
+	}
+	got, err := en.Live().PredictSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}

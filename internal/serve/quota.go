@@ -69,7 +69,8 @@ func (q *clientQuota) stripeOf(key string) *quotaStripe {
 
 // Allow spends one token from key's bucket at time now, reporting whether
 // the request is admitted and — when it is not — how long until the bucket
-// refills enough for one request (the Retry-After hint).
+// refills enough for one request (the Retry-After hint, in whole seconds
+// rounded up: a client told to come back early eats a second 429).
 func (q *clientQuota) Allow(key string, now time.Time) (ok bool, retryAfter time.Duration) {
 	s := q.stripeOf(key)
 	s.mu.Lock()
@@ -94,11 +95,7 @@ func (q *clientQuota) Allow(key string, now time.Time) (ok bool, retryAfter time
 		b.tokens--
 		return true, 0
 	}
-	wait := time.Duration((1 - b.tokens) / q.qps * float64(time.Second))
-	if wait < time.Second {
-		wait = time.Second
-	}
-	return false, wait.Round(time.Second)
+	return false, ceilSeconds(time.Duration((1 - b.tokens) / q.qps * float64(time.Second)))
 }
 
 // sweepLocked drops every bucket that has refilled to full burst. Callers

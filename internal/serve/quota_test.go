@@ -42,6 +42,36 @@ func TestQuotaBurstAndRefill(t *testing.T) {
 	}
 }
 
+// TestQuotaRetryAfterRoundsUp pins the throttle hint's rounding: whole
+// seconds, never less than one, and always up — at the hinted instant the
+// bucket must actually hold the token (a 1.4 s refill rounded to nearest
+// says 1 s, and the client's retry eats a second 429).
+func TestQuotaRetryAfterRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		refill time.Duration // time for an empty bucket to earn one token
+		want   time.Duration
+	}{
+		{500 * time.Millisecond, time.Second},
+		{time.Second, time.Second},
+		{1400 * time.Millisecond, 2 * time.Second},
+		{1600 * time.Millisecond, 2 * time.Second},
+		{2 * time.Second, 2 * time.Second},
+		{2400 * time.Millisecond, 3 * time.Second},
+	} {
+		q := newClientQuota(1/c.refill.Seconds(), 1)
+		now := time.Unix(1000, 0)
+		q.Allow("alice", now) // spends the burst: the bucket is empty
+		ok, retry := q.Allow("alice", now)
+		if ok || retry != c.want {
+			t.Errorf("refill %v: admitted=%v, Retry-After %v; want refused with %v", c.refill, ok, retry, c.want)
+			continue
+		}
+		if ok, _ := q.Allow("alice", now.Add(retry)); !ok {
+			t.Errorf("refill %v: retry at the hinted %v was throttled again", c.refill, retry)
+		}
+	}
+}
+
 // TestQuotaClientsIndependent checks one exhausted tenant cannot spend a
 // neighbour's tokens.
 func TestQuotaClientsIndependent(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"time"
@@ -20,8 +19,8 @@ import (
 var ErrUnknownModel = errors.New("serve: unknown model")
 
 // ErrRollPending is returned when an operation needs the identity's roll
-// slot but a shadow or canary roll is already staged: a second stage, or an
-// in-place reload that would invalidate the staged bundle's generation.
+// slot but a shadow or canary roll is already staged: a second stage, or a
+// direct reload, which would take the generation the staged engine holds.
 var ErrRollPending = errors.New("serve: a shadow/canary roll is already staged")
 
 // ErrNoStagedRoll is returned by promote/abort when the identity has no
@@ -29,8 +28,8 @@ var ErrRollPending = errors.New("serve: a shadow/canary roll is already staged")
 var ErrNoStagedRoll = errors.New("serve: no staged roll to act on")
 
 // Registry is the daemon's model table: one entry per named serving
-// identity, each owning its own sharded engine, generation sequence, roll
-// slot and telemetry. The first identity registered is the default — the one
+// identity, each owning its own live engine, generation sequence, roll slot
+// and telemetry. The first identity registered is the default — the one
 // model-less requests route to, byte-identical to a single-model daemon.
 type Registry struct {
 	cfg Config
@@ -116,9 +115,18 @@ func (r *Registry) Close() {
 	}
 }
 
-// ModelEntry is one named serving identity: a live engine, an optional
-// staged roll, and the counters that outlive both (an engine is replaced on
-// promotion; promotions/aborts/reloads must not reset with it).
+// ModelEntry is one named serving identity, and the only mutable thing in
+// the serve layer's model path: engines are immutable, so everything that
+// changes when a model is redeployed changes here. It owns
+//
+//   - the live pointer (and the optional staged roll), the one word a roll
+//     writes;
+//   - the generation sequence: each engine carries its generation as a
+//     constant, and every successor is built at live's + 1;
+//   - the control plane (rollMu) and the roll protocol (see reload.go);
+//   - the counters that outlive any one engine — reloads, rejected bundles,
+//     promotions, aborts — and, by lending them from each engine to the one
+//     that replaces it, the per-shard telemetry groups.
 type ModelEntry struct {
 	name string
 	cfg  Config
@@ -130,11 +138,14 @@ type ModelEntry struct {
 	staged *stagedRoll
 
 	// rollMu serialises the identity's control plane (reload, stage,
-	// promote, abort) with the same try-lock discipline as an engine's
-	// reloadMu: a lost race is a conflict to report, never a queue to wait
-	// in.
+	// promote, abort). It is only ever try-locked: a lost race is a conflict
+	// to report, never a queue to wait in.
 	rollMu sync.Mutex
 
+	// reloads counts completed rolls of any kind (a promotion is one);
+	// rejected counts artefacts refused past the control-plane lock.
+	reloads    telemetry.Counter
+	rejected   telemetry.Counter
 	promotions telemetry.Counter
 	aborts     telemetry.Counter
 }
@@ -156,7 +167,9 @@ type stagedRoll struct {
 func (en *ModelEntry) Name() string { return en.name }
 
 // Live returns the identity's current live engine. The pointer is stable
-// until the next promotion; tests and the compat accessor use it.
+// only until the next reload or promotion — callers that hold it across one
+// keep talking to the retired engine (still answering, at its old
+// generation) and must re-read.
 func (en *ModelEntry) Live() *ShardedEngine {
 	en.mu.RLock()
 	defer en.mu.RUnlock()
@@ -257,79 +270,24 @@ func (st *stagedRoll) mirror(sql string, live Prediction, liveLat time.Duration)
 	}()
 }
 
-// ReloadWeights rolls a weight-only bundle through the live engine in
-// place — the pre-registry reload path, unchanged. Refused while a shadow or
-// canary roll is staged: the staged engine was built one generation ahead of
-// live, and an in-place roll underneath it would collapse the two.
-func (en *ModelEntry) ReloadWeights(r io.Reader) (int64, error) {
-	if !en.rollMu.TryLock() {
-		return 0, ErrReloadInProgress
-	}
-	defer en.rollMu.Unlock()
-	live, st := en.roll()
-	if st != nil {
-		return 0, ErrRollPending
-	}
-	return live.Reload(r)
-}
-
-// ReloadBundle rolls a decoded full bundle through the live engine in
-// place, under the same staged-roll exclusion as ReloadWeights.
-func (en *ModelEntry) ReloadBundle(fb *persist.FullBundle) (int64, error) {
-	if !en.rollMu.TryLock() {
-		return 0, ErrReloadInProgress
-	}
-	defer en.rollMu.Unlock()
-	live, st := en.roll()
-	if st != nil {
-		return 0, ErrRollPending
-	}
-	return live.ReloadBundleDecoded(fb)
-}
-
-// reloadBlocked reports why a reload could not start right now — the
-// control plane held, a roll staged, or the live engine mid-reload — or nil
-// when the identity is free. The bundle handler consults it when a decode
-// fails: conflict outranks rejection, the same lock-before-decode ordering
-// the engine's own reload path enforces, so a garbage artefact thrown at a
-// busy identity answers 409, not 422.
-func (en *ModelEntry) reloadBlocked() error {
-	if !en.rollMu.TryLock() {
-		return ErrReloadInProgress
-	}
-	defer en.rollMu.Unlock()
-	live, st := en.roll()
-	if st != nil {
-		return ErrRollPending
-	}
-	if !live.reloadMu.TryLock() {
-		return ErrReloadInProgress
-	}
-	live.reloadMu.Unlock()
-	return nil
-}
-
 // Stage validates a decoded full bundle and brings it up as a staged engine
 // next to live — serving no traffic yet beyond what mode routes to it:
 // nothing for shadow (mirrors only), a deterministic percent of the keyspace
-// for canary. The staged engine is born at live's generation + 1, the
-// generation the identity will report once promoted. Returns that
-// generation.
+// for canary. It is the first half of a roll: the successor is built exactly
+// as a reload builds it (on its own counter groups, since it serves beside
+// live rather than instead of it) and parked in the roll slot for Promote or
+// Abort. Returns the staged generation, the one the identity will report once
+// promoted.
 func (en *ModelEntry) Stage(fb *persist.FullBundle, mode string, percent int) (int64, error) {
-	if !en.rollMu.TryLock() {
-		return 0, ErrReloadInProgress
-	}
-	defer en.rollMu.Unlock()
-	live, st := en.roll()
-	if st != nil {
-		return 0, ErrRollPending
-	}
-	pred, err := live.stagePredictor(fb)
+	live, err := en.beginRoll()
 	if err != nil {
 		return 0, err
 	}
-	gen := live.Generation() + 1
-	eng := newShardedEngineAt(Replicas(pred, en.cfg.Replicas), en.cfg, gen)
+	defer en.rollMu.Unlock()
+	eng, err := en.successor(live, stageFull(fb), nil)
+	if err != nil {
+		return 0, err
+	}
 	roll := &stagedRoll{mode: mode, percent: percent, eng: eng}
 	if mode == api.StateShadow {
 		roll.sem = make(chan struct{}, 2*eng.Shards())
@@ -338,31 +296,23 @@ func (en *ModelEntry) Stage(fb *persist.FullBundle, mode string, percent int) (i
 	en.mu.Lock()
 	en.staged = roll
 	en.mu.Unlock()
-	return gen, nil
+	return eng.gen, nil
 }
 
-// Promote makes the staged engine the identity's live engine and retires
-// the old one. The roll counters carry forward — the promotion counts as one
-// completed roll, and the rejected-bundle history survives — so the
-// identity's reload telemetry stays monotone across the engine swap. Returns
-// the new live generation, always strictly above the one it replaces.
+// Promote is the second half of a staged roll: the staged engine is
+// installed as live and the old one retired. Returns the new live
+// generation, always strictly above the one it replaces.
 func (en *ModelEntry) Promote() (int64, error) {
 	if !en.rollMu.TryLock() {
 		return 0, ErrReloadInProgress
 	}
 	defer en.rollMu.Unlock()
-	old, st := en.roll()
+	_, st := en.roll()
 	if st == nil {
 		return 0, ErrNoStagedRoll
 	}
-	st.eng.reloads.Add(old.reloads.Load() + 1)
-	st.eng.rejected.Add(old.rejected.Load())
-	en.mu.Lock()
-	en.live, en.staged = st.eng, nil
-	en.mu.Unlock()
 	en.promotions.Inc()
-	old.Close()
-	return st.eng.Generation(), nil
+	return en.install(st.eng), nil
 }
 
 // Abort discards the staged roll; the live engine never stops serving.
@@ -407,9 +357,9 @@ func (en *ModelEntry) StagedGeneration() int64 {
 	return st.eng.Generation()
 }
 
-// Snapshot reads the identity's full telemetry: roll state, the live
-// engine, and — while a roll is staged — the staged engine plus any shadow
-// deltas.
+// Snapshot reads the identity's full telemetry: roll state and counters, the
+// live engine, and — while a roll is staged — the staged engine plus any
+// shadow deltas.
 func (en *ModelEntry) Snapshot() telemetry.ModelSnapshot {
 	live, st := en.roll()
 	ms := telemetry.ModelSnapshot{
@@ -419,6 +369,8 @@ func (en *ModelEntry) Snapshot() telemetry.ModelSnapshot {
 		Aborts:     en.aborts.Load(),
 		Engine:     live.Snapshot(),
 	}
+	ms.Engine.Reloads = en.reloads.Load()
+	ms.Engine.RejectedBundles = en.rejected.Load()
 	if st != nil {
 		ms.State = st.mode
 		ms.Percent = st.percent

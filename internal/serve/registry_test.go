@@ -296,7 +296,7 @@ func TestPromoteGenerationMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	lastGen := en.Live().Generation()
-	lastReloads := en.Live().Reloads()
+	lastReloads := en.reloads.Load()
 	cur := pred
 	for cycle := 0; cycle < 3; cycle++ {
 		raw, ref := retrainedFullBundle(t, cur, 0.3, fmt.Sprintf("promote_extra_%d", cycle))
@@ -311,7 +311,7 @@ func TestPromoteGenerationMonotone(t *testing.T) {
 		if gen <= lastGen {
 			t.Fatalf("cycle %d: promoted generation %d not above %d", cycle, gen, lastGen)
 		}
-		if rl := en.Live().Reloads(); rl <= lastReloads {
+		if rl := en.reloads.Load(); rl <= lastReloads {
 			t.Fatalf("cycle %d: reloads %d did not advance past %d", cycle, rl, lastReloads)
 		} else {
 			lastReloads = rl

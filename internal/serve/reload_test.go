@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -22,27 +24,37 @@ import (
 )
 
 // TestRejectedCounterSemantics pins what the rejected-bundle counter
-// counts: artefacts refused while staging, before any replica is touched. A
-// lost race for the roll lock is no rejection — and must not even run the
-// staging step.
+// counts: artefacts refused while staging, past the control-plane lock. A
+// lost race for the roll lock, or a roll slot already taken, is a conflict,
+// no rejection — and must not even run the staging step.
 func TestRejectedCounterSemantics(t *testing.T) {
-	se := &ShardedEngine{}
+	se, _ := stubShards(t, 1, Config{MaxBatch: 2})
+	en := entryOver(t, se, Config{MaxBatch: 2})
 	bad := errors.New("serve: bundle failed validation")
-	stage := func() (*Predictor, error) { return nil, bad }
+	staged := 0
+	stage := func(*ShardedEngine) (*Predictor, error) { staged++; return nil, bad }
 
-	se.reloadMu.Lock()
-	if _, err := se.reload(stage); !errors.Is(err, ErrReloadInProgress) {
+	en.rollMu.Lock()
+	if _, err := en.reload(stage); !errors.Is(err, ErrReloadInProgress) {
 		t.Fatalf("reload under a held roll lock returned %v, want ErrReloadInProgress", err)
 	}
-	se.reloadMu.Unlock()
-	if got := se.rejected.Load(); got != 0 {
-		t.Fatalf("rejected = %d after an in-progress conflict, want 0", got)
+	en.rollMu.Unlock()
+	en.staged = &stagedRoll{}
+	if _, err := en.reload(stage); !errors.Is(err, ErrRollPending) {
+		t.Fatalf("reload over a staged roll returned %v, want ErrRollPending", err)
 	}
-	if _, err := se.reload(stage); !errors.Is(err, bad) {
+	en.staged = nil
+	if got := en.rejected.Load(); got != 0 || staged != 0 {
+		t.Fatalf("after two conflicts: rejected = %d, stage ran %d times; want 0/0", got, staged)
+	}
+	if _, err := en.reload(stage); !errors.Is(err, bad) {
 		t.Fatalf("reload returned %v, want the staging error passed through", err)
 	}
-	if got := se.rejected.Load(); got != 1 {
+	if got := en.rejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d after a validation failure, want 1", got)
+	}
+	if en.Live() != se || en.reloads.Load() != 0 {
+		t.Fatal("a rejected roll replaced the live engine")
 	}
 }
 
@@ -76,16 +88,18 @@ func perturbedBundle(t *testing.T, pred *Predictor, delta float64) ([]byte, *Pre
 }
 
 // TestReloadRollsAllShards checks the tentpole happy path: a reload
-// validates once, rolls every shard to the new generation, invalidates the
-// cache segments (a previously cached key must return the new-weight
-// answer), and every shard thereafter predicts byte-identically to the
-// serialised reference over the new bundle.
+// validates once, installs a successor engine with every shard at the new
+// generation and empty cache segments (a previously cached key must return
+// the new-weight answer), and every shard thereafter predicts
+// byte-identically to the serialised reference over the new bundle. The
+// engine it replaced is untouched: a straggler still holding it gets the old
+// generation's answer, tagged as such.
 func TestReloadRollsAllShards(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
 	cfg.Replicas = 3
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
+	se := en.Live()
 
 	sql := "SELECT a FROM t WHERE a > 5"
 	before, g, err := se.PredictSQLGenCtx(context.Background(), sql)
@@ -105,17 +119,27 @@ func TestReloadRollsAllShards(t *testing.T) {
 		t.Fatal("perturbed bundle predicts identically; the test cannot distinguish generations")
 	}
 
-	gen, err := se.Reload(bytes.NewReader(bundle))
+	gen, err := en.ReloadWeights(bytes.NewReader(bundle))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 2 || se.Generation() != 2 || se.Reloads() != 1 {
-		t.Fatalf("reload reported gen %d (engine %d, reloads %d), want 2/2/1", gen, se.Generation(), se.Reloads())
+	retired := se
+	se = en.Live()
+	if gen != 2 || se.Generation() != 2 || en.reloads.Load() != 1 {
+		t.Fatalf("reload reported gen %d (engine %d, reloads %d), want 2/2/1", gen, se.Generation(), en.reloads.Load())
+	}
+	if se.Shards() != cfg.Replicas {
+		t.Fatalf("successor has %d shards, want %d", se.Shards(), cfg.Replicas)
 	}
 	for i, m := range se.Snapshot().Shards {
 		if m.Generation != 2 {
 			t.Fatalf("shard %d still at generation %d after reload", i, m.Generation)
 		}
+	}
+	// The retired engine is closed, not mutated: it still answers — through
+	// the serialised fallback — with generation 1's value and tag.
+	if old, g, err := retired.PredictSQLGenCtx(context.Background(), sql); err != nil || g != 1 || old != before {
+		t.Fatalf("straggler on the retired engine got gen %d %+v (%v), want gen 1 %+v", g, old, err, before)
 	}
 
 	// The pre-reload cache entry for this key must be gone: the dispatcher
@@ -150,8 +174,8 @@ func TestReloadRejectsBadBundle(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
+	se := en.Live()
 
 	sql := "SELECT b FROM t WHERE b < 3"
 	before, _, err := se.PredictSQLGenCtx(context.Background(), sql)
@@ -168,14 +192,14 @@ func TestReloadRejectsBadBundle(t *testing.T) {
 	if err := persist.SaveWeights(&buf, other); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Reload(&buf); err == nil {
+	if _, err := en.ReloadWeights(&buf); err == nil {
 		t.Fatal("reload accepted an architecture-mismatched bundle")
 	}
-	if _, err := se.Reload(strings.NewReader("not a gob stream")); err == nil {
+	if _, err := en.ReloadWeights(strings.NewReader("not a gob stream")); err == nil {
 		t.Fatal("reload accepted garbage")
 	}
-	if se.Generation() != 1 || se.Reloads() != 0 {
-		t.Fatalf("rejected bundle advanced generation: gen %d, reloads %d", se.Generation(), se.Reloads())
+	if en.Live() != se || se.Generation() != 1 || en.reloads.Load() != 0 {
+		t.Fatalf("rejected bundle advanced generation: gen %d, reloads %d", en.Live().Generation(), en.reloads.Load())
 	}
 	after, g, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil {
@@ -196,11 +220,12 @@ func (emptyWeightStore) Weights() []*nn.Param { return nil }
 // cannot stage a reload: the bundle decodes, but the roll is refused.
 func TestReloadWithoutClonerFails(t *testing.T) {
 	se, _ := stubShards(t, 2, Config{MaxBatch: 2})
+	en := entryOver(t, se, Config{MaxBatch: 2})
 	var buf bytes.Buffer
 	if err := persist.SaveWeights(&buf, emptyWeightStore{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Reload(&buf); err == nil {
+	if _, err := en.ReloadWeights(&buf); err == nil {
 		t.Fatal("reload succeeded on a model without Clone support")
 	}
 }
@@ -209,9 +234,10 @@ func TestReloadWithoutClonerFails(t *testing.T) {
 // rather than interleaved.
 func TestReloadInProgressConflict(t *testing.T) {
 	se, _ := stubShards(t, 2, Config{MaxBatch: 2})
-	se.reloadMu.Lock()
-	defer se.reloadMu.Unlock()
-	if _, err := se.Reload(strings.NewReader("")); err != ErrReloadInProgress {
+	en := entryOver(t, se, Config{MaxBatch: 2})
+	en.rollMu.Lock()
+	defer en.rollMu.Unlock()
+	if _, err := en.ReloadWeights(strings.NewReader("")); err != ErrReloadInProgress {
 		t.Fatalf("concurrent reload returned %v, want ErrReloadInProgress", err)
 	}
 }
@@ -222,15 +248,14 @@ func TestReloadInProgressConflict(t *testing.T) {
 // serialised reference of exactly one generation — never a blend — and for
 // any single canonical key generations must be monotone: once a worker has
 // seen generation g for a key, no later response for that key may come from
-// an older generation (the cache invalidation + generation-matched detour
-// guarantee).
+// an older generation (a request started after a roll reads the successor
+// engine; nothing can reach the retired one).
 func TestReloadUnderConcurrentTraffic(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
 	cfg.Replicas = 4
 	cfg.CacheSize = 64
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
 
 	queries := []string{
 		"SELECT a FROM t WHERE a > 5",
@@ -293,7 +318,7 @@ func TestReloadUnderConcurrentTraffic(t *testing.T) {
 				}
 				sql := queries[(i+w)%len(queries)]
 				key := CanonicalSQL(sql)
-				p, g, err := se.PredictSQLGenCtx(context.Background(), sql)
+				p, g, _, err := en.PredictSQLGenCtx(context.Background(), sql)
 				if err != nil {
 					errCh <- err
 					return
@@ -318,7 +343,7 @@ func TestReloadUnderConcurrentTraffic(t *testing.T) {
 
 	for g := 2; g <= lastGen; g++ {
 		time.Sleep(50 * time.Millisecond)
-		gen, err := se.Reload(bytes.NewReader(bundles[g]))
+		gen, err := en.ReloadWeights(bytes.NewReader(bundles[g]))
 		if err != nil {
 			close(stop)
 			wg.Wait()
@@ -338,6 +363,7 @@ func TestReloadUnderConcurrentTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	se := en.Live()
 	if se.Generation() != lastGen {
 		t.Fatalf("engine generation = %d, want %d", se.Generation(), lastGen)
 	}
@@ -464,38 +490,188 @@ func TestReloadEndpointGuards(t *testing.T) {
 	}
 }
 
-// TestQuiescingShardKeepsServing pins the quiesce semantics the roll relies
-// on: a quiescing shard receives no new dispatcher traffic (same-generation
-// peers take it), but requests that still reach it are answered.
-func TestQuiescingShardKeepsServing(t *testing.T) {
-	se, stubs := stubShards(t, 2, Config{MaxBatch: 2})
-	sql := keyForShard(t, se, 0)
-	home := se.shards[0]
+// TestRollsAreEngineSwapsOverHTTP is the end-to-end gate on the one roll
+// mechanism (run under -race): 4 clients hammer /v1/predict over a fixed key
+// set while 20 reloads — alternating weight-only and full-bundle — land
+// through /v1/reload. Every response's (generation, cpu_minutes, normalized)
+// must equal, bit for bit, the serialised reference of exactly that
+// generation's bundle; generations are monotone per client per key; nothing
+// answers non-200. Afterwards the goroutine count is back where it was before
+// the first reload (no batcher of a retired engine survives its roll) and no
+// per-shard counter ever moved backwards (successors count into their
+// predecessors' groups).
+func TestRollsAreEngineSwapsOverHTTP(t *testing.T) {
+	pred := newTestPredictor(t)
+	cfg := DefaultConfig()
+	cfg.Replicas = 2
+	cfg.CacheSize = 64
+	srv := NewServerConfig(pred, cfg)
+	t.Cleanup(srv.Close)
 
-	home.beginQuiesce()
-	if got := se.pick(home); got != se.shards[1] {
-		t.Fatal("quiescing home shard was not detoured to its same-generation peer")
+	queries := []string{
+		"SELECT a FROM t WHERE a > 5",
+		"SELECT b FROM t WHERE b < 3 AND a > 1",
+		"SELECT a FROM t JOIN u ON t.id = u.id WHERE t.a > 7",
+		"SELECT a, b FROM t WHERE a > 2 ORDER BY b LIMIT 10",
+		"SELECT x FROM u WHERE x = 4",
+		"SELECT a FROM t WHERE a > 5 AND b < 9",
 	}
-	if _, err := se.PredictSQL(sql); err != nil {
-		t.Fatal(err)
-	}
-	if n := stubs[0].predicts.Load(); n != 0 {
-		t.Fatalf("quiescing shard ran %d predictions via the dispatcher", n)
-	}
-	// Direct submits still answer — the shard is diverted, not dead.
-	if _, err := home.PredictSQL(sql); err != nil {
-		t.Fatal(err)
-	}
-	home.endQuiesce()
-	if got := se.pick(home); got != home {
-		t.Fatal("resumed shard did not reclaim its traffic")
+	const rolls = 20
+	const lastGen = initialGeneration + rolls
+
+	// One artefact and one serialised reference per generation, each retrain
+	// starting from the identity before it.
+	dir := t.TempDir()
+	reloadBody := make([]string, lastGen+1)
+	expect := make([]map[string]Prediction, lastGen+1)
+	ref := pred
+	for g := initialGeneration; g <= lastGen; g++ {
+		if g > initialGeneration {
+			var raw []byte
+			field := "weights"
+			if g%2 == 0 {
+				raw, ref = perturbedBundle(t, ref, 0.05)
+			} else {
+				field = "bundle"
+				raw, ref = retrainedFullBundle(t, ref, 0.1, fmt.Sprintf("swap_extra_%d", g))
+			}
+			path := filepath.Join(dir, fmt.Sprintf("gen%d.bin", g))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reloadBody[g] = fmt.Sprintf(`{%q:%q}`, field, path)
+		}
+		expect[g] = map[string]Prediction{}
+		for _, sql := range queries {
+			p, err := ref.PredictSQL(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expect[g][sql] = p
+		}
 	}
 
-	// A peer on a different weight generation is never a detour target:
-	// with no same-generation candidate, home keeps its own traffic.
-	home.beginQuiesce()
-	se.shards[1].weightGen.Store(99)
-	if got := se.pick(home); got != home {
-		t.Fatal("dispatcher detoured across weight generations")
+	// shardCounters reads the three counters the issue names off /v1/stats.
+	shardCounters := func() [][3]int64 {
+		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		var st Stats
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		out := make([][3]int64, len(st.Shards))
+		for i, sh := range st.Shards {
+			out[i] = [3]int64{sh.Batches, sh.CacheHits, sh.CacheMisses}
+		}
+		return out
+	}
+	// Warm every key so the first sample is non-zero: a counter reset would
+	// otherwise pass as "0 never decreased".
+	for _, sql := range queries {
+		if w := post(t, srv, "/v1/predict", fmt.Sprintf(`{"sql":%q}`, sql)); w.Code != http.StatusOK {
+			t.Fatalf("warm-up predict = %d: %s", w.Code, w.Body)
+		}
+	}
+	last := shardCounters()
+	checkMonotone := func(when string) {
+		now := shardCounters()
+		if len(now) != len(last) {
+			t.Fatalf("%s: %d shards, had %d", when, len(now), len(last))
+		}
+		for i := range now {
+			for c, name := range []string{"batches", "cache_hits", "cache_misses"} {
+				if now[i][c] < last[i][c] {
+					t.Fatalf("%s: shard %d %s went from %d to %d", when, i, name, last[i][c], now[i][c])
+				}
+			}
+		}
+		last = now
+	}
+	goroutines := runtime.NumGoroutine()
+
+	const clients = 4
+	stop := make(chan struct{})
+	errCh := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			seen := make(map[string]int64, len(queries))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sql := queries[(i+c)%len(queries)]
+				req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(fmt.Sprintf(`{"sql":%q}`, sql)))
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					errCh <- fmt.Errorf("client %d: %q answered %d: %s", c, sql, w.Code, w.Body)
+					return
+				}
+				var pr api.PredictResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &pr); err != nil {
+					errCh <- err
+					return
+				}
+				g := pr.Generation
+				if g < initialGeneration || g > lastGen {
+					errCh <- fmt.Errorf("client %d: response claims generation %d", c, g)
+					return
+				}
+				if want := expect[g][sql]; math.Float64bits(pr.CPUMinutes) != math.Float64bits(want.CPUMinutes) ||
+					math.Float64bits(pr.Normalized) != math.Float64bits(want.Normalized) {
+					errCh <- fmt.Errorf("client %d: %q at generation %d answered (%v, %v), that bundle's reference is (%v, %v)",
+						c, sql, g, pr.CPUMinutes, pr.Normalized, want.CPUMinutes, want.Normalized)
+					return
+				}
+				if g < seen[sql] {
+					errCh <- fmt.Errorf("client %d: %q went from generation %d back to %d", c, sql, seen[sql], g)
+					return
+				}
+				seen[sql] = g
+			}
+		}(c)
+	}
+	finish := func() {
+		close(stop)
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Error(err)
+		}
+	}
+
+	for g := initialGeneration + 1; g <= lastGen; g++ {
+		time.Sleep(5 * time.Millisecond)
+		w := reloadHTTP(t, srv, reloadBody[g], "127.0.0.1:51515", "")
+		var rr api.ReloadResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &rr); w.Code != http.StatusOK || err != nil || rr.Generation != int64(g) {
+			finish()
+			t.Fatalf("reload %s = %d (%v): %s; want generation %d", reloadBody[g], w.Code, err, w.Body, g)
+		}
+		checkMonotone(fmt.Sprintf("after the roll to generation %d", g))
+	}
+	time.Sleep(5 * time.Millisecond)
+	finish()
+	checkMonotone("after the clients stopped")
+
+	st := srv.Models().Default().Snapshot().Engine
+	if st.Generation != lastGen || st.Reloads != rolls || st.RejectedBundles != 0 {
+		t.Fatalf("identity finished at generation %d, %d reloads, %d rejected; want %d/%d/0",
+			st.Generation, st.Reloads, st.RejectedBundles, lastGen, rolls)
+	}
+	// Each roll closed the engine it replaced before returning, so the only
+	// goroutines that can linger are ones already on their way out.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after %d rolls, %d before the first: a retired engine leaked", n, rolls, goroutines)
 	}
 }

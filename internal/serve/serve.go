@@ -17,8 +17,11 @@
 // hosts several named predictor identities, each with its own shard set,
 // generation sequence and roll slot, routed by the model field of
 // /v1/predict. A request without a model field routes to the default
-// identity, byte-identical to a single-model daemon. The wire types live in
-// internal/api.
+// identity, byte-identical to a single-model daemon. Engines are immutable —
+// one engine is one generation of one identity — so every redeployment
+// (weight reload, full-bundle reload, shadow/canary promotion) is the same
+// move: build the next engine beside the live one and swap the identity's
+// pointer (see reload.go). The wire types live in internal/api.
 package serve
 
 import (
@@ -50,12 +53,11 @@ import (
 // Predictor bundles everything needed to cost one query: the trained model,
 // its feature pipeline and the label normaliser fit on training data.
 //
-// The three fields are one predictor identity and change together: a
-// reload (see Engine.swapReplica) replaces all of them under mu,
-// so any path that reads more than one field — or pairs a field with a model
-// output — must do so inside a single critical section, or a roll racing the
-// read could denormalise one generation's output with another generation's
-// normaliser.
+// The three fields are one predictor identity and are never reassigned once
+// the predictor is serving: an engine owns its predictor for life, and a
+// reload builds new predictors for a new engine (see ModelEntry) instead of
+// touching this one. mu therefore only serialises model calls; reading the
+// fields needs no lock.
 type Predictor struct {
 	Model models.Model
 	Pipe  *models.Pipeline
@@ -89,32 +91,29 @@ func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
 	tr := &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-	y, norm := p.predictTrace(tr)
+	return p.prediction(plan, p.predictTrace(tr)), nil
+}
+
+// prediction renders a normalised model output for plan as the wire result,
+// denormalised with this identity's own label range.
+func (p *Predictor) prediction(plan *logicalplan.Node, y float64) Prediction {
 	return Prediction{
-		CPUMinutes: norm.Denormalize(y),
+		CPUMinutes: p.Norm.Denormalize(y),
 		Normalized: y,
 		PlanNodes:  plan.NodeCount(),
 		PlanDepth:  plan.MaxDepth(),
 		Tables:     len(plan.Tables()),
-	}, nil
+	}
 }
 
-// predictTrace costs one already-planned trace under the global model lock:
-// the per-query serialised path the batcher replaces (and degrades to when
-// closed or saturated). The normaliser is read under the same lock as the
-// model call so the pair always belongs to one predictor identity.
-func (p *Predictor) predictTrace(tr *workload.Trace) (float64, workload.Normalizer) {
+// predictTrace costs one already-planned trace under the model lock: the
+// per-query serialised path the batcher replaces (and degrades to when closed
+// or saturated). Models with the arena-backed PredictInto path write into a
+// stack buffer — byte-identical to Predict, without a result tensor escaping
+// the lock.
+func (p *Predictor) predictTrace(tr *workload.Trace) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.predictTraceLocked(tr), p.Norm
-}
-
-// predictTraceLocked is the model round trip with p.mu already held; the
-// engine's serialised fallback calls it directly so it can read the shard's
-// weight generation under the same critical section as the model call.
-// Models with the arena-backed PredictInto path write into a stack buffer —
-// byte-identical to Predict, without a result tensor escaping the lock.
-func (p *Predictor) predictTraceLocked(tr *workload.Trace) float64 {
 	batch := []*workload.Trace{tr}
 	var y float64
 	if ip, ok := p.Model.(models.IntoPredictor); ok {
@@ -147,8 +146,8 @@ var endpoints = []string{
 
 // Server is the HTTP front end over the model registry. It holds no
 // predictor of its own — each serving identity lives in its registry
-// entry's engine shards and is resolved per request, since a full-bundle
-// reload or a promotion can replace it wholesale. All instrumentation is
+// entry's live engine, resolved per request, since every reload or promotion
+// replaces that engine wholesale. All instrumentation is
 // atomic (see internal/telemetry): the request hot path acquires no mutex to
 // observe a latency or bump a counter.
 type Server struct {
@@ -286,8 +285,9 @@ func (s *Server) SetClientQuota(qps float64, burst int) {
 	s.quota = newClientQuota(qps, burst)
 }
 
-// Engine exposes the default model's sharded dispatcher, e.g. for
-// benchmarks; Models exposes the full registry.
+// Engine exposes the default model's current live engine, e.g. for
+// benchmarks (re-read it after a reload: each roll installs a new one);
+// Models exposes the full registry.
 func (s *Server) Engine() *ShardedEngine { return s.reg.Default().Live() }
 
 // Models exposes the model registry, e.g. for tests driving rolls directly.
@@ -656,10 +656,12 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 
 // handleReload is the admin endpoint that rolls a retrained bundle into a
 // serving identity: weight-only ({"weights": path}) or the full predictor
-// identity ({"bundle": path}), in place by default, or staged next to the
-// live engine as a shadow or canary deployment ({"mode": "shadow"} /
-// {"mode": "canary", "percent": N} — full bundles only, since a staged roll
-// builds a complete second engine). The target identity is the request's
+// identity ({"bundle": path}), straight to live by default, or staged next to
+// the live engine as a shadow or canary deployment ({"mode": "shadow"} /
+// {"mode": "canary", "percent": N} — full bundles only, since the staged
+// engine's pipeline and normaliser come from the bundle). Either way the
+// artefact becomes a new engine beside the live one; the modes differ only in
+// when it is swapped in (see ModelEntry). The target identity is the request's
 // model field, falling back to the name embedded in the bundle at train
 // time, then to the default model. Overlapping rolls of any kind answer 409
 // and a rejected bundle answers 422 with zero serving impact. Admin traffic
@@ -744,40 +746,30 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			// the failed decode). Conflict still outranks rejection: if that
 			// identity is mid-roll the caller sees the 409 it would have hit
 			// had the artefact been sound.
-			en := s.reg.Lookup(req.Model)
-			if en == nil {
+			if en = s.reg.Lookup(req.Model); en == nil {
 				en = s.reg.Default()
 			}
-			if berr := en.reloadBlocked(); berr != nil {
-				writeError(w, http.StatusConflict, api.CodeConflict, berr.Error())
+			err = en.rejectBundle(derr)
+		} else {
+			if target == "" {
+				target = fb.Name()
+			}
+			if en = s.resolveModel(w, target); en == nil {
 				return
 			}
-			en.Live().rejected.Inc()
-			writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, derr.Error())
-			return
-		}
-		if target == "" {
-			target = fb.Name()
-		}
-		if en = s.resolveModel(w, target); en == nil {
-			return
-		}
-		switch req.Mode {
-		case "":
-			gen, err = en.ReloadBundle(fb)
-		default:
-			gen, err = en.Stage(fb, req.Mode, req.Percent)
+			if req.Mode == "" {
+				gen, err = en.ReloadBundle(fb)
+			} else {
+				gen, err = en.Stage(fb, req.Mode, req.Percent)
+			}
 		}
 	}
 	switch {
-	case errors.Is(err, ErrReloadInProgress):
-		writeError(w, http.StatusConflict, api.CodeConflict, err.Error())
-		return
-	case errors.Is(err, ErrRollPending):
+	case errors.Is(err, ErrReloadInProgress), errors.Is(err, ErrRollPending):
 		writeError(w, http.StatusConflict, api.CodeConflict, err.Error())
 		return
 	case err != nil:
-		// The bundle was rejected before any replica was touched.
+		// The artefact was rejected while staging; nothing was built.
 		writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, err.Error())
 		return
 	}

@@ -14,6 +14,7 @@ import (
 	"prestroid/internal/api"
 	"prestroid/internal/dataset"
 	"prestroid/internal/models"
+	"prestroid/internal/persist"
 	"prestroid/internal/telemetry"
 	"prestroid/internal/workload"
 )
@@ -62,6 +63,34 @@ func alignEnvKernel(m models.Model) {
 	if q, ok := m.(models.Quantizer); ok {
 		q.SetQuantized(true)
 	}
+}
+
+// newTestEntry starts a serving identity over pred, replicated per
+// cfg.Replicas — what Registry.Add builds — and closes whichever engine is
+// live when the test ends.
+func newTestEntry(t *testing.T, pred *Predictor, cfg Config) *ModelEntry {
+	t.Helper()
+	return entryOver(t, NewShardedEngine(Replicas(pred, cfg.Replicas), cfg), cfg)
+}
+
+// entryOver wraps an already-built engine as a serving identity, for tests
+// that need to choose the replicas themselves.
+func entryOver(t *testing.T, se *ShardedEngine, cfg Config) *ModelEntry {
+	t.Helper()
+	en := &ModelEntry{name: api.DefaultModel, cfg: cfg, live: se}
+	t.Cleanup(func() { en.Live().Close() })
+	return en
+}
+
+// reloadFull rolls raw full-bundle bytes into en the way the reload handler
+// does: decode, then ReloadBundle — or, when the bytes do not decode, the
+// rejection the handler records.
+func reloadFull(en *ModelEntry, raw []byte) (int64, error) {
+	fb, err := persist.DecodeFullBundle(bytes.NewReader(raw))
+	if err != nil {
+		return 0, en.rejectBundle(err)
+	}
+	return en.ReloadBundle(fb)
 }
 
 func newTestServer(t *testing.T) (*Server, *Predictor) {

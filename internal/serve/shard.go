@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"prestroid/internal/logicalplan"
 	"prestroid/internal/models"
@@ -63,65 +61,60 @@ func Replicas(pred *Predictor, n int) []*Predictor {
 
 // ShardedEngine fans inference out across N independent shards. Each shard
 // is a full Engine — its own batcher goroutine, its own model replica and
-// its own segment of the prediction cache — so shards share no mutable
-// state and no mutex. A dispatcher hashes canonical SQL to a home shard,
-// which preserves the per-shard single-flight dedup and cache locality of
-// the single-engine design; when the home shard's queue is saturated, the
-// query routes to the least-loaded shard instead. Rerouting is safe because
-// replicas carry identical weights: every shard returns byte-identical
-// predictions for identical SQL, so the only cost of a detour is a possible
-// duplicate cache entry.
+// its own segment of each cache — so shards share no mutable state and no
+// mutex. A dispatcher hashes canonical SQL to a home shard, which preserves
+// the per-shard single-flight dedup and cache locality of the single-engine
+// design; when the home shard's queue is saturated, the query routes to the
+// least-loaded shard instead. Rerouting is safe because replicas carry
+// identical weights: every shard returns byte-identical predictions for
+// identical SQL, so the only cost of a detour is a possible duplicate cache
+// entry.
+//
+// A ShardedEngine is one generation of one serving identity, and immutable:
+// replicas, pipeline, normaliser, generation and cache segments are fixed by
+// newShardedEngineAt, and no field is written afterwards (Close flips each
+// shard's closed flag, nothing else). "Which generation answered" is
+// therefore a property of which engine value a request was handed — a
+// response can no more mix two generations than one pointer can be two
+// pointers. Rolling new weights in means building the next engine and
+// swapping the identity's live pointer; that protocol, the generation
+// sequence and the roll counters belong to ModelEntry.
 type ShardedEngine struct {
 	shards []*Engine
+	gen    int64
 
 	// maxEstWaitMicros is the bounded-wait admission target in microseconds
-	// (Config.MaxEstWait), fixed at construction. <= 0 disables shedding:
-	// dispatch then goes through pick() alone.
+	// (Config.MaxEstWait). <= 0 disables shedding: dispatch then goes through
+	// pick() alone.
 	maxEstWaitMicros float64
 
-	// reloadMu serialises rolls of either kind (weight-only and
-	// full-bundle): at most one bundle is ever in flight, so at any instant
-	// shards carry at most two generations (the outgoing and the incoming
-	// one).
-	reloadMu sync.Mutex
-	// generation is the full-identity generation of the last reload that
-	// completed on every shard; during a roll individual shards run ahead
-	// of it.
-	generation atomic.Int64
-	// reloads counts completed rolls of either kind; rejected counts reload
-	// attempts refused before any replica was touched (decode or validation
-	// failure), the signal operators alert on when a retraining job starts
-	// emitting bad bundles.
-	reloads  telemetry.Counter
-	rejected telemetry.Counter
-
-	// ident is the serving identity snapshot (model name + parameter
-	// count) for operator surfaces. It is kept out of the shards'
-	// predictor locks — /v1/stats polls must not queue behind multi-
-	// millisecond model batches — and republished by every roll (only a
-	// full-bundle one can change it).
-	ident atomic.Pointer[modelIdent]
-}
-
-// modelIdent is the immutable identity snapshot behind ModelInfo.
-type modelIdent struct {
+	// name and params identify the served model on operator surfaces.
 	name   string
 	params int
 }
 
 // NewShardedEngine starts one batcher per predictor (typically built with
-// Replicas). cfg.CacheSize and cfg.SubtreeCacheSize are total cache budgets,
+// Replicas), which the engine owns from here on. cfg.CacheSize,
+// cfg.SubtreeCacheSize and cfg.TemplateCacheSize are total cache budgets,
 // split evenly across shards; cfg.Replicas is ignored — len(preds) decides
 // the shard count.
 // Callers must Close the engine to release the batcher goroutines.
 func NewShardedEngine(preds []*Predictor, cfg Config) *ShardedEngine {
-	return newShardedEngineAt(preds, cfg, initialGeneration)
+	return newShardedEngineAt(preds, cfg, initialGeneration, nil)
 }
 
-// newShardedEngineAt is NewShardedEngine with an explicit starting
-// generation, used when a staged shadow/canary engine must be born at the
-// generation its bundle will carry on promotion.
-func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64) *ShardedEngine {
+// initialGeneration is the generation an identity's first engine serves: the
+// bundle (or in-process training run) it was built from is generation 1, and
+// each roll — weight-only, full-bundle or promotion — builds its successor
+// one higher, so "generation g" always names exactly one (pipeline,
+// normaliser, weights) triple.
+const initialGeneration = 1
+
+// newShardedEngineAt is NewShardedEngine with an explicit generation and,
+// when the engine replaces a predecessor outright, that predecessor: shard i
+// then counts into replaces' shard i's group (see Engine.tel). nil, or a
+// shard replaces does not have, starts a fresh group.
+func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, replaces *ShardedEngine) *ShardedEngine {
 	if len(preds) == 0 {
 		panic("serve: NewShardedEngine needs at least one predictor")
 	}
@@ -137,15 +130,24 @@ func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64) *ShardedEngin
 	}
 	se := &ShardedEngine{
 		shards:           make([]*Engine, len(preds)),
+		gen:              gen,
 		maxEstWaitMicros: float64(cfg.MaxEstWait.Microseconds()),
+		name:             preds[0].Model.Name(),
+		params:           preds[0].Model.ParamCount(),
 	}
-	se.generation.Store(gen)
-	se.ident.Store(&modelIdent{name: preds[0].Model.Name(), params: preds[0].Model.ParamCount()})
 	for i, p := range preds {
-		se.shards[i] = newEngineAt(p, per, gen)
+		var tel *telemetry.ShardGroup
+		if replaces != nil && i < len(replaces.shards) {
+			tel = replaces.shards[i].tel
+		}
+		se.shards[i] = newEngineAt(p, per, gen, tel)
 	}
 	return se
 }
+
+// Generation reports the generation of the identity this engine serves (1 =
+// the one its ModelEntry, or a bare NewShardedEngine, started with).
+func (se *ShardedEngine) Generation() int64 { return se.gen }
 
 // Shards reports the live shard count (the effective replica count).
 func (se *ShardedEngine) Shards() int { return len(se.shards) }
@@ -155,18 +157,12 @@ func (se *ShardedEngine) Shards() int { return len(se.shards) }
 // uniform across the engine and fixed for its lifetime.
 func (se *ShardedEngine) Kernel() string { return se.shards[0].Kernel() }
 
-// Close quiesces every shard — no new dispatcher traffic is admitted
-// anywhere before the first queue starts draining — then flushes and stops
-// each batcher. It waits out any in-flight reload first (holding reloadMu):
-// otherwise the roll's deferred endQuiesce would re-admit a closed shard to
-// dispatch. Like Engine.Close it is idempotent, and queries arriving
-// afterwards fall back to each shard's serialised path.
+// Close flushes and stops every shard's batcher. Like Engine.Close it is
+// idempotent, and queries arriving afterwards fall back to each shard's
+// serialised path — which is how a request that read the identity's live
+// pointer just before a roll still gets its answer, under this engine's
+// generation, after the roll retired it.
 func (se *ShardedEngine) Close() {
-	se.reloadMu.Lock()
-	defer se.reloadMu.Unlock()
-	for _, sh := range se.shards {
-		sh.beginQuiesce()
-	}
 	for _, sh := range se.shards {
 		sh.Close()
 	}
@@ -185,23 +181,17 @@ func (se *ShardedEngine) shardOf(key string) int {
 }
 
 // pick resolves dispatch for a home shard: home itself, or — when its queue
-// is saturated or it is quiescing for a weight swap — the least-loaded
-// other shard, so one hot hash bucket cannot stall while other replicas sit
-// idle. Detour candidates must carry the same weight generation as home and
-// not be quiescing themselves: during a reload roll shards briefly disagree
-// on weights, and rerouting across generations would let one canonical key
-// bounce between old- and new-weight answers. When no candidate qualifies
-// (e.g. the last un-swapped shard quiescing), home keeps its traffic — a
-// quiescing shard still answers, just without new dispatcher load.
+// is saturated — the least-loaded other shard, so one hot hash bucket cannot
+// stall while other replicas sit idle. Every shard of an engine carries the
+// same weights, so any peer is a valid detour.
 func (se *ShardedEngine) pick(home *Engine) *Engine {
-	if len(se.shards) == 1 || (!home.saturated() && !home.quiescing.Load()) {
+	if len(se.shards) == 1 || !home.saturated() {
 		return home
 	}
-	gen := home.weightGen.Load()
 	best := home
 	bestQueued := -1
 	for _, sh := range se.shards {
-		if sh == home || sh.quiescing.Load() || sh.weightGen.Load() != gen {
+		if sh == home {
 			continue
 		}
 		if q := sh.queued(); bestQueued < 0 || q < bestQueued {
@@ -231,21 +221,19 @@ func (se *ShardedEngine) ExplainSQL(sql string) (*logicalplan.Node, error) {
 }
 
 // Snapshot returns the engine's full telemetry state in one pass: every
-// shard's counter group, the roll counters and the live model identity.
-// Presenters that show aggregates next to the per-shard breakdown must
+// shard's counter group plus the generation and model identity. The roll
+// counters (Reloads, RejectedBundles) belong to the serving identity, not to
+// any one engine; ModelEntry.Snapshot fills them in. Presenters that show aggregates next to the per-shard breakdown must
 // derive both from one Snapshot (see telemetry.EngineSnapshot.Totals)
 // rather than snapshotting twice, or the two views drift under live
 // traffic.
 func (se *ShardedEngine) Snapshot() telemetry.EngineSnapshot {
-	name, params := se.ModelInfo()
 	es := telemetry.EngineSnapshot{
-		Generation:      se.generation.Load(),
-		Reloads:         se.reloads.Load(),
-		RejectedBundles: se.rejected.Load(),
-		ModelName:       name,
-		Params:          params,
-		Kernel:          se.Kernel(),
-		Shards:          make([]telemetry.ShardSnapshot, len(se.shards)),
+		Generation: se.gen,
+		ModelName:  se.name,
+		Params:     se.params,
+		Kernel:     se.Kernel(),
+		Shards:     make([]telemetry.ShardSnapshot, len(se.shards)),
 	}
 	for i, sh := range se.shards {
 		snap := sh.Snapshot()

@@ -164,14 +164,14 @@ func TestShardedSaturationFallback(t *testing.T) {
 // or panic.
 func TestShardedDetourChecksHomeCache(t *testing.T) {
 	home := &Engine{jobs: make(chan *predictJob, 1), tel: telemetry.NewShardGroup()}
-	home.cache = newPredictionCache(4, 0, &home.tel.CacheHits, &home.tel.CacheMisses)
+	home.cache = newPredictionCache(4, &home.tel.CacheHits, &home.tel.CacheMisses)
 	other := &Engine{jobs: make(chan *predictJob, 1), tel: telemetry.NewShardGroup()}
-	other.cache = newPredictionCache(4, 0, &other.tel.CacheHits, &other.tel.CacheMisses)
+	other.cache = newPredictionCache(4, &other.tel.CacheHits, &other.tel.CacheMisses)
 	se := &ShardedEngine{shards: []*Engine{home, other}}
 
 	sql := keyForShard(t, se, 0)
 	want := Prediction{CPUMinutes: 42, Normalized: 0.5, PlanNodes: 3}
-	home.cache.Put(CanonicalSQL(sql), want, 0)
+	home.cache.Put(CanonicalSQL(sql), want)
 	home.jobs <- &predictJob{} // saturate the home shard
 
 	got, err := se.PredictSQL(sql)

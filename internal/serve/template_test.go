@@ -121,13 +121,14 @@ func TestTemplatePredictByteIdenticalHashed(t *testing.T) {
 
 // TestTemplateRebindSurvivesRoll pins byte-identity across a live weight
 // roll: the template entry deposited under the old generation must not leak
-// its stale featurization into post-roll answers.
+// its stale featurization into post-roll answers (the successor engine starts
+// on an empty template segment).
 func TestTemplateRebindSurvivesRoll(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := tmplCfg()
 	cfg.Replicas = 1
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
+	se := en.Live()
 
 	variant := func(n int) string {
 		return fmt.Sprintf("SELECT a, b FROM t JOIN u ON t.id = u.id WHERE a > %d AND b < %d ORDER BY a LIMIT %d",
@@ -145,13 +146,14 @@ func TestTemplateRebindSurvivesRoll(t *testing.T) {
 	}
 
 	bundle, reference := perturbedBundle(t, pred, 0.25)
-	gen, err := se.Reload(bytes.NewReader(bundle))
+	gen, err := en.ReloadWeights(bytes.NewReader(bundle))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen != 2 {
 		t.Fatalf("reload generation = %d, want 2", gen)
 	}
+	se = en.Live()
 	if entries := se.Snapshot().Totals().TemplateEntries; entries != 0 {
 		t.Fatalf("template cache holds %d entries after the roll, want 0", entries)
 	}
@@ -215,12 +217,12 @@ func TestTemplateExplainWarmsPredict(t *testing.T) {
 }
 
 // TestTemplateCacheUpgradeInPlace pins the template segment's own policy on
-// top of the shared LRU (see genlru_test.go): a skeleton-only entry is
+// top of the shared LRU (see lru_test.go): a skeleton-only entry is
 // upgraded in place — and re-priced — when a deposit brings an encoding, and
 // an encoded entry is never downgraded or replaced by a later deposit.
 func TestTemplateCacheUpgradeInPlace(t *testing.T) {
 	var hits, misses telemetry.Counter
-	c := newTemplateCache(8, 1, &hits, &misses)
+	c := newTemplateCache(8, &hits, &misses)
 	const sql = "SELECT a FROM t WHERE a > 1"
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -235,39 +237,38 @@ func TestTemplateCacheUpgradeInPlace(t *testing.T) {
 		t.Fatal("test encoding accounts no bytes; the re-pricing check would prove nothing")
 	}
 
-	c.PutCurrent("k", &templateEntry{stmt: stmt})
+	c.Put("k", &templateEntry{stmt: stmt})
 	_, skeletonBytes := c.Stats()
-	if ent, _, ok := c.Get("k"); !ok || ent.enc != nil {
+	if ent, ok := c.Get("k"); !ok || ent.enc != nil {
 		t.Fatalf("skeleton deposit: ok=%v ent=%+v, want a skeleton-only entry", ok, ent)
 	}
-	c.Put("k", &templateEntry{stmt: stmt, enc: enc}, 1)
-	if ent, _, _ := c.Get("k"); ent.enc != enc {
+	c.Put("k", &templateEntry{stmt: stmt, enc: enc})
+	if ent, _ := c.Get("k"); ent.enc != enc {
 		t.Fatal("an encoded deposit did not upgrade the skeleton-only entry")
 	}
 	if n, b := c.Stats(); n != 1 || b != skeletonBytes+int64(enc.Bytes()) {
 		t.Fatalf("after upgrade: entries=%d bytes=%d, want 1/%d", n, b, skeletonBytes+int64(enc.Bytes()))
 	}
-	c.PutCurrent("k", &templateEntry{stmt: stmt})
-	c.Put("k", &templateEntry{stmt: stmt, enc: &models.TemplateEncoding{}}, 1)
+	c.Put("k", &templateEntry{stmt: stmt})
+	c.Put("k", &templateEntry{stmt: stmt, enc: &models.TemplateEncoding{}})
 	if _, b := c.Stats(); b != skeletonBytes+int64(enc.Bytes()) {
 		t.Fatalf("refused deposits moved the bytes gauge to %d", b)
 	}
-	if ent, _, _ := c.Get("k"); ent.enc != enc {
+	if ent, _ := c.Get("k"); ent.enc != enc {
 		t.Fatal("a later deposit replaced an already-encoded entry")
 	}
 }
 
 // TestTemplateCacheConcurrentReloadRoll hammers the template front end from
-// several goroutines while weight rolls land underneath it — the -race
-// check on cache invalidation during concurrent rolls. Every answer must
+// several goroutines while weight rolls replace the engine underneath it —
+// the -race check on template segments across concurrent rolls. Every answer must
 // match the serialised reference of the generation it is tagged with;
 // anything else means a stale template featurization crossed a roll.
 func TestTemplateCacheConcurrentReloadRoll(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := tmplCfg()
 	cfg.Replicas = 2
-	se := NewShardedEngine(Replicas(pred, cfg.Replicas), cfg)
-	t.Cleanup(se.Close)
+	en := newTestEntry(t, pred, cfg)
 
 	variant := func(n int) string {
 		return fmt.Sprintf("SELECT a, b FROM t JOIN u ON t.id = u.id WHERE a > %d AND b < %d ORDER BY a LIMIT %d",
@@ -309,7 +310,7 @@ func TestTemplateCacheConcurrentReloadRoll(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				i := rng.Intn(len(queries))
-				p, g, err := se.PredictSQLGenCtx(context.Background(), queries[i])
+				p, g, _, err := en.PredictSQLGenCtx(context.Background(), queries[i])
 				if err != nil {
 					errc <- fmt.Errorf("predict: %w", err)
 					return
@@ -328,7 +329,7 @@ func TestTemplateCacheConcurrentReloadRoll(t *testing.T) {
 	}
 	for g := int64(2); g <= lastGen; g++ {
 		time.Sleep(20 * time.Millisecond)
-		if _, err := se.Reload(bytes.NewReader(bundles[g])); err != nil {
+		if _, err := en.ReloadWeights(bytes.NewReader(bundles[g])); err != nil {
 			t.Fatalf("reload to generation %d: %v", g, err)
 		}
 	}
@@ -339,7 +340,7 @@ func TestTemplateCacheConcurrentReloadRoll(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if se.Generation() != lastGen {
-		t.Fatalf("final generation = %d, want %d", se.Generation(), lastGen)
+	if g := en.Live().Generation(); g != lastGen {
+		t.Fatalf("final generation = %d, want %d", g, lastGen)
 	}
 }

@@ -22,14 +22,11 @@ type templateEncoder interface {
 //
 // The skeleton statement is weight-independent (parsing knows nothing about
 // the model), but the encoding is not: its trees were featurized by one
-// predictor identity's pipeline. Deposits run on handler goroutines, outside
-// the predictor lock, so a roll can land between a prediction and its
-// deposit; the generation guard then drops the whole entry — not demoting it
-// to skeleton-only, since its statement came from the same racing request
-// and depositing nothing is always safe. Skeleton-only entries (the explain
-// path, which has no prediction and so no generation in hand) deposit with
-// PutCurrent.
-type templateCache = genLRU[string, *templateEntry]
+// predictor identity's pipeline. Both are safe to keep for the segment's
+// whole life because the segment belongs to one engine and an engine serves
+// one identity: the explain path deposits skeleton-only entries, a
+// prediction upgrades them with the featurization in place.
+type templateCache = lru[string, *templateEntry]
 
 // templateEntry is one cached template: the parsed skeleton and, once a
 // prediction deposited one, the model's rebindable featurization.
@@ -38,8 +35,8 @@ type templateEntry struct {
 	enc  *models.TemplateEncoding // nil until a predict deposit lands one
 }
 
-func newTemplateCache(max int, gen int64, hits, misses *telemetry.Counter) *templateCache {
-	return newGenLRU(max, gen, hits, misses, admitTemplate, templateBytes)
+func newTemplateCache(max int, hits, misses *telemetry.Counter) *templateCache {
+	return newLRU(max, hits, misses, admitTemplate, templateBytes)
 }
 
 // admitTemplate replaces a present entry only to upgrade it: the explain

@@ -111,12 +111,14 @@ type ShardSnapshot struct {
 // EngineSnapshot is the sharded engine's full telemetry state: per-shard
 // groups plus the roll counters and the live model identity.
 type EngineSnapshot struct {
-	// Generation is the full-identity generation of the last reload that
-	// completed on every shard; during a roll individual shards run ahead.
+	// Generation is the generation of the (pipeline, normaliser, weights)
+	// identity the engine serves, the same on every shard.
 	Generation int64
-	// Reloads counts completed rolls (weight-only or full-bundle);
-	// RejectedBundles counts reload attempts refused before any replica was
-	// touched (decode or validation failure).
+	// Reloads counts the serving identity's completed rolls (weight-only,
+	// full-bundle or promotion); RejectedBundles counts reload attempts
+	// refused while staging (decode or validation failure). Both belong to
+	// the identity, not the engine: zero on a snapshot taken off a bare
+	// engine, filled in by the registry entry.
 	Reloads         int64
 	RejectedBundles int64
 	ModelName       string
