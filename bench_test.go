@@ -142,29 +142,30 @@ func BenchmarkSubtreeSampling(b *testing.B) {
 func BenchmarkTreeConvForward(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	net := treecnn.NewNetwork(64, []int{512, 512, 512}, rng)
-	tree := &treecnn.Tree{
-		Feats: tensor.New(15, 64),
-		Left:  make([]int, 15),
-		Right: make([]int, 15),
-		Votes: make([]float64, 15),
-	}
-	rng.FillNorm(tree.Feats, 0, 1)
-	for i := range tree.Left {
-		if 2*i+1 < 15 {
-			tree.Left[i] = 2*i + 1
-		} else {
-			tree.Left[i] = -1
-		}
-		if 2*i+2 < 15 {
-			tree.Right[i] = 2*i + 2
-		} else {
-			tree.Right[i] = -1
-		}
-		tree.Votes[i] = 1
-	}
+	tree := benchConvTree(15, 64, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Forward(tree)
+	}
+}
+
+// BenchmarkTreeConvBackward measures the matching backward pass — pooled
+// gradient down the stack plus every parameter gradient — over the same tree
+// and network. scripts/bench_record.sh gates it at 4x the forward's ns/op
+// with both run at -cpu 1, where the ratio is arithmetic and not how many
+// cores the forward's GEMMs found: the pass does roughly twice the forward's
+// multiply-adds, and it did ten times its work while layer 0 also produced
+// an input gradient nobody read.
+func BenchmarkTreeConvBackward(b *testing.B) {
+	rng := tensor.NewRNG(1)
+	net := treecnn.NewNetwork(64, []int{512, 512, 512}, rng)
+	tree := benchConvTree(15, 64, rng)
+	_, ctx := net.Forward(tree)
+	grad := tensor.New(1, net.OutDim())
+	grad.Fill(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Backward(ctx, grad)
 	}
 }
 
@@ -204,8 +205,11 @@ func BenchmarkWord2VecTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkPrestroidTrainBatch measures one optimisation step of the
-// sub-tree model on a 32-query batch.
+// BenchmarkPrestroidTrainBatch measures one steady-state optimisation step of
+// the sub-tree model on a 32-query batch: a few steps run first so the
+// step's arenas are at their high-water mark, after which a step allocates
+// little beyond the dense head's tensors (scripts/bench_record.sh holds
+// allocs/op under a ceiling).
 func BenchmarkPrestroidTrainBatch(b *testing.B) {
 	s := benchSuite(b)
 	cfg := s.PrestroidCfg(15, 9, 1)
@@ -216,6 +220,10 @@ func BenchmarkPrestroidTrainBatch(b *testing.B) {
 	for i := range labels.Data {
 		labels.Data[i] = s.GrabNorm.Normalize(batch[i].CPUMinutes())
 	}
+	for i := 0; i < 5; i++ {
+		m.TrainBatch(batch, labels)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.TrainBatch(batch, labels)

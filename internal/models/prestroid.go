@@ -104,6 +104,21 @@ type Prestroid struct {
 	// per-worker conv scratch and headArena the batch features + dense head.
 	arenas    *tensor.ArenaPool
 	headArena *tensor.Arena
+
+	// step is TrainBatch's memory, reused from one step to the next.
+	step trainStep
+}
+
+// trainStep is the step-scoped state of TrainBatch: one backward context per
+// tree of the batch in (trace, tree) order, and per worker an arena holding
+// what the step keeps from forward to backward (activations, pooling winners,
+// pre-activation gradients; reset when the step ends) and one for scratch
+// that dies with each tree.
+type trainStep struct {
+	ctxs    []treecnn.Context
+	first   []int // first[bi] = index in ctxs of trace bi's first tree
+	keep    []*tensor.Arena
+	scratch []*tensor.Arena
 }
 
 // NewPrestroid builds the model over a shared pipeline.
@@ -289,46 +304,34 @@ func (m *Prestroid) slots() int {
 	return 1
 }
 
-// forward computes the (batch, slots*convOut) flattened conv features,
-// returning the per-tree contexts needed for backward (nil when inference).
-// The conv stack is pure at forward time (all mutable state lives in the
-// returned contexts), so the per-trace work fans out across CPU cores; each
-// row is still computed with the exact operation order of the serial loop,
-// keeping outputs independent of batch composition.
-func (m *Prestroid) forward(batch []*workload.Trace, keepCtx bool) (*tensor.Tensor, [][]*treecnn.Context) {
-	// Ensure every trace is encoded before the parallel loop: Prepare is the
-	// only cache mutation, so the workers below only read.
-	m.Prepare(batch)
-	out := tensor.New(len(batch), m.slots()*m.conv.OutDim())
-	var ctxs [][]*treecnn.Context
-	if keepCtx {
-		ctxs = make([][]*treecnn.Context, len(batch))
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(batch) {
-		workers = len(batch)
-	}
+// each runs work(i, w) for every i in [0, n) on up to GOMAXPROCS workers, w
+// being the index of the worker that took item i. Workers hold a slot of the
+// forward semaphore, when one is installed, for the length of each item, so
+// a training step divides the cores with concurrent replicas exactly as
+// inference does. It returns when every item is done.
+func (m *Prestroid) each(n int, work func(i, w int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		for bi, tr := range batch {
-			m.forwardOne(bi, tr, out, ctxs)
+		for i := 0; i < n; i++ {
+			work(i, 0)
 		}
-		return out, ctxs
+		return
 	}
-	var next int64 = -1
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				bi := int(atomic.AddInt64(&next, 1))
-				if bi >= len(batch) {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
 				if m.sem != nil {
 					m.sem <- struct{}{}
 				}
-				m.forwardOne(bi, batch[bi], out, ctxs)
+				work(i, w)
 				if m.sem != nil {
 					<-m.sem
 				}
@@ -336,31 +339,16 @@ func (m *Prestroid) forward(batch []*workload.Trace, keepCtx bool) (*tensor.Tens
 		}()
 	}
 	wg.Wait()
-	return out, ctxs
 }
 
-// forwardOne convolves one trace's trees into row bi of out. Safe to call
-// from multiple goroutines for distinct bi once the trace is prepared.
-func (m *Prestroid) forwardOne(bi int, tr *workload.Trace, out *tensor.Tensor, ctxs [][]*treecnn.Context) {
+// convTrees returns the trees of a prepared trace that the model convolves:
+// at most one per slot.
+func (m *Prestroid) convTrees(tr *workload.Trace) []*treecnn.Tree {
 	trees := m.cache[tr]
-	if ctxs != nil {
-		ctxs[bi] = make([]*treecnn.Context, len(trees))
+	if k := m.slots(); len(trees) > k {
+		trees = trees[:k]
 	}
-	k := m.slots()
-	od := m.conv.OutDim()
-	row := out.Row(bi)
-	for ti, tree := range trees {
-		if ti >= k {
-			break
-		}
-		pooled, ctx := m.conv.Forward(tree)
-		copy(row[ti*od:(ti+1)*od], pooled.Data)
-		if ctxs != nil {
-			ctxs[bi][ti] = ctx
-		}
-	}
-	// Missing sub-trees (fewer than K samples) stay zero — the paper's
-	// padding of short queries.
+	return trees
 }
 
 // SetForwardSemaphore shares a pool of forward-worker slots (a buffered
@@ -376,8 +364,8 @@ func (m *Prestroid) SetForwardSemaphore(sem chan struct{}) { m.sem = sem }
 
 // SetQuantized implements the Quantizer extension: on routes PredictInto
 // through the int8 kernels, packing the current weights eagerly so the first
-// quantised prediction pays no pack cost. Predict (the training-path
-// forward) always stays float. Not synchronised against concurrent Predict.
+// quantised prediction pays no pack cost. Predict (the float reference)
+// always stays float. Not synchronised against concurrent Predict.
 func (m *Prestroid) SetQuantized(on bool) {
 	m.quantized = on
 	if on {
@@ -406,9 +394,50 @@ func (m *Prestroid) packInt8() {
 	}
 }
 
-// TrainBatch performs one ADAM step on Huber loss.
+// TrainBatch performs one ADAM step on Huber loss. The conv stack's share of
+// the step is index once, gather forward, scatter backward, accumulate in
+// batch order:
+//
+//   - forward fans the traces out over the workers; each tree's activations
+//     go to the step's arenas, its pooled vector to its slot of the head's
+//     input (missing sub-trees stay zero — the paper's padding);
+//   - after the head's forward and backward, the traces fan out again and
+//     every tree pulls its slice of the head's input gradient down its own
+//     stack, which reads weights only;
+//   - the parameter gradients are then split into row-block tasks, and each
+//     task's owner walks the batch's trees in (trace, tree) order, so every
+//     gradient element receives the additions of a serial tree-by-tree
+//     backward in the same order. The weights after the step therefore do
+//     not depend on GOMAXPROCS, bit for bit.
 func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) float64 {
-	feats, ctxs := m.forward(batch, true)
+	// Prepare is the only cache mutation, so the workers below only read.
+	m.Prepare(batch)
+	st := &m.step
+	st.first = st.first[:0]
+	total := 0
+	for _, tr := range batch {
+		st.first = append(st.first, total)
+		total += len(m.convTrees(tr))
+	}
+	if total > len(st.ctxs) {
+		st.ctxs = append(st.ctxs, make([]treecnn.Context, total-len(st.ctxs))...)
+	}
+	for len(st.keep) < runtime.GOMAXPROCS(0) {
+		st.keep = append(st.keep, tensor.NewArena(0))
+		st.scratch = append(st.scratch, tensor.NewArena(0))
+	}
+
+	od := m.conv.OutDim()
+	feats := tensor.New(len(batch), m.slots()*od)
+	m.each(len(batch), func(bi, w int) {
+		row := feats.Row(bi)
+		for ti, tree := range m.convTrees(batch[bi]) {
+			pooled := m.conv.ForwardTrain(tree, &st.ctxs[st.first[bi]+ti], st.keep[w], st.scratch[w])
+			copy(row[ti*od:(ti+1)*od], pooled.Data)
+			st.scratch[w].Reset()
+		}
+	})
+
 	x := feats
 	for _, l := range m.head {
 		x = l.Forward(x, true)
@@ -418,17 +447,26 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	for i := len(m.head) - 1; i >= 0; i-- {
 		g = m.head[i].Backward(g)
 	}
+
 	// g is now (batch, slots*convOut): route slices to each tree.
-	od := m.conv.OutDim()
-	for bi := range batch {
+	m.each(len(batch), func(bi, w int) {
 		row := g.Row(bi)
-		for ti, ctx := range ctxs[bi] {
-			if ctx == nil {
-				continue
-			}
-			m.conv.Backward(ctx, tensor.FromSlice(row[ti*od:(ti+1)*od], 1, od))
+		for ti := range m.convTrees(batch[bi]) {
+			m.conv.BackwardInputs(&st.ctxs[st.first[bi]+ti], row[ti*od:(ti+1)*od], st.keep[w], st.scratch[w])
+			st.scratch[w].Reset()
 		}
+	})
+	tasks := m.conv.GradTasks(runtime.GOMAXPROCS(0))
+	m.each(len(tasks), func(i, w int) {
+		for ci := 0; ci < total; ci++ {
+			m.conv.AccumulateGrad(tasks[i], &st.ctxs[ci], st.scratch[w])
+			st.scratch[w].Reset()
+		}
+	})
+	for _, a := range st.keep {
+		a.Reset()
 	}
+
 	m.opt.Step(m.params)
 	if m.quantized {
 		m.qdirty = true
@@ -436,9 +474,12 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	return lossVal
 }
 
-// Predict runs inference.
+// Predict runs inference on the float kernels, bypassing the conv cache:
+// the reference the serving fast path is held byte-identical to.
 func (m *Prestroid) Predict(batch []*workload.Trace) *tensor.Tensor {
-	feats, _ := m.forward(batch, false)
+	m.Prepare(batch)
+	feats := tensor.New(len(batch), m.slots()*m.conv.OutDim())
+	m.inferConv(batch, feats, false)
 	x := feats
 	for _, l := range m.head {
 		x = l.Forward(x, false)
@@ -472,7 +513,7 @@ func (m *Prestroid) PredictInto(batch []*workload.Trace, dst []float64) {
 	}
 	m.Prepare(batch)
 	feats := m.headArena.Get(len(batch), m.slots()*m.conv.OutDim())
-	m.inferConv(batch, feats)
+	m.inferConv(batch, feats, true)
 	var x *tensor.Tensor
 	if m.quantized {
 		var qe float64
@@ -488,9 +529,13 @@ func (m *Prestroid) PredictInto(batch []*workload.Trace, dst []float64) {
 }
 
 // inferConv fills out (batch, slots*convOut) with pooled conv features,
-// fanning traces across cores exactly like forward but through the
-// arena/cache path. out must not live in the conv workers' arenas.
-func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor) {
+// fanning traces across cores with every worker convolving inside a pooled
+// arena. serving selects PredictInto's configuration — the conv cache and,
+// in quantised mode, the int8 kernels; without it every tree is convolved on
+// the float kernels. The conv stack is pure at inference and each row is
+// computed in the serial loop's operation order, so outputs do not depend on
+// batch composition. out must not live in the conv workers' arenas.
+func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor, serving bool) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(batch) {
 		workers = len(batch)
@@ -498,7 +543,7 @@ func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor) {
 	if workers <= 1 {
 		a := m.arenas.Get()
 		for bi, tr := range batch {
-			m.inferOne(bi, tr, out, a)
+			m.inferOne(bi, tr, out, a, serving)
 		}
 		m.arenas.Put(a)
 		return
@@ -519,7 +564,7 @@ func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor) {
 				if m.sem != nil {
 					m.sem <- struct{}{}
 				}
-				m.inferOne(bi, batch[bi], out, a)
+				m.inferOne(bi, batch[bi], out, a, serving)
 				if m.sem != nil {
 					<-m.sem
 				}
@@ -529,22 +574,21 @@ func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor) {
 	wg.Wait()
 }
 
-// inferOne convolves one trace's trees into row bi of out, serving each
-// sub-tree from the conv cache when its pooled output is already known and
-// depositing fresh results otherwise. Safe to call from multiple goroutines
+// inferOne convolves one trace's trees into row bi of out. When serving, each
+// sub-tree is answered from the conv cache if its pooled output is already
+// known and deposited there otherwise. Safe to call from multiple goroutines
 // for distinct bi (the cache is concurrency-safe by contract).
-func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, a *tensor.Arena) {
-	trees := m.cache[tr]
-	k := m.slots()
+func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, a *tensor.Arena, serving bool) {
+	cache, quantized := m.convCache, m.quantized
+	if !serving {
+		cache, quantized = nil, false
+	}
 	od := m.conv.OutDim()
 	row := out.Row(bi)
-	for ti, tree := range trees {
-		if ti >= k {
-			break
-		}
+	for ti, tree := range m.convTrees(tr) {
 		slot := row[ti*od : (ti+1)*od]
-		if m.convCache != nil && tree.Hash != 0 {
-			if v, ok := m.convCache.Get(tree.Hash); ok {
+		if cache != nil && tree.Hash != 0 {
+			if v, ok := cache.Get(tree.Hash); ok {
 				copy(slot, v)
 				continue
 			}
@@ -552,7 +596,7 @@ func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, a *
 		// Pooled outputs are cached post-kernel, so entries are
 		// self-consistent for the model's current kernel mode and weights
 		// (mode is fixed per serving engine; weight swaps invalidate).
-		if m.quantized {
+		if quantized {
 			pooled, qe := m.conv.ForwardInferenceInt8(tree, a)
 			copy(slot, pooled.Data)
 			if m.qsink != nil {
@@ -563,8 +607,8 @@ func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, a *
 			copy(slot, pooled.Data)
 		}
 		a.Reset()
-		if m.convCache != nil && tree.Hash != 0 {
-			m.convCache.Put(tree.Hash, slot)
+		if cache != nil && tree.Hash != 0 {
+			cache.Put(tree.Hash, slot)
 		}
 	}
 	// Missing sub-trees (fewer than K samples) stay zero — the paper's

@@ -38,7 +38,9 @@ type TemplateEncoding struct {
 }
 
 // Bytes reports the approximate heap footprint of the encoding, for cache
-// accounting. Rebinder digests dominate the non-tensor state.
+// accounting: every tree's features, structure, votes and non-zero index
+// (which a Rebinder shares with its tree rather than copying), plus in
+// sensitive mode the Rebinder digests and the PRED row tables.
 func (te *TemplateEncoding) Bytes() int { return te.bytes }
 
 // Trees exposes the cached flattened trees (shared, read-only).
@@ -52,7 +54,7 @@ func (m *Prestroid) BuildTemplateEncoding(plan *logicalplan.Node) *TemplateEncod
 	root, trees, rows := m.encodePlan(plan)
 	te := &TemplateEncoding{sensitive: m.pipe.Enc.HashedPredicates, trees: trees}
 	for _, t := range trees {
-		te.bytes += t.Feats.Bytes() + 8*(len(t.Left)+len(t.Right)+len(t.Votes))
+		te.bytes += t.Bytes()
 	}
 	if !te.sensitive {
 		return te

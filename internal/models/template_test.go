@@ -166,3 +166,37 @@ func TestTemplateEncodingSharedTreesStable(t *testing.T) {
 		}
 	}
 }
+
+// TestTemplateEncodingBytesCountsIndex: the cache's byte accounting covers
+// the trees' non-zero index — one start word per row plus one, and one column
+// word per non-zero feature — on top of the dense features, structure and
+// votes, so the template cache's byte gauge tracks what an entry really holds.
+func TestTemplateEncodingBytesCountsIndex(t *testing.T) {
+	b := bed(t)
+	cfg := DefaultPrestroidConfig(15, 5)
+	cfg.ConvWidths = []int{8}
+	cfg.DenseWidths = []int{8}
+	m := NewPrestroid(cfg, b.pipe)
+	plan, err := logicalplan.PlanSQL(templatePairs[1].skeleton)
+	if err != nil {
+		t.Fatal(err)
+	}
+	te := m.BuildTemplateEncoding(plan)
+	want, nnz := 0, 0
+	for _, tree := range te.Trees() {
+		for _, v := range tree.Feats.Data {
+			if v != 0 {
+				nnz++
+			}
+		}
+		n := tree.Len()
+		want += tree.Feats.Bytes() + 8*3*n + 4*(n+1)
+	}
+	if nnz == 0 {
+		t.Fatal("featurized trees have no non-zero feature")
+	}
+	want += 4 * nnz
+	if te.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want %d (dense + structure + index)", te.Bytes(), want)
+	}
+}

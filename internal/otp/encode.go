@@ -113,45 +113,56 @@ func meanOf(vs [][]float64, dim int) []float64 {
 	return acc
 }
 
-// NodeFeature encodes one O-T-P node. ∅ nodes encode to the zero vector,
-// which is the paper's 0-padding.
+// NodeFeature encodes one O-T-P node into a fresh vector. ∅ nodes encode to
+// the zero vector, which is the paper's 0-padding.
 func (e *Encoder) NodeFeature(n *Node, ctx *QueryContext) []float64 {
 	f := make([]float64, e.FeatureDim())
-	if n == nil || n.Type == NodeNull {
-		return f
+	e.NodeFeatureInto(f, n, ctx)
+	return f
+}
+
+// NodeFeatureInto encodes one O-T-P node straight into dst, which must be
+// FeatureDim() wide and zero on entry (a fresh tensor row is): only the
+// node's non-zero entries are written.
+func (e *Encoder) NodeFeatureInto(dst []float64, n *Node, ctx *QueryContext) {
+	if n == nil {
+		return
 	}
 	switch n.Type {
 	case NodeOpr:
 		if i, ok := e.OpIndex[n.Op]; ok {
-			f[i] = 1
+			dst[i] = 1
 		}
 	case NodeTbl:
 		idx := 0 // unknown slot
 		if i, ok := e.TableIndex[n.Table]; ok {
 			idx = i
 		}
-		f[e.tblOffset()+idx] = 1
+		dst[e.tblOffset()+idx] = 1
 	case NodePred:
-		v := e.EncodePred(n, ctx)
-		copy(f[e.predOffset():e.predOffset()+e.Pf], v)
+		e.encodePredInto(dst[e.predOffset():e.predOffset()+e.Pf], n, ctx)
 	}
-	return f
 }
 
 // EncodePred encodes a PRED node via the conjunction tree with MIN pooling
 // for AND and MAX pooling for OR, falling back through the OOV hierarchy
 // when no token of a clause is in vocabulary.
 func (e *Encoder) EncodePred(n *Node, ctx *QueryContext) []float64 {
+	out := make([]float64, e.Pf)
+	e.encodePredInto(out, n, ctx)
+	return out
+}
+
+// encodePredInto writes the PRED encoding into dst (Pf wide, zero on entry).
+func (e *Encoder) encodePredInto(dst []float64, n *Node, ctx *QueryContext) {
 	if n.Pred == nil {
-		return make([]float64, e.Pf)
+		return
 	}
 	if e.HashedPredicates {
-		out := make([]float64, e.Pf)
-		out[int(hashString(sqlparse.ExprString(n.Pred))%uint64(e.Pf))] = 1
-		return out
+		dst[int(hashString(sqlparse.ExprString(n.Pred))%uint64(e.Pf))] = 1
+		return
 	}
-	tree := BuildConjTree(n.Pred)
-	return e.encodeConj(tree, ctx)
+	copy(dst, e.encodeConj(BuildConjTree(n.Pred), ctx))
 }
 
 func hashString(s string) uint64 {

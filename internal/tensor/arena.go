@@ -14,6 +14,9 @@ import (
 // An Arena is not safe for concurrent use; share arenas across goroutines
 // through an ArenaPool. Tensors returned by Get are only valid until the next
 // Reset — callers that need the data afterwards must copy it out.
+//
+// A nil *Arena is the heap: Get and GetI32 on it return fresh allocations, so
+// one implementation serves both a pooled caller and a one-shot caller.
 type Arena struct {
 	slab     []float64
 	off      int // elements of slab handed out this cycle
@@ -58,6 +61,9 @@ func (a *Arena) Get(shape ...int) *Tensor {
 		}
 		n *= d
 	}
+	if a == nil {
+		return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	}
 	var data []float64
 	if a.off+n <= len(a.slab) {
 		data = a.slab[a.off : a.off+n : a.off+n]
@@ -99,6 +105,9 @@ func (a *Arena) GetI8(n int) []int8 {
 func (a *Arena) GetI32(n int) []int32 {
 	if n < 0 {
 		panic("tensor: negative length in arena GetI32")
+	}
+	if a == nil {
+		return make([]int32, n)
 	}
 	if a.i32off+n <= len(a.i32slab) {
 		s := a.i32slab[a.i32off : a.i32off+n : a.i32off+n]

@@ -90,3 +90,18 @@ func TestArenaPoolReusesArenas(t *testing.T) {
 		}
 	}
 }
+
+func TestNilArenaAllocatesFromHeap(t *testing.T) {
+	var a *Arena
+	x := a.Get(2, 3)
+	if x.Shape[0] != 2 || x.Shape[1] != 3 || len(x.Data) != 6 {
+		t.Fatalf("nil arena Get gave shape %v, %d elements", x.Shape, len(x.Data))
+	}
+	x.Data[0] = 1
+	if y := a.Get(2, 3); y.Data[0] != 0 {
+		t.Fatal("nil arena Get must return fresh zeroed tensors")
+	}
+	if s := a.GetI32(5); len(s) != 5 {
+		t.Fatalf("nil arena GetI32 gave %d elements", len(s))
+	}
+}

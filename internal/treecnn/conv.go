@@ -13,6 +13,17 @@ import (
 //
 // with missing children contributing zero. The (Wt, Wl, Wr) triple is the
 // triangular kernel slid breadth-first across the tree.
+//
+// What the layer's input is decides how it is computed, in both directions.
+// The first layer reads the tree's feature rows, which are indexed once at
+// featurization and almost entirely zero: forward gathers rows of Wt/Wl/Wr
+// through the index, backward scatters dWt/dWl/dWr through it and computes no
+// input gradient (nothing is upstream of the features). Every later layer
+// reads rectified activations, about half dense, and uses the dense GEMM
+// kernels. Either way each output and each gradient element is built by the
+// additions of the dense three-GEMM formulation in that formulation's order,
+// less only additions of a zero that cannot change the sum, so the bits are
+// the same (dense_ref_test.go keeps that formulation as the oracle).
 type ConvLayer struct {
 	In, Out int
 	Wt      *nn.Param
@@ -49,25 +60,6 @@ func NewConvLayer(in, out int, rng *tensor.RNG) *ConvLayer {
 // Params returns the triangular kernel and bias.
 func (l *ConvLayer) Params() []*nn.Param { return []*nn.Param{l.Wt, l.Wl, l.Wr, l.B} }
 
-// layerState caches one forward pass for the matching backward pass.
-type layerState struct {
-	x      *tensor.Tensor // layer input (n, in)
-	xl, xr *tensor.Tensor // gathered child features (n, in)
-	mask   []bool         // ReLU mask over the (n, out) output
-}
-
-// The forward pass is decomposed into three stages shared by the training
-// path (forward, which additionally records a layerState) and the
-// arena-backed inference path (forwardArena):
-//
-//	gather   — materialise left/right child feature rows per node
-//	project  — apply the triangular kernel Wt/Wl/Wr + bias
-//	rectify  — ReLU
-//
-// project performs the additions in the exact order of the original fused
-// expression (parent product, then +left product, then +right product, then
-// +bias) so both paths produce byte-identical floats.
-
 // gather copies each node's child feature rows into the pre-zeroed xl, xr.
 // Absent children (index -1) keep their zero rows.
 func gather(tree *Tree, x, xl, xr *tensor.Tensor) {
@@ -83,7 +75,9 @@ func gather(tree *Tree, x, xl, xr *tensor.Tensor) {
 }
 
 // project writes Wt·x + Wl·xl + Wr·xr + b into out, using tmp as scratch for
-// the child products. out and tmp must both be (n, Out).
+// the child products. out and tmp must both be (n, Out). The additions run
+// parent product, then +left product, then +right product, then +bias; the
+// sparse projection below keeps that order per element.
 func (l *ConvLayer) project(out, tmp, x, xl, xr *tensor.Tensor) {
 	tensor.MatMulInto(out, x, l.Wt.W)
 	tensor.MatMulInto(tmp, xl, l.Wl.W)
@@ -91,6 +85,57 @@ func (l *ConvLayer) project(out, tmp, x, xl, xr *tensor.Tensor) {
 	tensor.MatMulInto(tmp, xr, l.Wr.W)
 	out.AddInPlace(tmp)
 	tensor.AddRowVector(out, l.B.W)
+}
+
+// addRow adds src into dst element-wise.
+func addRow(dst, src []float64) {
+	for j, v := range src {
+		dst[j] += v
+	}
+}
+
+// gatherRows accumulates Σ_c xrow[c]·w[c,:] over the listed columns into
+// orow, in column order — one row of MatMulInto with the zero tests already
+// answered by the index.
+func gatherRows(orow, xrow []float64, cols []int32, w *tensor.Tensor) {
+	n := len(orow)
+	for _, c := range cols {
+		av := xrow[c]
+		wrow := w.Data[int(c)*n : (int(c)+1)*n]
+		for j, wv := range wrow {
+			orow[j] += av * wv
+		}
+	}
+}
+
+// projectSparse is project for the indexed feature rows: per node, the
+// parent product is gathered into the (pre-zeroed) output row, each present
+// child's product is formed on its own in tmp (Out wide) and then added, and
+// the bias goes last. No child-row copies exist. An absent child would add a
+// row of +0, which cannot change a sum that started from +0, so it is
+// skipped.
+func (l *ConvLayer) projectSparse(out *tensor.Tensor, tree *Tree, nz rowIndex, tmp []float64) {
+	x := tree.Feats
+	bias := l.B.W.Data
+	for i := range tree.Left {
+		orow := out.Row(i)
+		gatherRows(orow, x.Row(i), nz.row(i), l.Wt.W)
+		addChildProduct(orow, tmp, x, nz, tree.Left[i], l.Wl.W)
+		addChildProduct(orow, tmp, x, nz, tree.Right[i], l.Wr.W)
+		addRow(orow, bias)
+	}
+}
+
+// addChildProduct forms child ci's product with w in tmp and adds it to orow.
+func addChildProduct(orow, tmp []float64, x *tensor.Tensor, nz rowIndex, ci int, w *tensor.Tensor) {
+	if ci < 0 {
+		return
+	}
+	for j := range tmp {
+		tmp[j] = 0
+	}
+	gatherRows(tmp, x.Row(ci), nz.row(ci), w)
+	addRow(orow, tmp)
 }
 
 // PackInt8 (re)quantises the triangular kernel for the int8 inference
@@ -205,38 +250,22 @@ func (l *ConvLayer) forwardArenaInt8(tree *Tree, x *tensor.Tensor, a *tensor.Are
 	return out, qerr
 }
 
-// forward computes the layer output and returns the cache needed to
-// backpropagate through this specific tree.
-func (l *ConvLayer) forward(tree *Tree, x *tensor.Tensor) (*tensor.Tensor, *layerState) {
+// forward computes the layer output for input x over tree. The output comes
+// from keep, per-call scratch from scratch; either may be nil for the heap,
+// and inference passes the same arena twice. x being the tree's own feature
+// tensor is what selects the gathered projection over nz; any other input is
+// an activation matrix and goes through gather + dense project.
+func (l *ConvLayer) forward(tree *Tree, nz rowIndex, x *tensor.Tensor, keep, scratch *tensor.Arena) *tensor.Tensor {
 	n := tree.Len()
-	xl := tensor.New(n, l.In)
-	xr := tensor.New(n, l.In)
-	gather(tree, x, xl, xr)
-	out := tensor.New(n, l.Out)
-	tmp := tensor.New(n, l.Out)
-	l.project(out, tmp, x, xl, xr)
-
-	st := &layerState{x: x, xl: xl, xr: xr, mask: make([]bool, out.Size())}
-	for i, v := range out.Data {
-		if v > 0 {
-			st.mask[i] = true
-		} else {
-			out.Data[i] = 0
-		}
+	out := keep.Get(n, l.Out)
+	if x == tree.Feats {
+		l.projectSparse(out, tree, nz, scratch.Get(1, l.Out).Data)
+	} else {
+		xl := scratch.Get(n, l.In)
+		xr := scratch.Get(n, l.In)
+		gather(tree, x, xl, xr)
+		l.project(out, scratch.Get(n, l.Out), x, xl, xr)
 	}
-	return out, st
-}
-
-// forwardArena runs the same gather/project/rectify stages with every scratch
-// tensor drawn from the arena: no heap allocation, no backward cache.
-func (l *ConvLayer) forwardArena(tree *Tree, x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	n := tree.Len()
-	xl := a.Get(n, l.In)
-	xr := a.Get(n, l.In)
-	gather(tree, x, xl, xr)
-	out := a.Get(n, l.Out)
-	tmp := a.Get(n, l.Out)
-	l.project(out, tmp, x, xl, xr)
 	for i, v := range out.Data {
 		if !(v > 0) {
 			out.Data[i] = 0
@@ -245,41 +274,176 @@ func (l *ConvLayer) forwardArena(tree *Tree, x *tensor.Tensor, a *tensor.Arena) 
 	return out
 }
 
-// backward accumulates parameter gradients and returns dL/dx, scattering
-// child-path gradients back to the child rows.
-func (l *ConvLayer) backward(tree *Tree, st *layerState, gradOut *tensor.Tensor) *tensor.Tensor {
-	gz := gradOut.Clone()
-	for i := range gz.Data {
-		if !st.mask[i] {
-			gz.Data[i] = 0
-		}
-	}
-	l.Wt.G.AddInPlace(tensor.MatMulTransA(st.x, gz))
-	l.Wl.G.AddInPlace(tensor.MatMulTransA(st.xl, gz))
-	l.Wr.G.AddInPlace(tensor.MatMulTransA(st.xr, gz))
-	l.B.G.AddInPlace(tensor.SumRows(gz))
-
-	gx := tensor.MatMulTransB(gz, l.Wt.W)
-	gl := tensor.MatMulTransB(gz, l.Wl.W)
-	gr := tensor.MatMulTransB(gz, l.Wr.W)
+// inputGrad returns dL/dx (n, In) in keep for the layer's pre-activation
+// gradient gz: gz·Wtᵀ, plus each node's gz·Wlᵀ and gz·Wrᵀ rows scattered back
+// onto its children in node order. It reads the weights only, so trees
+// back-propagate concurrently.
+//
+// Every element is a dot product summed in index order from +0. Pooling and
+// the ReLU masks leave most of gz zero, and a zero entry contributes a ±0
+// product (the weights being finite), which cannot change such a sum; so each
+// gz row's non-zero positions are listed once and the three products walk
+// the list.
+func (l *ConvLayer) inputGrad(tree *Tree, gz *tensor.Tensor, keep, scratch *tensor.Arena) *tensor.Tensor {
 	n := tree.Len()
+	gx := keep.Get(n, l.In)
+	gl := scratch.Get(n, l.In)
+	gr := scratch.Get(n, l.In)
+	live := scratch.GetI32(l.Out)
+	for i := 0; i < n; i++ {
+		grow := gz.Row(i)
+		idx := live[:0]
+		for p, v := range grow {
+			if v != 0 {
+				idx = append(idx, int32(p))
+			}
+		}
+		dotRows(gx.Row(i), grow, idx, l.Wt.W)
+		dotRows(gl.Row(i), grow, idx, l.Wl.W)
+		dotRows(gr.Row(i), grow, idx, l.Wr.W)
+	}
 	for i := 0; i < n; i++ {
 		if li := tree.Left[i]; li >= 0 {
-			dst := gx.Row(li)
-			src := gl.Row(i)
-			for j := range dst {
-				dst[j] += src[j]
-			}
+			addRow(gx.Row(li), gl.Row(i))
 		}
 		if ri := tree.Right[i]; ri >= 0 {
-			dst := gx.Row(ri)
-			src := gr.Row(i)
-			for j := range dst {
-				dst[j] += src[j]
-			}
+			addRow(gx.Row(ri), gr.Row(i))
 		}
 	}
 	return gx
+}
+
+// dotRows sets orow[j] = Σ_{p∈idx} arow[p]·w[j,p], p ascending, for every row
+// j of w. Four rows advance together so one sum's adds do not wait on
+// another's.
+func dotRows(orow, arow []float64, idx []int32, w *tensor.Tensor) {
+	k := w.Shape[1]
+	j := 0
+	for ; j+4 <= len(orow); j += 4 {
+		w0 := w.Data[j*k : (j+1)*k]
+		w1 := w.Data[(j+1)*k : (j+2)*k]
+		w2 := w.Data[(j+2)*k : (j+3)*k]
+		w3 := w.Data[(j+3)*k : (j+4)*k]
+		var s0, s1, s2, s3 float64
+		for _, p := range idx {
+			av := arow[p]
+			s0 += av * w0[p]
+			s1 += av * w1[p]
+			s2 += av * w2[p]
+			s3 += av * w3[p]
+		}
+		orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(orow); j++ {
+		wrow := w.Data[j*k : (j+1)*k]
+		s := 0.0
+		for _, p := range idx {
+			s += arow[p] * wrow[p]
+		}
+		orow[j] = s
+	}
+}
+
+// The weight gradient of one tree is xᵀ·gz for Wt and the same with each row
+// of x replaced by the node's left (right) child row for Wl (Wr): per weight
+// row, the sum over the tree's nodes in node order, formed on its own from
+// +0, and only then added into G. The two accumulators below compute exactly
+// that for rows [lo,hi) of one matrix, so G can be split between owners by
+// row. child is nil for Wt, tree.Left for Wl, tree.Right for Wr.
+
+// inputRow is the row of x that node p multiplies: its own, or its child's
+// (-1 when the child is absent).
+func inputRow(child []int, p int) int {
+	if child == nil {
+		return p
+	}
+	return child[p]
+}
+
+// accumDense is the accumulator for an activation input: one weight row at a
+// time, summed over the nodes in a single Out-wide scratch row that stays in
+// cache, then added into G. A row no node feeds (its input column is all
+// zero, as half of a rectified layer's are) would add +0s and is skipped.
+func accumDense(g, x *tensor.Tensor, child []int, gz *tensor.Tensor, lo, hi int, a *tensor.Arena) {
+	in, out := x.Shape[1], gz.Shape[1]
+	tmp := a.Get(out).Data
+	for i := lo; i < hi; i++ {
+		fed := false
+		for p := 0; p < gz.Shape[0]; p++ {
+			q := inputRow(child, p)
+			if q < 0 {
+				continue
+			}
+			av := x.Data[q*in+i]
+			if av == 0 {
+				continue
+			}
+			fed = true
+			for j, gv := range gz.Row(p) {
+				tmp[j] += av * gv
+			}
+		}
+		if !fed {
+			continue
+		}
+		grow := g.Data[i*out : (i+1)*out]
+		for j, v := range tmp {
+			grow[j] += v
+			tmp[j] = 0
+		}
+	}
+}
+
+// accumSparse is the accumulator for the indexed feature rows: only weight
+// rows some node's index lists are touched. Each touched row gets a slot in
+// a compact scratch block on first sight, sums there in node order, and is
+// added into G at the end; the untouched rows would have received +0, which
+// cannot change a gradient that started from +0.
+func accumSparse(g, x *tensor.Tensor, nz rowIndex, child []int, gz *tensor.Tensor, lo, hi int, a *tensor.Arena) {
+	out := gz.Shape[1]
+	slot := a.GetI32(hi - lo)
+	for i := range slot {
+		slot[i] = -1
+	}
+	rows := min(hi-lo, nz.entries())
+	touched := a.GetI32(rows)[:0]
+	acc := a.Get(rows, out).Data
+	for p := 0; p < gz.Shape[0]; p++ {
+		q := inputRow(child, p)
+		if q < 0 {
+			continue
+		}
+		xrow, grow := x.Row(q), gz.Row(p)
+		for _, c := range nz.row(q) {
+			if int(c) < lo || int(c) >= hi {
+				continue
+			}
+			s := slot[int(c)-lo]
+			if s < 0 {
+				s = int32(len(touched))
+				slot[int(c)-lo] = s
+				touched = append(touched, c)
+			}
+			av := xrow[c]
+			arow := acc[int(s)*out : (int(s)+1)*out]
+			for j, gv := range grow {
+				arow[j] += av * gv
+			}
+		}
+	}
+	for s, c := range touched {
+		addRow(g.Data[int(c)*out:(int(c)+1)*out], acc[s*out:(s+1)*out])
+	}
+}
+
+// accumBias adds gz's column sums, formed on their own first, into g.
+func accumBias(g, gz *tensor.Tensor, a *tensor.Arena) {
+	out := gz.Shape[1]
+	tmp := a.Get(out).Data
+	for p := 0; p < gz.Shape[0]; p++ {
+		addRow(tmp, gz.Row(p))
+	}
+	addRow(g.Data, tmp)
 }
 
 // Network is a stack of tree-convolution layers followed by vote-masked
@@ -313,18 +477,23 @@ func (n *Network) Params() []*nn.Param {
 	return ps
 }
 
-// Context carries the per-tree caches between Forward and Backward.
+// Context carries one tree's forward pass to its backward pass: the tree and
+// its index, every layer's input and output, and the pooling winners. The
+// ReLU mask is not stored — an output is positive exactly where the mask was
+// set. A Context may be reused for another tree once its step is over.
 type Context struct {
-	states []*layerState
 	t      *Tree
-	argmax []int // per output dim, node index that won the pooling max (-1 none)
+	nz     rowIndex
+	acts   []*tensor.Tensor // acts[0] = t.Feats, acts[k+1] = layer k's output
+	gz     []*tensor.Tensor // per layer, dL/d(pre-activation); set by backwardInputs
+	argmax []int32          // per output dim, node that won the pooling max (-1 none)
 }
 
 // pool performs vote-masked dynamic max pooling of the (t.Len(), OutDim)
 // activations x into the pre-zeroed (1, OutDim) out. When argmax is non-nil
 // it records, per output dim, the node index that won the max (-1 if no node
 // votes) for the backward pass.
-func (n *Network) pool(t *Tree, x, out *tensor.Tensor, argmax []int) {
+func (n *Network) pool(t *Tree, x, out *tensor.Tensor, argmax []int32) {
 	od := n.OutDim()
 	for d := 0; d < od; d++ {
 		best := math.Inf(-1)
@@ -342,25 +511,52 @@ func (n *Network) pool(t *Tree, x, out *tensor.Tensor, argmax []int) {
 			out.Data[d] = best
 		}
 		if argmax != nil {
-			argmax[d] = bestI
+			argmax[d] = int32(bestI)
 		}
 	}
 }
 
-// Forward runs the conv stack over one tree and pools the voted nodes,
-// returning a (1, OutDim) vector and the backward context.
-func (n *Network) Forward(t *Tree) (*tensor.Tensor, *Context) {
-	ctx := &Context{t: t}
+// forward is the one implementation behind Forward, ForwardTrain and
+// ForwardInference: the conv stack over one tree, then pooling, returning the
+// (1, OutDim) pooled vector. Everything that must outlive the call — the
+// pooled vector and, when ctx is non-nil, what Backward needs — comes from
+// keep; per-layer scratch comes from scratch. A nil arena is the heap.
+func (n *Network) forward(t *Tree, ctx *Context, keep, scratch *tensor.Arena) *tensor.Tensor {
+	nz := t.index(keep)
 	x := t.Feats
-	for _, l := range n.Layers {
-		var st *layerState
-		x, st = l.forward(t, x)
-		ctx.states = append(ctx.states, st)
+	if ctx != nil {
+		ctx.t, ctx.nz = t, nz
+		ctx.acts = append(ctx.acts[:0], x)
 	}
-	out := tensor.New(1, n.OutDim())
-	ctx.argmax = make([]int, n.OutDim())
-	n.pool(t, x, out, ctx.argmax)
-	return out, ctx
+	for _, l := range n.Layers {
+		x = l.forward(t, nz, x, keep, scratch)
+		if ctx != nil {
+			ctx.acts = append(ctx.acts, x)
+		}
+	}
+	out := keep.Get(1, n.OutDim())
+	var argmax []int32
+	if ctx != nil {
+		ctx.argmax = keep.GetI32(n.OutDim())
+		argmax = ctx.argmax
+	}
+	n.pool(t, x, out, argmax)
+	return out
+}
+
+// Forward runs the conv stack over one tree and pools the voted nodes,
+// returning a (1, OutDim) vector and the backward context, all on the heap.
+func (n *Network) Forward(t *Tree) (*tensor.Tensor, *Context) {
+	ctx := &Context{}
+	return n.forward(t, ctx, nil, nil), ctx
+}
+
+// ForwardTrain is Forward for a training step that owns its memory: the
+// pooled vector and everything ctx records live in keep until the step
+// resets it, and scratch may be reset as soon as the call returns. Values
+// are byte-identical to Forward's.
+func (n *Network) ForwardTrain(t *Tree, ctx *Context, keep, scratch *tensor.Arena) *tensor.Tensor {
+	return n.forward(t, ctx, keep, scratch)
 }
 
 // ForwardInference runs the conv stack and pooling entirely inside the arena,
@@ -368,13 +564,7 @@ func (n *Network) Forward(t *Tree) (*tensor.Tensor, *Context) {
 // returned tensor aliases arena memory and is only valid until the next
 // arena Reset.
 func (n *Network) ForwardInference(t *Tree, a *tensor.Arena) *tensor.Tensor {
-	x := t.Feats
-	for _, l := range n.Layers {
-		x = l.forwardArena(t, x, a)
-	}
-	out := a.Get(1, n.OutDim())
-	n.pool(t, x, out, nil)
-	return out
+	return n.forward(t, nil, a, a)
 }
 
 // PackInt8 (re)quantises every layer's triangular kernel, returning the max
@@ -421,17 +611,117 @@ func (n *Network) ForwardInferenceInt8(t *Tree, a *tensor.Arena) (*tensor.Tensor
 	return out, maxErr
 }
 
-// Backward propagates a (1, OutDim) gradient through the pooling and conv
-// stack, accumulating parameter gradients.
-func (n *Network) Backward(ctx *Context, grad *tensor.Tensor) {
+// The backward pass of a training step has two halves, split so that a whole
+// batch can back-propagate in parallel and still add into every gradient
+// element in batch order. BackwardInputs pulls the pooled gradient down one
+// tree's stack, reading weights only, and leaves each layer's pre-activation
+// gradient in the Context; any number of trees can do that at once.
+// AccumulateGrad then adds one tree's contribution to one GradTask's share of
+// the parameter gradients. An owner that walks the batch's trees in order for
+// its task performs, on each element of G it owns, the additions a serial
+// tree-by-tree Backward performs, in the same order — whatever the number of
+// owners.
+
+// BackwardInputs propagates grad — dL/d(pooled), OutDim values — through the
+// pooling and down the conv stack, recording per layer the gradient at its
+// pre-activation. It writes nothing but ctx. The recorded gradients live in
+// keep; scratch may be reset when the call returns.
+func (n *Network) BackwardInputs(ctx *Context, grad []float64, keep, scratch *tensor.Arena) {
 	t := ctx.t
-	gx := tensor.New(t.Len(), n.OutDim())
-	for d := 0; d < n.OutDim(); d++ {
-		if i := ctx.argmax[d]; i >= 0 {
-			gx.Data[i*n.OutDim()+d] = grad.Data[d]
+	od := n.OutDim()
+	last := len(n.Layers) - 1
+	for len(ctx.gz) <= last {
+		ctx.gz = append(ctx.gz, nil)
+	}
+	gz := keep.Get(t.Len(), od)
+	for d, i := range ctx.argmax {
+		if i >= 0 {
+			gz.Data[int(i)*od+d] = grad[d]
 		}
 	}
-	for li := len(n.Layers) - 1; li >= 0; li-- {
-		gx = n.Layers[li].backward(t, ctx.states[li], gx)
+	for li := last; li >= 0; li-- {
+		// ReLU: the gradient passes where the layer's output is positive.
+		for i, y := range ctx.acts[li+1].Data {
+			if !(y > 0) {
+				gz.Data[i] = 0
+			}
+		}
+		ctx.gz[li] = gz
+		if li > 0 {
+			// Layer 0 reads the features; nothing is upstream of them.
+			gz = n.Layers[li].inputGrad(t, gz, keep, scratch)
+		}
+	}
+}
+
+// GradTask names one owner's share of the parameter gradients: rows [lo,hi)
+// of one layer's Wt, Wl or Wr, or its whole bias. GradTasks makes them.
+type GradTask struct {
+	layer, param, lo, hi int
+}
+
+// The parameters of a layer a GradTask can name.
+const (
+	paramWt = iota
+	paramWl
+	paramWr
+	paramBias
+)
+
+// GradTasks partitions every parameter gradient of the network into tasks,
+// splitting the activation-fed weight matrices into up to parts row blocks
+// of at least eight rows. The feature-fed first layer's scatter is a sliver
+// of the work and stays whole.
+func (n *Network) GradTasks(parts int) []GradTask {
+	var tasks []GradTask
+	for li, l := range n.Layers {
+		blocks := 1
+		if li > 0 {
+			blocks = max(1, min(parts, l.In/8))
+		}
+		for _, param := range [...]int{paramWt, paramWl, paramWr} {
+			for b := 0; b < blocks; b++ {
+				tasks = append(tasks, GradTask{layer: li, param: param, lo: b * l.In / blocks, hi: (b + 1) * l.In / blocks})
+			}
+		}
+		tasks = append(tasks, GradTask{layer: li, param: paramBias})
+	}
+	return tasks
+}
+
+// AccumulateGrad adds ctx's tree's contribution to the task's share of the
+// parameter gradients. BackwardInputs must have run on ctx. Tasks own
+// disjoint memory, so different tasks may run concurrently; within a task,
+// trees must be fed in batch order. a is scratch, resettable on return.
+func (n *Network) AccumulateGrad(task GradTask, ctx *Context, a *tensor.Arena) {
+	l := n.Layers[task.layer]
+	gz := ctx.gz[task.layer]
+	var g *tensor.Tensor
+	var child []int
+	switch task.param {
+	case paramBias:
+		accumBias(l.B.G, gz, a)
+		return
+	case paramWt:
+		g = l.Wt.G
+	case paramWl:
+		g, child = l.Wl.G, ctx.t.Left
+	case paramWr:
+		g, child = l.Wr.G, ctx.t.Right
+	}
+	if x := ctx.acts[task.layer]; x == ctx.t.Feats {
+		accumSparse(g, x, ctx.nz, child, gz, task.lo, task.hi, a)
+	} else {
+		accumDense(g, x, child, gz, task.lo, task.hi, a)
+	}
+}
+
+// Backward propagates a (1, OutDim) gradient through the pooling and conv
+// stack of one tree, accumulating parameter gradients: BackwardInputs, then
+// every task over that one tree, on the heap.
+func (n *Network) Backward(ctx *Context, grad *tensor.Tensor) {
+	n.BackwardInputs(ctx, grad.Data, nil, nil)
+	for _, task := range n.GradTasks(1) {
+		n.AccumulateGrad(task, ctx, nil)
 	}
 }

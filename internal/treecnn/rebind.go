@@ -21,7 +21,8 @@ type Rebinder struct {
 }
 
 // NewRebinder captures the digest state of t. The tree must already be
-// flattened and hashed; it is treated as immutable from here on.
+// flattened and hashed (hence indexed); it is treated as immutable from here
+// on.
 func NewRebinder(t *Tree) *Rebinder {
 	n := t.Len()
 	r := &Rebinder{base: t, digests: make([]uint64, n), parent: make([]int, n)}
@@ -48,10 +49,12 @@ func (r *Rebinder) Base() *Tree { return r.base }
 // Rebind returns a copy of the base tree with feature row rows[k] replaced
 // by feats[k] for every k. The structure and vote slices are shared with the
 // base — they are immutable after flattening — while the feature tensor is a
-// fresh copy, so callers own the result. Only the changed rows and their
-// ancestor chains are re-digested; everything else reuses the captured
-// digests, and the resulting Hash equals what Rehash would compute on the
-// same tree.
+// fresh copy, so callers own the result. The non-zero index is respliced:
+// replaced rows are re-indexed, the others copy the base's entries (or, with
+// no row replaced, the base's index is shared whole). Only the changed rows
+// and their ancestor chains are re-digested; everything else reuses the
+// captured digests, and the resulting Hash equals what Rehash would compute
+// on the same tree.
 func (r *Rebinder) Rebind(rows []int, feats [][]float64) *Tree {
 	t := r.base
 	out := &Tree{
@@ -60,6 +63,7 @@ func (r *Rebinder) Rebind(rows []int, feats [][]float64) *Tree {
 		Right: t.Right,
 		Votes: t.Votes,
 		Hash:  t.Hash,
+		nz:    t.nz,
 	}
 	if len(rows) == 0 {
 		return out
@@ -77,6 +81,14 @@ func (r *Rebinder) Rebind(rows []int, feats [][]float64) *Tree {
 	for k, i := range rows {
 		copy(out.Feats.Row(i), feats[k])
 		dirty[i] = true
+	}
+	out.nz = newRowIndex(make([]int32, n+1, len(t.nz)), n)
+	for i := 0; i < n; i++ {
+		if dirty[i] {
+			out.nz = out.nz.appendRow(i, out.Feats.Row(i))
+		} else {
+			out.nz = out.nz.appendCols(i, t.nz.row(i))
+		}
 	}
 	// Children sit at higher indices than parents, so a descending sweep
 	// reaches a node only after every dirty descendant has been re-digested.

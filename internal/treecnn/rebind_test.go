@@ -118,3 +118,33 @@ func TestRebinderRestoreRoundTrips(t *testing.T) {
 		t.Fatal("restoring the original row should restore the original hash")
 	}
 }
+
+// TestRebinderRespliceIndex: a rebound tree's non-zero index must list
+// exactly what indexing its feature tensor from scratch lists — replaced rows
+// re-indexed (a row may gain or lose entries), the rest carried over — since
+// the convolution reads the index, not the row width.
+func TestRebinderRespliceIndex(t *testing.T) {
+	tree := rebindTestTree(15, 6)
+	r := NewRebinder(tree)
+	feats := [][]float64{
+		{0, 0, 0, 0, 0, 0},            // loses every entry
+		{1, 2, 3, 4, 5, 6},            // gains entries
+		{0, math.NaN(), 0, 0, 0, 0.5}, // NaN is an entry
+	}
+	got := r.Rebind([]int{0, 7, 14}, feats)
+	want := (&Tree{Feats: got.Feats, Left: got.Left, Right: got.Right, Votes: got.Votes}).index(nil)
+	for i := 0; i < got.Len(); i++ {
+		g, w := got.nz.row(i), want.row(i)
+		if len(g) != len(w) {
+			t.Fatalf("row %d: index lists %v, features hold %v", i, g, w)
+		}
+		for k := range w {
+			if g[k] != w[k] {
+				t.Fatalf("row %d: index lists %v, features hold %v", i, g, w)
+			}
+		}
+	}
+	if same := r.Rebind(nil, nil); len(same.nz) != len(tree.nz) {
+		t.Fatal("an empty rebind must keep the base's index")
+	}
+}

@@ -16,11 +16,24 @@ import (
 // Tree is a convolution-ready flattened binary tree: node features in BFS
 // order with child indices (-1 when a child is absent or outside the
 // sampled window) and the Algorithm-1 vote mask.
+//
+// O-T-P feature rows are a 1-hot or one predicate block wide — well under 1%
+// dense — so a Tree is indexed once, where it is featurized, and everything
+// downstream works from the index: layer 0 of the convolution gathers weight
+// rows through it going forward and scatters weight gradients through it
+// going backward, and the content hash digests exactly the entries it lists.
+// The flatteners, Rebinder.Rebind and Rehash build it; a Tree assembled as a
+// struct literal has none and is indexed into scratch by each pass that
+// needs one (the Tree itself is never written by a reader). Feats stays the
+// dense source of the values; code that writes to it after flattening must
+// call Rehash before the tree is convolved or cached again.
 type Tree struct {
 	Feats *tensor.Tensor // (n, featDim)
 	Left  []int          // index of left child, -1 if none
 	Right []int          // index of right child, -1 if none
 	Votes []float64      // 1 = participates in pooling
+
+	nz rowIndex // Feats' non-zero pattern; nil = not indexed
 
 	// Hash is a Merkle-style digest of the tree's exact convolution input —
 	// feature rows, votes and child structure — set by the flatteners (or
@@ -32,6 +45,69 @@ type Tree struct {
 
 // Len returns the number of nodes.
 func (t *Tree) Len() int { return len(t.Left) }
+
+// Bytes reports the approximate heap footprint of the tree — features,
+// structure, votes and the non-zero index — for cache accounting.
+func (t *Tree) Bytes() int {
+	return t.Feats.Bytes() + 8*(len(t.Left)+len(t.Right)+len(t.Votes)) + 4*len(t.nz)
+}
+
+// rowIndex is the sparsity pattern of an n-row feature tensor in CSR form,
+// in one slice: ix[0..n] are offsets into ix itself, and the columns of row
+// i's non-zero entries (NaN counts as non-zero, ±0 do not), ascending, are
+// ix[ix[i]:ix[i+1]].
+type rowIndex []int32
+
+// newRowIndex returns the index of n rows, none listed yet, built in buf.
+func newRowIndex(buf []int32, n int) rowIndex {
+	ix := rowIndex(buf[:n+1])
+	ix[0] = int32(n + 1)
+	return ix
+}
+
+func (ix rowIndex) row(i int) []int32 { return ix[ix[i]:ix[i+1]] }
+
+// entries is the number of non-zero entries listed.
+func (ix rowIndex) entries() int { return len(ix) - int(ix[0]) }
+
+// appendRow lists row's non-zero columns as row i; rows go in order.
+func (ix rowIndex) appendRow(i int, row []float64) rowIndex {
+	for c, f := range row {
+		if f != 0 {
+			ix = append(ix, int32(c))
+		}
+	}
+	ix[i+1] = int32(len(ix))
+	return ix
+}
+
+// appendCols lists cols, already ascending, as row i.
+func (ix rowIndex) appendCols(i int, cols []int32) rowIndex {
+	ix = append(ix, cols...)
+	ix[i+1] = int32(len(ix))
+	return ix
+}
+
+// indexRows indexes every row of x, building in buf (which must hold at
+// least x's row count plus one).
+func indexRows(x *tensor.Tensor, buf []int32) rowIndex {
+	n := x.Shape[0]
+	ix := newRowIndex(buf, n)
+	for i := 0; i < n; i++ {
+		ix = ix.appendRow(i, x.Row(i))
+	}
+	return ix
+}
+
+// index returns the tree's non-zero index: the one built at featurization,
+// or for a literal Tree one built here in a (nil = heap) without touching
+// the tree.
+func (t *Tree) index(a *tensor.Arena) rowIndex {
+	if t.nz != nil {
+		return t.nz
+	}
+	return indexRows(t.Feats, a.GetI32(t.Feats.Shape[0]+1+t.Feats.Size()))
+}
 
 // Digest parameters: a seed, a multiply-xorshift round constant (the
 // murmur3 64-bit finaliser multiplier), and a sentinel mixed in place of an
@@ -56,18 +132,25 @@ func hashMix(h, v uint64) uint64 {
 // the sub-tree sampler emits; larger trees fall back to one heap slice.
 const rehashBuf = 64
 
-// Rehash recomputes t.Hash from the current features, votes and structure.
-// Per node it digests the (position, bit-pattern) pairs of the feature
-// row's nonzero entries, the vote, and the child digests (bottom-up: every
-// flattener places children at higher indices than their parents, so a
-// reverse index sweep visits children first). The root digest is mixed with
-// the node count. Zeros are skipped because O-T-P rows are overwhelmingly
-// zero and the positions mixed for the nonzero entries pin them down; ±0
-// collapse together, which is sound for a conv cache key because both
-// convolve to identical outputs. Callers that mutate a flattened tree
-// (e.g. the DisableVotes ablation) must Rehash before handing it to a
-// cache.
+// Rehash re-indexes the feature rows and recomputes t.Hash from the current
+// features, votes and structure. Per node it digests the (position,
+// bit-pattern) pairs of the feature row's nonzero entries, the vote, and the
+// child digests (bottom-up: every flattener places children at higher indices
+// than their parents, so a reverse index sweep visits children first). The
+// root digest is mixed with the node count. Zeros are skipped because O-T-P
+// rows are overwhelmingly zero and the positions mixed for the nonzero entries
+// pin them down; ±0 collapse together, which is sound for a conv cache key
+// because both convolve to identical outputs. Callers that mutate a flattened
+// tree (e.g. the DisableVotes ablation) must Rehash before handing it to the
+// convolution or a cache. The index is rebuilt into a fresh slice, never in
+// place: a rebound tree may share its base's.
 func (t *Tree) Rehash() {
+	t.nz = indexRows(t.Feats, make([]int32, t.Len()+1))
+	t.hash()
+}
+
+// hash recomputes t.Hash over the index as it stands.
+func (t *Tree) hash() {
 	n := t.Len()
 	var hbuf [rehashBuf]uint64
 	var hs []uint64
@@ -82,17 +165,16 @@ func (t *Tree) Rehash() {
 	t.Hash = rootHash(n, hs)
 }
 
-// nodeDigest computes node i's Merkle digest from its feature row, vote and
-// the already-computed child digests in hs. Shared by Rehash and the
-// incremental Rebinder so the two can never drift.
+// nodeDigest computes node i's Merkle digest from its indexed feature
+// entries, vote and the already-computed child digests in hs. Shared by
+// Rehash and the incremental Rebinder so the two can never drift. t must be
+// indexed.
 func nodeDigest(t *Tree, i int, hs []uint64) uint64 {
 	h := uint64(hashSeed)
-	for p, f := range t.Feats.Row(i) {
-		if f == 0 {
-			continue
-		}
-		h = hashMix(h, uint64(p)+1)
-		h = hashMix(h, math.Float64bits(f))
+	row := t.Feats.Row(i)
+	for _, c := range t.nz.row(i) {
+		h = hashMix(h, uint64(c)+1)
+		h = hashMix(h, math.Float64bits(row[c]))
 	}
 	h = hashMix(h, math.Float64bits(t.Votes[i]))
 	if li := t.Left[i]; li >= 0 {
@@ -119,9 +201,10 @@ func rootHash(n int, hs []uint64) uint64 {
 }
 
 // flatten is the single tree builder behind FlattenSubTree and FlattenFull:
-// it encodes the nodes' features in order, resolves child pointers to
-// indices (-1 when the child is absent or outside the node slice), installs
-// the vote mask (nil votes = every node votes) and hashes the result.
+// it encodes each node's features straight into its tensor row and indexes
+// the row in the same pass, resolves child pointers to indices (-1 when the
+// child is absent or outside the node slice), installs the vote mask (nil
+// votes = every node votes) and hashes the result.
 func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.QueryContext) *Tree {
 	n := len(nodes)
 	index := make(map[*otp.Node]int, n)
@@ -133,6 +216,14 @@ func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.Quer
 		Left:  make([]int, n),
 		Right: make([]int, n),
 	}
+	// The index of a sampled sub-tree fits the stack buffer; the tree keeps
+	// an exact-size copy.
+	var ixbuf [256]int32
+	buf := ixbuf[:]
+	if n+1 > len(buf) {
+		buf = make([]int32, n+1)
+	}
+	ix := newRowIndex(buf, n)
 	if votes == nil {
 		tree.Votes = make([]float64, n)
 		for i := range tree.Votes {
@@ -142,11 +233,14 @@ func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.Quer
 		tree.Votes = append([]float64(nil), votes...)
 	}
 	for i, node := range nodes {
-		copy(tree.Feats.Row(i), enc.NodeFeature(node, ctx))
+		row := tree.Feats.Row(i)
+		enc.NodeFeatureInto(row, node, ctx)
+		ix = ix.appendRow(i, row)
 		tree.Left[i] = childIndex(index, node.Left)
 		tree.Right[i] = childIndex(index, node.Right)
 	}
-	tree.Rehash()
+	tree.nz = append(rowIndex(nil), ix...)
+	tree.hash()
 	return tree
 }
 

@@ -8,7 +8,11 @@
 # BenchmarkInt8Project microbenchmarks, 5 repeats of 100ms each with -benchmem —
 # time-based so iteration counts auto-scale from the ~300ns steady
 # micro-benchmark to the ~200µs 16-client fan-outs, whose fixed-count runs
-# flap), record median throughput and minimum allocations per benchmark to a
+# flap — and the training step: BenchmarkPrestroidTrainBatch with its
+# allocs/op held under a fixed ceiling, and the BenchmarkTreeConvForward /
+# BenchmarkTreeConvBackward pair, run at -cpu 1 so their ratio is arithmetic
+# rather than core count, with backward gated at 4x forward), record median
+# throughput and minimum allocations per benchmark to a
 # JSON artifact, and — when a baseline file exists — fail if any benchmark's
 # throughput dropped more than the tolerance below its baseline, or its
 # allocs/op rose past the allocation slack. The environment is pinned
@@ -43,8 +47,13 @@ trap 'rm -f "$raw"' EXIT
 loc="$(scripts/loc.sh)"
 
 GOMAXPROCS=4 GOGC=100 go test -run '^$' \
-  -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkFloatProject|BenchmarkInt8Project' \
+  -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkFloatProject|BenchmarkInt8Project|BenchmarkPrestroidTrainBatch' \
   -benchtime 100ms -count 5 -benchmem . | tee "$raw"
+# The conv forward/backward pair feeds a ratio gate: one core, so the ratio
+# compares the work the two passes do, not how many cores the forward's
+# GEMMs happened to find.
+GOGC=100 go test -run '^$' -bench 'BenchmarkTreeConv(Forward|Backward)$' \
+  -cpu 1 -benchtime 100ms -count 5 -benchmem . | tee -a "$raw"
 
 python3 - "$raw" "$out" "$tolerance" "$loc" "$baseline" <<'PY'
 import json, re, statistics, sys
@@ -126,6 +135,39 @@ for fast, slow, want in RATIO_GATES:
     print(f"{verdict}: {fast} is {got:.2f}x {slow} (floor {want:.1f}x)")
     if got < want:
         failures.append(f"{fast}: {got:.2f}x over {slow} is below the {want:.1f}x floor")
+
+# Cost-ratio gates, the same idea the other way round: a pass that may cost
+# at most so many times its sibling on the same run. The tree convolution's
+# backward does about twice its forward's multiply-adds (it ran at ~10x while
+# layer 0 treated the feature rows as dense and computed an input gradient
+# nothing reads).
+COST_GATES = [
+    ("BenchmarkTreeConvBackward", "BenchmarkTreeConvForward", 4.0),
+]
+for costly, ref, limit in COST_GATES:
+    if costly not in best or ref not in best:
+        continue
+    got = best[costly]["ns"] / best[ref]["ns"]
+    verdict = "ok" if got <= limit else "REGRESSION"
+    print(f"{verdict}: {costly} costs {got:.2f}x {ref} (ceiling {limit:.1f}x)")
+    if got > limit:
+        failures.append(f"{costly}: {got:.2f}x the cost of {ref} is above the {limit:.1f}x ceiling")
+
+# Allocation ceilings, host-independent: a steady-state training step draws
+# its conv-stack memory from step-scoped arenas, so what it still allocates
+# is the dense head's tensors and a few goroutines (~170-260 allocs/op at
+# GOMAXPROCS=4; ~31,000 before the arenas).
+ALLOC_CEILINGS = [
+    ("BenchmarkPrestroidTrainBatch", 1000),
+]
+for name, ceiling in ALLOC_CEILINGS:
+    if name not in best or "allocs" not in best[name]:
+        continue
+    got = best[name]["allocs"]
+    verdict = "ok" if got <= ceiling else "REGRESSION"
+    print(f"{verdict}: {name}: {got:,.0f} allocs/op (ceiling {ceiling:,})")
+    if got > ceiling:
+        failures.append(f"{name}: {got:,.0f} allocs/op exceeds the {ceiling:,} ceiling")
 
 def finish():
     if failures:
