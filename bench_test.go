@@ -384,7 +384,7 @@ func BenchmarkServePredict(b *testing.B) {
 		serveClients(b, eng.PredictSQL)
 	})
 	// Cache disabled and MaxWait zeroed: measures raw coalescer overhead.
-	// The batch-level wins (concurrent encode, conv fan-out across cores)
+	// The batch-level wins (handler-side encode, conv fan-out across cores)
 	// need GOMAXPROCS > 1; on a single-core host this path degrades
 	// gracefully to serial-equivalent throughput instead of beating it.
 	b.Run("coalesced-nocache", func(b *testing.B) {

@@ -193,34 +193,20 @@ func (m *Prestroid) Prepare(traces []*workload.Trace) {
 		if _, ok := m.cache[tr]; ok {
 			continue
 		}
-		m.adopt(tr, m.encodeTrace(tr))
+		m.adopt(tr, m.encodePlan(tr.Plan))
 	}
 }
 
-// encodeTrace recasts, samples and flattens one trace's plan. It reads only
-// immutable state (config, encoder tables, Word2Vec vectors) and allocates
-// fresh trees, so it is safe to call from many goroutines at once.
-func (m *Prestroid) encodeTrace(tr *workload.Trace) []*treecnn.Tree {
-	_, trees, _ := m.encodePlan(tr.Plan)
-	return trees
-}
-
-// encodePlan is the single recast/sample/flatten path behind encodeTrace and
-// the prepared-template front end. Besides the flattened trees it returns the
-// recast root and, per tree, the O-T-P node that produced each feature row —
-// the correspondence the template rebind path needs to re-featurize only
-// literal-sensitive rows. Sub-tree sampling reads structure only (Left/Right
-// pointers), so isomorphic recasts of two queries sharing a template yield
-// row lists pointing at corresponding node positions.
-func (m *Prestroid) encodePlan(plan *logicalplan.Node) (*otp.Node, []*treecnn.Tree, [][]*otp.Node) {
+// encodePlan is the single recast/sample/flatten path behind Prepare,
+// EncodeTrace and the prepared-template front end. It reads only immutable
+// state (config, encoder tables, Word2Vec vectors) and allocates fresh trees,
+// so it is safe to call from many goroutines at once.
+func (m *Prestroid) encodePlan(plan *logicalplan.Node) []*treecnn.Tree {
 	root := otp.Recast(plan)
 	qctx := m.pipe.Enc.NewQueryContext(root)
 	if m.cfg.K <= 0 {
-		// Full-tree model: one tree over the BFS node order with every node
-		// voting (flatten treats nil votes as all-1, matching FlattenFull).
-		nodes := treecnn.BFSNodes(root)
-		full := treecnn.FlattenSubTree(subtree.SubTree{Nodes: nodes}, m.pipe.Enc, qctx)
-		return root, []*treecnn.Tree{full}, [][]*otp.Node{nodes}
+		// Full-tree model: one tree over the BFS node order, every node voting.
+		return []*treecnn.Tree{treecnn.FlattenFull(root, m.pipe.Enc, qctx)}
 	}
 	var samples []subtree.SubTree
 	switch m.cfg.Sampling {
@@ -241,7 +227,6 @@ func (m *Prestroid) encodePlan(plan *logicalplan.Node) (*otp.Node, []*treecnn.Tr
 		samples = subtree.Select(samples, m.cfg.K)
 	}
 	trees := make([]*treecnn.Tree, 0, len(samples))
-	rows := make([][]*otp.Node, 0, len(samples))
 	for _, st := range samples {
 		ft := treecnn.FlattenSubTree(st, m.pipe.Enc, qctx)
 		if m.cfg.DisableVotes {
@@ -253,9 +238,8 @@ func (m *Prestroid) encodePlan(plan *logicalplan.Node) (*otp.Node, []*treecnn.Tr
 			ft.Rehash()
 		}
 		trees = append(trees, ft)
-		rows = append(rows, st.Nodes)
 	}
-	return root, trees, rows
+	return trees
 }
 
 // adopt installs pre-computed encodings in the cache. Like every other
@@ -274,11 +258,11 @@ func (m *Prestroid) adopt(tr *workload.Trace, trees []*treecnn.Tree) {
 	}
 }
 
-// EncodeTrace implements the serving layer's concurrent-encoding split: it
+// EncodeTrace implements the serving layer's off-lock encoding split: it
 // computes a trace's encodings without touching the shared cache, so a
-// batcher may fan the expensive recast/sample/flatten work across
-// goroutines before the serialised Predict call.
-func (m *Prestroid) EncodeTrace(tr *workload.Trace) any { return m.encodeTrace(tr) }
+// request's own goroutine does the expensive recast/sample/flatten work
+// before the serialised Predict call.
+func (m *Prestroid) EncodeTrace(tr *workload.Trace) any { return m.encodePlan(tr.Plan) }
 
 // AdoptEncoding installs an encoding produced by EncodeTrace. It mutates the
 // cache and must run on the goroutine that owns the model, before Predict.
@@ -529,60 +513,34 @@ func (m *Prestroid) PredictInto(batch []*workload.Trace, dst []float64) {
 }
 
 // inferConv fills out (batch, slots*convOut) with pooled conv features,
-// fanning traces across cores with every worker convolving inside a pooled
-// arena. serving selects PredictInto's configuration — the conv cache and,
-// in quantised mode, the int8 kernels; without it every tree is convolved on
-// the float kernels. The conv stack is pure at inference and each row is
-// computed in the serial loop's operation order, so outputs do not depend on
-// batch composition. out must not live in the conv workers' arenas.
+// fanning traces across cores. serving selects PredictInto's configuration —
+// the conv cache and, in quantised mode, the int8 kernels; without it every
+// tree is convolved on the float kernels. The conv stack is pure at inference
+// and each row is computed in the serial loop's operation order, so outputs
+// do not depend on batch composition. out must not live in the conv workers'
+// arenas.
 func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor, serving bool) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers <= 1 {
-		a := m.arenas.Get()
-		for bi, tr := range batch {
-			m.inferOne(bi, tr, out, a, serving)
-		}
-		m.arenas.Put(a)
+	if len(batch) == 1 {
+		// No closure for the lone trace: each's work func escapes to its
+		// workers, and steady single-query PredictInto allocates nothing.
+		m.inferOne(0, batch[0], out, serving)
 		return
 	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := m.arenas.Get()
-			defer m.arenas.Put(a)
-			for {
-				bi := int(atomic.AddInt64(&next, 1))
-				if bi >= len(batch) {
-					return
-				}
-				if m.sem != nil {
-					m.sem <- struct{}{}
-				}
-				m.inferOne(bi, batch[bi], out, a, serving)
-				if m.sem != nil {
-					<-m.sem
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	m.each(len(batch), func(bi, _ int) { m.inferOne(bi, batch[bi], out, serving) })
 }
 
-// inferOne convolves one trace's trees into row bi of out. When serving, each
-// sub-tree is answered from the conv cache if its pooled output is already
-// known and deposited there otherwise. Safe to call from multiple goroutines
-// for distinct bi (the cache is concurrency-safe by contract).
-func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, a *tensor.Arena, serving bool) {
+// inferOne convolves one trace's trees into row bi of out, inside a pooled
+// arena. When serving, each sub-tree is answered from the conv cache if its
+// pooled output is already known and deposited there otherwise. Safe to call
+// from multiple goroutines for distinct bi (the arena pool and the cache are
+// concurrency-safe by contract).
+func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, serving bool) {
 	cache, quantized := m.convCache, m.quantized
 	if !serving {
 		cache, quantized = nil, false
 	}
+	a := m.arenas.Get()
+	defer m.arenas.Put(a)
 	od := m.conv.OutDim()
 	row := out.Row(bi)
 	for ti, tree := range m.convTrees(tr) {

@@ -59,28 +59,18 @@ func assertTreesIdentical(t *testing.T, label string, got, want []*treecnn.Tree)
 
 // TestTemplateRebindByteIdentical is the core template-cache guarantee: an
 // encoding built from a skeleton query, rebound to a literal variant's plan,
-// must reproduce the full encode path byte for byte — in the default Word2Vec
-// mode, the HashedPredicates ablation, and the full-tree (K=0) layout.
+// must reproduce the full encode path byte for byte — in the sub-tree and the
+// full-tree (K=0) layouts.
 func TestTemplateRebindByteIdentical(t *testing.T) {
 	b := bed(t)
-	hashedEnc := *b.pipe.Enc
-	hashedEnc.HashedPredicates = true
-	hashedPipe := &Pipeline{W2V: b.pipe.W2V, Enc: &hashedEnc}
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
-		pipe *Pipeline
 		k    int
-	}{
-		{"w2v-subtree", b.pipe, 5},
-		{"w2v-full", b.pipe, 0},
-		{"hashed-subtree", hashedPipe, 5},
-		{"hashed-full", hashedPipe, 0},
-	}
-	for _, tc := range cases {
+	}{{"w2v-subtree", 5}, {"w2v-full", 0}} {
 		cfg := DefaultPrestroidConfig(15, tc.k)
 		cfg.ConvWidths = []int{8}
 		cfg.DenseWidths = []int{8}
-		m := NewPrestroid(cfg, tc.pipe)
+		m := NewPrestroid(cfg, b.pipe)
 		for _, pair := range templatePairs {
 			skel, err := logicalplan.PlanSQL(pair.skeleton)
 			if err != nil {
@@ -99,50 +89,56 @@ func TestTemplateRebindByteIdentical(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: rebind rejected a genuine template match", tc.name)
 			}
-			_, want, _ := m.encodePlan(variant)
-			assertTreesIdentical(t, tc.name+"/variant", got, want)
+			assertTreesIdentical(t, tc.name+"/variant", got, m.encodePlan(variant))
 			// And rebinding back to the skeleton must reproduce the original.
 			self, ok := te.Rebind(skel)
 			if !ok {
 				t.Fatalf("%s: self-rebind rejected", tc.name)
 			}
-			_, wantSelf, _ := m.encodePlan(skel)
-			assertTreesIdentical(t, tc.name+"/self", self, wantSelf)
+			assertTreesIdentical(t, tc.name+"/self", self, m.encodePlan(skel))
 		}
 	}
 }
 
-// TestTemplateRebindRejectsShapeMismatch: a plan whose recast shape differs
-// from the template's must be rejected, never mis-featurized. Only the
-// sensitive (hashed) mode re-walks the plan; the insensitive mode's trees are
-// correct for any literal variant by construction.
-func TestTemplateRebindRejectsShapeMismatch(t *testing.T) {
+// TestTemplateEncodingNilWhenLiteralSensitive: the HashedPredicates ablation
+// hashes full predicate text, so the trees of one query are not the trees of
+// its literal variants and the pipeline has no template encoding — the
+// serving layer then keeps skeleton-only entries and encodes every query
+// from its own plan. The test first shows the premise (two variants really do
+// encode differently), then the contract.
+func TestTemplateEncodingNilWhenLiteralSensitive(t *testing.T) {
 	b := bed(t)
 	e := *b.pipe.Enc
 	e.HashedPredicates = true
-	pipe := &Pipeline{W2V: b.pipe.W2V, Enc: &e}
 	cfg := DefaultPrestroidConfig(15, 5)
 	cfg.ConvWidths = []int{8}
 	cfg.DenseWidths = []int{8}
-	m := NewPrestroid(cfg, pipe)
+	m := NewPrestroid(cfg, &Pipeline{W2V: b.pipe.W2V, Enc: &e})
 
-	skel, err := logicalplan.PlanSQL("SELECT a FROM t JOIN u ON t.id = u.id WHERE a > 1")
+	skel, err := logicalplan.PlanSQL(templatePairs[0].skeleton)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := logicalplan.PlanSQL("SELECT a FROM t WHERE a > 1 AND b < 2 OR a = 3")
+	variant, err := logicalplan.PlanSQL(templatePairs[0].variant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	te := m.BuildTemplateEncoding(skel)
-	if _, ok := te.Rebind(other); ok {
-		t.Fatal("rebind accepted a structurally different plan")
+	same := true
+	vt := m.encodePlan(variant)
+	for i, tree := range m.encodePlan(skel) {
+		same = same && tree.Hash == vt[i].Hash
+	}
+	if same {
+		t.Fatal("hashed-predicate trees of two literal variants hash alike; the mode is not literal-sensitive")
+	}
+	if te := m.BuildTemplateEncoding(skel); te != nil {
+		t.Fatal("a literal-sensitive pipeline produced a shareable template encoding")
 	}
 }
 
-// TestTemplateEncodingSharedTreesStable: in the insensitive mode Rebind hands
-// out the cached trees themselves; two rebinds must return the same trees so
-// conv-cache hashes replay across literal variants.
+// TestTemplateEncodingSharedTreesStable: Rebind hands out the cached trees
+// themselves; two rebinds must return the same trees so conv-cache hashes
+// replay across literal variants.
 func TestTemplateEncodingSharedTreesStable(t *testing.T) {
 	b := bed(t)
 	cfg := DefaultPrestroidConfig(15, 5)
@@ -162,7 +158,7 @@ func TestTemplateEncodingSharedTreesStable(t *testing.T) {
 	c, _ := te.Rebind(variant)
 	for i := range a {
 		if a[i] != c[i] {
-			t.Fatal("insensitive rebind should share the cached trees")
+			t.Fatal("rebind should share the cached trees")
 		}
 	}
 }

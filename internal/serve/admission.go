@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -48,26 +49,36 @@ type ExpiredError struct{}
 
 func (e *ExpiredError) Error() string { return "request deadline expired before prediction" }
 
-// admit resolves bounded-wait dispatch for a home shard. It is pick() with
-// a wait bound layered on: detour first — a hot hash bucket must spill onto
-// idle replicas before anything is refused — and shed only when every
-// candidate shard (home included) estimates a wait past the bound. The
+// admit is the one dispatch policy: which shard computes a query whose home
+// shard's prediction cache missed. Home keeps its traffic while its estimated
+// wait is inside the bound and its queue has room. Otherwise detour first — a
+// hot hash bucket must spill onto idle replicas before anything is refused —
+// to the unsaturated peer with the smallest estimate, if that is inside the
+// bound; failing that home again if its own estimate is (a saturated home
+// still answers, through the serialised fallback); and shed only when every
+// candidate, home included, estimates a wait past the bound. Every shard of
+// an engine carries the same weights, so any peer is a valid detour. The
 // returned minWaitMicros is the smallest estimate seen across candidates,
 // which prices the Retry-After hint when shed is true.
 //
+// MaxEstWait <= 0 makes the bound infinite: nothing is ever shed, and the
+// policy reduces to "home unless its queue is saturated and a peer's is not".
+//
 // A shard with no service-time evidence yet estimates 0 and is always
 // admitted: admission control needs observations to refuse work, so a cold
-// engine behaves exactly like the pre-admission dispatcher until its first
-// flush lands.
+// engine never sheds until its first flush lands.
 func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64, shed bool) {
 	bound := se.maxEstWaitMicros
+	if bound <= 0 {
+		bound = math.Inf(1)
+	}
 	hw := home.estWaitMicros()
 	if hw <= bound && !home.saturated() {
 		return home, hw, false
 	}
-	// Candidates are pick()'s — every peer — minus the saturated ones, ranked
-	// by wait estimate rather than raw queue depth: two equal-depth queues
-	// drain at different rates once their service times diverge.
+	// Peers are ranked by wait estimate rather than raw queue depth: two
+	// equal-depth queues drain at different rates once their service times
+	// diverge.
 	minWaitMicros = hw
 	var best *Engine
 	bestWait := 0.0
@@ -89,10 +100,6 @@ func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64,
 	if best != nil && bestWait <= bound {
 		return best, minWaitMicros, false
 	}
-	// No peer qualifies. Home keeps its traffic as long as its own estimate
-	// is inside the bound: a saturated home still answers
-	// today (through the serialised fallback), and bounded mode must not
-	// take that away — it only adds the right to refuse unbounded waits.
 	if hw <= bound {
 		return home, minWaitMicros, false
 	}
@@ -119,55 +126,40 @@ func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Pred
 
 // predictKey is PredictSQLGenCtx with the canonical key already computed, so
 // a caller that needed the key itself (the registry's canary split) does not
-// canonicalise twice.
+// canonicalise twice. The home shard — the one the key hashes to — owns the
+// key: its prediction cache is read once, here, before anything else is
+// decided, and written once, here, after whichever shard admit chose has
+// computed the answer. No other segment ever sees the key.
 //
-// Deadlines: work that is already expired is dropped here — before dispatch
-// picks a batcher — and counted against the home shard; expiry deeper in the
-// pipeline is handled by Engine.predictKey. Both surface as *ExpiredError.
+// A hit never queues, so it is served before the admission decision: hot
+// queries ride through overload for free, which keeps shed-mode throughput at
+// the unshedded peak, and a saturated home's cached answers are never
+// recomputed on a peer. A refusal surfaces as *OverloadError charged to the
+// home shard's Shed counter (and, like every miss, to its cache_misses — a
+// detoured or shed query still counts its one lookup at home).
 //
-// The only branch is how the shard is chosen. Unbounded (MaxEstWait <= 0),
-// pick() detours around a saturated home. Bounded, only a home-cache miss
-// pays the admit() check; a refusal surfaces as *OverloadError charged to the
-// home shard's Shed counter.
+// Deadlines: work that is already expired is dropped here — before the
+// lookup and before dispatch picks a batcher — and counted against the home
+// shard; expiry deeper in the pipeline is handled by Engine.miss. Both
+// surface as *ExpiredError.
 func (se *ShardedEngine) predictKey(ctx context.Context, sql, key string) (Prediction, int64, error) {
 	home := se.shards[se.shardOf(key)]
 	if ctx.Err() != nil {
 		home.tel.Expired.Inc()
 		return Prediction{}, 0, &ExpiredError{}
 	}
-	bounded := se.maxEstWaitMicros > 0
-	sh := home
-	if !bounded {
-		sh = se.pick(home)
+	if p, ok := home.cache.Get(key); ok {
+		return p, se.gen, nil
 	}
-	// One look at the home segment covers both reasons to look before
-	// computing. Bounded: a hit never queues, so it is served before the
-	// admission decision — hot templates ride through overload for free, which
-	// keeps shed-mode throughput at the unshedded peak. Detoured: a cached
-	// answer is still the cheapest path — without it hot templates would be
-	// recomputed on another shard exactly when the service is overloaded. Peek
-	// leaves the miss for the shard that serves the query.
-	if bounded || sh != home {
-		if p, ok := home.cache.Peek(key); ok {
-			return p, se.gen, nil
-		}
+	sh, minWait, shed := se.admit(home)
+	if shed {
+		home.tel.Shed.Inc()
+		return Prediction{}, 0, &OverloadError{EstWaitMicros: minWait, BoundMicros: se.maxEstWaitMicros}
 	}
-	if bounded {
-		var minWait float64
-		var shed bool
-		if sh, minWait, shed = se.admit(home); shed {
-			home.tel.Shed.Inc()
-			return Prediction{}, 0, &OverloadError{EstWaitMicros: minWait, BoundMicros: se.maxEstWaitMicros}
-		}
-	}
-	p, err := sh.predictKey(ctx, sql, key)
+	p, err := sh.miss(ctx, sql, key)
 	if err != nil {
 		return Prediction{}, 0, err
 	}
-	if sh != home {
-		// Deposit the result where future lookups will hash: an entry stranded
-		// only on the detour shard is unreachable once the home queue drains.
-		home.cache.Put(key, p)
-	}
+	home.cache.Put(key, p)
 	return p, se.gen, nil
 }

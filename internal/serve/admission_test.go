@@ -160,7 +160,7 @@ func TestExpiredDroppedBeforeDispatch(t *testing.T) {
 	if got := se.shards[0].tel.Expired.Load(); got != 1 {
 		t.Fatalf("home Expired = %d, want 1", got)
 	}
-	if q := se.shards[0].queued(); q != 0 {
+	if q := len(se.shards[0].jobs); q != 0 {
 		t.Fatalf("expired work reached the batcher queue (depth %d)", q)
 	}
 }
@@ -231,7 +231,7 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	sql := "SELECT a FROM t WHERE a > 7"
-	_, err := eng.predictKey(ctx, sql, CanonicalSQL(sql))
+	_, err := eng.miss(ctx, sql, CanonicalSQL(sql))
 	var expired *ExpiredError
 	if !errors.As(err, &expired) {
 		t.Fatalf("queued expiry returned %v, want *ExpiredError", err)

@@ -43,17 +43,18 @@ type Config struct {
 	SubtreeCacheSize int
 	// TemplateCacheSize is the total number of prepared-template entries the
 	// front-end cache retains, keyed by the query's literal-stripped template;
-	// 0 disables it. A hit replaces the lex/parse/plan/featurize pipeline with
-	// a literal rebind over the cached skeleton and encoding, producing
-	// byte-identical predictions. Like the other budgets, a ShardedEngine
-	// splits it evenly across shards.
+	// 0 disables it. A hit replaces lex and parse with a literal rebind over
+	// the cached skeleton and — once a prediction deposited the template's
+	// trees — the whole encode with those trees, producing byte-identical
+	// predictions. Like the other budgets, a ShardedEngine splits it evenly
+	// across shards.
 	TemplateCacheSize int
 	// MaxEstWait is the bounded-latency admission target: a query whose
 	// estimated wait (queue depth × EWMA service time) exceeds it on every
-	// candidate shard is shed instead of enqueued. 0 (the default) disables
-	// shedding entirely — dispatch then takes the exact pre-admission path,
-	// byte for byte. Only the sharded dispatcher consults it; a bare Engine
-	// never sheds.
+	// candidate shard is shed instead of enqueued. 0 (the default) = the
+	// bound is infinite: never shed — the one dispatch policy then only
+	// detours around a saturated home shard. Only the sharded dispatcher
+	// consults it; a bare Engine never sheds.
 	MaxEstWait time.Duration
 	// Quantize routes inference through the model's int8 kernels when the
 	// model supports them (models.Quantizer). Predictions then carry a
@@ -79,11 +80,16 @@ func DefaultConfig() Config {
 		Replicas: DefaultReplicas(), SubtreeCacheSize: 4096, TemplateCacheSize: 4096}
 }
 
-// concurrentEncoder is the optional model interface that splits Prepare into
-// a pure per-trace encode (safe on many goroutines) and a cache install that
-// must run on the model-owning goroutine. Prestroid implements it.
-type concurrentEncoder interface {
+// offLockEncoder is the one optional model interface the miss path encodes
+// through. EncodeTrace and BuildTemplateEncoding are the same pure per-plan
+// encode (safe on any goroutine; the latter wraps the trees as a template
+// entry's encoding, or returns nil when the pipeline's trees are not shared
+// between literal variants); AdoptEncoding installs the result and must run
+// on the goroutine that owns the model. Prestroid implements it. Every other
+// model encodes in Prepare, under the lock.
+type offLockEncoder interface {
 	EncodeTrace(tr *workload.Trace) any
+	BuildTemplateEncoding(plan *logicalplan.Node) *models.TemplateEncoding
 	AdoptEncoding(tr *workload.Trace, enc any)
 }
 
@@ -96,23 +102,23 @@ type predictJob struct {
 	ctx   context.Context
 	trace *workload.Trace
 	key   string // canonical SQL, for single-flight dedup in flush
-	// enc carries the trace's feature encoding when something computed it
-	// ahead of the model call: the template front end submits it pre-filled
-	// from its cached featurization, or the flush's concurrent encode stage
-	// fills it. Either way it was produced by this engine's own pipeline, so
-	// the flush adopts it unconditionally; a job without one is encoded by
-	// Prepare from the trace's plan, byte-identically.
+	// enc is the trace's feature encoding, built (or taken from the template
+	// segment) by the handler's frontEnd through this engine's own pipeline,
+	// so whoever runs the model adopts it unconditionally. nil only for a
+	// model without an off-lock encode, which Prepare encodes from the plan.
 	enc  any
 	done chan float64 // buffered; receives the normalised prediction
 }
 
-// Engine is the batched, concurrent inference front end around a Predictor.
-// Handler goroutines parse and plan SQL concurrently, then hand their traces
-// to a single batcher goroutine that coalesces everything in flight
-// (bounded by MaxBatch/MaxWait), fans the feature encoding out across
-// goroutines, and issues one Model.Predict per coalesced group — replacing
-// the old predict-one-query-under-a-global-mutex path. An LRU keyed by
-// canonicalised SQL short-circuits repeated templates entirely.
+// Engine is the batched, concurrent inference front end around a Predictor,
+// and every stage of its miss path has one owner. The handler goroutine owns
+// parse → plan → encode (frontEnd: template lookup and rebind or a full
+// parse, then the plan, then the model's off-lock encode, at most once). The
+// batcher goroutine owns the model (flush: one adopt → predict → evict round
+// trip per coalesced group, bounded by MaxBatch/MaxWait) — replacing the old
+// predict-one-query-under-a-global-mutex path. The key's home shard owns the
+// finished prediction: an LRU keyed by canonicalised SQL, read once before
+// any of this and written once after it.
 //
 // An Engine is immutable: the predictor (model replica, pipeline,
 // normaliser), the generation, the three cache segments and the kernel mode
@@ -199,8 +205,8 @@ func newEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGro
 		}
 	}
 	if cfg.TemplateCacheSize > 0 {
-		// No model probe: skeleton-only entries already skip lex/parse/plan,
-		// so the cache pays off even for models without rebindable encodings.
+		// No model probe: skeleton-only entries already skip lex and parse, so
+		// the cache pays off even for models without shareable encodings.
 		e.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &tel.TemplateHits, &tel.TemplateMisses)
 	}
 	if cfg.Quantize || envQuantize {
@@ -233,154 +239,157 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// PredictSQL parses, plans, encodes and costs one query through the cache
-// and the coalescer. Identical SQL always yields byte-identical predictions:
-// cache hits replay the stored result, and per-row model outputs are
-// independent of batch composition.
+// PredictSQL costs one query on a bare engine, which is its own home shard:
+// one look at the prediction cache, the miss path, one deposit. Identical SQL
+// always yields byte-identical predictions: cache hits replay the stored
+// result, and per-row model outputs are independent of batch composition.
 func (e *Engine) PredictSQL(sql string) (Prediction, error) {
-	return e.predictKey(context.Background(), sql, CanonicalSQL(sql))
+	key := CanonicalSQL(sql)
+	if p, ok := e.cache.Get(key); ok {
+		return p, nil
+	}
+	p, err := e.miss(context.Background(), sql, key)
+	if err == nil {
+		e.cache.Put(key, p)
+	}
+	return p, err
 }
 
-// frontEnd is the result of resolving one query through the prepared-template
-// cache: the logical plan (always exact — on a hit it is planned from the
-// rebound statement, carrying the request's own literals), the pre-rebound
-// feature encoding when the cached entry had one, and the deposit the caller
-// should make on a miss.
-type frontEnd struct {
-	plan *logicalplan.Node
-	enc  any                  // pre-rebound trees; nil when unavailable
-	tkey string               // template key to deposit under; "" = no deposit
-	stmt *sqlparse.SelectStmt // parsed skeleton to deposit
+// prepared is one query past the front end: the planned trace (the plan is
+// always exact — on a template hit it is planned from the rebound statement,
+// carrying the request's own literals), its encoding, and the template entry
+// the caller owes the segment once the answer is back.
+type prepared struct {
+	trace *workload.Trace
+	enc   any    // the model's encoding of the plan; nil without an offLockEncoder
+	tkey  string // the query's template key; "" when it has none
+	// ent is the entry to deposit under tkey — the skeleton plus, when they
+	// are shareable, the trees in enc; nil when the segment lacks nothing.
+	ent *templateEntry
 }
 
-// resolveSQL turns sql into a logical plan through the template cache. On a
-// hit it skips lexing and parsing entirely: the cached skeleton is rebound
-// with the query's literal vector (extracted in the same single lexer pass
-// that produced the key) and replanned, so every downstream consumer — the
-// batcher, the serialised fallback — sees a plan
-// byte-identical to what the full parse would have built. Errors are
+// frontEnd is the whole front end of a query, run once on the handler's
+// goroutine: template lookup and rebind or lex and parse, then plan, then —
+// when encode is set (a prediction; explain stops at the plan) — the model's
+// off-lock encode, at most once.
+//
+// A template hit skips lexing and parsing entirely: the cached skeleton is
+// rebound with the query's literal vector (extracted in the same single lexer
+// pass that produced the key) and replanned, so everything downstream sees a
+// plan byte-identical to what the full parse would have built. Errors are
 // byte-identical to the uncached path's: extraction failures and rebind
 // mismatches (impossible for a genuine template match, but handled
 // defensively) fall through to the full parse, which reproduces the exact
 // error the caller would have seen without a cache.
-func (e *Engine) resolveSQL(sql string) (frontEnd, error) {
-	if e.tmplCache == nil {
-		plan, err := logicalplan.PlanSQL(sql)
-		return frontEnd{plan: plan}, err
-	}
-	tkey, lits, ok := sqlparse.ExtractTemplate(sql)
-	if !ok {
-		plan, err := logicalplan.PlanSQL(sql)
-		return frontEnd{plan: plan}, err
-	}
-	if ent, ok := e.tmplCache.Get(tkey); ok {
-		if stmt, err := ent.stmt.Rebind(lits); err == nil {
-			if plan, err := logicalplan.Plan(stmt); err == nil {
-				fe := frontEnd{plan: plan}
-				if ent.enc != nil {
-					if trees, ok := ent.enc.Rebind(plan); ok {
-						fe.enc = trees
+//
+// A hit on an entry that carries trees reuses them — they are the encoding of
+// every literal variant of the template. Everything else (template miss,
+// skeleton-only hit, template cache off) encodes here, and the trees just
+// built are the entry the caller deposits: nothing is encoded a second time,
+// by the batcher, the serialised fallback or the deposit.
+func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
+	var fe prepared
+	var plan *logicalplan.Node
+	var hit *templateEntry // the segment's entry for this query's template
+	if e.tmplCache != nil {
+		if tkey, lits, ok := sqlparse.ExtractTemplate(sql); ok {
+			fe.tkey = tkey
+			if ent, ok := e.tmplCache.Get(tkey); ok {
+				if stmt, err := ent.stmt.Rebind(lits); err == nil {
+					if plan, err = logicalplan.Plan(stmt); err == nil {
+						hit = ent
 					}
-				} else {
-					// Skeleton-only entry (explain-warmed): keep the deposit
-					// fields so a prediction taking this hit enriches it with a
-					// rebindable featurization — Put upgrades in place.
-					fe.tkey, fe.stmt = tkey, ent.stmt
 				}
-				return fe, nil
 			}
 		}
 	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return frontEnd{}, err
-	}
-	plan, err := logicalplan.Plan(stmt)
-	if err != nil {
-		return frontEnd{}, err
-	}
-	return frontEnd{plan: plan, tkey: tkey, stmt: stmt}, nil
-}
-
-// depositTemplate lands a miss's skeleton — and, when the model supports
-// rebindable encodings, its featurization of the plan — in the template
-// cache. It runs on the handler goroutine after the prediction returned: the
-// featurization is the one-time cost that turns every later sight of the
-// template into a rebind. No lock is needed: BuildTemplateEncoding reads only
-// the pipeline's immutable tables.
-func (e *Engine) depositTemplate(fe frontEnd) {
-	if fe.tkey == "" {
-		return
-	}
+	var skel *sqlparse.SelectStmt
 	var te *models.TemplateEncoding
-	if tm, ok := e.pred.Model.(templateEncoder); ok {
-		te = tm.BuildTemplateEncoding(fe.plan)
+	if hit != nil {
+		skel, te = hit.stmt, hit.enc
+	} else {
+		var err error
+		if skel, err = sqlparse.Parse(sql); err != nil {
+			return prepared{}, err
+		}
+		if plan, err = logicalplan.Plan(skel); err != nil {
+			return prepared{}, err
+		}
 	}
-	e.tmplCache.Put(fe.tkey, &templateEntry{stmt: fe.stmt, enc: te})
+	fe.trace = &workload.Trace{SQL: sql, Plan: plan, Template: -1}
+	if m, ok := e.pred.Model.(offLockEncoder); ok && encode {
+		if te == nil && fe.tkey != "" {
+			te = m.BuildTemplateEncoding(plan)
+		}
+		if te != nil {
+			fe.enc = te.Trees()
+		} else {
+			fe.enc = m.EncodeTrace(fe.trace)
+		}
+	}
+	// Deposit only what the segment lacks: a new template, or the trees a
+	// skeleton-only (explain-warmed) entry was missing — Put upgrades in place.
+	if fe.tkey != "" && (hit == nil || te != hit.enc) {
+		fe.ent = &templateEntry{stmt: skel, enc: te}
+	}
+	return fe, nil
 }
 
-// PlanOnly resolves sql to its logical plan through the same template front
-// end as prediction — a hit skips lex and parse — depositing skeleton-only
-// entries on a miss so explain traffic warms the cache for predictions (and
-// vice versa). This is the explain path's entry point; it never touches the
-// batcher or the model.
+// PlanOnly resolves sql to its logical plan through the same front end as
+// prediction, minus the encode — a hit skips lex and parse — depositing
+// skeleton-only entries on a miss so explain traffic warms the cache for
+// predictions (and vice versa). This is the explain path's entry point; it
+// never touches the batcher or the model.
 func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
-	fe, err := e.resolveSQL(sql)
+	fe, err := e.frontEnd(sql, false)
 	if err != nil {
 		return nil, err
 	}
-	if fe.tkey != "" {
-		e.tmplCache.Put(fe.tkey, &templateEntry{stmt: fe.stmt})
+	if fe.ent != nil {
+		e.tmplCache.Put(fe.tkey, fe.ent)
 	}
-	return fe.plan, nil
+	return fe.trace.Plan, nil
 }
 
-// predictKey is PredictSQL with the canonical key already computed — the
-// sharded dispatcher hashes the key to pick a shard, then hands it down so
-// canonicalisation runs exactly once per request — and a request deadline
-// (context.Background() when there is none). The answer belongs to this
-// engine's generation, whichever path produced it.
+// miss is the engine's miss path, entered once the key's home shard has
+// looked its prediction cache up and found nothing (the caller deposits the
+// answer there): deadline check, frontEnd on this goroutine, submit to the
+// batcher, and the template deposit frontEnd prepared. The answer belongs to
+// this engine's generation, whichever path produced it.
 //
-// Cache hits are served regardless of the deadline — they cost nothing and
-// never touch a batcher. On a miss, work whose deadline has already passed
-// is dropped before planning (and so before any batcher), and a deadline
-// that expires while the job is queued abandons the wait without occupying a
-// model slot. Both drops count once on this shard's Expired counter and
-// surface as ExpiredError.
-func (e *Engine) predictKey(ctx context.Context, sql, key string) (Prediction, error) {
-	if p, ok := e.cache.Get(key); ok {
-		return p, nil
-	}
+// Work whose deadline has already passed is dropped before planning (and so
+// before any batcher), and a deadline that expires while the job is queued
+// abandons the wait without occupying a model slot. Both drops count once on
+// this shard's Expired counter and surface as ExpiredError.
+func (e *Engine) miss(ctx context.Context, sql, key string) (Prediction, error) {
 	if ctx.Err() != nil {
 		e.tel.Expired.Inc()
 		return Prediction{}, &ExpiredError{}
 	}
-	fe, err := e.resolveSQL(sql)
+	fe, err := e.frontEnd(sql, true)
 	if err != nil {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
-	tr := &workload.Trace{SQL: sql, Plan: fe.plan, Template: -1}
-	y, err := e.submit(ctx, tr, key, fe.enc)
+	y, err := e.submit(ctx, fe.trace, key, fe.enc)
 	if err != nil {
 		return Prediction{}, err
 	}
-	p := e.pred.prediction(fe.plan, y)
-	e.cache.Put(key, p)
-	e.depositTemplate(fe)
-	return p, nil
+	if fe.ent != nil {
+		e.tmplCache.Put(fe.tkey, fe.ent)
+	}
+	return e.pred.prediction(fe.trace.Plan, y), nil
 }
 
-// submit enqueues a planned trace and blocks for its prediction. The job
-// carries ctx into the queue, and the wait is abandoned the moment the
-// deadline passes — the flush that eventually drains the job sees its dead
-// context and drops it before the model runs, so an expired request never
-// occupies a model slot. A result that is already delivered when the
-// deadline fires is still returned rather than wasted. When the queue is
-// saturated or the engine is closed, submit degrades to the serialised
-// single-query path (one model round trip under the predictor lock) instead
-// of blocking or failing. enc carries a template-cache featurization into the
-// job; the serialised fallback ignores it and re-encodes from the plan,
-// byte-identically.
+// submit hands an encoded trace to the batcher, which owns the model, and
+// blocks for its prediction. The job carries ctx into the queue, and the wait
+// is abandoned the moment the deadline passes — the flush that eventually
+// drains the job sees its dead context and drops it before the model runs, so
+// an expired request never occupies a model slot. A result that is already
+// delivered when the deadline fires is still returned rather than wasted.
+// When the queue is saturated or the engine is closed, submit degrades to the
+// serialised single-query path (one model round trip under the predictor
+// lock) instead of blocking or failing; that path adopts the same enc, so the
+// overloaded shard does not encode the query again.
 func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc any) (float64, error) {
 	e.mu.RLock()
 	if !e.closed {
@@ -408,12 +417,8 @@ func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc
 		e.tel.Expired.Inc()
 		return 0, &ExpiredError{}
 	}
-	return e.pred.predictTrace(tr), nil
+	return e.pred.predictTrace(tr, enc), nil
 }
-
-// queued reports how many jobs are waiting in the engine's queue; the
-// sharded dispatcher uses it to find the least-loaded shard.
-func (e *Engine) queued() int { return len(e.jobs) }
 
 // saturated reports whether a non-blocking submit would fall back to the
 // serialised path; the sharded dispatcher routes around a saturated home
@@ -470,11 +475,13 @@ func (e *Engine) collect(first *predictJob, wait bool) []*predictJob {
 	return batch
 }
 
-// flush encodes a coalesced batch concurrently, runs one serialised
-// Prepare/Predict/Evict round trip, and wakes every waiting handler.
-// Concurrent misses of the same template — all in flight before the first
-// result could reach the cache — are single-flighted: the model sees one
-// row per distinct canonical key and every duplicate job shares its answer.
+// flush retires one coalesced batch: drop expired jobs, single-flight the
+// rest, one serialised adopt → predict → evict round trip on the model, wake
+// every waiting handler. There is no encode stage — each job arrives with the
+// encoding its handler built. Concurrent misses of the same query — all in
+// flight before the first result could reach the cache — are single-flighted:
+// the model sees one row per distinct canonical key and every duplicate job
+// shares its answer.
 func (e *Engine) flush(batch []*predictJob) {
 	start := time.Now()
 	// Deadline-expired jobs are dropped here, before the single-flight dedup
@@ -498,83 +505,32 @@ func (e *Engine) flush(batch []*predictJob) {
 		return
 	}
 	batch = live
-	uniq := make([]*predictJob, 0, len(batch))
+	traces := make([]*workload.Trace, 0, len(batch))
+	encs := make([]any, 0, len(batch))
 	rows := make([]int, len(batch))
 	rowOf := make(map[string]int, len(batch))
 	for i, j := range batch {
-		if r, ok := rowOf[j.key]; ok {
-			rows[i] = r
-			continue
+		r, ok := rowOf[j.key]
+		if !ok {
+			r = len(traces)
+			rowOf[j.key] = r
+			traces = append(traces, j.trace)
+			encs = append(encs, j.enc)
 		}
-		rowOf[j.key] = len(uniq)
-		rows[i] = len(uniq)
-		uniq = append(uniq, j)
+		rows[i] = r
 	}
-	traces := make([]*workload.Trace, len(uniq))
-	for i, j := range uniq {
-		traces[i] = j.trace
-	}
-	// The encode fan-out is pure and runs outside the lock. Jobs that arrived
-	// with a template-cache featurization (enc already set) skip it.
-	m := e.pred.Model
-	ce, canEncode := m.(concurrentEncoder)
-	var fanned []*predictJob
-	if canEncode {
-		for _, j := range uniq {
-			if j.enc == nil {
-				fanned = append(fanned, j)
-			}
-		}
-	}
-	// A lone un-encoded job gains nothing from a goroutine hop; Prepare
-	// handles it under the lock, as the pre-template-cache engine did.
-	if len(fanned) > 1 {
-		var wg sync.WaitGroup
-		for _, j := range fanned {
-			wg.Add(1)
-			go func(j *predictJob) {
-				defer wg.Done()
-				j.enc = ce.EncodeTrace(j.trace)
-			}(j)
-		}
-		wg.Wait()
-	}
-	e.pred.mu.Lock()
-	// Every pre-computed encoding came from this engine's own pipeline —
-	// fanned out above or rebound from its template segment — so all are
-	// adopted; Prepare encodes whatever is left from the job's exact plan.
-	if canEncode {
-		for _, j := range uniq {
-			if j.enc != nil {
-				ce.AdoptEncoding(j.trace, j.enc)
-			}
-		}
-	}
-	m.Prepare(traces)
-	// The outputs land in a batcher-owned slice either way: PredictInto
-	// writes them there directly (no model-owned tensor escapes the lock,
-	// and a warmed-up arena-backed model allocates nothing), and the legacy
-	// path copies before the unlock for the same reason — the next flush may
-	// reuse the model's output buffer.
+	// The outputs land in a batcher-owned slice: no model-owned tensor
+	// escapes the lock, and the next flush may reuse the model's buffers.
 	ys := make([]float64, len(traces))
-	if ip, ok := m.(models.IntoPredictor); ok {
-		ip.PredictInto(traces, ys)
-	} else {
-		copy(ys, m.Predict(traces).Data)
-	}
-	if ev, ok := m.(evicter); ok {
-		ev.Evict(traces)
-	}
-	e.pred.mu.Unlock()
+	e.pred.predictInto(traces, encs, ys)
 
 	e.tel.Batches.Inc()
 	e.tel.Coalesced.Add(int64(len(batch)))
-	e.tel.BatchSizes.Observe(int64(len(uniq)))
-	// Per-query drain time: the whole flush (encode fan-out + model call)
-	// divided by the jobs it retired. Duplicates count — they drain queue
-	// slots in the same flush — so the EWMA reflects the real rate at which
-	// queued work clears, which is exactly what queue-depth × service-time
-	// admission estimates need.
+	e.tel.BatchSizes.Observe(int64(len(traces)))
+	// Per-query drain time: the whole flush divided by the jobs it retired.
+	// Duplicates count — they drain queue slots in the same flush — so the
+	// EWMA reflects the real rate at which queued work clears, which is
+	// exactly what queue-depth × service-time admission estimates need.
 	e.tel.ServiceTime.Observe(float64(time.Since(start).Nanoseconds()) / 1e3 / float64(len(batch)))
 	for i, j := range batch {
 		j.done <- ys[rows[i]]

@@ -76,34 +76,26 @@ func (c *lru[K, V]) touch(n *lruNode[K, V]) {
 	}
 }
 
-// Get returns the value cached under k, marking it most recently used.
-// Values are immutable after admission; callers only read.
-func (c *lru[K, V]) Get(k K) (V, bool) {
-	v, ok := c.Peek(k)
-	if !ok && c != nil {
-		c.misses.Inc()
-	}
-	return v, ok
-}
-
-// Peek is Get without miss accounting: a hit still counts and refreshes
-// recency, but a miss is left for whichever segment ultimately serves the
-// query, so the dispatcher's pre-detour home lookup doesn't double-count.
-func (c *lru[K, V]) Peek(k K) (v V, ok bool) {
+// Get returns the value cached under k, marking it most recently used, and
+// counts the lookup as a hit or a miss. Values are immutable after admission;
+// callers only read.
+func (c *lru[K, V]) Get(k K) (v V, ok bool) {
 	if c == nil {
 		return v, false
 	}
 	c.mu.Lock()
 	n, ok := c.items[k]
-	if !ok {
-		c.mu.Unlock()
-		return v, false
+	if ok {
+		c.touch(n)
+		v = n.val
 	}
-	c.touch(n)
-	v = n.val
 	c.mu.Unlock()
-	c.hits.Inc()
-	return v, true
+	if ok {
+		c.hits.Inc()
+	} else {
+		c.misses.Inc()
+	}
+	return v, ok
 }
 
 // Put deposits a value, evicting least recently used entries when full:

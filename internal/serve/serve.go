@@ -91,7 +91,7 @@ func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
 	tr := &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-	return p.prediction(plan, p.predictTrace(tr)), nil
+	return p.prediction(plan, p.predictTrace(tr, nil)), nil
 }
 
 // prediction renders a normalised model output for plan as the wire result,
@@ -106,28 +106,41 @@ func (p *Predictor) prediction(plan *logicalplan.Node, y float64) Prediction {
 	}
 }
 
-// predictTrace costs one already-planned trace under the model lock: the
-// per-query serialised path the batcher replaces (and degrades to when closed
-// or saturated). Models with the arena-backed PredictInto path write into a
-// stack buffer — byte-identical to Predict, without a result tensor escaping
-// the lock.
-func (p *Predictor) predictTrace(tr *workload.Trace) float64 {
+// predictInto is the one serialised model round trip, shared by the batcher
+// and the per-query fallback: under the lock, adopt every encoding a handler
+// already built (encs[i] belongs to traces[i]; nil = none), predict into ys,
+// evict. A trace without an encoding is encoded by the model from its plan,
+// byte-identically. Models with the arena-backed PredictInto path write
+// straight into ys; the legacy path copies before the unlock — either way no
+// model-owned tensor escapes the lock.
+func (p *Predictor) predictInto(traces []*workload.Trace, encs []any, ys []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	batch := []*workload.Trace{tr}
-	var y float64
+	if m, ok := p.Model.(offLockEncoder); ok {
+		for i, enc := range encs {
+			if enc != nil {
+				m.AdoptEncoding(traces[i], enc)
+			}
+		}
+	}
 	if ip, ok := p.Model.(models.IntoPredictor); ok {
-		var dst [1]float64
-		ip.PredictInto(batch, dst[:])
-		y = dst[0]
+		ip.PredictInto(traces, ys)
 	} else {
-		p.Model.Prepare(batch)
-		y = p.Model.Predict(batch).Data[0]
+		p.Model.Prepare(traces)
+		copy(ys, p.Model.Predict(traces).Data)
 	}
 	if ev, ok := p.Model.(evicter); ok {
-		ev.Evict(batch)
+		ev.Evict(traces)
 	}
-	return y
+}
+
+// predictTrace costs one already-planned trace on the serialised path the
+// batcher replaces (and degrades to when closed or saturated), adopting enc
+// when the caller already encoded the trace (nil = encode from the plan).
+func (p *Predictor) predictTrace(tr *workload.Trace, enc any) float64 {
+	var y [1]float64
+	p.predictInto([]*workload.Trace{tr}, []any{enc}, y[:])
+	return y[0]
 }
 
 // endpoints is the server's fixed route table, which doubles as the label

@@ -62,13 +62,15 @@ func Replicas(pred *Predictor, n int) []*Predictor {
 // ShardedEngine fans inference out across N independent shards. Each shard
 // is a full Engine — its own batcher goroutine, its own model replica and
 // its own segment of each cache — so shards share no mutable state and no
-// mutex. A dispatcher hashes canonical SQL to a home shard, which preserves
+// mutex. A dispatcher hashes canonical SQL to a home shard, which owns the
+// key's prediction-cache entry and normally computes its misses, preserving
 // the per-shard single-flight dedup and cache locality of the single-engine
-// design; when the home shard's queue is saturated, the query routes to the
-// least-loaded shard instead. Rerouting is safe because replicas carry
-// identical weights: every shard returns byte-identical predictions for
-// identical SQL, so the only cost of a detour is a possible duplicate cache
-// entry.
+// design; when the home shard's queue is saturated (or, with MaxEstWait set,
+// its estimated wait is past the bound), the miss is computed on the peer
+// with the shortest estimated wait instead (see admit). Rerouting is safe
+// because replicas carry identical weights: every shard returns
+// byte-identical predictions for identical SQL, and the answer is still
+// cached at home, so a detour leaves no duplicate entry behind.
 //
 // A ShardedEngine is one generation of one serving identity, and immutable:
 // replicas, pipeline, normaliser, generation and cache segments are fixed by
@@ -84,8 +86,7 @@ type ShardedEngine struct {
 	gen    int64
 
 	// maxEstWaitMicros is the bounded-wait admission target in microseconds
-	// (Config.MaxEstWait). <= 0 disables shedding: dispatch then goes through
-	// pick() alone.
+	// (Config.MaxEstWait). <= 0 means an infinite bound: admit never sheds.
 	maxEstWaitMicros float64
 
 	// name and params identify the served model on operator surfaces.
@@ -178,27 +179,6 @@ func (se *ShardedEngine) shardOf(key string) int {
 		h *= 16777619
 	}
 	return int(h % uint32(len(se.shards)))
-}
-
-// pick resolves dispatch for a home shard: home itself, or — when its queue
-// is saturated — the least-loaded other shard, so one hot hash bucket cannot
-// stall while other replicas sit idle. Every shard of an engine carries the
-// same weights, so any peer is a valid detour.
-func (se *ShardedEngine) pick(home *Engine) *Engine {
-	if len(se.shards) == 1 || !home.saturated() {
-		return home
-	}
-	best := home
-	bestQueued := -1
-	for _, sh := range se.shards {
-		if sh == home {
-			continue
-		}
-		if q := sh.queued(); bestQueued < 0 || q < bestQueued {
-			best, bestQueued = sh, q
-		}
-	}
-	return best
 }
 
 // PredictSQL is PredictSQLGenCtx with no deadline and without the

@@ -138,21 +138,20 @@ func TestShardedDispatchStable(t *testing.T) {
 	}
 }
 
-// TestShardedSaturationFallback exercises pick's routing directly on
-// unstarted engines, where queue depth is fully controlled: a saturated
-// home shard diverts to the least-loaded shard, an unsaturated one keeps
-// its traffic.
+// TestShardedSaturationFallback exercises the unbounded policy (MaxEstWait
+// 0) directly on unstarted engines, where queue depth is fully controlled: a
+// saturated home shard diverts to an unsaturated peer, an unsaturated one
+// keeps its traffic. TestDispatchSinglePolicy walks the whole table.
 func TestShardedSaturationFallback(t *testing.T) {
-	full := &Engine{jobs: make(chan *predictJob, 1)}
-	idle := &Engine{jobs: make(chan *predictJob, 1)}
+	full := waitEngine(1, 1, 0)
+	idle := waitEngine(1, 0, 0)
 	se := &ShardedEngine{shards: []*Engine{full, idle}}
 
-	full.jobs <- &predictJob{}
-	if got := se.pick(full); got != idle {
-		t.Fatal("saturated home shard did not divert to the least-loaded shard")
+	if got, _, shed := se.admit(full); shed || got != idle {
+		t.Fatal("saturated home shard did not divert to the unsaturated shard")
 	}
 	<-full.jobs
-	if got := se.pick(full); got != full {
+	if got, _, shed := se.admit(full); shed || got != full {
 		t.Fatal("unsaturated home shard lost its traffic")
 	}
 }

@@ -1,35 +1,26 @@
 package serve
 
 import (
-	"prestroid/internal/logicalplan"
 	"prestroid/internal/models"
 	"prestroid/internal/sqlparse"
 	"prestroid/internal/telemetry"
 )
 
-// templateEncoder is the optional model extension the template front end
-// probes for when depositing an entry: models that can capture their
-// featurization of a plan as a rebindable encoding let a template hit skip
-// the whole encode stage, not just parse and plan. Prestroid implements it.
-type templateEncoder interface {
-	BuildTemplateEncoding(plan *logicalplan.Node) *models.TemplateEncoding
-}
-
 // templateCache is the per-shard prepared-template segment, keyed by the
 // ExtractTemplate canonical form. A hit turns a front-end pass — lex, parse,
-// plan, recast, sample, flatten, encode — into a literal rebind over cached
-// immutable state.
+// plan, recast, sample, flatten, encode — into a literal rebind of the
+// skeleton, a plan, and the cached trees as they stand.
 //
 // The skeleton statement is weight-independent (parsing knows nothing about
 // the model), but the encoding is not: its trees were featurized by one
 // predictor identity's pipeline. Both are safe to keep for the segment's
 // whole life because the segment belongs to one engine and an engine serves
 // one identity: the explain path deposits skeleton-only entries, a
-// prediction upgrades them with the featurization in place.
+// prediction upgrades them in place with the trees it just built.
 type templateCache = lru[string, *templateEntry]
 
 // templateEntry is one cached template: the parsed skeleton and, once a
-// prediction deposited one, the model's rebindable featurization.
+// prediction deposited them, the trees every literal variant encodes to.
 type templateEntry struct {
 	stmt *sqlparse.SelectStmt
 	enc  *models.TemplateEncoding // nil until a predict deposit lands one

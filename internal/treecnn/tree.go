@@ -22,7 +22,7 @@ import (
 // downstream works from the index: layer 0 of the convolution gathers weight
 // rows through it going forward and scatters weight gradients through it
 // going backward, and the content hash digests exactly the entries it lists.
-// The flatteners, Rebinder.Rebind and Rehash build it; a Tree assembled as a
+// The flatteners and Rehash build it; a Tree assembled as a
 // struct literal has none and is indexed into scratch by each pass that
 // needs one (the Tree itself is never written by a reader). Feats stays the
 // dense source of the values; code that writes to it after flattening must
@@ -81,13 +81,6 @@ func (ix rowIndex) appendRow(i int, row []float64) rowIndex {
 	return ix
 }
 
-// appendCols lists cols, already ascending, as row i.
-func (ix rowIndex) appendCols(i int, cols []int32) rowIndex {
-	ix = append(ix, cols...)
-	ix[i+1] = int32(len(ix))
-	return ix
-}
-
 // indexRows indexes every row of x, building in buf (which must hold at
 // least x's row count plus one).
 func indexRows(x *tensor.Tensor, buf []int32) rowIndex {
@@ -142,8 +135,7 @@ const rehashBuf = 64
 // pin them down; ±0 collapse together, which is sound for a conv cache key
 // because both convolve to identical outputs. Callers that mutate a flattened
 // tree (e.g. the DisableVotes ablation) must Rehash before handing it to the
-// convolution or a cache. The index is rebuilt into a fresh slice, never in
-// place: a rebound tree may share its base's.
+// convolution or a cache.
 func (t *Tree) Rehash() {
 	t.nz = indexRows(t.Feats, make([]int32, t.Len()+1))
 	t.hash()
@@ -166,8 +158,7 @@ func (t *Tree) hash() {
 }
 
 // nodeDigest computes node i's Merkle digest from its indexed feature
-// entries, vote and the already-computed child digests in hs. Shared by
-// Rehash and the incremental Rebinder so the two can never drift. t must be
+// entries, vote and the already-computed child digests in hs. t must be
 // indexed.
 func nodeDigest(t *Tree, i int, hs []uint64) uint64 {
 	h := uint64(hashSeed)
@@ -252,11 +243,9 @@ func FlattenSubTree(st subtree.SubTree, enc *otp.Encoder, ctx *otp.QueryContext)
 	return flatten(st.Nodes, st.Votes, enc, ctx)
 }
 
-// BFSNodes enumerates a whole O-T-P tree in breadth-first order — the row
-// order FlattenFull encodes. Exported so callers that need the row ↔ node
-// correspondence (the prepared-template rebind path) see exactly the order
-// the flattener used.
-func BFSNodes(root *otp.Node) []*otp.Node {
+// bfsNodes enumerates a whole O-T-P tree in breadth-first order — the row
+// order FlattenFull encodes.
+func bfsNodes(root *otp.Node) []*otp.Node {
 	var nodes []*otp.Node
 	queue := []*otp.Node{root}
 	for len(queue) > 0 {
@@ -280,7 +269,7 @@ func BFSNodes(root *otp.Node) []*otp.Node {
 // voting — the representation used by the Prestroid-Full baseline (the tree
 // convolution segment of Neo).
 func FlattenFull(root *otp.Node, enc *otp.Encoder, ctx *otp.QueryContext) *Tree {
-	return flatten(BFSNodes(root), nil, enc, ctx)
+	return flatten(bfsNodes(root), nil, enc, ctx)
 }
 
 func childIndex(index map[*otp.Node]int, child *otp.Node) int {
