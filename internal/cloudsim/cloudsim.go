@@ -9,7 +9,6 @@ package cloudsim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -128,35 +127,6 @@ type CostRow struct {
 	Cluster   string
 	CostUSD   float64
 	OOM       bool // true when no tier fits
-}
-
-// CostCurve evaluates a job across batch sizes. scaleBatch rescales the
-// job's BatchBytes and EpochTime1GPU from a reference batch size: bytes grow
-// linearly with batch size; single-GPU epoch time shrinks sub-linearly with
-// larger batches (fewer, larger kernel launches), modelled as b^-0.25
-// relative throughput gain.
-func CostCurve(job TrainingJob, refBatch int, batchSizes []int) []CostRow {
-	rows := make([]CostRow, 0, len(batchSizes))
-	for _, b := range batchSizes {
-		j := job
-		ratio := float64(b) / float64(refBatch)
-		j.BatchBytes = int(float64(job.BatchBytes) * ratio)
-		// Larger batches amortise per-batch overhead: epoch time scales as
-		// ratio^-0.25 (diminishing returns, cf. Fig 9's flattening curves).
-		j.EpochTime1GPU = time.Duration(float64(job.EpochTime1GPU) / math.Pow(ratio, 0.25))
-		cl, cost, err := CheapestFeasible(NCv3Clusters(), j)
-		if err != nil {
-			rows = append(rows, CostRow{ModelName: job.ModelName, BatchSize: b, OOM: true})
-			continue
-		}
-		rows = append(rows, CostRow{
-			ModelName: job.ModelName,
-			BatchSize: b,
-			Cluster:   cl.Name,
-			CostUSD:   cost,
-		})
-	}
-	return rows
 }
 
 // String renders a cost row.

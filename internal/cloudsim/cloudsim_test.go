@@ -105,36 +105,6 @@ func TestEpochTimeScaling(t *testing.T) {
 	}
 }
 
-func TestCostCurveShape(t *testing.T) {
-	// Sub-tree-like job stays on NC6s across batch sizes; full-tree-like job
-	// is forced upward and eventually OOMs everywhere or pays multi-GPU $.
-	sub := TrainingJob{ModelName: "P-15*", Params: 300_000, BatchBytes: 30_000_000, EpochTime1GPU: 4 * time.Minute, Epochs: 49}
-	full := TrainingJob{ModelName: "Full-300", Params: 200_000, BatchBytes: 450_000_000, EpochTime1GPU: 12 * time.Minute, Epochs: 51}
-	batches := []int{32, 64, 128, 256}
-	subRows := CostCurve(sub, 32, batches)
-	fullRows := CostCurve(full, 32, batches)
-	for i := range batches {
-		if subRows[i].OOM {
-			t.Fatalf("sub-tree OOM at batch %d", batches[i])
-		}
-		if subRows[i].Cluster != "NC6s_V3" {
-			t.Fatalf("sub-tree left single GPU at batch %d", batches[i])
-		}
-	}
-	// Full model must leave the single-GPU tier at the largest batch.
-	last := fullRows[len(fullRows)-1]
-	if !last.OOM && last.Cluster == "NC6s_V3" {
-		t.Fatalf("full-tree unexpectedly fit a single GPU at batch 256: %+v", last)
-	}
-	// Cost gap at batch 256 should be large (paper: $76.25 vs $5.79 ≈ 13x).
-	if !last.OOM {
-		ratio := last.CostUSD / subRows[len(subRows)-1].CostUSD
-		if ratio < 3 {
-			t.Fatalf("cost ratio %v too small", ratio)
-		}
-	}
-}
-
 func TestCostRowString(t *testing.T) {
 	r := CostRow{ModelName: "m", BatchSize: 32, Cluster: "NC6s_V3", CostUSD: 5.79}
 	if r.String() == "" {

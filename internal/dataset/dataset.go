@@ -96,19 +96,6 @@ func Labels(traces []*workload.Trace, norm workload.Normalizer) *tensor.Tensor {
 	return t
 }
 
-// MaxPlanNodes returns the largest O-T-P node count across traces — the
-// padding target for full-tree models (1,945 nodes on the paper's filtered
-// Grab-Traces set).
-func MaxPlanNodes(nodeCounts []int) int {
-	max := 0
-	for _, n := range nodeCounts {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // PaddedTreeBatchBytes computes the bytes of one padded full-tree input
 // batch: features (float64) plus two child-index int32 planes, the layout a
 // batched Tree CNN implementation ships to the GPU.

@@ -114,15 +114,6 @@ func TestPaddingByteFormulas(t *testing.T) {
 	}
 }
 
-func TestMaxPlanNodes(t *testing.T) {
-	if MaxPlanNodes([]int{3, 99, 12}) != 99 {
-		t.Fatal("MaxPlanNodes wrong")
-	}
-	if MaxPlanNodes(nil) != 0 {
-		t.Fatal("empty input should be 0")
-	}
-}
-
 func TestSplitDeterministic(t *testing.T) {
 	ts := traces(100)
 	a := SplitRandom(ts, 5)

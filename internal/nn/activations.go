@@ -97,41 +97,3 @@ func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; Sigmoid has no trainable parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
-
-// Tanh applies the hyperbolic tangent element-wise.
-type Tanh struct {
-	lastOut *tensor.Tensor
-}
-
-// NewTanh returns a tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh.
-func (t *Tanh) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	out := x.Map(math.Tanh)
-	t.lastOut = out
-	return out
-}
-
-// ForwardArena is the inference fast path: tanh into arena scratch, without
-// caching the output for backward.
-func (t *Tanh) ForwardArena(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	out := a.Get(x.Shape...)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	return out
-}
-
-// Backward multiplies by 1 - tanh²(x).
-func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	g := gradOut.Clone()
-	for i := range g.Data {
-		y := t.lastOut.Data[i]
-		g.Data[i] *= 1 - y*y
-	}
-	return g
-}
-
-// Params returns nil; Tanh has no trainable parameters.
-func (t *Tanh) Params() []*Param { return nil }

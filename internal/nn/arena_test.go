@@ -36,7 +36,6 @@ func TestForwardArenaMatchesForward(t *testing.T) {
 		NewDense(6, 4, rng),
 		NewReLU(),
 		NewSigmoid(),
-		NewTanh(),
 		NewDropout(0.5, rng),
 	}
 	// Exercise each layer alone and the batch-norm over the raw input.

@@ -6,44 +6,6 @@ import (
 	"prestroid/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients, then zeroes
-// the gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param]*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Tensor)}
-}
-
-// Step applies w -= lr*(momentum*v + g) and clears gradients.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			p.W.AxpyInPlace(-s.LR, p.G)
-		} else {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = tensor.New(p.W.Shape...)
-				s.velocity[p] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = s.Momentum*v.Data[i] + p.G.Data[i]
-				p.W.Data[i] -= s.LR * v.Data[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the ADAM optimizer (Kingma & Ba), the optimizer used for
 // every deep model in the paper (learning rates 1e-3 or 1e-4 depending on
 // model and dataset).

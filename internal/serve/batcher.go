@@ -44,10 +44,12 @@ type Config struct {
 	// TemplateCacheSize is the total number of prepared-template entries the
 	// front-end cache retains, keyed by the query's literal-stripped template;
 	// 0 disables it. A hit replaces lex and parse with a literal rebind over
-	// the cached skeleton and — once a prediction deposited the template's
-	// trees — the whole encode with those trees, producing byte-identical
-	// predictions. Like the other budgets, a ShardedEngine splits it evenly
-	// across shards.
+	// the cached skeleton and — from the template's third sight on — the whole
+	// encode with the entry's trees, producing byte-identical predictions. An
+	// entry is born skeleton-only (a few hundred bytes) and gains its trees
+	// (~110 kB) the first time it is hit, so a template seen once never pins
+	// them. Like the other budgets, a ShardedEngine splits it evenly across
+	// shards.
 	TemplateCacheSize int
 	// MaxEstWait is the bounded-latency admission target: a query whose
 	// estimated wait (queue depth × EWMA service time) exceeds it on every
@@ -282,11 +284,15 @@ type prepared struct {
 // defensively) fall through to the full parse, which reproduces the exact
 // error the caller would have seen without a cache.
 //
-// A hit on an entry that carries trees reuses them — they are the encoding of
-// every literal variant of the template. Everything else (template miss,
-// skeleton-only hit, template cache off) encodes here, and the trees just
-// built are the entry the caller deposits: nothing is encoded a second time,
-// by the batcher, the serialised fallback or the deposit.
+// The template segment has one deposit rule: a template miss owes it the
+// skeleton alone — what PlanOnly deposits — and the trees are built into the
+// entry only on a hit whose entry has none yet, which Put upgrades in place.
+// "Seen before" is "the key is present": a template met once never pins its
+// ~110 kB of trees, one that recurs pays a second encode, once. A hit on an
+// entry that carries trees reuses them — they are the encoding of every
+// literal variant of the template. Whatever the path, the query is encoded at
+// most once here and never again by the batcher, the serialised fallback or
+// the deposit.
 func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
 	var fe prepared
 	var plan *logicalplan.Node
@@ -318,7 +324,7 @@ func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
 	}
 	fe.trace = &workload.Trace{SQL: sql, Plan: plan, Template: -1}
 	if m, ok := e.pred.Model.(offLockEncoder); ok && encode {
-		if te == nil && fe.tkey != "" {
+		if hit != nil && te == nil {
 			te = m.BuildTemplateEncoding(plan)
 		}
 		if te != nil {
@@ -327,8 +333,8 @@ func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
 			fe.enc = m.EncodeTrace(fe.trace)
 		}
 	}
-	// Deposit only what the segment lacks: a new template, or the trees a
-	// skeleton-only (explain-warmed) entry was missing — Put upgrades in place.
+	// Deposit only what the segment lacks: a new template's skeleton, or the
+	// trees a skeleton-only entry was missing.
 	if fe.tkey != "" && (hit == nil || te != hit.enc) {
 		fe.ent = &templateEntry{stmt: skel, enc: te}
 	}

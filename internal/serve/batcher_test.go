@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,9 +15,13 @@ import (
 // stubModel is a deterministic, instrumented models.Model: predictions are a
 // pure function of the plan, Predict blocks for delay to force queueing, and
 // an in-flight counter catches any violation of the single-goroutine model
-// contract.
+// contract. With entered set, Predict instead announces each call's batch
+// size there and holds the call until release yields, so a test decides what
+// queues behind a running flush.
 type stubModel struct {
-	delay time.Duration
+	delay   time.Duration
+	entered chan int
+	release chan struct{}
 
 	inFlight   atomic.Int32
 	violations atomic.Int32
@@ -47,6 +52,10 @@ func (m *stubModel) Predict(batch []*workload.Trace) *tensor.Tensor {
 	defer m.exit()
 	if m.delay > 0 {
 		time.Sleep(m.delay)
+	}
+	if m.entered != nil {
+		m.entered <- len(batch)
+		<-m.release
 	}
 	m.predicts.Add(1)
 	m.mu.Lock()
@@ -138,6 +147,61 @@ func TestEngineCoalesces(t *testing.T) {
 	}
 	if v := m.violations.Load(); v != 0 {
 		t.Fatalf("%d concurrent model calls observed; the contract requires serialisation", v)
+	}
+}
+
+// TestBatchIsWhatQueuedDuringTheFlush pins batch formation at MaxWait 0,
+// without a clock: a lone job's flush reaches the model with nothing queued
+// behind it — there is no second job to wait for and nothing to wait out — and
+// the k jobs that queue while that flush is held become flushes of MaxBatch
+// rows, remainder last, the moment it is released.
+func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
+	const maxBatch = 4
+	for _, k := range []int{1, 3, 4, 6, 9} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			// entered never blocks the batcher (at most k+1 flushes), and
+			// closing release lets a failed run's held flushes finish.
+			eng, m := stubEngine(t, Config{MaxBatch: maxBatch}, 0)
+			m.entered, m.release = make(chan int, k+1), make(chan struct{})
+			t.Cleanup(func() { close(m.release) })
+			var jobs []*predictJob
+			enqueue := func() {
+				sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", len(jobs))
+				fe, err := eng.frontEnd(sql, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j := &predictJob{ctx: context.Background(), trace: fe.trace, key: sql, done: make(chan float64, 1)}
+				jobs = append(jobs, j)
+				eng.jobs <- j
+			}
+
+			enqueue()
+			if n := <-m.entered; n != 1 {
+				t.Fatalf("the lone job reached the model in a batch of %d", n)
+			}
+			for i := 0; i < k; i++ {
+				enqueue()
+			}
+			m.release <- struct{}{}
+			flushes := int64(1)
+			for left := k; left > 0; flushes++ {
+				want := min(left, maxBatch)
+				if n := <-m.entered; n != want {
+					t.Fatalf("with %d jobs queued the next flush took %d rows, want %d", left, n, want)
+				}
+				m.release <- struct{}{}
+				left -= want
+			}
+			for i, j := range jobs {
+				if y := <-j.done; y != stubScore(j.trace) {
+					t.Fatalf("job %d answered %v, want %v", i, y, stubScore(j.trace))
+				}
+			}
+			if snap := eng.Snapshot(); snap.Batches != flushes || snap.Coalesced != int64(k+1) {
+				t.Fatalf("batches/coalesced = %d/%d, want %d/%d", snap.Batches, snap.Coalesced, flushes, k+1)
+			}
+		})
 	}
 }
 

@@ -98,6 +98,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 	const (
 		q1 = "SELECT a, b FROM t JOIN u ON t.id = u.id WHERE a > 5 AND b < 9 ORDER BY a LIMIT 3"
 		q2 = "SELECT a, b FROM t JOIN u ON t.id = u.id WHERE a > 77 AND b < 2 ORDER BY a LIMIT 8"
+		q3 = "SELECT a, b FROM t JOIN u ON t.id = u.id WHERE a > 40 AND b < 6 ORDER BY a LIMIT 1"
 	)
 	pred, m := newCountingPredictor(t)
 	// check runs one request, compares it with the serialised reference (which
@@ -127,17 +128,35 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		return e
 	}
 
-	t.Run("template miss then encoded hit", func(t *testing.T) {
-		e := started(t, tmplCfg())
+	// skeleton is what an explain of the template deposits.
+	explained := started(t, tmplCfg())
+	if _, err := explained.PlanOnly(q1); err != nil {
+		t.Fatal(err)
+	}
+	skeleton := explained.Snapshot().TemplateBytes
+	// sights walks one template's three literal variants through predict: the
+	// first sight encodes and leaves what an explain would — the skeleton; the
+	// second encodes into the entry; from the third on the entry's trees serve.
+	sights := func(t *testing.T, e *Engine) {
+		t.Helper()
 		check(t, q1, 1, e.PredictSQL)
-		if snap := e.Snapshot(); snap.TemplateMisses != 1 || snap.TemplateEntries != 1 {
-			t.Fatalf("miss deposited %d entries after %d misses, want 1/1", snap.TemplateEntries, snap.TemplateMisses)
+		if snap := e.Snapshot(); snap.TemplateMisses != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
+			t.Fatalf("first sight left %d entries / %d bytes after %d misses, want 1 entry at the skeleton's %d bytes",
+				snap.TemplateEntries, snap.TemplateBytes, snap.TemplateMisses, skeleton)
 		}
-		check(t, q2, 0, e.PredictSQL)
-		check(t, q1, 0, e.PredictSQL)
+		check(t, q2, 1, e.PredictSQL)
+		if snap := e.Snapshot(); snap.TemplateEntries != 1 || snap.TemplateBytes <= skeleton {
+			t.Fatalf("second sight left %d entries / %d bytes, want the one entry grown past its skeleton's %d",
+				snap.TemplateEntries, snap.TemplateBytes, skeleton)
+		}
+		check(t, q3, 0, e.PredictSQL)
 		if hits := e.Snapshot().TemplateHits; hits != 2 {
 			t.Fatalf("template hits = %d, want 2", hits)
 		}
+	}
+
+	t.Run("template miss then encoded hit", func(t *testing.T) {
+		sights(t, started(t, tmplCfg()))
 	})
 	t.Run("template cache off", func(t *testing.T) {
 		cfg := tmplCfg()
@@ -169,8 +188,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 	})
 	t.Run("saturated queue fallback", func(t *testing.T) {
 		e := unstartedEngine(pred, tmplCfg(), 1, 1, 0)
-		check(t, q1, 1, e.PredictSQL)
-		check(t, q2, 0, e.PredictSQL)
+		sights(t, e)
 		if n := e.tel.Batches.Load(); n != 0 {
 			t.Fatalf("a saturated, unstarted engine flushed %d batches", n)
 		}
@@ -178,8 +196,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 	t.Run("closed engine fallback", func(t *testing.T) {
 		e := NewEngine(pred, tmplCfg())
 		e.Close()
-		check(t, q1, 1, e.PredictSQL)
-		check(t, q2, 0, e.PredictSQL)
+		sights(t, e)
 	})
 	t.Run("shed", func(t *testing.T) {
 		sh := unstartedEngine(pred, tmplCfg(), 64, 20, 1000)
@@ -206,6 +223,39 @@ func TestMissPathEncodesOnce(t *testing.T) {
 			t.Fatalf("an expired request encoded %d times", n)
 		}
 	})
+}
+
+// TestTemplateScanPinsNoTrees is the one-off regime as a unit test: a scan of
+// N structurally distinct queries, each predicted once, leaves the template
+// segment holding N skeletons — exactly what explaining the same N queries
+// leaves — and none of the trees that were built to answer them.
+func TestTemplateScanPinsNoTrees(t *testing.T) {
+	pred := newTestPredictor(t)
+	scanned, explained := NewEngine(pred, tmplCfg()), NewEngine(pred, tmplCfg())
+	t.Cleanup(scanned.Close)
+	t.Cleanup(explained.Close)
+	const n = 64
+	for i := 0; i < n; i++ {
+		sql := fmt.Sprintf("SELECT a, c%d FROM t JOIN u ON t.id = u.id WHERE c%d > %d ORDER BY a LIMIT 3", i, i, i)
+		want, err := pred.PredictSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := scanned.PredictSQL(sql); err != nil || got != want {
+			t.Fatalf("%q: engine %+v, %v; want the serialised reference %+v", sql, got, err, want)
+		}
+		if _, err := explained.PlanOnly(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := scanned.Snapshot(), explained.Snapshot()
+	if got.TemplateEntries != n || got.TemplateMisses != n || got.TemplateHits != 0 {
+		t.Fatalf("scan left %d entries after %d misses / %d hits, want %d/%d/0",
+			got.TemplateEntries, got.TemplateMisses, got.TemplateHits, n, n)
+	}
+	if got.TemplateBytes != want.TemplateBytes {
+		t.Fatalf("scan pins %d template bytes, want the %d skeletons' %d", got.TemplateBytes, n, want.TemplateBytes)
+	}
 }
 
 // TestTemplateHashedStaysSkeletonOnly serves the one literal-sensitive

@@ -180,12 +180,6 @@ type Server struct {
 	started time.Time
 }
 
-// NewServer wires the routes over a sharded engine with default batching,
-// caching and replica count. Call Close to stop the engine.
-func NewServer(pred *Predictor) *Server {
-	return NewServerConfig(pred, DefaultConfig())
-}
-
 // NewServerConfig wires the routes over a registry tuned by cfg, with pred
 // registered as the default model. When cfg.Replicas > 1 and the model
 // supports cloning, each identity's inference is sharded across that many

@@ -96,7 +96,7 @@ func reloadFull(en *ModelEntry, raw []byte) (int64, error) {
 func newTestServer(t *testing.T) (*Server, *Predictor) {
 	t.Helper()
 	pred := newTestPredictor(t)
-	srv := NewServer(pred)
+	srv := NewServerConfig(pred, DefaultConfig())
 	t.Cleanup(srv.Close)
 	return srv, pred
 }

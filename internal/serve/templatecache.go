@@ -15,23 +15,25 @@ import (
 // the model), but the encoding is not: its trees were featurized by one
 // predictor identity's pipeline. Both are safe to keep for the segment's
 // whole life because the segment belongs to one engine and an engine serves
-// one identity: the explain path deposits skeleton-only entries, a
-// prediction upgrades them in place with the trees it just built.
+// one identity. Every entry is born skeleton-only, whether an explain or a
+// prediction missed on its template; the first prediction to hit it upgrades
+// it in place with the trees it just built, so only templates that recur hold
+// trees (~110 kB each against a skeleton's few hundred bytes).
 type templateCache = lru[string, *templateEntry]
 
 // templateEntry is one cached template: the parsed skeleton and, once a
-// prediction deposited them, the trees every literal variant encodes to.
+// prediction hit it, the trees every literal variant encodes to.
 type templateEntry struct {
 	stmt *sqlparse.SelectStmt
-	enc  *models.TemplateEncoding // nil until a predict deposit lands one
+	enc  *models.TemplateEncoding // nil until a prediction hits the entry
 }
 
 func newTemplateCache(max int, hits, misses *telemetry.Counter) *templateCache {
 	return newLRU(max, hits, misses, admitTemplate, templateBytes)
 }
 
-// admitTemplate replaces a present entry only to upgrade it: the explain
-// path deposits skeleton-only entries that a later prediction enriches with
+// admitTemplate replaces a present entry only to upgrade it: entries are
+// deposited skeleton-only and the first prediction to hit one enriches it with
 // its featurization.
 func admitTemplate(old *templateEntry, present bool, in *templateEntry) (*templateEntry, bool) {
 	return in, !present || (old.enc == nil && in.enc != nil)

@@ -229,39 +229,3 @@ func NaiveChunks(root *otp.Node, n, k int, depthFirst bool) []SubTree {
 	}
 	return out
 }
-
-// NaiveBFSPrune is the ablation baseline: truncate the whole tree to its
-// first N nodes in BFS order with every node voting, preserving no
-// receptive-field guarantee and discarding everything below the cut.
-func NaiveBFSPrune(root *otp.Node, n int) SubTree {
-	nodes := bfsToDepth(root, 1<<30)
-	if len(nodes) > n {
-		nodes = nodes[:n]
-	}
-	votes := make([]float64, len(nodes))
-	for i := range votes {
-		votes[i] = 1
-	}
-	return SubTree{Root: root, Nodes: nodes, Votes: votes}
-}
-
-// NaiveDFSPrune is the depth-first ablation baseline: keep the first N nodes
-// in pre-order.
-func NaiveDFSPrune(root *otp.Node, n int) SubTree {
-	var nodes []*otp.Node
-	var walk func(*otp.Node)
-	walk = func(x *otp.Node) {
-		if x == nil || len(nodes) >= n {
-			return
-		}
-		nodes = append(nodes, x)
-		walk(x.Left)
-		walk(x.Right)
-	}
-	walk(root)
-	votes := make([]float64, len(nodes))
-	for i := range votes {
-		votes[i] = 1
-	}
-	return SubTree{Root: root, Nodes: nodes, Votes: votes}
-}

@@ -192,35 +192,6 @@ func TestSelectTruncates(t *testing.T) {
 	}
 }
 
-func TestNaiveBFSPrune(t *testing.T) {
-	root := buildComplete(5) // 63 nodes
-	st := NaiveBFSPrune(root, 10)
-	if len(st.Nodes) != 10 {
-		t.Fatalf("BFS prune = %d nodes", len(st.Nodes))
-	}
-	if st.VoteCount() != 10 {
-		t.Fatal("naive prune votes everything")
-	}
-	// BFS keeps the root first.
-	if st.Nodes[0] != root {
-		t.Fatal("BFS prune must start at root")
-	}
-}
-
-func TestNaiveDFSPrune(t *testing.T) {
-	root := buildChain(20)
-	st := NaiveDFSPrune(root, 10)
-	if len(st.Nodes) != 10 {
-		t.Fatalf("DFS prune = %d nodes", len(st.Nodes))
-	}
-	// Pre-order on a left chain: each node followed by its left child.
-	for i := 0; i+1 < len(st.Nodes); i++ {
-		if st.Nodes[i].Left != nil && st.Nodes[i].Left.Type != otp.NodeNull && st.Nodes[i+1] != st.Nodes[i].Left {
-			t.Fatal("DFS prune order broken")
-		}
-	}
-}
-
 // randomTree builds a random binary tree of roughly the given size.
 func randomTree(rng *tensor.RNG, size int) *otp.Node {
 	if size <= 0 {

@@ -30,16 +30,3 @@ func UnseenTableFraction(traces []*Trace, cutoffDay, window int) float64 {
 	}
 	return float64(unseen) / float64(len(future))
 }
-
-// TimeShiftedSample returns the traces from the final `days` of the window —
-// the paper's Table 5 evaluates models on a 1-week sample outside the
-// training range.
-func TimeShiftedSample(traces []*Trace, lastDay, days int) []*Trace {
-	var out []*Trace
-	for _, t := range traces {
-		if t.Day > lastDay-days && t.Day <= lastDay {
-			out = append(out, t)
-		}
-	}
-	return out
-}

@@ -209,12 +209,3 @@ func (g *TPCDSGenerator) Generate() []*Trace {
 	}
 	return traces
 }
-
-// TableNames lists the TPC-DS catalog tables.
-func TPCDSTableNames() []string {
-	names := make([]string, len(tpcdsTables))
-	for i, t := range tpcdsTables {
-		names[i] = t.Name
-	}
-	return names
-}

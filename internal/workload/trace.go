@@ -20,18 +20,6 @@ type Trace struct {
 // CPUMinutes returns the ground-truth label.
 func (t *Trace) CPUMinutes() float64 { return t.Profile.CPUMinutes }
 
-// FilterCPUWindow keeps traces whose total CPU time lies in [lo, hi]
-// minutes — the paper filters both datasets to 1–60 minutes.
-func FilterCPUWindow(traces []*Trace, lo, hi float64) []*Trace {
-	var out []*Trace
-	for _, t := range traces {
-		if t.Profile.CPUMinutes >= lo && t.Profile.CPUMinutes <= hi {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Normalizer applies the paper's label transform: log, then min-max to
 // (0,1). It is fit on training labels and reused for validation/testing and
 // for mapping predictions back to minutes.

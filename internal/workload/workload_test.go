@@ -190,19 +190,6 @@ func TestNormalizerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFilterCPUWindow(t *testing.T) {
-	traces := smallGrab(t, 40)
-	filtered := FilterCPUWindow(traces, 5, 30)
-	for _, tr := range filtered {
-		if tr.CPUMinutes() < 5 || tr.CPUMinutes() > 30 {
-			t.Fatal("filter leak")
-		}
-	}
-	if len(filtered) >= len(traces) {
-		t.Skip("all traces in narrow window — distribution unexpectedly tight")
-	}
-}
-
 func TestPlanSampleDistribution(t *testing.T) {
 	cfg := DefaultPlanSampleConfig()
 	cfg.Count = 3000
@@ -246,21 +233,6 @@ func TestPlanSampleExactSizes(t *testing.T) {
 		}
 		if p.Op != logicalplan.OpOutput {
 			t.Fatal("plans must be rooted at Output")
-		}
-	}
-}
-
-func TestTimeShiftedSample(t *testing.T) {
-	cfg := DefaultGrabConfig()
-	cfg.Queries = 400
-	traces := NewGrabGenerator(cfg).Generate()
-	shifted := TimeShiftedSample(traces, cfg.Days, 7)
-	if len(shifted) == 0 {
-		t.Fatal("no traces in final week")
-	}
-	for _, tr := range shifted {
-		if tr.Day <= cfg.Days-7 || tr.Day > cfg.Days {
-			t.Fatalf("trace day %d outside shifted window", tr.Day)
 		}
 	}
 }

@@ -14,8 +14,11 @@
 # rather than core count, with backward gated at 4x forward), record median
 # throughput and minimum allocations per benchmark to a
 # JSON artifact, and — when a baseline file exists — fail if any benchmark's
-# throughput dropped more than the tolerance below its baseline, or its
-# allocs/op rose past the allocation slack. The environment is pinned
+# allocs/op rose past the allocation slack over its baseline. Every gate is
+# host-independent: ratios between two legs of the same run, and allocation
+# counts. Absolute throughput is recorded, never compared — a baseline is
+# recorded on one host and checked on another, and a qps floor measures the
+# difference between the two. The environment is pinned
 # (GOMAXPROCS=4, GOGC=100) so allocation and scheduling behaviour is
 # comparable across hosts and runs. The artifact also carries a "loc"
 # object — scripts/loc.sh's per-package and total code-line counts — so the
@@ -172,7 +175,7 @@ for name, ceiling in ALLOC_CEILINGS:
 def finish():
     if failures:
         sys.exit("benchmark regression:\n  " + "\n  ".join(failures))
-    print("benchmark throughput and allocations within tolerance of baseline")
+    print("benchmark ratios and allocations within their gates")
     sys.exit(0)
 
 if not baseline_path:
@@ -186,16 +189,6 @@ for name, entry in base.get("benchmarks", {}).items():
     if name not in best:
         failures.append(f"{name}: present in baseline, missing from this run")
         continue
-    base_qps = entry["qps"]
-    got_qps = 1e9 / best[name]["ns"]
-    floor = base_qps * (1 - tolerance / 100)
-    verdict = "ok" if got_qps >= floor else "REGRESSION"
-    print(f"{verdict}: {name}: {got_qps:,.0f} qps vs baseline {base_qps:,.0f} "
-          f"(floor {floor:,.0f})")
-    if got_qps < floor:
-        failures.append(
-            f"{name}: {got_qps:,.0f} qps is more than {tolerance:.0f}% below "
-            f"baseline {base_qps:,.0f}")
     # Allocation gate: relative tolerance plus an absolute slack of 2, so a
     # 0-allocs/op baseline (the arena path) stays a hard zero-ish gate while
     # noisy many-alloc benchmarks get proportional headroom.
