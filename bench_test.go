@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"prestroid/internal/costsim"
 	"prestroid/internal/dataset"
@@ -353,10 +354,10 @@ func serveClients(b *testing.B, predict func(sql string) (serve.Prediction, erro
 	})
 }
 
-// BenchmarkServePredict compares the serialised predict-one-query-under-a-
-// mutex path against the batched concurrent engine at 16 concurrent clients
-// on a repeated-template workload, after checking the two paths return
-// byte-identical predictions for identical SQL.
+// BenchmarkServePredict drives the batched concurrent engine with 16
+// concurrent clients on a repeated-template workload, after checking that it
+// and the serialised Predictor.PredictSQL reference return byte-identical
+// predictions for identical SQL.
 func BenchmarkServePredict(b *testing.B) {
 	pred := servePredictor(b)
 	check := serve.NewEngine(pred, serve.DefaultConfig())
@@ -375,26 +376,50 @@ func BenchmarkServePredict(b *testing.B) {
 	}
 	check.Close()
 
-	b.Run("serial-mutex", func(b *testing.B) {
-		serveClients(b, pred.PredictSQL)
-	})
 	b.Run("coalesced", func(b *testing.B) {
 		eng := serve.NewEngine(pred, serve.DefaultConfig())
 		defer eng.Close()
 		serveClients(b, eng.PredictSQL)
 	})
-	// Cache disabled and MaxWait zeroed: measures raw coalescer overhead.
+	// Prediction cache disabled: every request takes the miss path and the
+	// coalescer, holding batches open for en-route work as the daemon does.
 	// The batch-level wins (handler-side encode, conv fan-out across cores)
-	// need GOMAXPROCS > 1; on a single-core host this path degrades
-	// gracefully to serial-equivalent throughput instead of beating it.
+	// need GOMAXPROCS > 1.
 	b.Run("coalesced-nocache", func(b *testing.B) {
 		cfg := serve.DefaultConfig()
 		cfg.CacheSize = 0
-		cfg.MaxWait = 0
 		eng := serve.NewEngine(pred, cfg)
 		defer eng.Close()
 		serveClients(b, eng.PredictSQL)
 	})
+}
+
+// BenchmarkLoneMiss guards the coalescer's hold rule: one closed-loop client,
+// prediction cache off, so every request is a miss with nobody behind it. A
+// batch is held open only for work known to be en route, which a lone request
+// never has — so the shipped configuration (default) must cost what a
+// coalescer that never holds (max-wait-0) costs, not MaxWait more.
+// scripts/bench_record.sh gates default at 1.5x max-wait-0.
+func BenchmarkLoneMiss(b *testing.B) {
+	pred := servePredictor(b)
+	for _, leg := range []struct {
+		name    string
+		maxWait time.Duration
+	}{{"default", serve.DefaultConfig().MaxWait}, {"max-wait-0", 0}} {
+		b.Run(leg.name, func(b *testing.B) {
+			cfg := serve.DefaultConfig()
+			cfg.CacheSize = 0
+			cfg.MaxWait = leg.maxWait
+			eng := serve.NewShardedEngine(serve.Replicas(pred, cfg.Replicas), cfg)
+			defer eng.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.PredictSQL(distinctSQL(int64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // distinctSQL returns the i-th query of a cache-defeating workload: the

@@ -39,8 +39,10 @@
 //
 // Inference runs through the sharded batched engine: -replicas sets how
 // many model replicas (each with its own batcher goroutine and cache
-// segment) the dispatcher fans coalesced batches out to, -max-batch and
-// -max-wait tune each shard's micro-batching coalescer, -cache-size the
+// segment) the dispatcher fans coalesced batches out to, -max-batch caps a
+// shard's coalesced batch and -max-wait bounds how long a short batch stays
+// open for requests still in their front end on the way to it (a request
+// nobody is behind is never held), -cache-size the
 // total LRU budget over canonicalized SQL, -subtree-cache-size the total
 // budget of pooled sub-tree convolution outputs reused across structurally
 // overlapping plans, and -template-cache-size the total budget of prepared
@@ -142,7 +144,7 @@ func main() {
 	tables := flag.Int("tables", 0, "initial tables in the synthetic training catalog (0 = generator default); larger values grow the feature-table universe")
 	defaults := serve.DefaultConfig()
 	maxBatch := flag.Int("max-batch", defaults.MaxBatch, "max queries coalesced into one model batch (<=1 disables batching)")
-	maxWait := flag.Duration("max-wait", defaults.MaxWait, "max time the coalescer holds an open batch waiting for it to fill")
+	maxWait := flag.Duration("max-wait", defaults.MaxWait, "bound on a hold waiting for en-route work: a short batch stays open only while a request is still on its way to the shard, at most this long")
 	cacheSize := flag.Int("cache-size", defaults.CacheSize, "prediction-cache entries keyed by canonicalized SQL, split across shards (0 disables)")
 	subtreeCacheSize := flag.Int("subtree-cache-size", defaults.SubtreeCacheSize, "pooled sub-tree convolution outputs cached per content hash, split across shards (0 disables)")
 	templateCacheSize := flag.Int("template-cache-size", defaults.TemplateCacheSize, "prepared query templates cached for literal rebinding, split across shards (0 disables)")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prestroid/internal/logicalplan"
@@ -19,9 +20,11 @@ type Config struct {
 	// MaxBatch caps how many coalesced queries feed one Model.Predict call.
 	// Values <= 1 disable coalescing: every query becomes its own batch.
 	MaxBatch int
-	// MaxWait bounds how long the coalescer holds an open batch waiting for
-	// it to fill before flushing what it has. 0 flushes immediately after a
-	// non-blocking drain of the queue.
+	// MaxWait bounds a hold that is waiting for en-route work: a short batch
+	// stays open only while some handler is still in its front end on the way
+	// to this shard's queue, and for at most this long when that front end is
+	// slow. A batch nobody is joining flushes at once whatever the value; 0
+	// never holds — every batch is what a non-blocking drain of the queue found.
 	MaxWait time.Duration
 	// CacheSize is the number of canonicalised-SQL entries the prediction
 	// cache retains; 0 disables caching. A ShardedEngine splits this budget
@@ -117,7 +120,8 @@ type predictJob struct {
 // parse → plan → encode (frontEnd: template lookup and rebind or a full
 // parse, then the plan, then the model's off-lock encode, at most once). The
 // batcher goroutine owns the model (flush: one adopt → predict → evict round
-// trip per coalesced group, bounded by MaxBatch/MaxWait) — replacing the old
+// trip per coalesced group of at most MaxBatch, held open only while enRoute
+// says more work is on its way) — replacing the old
 // predict-one-query-under-a-global-mutex path. The key's home shard owns the
 // finished prediction: an LRU keyed by canonicalised SQL, read once before
 // any of this and written once after it.
@@ -145,6 +149,13 @@ type Engine struct {
 	jobs chan *predictJob
 	quit chan struct{}
 	wg   sync.WaitGroup
+
+	// enRoute counts the handlers inside miss's frontEnd: work that will reach
+	// jobs shortly, and the only thing collect holds a short batch open for.
+	// wake (one slot) tells a holding collect to look again when a handler left
+	// the front end with an error instead of a job.
+	enRoute atomic.Int64
+	wake    chan struct{}
 
 	mu     sync.RWMutex // guards closed against late submits
 	closed bool
@@ -195,6 +206,7 @@ func newEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGro
 		gen:  gen,
 		jobs: make(chan *predictJob, 4*cfg.MaxBatch),
 		quit: make(chan struct{}),
+		wake: make(chan struct{}, 1),
 		tel:  tel,
 	}
 	if cfg.CacheSize > 0 {
@@ -363,6 +375,13 @@ func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
 // batcher, and the template deposit frontEnd prepared. The answer belongs to
 // this engine's generation, whichever path produced it.
 //
+// The handler is counted en route for exactly the span of its frontEnd, and
+// the count is lowered before the job is offered to the queue, never after:
+// between the two steps the collector can then only under-count — flush a
+// batch this job would have joined — whereas lowering after the offer would
+// let it take the job and still hold the batch open for it. A front end that
+// ends in an error has no job to offer, so it wakes the collector instead.
+//
 // Work whose deadline has already passed is dropped before planning (and so
 // before any batcher), and a deadline that expires while the job is queued
 // abandons the wait without occupying a model slot. Both drops count once on
@@ -372,8 +391,14 @@ func (e *Engine) miss(ctx context.Context, sql, key string) (Prediction, error) 
 		e.tel.Expired.Inc()
 		return Prediction{}, &ExpiredError{}
 	}
+	e.enRoute.Add(1)
 	fe, err := e.frontEnd(sql, true)
+	e.enRoute.Add(-1)
 	if err != nil {
+		select {
+		case e.wake <- struct{}{}:
+		default:
+		}
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
 	y, err := e.submit(ctx, fe.trace, key, fe.enc)
@@ -452,8 +477,13 @@ func (e *Engine) run() {
 }
 
 // collect coalesces queued jobs behind first, up to MaxBatch. It first
-// drains whatever is already queued without blocking; if the batch is still
-// short and wait is set, it holds the batch open for at most MaxWait.
+// drains whatever is already queued without blocking; a batch still short is
+// then held open — when wait is set — only for work known to be on its way:
+// while the queue is empty and no handler is en route there is nobody to wait
+// for, and the batch flushes, at once for a lone request. The condition is
+// re-checked on every job received and on every wake (a stale wake token
+// therefore changes nothing); MaxBatch and the MaxWait timer bound a hold
+// whose front end is slow.
 func (e *Engine) collect(first *predictJob, wait bool) []*predictJob {
 	batch := append(make([]*predictJob, 0, e.cfg.MaxBatch), first)
 	for len(batch) < e.cfg.MaxBatch {
@@ -465,15 +495,21 @@ func (e *Engine) collect(first *predictJob, wait bool) []*predictJob {
 		}
 		break
 	}
-	if !wait || len(batch) >= e.cfg.MaxBatch || e.cfg.MaxWait <= 0 {
+	// expecting is the one hold condition: room left, and a job queued or a
+	// handler about to queue one.
+	expecting := func() bool {
+		return len(batch) < e.cfg.MaxBatch && (len(e.jobs) > 0 || e.enRoute.Load() > 0)
+	}
+	if !wait || e.cfg.MaxWait <= 0 || !expecting() {
 		return batch
 	}
 	timer := time.NewTimer(e.cfg.MaxWait)
 	defer timer.Stop()
-	for len(batch) < e.cfg.MaxBatch {
+	for expecting() {
 		select {
 		case j := <-e.jobs:
 			batch = append(batch, j)
+		case <-e.wake:
 		case <-timer.C:
 			return batch
 		}

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,12 +168,7 @@ func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
 			t.Cleanup(func() { close(m.release) })
 			var jobs []*predictJob
 			enqueue := func() {
-				sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", len(jobs))
-				fe, err := eng.frontEnd(sql, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				j := &predictJob{ctx: context.Background(), trace: fe.trace, key: sql, done: make(chan float64, 1)}
+				j := newJob(t, eng, len(jobs))
 				jobs = append(jobs, j)
 				eng.jobs <- j
 			}
@@ -202,6 +199,161 @@ func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
 				t.Fatalf("batches/coalesced = %d/%d, want %d/%d", snap.Batches, snap.Coalesced, flushes, k+1)
 			}
 		})
+	}
+}
+
+// holdEngine is a stub engine whose coalescer is free to hold — MaxWait is an
+// hour, so a hold that nothing ends hangs the test instead of passing it on
+// the timer — and whose flushes announce their size on entered without ever
+// blocking the batcher.
+func holdEngine(t *testing.T) (*Engine, *stubModel) {
+	t.Helper()
+	eng, m := stubEngine(t, Config{MaxBatch: 8, MaxWait: time.Hour, TemplateCacheSize: 8}, 0)
+	m.entered, m.release = make(chan int, 64), make(chan struct{})
+	close(m.release)
+	return eng, m
+}
+
+// newJob is the i-th distinct query as the job a handler's submit would put on
+// the engine's queue; the test sends it, and keeps the en-route count, itself.
+func newJob(t *testing.T, eng *Engine, i int) *predictJob {
+	t.Helper()
+	sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i)
+	fe, err := eng.frontEnd(sql, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &predictJob{ctx: context.Background(), trace: fe.trace, key: sql, done: make(chan float64, 1)}
+}
+
+// awaitHold returns once the batcher is parked in collect's select: holding a
+// batch open, having acted on everything sent so far. Only the runtime can
+// say so — its goroutine dump lists a parked select as "[select" — and a
+// goroutine that has been woken but not yet run is not listed that way, so
+// what the test does next cannot race the collector's previous re-check. A
+// flush reaching the stub first means the batch was not held.
+func awaitHold(t *testing.T, m *stubModel) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for {
+		select {
+		case n := <-m.entered:
+			t.Fatalf("a batch of %d was flushed, want it held open", n)
+		default:
+		}
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "serve.(*Engine).collect(") {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
+// wantFlush reads the next flush's size and checks the jobs it answered.
+func wantFlush(t *testing.T, m *stubModel, want int, jobs ...*predictJob) {
+	t.Helper()
+	if n := <-m.entered; n != want {
+		t.Fatalf("flushed a batch of %d, want %d", n, want)
+	}
+	for i, j := range jobs {
+		if y := <-j.done; y != stubScore(j.trace) {
+			t.Fatalf("job %d answered %v, want %v", i, y, stubScore(j.trace))
+		}
+	}
+}
+
+// TestHoldIsForEnRouteWork pins the one hold condition without a clock: a
+// short batch stays open exactly while a handler is en route to the queue.
+func TestHoldIsForEnRouteWork(t *testing.T) {
+	t.Run("a lone miss is not held", func(t *testing.T) {
+		eng, m := holdEngine(t)
+		sql := "SELECT a FROM t WHERE a > 5"
+		got, err := eng.PredictSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := (&Predictor{Model: &stubModel{}}).PredictSQL(sql); got != want {
+			t.Fatalf("lone miss answered %+v, want %+v", got, want)
+		}
+		wantFlush(t, m, 1)
+		if snap := eng.Snapshot(); snap.Batches != 1 || eng.enRoute.Load() != 0 {
+			t.Fatalf("batches = %d, en route = %d after one lone miss", snap.Batches, eng.enRoute.Load())
+		}
+	})
+	t.Run("held until the en-route job arrives", func(t *testing.T) {
+		eng, m := holdEngine(t)
+		a, b := newJob(t, eng, 0), newJob(t, eng, 1)
+		eng.enRoute.Add(1) // B's handler is in its front end
+		eng.jobs <- a
+		awaitHold(t, m)
+		eng.enRoute.Add(-1) // lowered before the offer, as miss does
+		eng.jobs <- b
+		wantFlush(t, m, 2, a, b)
+	})
+	t.Run("released when the en-route query fails to parse", func(t *testing.T) {
+		eng, m := holdEngine(t)
+		a := newJob(t, eng, 0)
+		// The template segment's mutex gates the failing query inside frontEnd:
+		// it is counted en route and cannot leave until the test lets it.
+		eng.tmplCache.mu.Lock()
+		failed := make(chan error, 1)
+		go func() {
+			_, err := eng.PredictSQL("SELEC (((")
+			failed <- err
+		}()
+		for eng.enRoute.Load() != 1 {
+			runtime.Gosched()
+		}
+		eng.jobs <- a
+		awaitHold(t, m)
+		eng.tmplCache.mu.Unlock()
+		if err := <-failed; err == nil {
+			t.Fatal("unparsable SQL predicted")
+		}
+		wantFlush(t, m, 1, a)
+	})
+	t.Run("a stale wake does not flush past someone en route", func(t *testing.T) {
+		eng, m := holdEngine(t)
+		a, b := newJob(t, eng, 0), newJob(t, eng, 1)
+		eng.wake <- struct{}{} // left by a failure no batch was waiting on
+		eng.enRoute.Add(1)
+		eng.jobs <- a
+		awaitHold(t, m)
+		if len(eng.wake) != 0 {
+			t.Fatal("the collector parked with a wake pending")
+		}
+		eng.enRoute.Add(-1)
+		eng.jobs <- b
+		wantFlush(t, m, 2, a, b)
+	})
+}
+
+// TestHoldLiveness floods an engine whose only way out of a hold is the rule
+// itself — 64 goroutines, one in three sending SQL that never yields a job —
+// and requires every one of them to return.
+func TestHoldLiveness(t *testing.T) {
+	eng, m := holdEngine(t)
+	m.entered = nil // nobody reads 1280 flushes' sizes
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				sql, bad := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i*100+r), (i+r)%3 == 0
+				if bad {
+					sql = fmt.Sprintf("SELEC ((( %d", i*100+r)
+				}
+				if _, err := eng.PredictSQL(sql); (err != nil) != bad {
+					t.Errorf("%q: err = %v", sql, err)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := eng.enRoute.Load(); n != 0 {
+		t.Fatalf("%d handlers still counted en route after all returned", n)
 	}
 }
 

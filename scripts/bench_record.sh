@@ -4,7 +4,8 @@
 # BenchmarkPrestroidPredictSteady — each in both kernel modes, the quantised
 # variants carry a Quantized suffix and so match the same unanchored
 # patterns — the BenchmarkShardedTemplateCache off/on pair with its >= 1.5x
-# speedup gate, plus the BenchmarkFrontEnd and BenchmarkFloatProject/
+# speedup gate, the BenchmarkLoneMiss default/max-wait-0 pair with its <= 1.5x
+# cost gate, plus the BenchmarkFrontEnd and BenchmarkFloatProject/
 # BenchmarkInt8Project microbenchmarks, 5 repeats of 100ms each with -benchmem —
 # time-based so iteration counts auto-scale from the ~300ns steady
 # micro-benchmark to the ~200µs 16-client fan-outs, whose fixed-count runs
@@ -50,7 +51,7 @@ trap 'rm -f "$raw"' EXIT
 loc="$(scripts/loc.sh)"
 
 GOMAXPROCS=4 GOGC=100 go test -run '^$' \
-  -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkFloatProject|BenchmarkInt8Project|BenchmarkPrestroidTrainBatch' \
+  -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkLoneMiss|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkFloatProject|BenchmarkInt8Project|BenchmarkPrestroidTrainBatch' \
   -benchtime 100ms -count 5 -benchmem . | tee "$raw"
 # The conv forward/backward pair feeds a ratio gate: one core, so the ratio
 # compares the work the two passes do, not how many cores the forward's
@@ -143,9 +144,12 @@ for fast, slow, want in RATIO_GATES:
 # at most so many times its sibling on the same run. The tree convolution's
 # backward does about twice its forward's multiply-adds (it ran at ~10x while
 # layer 0 treated the feature rows as dense and computed an input gradient
-# nothing reads).
+# nothing reads). A lone miss has nobody en route behind it, so the shipped
+# coalescer must not hold its batch open: it costs what a coalescer that never
+# holds costs (it read > 10x while every short batch waited out MaxWait).
 COST_GATES = [
     ("BenchmarkTreeConvBackward", "BenchmarkTreeConvForward", 4.0),
+    ("BenchmarkLoneMiss/default", "BenchmarkLoneMiss/max-wait-0", 1.5),
 ]
 for costly, ref, limit in COST_GATES:
     if costly not in best or ref not in best:

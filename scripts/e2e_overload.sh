@@ -136,6 +136,15 @@ bound_ms = float(sys.argv[3])
 baseline = float(sys.argv[4])
 warmup = json.load(open(sys.argv[5]))
 
+# The run's figures go out before anything is asserted, so a failing run
+# still leaves the whole row and parent/change pairs compare run for run.
+ok = load["status"].get("200", {"count": 0, "p50_ms": 0})
+shed = load["status"].get("429")
+print(f"phase B: {shed['count'] if shed else 0} shed, "
+      f"{ok['count']} admitted (p50 {ok['p50_ms']}ms), "
+      f"server p99 {stats['p99_millis']:.1f}ms (limit {2 * bound_ms:.0f}ms), "
+      f"goodput {load['goodput_2xx_per_sec']:.0f}/s vs baseline {baseline:.0f}/s")
+
 assert load["transport_errors"] == 0, load
 extra = set(load["status"]) - {"200", "429"}
 assert not extra, f"unexpected statuses under overload: {extra}"
@@ -145,8 +154,6 @@ assert not extra, f"unexpected statuses under overload: {extra}"
 # drifts several percent between phases.
 assert load["goodput_2xx_per_sec"] >= 0.85 * baseline, \
     f"goodput {load['goodput_2xx_per_sec']}/s fell >15% below baseline {baseline}/s"
-ok = load["status"]["200"]
-shed = load["status"].get("429")
 assert shed and shed["count"] > 0, "saturating load produced no 429s"
 assert shed["retry_after_present"] == shed["count"], \
     f"{shed['count'] - shed['retry_after_present']} 429s missing Retry-After"
@@ -176,10 +183,7 @@ assert answered <= lookups <= answered + 10, \
     f"{lookups} cache lookups for {total2xx} admitted + {stats['shed']} shed requests — dispatch accounting is off"
 assert stats["shed"] == sum(sh["shed"] for sh in stats["shards"]) and stats["shed"] > 0, stats["shed"]
 assert stats["max_est_wait_millis"] >= 0
-print(f"ok: {shed['count']} shed, "
-      f"{ok['count']} admitted (p50 {ok['p50_ms']}ms), "
-      f"server p99 {stats['p99_millis']:.1f}ms <= {2 * bound_ms:.0f}ms, "
-      f"goodput {load['goodput_2xx_per_sec']:.0f}/s vs baseline {baseline:.0f}/s")
+print("ok: phase B holds the bounded-latency contract")
 PY
 
 echo "== phase B: admission series on /metrics"
