@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"prestroid/internal/costsim"
 	"prestroid/internal/dataset"
@@ -398,18 +397,18 @@ func BenchmarkServePredict(b *testing.B) {
 // prediction cache off, so every request is a miss with nobody behind it. A
 // batch is held open only for work known to be en route, which a lone request
 // never has — so the shipped configuration (default) must cost what a
-// coalescer that never holds (max-wait-0) costs, not MaxWait more.
-// scripts/bench_record.sh gates default at 1.5x max-wait-0.
+// coalescer that never holds (max-batch-1: MaxBatch <= 1 disables coalescing)
+// costs. scripts/bench_record.sh gates default at 1.5x max-batch-1.
 func BenchmarkLoneMiss(b *testing.B) {
 	pred := servePredictor(b)
 	for _, leg := range []struct {
-		name    string
-		maxWait time.Duration
-	}{{"default", serve.DefaultConfig().MaxWait}, {"max-wait-0", 0}} {
+		name     string
+		maxBatch int
+	}{{"default", serve.DefaultConfig().MaxBatch}, {"max-batch-1", 1}} {
 		b.Run(leg.name, func(b *testing.B) {
 			cfg := serve.DefaultConfig()
 			cfg.CacheSize = 0
-			cfg.MaxWait = leg.maxWait
+			cfg.MaxBatch = leg.maxBatch
 			eng := serve.NewShardedEngine(serve.Replicas(pred, cfg.Replicas), cfg)
 			defer eng.Close()
 			b.ResetTimer()

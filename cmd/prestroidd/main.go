@@ -40,9 +40,9 @@
 // Inference runs through the sharded batched engine: -replicas sets how
 // many model replicas (each with its own batcher goroutine and cache
 // segment) the dispatcher fans coalesced batches out to, -max-batch caps a
-// shard's coalesced batch and -max-wait bounds how long a short batch stays
-// open for requests still in their front end on the way to it (a request
-// nobody is behind is never held), -cache-size the
+// shard's coalesced batch (a short batch stays open only while requests are
+// still in their front end on the way to it; a request nobody is behind is
+// never held), -cache-size the
 // total LRU budget over canonicalized SQL, -subtree-cache-size the total
 // budget of pooled sub-tree convolution outputs reused across structurally
 // overlapping plans, and -template-cache-size the total budget of prepared
@@ -144,7 +144,6 @@ func main() {
 	tables := flag.Int("tables", 0, "initial tables in the synthetic training catalog (0 = generator default); larger values grow the feature-table universe")
 	defaults := serve.DefaultConfig()
 	maxBatch := flag.Int("max-batch", defaults.MaxBatch, "max queries coalesced into one model batch (<=1 disables batching)")
-	maxWait := flag.Duration("max-wait", defaults.MaxWait, "bound on a hold waiting for en-route work: a short batch stays open only while a request is still on its way to the shard, at most this long")
 	cacheSize := flag.Int("cache-size", defaults.CacheSize, "prediction-cache entries keyed by canonicalized SQL, split across shards (0 disables)")
 	subtreeCacheSize := flag.Int("subtree-cache-size", defaults.SubtreeCacheSize, "pooled sub-tree convolution outputs cached per content hash, split across shards (0 disables)")
 	templateCacheSize := flag.Int("template-cache-size", defaults.TemplateCacheSize, "prepared query templates cached for literal rebinding, split across shards (0 disables)")
@@ -156,7 +155,7 @@ func main() {
 	quantize := flag.Bool("quantize", false, "serve through the int8 quantised inference kernels (bounded prediction error, higher throughput; PRESTROID_QUANTIZE=1 forces this on)")
 	flag.Parse()
 
-	cfg := serve.Config{MaxBatch: *maxBatch, MaxWait: *maxWait, CacheSize: *cacheSize,
+	cfg := serve.Config{MaxBatch: *maxBatch, CacheSize: *cacheSize,
 		SubtreeCacheSize: *subtreeCacheSize, TemplateCacheSize: *templateCacheSize,
 		Replicas:   *replicas,
 		MaxEstWait: *maxEstWait, Quantize: *quantize}
@@ -247,8 +246,8 @@ func run(addr string, doTrain bool, paths bundlePaths, queries, tables int, cfg 
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	log.Printf("serving %s on %s (replicas %d, max-batch %d, max-wait %s, cache %d, subtree cache %d, template cache %d)",
-		preds[0].Pred.Model.Name(), addr, srv.Engine().Shards(), cfg.MaxBatch, cfg.MaxWait, cfg.CacheSize, cfg.SubtreeCacheSize, cfg.TemplateCacheSize)
+	log.Printf("serving %s on %s (replicas %d, max-batch %d, cache %d, subtree cache %d, template cache %d)",
+		preds[0].Pred.Model.Name(), addr, srv.Engine().Shards(), cfg.MaxBatch, cfg.CacheSize, cfg.SubtreeCacheSize, cfg.TemplateCacheSize)
 	for i, en := range srv.Models().Entries() {
 		role := ""
 		if i == 0 {

@@ -15,17 +15,17 @@ import (
 	"prestroid/internal/workload"
 )
 
-// Config tunes the batched inference engine.
+// Config tunes the batched inference engine. How long a short batch stays
+// open is not configured: exactly while some handler is still in its front end
+// on the way to the shard's queue (Engine.enRoute), so a hold is bounded by
+// MaxBatch and by the slowest front end in flight — CPU-bound parse, plan and
+// encode of a body capped at maxBodyBytes — and a batch nobody is joining
+// flushes at once.
 type Config struct {
 	// MaxBatch caps how many coalesced queries feed one Model.Predict call.
-	// Values <= 1 disable coalescing: every query becomes its own batch.
+	// Values <= 1 disable coalescing: every query becomes its own batch and
+	// the coalescer never holds.
 	MaxBatch int
-	// MaxWait bounds a hold that is waiting for en-route work: a short batch
-	// stays open only while some handler is still in its front end on the way
-	// to this shard's queue, and for at most this long when that front end is
-	// slow. A batch nobody is joining flushes at once whatever the value; 0
-	// never holds — every batch is what a non-blocking drain of the queue found.
-	MaxWait time.Duration
 	// CacheSize is the number of canonicalised-SQL entries the prediction
 	// cache retains; 0 disables caching. A ShardedEngine splits this budget
 	// evenly across its shards, so each shard owns an independent cache
@@ -81,8 +81,8 @@ var envQuantize = func() bool {
 
 // DefaultConfig mirrors the prestroidd defaults.
 func DefaultConfig() Config {
-	return Config{MaxBatch: 32, MaxWait: 500 * time.Microsecond, CacheSize: 4096,
-		Replicas: DefaultReplicas(), SubtreeCacheSize: 4096, TemplateCacheSize: 4096}
+	return Config{MaxBatch: 32, CacheSize: 4096, Replicas: DefaultReplicas(),
+		SubtreeCacheSize: 4096, TemplateCacheSize: 4096}
 }
 
 // offLockEncoder is the one optional model interface the miss path encodes
@@ -153,7 +153,7 @@ type Engine struct {
 	// enRoute counts the handlers inside miss's frontEnd: work that will reach
 	// jobs shortly, and the only thing collect holds a short batch open for.
 	// wake (one slot) tells a holding collect to look again when a handler left
-	// the front end with an error instead of a job.
+	// the front end without a job — an error, or a panic on its way up.
 	enRoute atomic.Int64
 	wake    chan struct{}
 
@@ -193,9 +193,6 @@ func NewEngine(pred *Predictor, cfg Config) *Engine {
 func newEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGroup) *Engine {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1
-	}
-	if cfg.MaxWait < 0 {
-		cfg.MaxWait = 0
 	}
 	if tel == nil {
 		tel = telemetry.NewShardGroup()
@@ -375,12 +372,11 @@ func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
 // batcher, and the template deposit frontEnd prepared. The answer belongs to
 // this engine's generation, whichever path produced it.
 //
-// The handler is counted en route for exactly the span of its frontEnd, and
-// the count is lowered before the job is offered to the queue, never after:
-// between the two steps the collector can then only under-count — flush a
-// batch this job would have joined — whereas lowering after the offer would
-// let it take the job and still hold the batch open for it. A front end that
-// ends in an error has no job to offer, so it wakes the collector instead.
+// The handler is counted en route for exactly the span of its frontEnd
+// (arrive), and the count is lowered before the job is offered to the queue,
+// never after: between the two steps the collector can then only under-count —
+// flush a batch this job would have joined — whereas lowering after the offer
+// would let it take the job and still hold the batch open for it.
 //
 // Work whose deadline has already passed is dropped before planning (and so
 // before any batcher), and a deadline that expires while the job is queued
@@ -391,14 +387,8 @@ func (e *Engine) miss(ctx context.Context, sql, key string) (Prediction, error) 
 		e.tel.Expired.Inc()
 		return Prediction{}, &ExpiredError{}
 	}
-	e.enRoute.Add(1)
-	fe, err := e.frontEnd(sql, true)
-	e.enRoute.Add(-1)
+	fe, err := e.arrive(sql)
 	if err != nil {
-		select {
-		case e.wake <- struct{}{}:
-		default:
-		}
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
 	y, err := e.submit(ctx, fe.trace, key, fe.enc)
@@ -409,6 +399,26 @@ func (e *Engine) miss(ctx context.Context, sql, key string) (Prediction, error) 
 		e.tmplCache.Put(fe.tkey, fe.ent)
 	}
 	return e.pred.prediction(fe.trace.Plan, y), nil
+}
+
+// arrive is a prediction's frontEnd, counted en route while it runs. Nothing
+// but the count ends a hold, so the count must come down however the front
+// end leaves — hence the defer: a panic (net/http recovers it and the process
+// lives on) would otherwise leave the shard holding every short batch for
+// ever. An exit with no job to offer, error or panic, also wakes the collector,
+// after the count is lowered, so its re-check sees this handler gone.
+func (e *Engine) arrive(sql string) (fe prepared, err error) {
+	e.enRoute.Add(1)
+	defer func() {
+		e.enRoute.Add(-1)
+		if fe.trace == nil {
+			select {
+			case e.wake <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	return e.frontEnd(sql, true)
 }
 
 // submit hands an encoded trace to the batcher, which owns the model, and
@@ -462,12 +472,12 @@ func (e *Engine) run() {
 	for {
 		select {
 		case j := <-e.jobs:
-			e.flush(e.collect(j, true))
+			e.flush(e.collect(j))
 		case <-e.quit:
 			for {
 				select {
 				case j := <-e.jobs:
-					e.flush(e.collect(j, false))
+					e.flush(e.collect(j))
 				default:
 					return
 				}
@@ -478,13 +488,17 @@ func (e *Engine) run() {
 
 // collect coalesces queued jobs behind first, up to MaxBatch. It first
 // drains whatever is already queued without blocking; a batch still short is
-// then held open — when wait is set — only for work known to be on its way:
-// while the queue is empty and no handler is en route there is nobody to wait
-// for, and the batch flushes, at once for a lone request. The condition is
-// re-checked on every job received and on every wake (a stale wake token
-// therefore changes nothing); MaxBatch and the MaxWait timer bound a hold
-// whose front end is slow.
-func (e *Engine) collect(first *predictJob, wait bool) []*predictJob {
+// then held open only for work known to be on its way — room left, and a job
+// queued or a handler about to queue one: while the queue is empty and no
+// handler is en route there is nobody to wait for, and the batch flushes, at
+// once for a lone request. The condition is re-checked on every job received
+// and on every wake (a stale wake token therefore changes nothing). No clock
+// bounds a hold: it ends when the batch fills, when the handlers it counts
+// leave their front ends — each lowers the count on every exit, see arrive —
+// or on Close, whose stragglers answer through submit's fallback and send no
+// wake. Once quit is closed a hold cannot park, so run's drain collects the
+// same way.
+func (e *Engine) collect(first *predictJob) []*predictJob {
 	batch := append(make([]*predictJob, 0, e.cfg.MaxBatch), first)
 	for len(batch) < e.cfg.MaxBatch {
 		select {
@@ -495,22 +509,12 @@ func (e *Engine) collect(first *predictJob, wait bool) []*predictJob {
 		}
 		break
 	}
-	// expecting is the one hold condition: room left, and a job queued or a
-	// handler about to queue one.
-	expecting := func() bool {
-		return len(batch) < e.cfg.MaxBatch && (len(e.jobs) > 0 || e.enRoute.Load() > 0)
-	}
-	if !wait || e.cfg.MaxWait <= 0 || !expecting() {
-		return batch
-	}
-	timer := time.NewTimer(e.cfg.MaxWait)
-	defer timer.Stop()
-	for expecting() {
+	for len(batch) < e.cfg.MaxBatch && (len(e.jobs) > 0 || e.enRoute.Load() > 0) {
 		select {
 		case j := <-e.jobs:
 			batch = append(batch, j)
 		case <-e.wake:
-		case <-timer.C:
+		case <-e.quit:
 			return batch
 		}
 	}

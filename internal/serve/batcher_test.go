@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"prestroid/internal/logicalplan"
+	"prestroid/internal/models"
 	"prestroid/internal/tensor"
 	"prestroid/internal/workload"
 )
@@ -94,7 +96,7 @@ func stubEngine(t *testing.T, cfg Config, delay time.Duration) (*Engine, *stubMo
 // every one correctly, evicts every trace, and never calls the model from
 // two goroutines at once.
 func TestEngineCoalesces(t *testing.T) {
-	eng, m := stubEngine(t, Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond}, 2*time.Millisecond)
+	eng, m := stubEngine(t, Config{MaxBatch: 8}, 2*time.Millisecond)
 	const clients = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -152,11 +154,12 @@ func TestEngineCoalesces(t *testing.T) {
 	}
 }
 
-// TestBatchIsWhatQueuedDuringTheFlush pins batch formation at MaxWait 0,
-// without a clock: a lone job's flush reaches the model with nothing queued
-// behind it — there is no second job to wait for and nothing to wait out — and
-// the k jobs that queue while that flush is held become flushes of MaxBatch
-// rows, remainder last, the moment it is released.
+// TestBatchIsWhatQueuedDuringTheFlush pins batch formation when nobody is en
+// route (the jobs go straight to e.jobs, so the count stays 0), without a
+// clock: a lone job's flush reaches the model with nothing queued behind it —
+// there is no second job to wait for and nothing to wait out — and the k jobs
+// that queue while that flush is held become flushes of MaxBatch rows,
+// remainder last, the moment it is released.
 func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
 	const maxBatch = 4
 	for _, k := range []int{1, 3, 4, 6, 9} {
@@ -202,13 +205,12 @@ func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
 	}
 }
 
-// holdEngine is a stub engine whose coalescer is free to hold — MaxWait is an
-// hour, so a hold that nothing ends hangs the test instead of passing it on
-// the timer — and whose flushes announce their size on entered without ever
-// blocking the batcher.
+// holdEngine is a stub engine whose coalescer is free to hold — a hold that
+// nothing ends hangs the test — and whose flushes announce their size on
+// entered without ever blocking the batcher.
 func holdEngine(t *testing.T) (*Engine, *stubModel) {
 	t.Helper()
-	eng, m := stubEngine(t, Config{MaxBatch: 8, MaxWait: time.Hour, TemplateCacheSize: 8}, 0)
+	eng, m := stubEngine(t, Config{MaxBatch: 8, TemplateCacheSize: 8}, 0)
 	m.entered, m.release = make(chan int, 64), make(chan struct{})
 	close(m.release)
 	return eng, m
@@ -357,6 +359,86 @@ func TestHoldLiveness(t *testing.T) {
 	}
 }
 
+// panicEncoder is a stub model with an off-lock encode that panics on a marked
+// query, the way a front end that trips over a bug would.
+type panicEncoder struct{ *stubModel }
+
+const panicMark = "panic_here"
+
+func (panicEncoder) EncodeTrace(tr *workload.Trace) any {
+	if strings.Contains(tr.SQL, panicMark) {
+		panic("front end blew up")
+	}
+	return nil
+}
+func (panicEncoder) BuildTemplateEncoding(*logicalplan.Node) *models.TemplateEncoding { return nil }
+func (panicEncoder) AdoptEncoding(*workload.Trace, any)                               {}
+
+// TestHoldSurvivesFrontEndPanic pins that the en-route count cannot leak: a
+// handler that leaves its front end by panic — net/http recovers it and the
+// process lives on — still lowers the count and wakes the collector, so the
+// batch held for it flushes and the shard holds for nobody afterwards.
+func TestHoldSurvivesFrontEndPanic(t *testing.T) {
+	m := &stubModel{entered: make(chan int, 64), release: make(chan struct{})}
+	close(m.release)
+	eng := NewEngine(&Predictor{Model: panicEncoder{m}}, Config{MaxBatch: 8, TemplateCacheSize: 8})
+	t.Cleanup(eng.Close)
+	a := newJob(t, eng, 0)
+	// As in TestHoldIsForEnRouteWork, the template segment's mutex keeps the
+	// doomed query inside frontEnd, counted en route, until the test lets it go.
+	eng.tmplCache.mu.Lock()
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		eng.PredictSQL("SELECT " + panicMark + " FROM t")
+	}()
+	for eng.enRoute.Load() != 1 {
+		runtime.Gosched()
+	}
+	eng.jobs <- a
+	awaitHold(t, m)
+	eng.tmplCache.mu.Unlock()
+	if r := <-recovered; r == nil {
+		t.Fatal("the marked query's front end did not panic")
+	}
+	wantFlush(t, m, 1, a)
+	if n := eng.enRoute.Load(); n != 0 {
+		t.Fatalf("%d handlers counted en route after the only one panicked", n)
+	}
+	if _, err := eng.PredictSQL("SELECT a FROM t WHERE a > 5"); err != nil {
+		t.Fatal(err)
+	}
+	wantFlush(t, m, 1)
+	if snap := eng.Snapshot(); snap.Batches != 2 {
+		t.Fatalf("batches = %d, want A's and the lone miss's", snap.Batches)
+	}
+}
+
+// TestCloseEndsAHold pins that Close never waits on somebody's front end: a
+// batch held for a handler still en route flushes when the engine closes, and
+// that handler, arriving late, answers through the serialised fallback.
+func TestCloseEndsAHold(t *testing.T) {
+	eng, m := holdEngine(t)
+	a := newJob(t, eng, 0)
+	eng.enRoute.Add(1) // a handler is in its front end, and stays there
+	eng.jobs <- a
+	awaitHold(t, m)
+	eng.Close()
+	wantFlush(t, m, 1, a)
+	if snap := eng.Snapshot(); snap.Batches != 1 {
+		t.Fatalf("batches = %d after Close flushed the held job, want 1", snap.Batches)
+	}
+	eng.enRoute.Add(-1)
+	sql := "SELECT a FROM t WHERE a > 5"
+	got, err := eng.PredictSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := (&Predictor{Model: &stubModel{}}).PredictSQL(sql); got != want {
+		t.Fatalf("post-close prediction %+v, want %+v", got, want)
+	}
+}
+
 // TestEngineCacheHit checks that a repeated template — including cosmetic
 // whitespace variants — is answered from the LRU without touching the model,
 // and returns the identical Prediction.
@@ -426,7 +508,7 @@ func TestEngineClosedFallsBack(t *testing.T) {
 // deduplicated inside the batch: the model sees one row, every caller gets
 // the same answer.
 func TestEngineSingleFlight(t *testing.T) {
-	eng, m := stubEngine(t, Config{MaxBatch: 16, MaxWait: 2 * time.Millisecond, CacheSize: 8}, 2*time.Millisecond)
+	eng, m := stubEngine(t, Config{MaxBatch: 16, CacheSize: 8}, 2*time.Millisecond)
 	const clients = 8
 	results := make([]Prediction, clients)
 	var wg sync.WaitGroup

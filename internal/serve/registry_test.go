@@ -44,7 +44,7 @@ func canaryQueries(n int) []string {
 // keys routed to the staged engine is within tolerance of P.
 func TestCanarySplitDeterministic(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheSize: 64, Replicas: 2})
+	reg := NewRegistry(Config{MaxBatch: 4, CacheSize: 64, Replicas: 2})
 	t.Cleanup(reg.Close)
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestCanarySplitDeterministic(t *testing.T) {
 // and every response for a key must report the same generation every time.
 func TestCanaryRoutingStableUnderConcurrency(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheSize: 64, Replicas: 2})
+	reg := NewRegistry(Config{MaxBatch: 4, CacheSize: 64, Replicas: 2})
 	t.Cleanup(reg.Close)
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestCanaryRoutingStableUnderConcurrency(t *testing.T) {
 // promotion the generation must move strictly forward.
 func TestShadowMirrorUnderConcurrentRoll(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheSize: 64, Replicas: 2})
+	reg := NewRegistry(Config{MaxBatch: 4, CacheSize: 64, Replicas: 2})
 	t.Cleanup(reg.Close)
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
@@ -238,7 +238,7 @@ func TestShadowMirrorUnderConcurrentRoll(t *testing.T) {
 // the staged engine still sees mirrored work.
 func TestShadowZeroTrafficImpact(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, MaxWait: time.Millisecond, Replicas: 1})
+	reg := NewRegistry(Config{MaxBatch: 4, Replicas: 1})
 	t.Cleanup(reg.Close)
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
@@ -289,7 +289,7 @@ func TestShadowZeroTrafficImpact(t *testing.T) {
 // reloads counter keeps counting across the engine swap.
 func TestPromoteGenerationMonotone(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, MaxWait: time.Millisecond, Replicas: 1})
+	reg := NewRegistry(Config{MaxBatch: 4, Replicas: 1})
 	t.Cleanup(reg.Close)
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
@@ -329,7 +329,7 @@ func TestPromoteGenerationMonotone(t *testing.T) {
 // refuse with their sentinel errors, without touching the live engine.
 func TestRollGuards(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, MaxWait: time.Millisecond, Replicas: 1})
+	reg := NewRegistry(Config{MaxBatch: 4, Replicas: 1})
 	t.Cleanup(reg.Close)
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
@@ -365,7 +365,7 @@ func TestRollGuards(t *testing.T) {
 // roll staged on one model leaves the other serving and reloadable.
 func TestRegistryIsolation(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, MaxWait: time.Millisecond, Replicas: 1})
+	reg := NewRegistry(Config{MaxBatch: 4, Replicas: 1})
 	t.Cleanup(reg.Close)
 	def, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {

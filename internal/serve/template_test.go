@@ -22,7 +22,6 @@ import (
 func tmplCfg() Config {
 	return Config{
 		MaxBatch:          8,
-		MaxWait:           100 * time.Microsecond,
 		CacheSize:         0,
 		SubtreeCacheSize:  0,
 		TemplateCacheSize: 256,

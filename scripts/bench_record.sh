@@ -4,7 +4,7 @@
 # BenchmarkPrestroidPredictSteady — each in both kernel modes, the quantised
 # variants carry a Quantized suffix and so match the same unanchored
 # patterns — the BenchmarkShardedTemplateCache off/on pair with its >= 1.5x
-# speedup gate, the BenchmarkLoneMiss default/max-wait-0 pair with its <= 1.5x
+# speedup gate, the BenchmarkLoneMiss default/max-batch-1 pair with its <= 1.5x
 # cost gate, plus the BenchmarkFrontEnd and BenchmarkFloatProject/
 # BenchmarkInt8Project microbenchmarks, 5 repeats of 100ms each with -benchmem —
 # time-based so iteration counts auto-scale from the ~300ns steady
@@ -146,10 +146,10 @@ for fast, slow, want in RATIO_GATES:
 # layer 0 treated the feature rows as dense and computed an input gradient
 # nothing reads). A lone miss has nobody en route behind it, so the shipped
 # coalescer must not hold its batch open: it costs what a coalescer that never
-# holds costs (it read > 10x while every short batch waited out MaxWait).
+# holds — MaxBatch 1 — costs.
 COST_GATES = [
     ("BenchmarkTreeConvBackward", "BenchmarkTreeConvForward", 4.0),
-    ("BenchmarkLoneMiss/default", "BenchmarkLoneMiss/max-wait-0", 1.5),
+    ("BenchmarkLoneMiss/default", "BenchmarkLoneMiss/max-batch-1", 1.5),
 ]
 for costly, ref, limit in COST_GATES:
     if costly not in best or ref not in best:
