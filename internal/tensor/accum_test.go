@@ -1,0 +1,208 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
+
+// refAccumRows is AccumRows' definition written element by element: out[j]
+// is its own sum over p, from +0, of the rounded products with x[p] ≠ 0.
+func refAccumRows(out, x, b []float64) {
+	n := len(out)
+	for j := range out {
+		s := 0.0
+		for p, xv := range x {
+			if xv != 0 {
+				s += float64(xv * b[p*n+j])
+			}
+		}
+		out[j] = s
+	}
+}
+
+// sameBits is equality of bit patterns, except that any NaN equals any NaN:
+// which payload survives NaN+NaN depends on operand order, which the
+// definition leaves open.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// paths are AccumRows' two implementations as setSIMD selects them.
+var paths = []struct {
+	name string
+	simd bool
+}{{"simd", true}, {"go", false}}
+
+// eachPath runs f with the assembly path on (skipped where the CPU lacks it)
+// and forced off.
+func eachPath(t *testing.T, f func(t *testing.T)) {
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			if path.simd && !haveSIMD {
+				t.Skip("no AVX2")
+			}
+			defer setSIMD(setSIMD(path.simd))
+			f(t)
+		})
+	}
+}
+
+// checkAccumRows runs AccumRows into a guarded, pre-soiled output and
+// requires the reference's bits and untouched guards.
+func checkAccumRows(t testing.TB, x, b []float64, n int) {
+	t.Helper()
+	const guard = 12345.678
+	buf := make([]float64, n+2)
+	for i := range buf {
+		buf[i] = guard
+	}
+	got := buf[1 : n+1 : n+1]
+	AccumRows(got, x, b)
+	if buf[0] != guard || buf[n+1] != guard {
+		t.Fatalf("n=%d k=%d: AccumRows wrote outside out", n, len(x))
+	}
+	want := make([]float64, n)
+	refAccumRows(want, x, b)
+	for j := range want {
+		if !sameBits(got[j], want[j]) {
+			t.Fatalf("n=%d k=%d: out[%d] = %v (%#x), reference %v (%#x)", n, len(x), j,
+				got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// Awkward values: both zeros, NaN, both infinities, subnormals, values whose
+// products overflow or underflow, and plain ones.
+var (
+	negZero   = math.Copysign(0, -1)
+	subnormal = math.SmallestNonzeroFloat64 * 3
+	palette   = []float64{0, negZero, math.NaN(), math.Inf(1), math.Inf(-1), subnormal, -subnormal,
+		math.MaxFloat64 / 2, 1e-300, 1, -1.5, 0.1, 3.25}
+)
+
+func TestAccumRowsMatchesReference(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		rng := NewRNG(31)
+		for n := 0; n <= 70; n++ {
+			for _, k := range []int{0, 1, 2, 5, 17, 33} {
+				// Coefficients mix zeros of both signs with palette values;
+				// the weights are mostly normal, with NaN and ±Inf rows
+				// sitting under some of the zero coefficients, where they
+				// must never be read.
+				x := make([]float64, k)
+				b := make([]float64, k*n)
+				for p := range x {
+					switch r := rng.Intn(4); r {
+					case 0:
+						x[p] = 0
+					case 1:
+						x[p] = negZero
+					default:
+						x[p] = palette[rng.Intn(len(palette))]
+					}
+					for j := p * n; j < (p+1)*n; j++ {
+						b[j] = rng.Norm()
+						switch rng.Intn(16) {
+						case 0:
+							b[j] = palette[rng.Intn(len(palette))]
+						case 1:
+							if x[p] == 0 {
+								b[j] = math.NaN()
+							}
+						case 2:
+							if x[p] == 0 {
+								b[j] = math.Inf(1)
+							}
+						}
+					}
+				}
+				checkAccumRows(t, x, b, n)
+			}
+		}
+	})
+}
+
+func TestAccumRowsShortWeightsPanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AccumRows accepted 5 weights for a 2x3 product")
+		}
+	}()
+	AccumRows(make([]float64, 3), []float64{1, 1}, make([]float64, 5))
+}
+
+// FuzzAccumRows decodes an output width, a coefficient count and then values:
+// a byte with its top bit set picks from the palette, otherwise eight bytes
+// are one float64's bits (any NaN payload, any subnormal). Both paths must
+// reproduce the reference.
+func FuzzAccumRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{37, 3, 0x80, 0x81, 0x82, 0x83})
+	f.Add([]byte{5, 2, 0x82, 0x81, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8a, 0x8b, 0x8c})
+	f.Add([]byte{36, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() float64 {
+			if len(data) == 0 {
+				return 1
+			}
+			if c := data[0]; c&0x80 != 0 || len(data) < 8 {
+				data = data[1:]
+				return palette[int(c&0x7f)%len(palette)]
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+			return v
+		}
+		var n, k int
+		if len(data) >= 2 {
+			n, k = int(data[0])%71, int(data[1])%40
+			data = data[2:]
+		}
+		x := make([]float64, k)
+		for p := range x {
+			x[p] = next()
+		}
+		b := make([]float64, k*n)
+		for j := range b {
+			b[j] = next()
+		}
+		for _, path := range paths {
+			prev := setSIMD(path.simd)
+			checkAccumRows(t, x, b, n)
+			setSIMD(prev)
+		}
+	})
+}
+
+// BenchmarkAccumRows times eight output rows at the hidden layers' shape — a
+// 32-wide rectified activation row, about half zero, times a 32×32 weight
+// matrix — through the assembly (simd) and through Go (go).
+// scripts/bench_record.sh gates simd at no less than twice as fast as go.
+func BenchmarkAccumRows(b *testing.B) {
+	const rows, k, n = 8, 32, 32
+	rng := NewRNG(41)
+	x := New(rows, k)
+	rng.FillNorm(x, 0, 1)
+	for i, v := range x.Data {
+		if v < 0 {
+			x.Data[i] = 0
+		}
+	}
+	w := New(k, n)
+	rng.FillNorm(w, 0, 1)
+	out := New(rows, n)
+	for _, path := range paths {
+		b.Run(path.name, func(b *testing.B) {
+			if path.simd && !haveSIMD {
+				b.Skip("no AVX2")
+			}
+			defer setSIMD(setSIMD(path.simd))
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					AccumRows(out.Row(r), x.Row(r), w.Data)
+				}
+			}
+		})
+	}
+}

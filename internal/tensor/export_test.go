@@ -11,6 +11,14 @@ func ResetHelperPeak() {
 // flight at once since the last ResetHelperPeak.
 func HelperPeak() int64 { return helperPeak.Load() }
 
+// setSIMD turns AccumRows' assembly path on (where the CPU has it) or off
+// and returns the previous setting, for tests that run both paths.
+func setSIMD(on bool) bool {
+	prev := simd
+	simd = on && haveSIMD
+	return prev
+}
+
 // ParallelFlopThreshold exposes the m*k*n product above which the kernels
 // fan out, so tests can size operands just past it.
 const ParallelFlopThreshold = parallelFlopThreshold

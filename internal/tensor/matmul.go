@@ -18,9 +18,10 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes out = a × b, reusing out's buffer. out must have shape
-// (a.rows, b.cols). The inner loop is ordered i-k-j for cache locality;
-// large products are sharded row-wise across goroutines (each output row is
-// written by exactly one worker, so no synchronisation is needed).
+// (a.rows, b.cols). Each output row is one AccumRows call (i-k-j order, zero
+// entries of a skipped); large products are sharded row-wise across
+// goroutines (each output row is written by exactly one worker, so no
+// synchronisation is needed).
 func MatMulInto(out, a, b *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul wants 2-d operands, got %v x %v", a.Shape, b.Shape))
@@ -46,25 +47,11 @@ func MatMulInto(out, a, b *Tensor) {
 	})
 }
 
-// matMulRows computes output rows [lo, hi).
+// matMulRows computes output rows [lo, hi), one AccumRows call each.
 func matMulRows(out, a, b *Tensor, lo, hi int) {
 	k, n := a.Shape[1], b.Shape[1]
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
+		AccumRows(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data)
 	}
 }
 

@@ -3,6 +3,21 @@
 // buffers with an explicit shape; all operations are deterministic and
 // allocation behaviour is documented so that per-batch memory footprints can
 // be accounted exactly (the paper's Fig 6 metric).
+//
+// One kernel carries the float products: AccumRows sets
+// out[j] = Σ_{p : x[p] ≠ 0} x[p]·B[p,j], each sum in p order from +0. It is
+// every output row of MatMulInto (the dense head) and every product of the
+// hidden tree-convolution layers, forward and weight gradient. Its Go form
+// is the reference and the only path off amd64; on amd64 an AVX2 assembly
+// form is chosen once at init, by CPUID and XGETBV, when the CPU has AVX2
+// and the OS saves the YMM registers — there is no flag, variable or setting.
+// The assembly multiplies (VMULPD) and then adds (VADDPD): a fused
+// multiply-add rounds once where the Go form rounds twice, so it would change
+// the bits of every trained weight. Both forms therefore give the same bits
+// (any NaN aside, whose payload the operand order picks).
+// TestAccumRowsMatchesReference and FuzzAccumRows check that on both paths
+// against an element-by-element reference; go test -fuzz=FuzzAccumRows
+// ./internal/tensor runs the fuzzer.
 package tensor
 
 import (
@@ -284,7 +299,8 @@ func (t *Tensor) String() string {
 }
 
 // Equal reports whether two tensors have identical shape and elements within
-// tolerance eps.
+// tolerance eps. A NaN equals only a NaN, and an infinity only the infinity
+// of the same sign.
 func Equal(a, b *Tensor, eps float64) bool {
 	if len(a.Shape) != len(b.Shape) {
 		return false
@@ -294,8 +310,12 @@ func Equal(a, b *Tensor, eps float64) bool {
 			return false
 		}
 	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > eps {
+	for i, x := range a.Data {
+		y := b.Data[i]
+		if x == y || x != x && y != y {
+			continue
+		}
+		if math.IsInf(x, 0) || math.IsInf(y, 0) || !(math.Abs(x-y) <= eps) {
 			return false
 		}
 	}

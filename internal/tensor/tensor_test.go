@@ -111,6 +111,37 @@ func TestReductions(t *testing.T) {
 	}
 }
 
+func TestEqualTable(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		a, b float64
+		eps  float64
+		want bool
+	}{
+		{1, 1, 0, true},
+		{1, 1.05, 0.1, true},
+		{1, 1.5, 0.1, false},
+		{0, math.Copysign(0, -1), 0, true},
+		{nan, nan, 0, true},
+		{nan, 1, 1e9, false},
+		{1, nan, 1e9, false},
+		{nan, inf, 1e9, false},
+		{inf, inf, 0, true},
+		{-inf, -inf, 0, true},
+		{inf, -inf, inf, false},
+		{inf, math.MaxFloat64, inf, false},
+		{-inf, 1, 1e9, false},
+	} {
+		a, b := FromSlice([]float64{7, c.a}, 2), FromSlice([]float64{7, c.b}, 2)
+		if got := Equal(a, b, c.eps); got != c.want {
+			t.Errorf("Equal(%v, %v, eps %v) = %v, want %v", c.a, c.b, c.eps, got, c.want)
+		}
+	}
+	if Equal(New(2, 3), New(3, 2), 0) {
+		t.Error("Equal ignored the shape")
+	}
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)

@@ -19,11 +19,13 @@ import (
 // featurization and almost entirely zero: forward gathers rows of Wt/Wl/Wr
 // through the index, backward scatters dWt/dWl/dWr through it and computes no
 // input gradient (nothing is upstream of the features). Every later layer
-// reads rectified activations, about half dense, and uses the dense GEMM
-// kernels. Either way each output and each gradient element is built by the
-// additions of the dense three-GEMM formulation in that formulation's order,
-// less only additions of a zero that cannot change the sum, so the bits are
-// the same (dense_ref_test.go keeps that formulation as the oracle).
+// reads rectified activations, about half dense: forward forms each node's
+// parent and child products with tensor.AccumRows, and backward sums each
+// weight row's gradient with one AccumRows call over the nodes. Either way
+// each output and each gradient element is built by the additions of the
+// dense three-GEMM formulation in that formulation's order, less only
+// additions of a zero that cannot change the sum, so the bits are the same
+// (dense_ref_test.go keeps that formulation as the oracle).
 type ConvLayer struct {
 	In, Out int
 	Wt      *nn.Param
@@ -60,33 +62,6 @@ func NewConvLayer(in, out int, rng *tensor.RNG) *ConvLayer {
 // Params returns the triangular kernel and bias.
 func (l *ConvLayer) Params() []*nn.Param { return []*nn.Param{l.Wt, l.Wl, l.Wr, l.B} }
 
-// gather copies each node's child feature rows into the pre-zeroed xl, xr.
-// Absent children (index -1) keep their zero rows.
-func gather(tree *Tree, x, xl, xr *tensor.Tensor) {
-	n := tree.Len()
-	for i := 0; i < n; i++ {
-		if li := tree.Left[i]; li >= 0 {
-			copy(xl.Row(i), x.Row(li))
-		}
-		if ri := tree.Right[i]; ri >= 0 {
-			copy(xr.Row(i), x.Row(ri))
-		}
-	}
-}
-
-// project writes Wt·x + Wl·xl + Wr·xr + b into out, using tmp as scratch for
-// the child products. out and tmp must both be (n, Out). The additions run
-// parent product, then +left product, then +right product, then +bias; the
-// sparse projection below keeps that order per element.
-func (l *ConvLayer) project(out, tmp, x, xl, xr *tensor.Tensor) {
-	tensor.MatMulInto(out, x, l.Wt.W)
-	tensor.MatMulInto(tmp, xl, l.Wl.W)
-	out.AddInPlace(tmp)
-	tensor.MatMulInto(tmp, xr, l.Wr.W)
-	out.AddInPlace(tmp)
-	tensor.AddRowVector(out, l.B.W)
-}
-
 // addRow adds src into dst element-wise.
 func addRow(dst, src []float64) {
 	for j, v := range src {
@@ -94,11 +69,12 @@ func addRow(dst, src []float64) {
 	}
 }
 
-// gatherRows accumulates Σ_c xrow[c]·w[c,:] over the listed columns into
-// orow, in column order — one row of MatMulInto with the zero tests already
+// gatherRows sets orow to Σ_c xrow[c]·w[c,:] over the listed columns, in
+// column order from +0 — tensor.AccumRows with the zero tests already
 // answered by the index.
 func gatherRows(orow, xrow []float64, cols []int32, w *tensor.Tensor) {
 	n := len(orow)
+	clear(orow)
 	for _, c := range cols {
 		av := xrow[c]
 		wrow := w.Data[int(c)*n : (int(c)+1)*n]
@@ -108,34 +84,28 @@ func gatherRows(orow, xrow []float64, cols []int32, w *tensor.Tensor) {
 	}
 }
 
-// projectSparse is project for the indexed feature rows: per node, the
-// parent product is gathered into the (pre-zeroed) output row, each present
-// child's product is formed on its own in tmp (Out wide) and then added, and
-// the bias goes last. No child-row copies exist. An absent child would add a
-// row of +0, which cannot change a sum that started from +0, so it is
-// skipped.
-func (l *ConvLayer) projectSparse(out *tensor.Tensor, tree *Tree, nz rowIndex, tmp []float64) {
-	x := tree.Feats
+// project writes every node's pre-activation Wt·x_i + Wl·x_l + Wr·x_r + b
+// into out: the parent product into the output row, then each present
+// child's product, formed on its own in tmp (Out wide), added, then the bias
+// — per element, the additions of the dense three-GEMM formulation in its
+// order. An absent child would add a row of +0, which cannot change a sum
+// that started from +0, so it is skipped. product(dst, i, w) sets dst to
+// node i's input row times w.
+func (l *ConvLayer) project(out *tensor.Tensor, tree *Tree, tmp []float64, product func(dst []float64, i int, w *tensor.Tensor)) {
 	bias := l.B.W.Data
 	for i := range tree.Left {
 		orow := out.Row(i)
-		gatherRows(orow, x.Row(i), nz.row(i), l.Wt.W)
-		addChildProduct(orow, tmp, x, nz, tree.Left[i], l.Wl.W)
-		addChildProduct(orow, tmp, x, nz, tree.Right[i], l.Wr.W)
+		product(orow, i, l.Wt.W)
+		if li := tree.Left[i]; li >= 0 {
+			product(tmp, li, l.Wl.W)
+			addRow(orow, tmp)
+		}
+		if ri := tree.Right[i]; ri >= 0 {
+			product(tmp, ri, l.Wr.W)
+			addRow(orow, tmp)
+		}
 		addRow(orow, bias)
 	}
-}
-
-// addChildProduct forms child ci's product with w in tmp and adds it to orow.
-func addChildProduct(orow, tmp []float64, x *tensor.Tensor, nz rowIndex, ci int, w *tensor.Tensor) {
-	if ci < 0 {
-		return
-	}
-	for j := range tmp {
-		tmp[j] = 0
-	}
-	gatherRows(tmp, x.Row(ci), nz.row(ci), w)
-	addRow(orow, tmp)
 }
 
 // PackInt8 (re)quantises the triangular kernel for the int8 inference
@@ -253,18 +223,19 @@ func (l *ConvLayer) forwardArenaInt8(tree *Tree, x *tensor.Tensor, a *tensor.Are
 // forward computes the layer output for input x over tree. The output comes
 // from keep, per-call scratch from scratch; either may be nil for the heap,
 // and inference passes the same arena twice. x being the tree's own feature
-// tensor is what selects the gathered projection over nz; any other input is
-// an activation matrix and goes through gather + dense project.
+// tensor is what selects products gathered through nz; any other input is an
+// activation matrix, and each product is one tensor.AccumRows call.
 func (l *ConvLayer) forward(tree *Tree, nz rowIndex, x *tensor.Tensor, keep, scratch *tensor.Arena) *tensor.Tensor {
-	n := tree.Len()
-	out := keep.Get(n, l.Out)
+	out := keep.Get(tree.Len(), l.Out)
+	tmp := scratch.Get(l.Out).Data
 	if x == tree.Feats {
-		l.projectSparse(out, tree, nz, scratch.Get(1, l.Out).Data)
+		l.project(out, tree, tmp, func(dst []float64, i int, w *tensor.Tensor) {
+			gatherRows(dst, x.Row(i), nz.row(i), w)
+		})
 	} else {
-		xl := scratch.Get(n, l.In)
-		xr := scratch.Get(n, l.In)
-		gather(tree, x, xl, xr)
-		l.project(out, scratch.Get(n, l.Out), x, xl, xr)
+		l.project(out, tree, tmp, func(dst []float64, i int, w *tensor.Tensor) {
+			tensor.AccumRows(dst, x.Row(i), w.Data)
+		})
 	}
 	for i, v := range out.Data {
 		if !(v > 0) {
@@ -360,36 +331,33 @@ func inputRow(child []int, p int) int {
 	return child[p]
 }
 
-// accumDense is the accumulator for an activation input: one weight row at a
-// time, summed over the nodes in a single Out-wide scratch row that stays in
-// cache, then added into G. A row no node feeds (its input column is all
-// zero, as half of a rectified layer's are) would add +0s and is skipped.
+// accumDense is the accumulator for an activation input. Each weight row's
+// input column, in node order (0 for an absent child), is first laid out
+// contiguously in scratch — all of [lo,hi) in one pass over the nodes' rows;
+// then per row one tensor.AccumRows call sums the column against gz's rows
+// in an Out-wide scratch row, which is added into G. A row no node feeds (its
+// input column is all zero, as half of a rectified layer's are) would add
+// +0s and is skipped.
 func accumDense(g, x *tensor.Tensor, child []int, gz *tensor.Tensor, lo, hi int, a *tensor.Arena) {
-	in, out := x.Shape[1], gz.Shape[1]
-	tmp := a.Get(out).Data
+	in, n, out := x.Shape[1], gz.Shape[0], gz.Shape[1]
+	scratch := a.Get((hi-lo)*n + out).Data
+	cols, tmp := scratch[:(hi-lo)*n], scratch[(hi-lo)*n:]
+	for p := 0; p < n; p++ {
+		if q := inputRow(child, p); q >= 0 {
+			for c, v := range x.Data[q*in+lo : q*in+hi] {
+				cols[c*n+p] = v
+			}
+		}
+	}
+rows:
 	for i := lo; i < hi; i++ {
-		fed := false
-		for p := 0; p < gz.Shape[0]; p++ {
-			q := inputRow(child, p)
-			if q < 0 {
-				continue
+		col := cols[(i-lo)*n : (i-lo+1)*n]
+		for _, v := range col {
+			if v != 0 {
+				tensor.AccumRows(tmp, col, gz.Data)
+				addRow(g.Data[i*out:(i+1)*out], tmp)
+				continue rows
 			}
-			av := x.Data[q*in+i]
-			if av == 0 {
-				continue
-			}
-			fed = true
-			for j, gv := range gz.Row(p) {
-				tmp[j] += av * gv
-			}
-		}
-		if !fed {
-			continue
-		}
-		grow := g.Data[i*out : (i+1)*out]
-		for j, v := range tmp {
-			grow[j] += v
-			tmp[j] = 0
 		}
 	}
 }

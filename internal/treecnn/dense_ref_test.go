@@ -15,24 +15,58 @@ import (
 
 // The dense reference: the tree convolution as three GEMMs per layer over
 // materialised child rows, forward and backward, exactly as the package
-// computed it before layer 0 learned to read the feature index. It treats the
-// feature tensor like any other input — scanning its width, computing the
-// input gradient nobody reads — and is kept here as the oracle the indexed
-// path must match bit for bit.
+// computed it before layer 0 learned to read the feature index and the hidden
+// layers learned tensor.AccumRows. It treats the feature tensor like any
+// other input — scanning its width, computing the input gradient nobody
+// reads — and its GEMMs are plain Go loops, so it shares no kernel with the
+// code it checks. It is the oracle the package must match bit for bit.
 
 type refState struct {
 	x, xl, xr *tensor.Tensor
 	mask      []bool
 }
 
+// refMatMul is out = a × b in i-k-j order, zero entries of a skipped.
+func refMatMul(out, a, b *tensor.Tensor) {
+	n := b.Shape[1]
+	for i := 0; i < a.Shape[0]; i++ {
+		orow := out.Row(i)
+		for j := range orow {
+			orow[j] = 0
+		}
+		for p, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Data[p*n : (p+1)*n] {
+				orow[j] += float64(av * bv)
+			}
+		}
+	}
+}
+
 func refLayerForward(l *ConvLayer, tree *Tree, x *tensor.Tensor) (*tensor.Tensor, *refState) {
 	n := tree.Len()
+	// Each node's child rows, absent children left zero.
 	xl := tensor.New(n, l.In)
 	xr := tensor.New(n, l.In)
-	gather(tree, x, xl, xr)
+	for i := 0; i < n; i++ {
+		if li := tree.Left[i]; li >= 0 {
+			copy(xl.Row(i), x.Row(li))
+		}
+		if ri := tree.Right[i]; ri >= 0 {
+			copy(xr.Row(i), x.Row(ri))
+		}
+	}
+	// Wt·x + Wl·xl + Wr·xr + b, added in that order.
 	out := tensor.New(n, l.Out)
 	tmp := tensor.New(n, l.Out)
-	l.project(out, tmp, x, xl, xr)
+	refMatMul(out, x, l.Wt.W)
+	refMatMul(tmp, xl, l.Wl.W)
+	out.AddInPlace(tmp)
+	refMatMul(tmp, xr, l.Wr.W)
+	out.AddInPlace(tmp)
+	tensor.AddRowVector(out, l.B.W)
 	st := &refState{x: x, xl: xl, xr: xr, mask: make([]bool, out.Size())}
 	for i, v := range out.Data {
 		if v > 0 {
@@ -281,7 +315,9 @@ func adversarialTrees() []*Tree {
 
 func TestLayer0SparseMatchesDenseReference(t *testing.T) {
 	t.Run("grab", func(t *testing.T) {
-		checkSparseMatchesDense(t, grabTrees(t), []int{8, 8, 6}, 11)
+		trees := grabTrees(t)
+		checkSparseMatchesDense(t, trees, []int{8, 8, 6}, 11)
+		checkSparseMatchesDense(t, trees, wideWidths, 14)
 	})
 	t.Run("adversarial", func(t *testing.T) {
 		trees := adversarialTrees()
@@ -366,5 +402,12 @@ func FuzzLayer0SparseVsDense(f *testing.F) {
 		indexed := fuzzTree(data)
 		indexed.Rehash()
 		checkSparseMatchesDense(t, []*Tree{tree, indexed, tree}, []int{5, 4}, seed)
+		checkSparseMatchesDense(t, []*Tree{tree, indexed}, wideWidths, seed)
 	})
 }
+
+// wideWidths make the hidden layers' tensor.AccumRows calls (forward: Out
+// wide over In coefficients; backward: Out wide over the nodes) reach every
+// column path of its assembly: 37 = a 32-column block, a 4-column block and
+// a single column; 19 = a 16-column block and three single columns.
+var wideWidths = []int{37, 37, 19}

@@ -12,7 +12,9 @@
 # flap — and the training step: BenchmarkPrestroidTrainBatch with its
 # allocs/op held under a fixed ceiling, and the BenchmarkTreeConvForward /
 # BenchmarkTreeConvBackward pair, run at -cpu 1 so their ratio is arithmetic
-# rather than core count, with backward gated at 4x forward), record median
+# rather than core count, with backward gated at 4x forward; and the
+# BenchmarkAccumRows simd/go pair from internal/tensor, also at -cpu 1, with
+# simd gated at >= 2x go), record median
 # throughput and minimum allocations per benchmark to a
 # JSON artifact, and — when a baseline file exists — fail if any benchmark's
 # allocs/op rose past the allocation slack over its baseline. Every gate is
@@ -58,6 +60,11 @@ GOMAXPROCS=4 GOGC=100 go test -run '^$' \
 # GEMMs happened to find.
 GOGC=100 go test -run '^$' -bench 'BenchmarkTreeConv(Forward|Backward)$' \
   -cpu 1 -benchtime 100ms -count 5 -benchmem . | tee -a "$raw"
+# The row-accumulate kernel's assembly and Go legs, on one core, for the
+# SIMD ratio gate (the simd leg skips itself on a CPU without AVX2, and the
+# gate then has nothing to compare).
+GOGC=100 go test -run '^$' -bench 'BenchmarkAccumRows' \
+  -cpu 1 -benchtime 100ms -count 5 -benchmem ./internal/tensor | tee -a "$raw"
 
 python3 - "$raw" "$out" "$tolerance" "$loc" "$baseline" <<'PY'
 import json, re, statistics, sys
@@ -127,9 +134,11 @@ failures = []
 # right, checked on every run — no baseline file needed, since both legs come
 # from this run on this host. The template-cache gate is the prepared-
 # template front end's >= 1.5x contract on the unique-literal shared-template
-# workload.
+# workload. The AccumRows gate holds the assembly kernel under the hidden
+# tree-conv layers to at least twice its Go reference at their shape.
 RATIO_GATES = [
     ("BenchmarkShardedTemplateCache/on", "BenchmarkShardedTemplateCache/off", 1.5),
+    ("BenchmarkAccumRows/simd", "BenchmarkAccumRows/go", 2.0),
 ]
 for fast, slow, want in RATIO_GATES:
     if fast not in best or slow not in best:
