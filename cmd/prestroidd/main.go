@@ -152,13 +152,11 @@ func main() {
 	clientQPS := flag.Float64("client-qps", 0, "per-client request rate on the serving endpoints, keyed by bearer token or remote IP (0 disables quotas)")
 	clientBurst := flag.Int("client-burst", 10, "per-client token-bucket burst allowance (only meaningful with -client-qps)")
 	reloadToken := flag.String("reload-token", "", "bearer token required on the admin surfaces (POST /v1/reload, /debug/pprof/); when empty, they are loopback-only")
-	quantize := flag.Bool("quantize", false, "serve through the int8 quantised inference kernels (bounded prediction error, higher throughput; PRESTROID_QUANTIZE=1 forces this on)")
 	flag.Parse()
 
 	cfg := serve.Config{MaxBatch: *maxBatch, CacheSize: *cacheSize,
 		SubtreeCacheSize: *subtreeCacheSize, TemplateCacheSize: *templateCacheSize,
-		Replicas:   *replicas,
-		MaxEstWait: *maxEstWait, Quantize: *quantize}
+		Replicas: *replicas, MaxEstWait: *maxEstWait}
 	paths := bundlePaths{pipe: *pipePath, weights: *weightPath, bundles: bundles.specs}
 	quota := quotaConfig{qps: *clientQPS, burst: *clientBurst}
 	if err := run(*addr, *doTrain, paths, *queries, *tables, cfg, *reloadToken, quota); err != nil {
@@ -253,7 +251,7 @@ func run(addr string, doTrain bool, paths bundlePaths, queries, tables int, cfg 
 		if i == 0 {
 			role = " (default)"
 		}
-		log.Printf("model %s%s: generation %d, %d shards, kernel %s", en.Name(), role, en.Live().Generation(), en.Live().Shards(), en.Live().Kernel())
+		log.Printf("model %s%s: generation %d, %d shards", en.Name(), role, en.Live().Generation(), en.Live().Shards())
 	}
 	if cfg.MaxEstWait > 0 {
 		log.Printf("admission control: shedding past %s estimated wait", cfg.MaxEstWait)

@@ -69,12 +69,16 @@ type PredictRequest struct {
 // the model, but the model field is still validated so a typo fails loudly.
 type ExplainRequest = PredictRequest
 
-// PredictResponse is a Prediction plus the identity generation and the
-// serving kernel mode that produced it, so clients of a continuously
-// retrained service can tell which bundle answered — and whether the figure
-// is exact (float) or carries the quantised path's bounded error (int8).
-// Model echoes the identity that answered, only when the request named one;
-// model-less requests keep the historical response bytes.
+// KernelFloat is the serving kernel every response reports in its "kernel"
+// field. The daemon has one kernel; the field stays in the wire format so
+// clients that parse it keep working.
+const KernelFloat = "float"
+
+// PredictResponse is a Prediction plus the identity generation that produced
+// it, so clients of a continuously retrained service can tell which bundle
+// answered, and the serving kernel (always KernelFloat). Model echoes the
+// identity that answered, only when the request named one; model-less
+// requests keep the historical response bytes.
 type PredictResponse struct {
 	Prediction
 	Generation int64  `json:"generation"`
@@ -149,7 +153,7 @@ type ModelInfo struct {
 	// pending bundle's (0 when no roll is staged).
 	Generation       int64  `json:"generation"`
 	StagedGeneration int64  `json:"staged_generation,omitempty"`
-	Kernel           string `json:"kernel"`
+	Kernel           string `json:"kernel"` // always KernelFloat
 	Replicas         int    `json:"replicas"`
 	// Architecture is the model's own name (e.g. "prestroid-..."), as
 	// distinct from the serving identity name it is registered under.
@@ -225,12 +229,7 @@ type EngineStats struct {
 
 	ModelName string `json:"model"`
 	Params    int    `json:"parameters"`
-
-	// Kernel is the serving kernel mode ("float" or "int8");
-	// QuantMaxError is the worst absolute quantisation error any shard has
-	// observed (0 in float mode).
-	Kernel        string  `json:"kernel"`
-	QuantMaxError float64 `json:"quant_max_error"`
+	Kernel    string `json:"kernel"` // always KernelFloat
 }
 
 // ShardStats is the per-shard slice of the stats view: each entry reports
@@ -261,8 +260,6 @@ type ShardStats struct {
 	EstWaitMillis     float64 `json:"est_wait_millis"`
 	Queued            int     `json:"queued"`
 	Generation        int64   `json:"generation"`
-	Quantized         bool    `json:"quantized"`
-	QuantMaxError     float64 `json:"quant_max_error"`
 }
 
 // ShadowStats is the output-delta and latency-delta telemetry a shadow roll

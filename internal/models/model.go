@@ -114,30 +114,6 @@ type IntoPredictor interface {
 	PredictInto(batch []*workload.Trace, dst []float64)
 }
 
-// QuantErrorSink receives the maximum absolute quantisation error observed
-// during quantised inference — the weight round-trip error at pack time and
-// the activation round-trip error per prediction. Implementations MUST be
-// safe for concurrent use: conv workers report from several goroutines. The
-// serving layer adapts its telemetry max-gauge onto this.
-type QuantErrorSink interface {
-	ObserveQuantError(maxAbsErr float64)
-}
-
-// Quantizer is the optional int8-inference extension. SetQuantized(true)
-// packs every weight matrix into its int8 form and routes subsequent
-// PredictInto calls through the quantised kernels; predictions then carry a
-// bounded quantisation error instead of being byte-identical to the float
-// path. The packed tables follow the weights automatically: weight copies,
-// hot swaps and training steps on a quantised model trigger a repack before
-// the next prediction. SetQuantized and SetQuantErrorSink follow the usual
-// model concurrency contract (not synchronised against concurrent Predict);
-// the sink itself must be concurrency-safe.
-type Quantizer interface {
-	SetQuantized(on bool)
-	Quantized() bool
-	SetQuantErrorSink(sink QuantErrorSink)
-}
-
 // PipelineConfig configures the shared feature pipeline.
 type PipelineConfig struct {
 	Pf       int // Word2Vec feature size

@@ -89,17 +89,6 @@ type Prestroid struct {
 	// PredictInto fast path. It must be concurrency-safe (see ConvCache).
 	convCache ConvCache
 
-	// Int8 quantisation state (see the Quantizer extension). quantized
-	// routes PredictInto through the packed kernels; qdirty marks the packed
-	// tables stale relative to the float weights, forcing a repack before
-	// the next quantised prediction. qsink receives observed quantisation
-	// errors and must be concurrency-safe; qpackErr is the weight round-trip
-	// error of the current pack.
-	quantized bool
-	qdirty    bool
-	qsink     QuantErrorSink
-	qpackErr  float64
-
 	// Inference scratch, never shared between models: arenas backs the
 	// per-worker conv scratch and headArena the batch features + dense head.
 	arenas    *tensor.ArenaPool
@@ -346,38 +335,6 @@ func (m *Prestroid) convTrees(tr *workload.Trace) []*treecnn.Tree {
 // is not synchronised against concurrent Predict.
 func (m *Prestroid) SetForwardSemaphore(sem chan struct{}) { m.sem = sem }
 
-// SetQuantized implements the Quantizer extension: on routes PredictInto
-// through the int8 kernels, packing the current weights eagerly so the first
-// quantised prediction pays no pack cost. Predict (the float reference)
-// always stays float. Not synchronised against concurrent Predict.
-func (m *Prestroid) SetQuantized(on bool) {
-	m.quantized = on
-	if on {
-		m.packInt8()
-	}
-}
-
-// Quantized reports whether PredictInto uses the int8 kernels.
-func (m *Prestroid) Quantized() bool { return m.quantized }
-
-// SetQuantErrorSink installs the observer for quantisation errors; nil
-// removes it. The sink must be safe for concurrent use.
-func (m *Prestroid) SetQuantErrorSink(sink QuantErrorSink) { m.qsink = sink }
-
-// packInt8 (re)builds every packed weight table from the current float
-// weights and reports the worst weight round-trip error to the sink.
-func (m *Prestroid) packInt8() {
-	e := m.conv.PackInt8()
-	if he := nn.PackInt8Layers(m.head); he > e {
-		e = he
-	}
-	m.qpackErr = e
-	m.qdirty = false
-	if m.qsink != nil {
-		m.qsink.ObserveQuantError(e)
-	}
-}
-
 // TrainBatch performs one ADAM step on Huber loss. The conv stack's share of
 // the step is index once, gather forward, scatter backward, accumulate in
 // batch order:
@@ -452,9 +409,6 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	}
 
 	m.opt.Step(m.params)
-	if m.quantized {
-		m.qdirty = true
-	}
 	return lossVal
 }
 
@@ -480,45 +434,29 @@ func (m *Prestroid) Predict(batch []*workload.Trace) *tensor.Tensor {
 func (m *Prestroid) SetConvCache(c ConvCache) { m.convCache = c }
 
 // PredictInto implements IntoPredictor: the arena-backed inference fast
-// path. In the default float mode results are byte-identical to Predict —
-// the conv stages and the dense head replay the training path's operation
-// order exactly. In quantised mode (SetQuantized) the conv stack and dense
-// layers run on the int8 kernels instead, carrying a bounded quantisation
-// error reported to the sink. Either way all intermediate tensors live in
-// model-owned arenas and the outputs land in the caller's dst, so a
-// warmed-up call performs no heap allocation and no model-owned memory
-// escapes.
+// path. Results are byte-identical to Predict — the conv stages and the
+// dense head replay the training path's operation order exactly — while all
+// intermediate tensors live in model-owned arenas and the outputs land in
+// the caller's dst, so a warmed-up call performs no heap allocation and no
+// model-owned memory escapes.
 func (m *Prestroid) PredictInto(batch []*workload.Trace, dst []float64) {
 	if len(dst) < len(batch) {
 		panic("models: PredictInto dst shorter than batch")
 	}
-	if m.quantized && m.qdirty {
-		m.packInt8()
-	}
 	m.Prepare(batch)
 	feats := m.headArena.Get(len(batch), m.slots()*m.conv.OutDim())
 	m.inferConv(batch, feats, true)
-	var x *tensor.Tensor
-	if m.quantized {
-		var qe float64
-		x, qe = nn.ForwardInferenceInt8(m.head, feats, m.headArena)
-		if m.qsink != nil {
-			m.qsink.ObserveQuantError(qe)
-		}
-	} else {
-		x = nn.ForwardInference(m.head, feats, m.headArena)
-	}
+	x := nn.ForwardInference(m.head, feats, m.headArena)
 	copy(dst[:len(batch)], x.Data)
 	m.headArena.Reset()
 }
 
 // inferConv fills out (batch, slots*convOut) with pooled conv features,
-// fanning traces across cores. serving selects PredictInto's configuration —
-// the conv cache and, in quantised mode, the int8 kernels; without it every
-// tree is convolved on the float kernels. The conv stack is pure at inference
-// and each row is computed in the serial loop's operation order, so outputs
-// do not depend on batch composition. out must not live in the conv workers'
-// arenas.
+// fanning traces across cores. serving selects PredictInto's configuration,
+// which consults the conv cache; without it every tree is convolved. The conv
+// stack is pure at inference and each row is computed in the serial loop's
+// operation order, so outputs do not depend on batch composition. out must
+// not live in the conv workers' arenas.
 func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor, serving bool) {
 	if len(batch) == 1 {
 		// No closure for the lone trace: each's work func escapes to its
@@ -535,9 +473,9 @@ func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor, servi
 // from multiple goroutines for distinct bi (the arena pool and the cache are
 // concurrency-safe by contract).
 func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, serving bool) {
-	cache, quantized := m.convCache, m.quantized
+	cache := m.convCache
 	if !serving {
-		cache, quantized = nil, false
+		cache = nil
 	}
 	a := m.arenas.Get()
 	defer m.arenas.Put(a)
@@ -551,19 +489,8 @@ func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, ser
 				continue
 			}
 		}
-		// Pooled outputs are cached post-kernel, so entries are
-		// self-consistent for the model's current kernel mode and weights
-		// (mode is fixed per serving engine; weight swaps invalidate).
-		if quantized {
-			pooled, qe := m.conv.ForwardInferenceInt8(tree, a)
-			copy(slot, pooled.Data)
-			if m.qsink != nil {
-				m.qsink.ObserveQuantError(qe)
-			}
-		} else {
-			pooled := m.conv.ForwardInference(tree, a)
-			copy(slot, pooled.Data)
-		}
+		pooled := m.conv.ForwardInference(tree, a)
+		copy(slot, pooled.Data)
 		a.Reset()
 		if cache != nil && tree.Hash != 0 {
 			cache.Put(tree.Hash, slot)
@@ -607,12 +534,6 @@ func (m *Prestroid) Clone() Model {
 	}
 	c.maxNodes = m.maxNodes
 	c.sem = m.sem
-	if m.quantized {
-		// Pack the clone's own tables (packed tables are never shared: they
-		// alias weight snapshots, and replicas repack independently on
-		// swaps). The sink is per-shard and installed by the serving layer.
-		c.SetQuantized(true)
-	}
 	return c
 }
 
@@ -630,10 +551,6 @@ func (m *Prestroid) RebuildWithPipeline(pipe *Pipeline) (Model, error) {
 	}
 	c := NewPrestroid(m.cfg, pipe)
 	c.sem = m.sem
-	// Carry the kernel mode but defer packing: the caller installs the
-	// shipped bundle's weights next, and the dirty mark repacks after that.
-	c.quantized = m.quantized
-	c.qdirty = m.quantized
 	return c, nil
 }
 
@@ -670,12 +587,6 @@ func (m *Prestroid) CopyWeightsFrom(src *Prestroid) error {
 			return fmt.Errorf("models: state tensor %d size mismatch", i)
 		}
 		copy(st.Data, srcState[i].Data)
-	}
-	// The packed int8 tables alias the weights just overwritten; repack
-	// eagerly so a hot-swapped quantised replica serves the new weights on
-	// its very next prediction.
-	if m.quantized {
-		m.packInt8()
 	}
 	return nil
 }

@@ -12,11 +12,6 @@ type Dense struct {
 	Bias    *Param
 
 	lastInput *tensor.Tensor
-
-	// qWeight is the int8-packed form of Weight used by the quantised
-	// inference path; nil until PackInt8, stale after any weight update
-	// until the owner repacks (models own that lifecycle).
-	qWeight *tensor.Int8Matrix
 }
 
 // NewDense returns a dense layer with Glorot-uniform weights and zero bias.
@@ -48,35 +43,6 @@ func (d *Dense) ForwardArena(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	tensor.MatMulInto(out, x, d.Weight.W)
 	tensor.AddRowVector(out, d.Bias.W)
 	return out
-}
-
-// PackInt8 (re)quantises the weight matrix for the int8 inference path,
-// returning the max absolute weight round-trip error. The bias stays float:
-// it is added after dequantisation, exactly like the float path.
-func (d *Dense) PackInt8() float64 {
-	d.qWeight = tensor.QuantizeColumns(d.Weight.W)
-	return d.qWeight.MaxErr
-}
-
-// Int8Ready reports whether a packed kernel is installed.
-func (d *Dense) Int8Ready() bool { return d.qWeight != nil }
-
-// ForwardArenaInt8 is the quantised inference path: activations are
-// row-quantised into arena scratch and multiplied against the packed
-// weights with int32 accumulation, dequantising and adding the float bias
-// in one pass. Alongside the output it reports the max absolute activation
-// quantisation error observed on this input. PackInt8 must have run since
-// the last weight change.
-func (d *Dense) ForwardArenaInt8(x *tensor.Tensor, a *tensor.Arena) (*tensor.Tensor, float64) {
-	CheckShape(x, 2, "Dense")
-	m := x.Shape[0]
-	q := a.GetI8(m * d.In)
-	scales := a.Get(m)
-	meta := a.GetI32(2 * m)
-	qerr := tensor.QuantizeRowsInto(q, scales.Data, meta, x)
-	out := a.Get(m, d.Out)
-	tensor.Int8MatMulInto(out, q, scales.Data, meta, d.qWeight, d.Bias.W.Data, false)
-	return out, qerr
 }
 
 // Backward accumulates dL/dW = xᵀg and dL/db = Σ_batch g, returning

@@ -126,60 +126,6 @@ func ForwardInference(layers []Layer, x *tensor.Tensor, a *tensor.Arena) *tensor
 	return x
 }
 
-// Int8ArenaForwarder is implemented by layers that can run inference over
-// an int8-packed copy of their weights. PackInt8 (re)builds the packed form
-// from the current float weights and returns the max absolute weight
-// round-trip error; Int8Ready reports whether a packed form is installed;
-// ForwardArenaInt8 runs the quantised pass and reports the max absolute
-// activation quantisation error observed on its input. Unlike
-// ArenaForwarder, outputs are NOT byte-identical to Forward — they carry a
-// bounded quantisation error the model surfaces through telemetry.
-type Int8ArenaForwarder interface {
-	PackInt8() float64
-	Int8Ready() bool
-	ForwardArenaInt8(x *tensor.Tensor, a *tensor.Arena) (*tensor.Tensor, float64)
-}
-
-// ForwardInferenceInt8 runs layers in order preferring each layer's packed
-// int8 path, falling back to the float arena path (and then plain Forward)
-// for layers without one — activations, batch norm and the sigmoid head
-// stay float, which costs nothing since they are element-wise. It returns
-// the output and the max activation quantisation error observed across the
-// quantised layers.
-func ForwardInferenceInt8(layers []Layer, x *tensor.Tensor, a *tensor.Arena) (*tensor.Tensor, float64) {
-	maxErr := 0.0
-	for _, l := range layers {
-		if qf, ok := l.(Int8ArenaForwarder); ok && qf.Int8Ready() {
-			var e float64
-			x, e = qf.ForwardArenaInt8(x, a)
-			if e > maxErr {
-				maxErr = e
-			}
-			continue
-		}
-		if af, ok := l.(ArenaForwarder); ok {
-			x = af.ForwardArena(x, a)
-		} else {
-			x = l.Forward(x, false)
-		}
-	}
-	return x, maxErr
-}
-
-// PackInt8Layers packs every layer offering an int8 path, returning the max
-// weight round-trip error across them.
-func PackInt8Layers(layers []Layer) float64 {
-	maxErr := 0.0
-	for _, l := range layers {
-		if qf, ok := l.(Int8ArenaForwarder); ok {
-			if e := qf.PackInt8(); e > maxErr {
-				maxErr = e
-			}
-		}
-	}
-	return maxErr
-}
-
 // Stateful is implemented by layers carrying non-trainable state that must
 // be persisted and synchronised alongside the weights (batch-norm running
 // statistics).

@@ -280,7 +280,7 @@ func TestDeadlinesUnderConcurrentReloadRolls(t *testing.T) {
 				// dispatch, some in the queue, and some are served.
 				budget := time.Duration(50+137*((c+i)%7)) * time.Microsecond
 				ctx, cancel := context.WithTimeout(context.Background(), budget)
-				_, gen, _, err := en.PredictSQLGenCtx(ctx, sql)
+				_, gen, err := en.PredictSQLGenCtx(ctx, sql)
 				cancel()
 				if err != nil {
 					var expired *ExpiredError

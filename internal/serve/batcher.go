@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,23 +60,7 @@ type Config struct {
 	// detours around a saturated home shard. Only the sharded dispatcher
 	// consults it; a bare Engine never sheds.
 	MaxEstWait time.Duration
-	// Quantize routes inference through the model's int8 kernels when the
-	// model supports them (models.Quantizer). Predictions then carry a
-	// bounded quantisation error instead of being byte-identical to the
-	// float path; the worst error observed is exported per shard. The mode
-	// is fixed for the identity's lifetime: every engine a reload or
-	// promotion builds is quantised from the same Config. The
-	// PRESTROID_QUANTIZE environment variable (any non-empty value but "0")
-	// forces it on regardless of this field, so a test suite or CI job can
-	// flip a whole deployment's kernel mode without touching call sites.
-	Quantize bool
 }
-
-// envQuantize is the process-wide kernel-mode override, read once at start.
-var envQuantize = func() bool {
-	v := os.Getenv("PRESTROID_QUANTIZE")
-	return v != "" && v != "0"
-}()
 
 // DefaultConfig mirrors the prestroidd defaults.
 func DefaultConfig() Config {
@@ -127,12 +110,12 @@ type predictJob struct {
 // any of this and written once after it.
 //
 // An Engine is immutable: the predictor (model replica, pipeline,
-// normaliser), the generation, the three cache segments and the kernel mode
-// are fixed when newEngineAt returns, and the only field written afterwards
-// is closed. New weights never reach a running engine — a roll builds a
-// successor (see ModelEntry) — so everything an engine computes, caches or
-// answers belongs to the one identity it was built with, and pred.mu has a
-// single job: models are not safe for concurrent use.
+// normaliser), the generation and the three cache segments are fixed when
+// newEngineAt returns, and the only field written afterwards is closed. New
+// weights never reach a running engine — a roll builds a successor (see
+// ModelEntry) — so everything an engine computes, caches or answers belongs
+// to the one identity it was built with, and pred.mu has a single job:
+// models are not safe for concurrent use.
 type Engine struct {
 	pred *Predictor
 	cfg  Config
@@ -166,19 +149,7 @@ type Engine struct {
 	// from the engine a roll retires to its successor, so counters and the
 	// admission EWMA carry across rolls.
 	tel *telemetry.ShardGroup
-
-	// quantized records whether this shard serves through the int8 kernels:
-	// decided at construction (config or PRESTROID_QUANTIZE, and only if the
-	// model supports quantisation).
-	quantized bool
 }
-
-// maxGaugeSink adapts the shard's quantisation-error MaxGauge onto the
-// models.QuantErrorSink interface. MaxGauge is lock-free, satisfying the
-// sink's concurrency contract.
-type maxGaugeSink struct{ g *telemetry.MaxGauge }
-
-func (s maxGaugeSink) ObserveQuantError(e float64) { s.g.Observe(e) }
 
 // NewEngine starts the batcher goroutine over pred, which the engine owns
 // from here on. Callers must Close the engine to release it.
@@ -219,13 +190,6 @@ func newEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGro
 		// No model probe: skeleton-only entries already skip lex and parse, so
 		// the cache pays off even for models without shareable encodings.
 		e.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &tel.TemplateHits, &tel.TemplateMisses)
-	}
-	if cfg.Quantize || envQuantize {
-		if q, ok := pred.Model.(models.Quantizer); ok {
-			q.SetQuantErrorSink(maxGaugeSink{g: &tel.QuantErr})
-			q.SetQuantized(true)
-			e.quantized = true
-		}
 	}
 	e.wg.Add(1)
 	go e.run()
@@ -604,18 +568,5 @@ func (e *Engine) Snapshot() telemetry.ShardSnapshot {
 		TemplateEntries: tmplEntries,
 		TemplateBytes:   tmplBytes,
 		Generation:      e.gen,
-		Quantized:       e.quantized,
 	})
 }
-
-// kernelName renders a quantisation flag as the kernel-mode label shared by
-// the stats JSON, the Prometheus exposition and predict responses.
-func kernelName(quantized bool) string {
-	if quantized {
-		return "int8"
-	}
-	return "float"
-}
-
-// Kernel reports the serving kernel mode ("float" or "int8").
-func (e *Engine) Kernel() string { return kernelName(e.quantized) }

@@ -134,6 +134,51 @@ func TestCompatStatsTopLevel(t *testing.T) {
 	}
 }
 
+// TestCompatKernelIsFloat pins the value of the historical kernel key on
+// every surface that carries it: a predict response, the top-level stats
+// block and each /v1/models row all answer "float", the daemon's one kernel.
+func TestCompatKernelIsFloat(t *testing.T) {
+	srv, _ := newTestServer(t)
+	w := post(t, srv, "/v1/predict", `{"sql":"SELECT a FROM t WHERE a > 5"}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("predict = %d: %s", w.Code, w.Body)
+	}
+	var pr api.PredictResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Kernel != "float" {
+		t.Fatalf("predict kernel = %q, want float", pr.Kernel)
+	}
+
+	get := func(path string, v any) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, w.Code, w.Body)
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var st Stats
+	get("/v1/stats", &st)
+	if st.Kernel != "float" {
+		t.Fatalf("stats kernel = %q, want float", st.Kernel)
+	}
+	var mr api.ModelsResponse
+	get("/v1/models", &mr)
+	if len(mr.Models) == 0 {
+		t.Fatal("/v1/models listed no identity")
+	}
+	for _, m := range mr.Models {
+		if m.Kernel != "float" {
+			t.Fatalf("model %q kernel = %q, want float", m.Name, m.Kernel)
+		}
+	}
+}
+
 // TestCompatWeightReloadSingleModel pins the historical weight-only reload
 // against a registry daemon: same request body, same response fields, and
 // generation semantics unchanged from the single-engine servers.

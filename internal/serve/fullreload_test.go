@@ -57,7 +57,6 @@ func retrainedFullBundle(t *testing.T, pred *Predictor, normShift float64, extra
 	if err := persist.SaveFullBundle(&buf, pipe, norm, m); err != nil {
 		t.Fatal(err)
 	}
-	alignEnvKernel(m)
 	return buf.Bytes(), &Predictor{Model: m, Pipe: pipe, Norm: norm}
 }
 
@@ -303,7 +302,7 @@ func TestInterleavedReloads(t *testing.T) {
 	en := newTestEntry(t, pred, cfg)
 	sql := "SELECT a FROM t WHERE a > 5"
 	predict := func() (Prediction, int64, error) {
-		p, g, _, err := en.PredictSQLGenCtx(context.Background(), sql)
+		p, g, err := en.PredictSQLGenCtx(context.Background(), sql)
 		return p, g, err
 	}
 
@@ -457,7 +456,7 @@ func TestFullReloadUnderConcurrentTraffic(t *testing.T) {
 				}
 				sql := queries[(i+w)%len(queries)]
 				key := CanonicalSQL(sql)
-				p, g, _, err := en.PredictSQLGenCtx(context.Background(), sql)
+				p, g, err := en.PredictSQLGenCtx(context.Background(), sql)
 				if err != nil {
 					errCh <- err
 					return

@@ -270,7 +270,6 @@ func TestTemplateHashedStaysSkeletonOnly(t *testing.T) {
 	enc.HashedPredicates = true
 	pipe := &models.Pipeline{W2V: base.Pipe.W2V, Enc: &enc}
 	hashed := models.NewPrestroid(testModelConfig(), pipe)
-	alignEnvKernel(hashed)
 	m := &countingModel{Prestroid: hashed, adopted: map[*workload.Trace]bool{}}
 	pred := &Predictor{Model: m, Pipe: pipe, Norm: base.Norm}
 	e := NewEngine(pred, tmplCfg())

@@ -190,9 +190,8 @@ func (en *ModelEntry) roll() (*ShardedEngine, *stagedRoll) {
 // canaryBucket selects; during a shadow, to the live engine with the result
 // mirrored to the staged bundle off the hot path. The query is canonicalised
 // once, here, for both the canary split and the engine's dispatch. A nil ctx
-// means no deadline. Alongside the prediction and its generation it reports
-// the kernel mode of the engine that answered.
-func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, string, error) {
+// means no deadline.
+func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -204,13 +203,12 @@ func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Predict
 		if err == nil {
 			st.mirror(sql, p, time.Since(start))
 		}
-		return p, g, eng.Kernel(), err
+		return p, g, err
 	}
 	if st != nil && st.mode == api.StateCanary && canaryBucket(key) < st.percent {
 		eng = st.eng
 	}
-	p, g, err := eng.predictKey(ctx, sql, key)
-	return p, g, eng.Kernel(), err
+	return eng.predictKey(ctx, sql, key)
 }
 
 // ExplainSQL resolves a query to its logical plan through the live engine's

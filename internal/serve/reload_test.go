@@ -80,10 +80,6 @@ func perturbedBundle(t *testing.T, pred *Predictor, delta float64) ([]byte, *Pre
 	if err := persist.SaveWeights(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	// Re-align after the perturbation: in the quantised CI leg this re-packs
-	// the reference's int8 tables from the perturbed tensors, exactly like
-	// the roll re-packs each replica's.
-	alignEnvKernel(c)
 	return buf.Bytes(), &Predictor{Model: c, Pipe: pred.Pipe, Norm: pred.Norm}
 }
 
@@ -318,7 +314,7 @@ func TestReloadUnderConcurrentTraffic(t *testing.T) {
 				}
 				sql := queries[(i+w)%len(queries)]
 				key := CanonicalSQL(sql)
-				p, g, _, err := en.PredictSQLGenCtx(context.Background(), sql)
+				p, g, err := en.PredictSQLGenCtx(context.Background(), sql)
 				if err != nil {
 					errCh <- err
 					return

@@ -544,7 +544,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if en == nil {
 		return
 	}
-	pred, gen, kernel, err := en.PredictSQLGenCtx(ctx, req.SQL)
+	pred, gen, err := en.PredictSQLGenCtx(ctx, req.SQL)
 	if err != nil {
 		s.failPredict(w, err)
 		return
@@ -552,7 +552,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Model echoes the identity only when the request named one, keeping
 	// model-less responses byte-identical to the single-model daemon.
 	writeJSON(w, http.StatusOK, api.PredictResponse{
-		Prediction: pred, Generation: gen, Kernel: kernel, Model: req.Model})
+		Prediction: pred, Generation: gen, Kernel: api.KernelFloat, Model: req.Model})
 }
 
 // failPredict maps an engine error onto its status: 429 + Retry-After for a
@@ -813,7 +813,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			State:        ms.State,
 			Percent:      ms.Percent,
 			Generation:   ms.Engine.Generation,
-			Kernel:       ms.Engine.Kernel,
+			Kernel:       api.KernelFloat,
 			Replicas:     len(ms.Engine.Shards),
 			Architecture: ms.Engine.ModelName,
 			Parameters:   ms.Engine.Params,
@@ -931,7 +931,7 @@ func engineStatsFrom(e telemetry.EngineSnapshot) api.EngineStats {
 		Replicas:         len(e.Shards),
 		ModelName:        e.ModelName,
 		Params:           e.Params,
-		Kernel:           e.Kernel,
+		Kernel:           api.KernelFloat,
 	}
 	if tot.Batches > 0 {
 		st.AvgBatchSize = float64(tot.Coalesced) / float64(tot.Batches)
@@ -967,14 +967,9 @@ func engineStatsFrom(e telemetry.EngineSnapshot) api.EngineStats {
 			EstWaitMillis:     m.EstWaitMicros / 1e3,
 			Queued:            m.Queued,
 			Generation:        m.Generation,
-			Quantized:         m.Quantized,
-			QuantMaxError:     m.QuantMaxError,
 		}
 		if m.Batches > 0 {
 			sh.AvgBatchSize = float64(m.Coalesced) / float64(m.Batches)
-		}
-		if m.QuantMaxError > st.QuantMaxError {
-			st.QuantMaxError = m.QuantMaxError
 		}
 		st.Shards = append(st.Shards, sh)
 	}

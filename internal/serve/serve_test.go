@@ -47,22 +47,7 @@ func newTestPredictor(t *testing.T) *Predictor {
 	for i := 0; i < 3; i++ {
 		m.TrainBatch(split.Train[:32], labels)
 	}
-	alignEnvKernel(m)
 	return &Predictor{Model: m, Pipe: pipe, Norm: norm}
-}
-
-// alignEnvKernel puts a test model in the kernel mode every engine defaults
-// to under PRESTROID_QUANTIZE, so the serial references the suite compares
-// engine answers against stay byte-comparable in both CI kernel legs (both
-// kernels are deterministic, so byte-identity remains the bar). A no-op in
-// the float leg.
-func alignEnvKernel(m models.Model) {
-	if !envQuantize {
-		return
-	}
-	if q, ok := m.(models.Quantizer); ok {
-		q.SetQuantized(true)
-	}
 }
 
 // newTestEntry starts a serving identity over pred, replicated per

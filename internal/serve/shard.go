@@ -153,11 +153,6 @@ func (se *ShardedEngine) Generation() int64 { return se.gen }
 // Shards reports the live shard count (the effective replica count).
 func (se *ShardedEngine) Shards() int { return len(se.shards) }
 
-// Kernel reports the serving kernel mode: "int8" when the shards quantise,
-// "float" otherwise. Every shard is built from one Config, so the mode is
-// uniform across the engine and fixed for its lifetime.
-func (se *ShardedEngine) Kernel() string { return se.shards[0].Kernel() }
-
 // Close flushes and stops every shard's batcher. Like Engine.Close it is
 // idempotent, and queries arriving afterwards fall back to each shard's
 // serialised path — which is how a request that read the identity's live
@@ -212,7 +207,6 @@ func (se *ShardedEngine) Snapshot() telemetry.EngineSnapshot {
 		Generation: se.gen,
 		ModelName:  se.name,
 		Params:     se.params,
-		Kernel:     se.Kernel(),
 		Shards:     make([]telemetry.ShardSnapshot, len(se.shards)),
 	}
 	for i, sh := range se.shards {

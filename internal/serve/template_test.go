@@ -114,7 +114,6 @@ func TestTemplatePredictByteIdenticalHashed(t *testing.T) {
 	enc.HashedPredicates = true
 	pipe := &models.Pipeline{W2V: base.Pipe.W2V, Enc: &enc}
 	m := models.NewPrestroid(testModelConfig(), pipe)
-	alignEnvKernel(m)
 	assertTemplateByteIdentical(t, &Predictor{Model: m, Pipe: pipe, Norm: base.Norm})
 }
 
@@ -309,7 +308,7 @@ func TestTemplateCacheConcurrentReloadRoll(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				i := rng.Intn(len(queries))
-				p, g, _, err := en.PredictSQLGenCtx(context.Background(), queries[i])
+				p, g, err := en.PredictSQLGenCtx(context.Background(), queries[i])
 				if err != nil {
 					errc <- fmt.Errorf("predict: %w", err)
 					return

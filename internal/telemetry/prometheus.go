@@ -147,15 +147,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		ms, func(s ShardSnapshot) int64 { return int64(s.Queued) })
 	p.shardSeries("prestroid_shard_generation", "Predictor-identity generation serving on each shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return s.Generation })
-	p.shardSeries("prestroid_shard_quantized", "1 when the shard serves through the int8 kernels, 0 for float.", "gauge",
-		ms, func(s ShardSnapshot) int64 {
-			if s.Quantized {
-				return 1
-			}
-			return 0
-		})
-	p.shardFloatSeries("prestroid_shard_quant_max_error", "Worst absolute int8 quantisation error observed on the shard (0 when float).", "gauge",
-		ms, func(s ShardSnapshot) float64 { return s.QuantMaxError })
 	p.shardSeries("prestroid_shard_shed_total", "Queries refused by bounded-wait admission control, per home shard.", "counter",
 		ms, func(s ShardSnapshot) int64 { return s.Shed })
 	p.shardSeries("prestroid_shard_expired_total", "Queries dropped because their deadline passed, per shard.", "counter",

@@ -60,19 +60,18 @@ func goldenSnapshot() Snapshot {
 					RejectedBundles: 1,
 					ModelName:       "prestroid",
 					Params:          12345,
-					Kernel:          "int8",
 					Shards: []ShardSnapshot{
 						{Shard: 0, Batches: 5, Coalesced: 9, BatchSizes: bs0.Snapshot(),
 							CacheHits: 7, CacheMisses: 5, CacheEntries: 4,
 							SubtreeHits: 11, SubtreeMisses: 6, SubtreeEntries: 3, SubtreeBytes: 384,
 							TemplateHits: 9, TemplateMisses: 4, TemplateEntries: 2, TemplateBytes: 512,
 							Shed: 3, Expired: 1, ServiceTimeMicros: 1500, EstWaitMicros: 1500,
-							Queued: 1, Generation: 2, Quantized: true, QuantMaxError: 0.0042},
+							Queued: 1, Generation: 2},
 						{Shard: 1, Batches: 2, Coalesced: 2, BatchSizes: bs1.Snapshot(),
 							CacheMisses: 2, CacheEntries: 2,
 							SubtreeMisses: 2, SubtreeEntries: 2, SubtreeBytes: 256,
 							TemplateMisses: 1, TemplateEntries: 1, TemplateBytes: 128,
-							Generation: 2, Quantized: true},
+							Generation: 2},
 					},
 				},
 			},
@@ -84,7 +83,6 @@ func goldenSnapshot() Snapshot {
 					Generation: 1,
 					ModelName:  "prestroid",
 					Params:     12345,
-					Kernel:     "float",
 					Shards: []ShardSnapshot{
 						{Shard: 0, BatchSizes: bsBeta.Snapshot(), Generation: 1},
 					},
@@ -280,16 +278,6 @@ prestroid_shard_queue_depth{model="beta",shard="0"} 0
 prestroid_shard_generation{model="default",shard="0"} 2
 prestroid_shard_generation{model="default",shard="1"} 2
 prestroid_shard_generation{model="beta",shard="0"} 1
-# HELP prestroid_shard_quantized 1 when the shard serves through the int8 kernels, 0 for float.
-# TYPE prestroid_shard_quantized gauge
-prestroid_shard_quantized{model="default",shard="0"} 1
-prestroid_shard_quantized{model="default",shard="1"} 1
-prestroid_shard_quantized{model="beta",shard="0"} 0
-# HELP prestroid_shard_quant_max_error Worst absolute int8 quantisation error observed on the shard (0 when float).
-# TYPE prestroid_shard_quant_max_error gauge
-prestroid_shard_quant_max_error{model="default",shard="0"} 0.0042
-prestroid_shard_quant_max_error{model="default",shard="1"} 0
-prestroid_shard_quant_max_error{model="beta",shard="0"} 0
 # HELP prestroid_shard_shed_total Queries refused by bounded-wait admission control, per home shard.
 # TYPE prestroid_shard_shed_total counter
 prestroid_shard_shed_total{model="default",shard="0"} 3

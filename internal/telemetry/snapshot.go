@@ -17,7 +17,6 @@ type ShardGroup struct {
 	Shed           Counter    // queries refused by bounded-wait admission
 	Expired        Counter    // queries dropped because their deadline passed
 	BatchSizes     *Histogram // deduplicated rows per flushed batch
-	QuantErr       MaxGauge   // worst absolute int8 quantisation error observed
 	ServiceTime    EWMA       // per-query drain time through the batcher, microseconds
 }
 
@@ -45,7 +44,6 @@ type ShardGauges struct {
 	TemplateEntries int
 	TemplateBytes   int64
 	Generation      int64
-	Quantized       bool
 }
 
 // Snapshot folds the group's counters with the gauges the owner sampled at
@@ -72,8 +70,6 @@ func (g *ShardGroup) Snapshot(gauges ShardGauges) ShardSnapshot {
 		EstWaitMicros:     g.EstWaitMicros(gauges.Queued),
 		Queued:            gauges.Queued,
 		Generation:        gauges.Generation,
-		Quantized:         gauges.Quantized,
-		QuantMaxError:     g.QuantErr.Load(),
 	}
 }
 
@@ -104,8 +100,6 @@ type ShardSnapshot struct {
 	EstWaitMicros     float64
 	Queued            int
 	Generation        int64
-	Quantized         bool    // shard serves through the int8 kernels
-	QuantMaxError     float64 // worst absolute quantisation error observed (0 if float)
 }
 
 // EngineSnapshot is the sharded engine's full telemetry state: per-shard
@@ -123,11 +117,7 @@ type EngineSnapshot struct {
 	RejectedBundles int64
 	ModelName       string
 	Params          int
-	// Kernel names the serving kernel mode every shard runs in: "float"
-	// (exact, the default) or "int8" (quantised). Mode is fixed for the
-	// engine's lifetime, so one engine-level field suffices.
-	Kernel string
-	Shards []ShardSnapshot
+	Shards          []ShardSnapshot
 }
 
 // ShardTotals is the cross-shard sum of one EngineSnapshot — derived from

@@ -12,12 +12,11 @@ import (
 // Q is stored transposed — Q[j*In : (j+1)*In] is column j of W — so the
 // inner product against a quantised activation row is a contiguous dot over
 // both operands. An all-zero column keeps Scale[j] = 0 and its Q entries
-// zero, which the kernels read as "this output column is exactly zero
-// before bias".
+// zero, which the kernels read as "this output column is exactly zero".
 //
 // MaxErr records the largest absolute round-trip error
 // |W[i][j] - Q·Scale[j]| observed while packing: the weight half of the
-// quantisation error bound operators see in telemetry.
+// quantisation error bound.
 //
 // P is the SWAR form of Q the hot kernels actually read: column-group-major,
 // each uint64 holding four *bias-shifted* weight bytes (uw = q+128 ∈ [1,255])
@@ -285,38 +284,13 @@ func QuantizeRowsInto(q []int8, scales []float64, meta []int32, x *Tensor) float
 	return maxErr
 }
 
-// DotInt8 returns the integer dot product of two equal-length int8 vectors,
-// accumulated in int32. With |q| <= 127 each term is at most 16129, so the
-// accumulator is exact for vectors up to ~133k elements — far beyond any
-// layer width here. The loop is unrolled 4-wide across independent
-// accumulators to keep the integer pipeline full.
-func DotInt8(a, b []int8) int32 {
-	n := len(a)
-	b = b[:n] // one bounds check, then the indexed loads below are provably in range
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += int32(a[i]) * int32(b[i])
-		s1 += int32(a[i+1]) * int32(b[i+1])
-		s2 += int32(a[i+2]) * int32(b[i+2])
-		s3 += int32(a[i+3]) * int32(b[i+3])
-	}
-	for ; i < n; i++ {
-		s0 += int32(a[i]) * int32(b[i])
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// Int8MatMulInto computes out = dequant(q · Wᵀ) (+ bias) (with optional
-// ReLU) for row-quantised activations of logical shape (m, w.In) — the
-// bias-shifted bytes, scales and per-row meta produced by QuantizeRowsInto
-// — against a column-quantised weight matrix w. Each output element
-// accumulates in int32 and dequantises with the fused factor
-// scales[i]*w.Scale[j]; bias (length w.Out) may be nil. The ReLU uses the
-// same !(v > 0) clamp as the float path, so NaN maps to 0 identically.
-// Large products shard rows through the shared worker budget exactly like
-// MatMulInto.
-func Int8MatMulInto(out *Tensor, q []int8, scales []float64, meta []int32, w *Int8Matrix, bias []float64, relu bool) {
+// Int8MatMulInto computes out = dequant(q · Wᵀ) for row-quantised
+// activations of logical shape (m, w.In) — the bias-shifted bytes, scales
+// and per-row meta produced by QuantizeRowsInto — against a column-quantised
+// weight matrix w. Each output element accumulates in int32 and dequantises
+// with the fused factor scales[i]*w.Scale[j]. Large products shard rows
+// through the shared worker budget exactly like MatMulInto.
+func Int8MatMulInto(out *Tensor, q []int8, scales []float64, meta []int32, w *Int8Matrix) {
 	m, n := out.Shape[0], out.Shape[1]
 	k := w.In
 	if n != w.Out {
@@ -325,15 +299,12 @@ func Int8MatMulInto(out *Tensor, q []int8, scales []float64, meta []int32, w *In
 	if len(q) < m*k || len(scales) < m || len(meta) < 2*m {
 		panic("tensor: Int8MatMulInto activations shorter than out rows")
 	}
-	if bias != nil && len(bias) < n {
-		panic("tensor: Int8MatMulInto bias shorter than out width")
-	}
 	if m*k*n < parallelFlopThreshold {
-		int8Rows(out, q, scales, meta, w, bias, relu, 0, m)
+		int8Rows(out, q, scales, meta, w, 0, m)
 		return
 	}
 	shardRows(m, runtime.GOMAXPROCS(0), func(lo, hi int) {
-		int8Rows(out, q, scales, meta, w, bias, relu, lo, hi)
+		int8Rows(out, q, scales, meta, w, lo, hi)
 	})
 }
 
@@ -355,18 +326,17 @@ func sparseRow(nnz, k int) bool {
 
 // emitGroup4 turns one group's biased lane sums into output columns
 // j..j+3 (clipped to the matrix width): it undoes the weight bias via
-// Corr and the activation bias via bc, then fuses dequantise + bias +
-// ReLU. Biased lane sums are < 2^31, so the int32 narrowings are exact;
-// subtracting Corr before the activation-bias term keeps every
-// intermediate inside int32 range.
-func emitGroup4(orow []float64, w *Int8Matrix, j int, e, o uint64, bc int32, sa float64, bias []float64, relu bool) {
+// Corr and the activation bias via bc, then dequantises. Biased lane sums
+// are < 2^31, so the int32 narrowings are exact; subtracting Corr before
+// the activation-bias term keeps every intermediate inside int32 range.
+func emitGroup4(orow []float64, w *Int8Matrix, j int, e, o uint64, bc int32, sa float64) {
 	sv := [4]int32{
 		int32(uint32(e)) - w.Corr[j] - bc,
 		int32(uint32(o)) - w.Corr[j+1] - bc,
 		int32(uint32(e>>32)) - w.Corr[j+2] - bc,
 		int32(uint32(o>>32)) - w.Corr[j+3] - bc,
 	}
-	dequantGroup4(orow, w, j, &sv, sa, bias, relu)
+	dequantGroup4(orow, w, j, &sv, sa)
 }
 
 // emitGroup4Sparse is the emitGroup4 counterpart for dotGroup4Sparse: the
@@ -374,7 +344,7 @@ func emitGroup4(orow []float64, w *Int8Matrix, j int, e, o uint64, bc int32, sa 
 // the full-column Corr table, which cancels exactly for the entries the
 // sparse reduction skipped. 63·se stays within each 32-bit lane: se lanes
 // are at most 255·int8IdxBuf.
-func emitGroup4Sparse(orow []float64, w *Int8Matrix, j int, e, o, se, so uint64, bc int32, sa float64, bias []float64, relu bool) {
+func emitGroup4Sparse(orow []float64, w *Int8Matrix, j int, e, o, se, so uint64, bc int32, sa float64) {
 	eb := 63 * se
 	ob := 63 * so
 	sv := [4]int32{
@@ -383,25 +353,15 @@ func emitGroup4Sparse(orow []float64, w *Int8Matrix, j int, e, o, se, so uint64,
 		int32(uint32(e>>32)) - int32(uint32(eb>>32)) - bc,
 		int32(uint32(o>>32)) - int32(uint32(ob>>32)) - bc,
 	}
-	dequantGroup4(orow, w, j, &sv, sa, bias, relu)
+	dequantGroup4(orow, w, j, &sv, sa)
 }
 
-// dequantGroup4 fuses dequantise + bias + ReLU over one group's exact int32
-// column sums, clipped to the matrix width.
-func dequantGroup4(orow []float64, w *Int8Matrix, j int, sv *[4]int32, sa float64, bias []float64, relu bool) {
-	lim := len(orow) - j
-	if lim > 4 {
-		lim = 4
-	}
+// dequantGroup4 dequantises one group's exact int32 column sums, clipped to
+// the matrix width.
+func dequantGroup4(orow []float64, w *Int8Matrix, j int, sv *[4]int32, sa float64) {
+	lim := min(len(orow)-j, 4)
 	for d := 0; d < lim; d++ {
-		v := float64(sv[d]) * (sa * w.Scale[j+d])
-		if bias != nil {
-			v += bias[j+d]
-		}
-		if relu && !(v > 0) {
-			v = 0
-		}
-		orow[j+d] = v
+		orow[j+d] = float64(sv[d]) * (sa * w.Scale[j+d])
 	}
 }
 
@@ -411,10 +371,10 @@ func dequantGroup4(orow []float64, w *Int8Matrix, j int, sv *[4]int32, sa float6
 // them straight out of q: mostly-zero rows gather their nonzero indices
 // and reduce only those entries, dense rows are taken in pairs so each
 // packed weight word is loaded once for two reductions, and a
-// lane-extraction pass undoes the biases and fuses dequantise + bias +
-// ReLU. Sparse and dense reductions produce the same exact int32 sums, so
-// kernel choice never changes output bits.
-func int8Rows(out *Tensor, q []int8, scales []float64, meta []int32, w *Int8Matrix, bias []float64, relu bool, lo, hi int) {
+// lane-extraction pass undoes the biases and dequantises. Sparse and dense
+// reductions produce the same exact int32 sums, so kernel choice never
+// changes output bits.
+func int8Rows(out *Tensor, q []int8, scales []float64, meta []int32, w *Int8Matrix, lo, hi int) {
 	k, n, g := w.In, w.Out, w.Groups
 	var ibuf [int8IdxBuf]uint16
 	for i := lo; i < hi; {
@@ -422,16 +382,7 @@ func int8Rows(out *Tensor, q []int8, scales []float64, meta []int32, w *Int8Matr
 		sa := scales[i]
 		if sa == 0 {
 			// All-zero activation row: the dot is exactly zero everywhere.
-			for j := 0; j < n; j++ {
-				var v float64
-				if bias != nil {
-					v = bias[j]
-				}
-				if relu && !(v > 0) {
-					v = 0
-				}
-				orow[j] = v
-			}
+			clear(orow)
 			i++
 			continue
 		}
@@ -448,7 +399,7 @@ func int8Rows(out *Tensor, q []int8, scales []float64, meta []int32, w *Int8Matr
 			idx := ibuf[:c]
 			for gi := 0; gi < g; gi++ {
 				e, o, se, so := dotGroup4Sparse(w.P[gi*k:(gi+1)*k], ub0, idx)
-				emitGroup4Sparse(orow, w, gi*4, e, o, se, so, bc0, sa, bias, relu)
+				emitGroup4Sparse(orow, w, gi*4, e, o, se, so, bc0, sa)
 			}
 			i++
 			continue
@@ -461,15 +412,15 @@ func int8Rows(out *Tensor, q []int8, scales []float64, meta []int32, w *Int8Matr
 			sb := scales[i+1]
 			for gi := 0; gi < g; gi++ {
 				e0, o0, e1, o1 := dotGroup4x2(w.P[gi*k:(gi+1)*k], ub0, ub1)
-				emitGroup4(orow, w, gi*4, e0, o0, bc0, sa, bias, relu)
-				emitGroup4(orow1, w, gi*4, e1, o1, bc1, sb, bias, relu)
+				emitGroup4(orow, w, gi*4, e0, o0, bc0, sa)
+				emitGroup4(orow1, w, gi*4, e1, o1, bc1, sb)
 			}
 			i += 2
 			continue
 		}
 		for gi := 0; gi < g; gi++ {
 			e, o := dotGroup4(w.P[gi*k:(gi+1)*k], ub0)
-			emitGroup4(orow, w, gi*4, e, o, bc0, sa, bias, relu)
+			emitGroup4(orow, w, gi*4, e, o, bc0, sa)
 		}
 		i++
 	}

@@ -10,7 +10,7 @@ import (
 // refInt8MatMul computes the dequantised product the slow, obvious way so
 // the kernel has an independent oracle. q holds the bias-shifted bytes
 // QuantizeRowsInto produces (qa+63), which the oracle unbiases per element.
-func refInt8MatMul(q []int8, scales []float64, w *Int8Matrix, bias []float64, relu bool, m int) *Tensor {
+func refInt8MatMul(q []int8, scales []float64, w *Int8Matrix, m int) *Tensor {
 	out := New(m, w.Out)
 	for i := 0; i < m; i++ {
 		for j := 0; j < w.Out; j++ {
@@ -20,14 +20,7 @@ func refInt8MatMul(q []int8, scales []float64, w *Int8Matrix, bias []float64, re
 			}
 			// Same dequantisation order as the kernel (fused scale factor),
 			// so exact-compare tests can demand bit identity.
-			v := float64(acc) * (scales[i] * w.Scale[j])
-			if bias != nil {
-				v += bias[j]
-			}
-			if relu && !(v > 0) {
-				v = 0
-			}
-			out.Data[i*w.Out+j] = v
+			out.Data[i*w.Out+j] = float64(acc) * (scales[i] * w.Scale[j])
 		}
 	}
 	return out
@@ -112,23 +105,6 @@ func TestQuantizeRowsInto(t *testing.T) {
 	}
 }
 
-func TestDotInt8MatchesScalar(t *testing.T) {
-	rng := NewRNG(3)
-	for _, n := range []int{0, 1, 3, 4, 7, 64, 129} {
-		a := make([]int8, n)
-		b := make([]int8, n)
-		want := int32(0)
-		for i := range a {
-			a[i] = int8(rng.Intn(255) - 127)
-			b[i] = int8(rng.Intn(255) - 127)
-			want += int32(a[i]) * int32(b[i])
-		}
-		if got := DotInt8(a, b); got != want {
-			t.Fatalf("n=%d: DotInt8 = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestInt8MatMulIntoMatchesReference(t *testing.T) {
 	rng := NewRNG(19)
 	for _, dims := range [][3]int{{1, 8, 5}, {4, 32, 16}, {9, 33, 7}} {
@@ -139,18 +115,12 @@ func TestInt8MatMulIntoMatchesReference(t *testing.T) {
 		scales := make([]float64, m)
 		meta := make([]int32, 2*m)
 		QuantizeRowsInto(q, scales, meta, x)
-		bias := make([]float64, n)
-		for j := range bias {
-			bias[j] = (rng.Float64() - 0.5) * 0.2
-		}
-		for _, relu := range []bool{false, true} {
-			want := refInt8MatMul(q, scales, w, bias, relu, m)
-			got := New(m, n)
-			Int8MatMulInto(got, q, scales, meta, w, bias, relu)
-			for i := range got.Data {
-				if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
-					t.Fatalf("m=%d k=%d n=%d relu=%v: elem %d = %v, want %v", m, k, n, relu, i, got.Data[i], want.Data[i])
-				}
+		want := refInt8MatMul(q, scales, w, m)
+		got := New(m, n)
+		Int8MatMulInto(got, q, scales, meta, w)
+		for i := range got.Data {
+			if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
+				t.Fatalf("m=%d k=%d n=%d: elem %d = %v, want %v", m, k, n, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -208,18 +178,12 @@ func TestInt8MatMulSparseRowsMatchReference(t *testing.T) {
 	if !sawSparse || !sawDense {
 		t.Fatalf("fixture degenerate: sparse=%v dense=%v rows", sawSparse, sawDense)
 	}
-	bias := make([]float64, n)
-	for j := range bias {
-		bias[j] = (rng.Float64() - 0.5) * 0.2
-	}
-	for _, relu := range []bool{false, true} {
-		want := refInt8MatMul(q, scales, w, bias, relu, m)
-		got := New(m, n)
-		Int8MatMulInto(got, q, scales, meta, w, bias, relu)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("relu=%v: elem %d = %v, want %v (sparse/dense paths disagree)", relu, i, got.Data[i], want.Data[i])
-			}
+	want := refInt8MatMul(q, scales, w, m)
+	got := New(m, n)
+	Int8MatMulInto(got, q, scales, meta, w)
+	for i := range got.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("elem %d = %v, want %v (sparse/dense paths disagree)", i, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -240,7 +204,7 @@ func TestInt8MatMulApproximatesFloat(t *testing.T) {
 	QuantizeRowsInto(q, scales, meta, x)
 	exact := MatMul(x, wf)
 	got := New(m, n)
-	Int8MatMulInto(got, q, scales, meta, w, nil, false)
+	Int8MatMulInto(got, q, scales, meta, w)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			e := math.Abs(got.Data[i*n+j] - exact.Data[i*n+j])
@@ -282,11 +246,10 @@ func TestInt8MatMulParallelDeterministic(t *testing.T) {
 	scales := make([]float64, m)
 	meta := make([]int32, 2*m)
 	QuantizeRowsInto(q, scales, meta, x)
-	bias := make([]float64, n)
 	par := New(m, n)
-	Int8MatMulInto(par, q, scales, meta, w, bias, true)
+	Int8MatMulInto(par, q, scales, meta, w)
 	serial := New(m, n)
-	int8Rows(serial, q, scales, meta, w, bias, true, 0, m)
+	int8Rows(serial, q, scales, meta, w, 0, m)
 	for i := range par.Data {
 		if par.Data[i] != serial.Data[i] {
 			t.Fatalf("parallel and serial kernels disagree at %d: %v vs %v", i, par.Data[i], serial.Data[i])
@@ -331,7 +294,7 @@ func TestMatMulWorkerBudgetCeiling(t *testing.T) {
 				if g%2 == 0 {
 					MatMulInto(out, a, b)
 				} else {
-					Int8MatMulInto(out, q, scales, meta, w, nil, false)
+					Int8MatMulInto(out, q, scales, meta, w)
 				}
 			}
 		}(g)

@@ -35,7 +35,7 @@ type ConvLayer struct {
 
 	// q is the int8-packed triangular kernel used by the quantised
 	// inference path; nil until PackInt8, stale after any weight update
-	// until the owner repacks (models own that lifecycle).
+	// until PackInt8 runs again.
 	q *int8Kernel
 }
 
@@ -129,9 +129,6 @@ func (l *ConvLayer) PackInt8() float64 {
 	return maxErr
 }
 
-// Int8Ready reports whether a packed kernel is installed.
-func (l *ConvLayer) Int8Ready() bool { return l.q != nil }
-
 // forwardArenaInt8 is the quantised inference pass. It quantises each input
 // row once (per-row scale, int8 magnitudes), then runs the three kernel
 // matrices as int8 GEMMs: Wt over all n rows, Wl and Wr over *compacted*
@@ -185,9 +182,9 @@ func (l *ConvLayer) forwardArenaInt8(tree *Tree, x *tensor.Tensor, a *tensor.Are
 	pt := a.Get(n, l.Out)
 	pl := a.Get(nl, l.Out)
 	pr := a.Get(nr, l.Out)
-	tensor.Int8MatMulInto(pt, qx, sx.Data, mx, l.q.wt, nil, false)
-	tensor.Int8MatMulInto(pl, qxl, sxl.Data, mxl, l.q.wl, nil, false)
-	tensor.Int8MatMulInto(pr, qxr, sxr.Data, mxr, l.q.wr, nil, false)
+	tensor.Int8MatMulInto(pt, qx, sx.Data, mx, l.q.wt)
+	tensor.Int8MatMulInto(pl, qxl, sxl.Data, mxl, l.q.wl)
+	tensor.Int8MatMulInto(pr, qxr, sxr.Data, mxr, l.q.wr)
 	out := a.Get(n, l.Out)
 	bias := l.B.W.Data
 	c, d = 0, 0
@@ -548,22 +545,15 @@ func (n *Network) PackInt8() float64 {
 	return maxErr
 }
 
-// Int8Ready reports whether every layer has a packed kernel installed.
-func (n *Network) Int8Ready() bool {
-	for _, l := range n.Layers {
-		if !l.Int8Ready() {
-			return false
-		}
-	}
-	return len(n.Layers) > 0
-}
-
 // ForwardInferenceInt8 runs the quantised conv stack and the (float) pooling
 // inside the arena, returning the pooled vector and the max activation
 // quantisation error observed across the layers. Outputs carry a bounded
-// quantisation error relative to ForwardInference; pooling itself is exact,
-// so cached pooled vectors remain self-consistent for a given kernel mode
-// and weight generation.
+// quantisation error relative to ForwardInference; pooling itself is exact.
+//
+// Nothing in the daemon calls it: serving runs ForwardInference only. It and
+// PackInt8, the layers' int8Kernel and tensor's int8 kernels stay for one
+// caller, the repository benchmark's treecnn.infer_int8_us_per_tree rung
+// (benchmark/trace_serving.go), and go when that rung is dropped.
 func (n *Network) ForwardInferenceInt8(t *Tree, a *tensor.Arena) (*tensor.Tensor, float64) {
 	x := t.Feats
 	maxErr := 0.0

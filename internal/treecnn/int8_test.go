@@ -34,14 +34,8 @@ func completeTree(n, featDim int, rng *tensor.RNG) *Tree {
 func TestForwardInferenceInt8TracksFloat(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	net := NewNetwork(12, []int{16, 16}, rng)
-	if net.Int8Ready() {
-		t.Fatal("network claims int8-ready before PackInt8")
-	}
 	if werr := net.PackInt8(); werr <= 0 || werr > 0.05 {
 		t.Fatalf("weight round-trip error %v outside plausible range", werr)
-	}
-	if !net.Int8Ready() {
-		t.Fatal("network not int8-ready after PackInt8")
 	}
 	a := tensor.NewArena(0)
 	for seed := 0; seed < 4; seed++ {

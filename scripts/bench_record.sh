@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Benchmark-regression gate for the serve layer: run the serving benchmarks
 # (BenchmarkServePredict, BenchmarkSharded{Distinct,Overlapping}Templates and
-# BenchmarkPrestroidPredictSteady — each in both kernel modes, the quantised
-# variants carry a Quantized suffix and so match the same unanchored
-# patterns — the BenchmarkShardedTemplateCache off/on pair with its >= 1.5x
-# speedup gate, the BenchmarkLoneMiss default/max-batch-1 pair with its <= 1.5x
-# cost gate, plus the BenchmarkFrontEnd and BenchmarkFloatProject/
-# BenchmarkInt8Project microbenchmarks, 5 repeats of 100ms each with -benchmem —
+# BenchmarkPrestroidPredictSteady, the BenchmarkShardedTemplateCache off/on
+# pair with its >= 1.5x speedup gate, the BenchmarkLoneMiss
+# default/max-batch-1 pair with its <= 1.5x cost gate, plus the
+# BenchmarkFrontEnd microbenchmark, 5 repeats of 100ms each with -benchmem —
 # time-based so iteration counts auto-scale from the ~300ns steady
 # micro-benchmark to the ~200µs 16-client fan-outs, whose fixed-count runs
 # flap — and the training step: BenchmarkPrestroidTrainBatch with its
@@ -53,7 +51,7 @@ trap 'rm -f "$raw"' EXIT
 loc="$(scripts/loc.sh)"
 
 GOMAXPROCS=4 GOGC=100 go test -run '^$' \
-  -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkLoneMiss|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkFloatProject|BenchmarkInt8Project|BenchmarkPrestroidTrainBatch' \
+  -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkLoneMiss|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkPrestroidTrainBatch' \
   -benchtime 100ms -count 5 -benchmem . | tee "$raw"
 # The conv forward/backward pair feeds a ratio gate: one core, so the ratio
 # compares the work the two passes do, not how many cores the forward's
