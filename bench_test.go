@@ -151,21 +151,40 @@ func BenchmarkTreeConvForward(b *testing.B) {
 
 // BenchmarkTreeConvBackward measures the matching backward pass — pooled
 // gradient down the stack plus every parameter gradient — over the same tree
-// and network. scripts/bench_record.sh gates it at 4x the forward's ns/op
-// with both run at -cpu 1, where the ratio is arithmetic and not how many
-// cores the forward's GEMMs found: the pass does roughly twice the forward's
-// multiply-adds, and it did ten times its work while layer 0 also produced
-// an input gradient nobody read.
+// and network, as one tree of a training step: a step transposes the weights
+// once for all of its trees (stepTrees of them in a 32-query batch of nine
+// sub-trees), so an op is BackwardInputs and every GradTask over the tree,
+// with the transposes made again every stepTrees ops (and at the first, so a
+// short run overstates their share). scripts/bench_record.sh gates it at 4x
+// the forward's ns/op with both run at -cpu 1, where the ratio is arithmetic
+// and not how many cores the forward's GEMMs found: the pass does roughly
+// twice the forward's multiply-adds, and it did ten times its work while
+// layer 0 also produced an input gradient nobody read.
 func BenchmarkTreeConvBackward(b *testing.B) {
+	const stepTrees = 32 * 9
 	rng := tensor.NewRNG(1)
 	net := treecnn.NewNetwork(64, []int{512, 512, 512}, rng)
 	tree := benchConvTree(15, 64, rng)
 	_, ctx := net.Forward(tree)
-	grad := tensor.New(1, net.OutDim())
-	grad.Fill(1)
+	grad := make([]float64, net.OutDim())
+	for i := range grad {
+		grad[i] = 1
+	}
+	tasks := net.GradTasks(1)
+	keep, scratch := tensor.NewArena(0), tensor.NewArena(0)
+	var wT treecnn.Transposed
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Backward(ctx, grad)
+		if i%stepTrees == 0 {
+			wT = net.Transpose(wT)
+		}
+		net.BackwardInputs(ctx, grad, wT, keep, scratch)
+		scratch.Reset()
+		for _, task := range tasks {
+			net.AccumulateGrad(task, ctx, scratch)
+			scratch.Reset()
+		}
+		keep.Reset()
 	}
 }
 

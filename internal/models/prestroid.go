@@ -108,6 +108,7 @@ type trainStep struct {
 	first   []int // first[bi] = index in ctxs of trace bi's first tree
 	keep    []*tensor.Arena
 	scratch []*tensor.Arena
+	wT      treecnn.Transposed // the step's transposed conv weights
 }
 
 // NewPrestroid builds the model over a shared pipeline.
@@ -342,9 +343,10 @@ func (m *Prestroid) SetForwardSemaphore(sem chan struct{}) { m.sem = sem }
 //   - forward fans the traces out over the workers; each tree's activations
 //     go to the step's arenas, its pooled vector to its slot of the head's
 //     input (missing sub-trees stay zero — the paper's padding);
-//   - after the head's forward and backward, the traces fan out again and
-//     every tree pulls its slice of the head's input gradient down its own
-//     stack, which reads weights only;
+//   - after the head's forward and backward, the conv weights are transposed
+//     once, the traces fan out again and every tree pulls its slice of the
+//     head's input gradient down its own stack, which reads the transposes
+//     only;
 //   - the parameter gradients are then split into row-block tasks, and each
 //     task's owner walks the batch's trees in (trace, tree) order, so every
 //     gradient element receives the additions of a serial tree-by-tree
@@ -389,11 +391,13 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 		g = m.head[i].Backward(g)
 	}
 
-	// g is now (batch, slots*convOut): route slices to each tree.
+	// g is now (batch, slots*convOut): route slices to each tree, which all
+	// read the weights transposed once for the step.
+	st.wT = m.conv.Transpose(st.wT)
 	m.each(len(batch), func(bi, w int) {
 		row := g.Row(bi)
 		for ti := range m.convTrees(batch[bi]) {
-			m.conv.BackwardInputs(&st.ctxs[st.first[bi]+ti], row[ti*od:(ti+1)*od], st.keep[w], st.scratch[w])
+			m.conv.BackwardInputs(&st.ctxs[st.first[bi]+ti], row[ti*od:(ti+1)*od], st.wT, st.keep[w], st.scratch[w])
 			st.scratch[w].Reset()
 		}
 	})

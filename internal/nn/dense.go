@@ -46,12 +46,15 @@ func (d *Dense) ForwardArena(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 }
 
 // Backward accumulates dL/dW = xᵀg and dL/db = Σ_batch g, returning
-// dL/dx = g Wᵀ.
+// dL/dx = g Wᵀ. Both products are MatMul over a transpose made here, so they
+// run on tensor.AccumRows; a training step calls Backward once, so W is
+// transposed once per step. Each element is its p-ordered sum from +0, less
+// only products with a zero factor of g or x, which cannot change it while
+// the weights are finite.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gw := tensor.MatMulTransA(d.lastInput, gradOut)
-	d.Weight.G.AddInPlace(gw)
+	d.Weight.G.AddInPlace(tensor.MatMul(tensor.Transpose(d.lastInput), gradOut))
 	d.Bias.G.AddInPlace(tensor.SumRows(gradOut))
-	return tensor.MatMulTransB(gradOut, d.Weight.W)
+	return tensor.MatMul(gradOut, tensor.Transpose(d.Weight.W))
 }
 
 // Params returns the weight and bias.

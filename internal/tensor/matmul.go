@@ -55,66 +55,26 @@ func matMulRows(out, a, b *Tensor, lo, hi int) {
 	}
 }
 
-// MatMulTransA computes aᵀ × b for a of shape (k,m) and b of shape (k,n),
-// yielding (m,n). Used for weight gradients without materialising aᵀ.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA dim mismatch %v x %v", a.Shape, b.Shape))
-	}
-	out := New(m, n)
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// MatMulTransB computes a × bᵀ for a of shape (m,k) and b of shape (n,k),
-// yielding (m,n). Used for input gradients without materialising bᵀ.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB dim mismatch %v x %v", a.Shape, b.Shape))
-	}
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s
-		}
-	}
-	return out
-}
-
 // Transpose returns the transpose of a 2-D tensor.
 func Transpose(a *Tensor) *Tensor {
 	if len(a.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: Transpose on %d-d tensor", len(a.Shape)))
 	}
+	return TransposeInto(New(a.Shape[1], a.Shape[0]), a)
+}
+
+// TransposeInto writes the transpose of the (m,n) tensor a into out, which
+// must have shape (n,m), and returns out. A product with a transposed operand
+// is a transpose and then MatMulInto or AccumRows: that is how every
+// backward pass forms xᵀ·g and g·Wᵀ.
+func TransposeInto(out, a *Tensor) *Tensor {
 	m, n := a.Shape[0], a.Shape[1]
-	out := New(n, m)
+	if len(out.Shape) != 2 || out.Shape[0] != n || out.Shape[1] != m {
+		panic(fmt.Sprintf("tensor: TransposeInto out shape %v, want [%d %d]", out.Shape, n, m))
+	}
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
+		for j, v := range a.Data[i*n : (i+1)*n] {
+			out.Data[j*m+i] = v
 		}
 	}
 	return out

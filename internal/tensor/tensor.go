@@ -6,11 +6,14 @@
 //
 // One kernel carries the float products: AccumRows sets
 // out[j] = Σ_{p : x[p] ≠ 0} x[p]·B[p,j], each sum in p order from +0. It is
-// every output row of MatMulInto (the dense head) and every product of the
-// hidden tree-convolution layers, forward and weight gradient. Its Go form
-// is the reference and the only path off amd64; on amd64 an AVX2 assembly
-// form is chosen once at init, by CPUID and XGETBV, when the CPU has AVX2
-// and the OS saves the YMM registers — there is no flag, variable or setting.
+// every output row of MatMulInto (the dense head, forward and backward) and
+// every product of the hidden tree-convolution layers: forward, weight
+// gradient and input gradient. A product with a transposed operand is a
+// TransposeInto and then AccumRows; there is no transposed-operand kernel.
+// Its Go form is the reference and the only path off amd64; on amd64 an AVX2
+// assembly form is chosen once at init, by CPUID and XGETBV, when the CPU has
+// AVX2 and the OS saves the YMM registers — there is no flag, variable or
+// setting.
 // The assembly multiplies (VMULPD) and then adds (VADDPD): a fused
 // multiply-add rounds once where the Go form rounds twice, so it would change
 // the bits of every trained weight. Both forms therefore give the same bits

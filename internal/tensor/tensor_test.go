@@ -159,20 +159,38 @@ func TestMatMulTransposedVariantsAgree(t *testing.T) {
 	rng.FillNorm(a, 0, 1)
 	rng.FillNorm(b, 0, 1)
 
-	// aᵀ via TransA should equal Transpose(a) × b.
-	at := Transpose(a) // (6,4)
-	got := MatMulTransA(at, b)
 	want := MatMul(a, b)
-	if !Equal(got, want, 1e-10) {
-		t.Fatal("MatMulTransA disagrees with MatMul")
+	// The two products a backward pass forms, xᵀ·g and g·Wᵀ, each from an
+	// operand held transposed, give a·b's bits.
+	at := Transpose(a) // (6,4)
+	if got := MatMul(TransposeInto(New(4, 6), at), b); !Equal(got, want, 0) {
+		t.Fatal("(aᵀ)ᵀ·b disagrees with a·b")
 	}
-
-	// bᵀ via TransB should equal a × Transpose(bᵀ).
 	bt := Transpose(b) // (5,6)
-	got2 := MatMulTransB(a, bt)
-	if !Equal(got2, want, 1e-10) {
-		t.Fatal("MatMulTransB disagrees with MatMul")
+	if got := MatMul(a, Transpose(bt)); !Equal(got, want, 0) {
+		t.Fatal("a·(bᵀ)ᵀ disagrees with a·b")
 	}
+	// Each element is the p-ordered sum from +0.
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			s := 0.0
+			for p := 0; p < 6; p++ {
+				s += float64(at.Data[p*4+i] * bt.Data[j*6+p])
+			}
+			if s != want.Data[i*5+j] {
+				t.Fatalf("a·b[%d,%d] = %v, p-ordered sum %v", i, j, want.Data[i*5+j], s)
+			}
+		}
+	}
+}
+
+func TestTransposeIntoChecksShape(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TransposeInto accepted an untransposed out")
+		}
+	}()
+	TransposeInto(New(2, 3), New(2, 3))
 }
 
 func TestTransposeInvolution(t *testing.T) {

@@ -21,11 +21,12 @@ import (
 // input gradient (nothing is upstream of the features). Every later layer
 // reads rectified activations, about half dense: forward forms each node's
 // parent and child products with tensor.AccumRows, and backward sums each
-// weight row's gradient with one AccumRows call over the nodes. Either way
-// each output and each gradient element is built by the additions of the
-// dense three-GEMM formulation in that formulation's order, less only
-// additions of a zero that cannot change the sum, so the bits are the same
-// (dense_ref_test.go keeps that formulation as the oracle).
+// weight row's gradient with one AccumRows call over the nodes and forms each
+// input-gradient row with one AccumRows call over the transposed weights
+// (Transposed). Either way each output and each gradient element is built by
+// the additions of the dense three-GEMM formulation in that formulation's
+// order, less only additions of a zero that cannot change the sum, so the
+// bits are the same (dense_ref_test.go keeps that formulation as the oracle).
 type ConvLayer struct {
 	In, Out int
 	Wt      *nn.Param
@@ -243,73 +244,31 @@ func (l *ConvLayer) forward(tree *Tree, nz rowIndex, x *tensor.Tensor, keep, scr
 }
 
 // inputGrad returns dL/dx (n, In) in keep for the layer's pre-activation
-// gradient gz: gz·Wtᵀ, plus each node's gz·Wlᵀ and gz·Wrᵀ rows scattered back
-// onto its children in node order. It reads the weights only, so trees
-// back-propagate concurrently.
-//
-// Every element is a dot product summed in index order from +0. Pooling and
-// the ReLU masks leave most of gz zero, and a zero entry contributes a ±0
-// product (the weights being finite), which cannot change such a sum; so each
-// gz row's non-zero positions are listed once and the three products walk
-// the list.
-func (l *ConvLayer) inputGrad(tree *Tree, gz *tensor.Tensor, keep, scratch *tensor.Arena) *tensor.Tensor {
+// gradient gz: each node's gz row times Wtᵀ, then, in node order, its gz row
+// times Wlᵀ (Wrᵀ) added onto its left (right) child's row. Each product is one
+// tensor.AccumRows call over wT, the layer's transposed weights, which skips
+// the zero entries pooling and the ReLU masks leave in most of gz: a zero
+// entry would add a ±0 product (the weights being finite), which cannot change
+// a sum that started from +0. It reads wT only, so trees back-propagate
+// concurrently.
+func (l *ConvLayer) inputGrad(tree *Tree, gz *tensor.Tensor, wT [3]*tensor.Tensor, keep, scratch *tensor.Arena) *tensor.Tensor {
 	n := tree.Len()
 	gx := keep.Get(n, l.In)
-	gl := scratch.Get(n, l.In)
-	gr := scratch.Get(n, l.In)
-	live := scratch.GetI32(l.Out)
+	tmp := scratch.Get(l.In).Data
 	for i := 0; i < n; i++ {
-		grow := gz.Row(i)
-		idx := live[:0]
-		for p, v := range grow {
-			if v != 0 {
-				idx = append(idx, int32(p))
-			}
-		}
-		dotRows(gx.Row(i), grow, idx, l.Wt.W)
-		dotRows(gl.Row(i), grow, idx, l.Wl.W)
-		dotRows(gr.Row(i), grow, idx, l.Wr.W)
+		tensor.AccumRows(gx.Row(i), gz.Row(i), wT[paramWt].Data)
 	}
 	for i := 0; i < n; i++ {
 		if li := tree.Left[i]; li >= 0 {
-			addRow(gx.Row(li), gl.Row(i))
+			tensor.AccumRows(tmp, gz.Row(i), wT[paramWl].Data)
+			addRow(gx.Row(li), tmp)
 		}
 		if ri := tree.Right[i]; ri >= 0 {
-			addRow(gx.Row(ri), gr.Row(i))
+			tensor.AccumRows(tmp, gz.Row(i), wT[paramWr].Data)
+			addRow(gx.Row(ri), tmp)
 		}
 	}
 	return gx
-}
-
-// dotRows sets orow[j] = Σ_{p∈idx} arow[p]·w[j,p], p ascending, for every row
-// j of w. Four rows advance together so one sum's adds do not wait on
-// another's.
-func dotRows(orow, arow []float64, idx []int32, w *tensor.Tensor) {
-	k := w.Shape[1]
-	j := 0
-	for ; j+4 <= len(orow); j += 4 {
-		w0 := w.Data[j*k : (j+1)*k]
-		w1 := w.Data[(j+1)*k : (j+2)*k]
-		w2 := w.Data[(j+2)*k : (j+3)*k]
-		w3 := w.Data[(j+3)*k : (j+4)*k]
-		var s0, s1, s2, s3 float64
-		for _, p := range idx {
-			av := arow[p]
-			s0 += av * w0[p]
-			s1 += av * w1[p]
-			s2 += av * w2[p]
-			s3 += av * w3[p]
-		}
-		orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-	}
-	for ; j < len(orow); j++ {
-		wrow := w.Data[j*k : (j+1)*k]
-		s := 0.0
-		for _, p := range idx {
-			s += arow[p] * wrow[p]
-		}
-		orow[j] = s
-	}
 }
 
 // The weight gradient of one tree is xᵀ·gz for Wt and the same with each row
@@ -415,6 +374,8 @@ func accumBias(g, gz *tensor.Tensor, a *tensor.Arena) {
 // one-way dynamic max pooling, producing one fixed-width vector per tree.
 type Network struct {
 	Layers []*ConvLayer
+
+	wT Transposed // Backward's transposes, remade (not reallocated) per call
 }
 
 // NewNetwork builds a conv stack with the given widths, e.g.
@@ -580,11 +541,38 @@ func (n *Network) ForwardInferenceInt8(t *Tree, a *tensor.Arena) (*tensor.Tensor
 // tree-by-tree Backward performs, in the same order — whatever the number of
 // owners.
 
+// Transposed is the form in which BackwardInputs reads the weights: per
+// layer, Wtᵀ, Wlᵀ and Wrᵀ, each (Out, In), so that a node's gradient row times
+// a transposed weight is one tensor.AccumRows call. The first layer has no
+// input gradient and no entry. Network.Transpose makes it from the weights as
+// they are, and any weight change leaves it stale: a training step makes it
+// once, after its forward pass, and every tree of the step reads it.
+type Transposed [][3]*tensor.Tensor
+
+// Transpose returns the network's current weights in the form BackwardInputs
+// reads, in dst's tensors when dst is an earlier Transpose of this network
+// (nil allocates).
+func (n *Network) Transpose(dst Transposed) Transposed {
+	if dst == nil {
+		dst = make(Transposed, len(n.Layers))
+	}
+	for li, l := range n.Layers[1:] {
+		for p, w := range [...]*nn.Param{l.Wt, l.Wl, l.Wr} {
+			if dst[li+1][p] == nil {
+				dst[li+1][p] = tensor.New(l.Out, l.In)
+			}
+			tensor.TransposeInto(dst[li+1][p], w.W)
+		}
+	}
+	return dst
+}
+
 // BackwardInputs propagates grad — dL/d(pooled), OutDim values — through the
 // pooling and down the conv stack, recording per layer the gradient at its
-// pre-activation. It writes nothing but ctx. The recorded gradients live in
-// keep; scratch may be reset when the call returns.
-func (n *Network) BackwardInputs(ctx *Context, grad []float64, keep, scratch *tensor.Arena) {
+// pre-activation. wT must hold the network's current weights. It writes
+// nothing but ctx. The recorded gradients live in keep; scratch may be reset
+// when the call returns.
+func (n *Network) BackwardInputs(ctx *Context, grad []float64, wT Transposed, keep, scratch *tensor.Arena) {
 	t := ctx.t
 	od := n.OutDim()
 	last := len(n.Layers) - 1
@@ -599,15 +587,21 @@ func (n *Network) BackwardInputs(ctx *Context, grad []float64, keep, scratch *te
 	}
 	for li := last; li >= 0; li-- {
 		// ReLU: the gradient passes where the layer's output is positive.
-		for i, y := range ctx.acts[li+1].Data {
-			if !(y > 0) {
-				gz.Data[i] = 0
+		// About half the outputs are, in no pattern a branch predictor
+		// learns, so the choice is made on the bits (a conditional move).
+		grads := gz.Data
+		acts := ctx.acts[li+1].Data[:len(grads)]
+		for i, g := range grads {
+			b := math.Float64bits(g)
+			if !(acts[i] > 0) {
+				b = 0
 			}
+			grads[i] = math.Float64frombits(b)
 		}
 		ctx.gz[li] = gz
 		if li > 0 {
 			// Layer 0 reads the features; nothing is upstream of them.
-			gz = n.Layers[li].inputGrad(t, gz, keep, scratch)
+			gz = n.Layers[li].inputGrad(t, gz, wT[li], keep, scratch)
 		}
 	}
 }
@@ -675,10 +669,13 @@ func (n *Network) AccumulateGrad(task GradTask, ctx *Context, a *tensor.Arena) {
 }
 
 // Backward propagates a (1, OutDim) gradient through the pooling and conv
-// stack of one tree, accumulating parameter gradients: BackwardInputs, then
-// every task over that one tree, on the heap.
+// stack of one tree, accumulating parameter gradients: Transpose,
+// BackwardInputs, then every task over that one tree, on the heap. The
+// transposes are made for this one tree; a batch makes them once for all of
+// its trees (see TrainBatch in package models).
 func (n *Network) Backward(ctx *Context, grad *tensor.Tensor) {
-	n.BackwardInputs(ctx, grad.Data, nil, nil)
+	n.wT = n.Transpose(n.wT)
+	n.BackwardInputs(ctx, grad.Data, n.wT, nil, nil)
 	for _, task := range n.GradTasks(1) {
 		n.AccumulateGrad(task, ctx, nil)
 	}

@@ -45,6 +45,44 @@ func refMatMul(out, a, b *tensor.Tensor) {
 	}
 }
 
+// refMatMulTransA is aᵀ × b for a (k,m) and b (k,n): p outer, zero entries
+// of a skipped.
+func refMatMulTransA(a, b *tensor.Tensor) *tensor.Tensor {
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	out := tensor.New(m, n)
+	for p := 0; p < k; p++ {
+		brow := b.Row(p)
+		for i, av := range a.Row(p) {
+			if av == 0 {
+				continue
+			}
+			orow := out.Row(i)
+			for j, bv := range brow {
+				orow[j] += float64(av * bv)
+			}
+		}
+	}
+	return out
+}
+
+// refMatMulTransB is a × bᵀ for a (m,k) and b (n,k): every element a dot
+// product in p order from +0, nothing skipped.
+func refMatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
+	m, n := a.Shape[0], b.Shape[0]
+	out := tensor.New(m, n)
+	for i := 0; i < m; i++ {
+		arow, orow := a.Row(i), out.Row(i)
+		for j := range orow {
+			s := 0.0
+			for p, bv := range b.Row(j) {
+				s += float64(arow[p] * bv)
+			}
+			orow[j] = s
+		}
+	}
+	return out
+}
+
 func refLayerForward(l *ConvLayer, tree *Tree, x *tensor.Tensor) (*tensor.Tensor, *refState) {
 	n := tree.Len()
 	// Each node's child rows, absent children left zero.
@@ -85,14 +123,14 @@ func refLayerBackward(l *ConvLayer, tree *Tree, st *refState, gradOut *tensor.Te
 			gz.Data[i] = 0
 		}
 	}
-	l.Wt.G.AddInPlace(tensor.MatMulTransA(st.x, gz))
-	l.Wl.G.AddInPlace(tensor.MatMulTransA(st.xl, gz))
-	l.Wr.G.AddInPlace(tensor.MatMulTransA(st.xr, gz))
+	l.Wt.G.AddInPlace(refMatMulTransA(st.x, gz))
+	l.Wl.G.AddInPlace(refMatMulTransA(st.xl, gz))
+	l.Wr.G.AddInPlace(refMatMulTransA(st.xr, gz))
 	l.B.G.AddInPlace(tensor.SumRows(gz))
 
-	gx := tensor.MatMulTransB(gz, l.Wt.W)
-	gl := tensor.MatMulTransB(gz, l.Wl.W)
-	gr := tensor.MatMulTransB(gz, l.Wr.W)
+	gx := refMatMulTransB(gz, l.Wt.W)
+	gl := refMatMulTransB(gz, l.Wl.W)
+	gr := refMatMulTransB(gz, l.Wr.W)
 	for i := 0; i < tree.Len(); i++ {
 		if li := tree.Left[i]; li >= 0 {
 			dst := gx.Row(li)
@@ -216,7 +254,7 @@ func checkSparseMatchesDense(t testing.TB, trees []*Tree, widths []int, seed uin
 		var sctx Context
 		requireSame(t, "ForwardTrain pooled", step.ForwardTrain(tree, &sctx, keep, scratch).Data, wantPooled.Data)
 		scratch.Reset()
-		step.BackwardInputs(&sctx, grad.Data, keep, scratch)
+		step.BackwardInputs(&sctx, grad.Data, step.Transpose(nil), keep, scratch)
 		scratch.Reset()
 		for _, task := range tasks {
 			step.AccumulateGrad(task, &sctx, scratch)

@@ -103,6 +103,32 @@ func TestNetworkGradientsNumeric(t *testing.T) {
 	}
 }
 
+// TestTransposeFollowsTheWeights: Transpose reuses the tensors it is handed
+// and refills them from the weights as they are now, layer 0 having none.
+func TestTransposeFollowsTheWeights(t *testing.T) {
+	rng := tensor.NewRNG(6)
+	net := NewNetwork(4, []int{5, 3, 2}, rng)
+	wT := net.Transpose(nil)
+	if wT[0] != ([3]*tensor.Tensor{}) {
+		t.Fatal("layer 0 has transposes")
+	}
+	kept := wT[2][paramWr]
+	for _, p := range net.Params() {
+		rng.FillNorm(p.W, 0, 1)
+	}
+	wT = net.Transpose(wT)
+	if wT[2][paramWr] != kept {
+		t.Fatal("Transpose reallocated a tensor it was handed")
+	}
+	for li, l := range net.Layers[1:] {
+		for p, w := range [...]*nn.Param{l.Wt, l.Wl, l.Wr} {
+			if !tensor.Equal(wT[li+1][p], tensor.Transpose(w.W), 0) {
+				t.Fatalf("layer %d %s: stale transpose", li+1, w.Name)
+			}
+		}
+	}
+}
+
 func TestVoteMaskExcludesNodes(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	net := NewNetwork(2, []int{3}, rng)

@@ -151,7 +151,8 @@ for fast, slow, want in RATIO_GATES:
 # at most so many times its sibling on the same run. The tree convolution's
 # backward does about twice its forward's multiply-adds (it ran at ~10x while
 # layer 0 treated the feature rows as dense and computed an input gradient
-# nothing reads). A lone miss has nobody en route behind it, so the shipped
+# nothing reads); it is timed per tree of a training step, sharing the step's
+# one set of transposed weights. A lone miss has nobody en route behind it, so the shipped
 # coalescer must not hold its batch open: it costs what a coalescer that never
 # holds — MaxBatch 1 — costs.
 COST_GATES = [
