@@ -155,7 +155,7 @@ func BenchmarkTreeConvForward(b *testing.B) {
 // once for all of its trees (stepTrees of them in a 32-query batch of nine
 // sub-trees), so an op is BackwardInputs and every GradTask over the tree,
 // with the transposes made again every stepTrees ops (and at the first, so a
-// short run overstates their share). scripts/bench_record.sh gates it at 4x
+// short run overstates their share). scripts/bench_record.sh gates it at 2.5x
 // the forward's ns/op with both run at -cpu 1, where the ratio is arithmetic
 // and not how many cores the forward's GEMMs found: the pass does roughly
 // twice the forward's multiply-adds, and it did ten times its work while

@@ -46,13 +46,14 @@ func (d *Dense) ForwardArena(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 }
 
 // Backward accumulates dL/dW = xᵀg and dL/db = Σ_batch g, returning
-// dL/dx = g Wᵀ. Both products are MatMul over a transpose made here, so they
-// run on tensor.AccumRows; a training step calls Backward once, so W is
-// transposed once per step. Each element is its p-ordered sum from +0, less
-// only products with a zero factor of g or x, which cannot change it while
-// the weights are finite.
+// dL/dx = g Wᵀ. Both products run over a transpose made here, so they run on
+// tensor.AccumRows; a training step calls Backward once, so W is transposed
+// once per step. The weight gradient is added straight into G, one AccumRows
+// call per row of xᵀ (MatMulAddInto), with no product temporary. Each
+// product element is its p-ordered sum from +0, less only products with a
+// zero factor of g or x, which cannot change it while the weights are finite.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	d.Weight.G.AddInPlace(tensor.MatMul(tensor.Transpose(d.lastInput), gradOut))
+	tensor.MatMulAddInto(d.Weight.G, tensor.Transpose(d.lastInput), gradOut)
 	d.Bias.G.AddInPlace(tensor.SumRows(gradOut))
 	return tensor.MatMul(gradOut, tensor.Transpose(d.Weight.W))
 }

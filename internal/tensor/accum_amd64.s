@@ -9,7 +9,11 @@
 // are zero for ±0 only, so a NaN is kept) is skipped, any other is broadcast,
 // multiplied into its row's block of b with VMULPD and added with VADDPD.
 // The multiply and the add stay separate instructions: a fused multiply-add
-// rounds once where the Go reference rounds twice.
+// rounds once where the Go reference rounds twice. The accumulators start
+// from +0, so each block's sums are formed on their own; only then, just
+// before the store, is the destination's block added to them (VADDPD, or
+// VADDSD for a single column). A sum from +0 is never −0 under
+// round-to-nearest, so a destination of +0 receives the sum unchanged.
 TEXT ·accumRowsAVX2(SB), NOSPLIT, $0-72
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
@@ -63,6 +67,14 @@ next32:
 	JMP  loop32
 
 store32:
+	VADDPD (DI), Y0, Y0
+	VADDPD 32(DI), Y1, Y1
+	VADDPD 64(DI), Y2, Y2
+	VADDPD 96(DI), Y3, Y3
+	VADDPD 128(DI), Y4, Y4
+	VADDPD 160(DI), Y5, Y5
+	VADDPD 192(DI), Y6, Y6
+	VADDPD 224(DI), Y7, Y7
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -108,6 +120,10 @@ next16:
 	JMP  loop16
 
 store16:
+	VADDPD (DI), Y0, Y0
+	VADDPD 32(DI), Y1, Y1
+	VADDPD 64(DI), Y2, Y2
+	VADDPD 96(DI), Y3, Y3
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -139,6 +155,7 @@ next4:
 	JMP  loop4
 
 store4:
+	VADDPD (DI), Y0, Y0
 	VMOVUPD Y0, (DI)
 	ADDQ $32, DI
 	ADDQ $32, R8
@@ -168,6 +185,7 @@ next1:
 	JMP  loop1
 
 store1:
+	VADDSD (DI), X0, X0
 	VMOVSD X0, (DI)
 	ADDQ $8, DI
 	ADDQ $8, R8

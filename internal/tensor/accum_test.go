@@ -7,7 +7,8 @@ import (
 )
 
 // refAccumRows is AccumRows' definition written element by element: out[j]
-// is its own sum over p, from +0, of the rounded products with x[p] ≠ 0.
+// receives its own sum over p, from +0, of the rounded products with
+// x[p] ≠ 0, added once the sum is complete.
 func refAccumRows(out, x, b []float64) {
 	n := len(out)
 	for j := range out {
@@ -17,7 +18,7 @@ func refAccumRows(out, x, b []float64) {
 				s += float64(xv * b[p*n+j])
 			}
 		}
-		out[j] = s
+		out[j] += s
 	}
 }
 
@@ -48,21 +49,23 @@ func eachPath(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// checkAccumRows runs AccumRows into a guarded, pre-soiled output and
-// requires the reference's bits and untouched guards.
-func checkAccumRows(t testing.TB, x, b []float64, n int) {
+// checkAccumRows runs AccumRows into a guarded output pre-soiled with
+// palette values, starting at palette[soil], and requires the bits of the
+// soil plus the reference's sum, and untouched guards.
+func checkAccumRows(t testing.TB, x, b []float64, n, soil int) {
 	t.Helper()
 	const guard = 12345.678
 	buf := make([]float64, n+2)
-	for i := range buf {
-		buf[i] = guard
-	}
+	buf[0], buf[n+1] = guard, guard
 	got := buf[1 : n+1 : n+1]
+	for j := range got {
+		got[j] = palette[(soil+j)%len(palette)]
+	}
+	want := append([]float64(nil), got...)
 	AccumRows(got, x, b)
 	if buf[0] != guard || buf[n+1] != guard {
 		t.Fatalf("n=%d k=%d: AccumRows wrote outside out", n, len(x))
 	}
-	want := make([]float64, n)
 	refAccumRows(want, x, b)
 	for j := range want {
 		if !sameBits(got[j], want[j]) {
@@ -117,7 +120,50 @@ func TestAccumRowsMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				checkAccumRows(t, x, b, n)
+				checkAccumRows(t, x, b, n, rng.Intn(len(palette)))
+			}
+		}
+	})
+}
+
+// TestAccumRowsZeroedOutIsTheSum holds the contract callers that want a
+// plain product rely on: a row of +0 receives exactly the sum formed from +0,
+// never −0 — also when every product cancels, when every product is −0, and
+// when every coefficient is skipped.
+func TestAccumRowsZeroedOutIsTheSum(t *testing.T) {
+	cases := []struct {
+		name string
+		x, b []float64 // b is one value per coefficient, repeated across the row
+	}{
+		{"plain", []float64{1.5, -2, 0.25}, []float64{3, 0.5, -8}},
+		{"cancelling", []float64{1, -1, 2, -2}, []float64{0.1, 0.1, 3.25, 3.25}},
+		{"negative zero products", []float64{-1, 2, -3}, []float64{0, negZero, 0}},
+		{"all skipped", []float64{0, negZero, 0}, []float64{math.NaN(), math.Inf(1), -1}},
+		{"no coefficients", nil, nil},
+	}
+	eachPath(t, func(t *testing.T) {
+		for _, c := range cases {
+			for _, n := range []int{1, 3, 4, 5, 16, 32, 37, 70} {
+				b := make([]float64, len(c.x)*n)
+				for p, v := range c.b {
+					for j := 0; j < n; j++ {
+						b[p*n+j] = v
+					}
+				}
+				want := 0.0
+				for p, xv := range c.x {
+					if xv != 0 {
+						want += float64(xv * c.b[p])
+					}
+				}
+				out := make([]float64, n)
+				AccumRows(out, c.x, b)
+				for j, v := range out {
+					if math.Float64bits(v) != math.Float64bits(want) || (v == 0 && math.Signbit(v)) {
+						t.Fatalf("%s, n=%d: out[%d] = %v (%#x), want the sum %v (%#x)", c.name, n, j,
+							v, math.Float64bits(v), want, math.Float64bits(want))
+					}
+				}
 			}
 		}
 	})
@@ -134,8 +180,9 @@ func TestAccumRowsShortWeightsPanic(t *testing.T) {
 
 // FuzzAccumRows decodes an output width, a coefficient count and then values:
 // a byte with its top bit set picks from the palette, otherwise eight bytes
-// are one float64's bits (any NaN payload, any subnormal). Both paths must
-// reproduce the reference.
+// are one float64's bits (any NaN payload, any subnormal). The output is
+// pre-soiled from the palette at an offset the input picks. Both paths must
+// reproduce the soil plus the reference's sum.
 func FuzzAccumRows(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{37, 3, 0x80, 0x81, 0x82, 0x83})
@@ -154,9 +201,9 @@ func FuzzAccumRows(f *testing.F) {
 			data = data[8:]
 			return v
 		}
-		var n, k int
+		var n, k, soil int
 		if len(data) >= 2 {
-			n, k = int(data[0])%71, int(data[1])%40
+			n, k, soil = int(data[0])%71, int(data[1])%40, int(data[1])/40
 			data = data[2:]
 		}
 		x := make([]float64, k)
@@ -169,7 +216,7 @@ func FuzzAccumRows(f *testing.F) {
 		}
 		for _, path := range paths {
 			prev := setSIMD(path.simd)
-			checkAccumRows(t, x, b, n)
+			checkAccumRows(t, x, b, n, soil)
 			setSIMD(prev)
 		}
 	})

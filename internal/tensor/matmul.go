@@ -18,11 +18,19 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes out = a × b, reusing out's buffer. out must have shape
-// (a.rows, b.cols). Each output row is one AccumRows call (i-k-j order, zero
-// entries of a skipped); large products are sharded row-wise across
-// goroutines (each output row is written by exactly one worker, so no
-// synchronisation is needed).
-func MatMulInto(out, a, b *Tensor) {
+// (a.rows, b.cols). Each output row is cleared and then receives one
+// AccumRows call (i-k-j order, zero entries of a skipped); large products are
+// sharded row-wise across goroutines (each output row is written by exactly
+// one worker, so no synchronisation is needed).
+func MatMulInto(out, a, b *Tensor) { matMul(out, a, b, true) }
+
+// MatMulAddInto computes out += a × b: MatMulInto without the clearing, so
+// each element becomes its old value plus the product's sum, formed on its
+// own from +0.
+func MatMulAddInto(out, a, b *Tensor) { matMul(out, a, b, false) }
+
+// matMul is MatMulInto (set) and MatMulAddInto (!set).
+func matMul(out, a, b *Tensor, set bool) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul wants 2-d operands, got %v x %v", a.Shape, b.Shape))
 	}
@@ -35,7 +43,7 @@ func MatMulInto(out, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulInto out shape %v, want [%d %d]", out.Shape, m, n))
 	}
 	if m*k*n < parallelFlopThreshold {
-		matMulRows(out, a, b, 0, m)
+		matMulRows(out, a, b, 0, m, set)
 		return
 	}
 	// Fan out through the shared worker budget (see workers.go): the caller
@@ -43,15 +51,20 @@ func MatMulInto(out, a, b *Tensor) {
 	// concurrent kernels divide the budget instead of each spawning
 	// GOMAXPROCS goroutines.
 	shardRows(m, runtime.GOMAXPROCS(0), func(lo, hi int) {
-		matMulRows(out, a, b, lo, hi)
+		matMulRows(out, a, b, lo, hi, set)
 	})
 }
 
-// matMulRows computes output rows [lo, hi), one AccumRows call each.
-func matMulRows(out, a, b *Tensor, lo, hi int) {
+// matMulRows computes output rows [lo, hi), one AccumRows call each, into
+// rows it first clears when set.
+func matMulRows(out, a, b *Tensor, lo, hi int, set bool) {
 	k, n := a.Shape[1], b.Shape[1]
 	for i := lo; i < hi; i++ {
-		AccumRows(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data)
+		row := out.Data[i*n : (i+1)*n]
+		if set {
+			clear(row)
+		}
+		AccumRows(row, a.Data[i*k:(i+1)*k], b.Data)
 	}
 }
 

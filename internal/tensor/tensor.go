@@ -4,11 +4,13 @@
 // allocation behaviour is documented so that per-batch memory footprints can
 // be accounted exactly (the paper's Fig 6 metric).
 //
-// One kernel carries the float products: AccumRows sets
-// out[j] = Σ_{p : x[p] ≠ 0} x[p]·B[p,j], each sum in p order from +0. It is
-// every output row of MatMulInto (the dense head, forward and backward) and
-// every product of the hidden tree-convolution layers: forward, weight
-// gradient and input gradient. A product with a transposed operand is a
+// One kernel carries the float products: AccumRows adds
+// Σ_{p : x[p] ≠ 0} x[p]·B[p,j] onto out[j], each sum formed in p order from
+// +0 before it is added. It is every output row of MatMulInto and
+// MatMulAddInto (the dense head, forward and backward) and every product of
+// the hidden tree-convolution layers: forward, weight gradient and input
+// gradient, each added straight into its destination row. A product with a
+// transposed operand is a
 // TransposeInto and then AccumRows; there is no transposed-operand kernel.
 // Its Go form is the reference and the only path off amd64; on amd64 an AVX2
 // assembly form is chosen once at init, by CPUID and XGETBV, when the CPU has
@@ -278,7 +280,8 @@ func (t *Tensor) Norm2() float64 {
 // Row returns row i of a 2-D tensor as an aliased slice.
 func (t *Tensor) Row(i int) []float64 {
 	if len(t.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: Row on %d-d tensor", len(t.Shape)))
+		// A constant message keeps Row cheap enough to inline.
+		panic("tensor: Row on a tensor that is not 2-d")
 	}
 	cols := t.Shape[1]
 	return t.Data[i*cols : (i+1)*cols]

@@ -353,17 +353,27 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestMatMulIntoReusesBuffer: MatMulInto clears each row before AccumRows
+// adds into it, so whatever out held — NaN, ±Inf, −0 — is gone and out is
+// bit for bit the fresh product, on the serial path and the sharded one.
 func TestMatMulIntoReusesBuffer(t *testing.T) {
-	rng := NewRNG(22)
-	a := New(80, 90)
-	b := New(90, 70)
-	rng.FillNorm(a, 0, 1)
-	rng.FillNorm(b, 0, 1)
-	out := New(80, 70)
-	out.Fill(123) // stale contents must be overwritten, not accumulated
-	MatMulInto(out, a, b)
-	want := MatMul(a, b)
-	if !Equal(out, want, 1e-12) {
-		t.Fatal("MatMulInto did not overwrite stale buffer contents")
+	soil := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e308, 123}
+	for _, dims := range [][3]int{{5, 7, 9}, {80, 90, 70}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		rng := NewRNG(22)
+		a, b := New(m, k), New(k, n)
+		rng.FillNorm(a, 0, 1)
+		rng.FillNorm(b, 0, 1)
+		out := New(m, n)
+		for i := range out.Data {
+			out.Data[i] = soil[i%len(soil)]
+		}
+		MatMulInto(out, a, b)
+		want := MatMul(a, b)
+		for i, v := range out.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%v: out[%d] = %v, fresh product %v", dims, i, v, want.Data[i])
+			}
+		}
 	}
 }

@@ -19,14 +19,16 @@ import (
 // featurization and almost entirely zero: forward gathers rows of Wt/Wl/Wr
 // through the index, backward scatters dWt/dWl/dWr through it and computes no
 // input gradient (nothing is upstream of the features). Every later layer
-// reads rectified activations, about half dense: forward forms each node's
-// parent and child products with tensor.AccumRows, and backward sums each
-// weight row's gradient with one AccumRows call over the nodes and forms each
-// input-gradient row with one AccumRows call over the transposed weights
-// (Transposed). Either way each output and each gradient element is built by
-// the additions of the dense three-GEMM formulation in that formulation's
-// order, less only additions of a zero that cannot change the sum, so the
-// bits are the same (dense_ref_test.go keeps that formulation as the oracle).
+// reads rectified activations, about half dense, and every product there is
+// one tensor.AccumRows call that adds its sum, formed on its own from +0,
+// straight into its destination row: forward adds each node's parent and
+// child products into the node's output row, backward adds each weight row's
+// sum over the nodes into G and each product over the transposed weights
+// (Transposed) into an input-gradient row. Either way each output and each
+// gradient element is built by the additions of the dense three-GEMM
+// formulation in that formulation's order, less only additions of a zero that
+// cannot change the sum, so the bits are the same (dense_ref_test.go keeps
+// that formulation as the oracle).
 type ConvLayer struct {
 	In, Out int
 	Wt      *nn.Param
@@ -85,27 +87,36 @@ func gatherRows(orow, xrow []float64, cols []int32, w *tensor.Tensor) {
 	}
 }
 
-// project writes every node's pre-activation Wt·x_i + Wl·x_l + Wr·x_r + b
-// into out: the parent product into the output row, then each present
-// child's product, formed on its own in tmp (Out wide), added, then the bias
-// — per element, the additions of the dense three-GEMM formulation in its
-// order. An absent child would add a row of +0, which cannot change a sum
-// that started from +0, so it is skipped. product(dst, i, w) sets dst to
-// node i's input row times w.
-func (l *ConvLayer) project(out *tensor.Tensor, tree *Tree, tmp []float64, product func(dst []float64, i int, w *tensor.Tensor)) {
+// project writes every node's output ReLU(Wt·x_i + Wl·x_l + Wr·x_r + b) into
+// out, whose rows are +0: the parent product is added into the output row,
+// which leaves it that product exactly, then each present child's product,
+// then the bias — per element, the additions of the dense three-GEMM
+// formulation in its order — and the row is rectified while the bias goes in.
+// An absent child would add a row of +0, which cannot change a sum that
+// started from +0, so it is skipped. product(dst, i, w) adds node i's input
+// row times w, formed on its own from +0, into dst.
+func (l *ConvLayer) project(out *tensor.Tensor, tree *Tree, product func(dst []float64, i int, w *tensor.Tensor)) {
 	bias := l.B.W.Data
 	for i := range tree.Left {
 		orow := out.Row(i)
 		product(orow, i, l.Wt.W)
 		if li := tree.Left[i]; li >= 0 {
-			product(tmp, li, l.Wl.W)
-			addRow(orow, tmp)
+			product(orow, li, l.Wl.W)
 		}
 		if ri := tree.Right[i]; ri >= 0 {
-			product(tmp, ri, l.Wr.W)
-			addRow(orow, tmp)
+			product(orow, ri, l.Wr.W)
 		}
-		addRow(orow, bias)
+		// About half the outputs are positive, in no pattern a branch
+		// predictor learns, so ReLU picks on the bits (a conditional move).
+		orow = orow[:len(bias)]
+		for j, b := range bias {
+			v := orow[j] + b
+			bits := math.Float64bits(v)
+			if !(v > 0) {
+				bits = 0
+			}
+			orow[j] = math.Float64frombits(bits)
+		}
 	}
 }
 
@@ -221,51 +232,46 @@ func (l *ConvLayer) forwardArenaInt8(tree *Tree, x *tensor.Tensor, a *tensor.Are
 // forward computes the layer output for input x over tree. The output comes
 // from keep, per-call scratch from scratch; either may be nil for the heap,
 // and inference passes the same arena twice. x being the tree's own feature
-// tensor is what selects products gathered through nz; any other input is an
-// activation matrix, and each product is one tensor.AccumRows call.
+// tensor is what selects products gathered through nz, each formed in an
+// Out-wide scratch row and then added; any other input is an activation
+// matrix, and each product is one tensor.AccumRows call.
 func (l *ConvLayer) forward(tree *Tree, nz rowIndex, x *tensor.Tensor, keep, scratch *tensor.Arena) *tensor.Tensor {
 	out := keep.Get(tree.Len(), l.Out)
-	tmp := scratch.Get(l.Out).Data
 	if x == tree.Feats {
-		l.project(out, tree, tmp, func(dst []float64, i int, w *tensor.Tensor) {
-			gatherRows(dst, x.Row(i), nz.row(i), w)
+		tmp := scratch.Get(l.Out).Data
+		l.project(out, tree, func(dst []float64, i int, w *tensor.Tensor) {
+			gatherRows(tmp, x.Row(i), nz.row(i), w)
+			addRow(dst, tmp)
 		})
 	} else {
-		l.project(out, tree, tmp, func(dst []float64, i int, w *tensor.Tensor) {
+		l.project(out, tree, func(dst []float64, i int, w *tensor.Tensor) {
 			tensor.AccumRows(dst, x.Row(i), w.Data)
 		})
-	}
-	for i, v := range out.Data {
-		if !(v > 0) {
-			out.Data[i] = 0
-		}
 	}
 	return out
 }
 
 // inputGrad returns dL/dx (n, In) in keep for the layer's pre-activation
-// gradient gz: each node's gz row times Wtᵀ, then, in node order, its gz row
-// times Wlᵀ (Wrᵀ) added onto its left (right) child's row. Each product is one
-// tensor.AccumRows call over wT, the layer's transposed weights, which skips
-// the zero entries pooling and the ReLU masks leave in most of gz: a zero
-// entry would add a ±0 product (the weights being finite), which cannot change
-// a sum that started from +0. It reads wT only, so trees back-propagate
-// concurrently.
-func (l *ConvLayer) inputGrad(tree *Tree, gz *tensor.Tensor, wT [3]*tensor.Tensor, keep, scratch *tensor.Arena) *tensor.Tensor {
+// gradient gz: each node's gz row times Wtᵀ added into its own +0 row, then,
+// in node order, its gz row times Wlᵀ (Wrᵀ) added into its left (right)
+// child's row. Each product is one tensor.AccumRows call over wT, the layer's
+// transposed weights, that forms its sum from +0 and adds it into gx's row;
+// it skips the zero entries pooling and the ReLU masks leave in most of gz: a
+// zero entry would add a ±0 product (the weights being finite), which cannot
+// change a sum that started from +0. It reads wT only, so trees
+// back-propagate concurrently.
+func (l *ConvLayer) inputGrad(tree *Tree, gz *tensor.Tensor, wT [3]*tensor.Tensor, keep *tensor.Arena) *tensor.Tensor {
 	n := tree.Len()
 	gx := keep.Get(n, l.In)
-	tmp := scratch.Get(l.In).Data
 	for i := 0; i < n; i++ {
 		tensor.AccumRows(gx.Row(i), gz.Row(i), wT[paramWt].Data)
 	}
 	for i := 0; i < n; i++ {
 		if li := tree.Left[i]; li >= 0 {
-			tensor.AccumRows(tmp, gz.Row(i), wT[paramWl].Data)
-			addRow(gx.Row(li), tmp)
+			tensor.AccumRows(gx.Row(li), gz.Row(i), wT[paramWl].Data)
 		}
 		if ri := tree.Right[i]; ri >= 0 {
-			tensor.AccumRows(tmp, gz.Row(i), wT[paramWr].Data)
-			addRow(gx.Row(ri), tmp)
+			tensor.AccumRows(gx.Row(ri), gz.Row(i), wT[paramWr].Data)
 		}
 	}
 	return gx
@@ -291,13 +297,12 @@ func inputRow(child []int, p int) int {
 // input column, in node order (0 for an absent child), is first laid out
 // contiguously in scratch — all of [lo,hi) in one pass over the nodes' rows;
 // then per row one tensor.AccumRows call sums the column against gz's rows
-// in an Out-wide scratch row, which is added into G. A row no node feeds (its
+// from +0 and adds the sum straight into G's row. A row no node feeds (its
 // input column is all zero, as half of a rectified layer's are) would add
 // +0s and is skipped.
 func accumDense(g, x *tensor.Tensor, child []int, gz *tensor.Tensor, lo, hi int, a *tensor.Arena) {
 	in, n, out := x.Shape[1], gz.Shape[0], gz.Shape[1]
-	scratch := a.Get((hi-lo)*n + out).Data
-	cols, tmp := scratch[:(hi-lo)*n], scratch[(hi-lo)*n:]
+	cols := a.Get((hi - lo) * n).Data
 	for p := 0; p < n; p++ {
 		if q := inputRow(child, p); q >= 0 {
 			for c, v := range x.Data[q*in+lo : q*in+hi] {
@@ -310,8 +315,7 @@ rows:
 		col := cols[(i-lo)*n : (i-lo+1)*n]
 		for _, v := range col {
 			if v != 0 {
-				tensor.AccumRows(tmp, col, gz.Data)
-				addRow(g.Data[i*out:(i+1)*out], tmp)
+				tensor.AccumRows(g.Data[i*out:(i+1)*out], col, gz.Data)
 				continue rows
 			}
 		}
@@ -570,8 +574,10 @@ func (n *Network) Transpose(dst Transposed) Transposed {
 // BackwardInputs propagates grad — dL/d(pooled), OutDim values — through the
 // pooling and down the conv stack, recording per layer the gradient at its
 // pre-activation. wT must hold the network's current weights. It writes
-// nothing but ctx. The recorded gradients live in keep; scratch may be reset
-// when the call returns.
+// nothing but ctx. The recorded gradients live in keep. Every input-gradient
+// product adds straight into a keep row, so nothing is drawn from scratch;
+// it is taken beside keep as ForwardTrain takes it, and may be reset when the
+// call returns.
 func (n *Network) BackwardInputs(ctx *Context, grad []float64, wT Transposed, keep, scratch *tensor.Arena) {
 	t := ctx.t
 	od := n.OutDim()
@@ -601,7 +607,7 @@ func (n *Network) BackwardInputs(ctx *Context, grad []float64, wT Transposed, ke
 		ctx.gz[li] = gz
 		if li > 0 {
 			// Layer 0 reads the features; nothing is upstream of them.
-			gz = n.Layers[li].inputGrad(t, gz, wT[li], keep, scratch)
+			gz = n.Layers[li].inputGrad(t, gz, wT[li], keep)
 		}
 	}
 }
