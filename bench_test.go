@@ -150,13 +150,13 @@ func BenchmarkTreeConvForward(b *testing.B) {
 }
 
 // BenchmarkTreeConvBackward measures the matching backward pass — pooled
-// gradient down the stack plus every parameter gradient — over the same tree
-// and network, as one tree of a training step: a step transposes the weights
-// once for all of its trees (stepTrees of them in a 32-query batch of nine
-// sub-trees), so an op is BackwardInputs and every GradTask over the tree,
-// with the transposes made again every stepTrees ops (and at the first, so a
-// short run overstates their share). scripts/bench_record.sh gates it at 2.5x
-// the forward's ns/op with both run at -cpu 1, where the ratio is arithmetic
+// gradient down the stack plus every parameter gradient — over a training
+// step's forest of that tree (stepTrees copies, a 32-query batch of nine
+// sub-trees), forwarded once before the clock starts: an op is one
+// Transpose, BackwardInputs for every tree and every GradTask once over the
+// forest, and the benchmark reports it per tree as ns/tree.
+// scripts/bench_record.sh gates ns/tree at 2.5x the forward's ns/op, one tree
+// against one tree, with both run at -cpu 1, where the ratio is arithmetic
 // and not how many cores the forward's GEMMs found: the pass does roughly
 // twice the forward's multiply-adds, and it did ten times its work while
 // layer 0 also produced an input gradient nobody read.
@@ -165,27 +165,35 @@ func BenchmarkTreeConvBackward(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	net := treecnn.NewNetwork(64, []int{512, 512, 512}, rng)
 	tree := benchConvTree(15, 64, rng)
-	_, ctx := net.Forward(tree)
+	trees := make([]*treecnn.Tree, stepTrees)
+	for i := range trees {
+		trees[i] = tree
+	}
+	var forest treecnn.Context
+	forest.Reset(net, trees)
+	scratch := tensor.NewArena(0)
+	for ti := range trees {
+		net.ForwardTrain(&forest, ti, make([]float64, net.OutDim()), scratch)
+		scratch.Reset()
+	}
 	grad := make([]float64, net.OutDim())
 	for i := range grad {
 		grad[i] = 1
 	}
 	tasks := net.GradTasks(1)
-	keep, scratch := tensor.NewArena(0), tensor.NewArena(0)
 	var wT treecnn.Transposed
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%stepTrees == 0 {
-			wT = net.Transpose(wT)
+		wT = net.Transpose(wT)
+		for ti := range trees {
+			net.BackwardInputs(&forest, ti, grad, wT)
 		}
-		net.BackwardInputs(ctx, grad, wT, keep, scratch)
-		scratch.Reset()
 		for _, task := range tasks {
-			net.AccumulateGrad(task, ctx, scratch)
+			net.AccumulateGrad(task, &forest, scratch)
 			scratch.Reset()
 		}
-		keep.Reset()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepTrees), "ns/tree")
 }
 
 // benchConvTree builds a complete n-node tree with featDim unit-normal

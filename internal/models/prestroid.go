@@ -98,15 +98,14 @@ type Prestroid struct {
 	step trainStep
 }
 
-// trainStep is the step-scoped state of TrainBatch: one backward context per
-// tree of the batch in (trace, tree) order, and per worker an arena holding
-// what the step keeps from forward to backward (activations, pooling winners,
-// pre-activation gradients; reset when the step ends) and one for scratch
-// that dies with each tree.
+// trainStep is the step-scoped state of TrainBatch: the batch's trees in
+// (trace, tree) order laid end to end as one forest, which carries the
+// forward pass to the backward pass, and per worker a scratch arena that
+// dies with each tree or task.
 type trainStep struct {
-	ctxs    []treecnn.Context
-	first   []int // first[bi] = index in ctxs of trace bi's first tree
-	keep    []*tensor.Arena
+	trees   []*treecnn.Tree
+	first   []int // first[bi] = index in trees of trace bi's first tree
+	forest  treecnn.Context
 	scratch []*tensor.Arena
 	wT      treecnn.Transposed // the step's transposed conv weights
 }
@@ -337,36 +336,33 @@ func (m *Prestroid) convTrees(tr *workload.Trace) []*treecnn.Tree {
 func (m *Prestroid) SetForwardSemaphore(sem chan struct{}) { m.sem = sem }
 
 // TrainBatch performs one ADAM step on Huber loss. The conv stack's share of
-// the step is index once, gather forward, scatter backward, accumulate in
-// batch order:
+// the step runs on one forest — the batch's trees end to end, with one
+// output and one gradient matrix per conv layer for all their nodes:
 //
 //   - forward fans the traces out over the workers; each tree's activations
-//     go to the step's arenas, its pooled vector to its slot of the head's
-//     input (missing sub-trees stay zero — the paper's padding);
+//     go to its rows of the forest, its pooled vector to its slot of the
+//     head's input (missing sub-trees stay zero — the paper's padding);
 //   - after the head's forward and backward, the conv weights are transposed
 //     once, the traces fan out again and every tree pulls its slice of the
 //     head's input gradient down its own stack, which reads the transposes
 //     only;
 //   - the parameter gradients are then split into row-block tasks, and each
-//     task's owner walks the batch's trees in (trace, tree) order, so every
-//     gradient element receives the additions of a serial tree-by-tree
-//     backward in the same order. The weights after the step therefore do
-//     not depend on GOMAXPROCS, bit for bit.
+//     task's owner makes one pass over the forest that adds the trees'
+//     contributions in (trace, tree) order, so every gradient element
+//     receives the additions of a serial tree-by-tree backward in the same
+//     order. The weights after the step therefore do not depend on
+//     GOMAXPROCS, bit for bit.
 func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) float64 {
 	// Prepare is the only cache mutation, so the workers below only read.
 	m.Prepare(batch)
 	st := &m.step
-	st.first = st.first[:0]
-	total := 0
+	st.trees, st.first = st.trees[:0], st.first[:0]
 	for _, tr := range batch {
-		st.first = append(st.first, total)
-		total += len(m.convTrees(tr))
+		st.first = append(st.first, len(st.trees))
+		st.trees = append(st.trees, m.convTrees(tr)...)
 	}
-	if total > len(st.ctxs) {
-		st.ctxs = append(st.ctxs, make([]treecnn.Context, total-len(st.ctxs))...)
-	}
-	for len(st.keep) < runtime.GOMAXPROCS(0) {
-		st.keep = append(st.keep, tensor.NewArena(0))
+	st.forest.Reset(m.conv, st.trees)
+	for len(st.scratch) < runtime.GOMAXPROCS(0) {
 		st.scratch = append(st.scratch, tensor.NewArena(0))
 	}
 
@@ -374,9 +370,8 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	feats := tensor.New(len(batch), m.slots()*od)
 	m.each(len(batch), func(bi, w int) {
 		row := feats.Row(bi)
-		for ti, tree := range m.convTrees(batch[bi]) {
-			pooled := m.conv.ForwardTrain(tree, &st.ctxs[st.first[bi]+ti], st.keep[w], st.scratch[w])
-			copy(row[ti*od:(ti+1)*od], pooled.Data)
+		for ti := range m.convTrees(batch[bi]) {
+			m.conv.ForwardTrain(&st.forest, st.first[bi]+ti, row[ti*od:(ti+1)*od], st.scratch[w])
 			st.scratch[w].Reset()
 		}
 	})
@@ -394,23 +389,17 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	// g is now (batch, slots*convOut): route slices to each tree, which all
 	// read the weights transposed once for the step.
 	st.wT = m.conv.Transpose(st.wT)
-	m.each(len(batch), func(bi, w int) {
+	m.each(len(batch), func(bi, _ int) {
 		row := g.Row(bi)
 		for ti := range m.convTrees(batch[bi]) {
-			m.conv.BackwardInputs(&st.ctxs[st.first[bi]+ti], row[ti*od:(ti+1)*od], st.wT, st.keep[w], st.scratch[w])
-			st.scratch[w].Reset()
+			m.conv.BackwardInputs(&st.forest, st.first[bi]+ti, row[ti*od:(ti+1)*od], st.wT)
 		}
 	})
 	tasks := m.conv.GradTasks(runtime.GOMAXPROCS(0))
 	m.each(len(tasks), func(i, w int) {
-		for ci := 0; ci < total; ci++ {
-			m.conv.AccumulateGrad(tasks[i], &st.ctxs[ci], st.scratch[w])
-			st.scratch[w].Reset()
-		}
+		m.conv.AccumulateGrad(tasks[i], &st.forest, st.scratch[w])
+		st.scratch[w].Reset()
 	})
-	for _, a := range st.keep {
-		a.Reset()
-	}
 
 	m.opt.Step(m.params)
 	return lossVal

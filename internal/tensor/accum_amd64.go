@@ -1,14 +1,15 @@
 package tensor
 
-// haveSIMD reports whether this CPU runs accumRowsAVX2: it has AVX2 and the
-// OS saves the YMM registers across context switches.
+// haveSIMD reports whether this CPU runs accumSegmentsAVX2: it has AVX2 and
+// the OS saves the YMM registers across context switches.
 var haveSIMD = hasAVX2()
 
-// accumRowsAVX2 is AccumRows in AVX2 assembly (accum_amd64.s). It does no
-// bounds checks: b must hold len(x)*len(out) values.
+// accumSegmentsAVX2 is AccumSegments in AVX2 assembly (accum_amd64.s). It
+// does no bounds checks: b must hold len(x)*len(out) values and ends must be
+// valid.
 //
 //go:noescape
-func accumRowsAVX2(out, x, b []float64)
+func accumSegmentsAVX2(out, x, b []float64, ends []int)
 
 // cpuid executes CPUID for a leaf and sub-leaf.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -2,9 +2,10 @@
 
 package tensor
 
-// There is no assembly form of AccumRows here: accumRowsGo is the only path.
+// There is no assembly form of AccumSegments here: accumSegmentsGo is the
+// only path.
 const haveSIMD = false
 
-func accumRowsAVX2(out, x, b []float64) {
-	panic("tensor: no assembly AccumRows on this architecture")
+func accumSegmentsAVX2(out, x, b []float64, ends []int) {
+	panic("tensor: no assembly AccumSegments on this architecture")
 }

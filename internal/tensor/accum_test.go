@@ -3,22 +3,28 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
-// refAccumRows is AccumRows' definition written element by element: out[j]
-// receives its own sum over p, from +0, of the rounded products with
-// x[p] ≠ 0, added once the sum is complete.
-func refAccumRows(out, x, b []float64) {
+// refAccumSegments is AccumSegments' definition written element by element:
+// segment after segment, out[j] receives the segment's own sum over its p,
+// from +0, of the rounded products with x[p] ≠ 0, added once the sum is
+// complete — +0 for a segment with nothing to sum.
+func refAccumSegments(out, x, b []float64, ends []int) {
 	n := len(out)
-	for j := range out {
-		s := 0.0
-		for p, xv := range x {
-			if xv != 0 {
-				s += float64(xv * b[p*n+j])
+	start := 0
+	for _, end := range ends {
+		for j := range out {
+			s := 0.0
+			for p := start; p < end; p++ {
+				if xv := x[p]; xv != 0 {
+					s += float64(xv * b[p*n+j])
+				}
 			}
+			out[j] += s
 		}
-		out[j] += s
+		start = end
 	}
 }
 
@@ -49,10 +55,11 @@ func eachPath(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// checkAccumRows runs AccumRows into a guarded output pre-soiled with
-// palette values, starting at palette[soil], and requires the bits of the
-// soil plus the reference's sum, and untouched guards.
-func checkAccumRows(t testing.TB, x, b []float64, n, soil int) {
+// checkAccumRows runs AccumSegments (AccumRows when ends is nil) into a
+// guarded output pre-soiled with palette values, starting at palette[soil],
+// and requires the bits of the soil plus each segment's reference sum, added
+// in order, and untouched guards.
+func checkAccumRows(t testing.TB, x, b []float64, n, soil int, ends []int) {
 	t.Helper()
 	const guard = 12345.678
 	buf := make([]float64, n+2)
@@ -62,17 +69,38 @@ func checkAccumRows(t testing.TB, x, b []float64, n, soil int) {
 		got[j] = palette[(soil+j)%len(palette)]
 	}
 	want := append([]float64(nil), got...)
-	AccumRows(got, x, b)
-	if buf[0] != guard || buf[n+1] != guard {
-		t.Fatalf("n=%d k=%d: AccumRows wrote outside out", n, len(x))
+	if ends == nil {
+		AccumRows(got, x, b)
+		refAccumSegments(want, x, b, []int{len(x)})
+	} else {
+		AccumSegments(got, x, b, ends)
+		refAccumSegments(want, x, b, ends)
 	}
-	refAccumRows(want, x, b)
+	if buf[0] != guard || buf[n+1] != guard {
+		t.Fatalf("n=%d k=%d ends=%v: wrote outside out", n, len(x), ends)
+	}
 	for j := range want {
 		if !sameBits(got[j], want[j]) {
-			t.Fatalf("n=%d k=%d: out[%d] = %v (%#x), reference %v (%#x)", n, len(x), j,
+			t.Fatalf("n=%d k=%d ends=%v: out[%d] = %v (%#x), reference %v (%#x)", n, len(x), ends, j,
 				got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 		}
 	}
+}
+
+// drawEnds cuts k coefficients into up to six segments at random points,
+// repeats allowed, so that segments come out empty anywhere — first, in the
+// middle and trailing — and, with k past 64, run across the kernel's chunks.
+func drawEnds(rng *RNG, k int) []int {
+	ends := make([]int, rng.Intn(6))
+	for i := range ends {
+		ends[i] = rng.Intn(k + 1)
+	}
+	slices.Sort(ends)
+	ends = append(ends, k)
+	for rng.Intn(3) == 0 {
+		ends = append(ends, k)
+	}
+	return ends
 }
 
 // Awkward values: both zeros, NaN, both infinities, subnormals, values whose
@@ -88,7 +116,7 @@ func TestAccumRowsMatchesReference(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := NewRNG(31)
 		for n := 0; n <= 70; n++ {
-			for _, k := range []int{0, 1, 2, 5, 17, 33} {
+			for _, k := range []int{0, 1, 2, 5, 17, 33, 64, 67, 130} {
 				// Coefficients mix zeros of both signs with palette values;
 				// the weights are mostly normal, with NaN and ±Inf rows
 				// sitting under some of the zero coefficients, where they
@@ -120,7 +148,19 @@ func TestAccumRowsMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				checkAccumRows(t, x, b, n, rng.Intn(len(palette)))
+				// Whole, then cut into segments; a run of zero coefficients
+				// makes some segment all-skipped.
+				checkAccumRows(t, x, b, n, rng.Intn(len(palette)), nil)
+				checkAccumRows(t, x, b, n, rng.Intn(len(palette)), drawEnds(rng, k))
+				if k > 65 {
+					// Segment ends on both sides of the first chunk's edge.
+					checkAccumRows(t, x, b, n, rng.Intn(len(palette)), []int{1, 63, 64, 65, k})
+				}
+				if k > 3 {
+					lo := rng.Intn(k - 3)
+					clear(x[lo : lo+3])
+					checkAccumRows(t, x, b, n, rng.Intn(len(palette)), []int{lo, lo + 3, k})
+				}
 			}
 		}
 	})
@@ -169,6 +209,42 @@ func TestAccumRowsZeroedOutIsTheSum(t *testing.T) {
 	})
 }
 
+// TestAccumSegmentsAddsEachSegmentOnItsOwn: 1 + 2⁻⁵³ rounds back to 1, so a
+// row of ones that receives k one-coefficient segments of product 2⁻⁵³ must
+// stay exactly 1 wherever the segments fall against the assembly's
+// 64-coefficient chunks and whatever empty segments lie between them; two
+// segments summed together would make it 1 + 2⁻⁵².
+func TestAccumSegmentsAddsEachSegmentOnItsOwn(t *testing.T) {
+	const k = 130
+	x := make([]float64, k)
+	var ends, doubled []int
+	for p := range x {
+		x[p] = 1
+		ends = append(ends, p+1)
+		doubled = append(doubled, p+1, p+1)
+	}
+	eachPath(t, func(t *testing.T) {
+		for _, n := range []int{1, 4, 16, 32, 37} {
+			b := make([]float64, k*n)
+			for i := range b {
+				b[i] = math.Ldexp(1, -53)
+			}
+			for _, e := range [][]int{ends, doubled} {
+				out := make([]float64, n)
+				for j := range out {
+					out[j] = 1
+				}
+				AccumSegments(out, x, b, e)
+				for j, v := range out {
+					if v != 1 {
+						t.Fatalf("n=%d, %d segments: out[%d] = %v, want 1", n, len(e), j, v)
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestAccumRowsShortWeightsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -178,16 +254,43 @@ func TestAccumRowsShortWeightsPanic(t *testing.T) {
 	AccumRows(make([]float64, 3), []float64{1, 1}, make([]float64, 5))
 }
 
-// FuzzAccumRows decodes an output width, a coefficient count and then values:
-// a byte with its top bit set picks from the palette, otherwise eight bytes
-// are one float64's bits (any NaN payload, any subnormal). The output is
-// pre-soiled from the palette at an offset the input picks. Both paths must
-// reproduce the soil plus the reference's sum.
+// TestAccumSegmentsBadEndsPanic: segment ends must not decrease and must end
+// at the last coefficient; no coefficients may come with no segments.
+func TestAccumSegmentsBadEndsPanic(t *testing.T) {
+	AccumSegments(make([]float64, 3), nil, nil, nil)
+	for _, ends := range [][]int{nil, {1}, {3}, {2, 1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AccumSegments accepted ends %v for 2 coefficients", ends)
+				}
+			}()
+			AccumSegments(make([]float64, 3), []float64{1, 1}, make([]float64, 6), ends)
+		}()
+	}
+}
+
+// FuzzAccumRows decodes an output width n, a coefficient count k and the
+// soil offset (0–6, as the count byte's quotient), then values: a byte with
+// its top bit set picks from the palette, otherwise eight bytes are one
+// float64's bits (any NaN payload, any subnormal). First come k coefficients
+// and their k rows of b. Bytes left after them, if any, give e more
+// coefficients — so k reaches past the kernel's 64-coefficient chunks — and
+// up to five segment cut points, then the e coefficients and their rows
+// (values that run out read 1). The output is pre-soiled from the palette
+// at the decoded offset. Both paths must reproduce the soil plus the
+// reference's sums, for the coefficients whole and cut into the decoded
+// segments (empty, all-skipped and trailing ones included).
 func FuzzAccumRows(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{37, 3, 0x80, 0x81, 0x82, 0x83})
 	f.Add([]byte{5, 2, 0x82, 0x81, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8a, 0x8b, 0x8c})
 	f.Add([]byte{36, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	// A raw-bits NaN coefficient alone in the middle one of three segments,
+	// the first and last empty.
+	f.Add([]byte{5, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0x83, 0x84, 0x80, 0x81, 0x8b, 0, 2, 0, 1})
+	// No leading coefficients, soil offset 2, then 70 cut at 10, 10 and 40.
+	f.Add([]byte{33, 80, 70, 3, 10, 10, 40, 0x80, 0x81, 0x8b, 0x80, 0x82})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() float64 {
 			if len(data) == 0 {
@@ -214,9 +317,33 @@ func FuzzAccumRows(f *testing.F) {
 		for j := range b {
 			b[j] = next()
 		}
+		var ends []int
+		if len(data) > 0 {
+			e := int(data[0]) % 100
+			cuts := 0
+			if len(data) > 1 {
+				cuts = int(data[1]) % 6
+				data = data[1:]
+			}
+			data = data[1:]
+			for ; cuts > 0 && len(data) > 0; cuts-- {
+				ends = append(ends, int(data[0])%(k+e+1))
+				data = data[1:]
+			}
+			for range e {
+				x = append(x, next())
+			}
+			for range e * n {
+				b = append(b, next())
+			}
+			k += e
+		}
+		slices.Sort(ends)
+		ends = append(ends, k)
 		for _, path := range paths {
 			prev := setSIMD(path.simd)
-			checkAccumRows(t, x, b, n, soil)
+			checkAccumRows(t, x, b, n, soil, nil)
+			checkAccumRows(t, x, b, n, soil, ends)
 			setSIMD(prev)
 		}
 	})

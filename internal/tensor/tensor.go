@@ -4,25 +4,30 @@
 // allocation behaviour is documented so that per-batch memory footprints can
 // be accounted exactly (the paper's Fig 6 metric).
 //
-// One kernel carries the float products: AccumRows adds
-// Σ_{p : x[p] ≠ 0} x[p]·B[p,j] onto out[j], each sum formed in p order from
-// +0 before it is added. It is every output row of MatMulInto and
+// One kernel carries the float products: AccumSegments cuts the coefficients
+// x into consecutive segments and, segment by segment, adds
+// Σ_{p in the segment, x[p] ≠ 0} x[p]·B[p,j] onto out[j], each sum formed in
+// p order from +0 before it is added; an empty segment adds +0. AccumRows is
+// its one-segment case. It is every output row of MatMulInto and
 // MatMulAddInto (the dense head, forward and backward) and every product of
-// the hidden tree-convolution layers: forward, weight gradient and input
-// gradient, each added straight into its destination row. A product with a
-// transposed operand is a
-// TransposeInto and then AccumRows; there is no transposed-operand kernel.
+// the hidden tree-convolution layers: forward and input gradient, each added
+// straight into its destination row, and the weight gradient of a whole
+// training forest, one call per weight row with the trees as segments. A
+// product with a transposed operand is a TransposeInto and then AccumRows;
+// there is no transposed-operand kernel.
 // Its Go form is the reference and the only path off amd64; on amd64 an AVX2
 // assembly form is chosen once at init, by CPUID and XGETBV, when the CPU has
 // AVX2 and the OS saves the YMM registers — there is no flag, variable or
-// setting.
+// setting. The assembly finds the live coefficients from a bitmask built 64
+// at a time and walks it by lowest set bit, where the Go form tests each
+// coefficient.
 // The assembly multiplies (VMULPD) and then adds (VADDPD): a fused
 // multiply-add rounds once where the Go form rounds twice, so it would change
 // the bits of every trained weight. Both forms therefore give the same bits
 // (any NaN aside, whose payload the operand order picks).
-// TestAccumRowsMatchesReference and FuzzAccumRows check that on both paths
-// against an element-by-element reference; go test -fuzz=FuzzAccumRows
-// ./internal/tensor runs the fuzzer.
+// TestAccumRowsMatchesReference and FuzzAccumRows check that on both paths,
+// whole and cut into segments, against an element-by-element reference; go
+// test -fuzz=FuzzAccumRows ./internal/tensor runs the fuzzer.
 package tensor
 
 import (

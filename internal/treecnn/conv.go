@@ -17,18 +17,20 @@ import (
 // What the layer's input is decides how it is computed, in both directions.
 // The first layer reads the tree's feature rows, which are indexed once at
 // featurization and almost entirely zero: forward gathers rows of Wt/Wl/Wr
-// through the index, backward scatters dWt/dWl/dWr through it and computes no
-// input gradient (nothing is upstream of the features). Every later layer
-// reads rectified activations, about half dense, and every product there is
-// one tensor.AccumRows call that adds its sum, formed on its own from +0,
-// straight into its destination row: forward adds each node's parent and
-// child products into the node's output row, backward adds each weight row's
-// sum over the nodes into G and each product over the transposed weights
-// (Transposed) into an input-gradient row. Either way each output and each
-// gradient element is built by the additions of the dense three-GEMM
-// formulation in that formulation's order, less only additions of a zero that
-// cannot change the sum, so the bits are the same (dense_ref_test.go keeps
-// that formulation as the oracle).
+// through the index, backward sorts the forest's index entries by weight row
+// and scatters dWt/dWl/dWr through them, and computes no input gradient
+// (nothing is upstream of the features). Every later layer reads rectified
+// activations, about half dense, and every product there is one tensor
+// kernel call that adds its sum, formed on its own from +0, straight into its
+// destination row: forward adds each node's parent and child products into
+// the node's output row (tensor.AccumRows), backward adds each product over
+// the transposed weights (Transposed) into an input-gradient row, and each
+// weight row's per-tree sums over a whole forest into G with one
+// tensor.AccumSegments call whose segments are the trees. Either way each
+// output and each gradient element is built by the additions of the dense
+// three-GEMM formulation in that formulation's order, tree after tree, less
+// only additions of a zero that cannot change the sum, so the bits are the
+// same (dense_ref_test.go keeps that formulation as the oracle).
 type ConvLayer struct {
 	In, Out int
 	Wt      *nn.Param
@@ -65,6 +67,11 @@ func NewConvLayer(in, out int, rng *tensor.RNG) *ConvLayer {
 // Params returns the triangular kernel and bias.
 func (l *ConvLayer) Params() []*nn.Param { return []*nn.Param{l.Wt, l.Wl, l.Wr, l.B} }
 
+// weight returns the kernel matrix a GradTask's param names.
+func (l *ConvLayer) weight(param int) *nn.Param {
+	return [...]*nn.Param{l.Wt, l.Wl, l.Wr}[param]
+}
+
 // addRow adds src into dst element-wise.
 func addRow(dst, src []float64) {
 	for j, v := range src {
@@ -88,17 +95,18 @@ func gatherRows(orow, xrow []float64, cols []int32, w *tensor.Tensor) {
 }
 
 // project writes every node's output ReLU(Wt·x_i + Wl·x_l + Wr·x_r + b) into
-// out, whose rows are +0: the parent product is added into the output row,
+// out's rows [off, off+n), which are +0: the parent product is added into the
+// output row,
 // which leaves it that product exactly, then each present child's product,
 // then the bias — per element, the additions of the dense three-GEMM
 // formulation in its order — and the row is rectified while the bias goes in.
 // An absent child would add a row of +0, which cannot change a sum that
 // started from +0, so it is skipped. product(dst, i, w) adds node i's input
 // row times w, formed on its own from +0, into dst.
-func (l *ConvLayer) project(out *tensor.Tensor, tree *Tree, product func(dst []float64, i int, w *tensor.Tensor)) {
+func (l *ConvLayer) project(out *tensor.Tensor, off int, tree *Tree, product func(dst []float64, i int, w *tensor.Tensor)) {
 	bias := l.B.W.Data
 	for i := range tree.Left {
-		orow := out.Row(i)
+		orow := out.Row(off + i)
 		product(orow, i, l.Wt.W)
 		if li := tree.Left[i]; li >= 0 {
 			product(orow, li, l.Wl.W)
@@ -229,60 +237,72 @@ func (l *ConvLayer) forwardArenaInt8(tree *Tree, x *tensor.Tensor, a *tensor.Are
 	return out, qerr
 }
 
-// forward computes the layer output for input x over tree. The output comes
-// from keep, per-call scratch from scratch; either may be nil for the heap,
-// and inference passes the same arena twice. x being the tree's own feature
-// tensor is what selects products gathered through nz, each formed in an
-// Out-wide scratch row and then added; any other input is an activation
-// matrix, and each product is one tensor.AccumRows call.
-func (l *ConvLayer) forward(tree *Tree, nz rowIndex, x *tensor.Tensor, keep, scratch *tensor.Arena) *tensor.Tensor {
-	out := keep.Get(tree.Len(), l.Out)
+// forward writes the layer's output for tree into out's rows [off, off+n),
+// clearing them first; scratch (nil for the heap) serves the call. x being
+// the tree's own feature tensor is what selects products gathered through
+// nz, each formed in an Out-wide scratch row and then added; any other input
+// is an activation matrix whose rows [off, off+n) are the tree's, and each
+// product is one tensor.AccumRows call.
+func (l *ConvLayer) forward(out *tensor.Tensor, off int, tree *Tree, nz rowIndex, x *tensor.Tensor, scratch *tensor.Arena) {
+	clear(out.Data[off*l.Out : (off+tree.Len())*l.Out])
 	if x == tree.Feats {
 		tmp := scratch.Get(l.Out).Data
-		l.project(out, tree, func(dst []float64, i int, w *tensor.Tensor) {
+		l.project(out, off, tree, func(dst []float64, i int, w *tensor.Tensor) {
 			gatherRows(tmp, x.Row(i), nz.row(i), w)
 			addRow(dst, tmp)
 		})
 	} else {
-		l.project(out, tree, func(dst []float64, i int, w *tensor.Tensor) {
-			tensor.AccumRows(dst, x.Row(i), w.Data)
+		l.project(out, off, tree, func(dst []float64, i int, w *tensor.Tensor) {
+			tensor.AccumRows(dst, x.Row(off+i), w.Data)
 		})
 	}
-	return out
 }
 
-// inputGrad returns dL/dx (n, In) in keep for the layer's pre-activation
-// gradient gz: each node's gz row times Wtᵀ added into its own +0 row, then,
-// in node order, its gz row times Wlᵀ (Wrᵀ) added into its left (right)
-// child's row. Each product is one tensor.AccumRows call over wT, the layer's
-// transposed weights, that forms its sum from +0 and adds it into gx's row;
-// it skips the zero entries pooling and the ReLU masks leave in most of gz: a
-// zero entry would add a ±0 product (the weights being finite), which cannot
-// change a sum that started from +0. It reads wT only, so trees
-// back-propagate concurrently.
-func (l *ConvLayer) inputGrad(tree *Tree, gz *tensor.Tensor, wT [3]*tensor.Tensor, keep *tensor.Arena) *tensor.Tensor {
+// inputGrad writes dL/dx for tree into gx's rows [off, off+n), which are +0,
+// from the layer's pre-activation gradient gz (the same rows): each node's
+// gz row times Wtᵀ added into its own row, then, in node order, its gz row
+// times Wlᵀ (Wrᵀ) added into its left (right) child's row. Each product is
+// one tensor.AccumRows call over wT, the layer's transposed weights, that
+// forms its sum from +0 and adds it into gx's row; it skips the zero entries
+// pooling and the ReLU masks leave in most of gz: a zero entry would add a ±0
+// product (the weights being finite), which cannot change a sum that started
+// from +0. It reads wT only, so trees back-propagate concurrently.
+func (l *ConvLayer) inputGrad(gx *tensor.Tensor, off int, tree *Tree, gz *tensor.Tensor, wT [3]*tensor.Tensor) {
 	n := tree.Len()
-	gx := keep.Get(n, l.In)
-	for i := 0; i < n; i++ {
+	for i := off; i < off+n; i++ {
 		tensor.AccumRows(gx.Row(i), gz.Row(i), wT[paramWt].Data)
 	}
 	for i := 0; i < n; i++ {
 		if li := tree.Left[i]; li >= 0 {
-			tensor.AccumRows(gx.Row(li), gz.Row(i), wT[paramWl].Data)
+			tensor.AccumRows(gx.Row(off+li), gz.Row(off+i), wT[paramWl].Data)
 		}
 		if ri := tree.Right[i]; ri >= 0 {
-			tensor.AccumRows(gx.Row(ri), gz.Row(i), wT[paramWr].Data)
+			tensor.AccumRows(gx.Row(off+ri), gz.Row(off+i), wT[paramWr].Data)
 		}
 	}
-	return gx
 }
 
-// The weight gradient of one tree is xᵀ·gz for Wt and the same with each row
-// of x replaced by the node's left (right) child row for Wl (Wr): per weight
-// row, the sum over the tree's nodes in node order, formed on its own from
-// +0, and only then added into G. The two accumulators below compute exactly
-// that for rows [lo,hi) of one matrix, so G can be split between owners by
-// row. child is nil for Wt, tree.Left for Wl, tree.Right for Wr.
+// The weight gradient of a forest is, for Wt, xᵀ·gz summed tree by tree, and
+// the same with each row of x replaced by the node's left (right) child row
+// for Wl (Wr): per weight row and per tree, the sum over the tree's nodes in
+// node order, formed on its own from +0, and only then added into G, tree
+// after tree. The two accumulators below compute exactly that for rows
+// [lo,hi) of one matrix, so G can be split between owners by row. A tree
+// that feeds a row nothing would add +0 there, which cannot change a
+// gradient that started from +0 and has only received sums from +0 (such a
+// sum is never −0), so whether it is added makes no difference.
+
+// children is the child map a weight's input rows follow: nil for Wt (a
+// node's own row), the tree's Left for Wl, its Right for Wr.
+func children(t *Tree, param int) []int {
+	switch param {
+	case paramWl:
+		return t.Left
+	case paramWr:
+		return t.Right
+	}
+	return nil
+}
 
 // inputRow is the row of x that node p multiplies: its own, or its child's
 // (-1 when the child is absent).
@@ -293,85 +313,108 @@ func inputRow(child []int, p int) int {
 	return child[p]
 }
 
-// accumDense is the accumulator for an activation input. Each weight row's
-// input column, in node order (0 for an absent child), is first laid out
-// contiguously in scratch — all of [lo,hi) in one pass over the nodes' rows;
-// then per row one tensor.AccumRows call sums the column against gz's rows
-// from +0 and adds the sum straight into G's row. A row no node feeds (its
-// input column is all zero, as half of a rectified layer's are) would add
-// +0s and is skipped.
-func accumDense(g, x *tensor.Tensor, child []int, gz *tensor.Tensor, lo, hi int, a *tensor.Arena) {
+// accumDense is the accumulator for an activation input. It takes [lo,hi)
+// sixteen weight rows at a time: their input columns over the whole forest,
+// in node order (0 for an absent child), are first laid out contiguously in
+// scratch in one pass over the nodes' rows; then per row one
+// tensor.AccumSegments call, whose segments are the trees, sums the column
+// against gz's rows tree by tree from +0 and adds each tree's sum straight
+// into G's row.
+func accumDense(g, x *tensor.Tensor, ctx *Context, param int, gz *tensor.Tensor, lo, hi int, a *tensor.Arena) {
+	const block = 16
 	in, n, out := x.Shape[1], gz.Shape[0], gz.Shape[1]
-	cols := a.Get((hi - lo) * n).Data
-	for p := 0; p < n; p++ {
-		if q := inputRow(child, p); q >= 0 {
-			for c, v := range x.Data[q*in+lo : q*in+hi] {
-				cols[c*n+p] = v
+	// Every block writes the same positions, those of the present children,
+	// so an absent child's stay at the arena's +0.
+	cols := a.Get(min(block, hi-lo) * n).Data
+	for blo := lo; blo < hi; blo += block {
+		bhi := min(blo+block, hi)
+		off := 0
+		for ti, t := range ctx.trees {
+			child := children(t, param)
+			for p := range t.Left {
+				if q := inputRow(child, p); q >= 0 {
+					q += off
+					j := off + p
+					for _, v := range x.Data[q*in+blo : q*in+bhi] {
+						cols[j] = v
+						j += n
+					}
+				}
 			}
+			off = ctx.ends[ti]
 		}
-	}
-rows:
-	for i := lo; i < hi; i++ {
-		col := cols[(i-lo)*n : (i-lo+1)*n]
-		for _, v := range col {
-			if v != 0 {
-				tensor.AccumRows(g.Data[i*out:(i+1)*out], col, gz.Data)
-				continue rows
-			}
+		for i := blo; i < bhi; i++ {
+			tensor.AccumSegments(g.Data[i*out:(i+1)*out], cols[(i-blo)*n:(i-blo+1)*n], gz.Data, ctx.ends)
 		}
 	}
 }
 
 // accumSparse is the accumulator for the indexed feature rows: only weight
-// rows some node's index lists are touched. Each touched row gets a slot in
-// a compact scratch block on first sight, sums there in node order, and is
-// added into G at the end; the untouched rows would have received +0, which
-// cannot change a gradient that started from +0.
-func accumSparse(g, x *tensor.Tensor, nz rowIndex, child []int, gz *tensor.Tensor, lo, hi int, a *tensor.Arena) {
+// rows some node's index lists are touched. A counting sort lays the
+// forest's index entries in [lo,hi) out by weight row, each row's in node
+// order; then per row each tree's run of entries is summed from +0 in an
+// Out-wide scratch row and added into G when the tree changes.
+func accumSparse(g *tensor.Tensor, ctx *Context, param int, gz *tensor.Tensor, lo, hi int, a *tensor.Arena) {
 	out := gz.Shape[1]
-	slot := a.GetI32(hi - lo)
-	for i := range slot {
-		slot[i] = -1
-	}
-	rows := min(hi-lo, nz.entries())
-	touched := a.GetI32(rows)[:0]
-	acc := a.Get(rows, out).Data
-	for p := 0; p < gz.Shape[0]; p++ {
-		q := inputRow(child, p)
-		if q < 0 {
-			continue
-		}
-		xrow, grow := x.Row(q), gz.Row(p)
-		for _, c := range nz.row(q) {
-			if int(c) < lo || int(c) >= hi {
-				continue
-			}
-			s := slot[int(c)-lo]
-			if s < 0 {
-				s = int32(len(touched))
-				slot[int(c)-lo] = s
-				touched = append(touched, c)
-			}
-			av := xrow[c]
-			arow := acc[int(s)*out : (int(s)+1)*out]
-			for j, gv := range grow {
-				arow[j] += av * gv
+	// at[r+1] counts row lo+r's entries; the prefix sum turns at[r] into the
+	// row's first slot, and filling the slots moves it to one past its last.
+	at := a.GetI32(hi - lo + 1)
+	clear(at)
+	for ti, t := range ctx.trees {
+		child := children(t, param)
+		for p := range t.Left {
+			if q := inputRow(child, p); q >= 0 {
+				for _, c := range ctx.nz[ti].row(q) {
+					if r := int(c) - lo; r >= 0 && r < hi-lo {
+						at[r+1]++
+					}
+				}
 			}
 		}
 	}
-	for s, c := range touched {
-		addRow(g.Data[int(c)*out:(int(c)+1)*out], acc[s*out:(s+1)*out])
+	for r := 1; r < len(at); r++ {
+		at[r] += at[r-1]
 	}
-}
-
-// accumBias adds gz's column sums, formed on their own first, into g.
-func accumBias(g, gz *tensor.Tensor, a *tensor.Arena) {
-	out := gz.Shape[1]
-	tmp := a.Get(out).Data
-	for p := 0; p < gz.Shape[0]; p++ {
-		addRow(tmp, gz.Row(p))
+	total := int(at[len(at)-1])
+	node, tree := a.GetI32(total), a.GetI32(total)
+	val := a.Get(total).Data
+	off := 0
+	for ti, t := range ctx.trees {
+		child := children(t, param)
+		for p := range t.Left {
+			if q := inputRow(child, p); q >= 0 {
+				xrow := t.Feats.Row(q)
+				for _, c := range ctx.nz[ti].row(q) {
+					if r := int(c) - lo; r >= 0 && r < hi-lo {
+						k := at[r]
+						node[k], tree[k], val[k] = int32(off+p), int32(ti), xrow[c]
+						at[r]++
+					}
+				}
+			}
+		}
+		off = ctx.ends[ti]
 	}
-	addRow(g.Data, tmp)
+	acc := a.Get(out).Data
+	from := int32(0)
+	for r, to := range at[:hi-lo] {
+		grow := g.Data[(lo+r)*out : (lo+r+1)*out]
+		for k := from; k < to; k++ {
+			if k > from && tree[k] != tree[k-1] {
+				addRow(grow, acc)
+				clear(acc)
+			}
+			v := val[k]
+			for j, gv := range gz.Data[int(node[k])*out : int(node[k]+1)*out] {
+				acc[j] += v * gv
+			}
+		}
+		if to > from {
+			addRow(grow, acc)
+			clear(acc)
+		}
+		from = to
+	}
 }
 
 // Network is a stack of tree-convolution layers followed by vote-masked
@@ -407,16 +450,96 @@ func (n *Network) Params() []*nn.Param {
 	return ps
 }
 
-// Context carries one tree's forward pass to its backward pass: the tree and
-// its index, every layer's input and output, and the pooling winners. The
-// ReLU mask is not stored — an output is positive exactly where the mask was
-// set. A Context may be reused for another tree once its step is over.
+// Context is a forest: trees laid end to end, their nodes numbered from 0 in
+// tree order, and the forward pass of the forest carried to its backward
+// pass. Per conv layer it holds one (N, Out) output matrix and one (N, Out)
+// pre-activation gradient matrix for all N nodes, in which tree t owns the
+// rows [start(t), ends[t]); per tree it holds the feature index and the
+// pooling winners. The ReLU mask is not stored — an output is positive
+// exactly where the mask was set. Reset lays out another forest in the same
+// memory, so a training step that resets one Context per step stops
+// allocating once the largest forest has been seen; Forward makes a forest
+// of one tree and leaves its gradient matrices to Backward.
 type Context struct {
-	t      *Tree
-	nz     rowIndex
-	acts   []*tensor.Tensor // acts[0] = t.Feats, acts[k+1] = layer k's output
-	gz     []*tensor.Tensor // per layer, dL/d(pre-activation); set by backwardInputs
-	argmax []int32          // per output dim, node that won the pooling max (-1 none)
+	trees  []*Tree
+	nz     []rowIndex      // per tree, its feature index
+	ends   []int           // ends[t] is one past tree t's last row
+	acts   []tensor.Tensor // per layer, its output
+	gz     []tensor.Tensor // per layer, dL/d(pre-activation); set by BackwardInputs
+	argmax []int32         // per tree, per output dim, the tree's node that won the pooling max (-1 none)
+	abuf   []float64       // backs acts
+	gbuf   []float64       // backs gz
+}
+
+// Reset lays trees end to end as c's forest for the network n, reusing c's
+// memory. The matrices' contents are left as they are: ForwardTrain and
+// BackwardInputs clear each tree's rows before they write them.
+func (c *Context) Reset(n *Network, trees []*Tree) {
+	c.layout(n, trees)
+	c.gbuf = carve(c.gz, c.gbuf, n, c.rows())
+}
+
+// layout is Reset without the gradient matrices, which a forward pass does
+// not touch: Forward leaves them to Backward, so a forest of one that is
+// never back-propagated does not pay for them.
+func (c *Context) layout(n *Network, trees []*Tree) {
+	c.trees = append(c.trees[:0], trees...)
+	c.nz, c.ends = c.nz[:0], c.ends[:0]
+	rows := 0
+	for _, t := range trees {
+		rows += t.Len()
+		c.ends = append(c.ends, rows)
+		c.nz = append(c.nz, t.index(nil))
+	}
+	layers := len(n.Layers)
+	if len(c.acts) != layers {
+		mats, shapes := make([]tensor.Tensor, 2*layers), make([]int, 4*layers)
+		for i := range mats {
+			mats[i].Shape = shapes[2*i : 2*i+2 : 2*i+2]
+		}
+		c.acts, c.gz = mats[:layers], mats[layers:]
+	}
+	c.abuf = carve(c.acts, c.abuf, n, rows)
+	if size := len(trees) * n.OutDim(); cap(c.argmax) < size {
+		c.argmax = make([]int32, size)
+	} else {
+		c.argmax = c.argmax[:size]
+	}
+}
+
+// rows is the number of nodes in c's forest.
+func (c *Context) rows() int {
+	if len(c.ends) == 0 {
+		return 0
+	}
+	return c.ends[len(c.ends)-1]
+}
+
+// carve shapes mats[k] as (rows, Out) of n's layer k, back to back in buf,
+// and returns buf, reallocated when it is too short.
+func carve(mats []tensor.Tensor, buf []float64, n *Network, rows int) []float64 {
+	size := 0
+	for _, l := range n.Layers {
+		size += rows * l.Out
+	}
+	if cap(buf) < size {
+		buf = make([]float64, size)
+	}
+	rest := buf[:size]
+	for k, l := range n.Layers {
+		m := &mats[k]
+		m.Shape[0], m.Shape[1] = rows, l.Out
+		m.Data, rest = rest[:rows*l.Out:rows*l.Out], rest[rows*l.Out:]
+	}
+	return buf
+}
+
+// start is the forest row of tree t's first node.
+func (c *Context) start(t int) int {
+	if t == 0 {
+		return 0
+	}
+	return c.ends[t-1]
 }
 
 // pool performs vote-masked dynamic max pooling of the (t.Len(), OutDim)
@@ -446,47 +569,35 @@ func (n *Network) pool(t *Tree, x, out *tensor.Tensor, argmax []int32) {
 	}
 }
 
-// forward is the one implementation behind Forward, ForwardTrain and
-// ForwardInference: the conv stack over one tree, then pooling, returning the
-// (1, OutDim) pooled vector. Everything that must outlive the call — the
-// pooled vector and, when ctx is non-nil, what Backward needs — comes from
-// keep; per-layer scratch comes from scratch. A nil arena is the heap.
-func (n *Network) forward(t *Tree, ctx *Context, keep, scratch *tensor.Arena) *tensor.Tensor {
-	nz := t.index(keep)
-	x := t.Feats
-	if ctx != nil {
-		ctx.t, ctx.nz = t, nz
-		ctx.acts = append(ctx.acts[:0], x)
-	}
-	for _, l := range n.Layers {
-		x = l.forward(t, nz, x, keep, scratch)
-		if ctx != nil {
-			ctx.acts = append(ctx.acts, x)
-		}
-	}
-	out := keep.Get(1, n.OutDim())
-	var argmax []int32
-	if ctx != nil {
-		ctx.argmax = keep.GetI32(n.OutDim())
-		argmax = ctx.argmax
-	}
-	n.pool(t, x, out, argmax)
-	return out
-}
-
 // Forward runs the conv stack over one tree and pools the voted nodes,
-// returning a (1, OutDim) vector and the backward context, all on the heap.
+// returning a (1, OutDim) vector and the backward context, a forest of that
+// one tree, all on the heap. The context's gradient matrices are not sized
+// until Backward.
 func (n *Network) Forward(t *Tree) (*tensor.Tensor, *Context) {
 	ctx := &Context{}
-	return n.forward(t, ctx, nil, nil), ctx
+	ctx.layout(n, []*Tree{t})
+	pooled := tensor.New(1, n.OutDim())
+	n.ForwardTrain(ctx, 0, pooled.Data, nil)
+	return pooled, ctx
 }
 
-// ForwardTrain is Forward for a training step that owns its memory: the
-// pooled vector and everything ctx records live in keep until the step
-// resets it, and scratch may be reset as soon as the call returns. Values
-// are byte-identical to Forward's.
-func (n *Network) ForwardTrain(t *Tree, ctx *Context, keep, scratch *tensor.Arena) *tensor.Tensor {
-	return n.forward(t, ctx, keep, scratch)
+// ForwardTrain runs tree ti of ctx's forest through the conv stack, writing
+// every layer's output into the tree's rows of the forest's matrices, and
+// pools its voted nodes into pooled (OutDim values, zero on entry: a
+// dimension no node votes for stays zero), recording the winners for
+// BackwardInputs. Different trees of one forest may run concurrently.
+// scratch (nil for the heap) serves the call and may be reset when it
+// returns. Values are byte-identical to ForwardInference's.
+func (n *Network) ForwardTrain(ctx *Context, ti int, pooled []float64, scratch *tensor.Arena) {
+	t, off := ctx.trees[ti], ctx.start(ti)
+	x := t.Feats
+	for k, l := range n.Layers {
+		l.forward(&ctx.acts[k], off, t, ctx.nz[ti], x, scratch)
+		x = &ctx.acts[k]
+	}
+	od := n.OutDim()
+	rows := tensor.Tensor{Data: x.Data[off*od : ctx.ends[ti]*od]}
+	n.pool(t, &rows, &tensor.Tensor{Data: pooled}, ctx.argmax[ti*od:(ti+1)*od])
 }
 
 // ForwardInference runs the conv stack and pooling entirely inside the arena,
@@ -494,7 +605,16 @@ func (n *Network) ForwardTrain(t *Tree, ctx *Context, keep, scratch *tensor.Aren
 // returned tensor aliases arena memory and is only valid until the next
 // arena Reset.
 func (n *Network) ForwardInference(t *Tree, a *tensor.Arena) *tensor.Tensor {
-	return n.forward(t, nil, a, a)
+	nz := t.index(a)
+	x := t.Feats
+	for _, l := range n.Layers {
+		out := a.Get(t.Len(), l.Out)
+		l.forward(out, 0, t, nz, x, a)
+		x = out
+	}
+	out := a.Get(1, n.OutDim())
+	n.pool(t, x, out, nil)
+	return out
 }
 
 // PackInt8 (re)quantises every layer's triangular kernel, returning the max
@@ -535,15 +655,15 @@ func (n *Network) ForwardInferenceInt8(t *Tree, a *tensor.Arena) (*tensor.Tensor
 }
 
 // The backward pass of a training step has two halves, split so that a whole
-// batch can back-propagate in parallel and still add into every gradient
-// element in batch order. BackwardInputs pulls the pooled gradient down one
-// tree's stack, reading weights only, and leaves each layer's pre-activation
-// gradient in the Context; any number of trees can do that at once.
-// AccumulateGrad then adds one tree's contribution to one GradTask's share of
-// the parameter gradients. An owner that walks the batch's trees in order for
-// its task performs, on each element of G it owns, the additions a serial
-// tree-by-tree Backward performs, in the same order — whatever the number of
-// owners.
+// forest can back-propagate in parallel and still add into every gradient
+// element in tree order. BackwardInputs pulls one tree's pooled gradient
+// down its stack, reading weights only, and leaves each layer's
+// pre-activation gradient in the tree's rows of the forest; any number of
+// trees can do that at once. AccumulateGrad then adds the whole forest's
+// contribution to one GradTask's share of the parameter gradients, tree
+// after tree: on each element of G it owns it performs the additions a
+// serial tree-by-tree Backward performs, in the same order — whatever the
+// number of owners.
 
 // Transposed is the form in which BackwardInputs reads the weights: per
 // layer, Wtᵀ, Wlᵀ and Wrᵀ, each (Out, In), so that a node's gradient row times
@@ -571,32 +691,30 @@ func (n *Network) Transpose(dst Transposed) Transposed {
 	return dst
 }
 
-// BackwardInputs propagates grad — dL/d(pooled), OutDim values — through the
-// pooling and down the conv stack, recording per layer the gradient at its
-// pre-activation. wT must hold the network's current weights. It writes
-// nothing but ctx. The recorded gradients live in keep. Every input-gradient
-// product adds straight into a keep row, so nothing is drawn from scratch;
-// it is taken beside keep as ForwardTrain takes it, and may be reset when the
-// call returns.
-func (n *Network) BackwardInputs(ctx *Context, grad []float64, wT Transposed, keep, scratch *tensor.Arena) {
-	t := ctx.t
+// BackwardInputs propagates grad — dL/d(pooled) of tree ti of ctx's forest,
+// OutDim values — through the tree's pooling and down the conv stack,
+// writing per layer the gradient at its pre-activation into the tree's rows
+// of the forest's gradient matrices. ForwardTrain must have run on the tree,
+// and wT must hold the network's current weights. It writes nothing but the
+// tree's rows, so different trees of one forest may run concurrently.
+func (n *Network) BackwardInputs(ctx *Context, ti int, grad []float64, wT Transposed) {
+	t, off, end := ctx.trees[ti], ctx.start(ti), ctx.ends[ti]
 	od := n.OutDim()
 	last := len(n.Layers) - 1
-	for len(ctx.gz) <= last {
-		ctx.gz = append(ctx.gz, nil)
-	}
-	gz := keep.Get(t.Len(), od)
-	for d, i := range ctx.argmax {
+	top := ctx.gz[last].Data[off*od : end*od]
+	clear(top)
+	for d, i := range ctx.argmax[ti*od : (ti+1)*od] {
 		if i >= 0 {
-			gz.Data[int(i)*od+d] = grad[d]
+			top[int(i)*od+d] = grad[d]
 		}
 	}
 	for li := last; li >= 0; li-- {
+		l := n.Layers[li]
 		// ReLU: the gradient passes where the layer's output is positive.
 		// About half the outputs are, in no pattern a branch predictor
 		// learns, so the choice is made on the bits (a conditional move).
-		grads := gz.Data
-		acts := ctx.acts[li+1].Data[:len(grads)]
+		grads := ctx.gz[li].Data[off*l.Out : end*l.Out]
+		acts := ctx.acts[li].Data[off*l.Out : end*l.Out]
 		for i, g := range grads {
 			b := math.Float64bits(g)
 			if !(acts[i] > 0) {
@@ -604,10 +722,11 @@ func (n *Network) BackwardInputs(ctx *Context, grad []float64, wT Transposed, ke
 			}
 			grads[i] = math.Float64frombits(b)
 		}
-		ctx.gz[li] = gz
 		if li > 0 {
 			// Layer 0 reads the features; nothing is upstream of them.
-			gz = n.Layers[li].inputGrad(t, gz, wT[li], keep)
+			gx := &ctx.gz[li-1]
+			clear(gx.Data[off*l.In : end*l.In])
+			l.inputGrad(gx, off, t, &ctx.gz[li], wT[li])
 		}
 	}
 }
@@ -628,8 +747,12 @@ const (
 
 // GradTasks partitions every parameter gradient of the network into tasks,
 // splitting the activation-fed weight matrices into up to parts row blocks
-// of at least eight rows. The feature-fed first layer's scatter is a sliver
-// of the work and stays whole.
+// of at least eight rows. The feature-fed first layer's three matrices stay
+// whole, each one pass over the forest's index entries. They are not a
+// sliver: on the training benchmark's shape the layer's four tasks take
+// about a quarter of the accumulation's CPU (a one-core profile of
+// BenchmarkPrestroidTrainBatch). They come first in the list, so the
+// smaller hidden-layer blocks that follow even the workers out.
 func (n *Network) GradTasks(parts int) []GradTask {
 	var tasks []GradTask
 	for li, l := range n.Layers {
@@ -647,41 +770,39 @@ func (n *Network) GradTasks(parts int) []GradTask {
 	return tasks
 }
 
-// AccumulateGrad adds ctx's tree's contribution to the task's share of the
-// parameter gradients. BackwardInputs must have run on ctx. Tasks own
-// disjoint memory, so different tasks may run concurrently; within a task,
-// trees must be fed in batch order. a is scratch, resettable on return.
+// AccumulateGrad adds the contribution of every tree of ctx's forest, in
+// forest order, to the task's share of the parameter gradients.
+// BackwardInputs must have run on every tree. Tasks own disjoint memory, so
+// different tasks may run concurrently. a is scratch, resettable on return.
 func (n *Network) AccumulateGrad(task GradTask, ctx *Context, a *tensor.Arena) {
 	l := n.Layers[task.layer]
-	gz := ctx.gz[task.layer]
-	var g *tensor.Tensor
-	var child []int
-	switch task.param {
-	case paramBias:
-		accumBias(l.B.G, gz, a)
-		return
-	case paramWt:
-		g = l.Wt.G
-	case paramWl:
-		g, child = l.Wl.G, ctx.t.Left
-	case paramWr:
-		g, child = l.Wr.G, ctx.t.Right
-	}
-	if x := ctx.acts[task.layer]; x == ctx.t.Feats {
-		accumSparse(g, x, ctx.nz, child, gz, task.lo, task.hi, a)
-	} else {
-		accumDense(g, x, child, gz, task.lo, task.hi, a)
+	gz := &ctx.gz[task.layer]
+	switch {
+	case task.param == paramBias:
+		// The bias gradient is each tree's column sums of gz: a segmented
+		// product with a column of ones, each 1·g being g exactly.
+		ones := a.Get(gz.Shape[0]).Data
+		for i := range ones {
+			ones[i] = 1
+		}
+		tensor.AccumSegments(l.B.G.Data, ones, gz.Data, ctx.ends)
+	case task.layer == 0:
+		accumSparse(l.weight(task.param).G, ctx, task.param, gz, task.lo, task.hi, a)
+	default:
+		accumDense(l.weight(task.param).G, &ctx.acts[task.layer-1], ctx, task.param, gz, task.lo, task.hi, a)
 	}
 }
 
 // Backward propagates a (1, OutDim) gradient through the pooling and conv
-// stack of one tree, accumulating parameter gradients: Transpose,
-// BackwardInputs, then every task over that one tree, on the heap. The
-// transposes are made for this one tree; a batch makes them once for all of
+// stack of a Forward's one-tree forest, accumulating parameter gradients:
+// the forest's gradient matrices, Transpose, BackwardInputs, then every
+// task, on the heap. The transposes
+// are made for this one tree; a training step makes them once for all of
 // its trees (see TrainBatch in package models).
 func (n *Network) Backward(ctx *Context, grad *tensor.Tensor) {
+	ctx.gbuf = carve(ctx.gz, ctx.gbuf, n, ctx.rows())
 	n.wT = n.Transpose(n.wT)
-	n.BackwardInputs(ctx, grad.Data, n.wT, nil, nil)
+	n.BackwardInputs(ctx, 0, grad.Data, n.wT)
 	for _, task := range n.GradTasks(1) {
 		n.AccumulateGrad(task, ctx, nil)
 	}

@@ -220,10 +220,13 @@ func diffNets(inDim int, widths []int, seed uint64) [3]*Network {
 
 // checkSparseMatchesDense feeds the trees, in order and without zeroing
 // gradients in between, through the dense reference, through Forward/Backward
-// on the heap, and through the step path (ForwardTrain, BackwardInputs, then
-// AccumulateGrad over a three-way task split) — and requires pooled outputs,
-// pooling winners and every parameter gradient to agree after each tree.
-// ForwardInference's pooled vector is checked along the way.
+// on the heap, and through the step path one tree at a time (a forest of one:
+// ForwardTrain, BackwardInputs, then AccumulateGrad over a three-way task
+// split) — and requires pooled outputs, pooling winners and every parameter
+// gradient to agree after each tree. ForwardInference's pooled vector is
+// checked along the way. A last leg lays all the trees end to end as one
+// forest, back-propagates them in reverse order, accumulates every task once,
+// and requires the reference's gradients after the last tree.
 func checkSparseMatchesDense(t testing.TB, trees []*Tree, widths []int, seed uint64) {
 	t.Helper()
 	if len(trees) == 0 {
@@ -231,18 +234,24 @@ func checkSparseMatchesDense(t testing.TB, trees []*Tree, widths []int, seed uin
 	}
 	nets := diffNets(trees[0].Feats.Shape[1], widths, seed)
 	ref, heap, step := nets[0], nets[1], nets[2]
+	forest := diffNets(trees[0].Feats.Shape[1], widths, seed)[0]
 	rng := tensor.NewRNG(seed + 1)
-	keep, scratch := tensor.NewArena(0), tensor.NewArena(0)
+	scratch := tensor.NewArena(0)
 	tasks := step.GradTasks(3)
+	var sctx Context
+	grads := make([][]float64, len(trees))
+	pooled := make([][]float64, len(trees))
 	for ti, tree := range trees {
 		grad := tensor.New(1, ref.OutDim())
 		rng.FillNorm(grad, 0, 1)
 		grad.Data[0] = 0
+		grads[ti] = grad.Data
 
 		wantPooled, wantArg := refForwardBackward(ref, tree, grad.Data)
+		pooled[ti] = wantPooled.Data
 
-		pooled, ctx := heap.Forward(tree)
-		requireSame(t, "Forward pooled", pooled.Data, wantPooled.Data)
+		got, ctx := heap.Forward(tree)
+		requireSame(t, "Forward pooled", got.Data, wantPooled.Data)
 		for d := range wantArg {
 			if ctx.argmax[d] != wantArg[d] {
 				t.Fatalf("tree %d: argmax[%d] = %d, reference %d", ti, d, ctx.argmax[d], wantArg[d])
@@ -251,21 +260,39 @@ func checkSparseMatchesDense(t testing.TB, trees []*Tree, widths []int, seed uin
 		heap.Backward(ctx, grad)
 		requireSameGrads(t, "Backward", heap, ref)
 
-		var sctx Context
-		requireSame(t, "ForwardTrain pooled", step.ForwardTrain(tree, &sctx, keep, scratch).Data, wantPooled.Data)
+		sctx.Reset(step, []*Tree{tree})
+		got = tensor.New(1, ref.OutDim())
+		step.ForwardTrain(&sctx, 0, got.Data, scratch)
+		requireSame(t, "ForwardTrain pooled", got.Data, wantPooled.Data)
 		scratch.Reset()
-		step.BackwardInputs(&sctx, grad.Data, step.Transpose(nil), keep, scratch)
-		scratch.Reset()
+		step.BackwardInputs(&sctx, 0, grad.Data, step.Transpose(nil))
 		for _, task := range tasks {
 			step.AccumulateGrad(task, &sctx, scratch)
 			scratch.Reset()
 		}
 		requireSameGrads(t, "AccumulateGrad", step, ref)
-		keep.Reset()
 
 		requireSame(t, "ForwardInference pooled", step.ForwardInference(tree, scratch).Data, wantPooled.Data)
 		scratch.Reset()
 	}
+
+	var fctx Context
+	fctx.Reset(forest, trees)
+	for ti := range trees {
+		got := make([]float64, ref.OutDim())
+		forest.ForwardTrain(&fctx, ti, got, scratch)
+		scratch.Reset()
+		requireSame(t, "forest ForwardTrain pooled", got, pooled[ti])
+	}
+	wT := forest.Transpose(nil)
+	for ti := len(trees) - 1; ti >= 0; ti-- {
+		forest.BackwardInputs(&fctx, ti, grads[ti], wT)
+	}
+	for _, task := range forest.GradTasks(3) {
+		forest.AccumulateGrad(task, &fctx, scratch)
+		scratch.Reset()
+	}
+	requireSameGrads(t, "forest AccumulateGrad", forest, ref)
 }
 
 // grabTrees featurizes generated Grab plans the way the models do: Algorithm-1
@@ -428,9 +455,27 @@ func fuzzTree(data []byte) *Tree {
 	return t
 }
 
+// leadTree is a fixed dense-ish literal tree dim features wide, which the
+// fuzz target puts first in its forests so that the fuzzed trees' rows start
+// past row 0.
+func leadTree(dim int) *Tree {
+	n := 3
+	t := &Tree{
+		Feats: tensor.New(n, dim),
+		Left:  []int{1, -1, -1},
+		Right: []int{2, -1, -1},
+		Votes: []float64{1, 1, 1},
+	}
+	for i := range t.Feats.Data {
+		t.Feats.Data[i] = float64(i%5) - 1.5
+	}
+	return t
+}
+
 // FuzzLayer0SparseVsDense is the differential target: any tree the decoder
 // can express must convolve and back-propagate identically through the
-// indexed path and the dense reference, literal and indexed alike.
+// indexed path and the dense reference, literal and indexed alike, alone and
+// behind another tree in a forest.
 func FuzzLayer0SparseVsDense(f *testing.F) {
 	f.Add([]byte{}, uint64(1))
 	f.Add([]byte{2, 3, 0, 1, 11, 0, 14, 0, 1, 10, 12, 0}, uint64(2))
@@ -439,8 +484,9 @@ func FuzzLayer0SparseVsDense(f *testing.F) {
 		tree := fuzzTree(data)
 		indexed := fuzzTree(data)
 		indexed.Rehash()
-		checkSparseMatchesDense(t, []*Tree{tree, indexed, tree}, []int{5, 4}, seed)
-		checkSparseMatchesDense(t, []*Tree{tree, indexed}, wideWidths, seed)
+		lead := leadTree(tree.Feats.Shape[1])
+		checkSparseMatchesDense(t, []*Tree{lead, tree, indexed, tree}, []int{5, 4}, seed)
+		checkSparseMatchesDense(t, []*Tree{lead, tree, indexed}, wideWidths, seed)
 	})
 }
 

@@ -67,9 +67,6 @@ func newRowIndex(buf []int32, n int) rowIndex {
 
 func (ix rowIndex) row(i int) []int32 { return ix[ix[i]:ix[i+1]] }
 
-// entries is the number of non-zero entries listed.
-func (ix rowIndex) entries() int { return len(ix) - int(ix[0]) }
-
 // appendRow lists row's non-zero columns as row i; rows go in order.
 func (ix rowIndex) appendRow(i int, row []float64) rowIndex {
 	for c, f := range row {

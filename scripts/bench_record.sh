@@ -10,7 +10,8 @@
 # flap — and the training step: BenchmarkPrestroidTrainBatch with its
 # allocs/op held under a fixed ceiling, and the BenchmarkTreeConvForward /
 # BenchmarkTreeConvBackward pair, run at -cpu 1 so their ratio is arithmetic
-# rather than core count, with backward gated at 2.5x forward; and the
+# rather than core count, with backward's ns/tree gated at 2.5x forward's
+# ns/op; and the
 # BenchmarkAccumRows simd/go pair from internal/tensor, also at -cpu 1, with
 # simd gated at >= 2x go), record median
 # throughput and minimum allocations per benchmark to a
@@ -74,8 +75,11 @@ baseline_path = sys.argv[5] if len(sys.argv) > 5 else ""
 
 # Lines look like:
 #   BenchmarkServePredict/coalesced-8   1   123456 ns/op   2345 B/op   67 allocs/op
+# A benchmark that also reports ns/tree (BenchmarkTreeConvBackward, which
+# times a whole step's forest) is recorded and gated per tree.
 line_re = re.compile(
     r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op"
+    r"(?:\s+([\d.]+) ns/tree)?"
     r"(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?")
 runs = {}
 goos = goarch = cpu = ""
@@ -89,8 +93,8 @@ for line in open(raw):
     m = line_re.match(line)
     if not m:
         continue
-    name, ns = m.group(1), float(m.group(2))
-    allocs = m.group(4)
+    name, ns = m.group(1), float(m.group(3) or m.group(2))
+    allocs = m.group(5)
     runs.setdefault(name, {"ns": [], "allocs": []})
     runs[name]["ns"].append(ns)
     if allocs is not None:
@@ -151,10 +155,11 @@ for fast, slow, want in RATIO_GATES:
 # at most so many times its sibling on the same run. The tree convolution's
 # backward does about twice its forward's multiply-adds (it ran at ~10x while
 # layer 0 treated the feature rows as dense and computed an input gradient
-# nothing reads); it is timed per tree of a training step, sharing the step's
-# one set of transposed weights. With every product adding straight into its
-# destination it read 1.0-1.5x its forward on a 2-core Xeon (1.3-1.8x there
-# before that change, 2.1-2.7x on other boxes). A lone miss has nobody en
+# nothing reads); it times a training step's 288-tree forest per op and
+# reports ns/tree, so one tree is compared with one tree. On a 2-core Xeon
+# the forest backward reads 1.8x its forward, against 2.2x for the
+# tree-by-tree backward it replaced on the same box (1.0-1.5x and 1.3-1.8x
+# there on earlier days, 2.1-2.7x on other boxes). A lone miss has nobody en
 # route behind it, so the shipped coalescer must not hold its batch open: it
 # costs what a coalescer that never holds — MaxBatch 1 — costs.
 COST_GATES = [
