@@ -50,9 +50,9 @@ type MSCN struct {
 	tableMLP, joinMLP, predMLP *setMLP
 	final                      []nn.Layer
 
-	params []*nn.Param
-	opt    *nn.Adam
-	loss   nn.HuberLoss
+	slab *nn.Slab
+	opt  *nn.Adam
+	loss nn.HuberLoss
 
 	cache                        map[*workload.Trace]*mscnSample
 	maxTables, maxJoins, maxPred int
@@ -154,6 +154,7 @@ func NewMSCN(cfg MSCNConfig, pipe *Pipeline) *MSCN {
 		pipe:     pipe,
 		colIndex: map[string]int{},
 		loss:     nn.NewHuberLoss(1),
+		slab:     nn.NewSlab(nil), // build lays out the real one
 		opt:      nn.NewAdam(cfg.LR),
 		cache:    map[*workload.Trace]*mscnSample{},
 	}
@@ -212,13 +213,12 @@ func (m *MSCN) build() {
 		nn.NewDense(m.cfg.Units, 1, rng),
 		nn.NewSigmoid(),
 	}
-	m.params = nil
-	m.params = append(m.params, m.tableMLP.params()...)
-	m.params = append(m.params, m.joinMLP.params()...)
-	m.params = append(m.params, m.predMLP.params()...)
+	params := append(m.tableMLP.params(), m.joinMLP.params()...)
+	params = append(params, m.predMLP.params()...)
 	for _, l := range m.final {
-		m.params = append(m.params, l.Params()...)
+		params = append(params, l.Params()...)
 	}
+	m.slab = nn.NewSlab(params)
 }
 
 // clause is one atomic predicate condition.
@@ -394,7 +394,7 @@ func (m *MSCN) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) float6
 	m.tableMLP.backward(gt, u)
 	m.joinMLP.backward(gj, u)
 	m.predMLP.backward(gp, u)
-	m.opt.Step(m.params)
+	m.opt.Step(m.slab)
 	return lossVal
 }
 
@@ -404,7 +404,7 @@ func (m *MSCN) Predict(batch []*workload.Trace) *tensor.Tensor {
 }
 
 // ParamCount returns trainable scalars.
-func (m *MSCN) ParamCount() int { return nn.ParamCount(m.params) }
+func (m *MSCN) ParamCount() int { return len(m.slab.W) }
 
 // BatchBytes reports the padded multi-set batch size: every set padded to
 // its maximum cardinality — the sparse, large tensors §5.4 attributes to
@@ -417,7 +417,7 @@ func (m *MSCN) BatchBytes(batchSize int) int {
 
 // Weights exposes the trainable parameters for persistence and for
 // data-parallel weight synchronisation.
-func (m *MSCN) Weights() []*nn.Param { return m.params }
+func (m *MSCN) Weights() []*nn.Param { return m.slab.Params }
 
 // StateTensors exposes non-trainable layer state for persistence; MSCN's
 // final MLP has no batch norm, so this is empty.

@@ -72,9 +72,9 @@ type Prestroid struct {
 	conv *treecnn.Network
 	head []nn.Layer
 
-	params []*nn.Param
-	opt    *nn.Adam
-	loss   nn.HuberLoss
+	slab *nn.Slab // every trainable tensor: the conv stack's, then the head's
+	opt  *nn.Adam
+	loss nn.HuberLoss
 
 	cache    map[*workload.Trace][]*treecnn.Tree
 	maxNodes int // full-tree padding target, set during Prepare
@@ -100,15 +100,33 @@ type Prestroid struct {
 
 // trainStep is the step-scoped state of TrainBatch: the batch's trees in
 // (trace, tree) order laid end to end as one forest, which carries the
-// forward pass to the backward pass, and per worker a scratch arena that
-// dies with each tree or task.
+// forward pass to the backward pass, per worker a scratch arena that dies
+// with each tree or task, and the head's input.
 type trainStep struct {
 	trees   []*treecnn.Tree
 	first   []int // first[bi] = index in trees of trace bi's first tree
 	forest  treecnn.Context
 	scratch []*tensor.Arena
 	wT      treecnn.Transposed // the step's transposed conv weights
+	feats   *tensor.Tensor     // (batch, slots*convOut), the pooled conv features
+
+	tasks []updateTask // the update fan-out for parts workers (updateTasks)
+	parts int
 }
+
+// updateTask is one share of a step's parameter update: the slab range
+// [lo, hi) Adam steps and, when accumulate is set, the conv gradient task
+// that fills exactly that range first.
+type updateTask struct {
+	grad       treecnn.GradTask
+	accumulate bool
+	lo, hi     int
+}
+
+// headChunk is the most slab elements one update-only task of the head
+// steps: small enough that the head's ranges, last in the fan-out, even the
+// workers out, and large enough to be worth a hand-off.
+const headChunk = 4096
 
 // NewPrestroid builds the model over a shared pipeline.
 func NewPrestroid(cfg PrestroidConfig, pipe *Pipeline) *Prestroid {
@@ -146,10 +164,11 @@ func NewPrestroid(cfg PrestroidConfig, pipe *Pipeline) *Prestroid {
 		arenas:    tensor.NewArenaPool(0),
 		headArena: tensor.NewArena(0),
 	}
-	m.params = append(m.params, conv.Params()...)
+	params := conv.Params()
 	for _, l := range head {
-		m.params = append(m.params, l.Params()...)
+		params = append(params, l.Params()...)
 	}
+	m.slab = nn.NewSlab(params)
 	return m
 }
 
@@ -346,12 +365,16 @@ func (m *Prestroid) SetForwardSemaphore(sem chan struct{}) { m.sem = sem }
 //     once, the traces fan out again and every tree pulls its slice of the
 //     head's input gradient down its own stack, which reads the transposes
 //     only;
-//   - the parameter gradients are then split into row-block tasks, and each
+//   - the parameter update then fans out over the slab (updateTasks). A conv
 //     task's owner makes one pass over the forest that adds the trees'
-//     contributions in (trace, tree) order, so every gradient element
-//     receives the additions of a serial tree-by-tree backward in the same
-//     order. The weights after the step therefore do not depend on
-//     GOMAXPROCS, bit for bit.
+//     contributions to its rows of the gradient in (trace, tree) order, so
+//     every gradient element receives the additions of a serial
+//     tree-by-tree backward in the same order, and then steps Adam over
+//     those rows while they are in its cache. The head's gradient is
+//     complete by then, so its tasks only step Adam. Nothing reads a weight
+//     after the transposes, and Adam is element-wise with the step's bias
+//     corrections fixed before the fan-out, so the weights after the step
+//     do not depend on GOMAXPROCS, bit for bit.
 func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) float64 {
 	// Prepare is the only cache mutation, so the workers below only read.
 	m.Prepare(batch)
@@ -362,21 +385,27 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 		st.trees = append(st.trees, m.convTrees(tr)...)
 	}
 	st.forest.Reset(m.conv, st.trees)
-	for len(st.scratch) < runtime.GOMAXPROCS(0) {
+	parts := runtime.GOMAXPROCS(0)
+	for len(st.scratch) < parts {
 		st.scratch = append(st.scratch, tensor.NewArena(0))
 	}
 
 	od := m.conv.OutDim()
-	feats := tensor.New(len(batch), m.slots()*od)
+	if n := len(batch) * m.slots() * od; st.feats == nil || cap(st.feats.Data) < n {
+		st.feats = tensor.New(len(batch), m.slots()*od)
+	} else {
+		st.feats.Data, st.feats.Shape[0] = st.feats.Data[:n], len(batch)
+		clear(st.feats.Data)
+	}
 	m.each(len(batch), func(bi, w int) {
-		row := feats.Row(bi)
+		row := st.feats.Row(bi)
 		for ti := range m.convTrees(batch[bi]) {
 			m.conv.ForwardTrain(&st.forest, st.first[bi]+ti, row[ti*od:(ti+1)*od], st.scratch[w])
 			st.scratch[w].Reset()
 		}
 	})
 
-	x := feats
+	x := st.feats
 	for _, l := range m.head {
 		x = l.Forward(x, true)
 	}
@@ -395,14 +424,38 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 			m.conv.BackwardInputs(&st.forest, st.first[bi]+ti, row[ti*od:(ti+1)*od], st.wT)
 		}
 	})
-	tasks := m.conv.GradTasks(runtime.GOMAXPROCS(0))
-	m.each(len(tasks), func(i, w int) {
-		m.conv.AccumulateGrad(tasks[i], &st.forest, st.scratch[w])
-		st.scratch[w].Reset()
+	if st.parts != parts {
+		st.tasks, st.parts = m.updateTasks(parts), parts
+	}
+	m.opt.Begin(m.slab)
+	m.each(len(st.tasks), func(i, w int) {
+		t := &st.tasks[i]
+		if t.accumulate {
+			m.conv.AccumulateGrad(t.grad, &st.forest, st.scratch[w])
+			st.scratch[w].Reset()
+		}
+		m.opt.Update(t.lo, t.hi)
 	})
-
-	m.opt.Step(m.params)
 	return lossVal
+}
+
+// updateTasks cuts a step's parameter update into tasks that partition the
+// slab: first every conv gradient task for parts workers (GradTasks, the
+// largest first) with the slab range it fills, then the head's parameters,
+// which follow the conv stack's in the slab, in update-only ranges of at
+// most headChunk elements.
+func (m *Prestroid) updateTasks(parts int) []updateTask {
+	var tasks []updateTask
+	for _, gt := range m.conv.GradTasks(parts) {
+		p, lo, hi := m.conv.Span(gt)
+		off := m.slab.Offset(p)
+		tasks = append(tasks, updateTask{grad: gt, accumulate: true, lo: off + lo, hi: off + hi})
+	}
+	end := len(m.slab.W)
+	for lo := m.slab.Offset(len(m.conv.Params())); lo < end; lo += headChunk {
+		tasks = append(tasks, updateTask{lo: lo, hi: min(lo+headChunk, end)})
+	}
+	return tasks
 }
 
 // Predict runs inference on the float kernels, bypassing the conv cache:
@@ -494,7 +547,7 @@ func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, ser
 }
 
 // ParamCount returns trainable scalars.
-func (m *Prestroid) ParamCount() int { return nn.ParamCount(m.params) }
+func (m *Prestroid) ParamCount() int { return len(m.slab.W) }
 
 // BatchBytes reports the padded per-batch input size: sub-tree models pad to
 // K × N slots; full-tree models pad every plan to the largest plan seen.
@@ -551,13 +604,16 @@ func (m *Prestroid) RebuildWithPipeline(pipe *Pipeline) (Model, error) {
 // non-trainable layer state with src's, validating tensor count and shapes
 // the same way persist.LoadWeights validates an on-disk bundle. It is the
 // in-memory half of the weight-shipment story: a bundle loaded once fans out
-// to N replicas via Clone, which copies through this method.
+// to N replicas via Clone, which copies through this method. Both models'
+// parameters live in one slab each, laid out alike once the shapes match,
+// so the weights copy as one slice.
 func (m *Prestroid) CopyWeightsFrom(src *Prestroid) error {
-	if len(src.params) != len(m.params) {
-		return fmt.Errorf("models: source has %d tensors, destination has %d", len(src.params), len(m.params))
+	dst, from := m.slab.Params, src.slab.Params
+	if len(from) != len(dst) {
+		return fmt.Errorf("models: source has %d tensors, destination has %d", len(from), len(dst))
 	}
-	for i, p := range m.params {
-		sw := src.params[i].W
+	for i, p := range dst {
+		sw := from[i].W
 		if len(sw.Shape) != len(p.W.Shape) {
 			return fmt.Errorf("models: tensor %d (%s) rank mismatch", i, p.Name)
 		}
@@ -568,9 +624,7 @@ func (m *Prestroid) CopyWeightsFrom(src *Prestroid) error {
 			}
 		}
 	}
-	for i, p := range m.params {
-		copy(p.W.Data, src.params[i].W.Data)
-	}
+	copy(m.slab.W, src.slab.W)
 	srcState, dstState := src.StateTensors(), m.StateTensors()
 	if len(srcState) != len(dstState) {
 		return fmt.Errorf("models: source has %d state tensors, destination has %d", len(srcState), len(dstState))
@@ -586,7 +640,7 @@ func (m *Prestroid) CopyWeightsFrom(src *Prestroid) error {
 
 // Weights exposes the trainable parameters for persistence and for
 // data-parallel weight synchronisation.
-func (m *Prestroid) Weights() []*nn.Param { return m.params }
+func (m *Prestroid) Weights() []*nn.Param { return m.slab.Params }
 
 // StateTensors exposes non-trainable layer state (batch-norm running
 // statistics) for persistence and replica synchronisation.

@@ -56,9 +56,9 @@ type WCNN struct {
 	branches []wcnnBranch
 	head     []nn.Layer
 
-	params []*nn.Param
-	opt    *nn.Adam
-	loss   nn.HuberLoss
+	slab *nn.Slab
+	opt  *nn.Adam
+	loss nn.HuberLoss
 
 	cache  map[*workload.Trace][]int
 	maxLen int // longest (capped) training sequence, the padding target
@@ -74,6 +74,7 @@ func NewWCNN(cfg WCNNConfig) *WCNN {
 		cfg:   cfg,
 		vocab: map[string]int{},
 		loss:  nn.NewHuberLoss(1),
+		slab:  nn.NewSlab(nil), // build lays out the real one
 		opt:   nn.NewAdam(cfg.LR),
 		cache: map[*workload.Trace][]int{},
 	}
@@ -188,13 +189,14 @@ func (m *WCNN) build() {
 		nn.NewDense(concat, 1, rng),
 		nn.NewSigmoid(),
 	}
-	m.params = append(m.params, m.embed.Params()...)
+	params := m.embed.Params()
 	for _, br := range m.branches {
-		m.params = append(m.params, br.conv.Params()...)
+		params = append(params, br.conv.Params()...)
 	}
 	for _, l := range m.head {
-		m.params = append(m.params, l.Params()...)
+		params = append(params, l.Params()...)
 	}
+	m.slab = nn.NewSlab(params)
 }
 
 func (m *WCNN) ids(batch []*workload.Trace) [][]int {
@@ -250,7 +252,7 @@ func (m *WCNN) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) float6
 		}
 	}
 	m.embed.BackwardIDs(embGrad)
-	m.opt.Step(m.params)
+	m.opt.Step(m.slab)
 	return lossVal
 }
 
@@ -260,7 +262,7 @@ func (m *WCNN) Predict(batch []*workload.Trace) *tensor.Tensor {
 }
 
 // ParamCount returns trainable scalars.
-func (m *WCNN) ParamCount() int { return nn.ParamCount(m.params) }
+func (m *WCNN) ParamCount() int { return len(m.slab.W) }
 
 // BatchBytes reports the padded token-id batch: WCNN's single 1-D vector
 // per query is the most compact input layout of all compared models (§5.4).
@@ -270,7 +272,7 @@ func (m *WCNN) BatchBytes(batchSize int) int {
 
 // Weights exposes the trainable parameters for persistence and for
 // data-parallel weight synchronisation.
-func (m *WCNN) Weights() []*nn.Param { return m.params }
+func (m *WCNN) Weights() []*nn.Param { return m.slab.Params }
 
 // StateTensors exposes non-trainable layer state for persistence; WCNN has
 // no batch norm, so this is empty.

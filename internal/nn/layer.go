@@ -5,6 +5,10 @@
 // together with Huber/MSE losses and the ADAM optimizer the paper trains
 // with. It replaces TensorFlow in the reproduction: same mathematics, pure
 // Go, CPU execution, exact per-batch tensor-size accounting.
+//
+// A model lays its parameters out in one Slab, and Adam steps the slab by
+// ranges, so a training step can update each range on whichever core just
+// finished its gradient.
 package nn
 
 import (
@@ -14,7 +18,8 @@ import (
 )
 
 // Param is a trainable parameter: a weight tensor paired with its gradient
-// accumulator. Optimizers update W from G after each batch.
+// accumulator. Optimizers update W from G after each batch. In a model both
+// are views of the model's Slab (see NewSlab); a Param on its own owns them.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
@@ -25,9 +30,6 @@ type Param struct {
 func NewParam(name string, shape ...int) *Param {
 	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
 }
-
-// ZeroGrad resets the gradient accumulator.
-func (p *Param) ZeroGrad() { p.G.Zero() }
 
 // Count returns the number of scalar parameters.
 func (p *Param) Count() int { return p.W.Size() }
@@ -92,7 +94,7 @@ func ParamCount(ps []*Param) int {
 // ZeroGrads resets every gradient in ps.
 func ZeroGrads(ps []*Param) {
 	for _, p := range ps {
-		p.ZeroGrad()
+		p.G.Zero()
 	}
 }
 

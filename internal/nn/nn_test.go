@@ -381,10 +381,10 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimise (w-3)² with ADAM; should converge near 3.
 	p := NewParam("w", 1)
 	p.W.Data[0] = -5
-	opt := NewAdam(0.1)
+	opt, slab := NewAdam(0.1), NewSlab([]*Param{p})
 	for i := 0; i < 500; i++ {
 		p.G.Data[0] = 2 * (p.W.Data[0] - 3)
-		opt.Step([]*Param{p})
+		opt.Step(slab)
 	}
 	if math.Abs(p.W.Data[0]-3) > 0.01 {
 		t.Fatalf("Adam converged to %v, want 3", p.W.Data[0])
@@ -401,7 +401,7 @@ func TestTrainingRegressionEndToEnd(t *testing.T) {
 		NewDense(16, 1, rng),
 		NewSigmoid(),
 	)
-	opt := NewAdam(0.01)
+	opt, slab := NewAdam(0.01), NewSlab(net.Params())
 	loss := NewHuberLoss(1)
 	var final float64
 	for epoch := 0; epoch < 400; epoch++ {
@@ -415,7 +415,7 @@ func TestTrainingRegressionEndToEnd(t *testing.T) {
 		pred := net.Forward(x, true)
 		final = loss.Value(pred, y)
 		net.Backward(loss.Grad(pred, y))
-		opt.Step(net.Params())
+		opt.Step(slab)
 	}
 	if final > 0.001 {
 		t.Fatalf("end-to-end training did not converge: loss %v", final)

@@ -64,7 +64,8 @@ func NewConvLayer(in, out int, rng *tensor.RNG) *ConvLayer {
 	return l
 }
 
-// Params returns the triangular kernel and bias.
+// Params returns the triangular kernel and bias, in the order of the
+// GradTask param constants (Network.Span counts on it).
 func (l *ConvLayer) Params() []*nn.Param { return []*nn.Param{l.Wt, l.Wl, l.Wr, l.B} }
 
 // weight returns the kernel matrix a GradTask's param names.
@@ -516,14 +517,22 @@ func (c *Context) rows() int {
 }
 
 // carve shapes mats[k] as (rows, Out) of n's layer k, back to back in buf,
-// and returns buf, reallocated when it is too short.
+// and returns buf, reallocated when it is too short. The first allocation is
+// exact, so a forest of one and a run's first step pay for their own size
+// only; a regrowth, a forest larger than any before it, takes a quarter more
+// than it needs, so the few new maxima a run of shuffled batches meets do not
+// each allocate and fault in the whole buffer again.
 func carve(mats []tensor.Tensor, buf []float64, n *Network, rows int) []float64 {
 	size := 0
 	for _, l := range n.Layers {
 		size += rows * l.Out
 	}
 	if cap(buf) < size {
-		buf = make([]float64, size)
+		c := size
+		if cap(buf) > 0 {
+			c += size / 4
+		}
+		buf = make([]float64, size, c)
 	}
 	rest := buf[:size]
 	for k, l := range n.Layers {
@@ -768,6 +777,18 @@ func (n *Network) GradTasks(parts int) []GradTask {
 		tasks = append(tasks, GradTask{layer: li, param: paramBias})
 	}
 	return tasks
+}
+
+// Span locates a task's share of the parameters: the index in Params() of
+// the parameter the task names, and the range [lo, hi) of that parameter's
+// elements it owns (a weight row is Out elements).
+func (n *Network) Span(task GradTask) (param, lo, hi int) {
+	out := n.Layers[task.layer].Out
+	param = 4*task.layer + task.param
+	if task.param == paramBias {
+		return param, 0, out
+	}
+	return param, task.lo * out, task.hi * out
 }
 
 // AccumulateGrad adds the contribution of every tree of ctx's forest, in

@@ -285,7 +285,7 @@ func TestTrainingReducesLossOnTreeTask(t *testing.T) {
 		rng.FillNorm(f, 0, 1)
 		return &Tree{Feats: f, Left: []int{1, -1, -1}, Right: []int{2, -1, -1}, Votes: []float64{1, 1, 1}}
 	}
-	params := append(net.Params(), head.Params()...)
+	slab := nn.NewSlab(append(net.Params(), head.Params()...))
 	var first, last float64
 	for step := 0; step < 300; step++ {
 		var tree *Tree
@@ -309,7 +309,7 @@ func TestTrainingReducesLossOnTreeTask(t *testing.T) {
 		g := loss.Grad(pred, target)
 		g = head.Backward(sig.Backward(g))
 		net.Backward(ctx, g)
-		opt.Step(params)
+		opt.Step(slab)
 	}
 	if last >= first {
 		t.Fatalf("structural training did not improve: first %v last %v", first, last)
