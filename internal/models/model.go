@@ -79,9 +79,9 @@ type Cloner interface {
 // follow the new pipeline, not the receiver's — so a retrain that grew the
 // table universe can ship as a (pipeline, weights) pair: rebuild off the new
 // pipeline, then apply the shipped weights to the rebuilt model, whose shape
-// validation is the feature-dim check. The receiver is never mutated; shared
-// serving resources (the forward-worker semaphore) carry over to the rebuilt
-// model and its clones.
+// validation is the feature-dim check. The receiver is never mutated. The
+// rebuilt model and its clones share the cores with every other model
+// through tensor.Each's one process-wide helper budget.
 type PipelineRebuilder interface {
 	RebuildWithPipeline(pipe *Pipeline) (Model, error)
 }

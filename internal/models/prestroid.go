@@ -3,8 +3,6 @@ package models
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"prestroid/internal/dataset"
 	"prestroid/internal/logicalplan"
@@ -78,12 +76,6 @@ type Prestroid struct {
 
 	cache    map[*workload.Trace][]*treecnn.Tree
 	maxNodes int // full-tree padding target, set during Prepare
-
-	// sem, when set, is a pool of forward-worker slots shared with other
-	// model replicas: each conv worker holds a slot while it convolves one
-	// trace, so concurrent replicas divide the cores dynamically instead
-	// of every replica assuming it owns the whole host.
-	sem chan struct{}
 
 	// convCache, when set, memoises pooled conv outputs by tree hash on the
 	// PredictInto fast path. It must be concurrency-safe (see ConvCache).
@@ -296,43 +288,6 @@ func (m *Prestroid) slots() int {
 	return 1
 }
 
-// each runs work(i, w) for every i in [0, n) on up to GOMAXPROCS workers, w
-// being the index of the worker that took item i. Workers hold a slot of the
-// forward semaphore, when one is installed, for the length of each item, so
-// a training step divides the cores with concurrent replicas exactly as
-// inference does. It returns when every item is done.
-func (m *Prestroid) each(n int, work func(i, w int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			work(i, 0)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if m.sem != nil {
-					m.sem <- struct{}{}
-				}
-				work(i, w)
-				if m.sem != nil {
-					<-m.sem
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // convTrees returns the trees of a prepared trace that the model convolves:
 // at most one per slot.
 func (m *Prestroid) convTrees(tr *workload.Trace) []*treecnn.Tree {
@@ -342,17 +297,6 @@ func (m *Prestroid) convTrees(tr *workload.Trace) []*treecnn.Tree {
 	}
 	return trees
 }
-
-// SetForwardSemaphore shares a pool of forward-worker slots (a buffered
-// channel, one slot per core) across model replicas; nil removes the
-// limit. When N replicas flush concurrently, each would otherwise run
-// GOMAXPROCS conv workers — N×GOMAXPROCS runnable goroutines
-// oversubscribing the very cores the replicas are meant to divide. Gating
-// each worker's per-trace work on a shared slot caps total runnable
-// workers at the pool size while still letting a single busy replica use
-// every core when the others are idle. Call it before serving begins; it
-// is not synchronised against concurrent Predict.
-func (m *Prestroid) SetForwardSemaphore(sem chan struct{}) { m.sem = sem }
 
 // TrainBatch performs one ADAM step on Huber loss. The conv stack's share of
 // the step runs on one forest — the batch's trees end to end, with one
@@ -397,7 +341,7 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 		st.feats.Data, st.feats.Shape[0] = st.feats.Data[:n], len(batch)
 		clear(st.feats.Data)
 	}
-	m.each(len(batch), func(bi, w int) {
+	tensor.Each(len(batch), func(bi, w int) {
 		row := st.feats.Row(bi)
 		for ti := range m.convTrees(batch[bi]) {
 			m.conv.ForwardTrain(&st.forest, st.first[bi]+ti, row[ti*od:(ti+1)*od], st.scratch[w])
@@ -418,7 +362,7 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	// g is now (batch, slots*convOut): route slices to each tree, which all
 	// read the weights transposed once for the step.
 	st.wT = m.conv.Transpose(st.wT)
-	m.each(len(batch), func(bi, _ int) {
+	tensor.Each(len(batch), func(bi, _ int) {
 		row := g.Row(bi)
 		for ti := range m.convTrees(batch[bi]) {
 			m.conv.BackwardInputs(&st.forest, st.first[bi]+ti, row[ti*od:(ti+1)*od], st.wT)
@@ -428,7 +372,7 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 		st.tasks, st.parts = m.updateTasks(parts), parts
 	}
 	m.opt.Begin(m.slab)
-	m.each(len(st.tasks), func(i, w int) {
+	tensor.Each(len(st.tasks), func(i, w int) {
 		t := &st.tasks[i]
 		if t.accumulate {
 			m.conv.AccumulateGrad(t.grad, &st.forest, st.scratch[w])
@@ -473,10 +417,10 @@ func (m *Prestroid) Predict(batch []*workload.Trace) *tensor.Tensor {
 
 // SetConvCache installs a pooled-conv-output cache consulted on the
 // PredictInto fast path; nil removes it. The cache must satisfy the
-// ConvCache concurrency contract. Like SetForwardSemaphore it is not
-// synchronised against concurrent Predict calls — install it while the
-// model is quiescent. Clone does not carry the cache over: the serving
-// layer owns cache placement (one per shard) and installs it explicitly.
+// ConvCache concurrency contract. It is not synchronised against concurrent
+// Predict calls — install it while the model is quiescent. Clone does not
+// carry the cache over: the serving layer owns cache placement (one per
+// shard) and installs it explicitly.
 func (m *Prestroid) SetConvCache(c ConvCache) { m.convCache = c }
 
 // PredictInto implements IntoPredictor: the arena-backed inference fast
@@ -498,19 +442,19 @@ func (m *Prestroid) PredictInto(batch []*workload.Trace, dst []float64) {
 }
 
 // inferConv fills out (batch, slots*convOut) with pooled conv features,
-// fanning traces across cores. serving selects PredictInto's configuration,
-// which consults the conv cache; without it every tree is convolved. The conv
-// stack is pure at inference and each row is computed in the serial loop's
-// operation order, so outputs do not depend on batch composition. out must
-// not live in the conv workers' arenas.
+// fanning traces out through tensor.Each. serving selects PredictInto's
+// configuration, which consults the conv cache; without it every tree is
+// convolved. The conv stack is pure at inference and each row is computed in
+// the serial loop's operation order, so outputs do not depend on batch
+// composition. out must not live in the conv workers' arenas.
 func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor, serving bool) {
 	if len(batch) == 1 {
-		// No closure for the lone trace: each's work func escapes to its
-		// workers, and steady single-query PredictInto allocates nothing.
+		// No closure for the lone trace: Each's work func escapes to its
+		// helpers, and steady single-query PredictInto allocates nothing.
 		m.inferOne(0, batch[0], out, serving)
 		return
 	}
-	m.each(len(batch), func(bi, _ int) { m.inferOne(bi, batch[bi], out, serving) })
+	tensor.Each(len(batch), func(bi, _ int) { m.inferOne(bi, batch[bi], out, serving) })
 }
 
 // inferOne convolves one trace's trees into row bi of out, inside a pooled
@@ -570,7 +514,9 @@ func (m *Prestroid) BatchBytes(batchSize int) int {
 // optimizer moments are reset, and the replica's Predict output is
 // bit-identical to the source model's for any trace, so N clones of one
 // loaded weight bundle can serve concurrently (each on its own goroutine)
-// without ever diverging. Clone implements the Cloner extension.
+// without ever diverging. Concurrent clones divide the cores through
+// tensor.Each's one process-wide helper budget, which needs no wiring. Clone
+// implements the Cloner extension.
 func (m *Prestroid) Clone() Model {
 	c := NewPrestroid(m.cfg, m.pipe)
 	if err := c.CopyWeightsFrom(m); err != nil {
@@ -579,7 +525,6 @@ func (m *Prestroid) Clone() Model {
 		panic(fmt.Sprintf("models: clone: %v", err))
 	}
 	c.maxNodes = m.maxNodes
-	c.sem = m.sem
 	return c
 }
 
@@ -588,16 +533,12 @@ func (m *Prestroid) Clone() Model {
 // pipe, whose feature dimension — not the receiver's — decides the conv
 // parameter shapes. Weights start freshly initialised (the caller installs
 // the retrained bundle's tensors afterwards, which is where a pipeline/weight
-// mismatch is caught), the encoding cache starts empty, and the forward-
-// worker semaphore is shared so the rebuilt model's clones keep dividing the
-// same cores as the replicas they replace.
+// mismatch is caught) and the encoding cache starts empty.
 func (m *Prestroid) RebuildWithPipeline(pipe *Pipeline) (Model, error) {
 	if pipe == nil || pipe.Enc == nil {
 		return nil, fmt.Errorf("models: rebuild needs a pipeline with an encoder")
 	}
-	c := NewPrestroid(m.cfg, pipe)
-	c.sem = m.sem
-	return c, nil
+	return NewPrestroid(m.cfg, pipe), nil
 }
 
 // CopyWeightsFrom overwrites the model's trainable parameters and

@@ -24,37 +24,26 @@ func DefaultReplicas() int {
 	return n
 }
 
-// forwardLimiter is the optional model knob sharing a pool of forward-
-// worker slots across replicas; Prestroid implements it.
-type forwardLimiter interface {
-	SetForwardSemaphore(sem chan struct{})
-}
-
 // Replicas builds n serving replicas of pred. For n > 1 every replica —
 // including shard 0 — wraps a fresh model clone sharing pred's pipeline and
 // normaliser, so the caller's model is never mutated and stays usable on
 // the serialised path after the engine closes. Each replica gets its own
 // Predictor (and thus its own serialisation mutex), so N batcher goroutines
-// can run their models truly concurrently; to keep N concurrent flushes
-// from oversubscribing the host with N×GOMAXPROCS conv workers, the clones
-// share one pool of GOMAXPROCS forward-worker slots — concurrent flushes
-// divide the cores, while a single busy shard on an otherwise idle engine
-// still gets all of them. When n <= 1, or the model does not implement
-// models.Cloner, only pred itself is returned — the caller degrades to one
-// shard.
+// can run their models truly concurrently. Each flush fans its traces out
+// through tensor.Each, whose helpers come from one process-wide budget of
+// GOMAXPROCS-1: N concurrent flushes run on their own goroutines plus at most
+// that many helpers between them, while a single busy shard on an otherwise
+// idle engine still gets every core. When n <= 1, or the model does not
+// implement models.Cloner, only pred itself is returned — the caller
+// degrades to one shard.
 func Replicas(pred *Predictor, n int) []*Predictor {
 	cl, ok := pred.Model.(models.Cloner)
 	if !ok || n <= 1 {
 		return []*Predictor{pred}
 	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	preds := make([]*Predictor, n)
 	for i := range preds {
-		m := cl.Clone()
-		if fl, ok := m.(forwardLimiter); ok {
-			fl.SetForwardSemaphore(sem)
-		}
-		preds[i] = &Predictor{Model: m, Pipe: pred.Pipe, Norm: pred.Norm}
+		preds[i] = &Predictor{Model: cl.Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
 	}
 	return preds
 }

@@ -1,6 +1,6 @@
 package tensor
 
-// Test hooks for the worker-budget instrumentation (see workers.go).
+// Test hooks for Each's helper budget (see workers.go).
 
 // ResetHelperPeak clears the recorded helper-goroutine high-water mark.
 func ResetHelperPeak() {
@@ -10,6 +10,9 @@ func ResetHelperPeak() {
 // HelperPeak reports the highest number of helper goroutines observed in
 // flight at once since the last ResetHelperPeak.
 func HelperPeak() int64 { return helperPeak.Load() }
+
+// LiveHelpers reports how many helpers are claimed from the budget now.
+func LiveHelpers() int64 { return helpers.Load() }
 
 // setSIMD turns AccumRows' assembly path on (where the CPU has it) or off
 // and returns the previous setting, for tests that run both paths.

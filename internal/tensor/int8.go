@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 )
 
 // Int8Matrix is a weight matrix packed for symmetric int8 inference. The
@@ -288,8 +287,8 @@ func QuantizeRowsInto(q []int8, scales []float64, meta []int32, x *Tensor) float
 // activations of logical shape (m, w.In) — the bias-shifted bytes, scales
 // and per-row meta produced by QuantizeRowsInto — against a column-quantised
 // weight matrix w. Each output element accumulates in int32 and dequantises
-// with the fused factor scales[i]*w.Scale[j]. Large products shard rows
-// through the shared worker budget exactly like MatMulInto.
+// with the fused factor scales[i]*w.Scale[j]. Large products run as blocks
+// of rows through Each exactly like MatMulInto.
 func Int8MatMulInto(out *Tensor, q []int8, scales []float64, meta []int32, w *Int8Matrix) {
 	m, n := out.Shape[0], out.Shape[1]
 	k := w.In
@@ -303,9 +302,7 @@ func Int8MatMulInto(out *Tensor, q []int8, scales []float64, meta []int32, w *In
 		int8Rows(out, q, scales, meta, w, 0, m)
 		return
 	}
-	shardRows(m, runtime.GOMAXPROCS(0), func(lo, hi int) {
-		int8Rows(out, q, scales, meta, w, lo, hi)
-	})
+	eachRowBlock(m, func(lo, hi int) { int8Rows(out, q, scales, meta, w, lo, hi) })
 }
 
 // int8IdxBuf is the per-row capacity of the stack-resident nonzero-index

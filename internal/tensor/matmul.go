@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // parallelFlopThreshold is the m*k*n product above which MatMulInto shards
 // rows across goroutines. Small products stay serial: goroutine dispatch
@@ -19,8 +16,8 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes out = a × b, reusing out's buffer. out must have shape
 // (a.rows, b.cols). Each output row is cleared and then receives one
-// AccumRows call (i-k-j order, zero entries of a skipped); large products are
-// sharded row-wise across goroutines (each output row is written by exactly
+// AccumRows call (i-k-j order, zero entries of a skipped); large products
+// run as blocks of rows through Each (each output row is written by exactly
 // one worker, so no synchronisation is needed).
 func MatMulInto(out, a, b *Tensor) { matMul(out, a, b, true) }
 
@@ -46,13 +43,7 @@ func matMul(out, a, b *Tensor, set bool) {
 		matMulRows(out, a, b, 0, m, set)
 		return
 	}
-	// Fan out through the shared worker budget (see workers.go): the caller
-	// computes one shard inline and helpers are claimed without blocking, so
-	// concurrent kernels divide the budget instead of each spawning
-	// GOMAXPROCS goroutines.
-	shardRows(m, runtime.GOMAXPROCS(0), func(lo, hi int) {
-		matMulRows(out, a, b, lo, hi, set)
-	})
+	eachRowBlock(m, func(lo, hi int) { matMulRows(out, a, b, lo, hi, set) })
 }
 
 // matMulRows computes output rows [lo, hi), one AccumRows call each, into

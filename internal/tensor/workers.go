@@ -6,127 +6,90 @@ import (
 	"sync/atomic"
 )
 
-// The matrix kernels share one process-wide budget of helper goroutines.
-// Without it, every large MatMulInto spawned GOMAXPROCS workers regardless
-// of how many kernels were already in flight — N concurrent shard flushes
-// meant N×GOMAXPROCS runnable goroutines fighting over the same cores, on
-// top of the forward-worker semaphore the replicas already share. The
-// budget caps the *total* helper fan-out: each call computes one shard on
-// the calling goroutine and claims extra workers from the pool without
-// blocking, so a lone kernel on an idle host still gets every core while
-// concurrent kernels degrade gracefully toward serial instead of
-// oversubscribing.
-//
-// The pool holds budget-1 tokens: the calling goroutine is the implicit
-// first worker, so with budget B a single kernel runs on at most B
-// goroutines, and any number of concurrent kernels add at most B-1 helper
-// goroutines between them.
-var matmulWorkers atomic.Pointer[workerPool]
-
-type workerPool struct {
-	tokens chan struct{}
-}
-
-func init() { SetMatMulWorkerBudget(runtime.GOMAXPROCS(0)) }
-
-// SetMatMulWorkerBudget resets the kernel worker budget to n total workers
-// (the caller plus n-1 pooled helpers). Values below 1 are clamped to 1,
-// which makes every kernel serial. Helpers already running against the old
-// budget finish normally; the new budget applies to subsequent calls.
-func SetMatMulWorkerBudget(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p := &workerPool{tokens: make(chan struct{}, n-1)}
-	for i := 0; i < n-1; i++ {
-		p.tokens <- struct{}{}
-	}
-	matmulWorkers.Store(p)
-}
-
-// acquire claims up to want helper tokens without blocking, returning the
-// pool they must be released to and how many were granted.
-func acquireWorkers(want int) (*workerPool, int) {
-	p := matmulWorkers.Load()
-	got := 0
-	for got < want {
-		select {
-		case <-p.tokens:
-			got++
-		default:
-			return p, got
-		}
-	}
-	return p, got
-}
-
-func (p *workerPool) release(n int) {
-	for i := 0; i < n; i++ {
-		p.tokens <- struct{}{}
-	}
-}
-
-// helperActive / helperPeak instrument the helper fan-out so a test can pin
-// the ceiling under concurrent kernels. They are only touched on the
-// goroutine-spawning path, never in serial kernels.
+// Every parallel loop in the program — the kernels' row blocks, a training
+// step's fan-outs over traces and gradient tasks, a serving flush's traces —
+// runs through Each, and every Each draws its helper goroutines from one
+// process-wide budget: GOMAXPROCS-1 live helpers, counted by helpers and read
+// on every claim, so the budget follows GOMAXPROCS when it changes. The
+// caller of Each is always a worker and holds no share of the budget, so
+// progress never waits on it: a lone loop on an idle host gets every core,
+// concurrent loops (replica flushes, or a kernel inside a training item)
+// divide the budget and degrade toward serial instead of oversubscribing.
 var (
-	helperActive atomic.Int64
-	helperPeak   atomic.Int64
+	helpers    atomic.Int64 // live helpers across all Each calls
+	helperPeak atomic.Int64 // helpers' high-water mark, for tests
 )
 
-func noteHelperStart() {
-	a := helperActive.Add(1)
-	for {
-		p := helperPeak.Load()
-		if a <= p || helperPeak.CompareAndSwap(p, a) {
-			return
+// Each runs work(i, w) for every i in [0, n) and returns when all are done.
+// w is the index of the worker that took item i: 0 is the calling goroutine,
+// and the helpers the budget grants without blocking, at most
+// min(n, GOMAXPROCS)-1, are 1, 2, ..., so w < GOMAXPROCS. Workers take items
+// one at a time from a shared counter, which balances uneven items. work
+// must be safe to run concurrently for distinct items; which worker runs an
+// item varies from call to call, so a caller that wants the same bits at
+// any worker count fixes what each item writes. If work panics on the
+// calling goroutine, Each waits for its helpers and returns them to the
+// budget before the panic goes on.
+func Each(n int, work func(i, w int)) {
+	procs := runtime.GOMAXPROCS(0)
+	got := claimHelpers(min(n, procs)-1, int64(procs-1))
+	if got == 0 {
+		for i := 0; i < n; i++ {
+			work(i, 0)
+		}
+		return
+	}
+	var next atomic.Int64
+	run := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			work(i, w)
 		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(got)
+	defer func() {
+		wg.Wait()
+		helpers.Add(-int64(got))
+	}()
+	for w := 1; w <= got; w++ {
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	// Yield once: the helper last spawned sits in this P's runnext slot,
+	// which an idle P steals only after a timed back-off (usleep(3), which
+	// Linux timer slack stretches to tens of µs). Yielding runs it here at
+	// once and leaves the caller on the global run queue, where an idle P
+	// takes it without waiting.
+	runtime.Gosched()
+	run(0)
 }
 
-func noteHelperDone() { helperActive.Add(-1) }
-
-// shardRows splits the row range [0, m) across the calling goroutine plus
-// however many helpers the worker budget grants, invoking fn once per
-// half-open shard. fn must be safe to run concurrently on disjoint ranges;
-// the partitioning never changes which goroutine writes which output row,
-// so kernels stay deterministic regardless of how many tokens were free.
-// The caller always computes the first shard inline — progress never
-// depends on token availability.
-func shardRows(m, want int, fn func(lo, hi int)) {
-	if want > m {
-		want = m
-	}
-	if want <= 1 {
-		fn(0, m)
-		return
-	}
-	pool, extra := acquireWorkers(want - 1)
-	if extra == 0 {
-		fn(0, m)
-		return
-	}
-	workers := extra + 1
-	per := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	for start := per; start < m; start += per {
-		end := start + per
-		if end > m {
-			end = m
+// claimHelpers takes up to want helpers from the budget of limit live ones
+// without blocking and reports how many it got.
+func claimHelpers(want int, limit int64) int {
+	for want > 0 {
+		live := helpers.Load()
+		got := min(int64(want), limit-live)
+		if got <= 0 {
+			return 0
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			noteHelperStart()
-			fn(lo, hi)
-			noteHelperDone()
-		}(start, end)
+		if helpers.CompareAndSwap(live, live+got) {
+			for p := helperPeak.Load(); live+got > p; p = helperPeak.Load() {
+				if helperPeak.CompareAndSwap(p, live+got) {
+					break
+				}
+			}
+			return int(got)
+		}
 	}
-	first := per
-	if first > m {
-		first = m
-	}
-	fn(0, first)
-	wg.Wait()
-	pool.release(extra)
+	return 0
+}
+
+// eachRowBlock runs fn over [0, m) cut into up to GOMAXPROCS contiguous
+// blocks through Each, so every row is written by exactly one goroutine.
+func eachRowBlock(m int, fn func(lo, hi int)) {
+	parts := min(m, runtime.GOMAXPROCS(0))
+	Each(parts, func(i, _ int) { fn(i*m/parts, (i+1)*m/parts) })
 }

@@ -159,8 +159,8 @@ func (l *ConvLayer) PackInt8() float64 {
 // fraction of the projections it avoids. The compact projections are laid
 // out in node order of the consuming parent, so the combine pass walks them
 // with a pair of cursors instead of an index table. The GEMMs go through
-// tensor.Int8MatMulInto, so they use the SWAR kernel and shard rows across
-// the shared worker budget at paper-scale widths. Alongside the output it
+// tensor.Int8MatMulInto, so they use the SWAR kernel and run row blocks
+// through tensor.Each at paper-scale widths. Alongside the output it
 // reports the max absolute activation quantisation error on this input.
 // PackInt8 must have run since the last weight change.
 func (l *ConvLayer) forwardArenaInt8(tree *Tree, x *tensor.Tensor, a *tensor.Arena) (*tensor.Tensor, float64) {
