@@ -57,7 +57,7 @@ subcommands:
   experiment -id <id> [-scale test|small|paper]   regenerate a paper table/figure
   generate   -dataset grab|tpcds -n <count>       print generated query traces
   train      -model <key> [-scale ...]            train one model and report MSE
-  explain    -query "SELECT ..."                  show plan, O-T-P tree, sub-trees
+  explain    -query "SELECT ..."                  show plan, tokens, O-T-P tree, sub-trees
 
 experiment ids: table1 table2a table2b table3 table4 table5
                 fig2 fig5 fig6 fig7 fig8 fig9 ablation stats sweep all`)
@@ -199,6 +199,13 @@ func runExplain(args []string) error {
 	fmt.Print(plan.Explain())
 	fmt.Printf("nodes=%d depth=%d tables=%v\n\n",
 		plan.NodeCount(), plan.MaxDepth(), plan.Tables())
+
+	toks := otp.PlanTokens(plan)
+	if len(toks) == 0 {
+		toks = []string{"(none)"}
+	}
+	fmt.Println("=== predicate tokens (values stripped, Fig 4) ===")
+	fmt.Printf("%s\n\n", strings.Join(toks, " "))
 
 	root := otp.Recast(plan)
 	fmt.Println("=== O-T-P binary tree ===")

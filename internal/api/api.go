@@ -14,7 +14,7 @@
 // # Endpoints
 //
 //   - POST /v1/predict  — PredictRequest → PredictResponse | ErrorResponse
-//   - POST /v1/explain  — ExplainRequest → ExplainResponse | ErrorResponse
+//   - POST /v1/explain  — PredictRequest → ExplainResponse | ErrorResponse
 //   - GET  /v1/stats    — Stats
 //   - GET  /v1/models   — ModelsResponse
 //   - POST /v1/reload   — ReloadRequest → ReloadResponse | ErrorResponse
@@ -64,10 +64,6 @@ type PredictRequest struct {
 	SQL   string `json:"sql"`
 	Model string `json:"model,omitempty"`
 }
-
-// ExplainRequest is PredictRequest for /v1/explain: the plan views never run
-// the model, but the model field is still validated so a typo fails loudly.
-type ExplainRequest = PredictRequest
 
 // KernelFloat is the serving kernel every response reports in its "kernel"
 // field. The daemon has one kernel; the field stays in the wire format so

@@ -1,7 +1,8 @@
 // Package baseline implements the paper's non-deep-learning comparison
 // models: log binning over plan node counts, and support vector regression
 // over query/plan aggregate features (Nyström-approximated kernel SVR
-// trained with epsilon-insensitive subgradient descent).
+// trained with epsilon-insensitive subgradient descent). They are the LogBin
+// and SVR rows of Tables 2a and 2b (experiments.Table2Grab, Table2TPCDS).
 package baseline
 
 import (

@@ -3,7 +3,8 @@
 // that forces large padded batches onto multi-GPU machines, the data-
 // parallel scale-out penalty profiled in Fig 9 (1.62x/2.85x observed versus
 // the theoretical 2x/4x), and the resulting dollar cost of training a model
-// to convergence (Fig 7).
+// to convergence (Fig 7). experiments.Fig7 and experiments.Fig9 are its
+// consumers.
 package cloudsim
 
 import (

@@ -25,15 +25,3 @@ func ExampleCheapestFeasible() {
 	// Output:
 	// NC24s_V3 for $28.28
 }
-
-// ExampleProvision solves the cost-optimal VM mix for a predicted demand.
-func ExampleProvision() {
-	need := cloudsim.VCPUsForDemand(960, 0.8) // 960 CPU-minutes per hour
-	alloc, err := cloudsim.Provision(need, cloudsim.DefaultVMTypes())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(alloc)
-	// Output:
-	// 1xD16s + 1xD4s (20 vCPU, $0.93/h)
-}

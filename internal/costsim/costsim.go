@@ -5,6 +5,10 @@
 // deterministic structure- and data-dependent function of the plan plus
 // multiplicative noise, so the learning task has the same character —
 // predictable from operators, tables and predicates, but not trivially.
+//
+// Every workload generator (Grab-Traces, TPC-DS, TPC-H) labels its traces
+// with it, so it is the ground truth behind every MSE the experiments
+// report; ProfileOTP also computes Fig 8's top-1% resource shares.
 package costsim
 
 import (

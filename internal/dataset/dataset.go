@@ -131,12 +131,3 @@ func PaddedSetBatchBytes(batchSize int, setMax []int, setWidth []int) int {
 func PaddedTokenBatchBytes(batchSize, maxLen int) int {
 	return batchSize * maxLen * 4
 }
-
-// LabelsBy extracts normalised labels for an arbitrary objective.
-func LabelsBy(traces []*workload.Trace, norm workload.Normalizer, label func(*workload.Trace) float64) *tensor.Tensor {
-	t := tensor.New(len(traces), 1)
-	for i, tr := range traces {
-		t.Data[i] = norm.Normalize(label(tr))
-	}
-	return t
-}

@@ -179,18 +179,3 @@ func MSE(m Model, traces []*workload.Trace, norm workload.Normalizer) float64 {
 	}
 	return sum / float64(len(traces))
 }
-
-// MSEBy computes mean squared error for an arbitrary objective (label units
-// squared), the multi-objective analogue of MSE.
-func MSEBy(m Model, traces []*workload.Trace, norm workload.Normalizer, label func(*workload.Trace) float64) float64 {
-	if len(traces) == 0 {
-		return 0
-	}
-	pred := m.Predict(traces)
-	sum := 0.0
-	for i, tr := range traces {
-		d := norm.Denormalize(pred.Data[i]) - label(tr)
-		sum += d * d
-	}
-	return sum / float64(len(traces))
-}

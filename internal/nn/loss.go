@@ -6,16 +6,6 @@ import (
 	"prestroid/internal/tensor"
 )
 
-// Loss computes a scalar training objective and its gradient with respect to
-// the prediction tensor. Both pred and target are (batch, 1) tensors in the
-// normalised (0,1) label space.
-type Loss interface {
-	// Value returns the mean loss over the batch.
-	Value(pred, target *tensor.Tensor) float64
-	// Grad returns dLoss/dPred (already divided by batch size).
-	Grad(pred, target *tensor.Tensor) *tensor.Tensor
-}
-
 // MSELoss is the mean squared error ½(p-t)² averaged over the batch. The
 // paper reports evaluation scores as MSE in minutes².
 type MSELoss struct{}

@@ -14,10 +14,6 @@ import (
 	"prestroid/internal/telemetry"
 )
 
-// ErrUnknownModel is returned when a request names a serving identity that
-// is not registered.
-var ErrUnknownModel = errors.New("serve: unknown model")
-
 // ErrRollPending is returned when an operation needs the identity's roll
 // slot but a shadow or canary roll is already staged: a second stage, or a
 // direct reload, which would take the generation the staged engine holds.

@@ -183,8 +183,8 @@ type Server struct {
 // NewServerConfig wires the routes over a registry tuned by cfg, with pred
 // registered as the default model. When cfg.Replicas > 1 and the model
 // supports cloning, each identity's inference is sharded across that many
-// model replicas; otherwise it runs single-shard. Register further
-// identities with AddModel before serving traffic.
+// model replicas; otherwise it runs single-shard. NewMultiServer hosts
+// several identities.
 func NewServerConfig(pred *Predictor, cfg Config) *Server {
 	s, err := NewMultiServer(cfg, NamedPredictor{Name: api.DefaultModel, Pred: pred})
 	if err != nil {
@@ -234,14 +234,6 @@ func NewMultiServer(cfg Config, preds ...NamedPredictor) (*Server, error) {
 	s.handle("/metrics", s.handleMetrics)
 	s.handle("/debug/pprof/", s.handlePprof)
 	return s, nil
-}
-
-// AddModel registers a further named serving identity next to the default
-// one, with its own shard set, generation sequence and roll slot. Call
-// before serving traffic; duplicate names are refused.
-func (s *Server) AddModel(name string, pred *Predictor) error {
-	_, err := s.reg.Add(name, pred)
-	return err
 }
 
 // handle registers a route wrapped with response-class accounting: every

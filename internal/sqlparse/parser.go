@@ -23,7 +23,8 @@ func Parse(src string) (*SelectStmt, error) {
 		return nil, err
 	}
 	if !p.atEOF() {
-		return nil, fmt.Errorf("sqlparse: trailing input at %q", p.peek().Text)
+		t := p.peek()
+		return nil, fmt.Errorf("sqlparse: trailing input %q at %d", t.Text, t.Pos)
 	}
 	return stmt, nil
 }
@@ -133,7 +134,7 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 		}
 		n, err := strconv.Atoi(t.Text)
 		if err != nil {
-			return nil, fmt.Errorf("sqlparse: bad LIMIT %q", t.Text)
+			return nil, fmt.Errorf("sqlparse: bad LIMIT %q at %d", t.Text, t.Pos)
 		}
 		stmt.Limit = n
 	}

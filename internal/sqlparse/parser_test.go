@@ -233,6 +233,19 @@ func TestParseErrors(t *testing.T) {
 			t.Fatalf("Parse(%q) succeeded, want error", src)
 		}
 	}
+	// Every parser error names the byte offset of the token it stopped at.
+	for _, c := range []struct {
+		src, want string
+	}{
+		{"SELECT a FROM t x )", `trailing input ")" at 18`},
+		{"SELECT a FROM t LIMIT 1.5", `bad LIMIT "1.5" at 22`},
+		{"SELECT a FROM t LIMIT 99999999999999999999", `bad LIMIT "99999999999999999999" at 22`},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Parse(%q) error = %v, want it to contain %q", c.src, err, c.want)
+		}
+	}
 }
 
 func TestExprStringRoundTripTokens(t *testing.T) {

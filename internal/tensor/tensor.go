@@ -116,11 +116,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: t.Data}
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 {
-	return t.Data[t.offset(idx)]
-}
-
 // Set writes the element at the given multi-index.
 func (t *Tensor) Set(v float64, idx ...int) {
 	t.Data[t.offset(idx)] = v
@@ -189,44 +184,11 @@ func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
 	return t
 }
 
-// MulInPlace multiplies t by o element-wise (Hadamard product).
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
-	if t.Size() != o.Size() {
-		panic(fmt.Sprintf("tensor: mul size mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	for i := range t.Data {
-		t.Data[i] *= o.Data[i]
-	}
-	return t
-}
-
-// ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float64) *Tensor {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-	return t
-}
-
-// AxpyInPlace performs t += alpha*o.
-func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) *Tensor {
-	if t.Size() != o.Size() {
-		panic(fmt.Sprintf("tensor: axpy size mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	for i := range t.Data {
-		t.Data[i] += alpha * o.Data[i]
-	}
-	return t
-}
-
 // Add returns t + o as a new tensor.
 func Add(t, o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
 
 // Sub returns t - o as a new tensor.
 func Sub(t, o *Tensor) *Tensor { return t.Clone().SubInPlace(o) }
-
-// Mul returns the element-wise product as a new tensor.
-func Mul(t, o *Tensor) *Tensor { return t.Clone().MulInPlace(o) }
 
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {

@@ -91,15 +91,6 @@ func (c *Catalog) ExistingAt(day int) []Table {
 	return out
 }
 
-// TableNames lists every table name in the catalog.
-func (c *Catalog) TableNames() []string {
-	names := make([]string, len(c.Tables))
-	for i, t := range c.Tables {
-		names[i] = t.Name
-	}
-	return names
-}
-
 // pickTable samples a table existing at day with recency bias: newer tables
 // are queried more, as freshly landed datasets attract analyst attention.
 func (c *Catalog) pickTable(day int, rng *tensor.RNG) Table {

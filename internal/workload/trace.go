@@ -61,27 +61,3 @@ func (n Normalizer) Normalize(cpuMinutes float64) float64 {
 func (n Normalizer) Denormalize(y float64) float64 {
 	return math.Exp(n.LogMin + y*(n.LogMax-n.LogMin))
 }
-
-// FitNormalizerBy fits the log/min-max transform over an arbitrary positive
-// label (peak memory, input bytes) instead of CPU minutes, enabling the
-// multi-objective extension the paper leaves to future work.
-func FitNormalizerBy(traces []*Trace, label func(*Trace) float64) Normalizer {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, t := range traces {
-		v := label(t)
-		if v <= 0 {
-			continue
-		}
-		l := math.Log(v)
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	if !(hi > lo) {
-		lo, hi = 0, 1
-	}
-	return Normalizer{LogMin: lo, LogMax: hi}
-}
