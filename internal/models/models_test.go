@@ -1,6 +1,8 @@
 package models
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -315,5 +317,52 @@ func TestPrestroidEvictThenPredictIdentical(t *testing.T) {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("prediction %d changed after eviction: %v vs %v", i, got.Data[i], want.Data[i])
 		}
+	}
+}
+
+// NewPrestroid refuses a node limit Algorithm 1 cannot sample at any conv
+// depth, naming it, rather than leaving the failure to the first encode —
+// which may run on a helper goroutine no recover reaches.
+func TestNewPrestroidRejectsUnsampleableN(t *testing.T) {
+	b := bed(t)
+	cfg := DefaultPrestroidConfig(3, 5)
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("NewPrestroid accepted N=3 for Algorithm 1")
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, "N=3") {
+				t.Fatalf("panic %q does not name N", msg)
+			}
+		}()
+		NewPrestroid(cfg, b.pipe)
+	}()
+	// The naive samplers and the full-tree model do not run Algorithm 1.
+	for _, c := range []PrestroidConfig{
+		func() PrestroidConfig { c := cfg; c.Sampling = SamplingNaiveBFS; return c }(),
+		DefaultPrestroidConfig(3, 0),
+	} {
+		NewPrestroid(c, b.pipe).Prepare(b.split.Test[:4])
+	}
+}
+
+// Prepare encodes its uncached traces in parallel; the trees it caches must
+// not depend on how many workers did the encoding.
+func TestPrepareIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	b := bed(t)
+	traces := append(append([]*workload.Trace(nil), b.split.Train[:48]...), b.split.Test[:16]...)
+	var ms [2]*Prestroid
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ms[i] = NewPrestroid(DefaultPrestroidConfig(15, 5), b.pipe)
+		ms[i].Prepare(traces)
+	}
+	for _, tr := range traces {
+		if len(ms[0].cache[tr]) == 0 {
+			t.Fatalf("%q: no trees at GOMAXPROCS=1", tr.SQL)
+		}
+		assertTreesIdentical(t, "GOMAXPROCS=4 vs 1", ms[1].cache[tr], ms[0].cache[tr])
 	}
 }

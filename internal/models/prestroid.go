@@ -120,7 +120,10 @@ type updateTask struct {
 // workers out, and large enough to be worth a hand-off.
 const headChunk = 4096
 
-// NewPrestroid builds the model over a shared pipeline.
+// NewPrestroid builds the model over a shared pipeline. It panics when the
+// configuration selects Algorithm 1 with a node limit N no conv depth can
+// satisfy (N must exceed 2^(C+1)-1 for C >= 1, so N >= 4): encodings are
+// made on helper goroutines, where a failure could not be recovered.
 func NewPrestroid(cfg PrestroidConfig, pipe *Pipeline) *Prestroid {
 	rng := tensor.NewRNG(cfg.Seed)
 	featDim := pipe.Enc.FeatureDim()
@@ -161,6 +164,11 @@ func NewPrestroid(cfg PrestroidConfig, pipe *Pipeline) *Prestroid {
 		params = append(params, l.Params()...)
 	}
 	m.slab = nn.NewSlab(params)
+	if cfg.K > 0 && cfg.Sampling == SamplingAlgorithm1 {
+		if err := m.samplingConfig().Validate(); err != nil {
+			panic(fmt.Sprintf("models: Prestroid N=%d cannot be sampled by Algorithm 1: %v", cfg.N, err))
+		}
+	}
 	return m
 }
 
@@ -187,13 +195,32 @@ func maxSamplingC(n int) int {
 	return c
 }
 
-// Prepare recasts, samples and flattens each trace's plan once.
+// samplingConfig is Algorithm 1's configuration for the model: the node
+// limit N, and C the conv depth capped at the legal maximum for N.
+func (m *Prestroid) samplingConfig() subtree.Config {
+	return subtree.Config{N: m.cfg.N, C: min(len(m.cfg.ConvWidths), maxSamplingC(m.cfg.N))}
+}
+
+// Prepare recasts, samples and flattens each trace's plan once. The traces
+// not yet cached are encoded in parallel through tensor.Each (encodePlan
+// reads only immutable state) and adopted serially in input order, so the
+// cache ends the same at any core count.
 func (m *Prestroid) Prepare(traces []*workload.Trace) {
+	var todo []*workload.Trace
 	for _, tr := range traces {
-		if _, ok := m.cache[tr]; ok {
-			continue
+		if _, ok := m.cache[tr]; !ok {
+			todo = append(todo, tr)
 		}
-		m.adopt(tr, m.encodePlan(tr.Plan))
+	}
+	if len(todo) == 0 {
+		// No closure on the all-cached path: Each's work func escapes to its
+		// helpers, and steady PredictInto allocates nothing.
+		return
+	}
+	encs := make([][]*treecnn.Tree, len(todo))
+	tensor.Each(len(todo), func(i, _ int) { encs[i] = m.encodePlan(todo[i].Plan) })
+	for i, tr := range todo {
+		m.adopt(tr, encs[i])
 	}
 }
 
@@ -215,13 +242,10 @@ func (m *Prestroid) encodePlan(plan *logicalplan.Node) []*treecnn.Tree {
 	case SamplingNaiveDFS:
 		samples = subtree.NaiveChunks(root, m.cfg.N, m.cfg.K, true)
 	default:
-		c := len(m.cfg.ConvWidths)
-		if max := maxSamplingC(m.cfg.N); c > max {
-			c = max
-		}
 		var err error
-		samples, err = subtree.Sample(root, subtree.Config{N: m.cfg.N, C: c})
+		samples, err = subtree.Sample(root, m.samplingConfig())
 		if err != nil {
+			// Unreachable: NewPrestroid validated the configuration.
 			panic(fmt.Sprintf("models: %v", err))
 		}
 		samples = subtree.Select(samples, m.cfg.K)

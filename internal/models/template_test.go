@@ -54,6 +54,11 @@ func assertTreesIdentical(t *testing.T, label string, got, want []*treecnn.Tree)
 				t.Fatalf("%s: tree %d vote %d = %v, want %v", label, i, j, g.Votes[j], w.Votes[j])
 			}
 		}
+		// What the loops above do not reach: bit patterns (±0) and the
+		// non-zero index.
+		if !g.Identical(w) {
+			t.Fatalf("%s: tree %d is not bit-identical (feature bits or non-zero index)", label, i)
+		}
 	}
 }
 

@@ -63,10 +63,15 @@ func (e *Encoder) predOffset() int { return len(e.OpIndex) }
 // tblOffset is where the table block starts.
 func (e *Encoder) tblOffset() int { return len(e.OpIndex) + e.Pf }
 
-// QueryContext caches the per-query fallback vectors of the paper's
+// QueryContext holds the per-query fallback vectors of the paper's
 // out-of-vocabulary hierarchy: (1) mean of the query's encodable PRED nodes,
-// (2) mean of all tokens in the query, (3) the global vocabulary mean.
+// (2) mean of all tokens in the query, (3) the global vocabulary mean. They
+// are computed from the query's tree the first time a clause falls back, so
+// a query whose every clause is in vocabulary never pays for them. A
+// QueryContext belongs to the one goroutine encoding its query.
 type QueryContext struct {
+	root        *Node
+	ready       bool // the fields below are filled in
 	predMean    []float64
 	hasPredMean bool
 	tokenMean   []float64
@@ -74,12 +79,16 @@ type QueryContext struct {
 	globalMean  []float64
 }
 
-// NewQueryContext precomputes the fallback chain for one recast query tree.
+// NewQueryContext returns the fallback chain for one recast query tree.
 func (e *Encoder) NewQueryContext(root *Node) *QueryContext {
-	ctx := &QueryContext{globalMean: e.W2V.GlobalMean()}
+	return &QueryContext{root: root}
+}
+
+// fill computes ctx's PRED and token means over its query's tree.
+func (e *Encoder) fill(ctx *QueryContext) {
 	var allTokens []string
 	var encodable [][]float64
-	root.Walk(func(n *Node) {
+	ctx.root.Walk(func(n *Node) {
 		if n.Type != NodePred || n.Pred == nil {
 			return
 		}
@@ -97,7 +106,10 @@ func (e *Encoder) NewQueryContext(root *Node) *QueryContext {
 		ctx.tokenMean = v
 		ctx.hasTokMean = true
 	}
-	return ctx
+	if !ctx.hasPredMean && !ctx.hasTokMean {
+		ctx.globalMean = e.W2V.GlobalMean()
+	}
+	ctx.ready = true
 }
 
 func meanOf(vs [][]float64, dim int) []float64 {
@@ -123,25 +135,33 @@ func (e *Encoder) NodeFeature(n *Node, ctx *QueryContext) []float64 {
 
 // NodeFeatureInto encodes one O-T-P node straight into dst, which must be
 // FeatureDim() wide and zero on entry (a fresh tensor row is): only the
-// node's non-zero entries are written.
-func (e *Encoder) NodeFeatureInto(dst []float64, n *Node, ctx *QueryContext) {
+// node's non-zero entries are written, all of them inside the returned span
+// [lo, hi) — one column for an OPR or TBL node, the predicate block for a
+// PRED node, empty for ∅ — so a caller can index the row from the span alone.
+func (e *Encoder) NodeFeatureInto(dst []float64, n *Node, ctx *QueryContext) (lo, hi int) {
 	if n == nil {
-		return
+		return 0, 0
 	}
 	switch n.Type {
 	case NodeOpr:
 		if i, ok := e.OpIndex[n.Op]; ok {
 			dst[i] = 1
+			return i, i + 1
 		}
 	case NodeTbl:
 		idx := 0 // unknown slot
 		if i, ok := e.TableIndex[n.Table]; ok {
 			idx = i
 		}
-		dst[e.tblOffset()+idx] = 1
+		i := e.tblOffset() + idx
+		dst[i] = 1
+		return i, i + 1
 	case NodePred:
-		e.encodePredInto(dst[e.predOffset():e.predOffset()+e.Pf], n, ctx)
+		off := e.predOffset()
+		lo, hi := e.encodePredInto(dst[off:off+e.Pf], n, ctx)
+		return off + lo, off + hi
 	}
+	return 0, 0
 }
 
 // EncodePred encodes a PRED node via the conjunction tree with MIN pooling
@@ -153,16 +173,18 @@ func (e *Encoder) EncodePred(n *Node, ctx *QueryContext) []float64 {
 	return out
 }
 
-// encodePredInto writes the PRED encoding into dst (Pf wide, zero on entry).
-func (e *Encoder) encodePredInto(dst []float64, n *Node, ctx *QueryContext) {
+// encodePredInto writes the PRED encoding into dst (Pf wide, zero on entry)
+// and returns the span of dst it wrote.
+func (e *Encoder) encodePredInto(dst []float64, n *Node, ctx *QueryContext) (lo, hi int) {
 	if n.Pred == nil {
-		return
+		return 0, 0
 	}
 	if e.HashedPredicates {
-		dst[int(hashString(sqlparse.ExprString(n.Pred))%uint64(e.Pf))] = 1
-		return
+		i := int(hashString(sqlparse.ExprString(n.Pred)) % uint64(e.Pf))
+		dst[i] = 1
+		return i, i + 1
 	}
-	copy(dst, e.encodeConj(BuildConjTree(n.Pred), ctx))
+	return 0, copy(dst, e.encodeConj(BuildConjTree(n.Pred), ctx))
 }
 
 func hashString(s string) uint64 {
@@ -241,9 +263,13 @@ func pool(vecs [][]float64, conj string, dim int) []float64 {
 // fallback walks the §4.2 hierarchy: per-query PRED mean → per-query token
 // mean → global vocabulary mean.
 func (e *Encoder) fallback(ctx *QueryContext) []float64 {
-	switch {
-	case ctx == nil:
+	if ctx == nil {
 		return e.W2V.GlobalMean()
+	}
+	if !ctx.ready {
+		e.fill(ctx)
+	}
+	switch {
 	case ctx.hasPredMean:
 		return ctx.predMean
 	case ctx.hasTokMean:

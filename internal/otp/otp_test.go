@@ -1,6 +1,7 @@
 package otp
 
 import (
+	"math"
 	"testing"
 
 	"prestroid/internal/logicalplan"
@@ -279,6 +280,45 @@ func TestOOVFallbackHierarchy(t *testing.T) {
 	for i := range v2 {
 		if v2[i] != g[i] {
 			t.Fatal("nil-context fallback must be the global mean")
+		}
+	}
+}
+
+// The fallback chain is built from the whole query's tree on first use: an
+// out-of-vocabulary clause takes the mean of the strict encodings of every
+// PRED node in the query, and when none has one, the global mean.
+func TestQueryContextFallbackIsTheWholeQuery(t *testing.T) {
+	enc, _ := newTestEncoder(t)
+	pred := func(where string) *Node {
+		stmt, err := sqlparse.Parse("SELECT * FROM t WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Node{Type: NodePred, Pred: stmt.Where}
+	}
+	oov := pred("zzz_unknown_col IS NULL")
+	known := []*Node{pred("amount > 10 AND fee < 5"), pred("latitude < 3 OR longitude > 1")}
+	var direct [][]float64
+	for _, n := range known {
+		v, ok := enc.encodePredDirect(n)
+		if !ok {
+			t.Fatal("in-vocabulary predicate has no strict encoding")
+		}
+		direct = append(direct, v)
+	}
+	for _, tc := range []struct {
+		name string
+		root *Node
+		want []float64
+	}{
+		{"pred-mean", &Node{Type: NodeOpr, Left: known[0], Right: &Node{Type: NodeOpr, Left: oov, Right: known[1]}}, meanOf(direct, enc.Pf)},
+		{"global-mean", &Node{Type: NodeOpr, Left: pred("zzz_a IS NULL"), Right: oov}, enc.W2V.GlobalMean()},
+	} {
+		got := enc.EncodePred(oov, enc.NewQueryContext(tc.root))
+		for i := range tc.want {
+			if math.Float64bits(got[i]) != math.Float64bits(tc.want[i]) {
+				t.Fatalf("%s: fallback[%d] = %v, want %v", tc.name, i, got[i], tc.want[i])
+			}
 		}
 	}
 }

@@ -82,33 +82,14 @@ func bfsToDepth(root *otp.Node, limit int) []*otp.Node {
 	return out
 }
 
-// nodesAtDepth returns the frontier nodes exactly at the given depth.
-func nodesAtDepth(root *otp.Node, depth int) []*otp.Node {
-	if root == nil {
-		return nil
-	}
-	cur := []*otp.Node{root}
-	for d := 0; d < depth; d++ {
-		var next []*otp.Node
-		for _, n := range cur {
-			if n.Left != nil {
-				next = append(next, n.Left)
-			}
-			if n.Right != nil {
-				next = append(next, n.Right)
-			}
-		}
-		cur = next
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
-}
-
 // Sample runs Algorithm 1 over the O-T-P tree rooted at root and returns
 // every sub-tree in discovery (BFS) order together with its votes. Callers
 // keep the first K sub-trees as the query's representative features.
+//
+// Each sub-tree root is walked once, a BFS level at a time: the nodes of
+// depth <= d are a prefix of the nodes of depth <= d+1 in BFS order, so one
+// growing walk yields every candidate set, the vote-eligible prefix and the
+// frontier the next sub-trees start from.
 func Sample(root *otp.Node, cfg Config) ([]SubTree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -116,7 +97,16 @@ func Sample(root *otp.Node, cfg Config) ([]SubTree, error) {
 	if root == nil {
 		return nil, nil
 	}
-	var samples []SubTree
+	var (
+		samples []SubTree
+		// bfs is the walk under the current sub-tree root in BFS order;
+		// starts[d] is where its depth-d level begins, so starts[d+1] counts
+		// the nodes of depth <= d. Both are reused from root to root. The
+		// walk stops at the first level that takes it past N nodes, and a
+		// level at most doubles the one before it, so it never exceeds 3N.
+		bfs    = make([]*otp.Node, 0, 3*cfg.N)
+		starts []int
+	)
 	queue := []*otp.Node{root}
 	// Guard against re-enqueueing a node already used as a sub-tree root
 	// (cannot happen in a tree, but cheap insurance against cycles in
@@ -132,49 +122,53 @@ func Sample(root *otp.Node, cfg Config) ([]SubTree, error) {
 
 		// Grow the candidate set one depth at a time until the node limit
 		// is exceeded or no new children appear (complete sub-tree).
-		var prior []*otp.Node
-		candidates := []*otp.Node{node}
+		bfs = append(bfs[:0], node)
+		starts = append(starts[:0], 0, 1)
 		depth := 0
 		complete := false
-		for len(candidates) <= cfg.N {
-			prior = candidates
+		for starts[depth+1] <= cfg.N {
 			depth++
-			candidates = bfsToDepth(node, depth)
-			if len(candidates) == len(prior) {
+			for _, x := range bfs[starts[depth-1]:starts[depth]] {
+				if x.Left != nil {
+					bfs = append(bfs, x.Left)
+				}
+				if x.Right != nil {
+					bfs = append(bfs, x.Right)
+				}
+			}
+			starts = append(starts, len(bfs))
+			if starts[depth+1] == starts[depth] {
 				complete = true
 				break
 			}
 		}
-		sub := prior
-		subDepth := depth - 1
-
-		st := SubTree{Root: node, Nodes: sub, Depth: subDepth}
+		// The sub-tree is every node above the level that overflowed (or
+		// the whole, complete walk), copied out of the reused walk.
+		n := starts[depth]
+		st := SubTree{
+			Root:  node,
+			Nodes: make([]*otp.Node, n),
+			Votes: make([]float64, n),
+			Depth: depth - 1,
+		}
+		copy(st.Nodes, bfs)
 		if complete {
 			// Every node has full information: all votes 1.
-			st.Votes = make([]float64, len(sub))
 			for i := range st.Votes {
 				st.Votes[i] = 1
 			}
-			st.Depth = subDepth
 		} else {
 			// Nodes down to depth-C-1 have their full C-level cone inside
 			// the sub-tree; deeper nodes are boundary nodes with vote 0.
-			eligibleDepth := depth - cfg.C - 1
-			eligible := 0
-			if eligibleDepth >= 0 {
-				eligible = len(bfsToDepth(node, eligibleDepth))
-			}
-			st.Votes = make([]float64, len(sub))
-			for i := 0; i < eligible && i < len(sub); i++ {
-				st.Votes[i] = 1
+			if eligibleDepth := depth - cfg.C - 1; eligibleDepth >= 0 {
+				for i := range st.Votes[:starts[eligibleDepth+1]] {
+					st.Votes[i] = 1
+				}
 			}
 			// Continue sampling from the frontier at depth-C, giving the
 			// next sub-trees a C-level overlap with this one.
-			contDepth := depth - cfg.C
-			if contDepth < 1 {
-				contDepth = 1
-			}
-			queue = append(queue, nodesAtDepth(node, contDepth)...)
+			contDepth := max(depth-cfg.C, 1)
+			queue = append(queue, bfs[starts[contDepth]:starts[contDepth+1]]...)
 		}
 		samples = append(samples, st)
 	}

@@ -7,6 +7,7 @@ package treecnn
 
 import (
 	"math"
+	"slices"
 
 	"prestroid/internal/otp"
 	"prestroid/internal/subtree"
@@ -52,6 +53,19 @@ func (t *Tree) Bytes() int {
 	return t.Feats.Bytes() + 8*(len(t.Left)+len(t.Right)+len(t.Votes)) + 4*len(t.nz)
 }
 
+// Identical reports whether t and u are the same convolution input bit for
+// bit: feature rows, child structure, votes, non-zero index and hash.
+func (t *Tree) Identical(u *Tree) bool {
+	return slices.Equal(t.Feats.Shape, u.Feats.Shape) && sameBits(t.Feats.Data, u.Feats.Data) &&
+		slices.Equal(t.Left, u.Left) && slices.Equal(t.Right, u.Right) && sameBits(t.Votes, u.Votes) &&
+		slices.Equal(t.nz, u.nz) && t.Hash == u.Hash
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // rowIndex is the sparsity pattern of an n-row feature tensor in CSR form,
 // in one slice: ix[0..n] are offsets into ix itself, and the columns of row
 // i's non-zero entries (NaN counts as non-zero, ±0 do not), ascending, are
@@ -67,11 +81,13 @@ func newRowIndex(buf []int32, n int) rowIndex {
 
 func (ix rowIndex) row(i int) []int32 { return ix[ix[i]:ix[i+1]] }
 
-// appendRow lists row's non-zero columns as row i; rows go in order.
-func (ix rowIndex) appendRow(i int, row []float64) rowIndex {
-	for c, f := range row {
+// appendSpan lists the non-zero columns of row[lo:hi] as row i, for a row
+// known to be zero outside that span (the whole row when that is not
+// known); rows go in order.
+func (ix rowIndex) appendSpan(i int, row []float64, lo, hi int) rowIndex {
+	for c, f := range row[lo:hi] {
 		if f != 0 {
-			ix = append(ix, int32(c))
+			ix = append(ix, int32(lo+c))
 		}
 	}
 	ix[i+1] = int32(len(ix))
@@ -84,7 +100,8 @@ func indexRows(x *tensor.Tensor, buf []int32) rowIndex {
 	n := x.Shape[0]
 	ix := newRowIndex(buf, n)
 	for i := 0; i < n; i++ {
-		ix = ix.appendRow(i, x.Row(i))
+		row := x.Row(i)
+		ix = ix.appendSpan(i, row, 0, len(row))
 	}
 	return ix
 }
@@ -190,9 +207,10 @@ func rootHash(n int, hs []uint64) uint64 {
 
 // flatten is the single tree builder behind FlattenSubTree and FlattenFull:
 // it encodes each node's features straight into its tensor row and indexes
-// the row in the same pass, resolves child pointers to indices (-1 when the
-// child is absent or outside the node slice), installs the vote mask (nil
-// votes = every node votes) and hashes the result.
+// only the span of the row the encoder wrote (the rest of a fresh row is
+// zero), resolves child pointers to indices (-1 when the child is absent or
+// outside the node slice), installs the vote mask (nil votes = every node
+// votes) and hashes the result.
 func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.QueryContext) *Tree {
 	n := len(nodes)
 	index := make(map[*otp.Node]int, n)
@@ -222,8 +240,8 @@ func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.Quer
 	}
 	for i, node := range nodes {
 		row := tree.Feats.Row(i)
-		enc.NodeFeatureInto(row, node, ctx)
-		ix = ix.appendRow(i, row)
+		lo, hi := enc.NodeFeatureInto(row, node, ctx)
+		ix = ix.appendSpan(i, row, lo, hi)
 		tree.Left[i] = childIndex(index, node.Left)
 		tree.Right[i] = childIndex(index, node.Right)
 	}
