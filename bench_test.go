@@ -233,22 +233,23 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkWord2VecTrain measures predicate-embedding training on a small
-// corpus.
+// BenchmarkWord2VecTrain measures predicate-embedding training on the corpus
+// the benchmark's train_epoch job fits: the predicate tokens of a 640-query
+// Grab split's training set (512 queries), at that job's pipeline settings
+// (models.DefaultPipelineConfig(16) with MinCount 2).
 func BenchmarkWord2VecTrain(b *testing.B) {
-	corpus := make([][]string, 200)
-	words := []string{"longitude", "latitude", "amount", "fee", ">", "<", "=", "between"}
-	rng := tensor.NewRNG(3)
-	for i := range corpus {
-		s := make([]string, 8)
-		for j := range s {
-			s[j] = words[rng.Intn(len(words))]
-		}
-		corpus[i] = s
+	gcfg := workload.DefaultGrabConfig()
+	gcfg.Queries = 640
+	split := dataset.SplitRandom(workload.NewGrabGenerator(gcfg).Generate(), 1)
+	plans := make([]*logicalplan.Node, len(split.Train))
+	for i, tr := range split.Train {
+		plans[i] = tr.Plan
 	}
-	cfg := word2vec.DefaultConfig(32)
-	cfg.MinCount = 1
-	cfg.Epochs = 1
+	corpus := otp.Corpus(plans)
+	pcfg := models.DefaultPipelineConfig(16)
+	pcfg.MinCount = 2
+	cfg := word2vec.DefaultConfig(pcfg.Pf)
+	cfg.MinCount, cfg.Epochs, cfg.Seed = pcfg.MinCount, pcfg.Epochs, pcfg.Seed
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		word2vec.Train(corpus, cfg)

@@ -44,7 +44,7 @@ type Model struct {
 	freq  []int
 	in    *tensor.Tensor // input vectors (vocab, dim) — the embeddings
 	out   *tensor.Tensor // output vectors (vocab, dim)
-	table []int          // unigram^0.75 negative-sampling table
+	table []int32        // unigram^0.75 negative-sampling table
 }
 
 // Train builds a vocabulary from the corpus (dropping tokens rarer than
@@ -98,6 +98,7 @@ func Train(corpus [][]string, cfg Config) *Model {
 	steps := 0
 	maxSteps := cfg.Epochs * total
 	grad := make([]float64, cfg.Dim)
+	targets := make([]int, 0, cfg.NegSamples+1)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, ids := range encoded {
 			for center := range ids {
@@ -113,7 +114,7 @@ func Train(corpus [][]string, cfg Config) *Model {
 					if off == 0 || ctx < 0 || ctx >= len(ids) {
 						continue
 					}
-					m.trainPair(ids[center], ids[ctx], lr, cfg.NegSamples, rng, grad)
+					m.trainPair(ids[center], ids[ctx], lr, cfg.NegSamples, rng, grad, targets)
 				}
 			}
 		}
@@ -122,35 +123,105 @@ func Train(corpus [][]string, cfg Config) *Model {
 }
 
 // trainPair applies one positive update and NegSamples negative updates for
-// (center, context) under the SGNS objective.
-func (m *Model) trainPair(center, context int, lr float64, neg int, rng *tensor.RNG, grad []float64) {
-	vin := m.in.Row(center)
-	for i := range grad {
-		grad[i] = 0
-	}
-	for s := 0; s <= neg; s++ {
-		var target int
-		var label float64
-		if s == 0 {
-			target, label = context, 1
-		} else {
-			target = m.table[rng.Intn(len(m.table))]
-			if target == context {
-				continue
-			}
-			label = 0
+// (center, context) under the SGNS objective, with the bits of updating one
+// target at a time. vin is written only at the end, so a target's dot product
+// depends on an earlier target of the pair only when both are the same row
+// of out. trainPair therefore draws every negative first (the same Intn calls
+// in the same order) and walks the targets in groups of distinct rows: four
+// when the next four are distinct, else two, else one. A group's dot products
+// are taken in one pass over vin and its sigmoids back to back, then its rows
+// are updated in order. A repeated row starts a new group, so its dot product
+// sees the earlier copy's update. targets is scratch of capacity neg+1.
+func (m *Model) trainPair(center, context int, lr float64, neg int, rng *tensor.RNG, grad []float64, targets []int) {
+	targets = append(targets[:0], context)
+	for s := 0; s < neg; s++ {
+		if t := int(m.table[rng.Intn(len(m.table))]); t != context {
+			targets = append(targets, t)
 		}
-		vout := m.out.Row(target)
-		dot := tensor.Dot(vin, vout)
-		pred := 1 / (1 + math.Exp(-dot))
-		g := lr * (label - pred)
-		for i := range grad {
-			grad[i] += g * vout[i]
-			vout[i] += g * vin[i]
+	}
+	vin := m.in.Row(center)
+	clear(grad)
+	label := 1.0 // the context's; every negative's is 0
+	for lo := 0; lo < len(targets); {
+		switch n := distinctPrefix(targets[lo:]); {
+		case n == 4:
+			r0, r1, r2, r3 := m.out.Row(targets[lo]), m.out.Row(targets[lo+1]), m.out.Row(targets[lo+2]), m.out.Row(targets[lo+3])
+			d0, d1, d2, d3 := dot4(vin, r0, r1, r2, r3)
+			g0 := lr * (label - 1/(1+math.Exp(-d0)))
+			label = 0
+			g1 := lr * (label - 1/(1+math.Exp(-d1)))
+			g2 := lr * (label - 1/(1+math.Exp(-d2)))
+			g3 := lr * (label - 1/(1+math.Exp(-d3)))
+			step(grad, vin, r0, g0)
+			step(grad, vin, r1, g1)
+			step(grad, vin, r2, g2)
+			step(grad, vin, r3, g3)
+			lo += 4
+		case n >= 2:
+			r0, r1 := m.out.Row(targets[lo]), m.out.Row(targets[lo+1])
+			d0, d1 := dot2(vin, r0, r1)
+			g0 := lr * (label - 1/(1+math.Exp(-d0)))
+			label = 0
+			g1 := lr * (label - 1/(1+math.Exp(-d1)))
+			step(grad, vin, r0, g0)
+			step(grad, vin, r1, g1)
+			lo += 2
+		default:
+			row := m.out.Row(targets[lo])
+			g := lr * (label - 1/(1+math.Exp(-tensor.Dot(vin, row))))
+			label = 0
+			step(grad, vin, row, g)
+			lo++
 		}
 	}
 	for i := range vin {
 		vin[i] += grad[i]
+	}
+}
+
+// distinctPrefix returns the length, at most four, of the longest prefix of
+// targets (non-empty) in which no row repeats.
+func distinctPrefix(targets []int) int {
+	n := 1
+	for ; n < len(targets) && n < 4; n++ {
+		for _, t := range targets[:n] {
+			if t == targets[n] {
+				return n
+			}
+		}
+	}
+	return n
+}
+
+// dot2 takes two dot products with v in one pass, each summed from 0 in
+// ascending i, as tensor.Dot sums.
+func dot2(v, a, b []float64) (s0, s1 float64) {
+	a, b = a[:len(v)], b[:len(v)]
+	for i, x := range v {
+		s0 += x * a[i]
+		s1 += x * b[i]
+	}
+	return
+}
+
+// dot4 takes four dot products with v in one pass, each summed as dot2's.
+func dot4(v, a, b, c, d []float64) (s0, s1, s2, s3 float64) {
+	a, b, c, d = a[:len(v)], b[:len(v)], c[:len(v)], d[:len(v)]
+	for i, x := range v {
+		s0 += x * a[i]
+		s1 += x * b[i]
+		s2 += x * c[i]
+		s3 += x * d[i]
+	}
+	return
+}
+
+// step adds target row's share g·row to grad, then moves row by g·vin.
+func step(grad, vin, row []float64, g float64) {
+	vin, row = vin[:len(grad)], row[:len(grad)]
+	for i := range grad {
+		grad[i] += g * row[i]
+		row[i] += g * vin[i]
 	}
 }
 
@@ -193,7 +264,7 @@ func buildVocab(corpus [][]string, cfg Config) *Model {
 // plenty for our vocab scale).
 func (m *Model) buildNegTable() {
 	const tableSize = 100000
-	m.table = make([]int, 0, tableSize)
+	m.table = make([]int32, 0, tableSize)
 	powSum := 0.0
 	for _, f := range m.freq {
 		powSum += math.Pow(float64(f), 0.75)
@@ -207,7 +278,7 @@ func (m *Model) buildNegTable() {
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			m.table = append(m.table, id)
+			m.table = append(m.table, int32(id))
 		}
 	}
 }

@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"sort"
 
 	"prestroid/internal/tensor"
 )
@@ -80,15 +81,12 @@ func NewCatalog(initial, days, growthPerDay int, seed uint64) *Catalog {
 	return c
 }
 
-// ExistingAt returns the tables created on or before day.
+// ExistingAt returns the tables created on or before day. NewCatalog adds
+// tables in non-decreasing CreatedDay, so they are a prefix of c.Tables: the
+// result aliases the catalog, clipped so an append cannot write into it.
 func (c *Catalog) ExistingAt(day int) []Table {
-	var out []Table
-	for _, t := range c.Tables {
-		if t.CreatedDay <= day {
-			out = append(out, t)
-		}
-	}
-	return out
+	n := sort.Search(len(c.Tables), func(i int) bool { return c.Tables[i].CreatedDay > day })
+	return c.Tables[:n:n]
 }
 
 // pickTable samples a table existing at day with recency bias: newer tables

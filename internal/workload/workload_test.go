@@ -153,6 +153,36 @@ func TestCatalogGrowth(t *testing.T) {
 	}
 }
 
+// TestExistingAtIsTheFilteredPrefix holds ExistingAt to a filter over the
+// whole catalog on every day around its life, and checks the order it relies
+// on: tables in non-decreasing CreatedDay.
+func TestExistingAtIsTheFilteredPrefix(t *testing.T) {
+	const days = 30
+	c := NewCatalog(100, days, 2, 1)
+	for i := 1; i < len(c.Tables); i++ {
+		if c.Tables[i].CreatedDay < c.Tables[i-1].CreatedDay {
+			t.Fatalf("table %d created day %d after table %d's day %d", i, c.Tables[i].CreatedDay, i-1, c.Tables[i-1].CreatedDay)
+		}
+	}
+	for day := -1; day <= days+1; day++ {
+		var want []Table
+		for _, tbl := range c.Tables {
+			if tbl.CreatedDay <= day {
+				want = append(want, tbl)
+			}
+		}
+		got := c.ExistingAt(day)
+		if len(got) != len(want) || cap(got) != len(got) {
+			t.Fatalf("day %d: len %d cap %d, want len = cap = %d", day, len(got), cap(got), len(want))
+		}
+		for i := range want {
+			if got[i].Name != want[i].Name || got[i].CreatedDay != want[i].CreatedDay {
+				t.Fatalf("day %d: table %d is %s (day %d), want %s (day %d)", day, i, got[i].Name, got[i].CreatedDay, want[i].Name, want[i].CreatedDay)
+			}
+		}
+	}
+}
+
 func TestUnseenTableFractionGrowsWithWindow(t *testing.T) {
 	cfg := DefaultGrabConfig()
 	cfg.Queries = 1500
