@@ -104,14 +104,47 @@ func benchPlan(b *testing.B) *logicalplan.Node {
 	return p
 }
 
-// BenchmarkSQLParse measures lexing+parsing+planning of a 3-way join query.
+// grabSQL returns the SQL of a 600-query Grab workload (mean ~415 bytes),
+// the text the daemon lexes and parses on every template lookup and miss.
+var grabSQL = sync.OnceValue(func() []string {
+	cfg := workload.DefaultGrabConfig()
+	cfg.Queries = 600
+	traces := workload.NewGrabGenerator(cfg).Generate()
+	out := make([]string, len(traces))
+	for i, tr := range traces {
+		out[i] = tr.SQL
+	}
+	return out
+})
+
+// BenchmarkSQLParse measures the front end's text stages per Grab query, one
+// query per op cycling through the workload: Tokenize (the lexer alone),
+// ExtractTemplate (the template-lookup pass), Parse (lex + parse) and
+// PlanSQL (lex + parse + plan).
 func BenchmarkSQLParse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := logicalplan.PlanSQL(`SELECT a.x FROM t1 a JOIN t2 b ON a.id = b.id
-			WHERE a.x > 5 AND b.y IN (1,2,3) ORDER BY a.x LIMIT 10`)
-		if err != nil {
-			b.Fatal(err)
-		}
+	pool := grabSQL()
+	for _, leg := range []struct {
+		name string
+		run  func(string) error
+	}{
+		{"tokenize", func(sql string) error { _, err := sqlparse.Tokenize(sql); return err }},
+		{"extract_template", func(sql string) error {
+			if _, _, ok := sqlparse.ExtractTemplate(sql); !ok {
+				return fmt.Errorf("template extraction failed on %q", sql)
+			}
+			return nil
+		}},
+		{"parse", func(sql string) error { _, err := sqlparse.Parse(sql); return err }},
+		{"plan", func(sql string) error { _, err := logicalplan.PlanSQL(sql); return err }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := leg.run(pool[i%len(pool)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -555,10 +588,17 @@ func BenchmarkFrontEnd(b *testing.B) {
 	if !ok {
 		b.Fatalf("serve predictor wraps %T, want *models.Prestroid", pred.Model)
 	}
+	// The queries are formatted before the timer starts, so ns/op and
+	// allocs/op are the front end's alone.
+	pool := make([]string, 1024)
+	for i := range pool {
+		pool[i] = distinctSQL(int64(i))
+	}
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			plan, err := logicalplan.PlanSQL(distinctSQL(int64(i)))
+			plan, err := logicalplan.PlanSQL(pool[i%len(pool)])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -566,7 +606,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 		}
 	})
 	b.Run("rebind", func(b *testing.B) {
-		stmt, err := sqlparse.Parse(distinctSQL(0))
+		stmt, err := sqlparse.Parse(pool[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -581,7 +621,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, lits, ok := sqlparse.ExtractTemplate(distinctSQL(int64(i)))
+			_, lits, ok := sqlparse.ExtractTemplate(pool[i%len(pool)])
 			if !ok {
 				b.Fatal("template extraction failed")
 			}

@@ -343,7 +343,8 @@ var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // decodeJSONBody decodes a bounded JSON request body into v, mapping an
 // overflow to 413 and any other malformed body to 400. The body is read
 // through a pooled buffer and unmarshalled in place — no per-request decoder
-// state.
+// state. A predict body of the plain {"sql":"…"} shape skips encoding/json
+// (see plainSQLBody).
 func decodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	buf := bodyBufPool.Get().(*bytes.Buffer)
@@ -361,10 +362,63 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any) 
 		}
 		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 	}
+	if req, ok := v.(*api.PredictRequest); ok {
+		if sql, ok := plainSQLBody(buf.Bytes()); ok {
+			req.SQL = sql
+			return 0, nil
+		}
+	}
 	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 	}
 	return 0, nil
+}
+
+// plainSQLBody reads the predict body nearly every client sends —
+// {"sql":"…"} whose query is printable ASCII with no escapes — as a
+// read-only scan, so the dominant request skips encoding/json's reflection.
+// It accepts exactly
+//
+//	ws "{" ws "\"sql\"" ws ":" ws "\"" { 0x20–0x7F except '"' and '\\' } "\"" ws "}" ws
+//
+// (ws being JSON whitespace), for which json.Unmarshal would set SQL to the
+// same bytes and nothing else. Any other body — a model key, an escape,
+// another or a repeated key, a non-ASCII byte, trailing input — reports
+// false and goes through json.Unmarshal, so every error stays its own.
+func plainSQLBody(body []byte) (string, bool) {
+	i := 0
+	// next skips JSON whitespace, then lit, and reports whether lit was there.
+	next := func(lit string) bool {
+		i = skipJSONSpace(body, i)
+		if len(body)-i < len(lit) || string(body[i:i+len(lit)]) != lit {
+			return false
+		}
+		i += len(lit)
+		return true
+	}
+	if !next(`{`) || !next(`"sql"`) || !next(`:`) || !next(`"`) {
+		return "", false
+	}
+	start := i
+	for ; i < len(body) && body[i] != '"'; i++ {
+		if c := body[i]; c < 0x20 || c > 0x7F || c == '\\' {
+			return "", false
+		}
+	}
+	sql := body[start:i]
+	if !next(`"`) || !next(`}`) || skipJSONSpace(body, i) != len(body) {
+		return "", false
+	}
+	return string(sql), true
+}
+
+// skipJSONSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipJSONSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // codeForStatus maps a transport-level failure status to its envelope code —

@@ -1,5 +1,55 @@
 package sqlparse
 
+// The grammar Parse accepts, in EBNF. Quoted words are keyword tokens, which
+// the lexer matches in any case; quoted symbols are punctuation and
+// operator tokens.
+//
+//	select    = "SELECT" [ "DISTINCT" ] item { "," item }
+//	            "FROM" from
+//	            [ "WHERE" or ]
+//	            [ "GROUP" "BY" column { "," column } ]
+//	            [ "HAVING" or ]
+//	            [ "ORDER" "BY" column [ "DESC" | "ASC" ] { "," column [ "DESC" | "ASC" ] } ]
+//	            [ "LIMIT" number ]
+//	            [ "UNION" "ALL" select ] .
+//	item      = "*" | ( aggregate | column ) [ alias ] .
+//	aggregate = ( "COUNT" | "SUM" | "AVG" | "MIN" | "MAX" ) "(" ( "*" | column ) ")" .
+//	alias     = "AS" [ ident ] | ident .
+//	from      = chain { "," chain } .
+//	chain     = primary { join primary "ON" or | "CROSS" "JOIN" primary } .
+//	join      = "JOIN" | "INNER" "JOIN" | ( "LEFT" | "RIGHT" | "FULL" ) [ "OUTER" ] "JOIN" .
+//	primary   = ( "(" select ")" | ident ) [ alias ] .
+//	or        = and { "OR" and } .
+//	and       = unary { "AND" unary } .
+//	unary     = "NOT" unary | "(" or ")" | predicate .
+//	predicate = column ( [ "NOT" ] ( "IN" "(" literal { "," literal } ")"
+//	                               | "BETWEEN" literal "AND" literal
+//	                               | "LIKE" string
+//	                               | "IS" [ "NOT" ] "NULL" )
+//	                   | op ( column | literal ) ) .
+//	column    = ident [ "." ident ] .
+//	literal   = number | string | "-" number .
+//	op        = "<" | ">" | "=" | "!" | "+" | "-" | "/" | "%" | "<=" | ">=" | "<>" | "!=" .
+//
+// Tokens (lexer.go), between which blanks, tabs, newlines and "--" line
+// comments are skipped:
+//
+//	ident     = identStart { identStart | digit } .  (not a keyword; identStart
+//	                                                 is '_' or a letter, each
+//	                                                 byte read as Latin-1)
+//	number    = digit { digit } [ "." digit { digit } ] .
+//	string    = "'" { any byte but "'" | "''" } "'" .
+//
+// Errors follow the productions. A token that fails a keyword in the
+// grammar reads `expected "KW", got "text" at pos`; a token that fails a
+// kind — ident, number, string, "(", ")" — reads `expected "", got "text"
+// at pos`, naming nothing, because expect prints its text argument and
+// those call sites pass none. predicate reports its own two errors (NOT not
+// followed by IN/BETWEEN/LIKE, no operator) and literal its one; LIMIT
+// reports a number Atoi rejects, and Parse trailing input. One accepted
+// form is wider than it reads: "column NOT IS NULL" parses, as
+// "column IS NULL" — predicate drops the first NOT.
+
 import (
 	"fmt"
 	"strconv"
