@@ -437,13 +437,13 @@ func serveClients(b *testing.B, predict func(sql string) (serve.Prediction, erro
 	})
 }
 
-// BenchmarkServePredict drives the batched concurrent engine with 16
+// BenchmarkServePredict drives a one-shard batched engine with 16
 // concurrent clients on a repeated-template workload, after checking that it
 // and the serialised Predictor.PredictSQL reference return byte-identical
 // predictions for identical SQL.
 func BenchmarkServePredict(b *testing.B) {
 	pred := servePredictor(b)
-	check := serve.NewEngine(pred, serve.DefaultConfig())
+	check := serve.NewShardedEngine([]*serve.Predictor{pred}, serve.DefaultConfig())
 	for _, sql := range serveTemplates {
 		serial, err := pred.PredictSQL(sql)
 		if err != nil {
@@ -460,7 +460,7 @@ func BenchmarkServePredict(b *testing.B) {
 	check.Close()
 
 	b.Run("coalesced", func(b *testing.B) {
-		eng := serve.NewEngine(pred, serve.DefaultConfig())
+		eng := serve.NewShardedEngine([]*serve.Predictor{pred}, serve.DefaultConfig())
 		defer eng.Close()
 		serveClients(b, eng.PredictSQL)
 	})
@@ -471,7 +471,7 @@ func BenchmarkServePredict(b *testing.B) {
 	b.Run("coalesced-nocache", func(b *testing.B) {
 		cfg := serve.DefaultConfig()
 		cfg.CacheSize = 0
-		eng := serve.NewEngine(pred, cfg)
+		eng := serve.NewShardedEngine([]*serve.Predictor{pred}, cfg)
 		defer eng.Close()
 		serveClients(b, eng.PredictSQL)
 	})

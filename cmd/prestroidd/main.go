@@ -29,10 +29,10 @@
 // snapshot, see the README's observability section), GET /healthz, and the
 // admin endpoints POST /v1/reload and POST /v1/models/{name}/promote|abort
 // (guarded by -reload-token, or loopback-only when unset). /v1/reload
-// hot-swaps a retrained bundle into a model's live replicas without dropping
-// traffic: {"weights": path} rolls new weights into the existing replicas,
-// {"bundle": path} rolls a full bundle — including a pipeline with a
-// different feature-table universe — by swapping in fresh replicas, and
+// hot-swaps a retrained bundle in without dropping traffic, always by
+// swapping in fresh replicas: {"weights": path} rolls new weights under the
+// live pipeline and normaliser, {"bundle": path} rolls a full bundle —
+// including a pipeline with a different feature-table universe — and
 // {"bundle": path, "mode": "shadow"} / {"mode": "canary", "percent": N}
 // stages the bundle next to the live engine instead, to be resolved by the
 // promote/abort actions (see the README Multi-model & deployments section).
@@ -372,9 +372,7 @@ func trainAndSave(paths bundlePaths, queries, tables int) error {
 }
 
 // loadBundlePredictor reconstructs the whole predictor identity from one
-// full bundle: the pipeline decides the model's feature dimension, the
-// weight section is shape-validated against the model built off that
-// pipeline, and the normaliser ships in the bundle instead of being
+// full bundle: the normaliser ships in the bundle instead of being
 // re-derived from the training workload.
 func loadBundlePredictor(path string) (*serve.Predictor, string, error) {
 	f, err := os.Open(path)
@@ -386,11 +384,8 @@ func loadBundlePredictor(path string) (*serve.Predictor, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	m := models.NewPrestroid(modelConfig(), fb.Pipeline())
-	if err := fb.Weights().Apply(m); err != nil {
-		return nil, "", err
-	}
-	return &serve.Predictor{Model: m, Pipe: fb.Pipeline(), Norm: fb.Norm()}, fb.Name(), nil
+	p, err := assemble(fb.Pipeline(), fb.Norm(), fb.Weights())
+	return p, fb.Name(), err
 }
 
 func loadPredictor(pipePath, weightPath string, queries, tables int) (*serve.Predictor, error) {
@@ -403,17 +398,27 @@ func loadPredictor(pipePath, weightPath string, queries, tables int) (*serve.Pre
 	if err != nil {
 		return nil, err
 	}
-	m := models.NewPrestroid(modelConfig(), pipe)
 	wf, err := os.Open(weightPath)
 	if err != nil {
 		return nil, err
 	}
 	defer wf.Close()
-	if err := persist.LoadWeights(wf, m); err != nil {
+	weights, err := persist.DecodeBundle(wf)
+	if err != nil {
 		return nil, err
 	}
 	// Rebuild the normaliser the same deterministic way training did.
-	norm := rebuildNormalizer(queries, tables)
+	return assemble(pipe, rebuildNormalizer(queries, tables), weights)
+}
+
+// assemble builds the serving predictor for one identity: the model is built
+// off the pipeline, which decides its feature dimension, and the weights are
+// shape-validated against it before any is written.
+func assemble(pipe *models.Pipeline, norm workload.Normalizer, weights *persist.Bundle) (*serve.Predictor, error) {
+	m := models.NewPrestroid(modelConfig(), pipe)
+	if err := weights.Apply(m); err != nil {
+		return nil, err
+	}
 	return &serve.Predictor{Model: m, Pipe: pipe, Norm: norm}, nil
 }
 

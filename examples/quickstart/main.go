@@ -66,7 +66,8 @@ func main() {
 	//    deployment path of Fig 1. Concurrent callers are coalesced into
 	//    batched model calls, and repeated templates are answered from the
 	//    canonicalized-SQL cache without touching the model at all.
-	eng := serve.NewEngine(&serve.Predictor{Model: model, Pipe: pipe, Norm: norm}, serve.DefaultConfig())
+	scfg := serve.DefaultConfig()
+	eng := serve.NewShardedEngine(serve.Replicas(&serve.Predictor{Model: model, Pipe: pipe, Norm: norm}, scfg.Replicas), scfg)
 	defer eng.Close()
 	sql := "SELECT a FROM t WHERE a > 5"
 	var wg sync.WaitGroup
@@ -85,7 +86,7 @@ func main() {
 		fmt.Println("predict:", err)
 		return
 	}
-	em := eng.Snapshot()
+	em := eng.Snapshot().Totals()
 	fmt.Printf("\nserving engine: %q -> %.2f CPU minutes (%d plan nodes)\n", sql, p.CPUMinutes, p.PlanNodes)
 	fmt.Printf("  %d queries served in %d model batches, %d cache hits\n",
 		em.Coalesced+em.CacheHits, em.Batches, em.CacheHits)

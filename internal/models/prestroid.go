@@ -567,7 +567,7 @@ func (m *Prestroid) RebuildWithPipeline(pipe *Pipeline) (Model, error) {
 
 // CopyWeightsFrom overwrites the model's trainable parameters and
 // non-trainable layer state with src's, validating tensor count and shapes
-// the same way persist.LoadWeights validates an on-disk bundle. It is the
+// the same way persist.Bundle.Apply validates an on-disk bundle. It is the
 // in-memory half of the weight-shipment story: a bundle loaded once fans out
 // to N replicas via Clone, which copies through this method. Both models'
 // parameters live in one slab each, laid out alike once the shapes match,

@@ -109,9 +109,8 @@ func (fb *FullBundle) Pipeline() *models.Pipeline { return fb.pipe }
 func (fb *FullBundle) Norm() workload.Normalizer { return fb.norm }
 
 // Weights returns the staged weight section, to be validated against (and
-// applied to) a model built off the bundle's own pipeline. (There is
-// deliberately no one-shot LoadFullBundle analogue of LoadWeights: a caller
-// cannot construct the destination model before decoding the bundle, because
-// the bundle's own pipeline decides the model's shapes — every consumer
-// decodes first, builds off Pipeline(), then applies.)
+// applied to) a model built off the bundle's own pipeline: a caller cannot
+// construct the destination model before decoding the bundle, because the
+// bundle's own pipeline decides the model's shapes — every consumer decodes
+// first, builds off Pipeline(), then applies.
 func (fb *FullBundle) Weights() *Bundle { return &fb.weights }

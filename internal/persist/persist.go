@@ -142,14 +142,3 @@ func (bd *Bundle) Apply(m WeightStore) error {
 	}
 	return nil
 }
-
-// LoadWeights reads parameters and layer state from r into the model, which
-// must have been constructed with the same architecture (same parameter
-// order and shapes).
-func LoadWeights(r io.Reader, m WeightStore) error {
-	bd, err := DecodeBundle(r)
-	if err != nil {
-		return err
-	}
-	return bd.Apply(m)
-}

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"prestroid/internal/dataset"
@@ -30,6 +31,16 @@ func newModel(pipe *models.Pipeline, seed uint64) *models.Prestroid {
 	return models.NewPrestroid(cfg, pipe)
 }
 
+// mustDecode decodes a weight bundle the test just wrote.
+func mustDecode(t *testing.T, r io.Reader) *Bundle {
+	t.Helper()
+	bd, err := DecodeBundle(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bd
+}
+
 func TestWeightsRoundTrip(t *testing.T) {
 	split, norm, pipe := fixture(t)
 	src := newModel(pipe, 1)
@@ -47,7 +58,7 @@ func TestWeightsRoundTrip(t *testing.T) {
 	// Different seed → different init; loading must overwrite it fully.
 	dst := newModel(pipe, 99)
 	dst.Prepare(split.Train[:32])
-	if err := LoadWeights(&buf, dst); err != nil {
+	if err := mustDecode(t, &buf).Apply(dst); err != nil {
 		t.Fatal(err)
 	}
 	a := src.Predict(split.Train[:8])
@@ -70,15 +81,13 @@ func TestLoadWeightsShapeMismatch(t *testing.T) {
 	cfg.ConvWidths = []int{16, 16}
 	cfg.DenseWidths = []int{8}
 	other := models.NewPrestroid(cfg, pipe)
-	if err := LoadWeights(&buf, other); err == nil {
+	if err := mustDecode(t, &buf).Apply(other); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }
 
 func TestLoadWeightsGarbage(t *testing.T) {
-	_, _, pipe := fixture(t)
-	m := newModel(pipe, 1)
-	if err := LoadWeights(bytes.NewBufferString("not a gob stream"), m); err == nil {
+	if _, err := DecodeBundle(bytes.NewBufferString("not a gob stream")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
@@ -99,7 +108,7 @@ func TestBundleFansOutToReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := newModel(pipe, 77)
-	if err := LoadWeights(&buf, loaded); err != nil {
+	if err := mustDecode(t, &buf).Apply(loaded); err != nil {
 		t.Fatal(err)
 	}
 	replicas := []models.Model{loaded, loaded.Clone(), loaded.Clone(), loaded.Clone()}
@@ -246,7 +255,7 @@ func TestFullModelShipment(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := newModel(restoredPipe, 42)
-	if err := LoadWeights(&weightBuf, served); err != nil {
+	if err := mustDecode(t, &weightBuf).Apply(served); err != nil {
 		t.Fatal(err)
 	}
 	served.Prepare(split.Test[:4])

@@ -109,7 +109,6 @@ func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64,
 // PredictSQLGenCtx canonicalises the query once, dispatches it to a shard
 // and returns that shard's prediction plus the engine's generation, under a
 // per-request deadline and (when MaxEstWait is set) bounded-wait admission.
-// A nil ctx means no deadline, like context.Background().
 //
 // The generation is a constant of the engine, so the pair is truthful by
 // construction: whatever path answered — a cache segment, a batcher, the
@@ -118,9 +117,6 @@ func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64,
 // caller's pointer discipline (see ModelEntry): a request started after a
 // roll returned reads the successor engine.
 func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	return se.predictKey(ctx, sql, CanonicalSQL(sql))
 }
 

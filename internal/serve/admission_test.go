@@ -88,7 +88,7 @@ func TestShedSurfacesOverloadError(t *testing.T) {
 	se := &ShardedEngine{shards: []*Engine{sh0, sh1}, maxEstWaitMicros: 10_000}
 
 	sql := keyForShard(t, se, 0)
-	_, _, err := se.PredictSQLGenCtx(nil, sql)
+	_, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	var over *OverloadError
 	if !errors.As(err, &over) {
 		t.Fatalf("full overload returned %v, want *OverloadError", err)
@@ -107,7 +107,7 @@ func TestShedSurfacesOverloadError(t *testing.T) {
 	// engines are unstarted, so any path but the home cache would hang.
 	want := Prediction{CPUMinutes: 42, Normalized: 0.5, PlanNodes: 3}
 	sh0.cache.Put(CanonicalSQL(sql), want)
-	got, _, err := se.PredictSQLGenCtx(nil, sql)
+	got, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil || got != want {
 		t.Fatalf("cache hit shed under overload: %+v, %v", got, err)
 	}

@@ -57,8 +57,8 @@ type Config struct {
 	// estimated wait (queue depth × EWMA service time) exceeds it on every
 	// candidate shard is shed instead of enqueued. 0 (the default) = the
 	// bound is infinite: never shed — the one dispatch policy then only
-	// detours around a saturated home shard. Only the sharded dispatcher
-	// consults it; a bare Engine never sheds.
+	// detours around a saturated home shard. The dispatcher's admit is its
+	// one reader, whatever the shard count.
 	MaxEstWait time.Duration
 }
 
@@ -151,16 +151,11 @@ type Engine struct {
 	tel *telemetry.ShardGroup
 }
 
-// NewEngine starts the batcher goroutine over pred, which the engine owns
-// from here on. Callers must Close the engine to release it.
-func NewEngine(pred *Predictor, cfg Config) *Engine {
-	return newEngineAt(pred, cfg, initialGeneration, nil)
-}
-
-// newEngineAt is NewEngine with an explicit generation and counter group:
-// the successor a roll builds is born at its predecessor's generation + 1
-// and, when it replaces the predecessor outright, counts into the same
-// group. A nil tel starts a fresh one.
+// newEngineAt starts the batcher goroutine over pred, which the engine owns
+// from here on, at an explicit generation and counter group: the successor a
+// roll builds is born at its predecessor's generation + 1 and, when it
+// replaces the predecessor outright, counts into the same group. A nil tel
+// starts a fresh one. Callers must Close the engine to release it.
 func newEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGroup) *Engine {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1
@@ -212,22 +207,6 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 	close(e.quit)
 	e.wg.Wait()
-}
-
-// PredictSQL costs one query on a bare engine, which is its own home shard:
-// one look at the prediction cache, the miss path, one deposit. Identical SQL
-// always yields byte-identical predictions: cache hits replay the stored
-// result, and per-row model outputs are independent of batch composition.
-func (e *Engine) PredictSQL(sql string) (Prediction, error) {
-	key := CanonicalSQL(sql)
-	if p, ok := e.cache.Get(key); ok {
-		return p, nil
-	}
-	p, err := e.miss(context.Background(), sql, key)
-	if err == nil {
-		e.cache.Put(key, p)
-	}
-	return p, err
 }
 
 // prepared is one query past the front end: the planned trace (the plan is

@@ -83,12 +83,20 @@ func stubScore(tr *workload.Trace) float64 {
 	return float64(tr.Plan.NodeCount()) / 100
 }
 
-func stubEngine(t *testing.T, cfg Config, delay time.Duration) (*Engine, *stubModel) {
+// oneShard starts a one-shard engine over pred, closed when the test ends,
+// and returns it with its shard, for tests that reach into the batcher.
+func oneShard(t *testing.T, pred *Predictor, cfg Config) (*ShardedEngine, *Engine) {
+	t.Helper()
+	se := NewShardedEngine([]*Predictor{pred}, cfg)
+	t.Cleanup(se.Close)
+	return se, se.shards[0]
+}
+
+func stubEngine(t *testing.T, cfg Config, delay time.Duration) (*ShardedEngine, *Engine, *stubModel) {
 	t.Helper()
 	m := &stubModel{delay: delay}
-	eng := NewEngine(&Predictor{Model: m}, cfg)
-	t.Cleanup(eng.Close)
-	return eng, m
+	se, eng := oneShard(t, &Predictor{Model: m}, cfg)
+	return se, eng, m
 }
 
 // TestEngineCoalesces drives 32 concurrent distinct queries through a slow
@@ -96,7 +104,7 @@ func stubEngine(t *testing.T, cfg Config, delay time.Duration) (*Engine, *stubMo
 // every one correctly, evicts every trace, and never calls the model from
 // two goroutines at once.
 func TestEngineCoalesces(t *testing.T) {
-	eng, m := stubEngine(t, Config{MaxBatch: 8}, 2*time.Millisecond)
+	se, eng, m := stubEngine(t, Config{MaxBatch: 8}, 2*time.Millisecond)
 	const clients = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -105,7 +113,7 @@ func TestEngineCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i)
-			p, err := eng.PredictSQL(sql)
+			p, err := se.PredictSQL(sql)
 			if err != nil {
 				errs <- err
 				return
@@ -166,7 +174,7 @@ func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			// entered never blocks the batcher (at most k+1 flushes), and
 			// closing release lets a failed run's held flushes finish.
-			eng, m := stubEngine(t, Config{MaxBatch: maxBatch}, 0)
+			_, eng, m := stubEngine(t, Config{MaxBatch: maxBatch}, 0)
 			m.entered, m.release = make(chan int, k+1), make(chan struct{})
 			t.Cleanup(func() { close(m.release) })
 			var jobs []*predictJob
@@ -208,12 +216,12 @@ func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
 // holdEngine is a stub engine whose coalescer is free to hold — a hold that
 // nothing ends hangs the test — and whose flushes announce their size on
 // entered without ever blocking the batcher.
-func holdEngine(t *testing.T) (*Engine, *stubModel) {
+func holdEngine(t *testing.T) (*ShardedEngine, *Engine, *stubModel) {
 	t.Helper()
-	eng, m := stubEngine(t, Config{MaxBatch: 8, TemplateCacheSize: 8}, 0)
+	se, eng, m := stubEngine(t, Config{MaxBatch: 8, TemplateCacheSize: 8}, 0)
 	m.entered, m.release = make(chan int, 64), make(chan struct{})
 	close(m.release)
-	return eng, m
+	return se, eng, m
 }
 
 // newJob is the i-th distinct query as the job a handler's submit would put on
@@ -269,9 +277,9 @@ func wantFlush(t *testing.T, m *stubModel, want int, jobs ...*predictJob) {
 // short batch stays open exactly while a handler is en route to the queue.
 func TestHoldIsForEnRouteWork(t *testing.T) {
 	t.Run("a lone miss is not held", func(t *testing.T) {
-		eng, m := holdEngine(t)
+		se, eng, m := holdEngine(t)
 		sql := "SELECT a FROM t WHERE a > 5"
-		got, err := eng.PredictSQL(sql)
+		got, err := se.PredictSQL(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +292,7 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 		}
 	})
 	t.Run("held until the en-route job arrives", func(t *testing.T) {
-		eng, m := holdEngine(t)
+		_, eng, m := holdEngine(t)
 		a, b := newJob(t, eng, 0), newJob(t, eng, 1)
 		eng.enRoute.Add(1) // B's handler is in its front end
 		eng.jobs <- a
@@ -294,14 +302,14 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 		wantFlush(t, m, 2, a, b)
 	})
 	t.Run("released when the en-route query fails to parse", func(t *testing.T) {
-		eng, m := holdEngine(t)
+		se, eng, m := holdEngine(t)
 		a := newJob(t, eng, 0)
 		// The template segment's mutex gates the failing query inside frontEnd:
 		// it is counted en route and cannot leave until the test lets it.
 		eng.tmplCache.mu.Lock()
 		failed := make(chan error, 1)
 		go func() {
-			_, err := eng.PredictSQL("SELEC (((")
+			_, err := se.PredictSQL("SELEC (((")
 			failed <- err
 		}()
 		for eng.enRoute.Load() != 1 {
@@ -316,7 +324,7 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 		wantFlush(t, m, 1, a)
 	})
 	t.Run("a stale wake does not flush past someone en route", func(t *testing.T) {
-		eng, m := holdEngine(t)
+		_, eng, m := holdEngine(t)
 		a, b := newJob(t, eng, 0), newJob(t, eng, 1)
 		eng.wake <- struct{}{} // left by a failure no batch was waiting on
 		eng.enRoute.Add(1)
@@ -335,7 +343,7 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 // itself — 64 goroutines, one in three sending SQL that never yields a job —
 // and requires every one of them to return.
 func TestHoldLiveness(t *testing.T) {
-	eng, m := holdEngine(t)
+	se, eng, m := holdEngine(t)
 	m.entered = nil // nobody reads 1280 flushes' sizes
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
@@ -347,7 +355,7 @@ func TestHoldLiveness(t *testing.T) {
 				if bad {
 					sql = fmt.Sprintf("SELEC ((( %d", i*100+r)
 				}
-				if _, err := eng.PredictSQL(sql); (err != nil) != bad {
+				if _, err := se.PredictSQL(sql); (err != nil) != bad {
 					t.Errorf("%q: err = %v", sql, err)
 				}
 			}
@@ -381,8 +389,7 @@ func (panicEncoder) AdoptEncoding(*workload.Trace, any)                         
 func TestHoldSurvivesFrontEndPanic(t *testing.T) {
 	m := &stubModel{entered: make(chan int, 64), release: make(chan struct{})}
 	close(m.release)
-	eng := NewEngine(&Predictor{Model: panicEncoder{m}}, Config{MaxBatch: 8, TemplateCacheSize: 8})
-	t.Cleanup(eng.Close)
+	se, eng := oneShard(t, &Predictor{Model: panicEncoder{m}}, Config{MaxBatch: 8, TemplateCacheSize: 8})
 	a := newJob(t, eng, 0)
 	// As in TestHoldIsForEnRouteWork, the template segment's mutex keeps the
 	// doomed query inside frontEnd, counted en route, until the test lets it go.
@@ -390,7 +397,7 @@ func TestHoldSurvivesFrontEndPanic(t *testing.T) {
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		eng.PredictSQL("SELECT " + panicMark + " FROM t")
+		se.PredictSQL("SELECT " + panicMark + " FROM t")
 	}()
 	for eng.enRoute.Load() != 1 {
 		runtime.Gosched()
@@ -405,7 +412,7 @@ func TestHoldSurvivesFrontEndPanic(t *testing.T) {
 	if n := eng.enRoute.Load(); n != 0 {
 		t.Fatalf("%d handlers counted en route after the only one panicked", n)
 	}
-	if _, err := eng.PredictSQL("SELECT a FROM t WHERE a > 5"); err != nil {
+	if _, err := se.PredictSQL("SELECT a FROM t WHERE a > 5"); err != nil {
 		t.Fatal(err)
 	}
 	wantFlush(t, m, 1)
@@ -418,19 +425,19 @@ func TestHoldSurvivesFrontEndPanic(t *testing.T) {
 // batch held for a handler still en route flushes when the engine closes, and
 // that handler, arriving late, answers through the serialised fallback.
 func TestCloseEndsAHold(t *testing.T) {
-	eng, m := holdEngine(t)
+	se, eng, m := holdEngine(t)
 	a := newJob(t, eng, 0)
 	eng.enRoute.Add(1) // a handler is in its front end, and stays there
 	eng.jobs <- a
 	awaitHold(t, m)
-	eng.Close()
+	se.Close()
 	wantFlush(t, m, 1, a)
 	if snap := eng.Snapshot(); snap.Batches != 1 {
 		t.Fatalf("batches = %d after Close flushed the held job, want 1", snap.Batches)
 	}
 	eng.enRoute.Add(-1)
 	sql := "SELECT a FROM t WHERE a > 5"
-	got, err := eng.PredictSQL(sql)
+	got, err := se.PredictSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,16 +450,16 @@ func TestCloseEndsAHold(t *testing.T) {
 // whitespace variants — is answered from the LRU without touching the model,
 // and returns the identical Prediction.
 func TestEngineCacheHit(t *testing.T) {
-	eng, m := stubEngine(t, Config{MaxBatch: 4, CacheSize: 8}, 0)
-	first, err := eng.PredictSQL("SELECT a FROM t WHERE a > 5")
+	se, eng, m := stubEngine(t, Config{MaxBatch: 4, CacheSize: 8}, 0)
+	first, err := se.PredictSQL("SELECT a FROM t WHERE a > 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := eng.PredictSQL("SELECT a FROM t WHERE a > 5")
+	again, err := se.PredictSQL("SELECT a FROM t WHERE a > 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaced, err := eng.PredictSQL("SELECT   a\n\tFROM t   WHERE a > 5")
+	spaced, err := se.PredictSQL("SELECT   a\n\tFROM t   WHERE a > 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,9 +478,9 @@ func TestEngineCacheHit(t *testing.T) {
 // TestEngineCacheBounded checks LRU eviction keeps the entry count at the
 // configured cap.
 func TestEngineCacheBounded(t *testing.T) {
-	eng, _ := stubEngine(t, Config{MaxBatch: 1, CacheSize: 4}, 0)
+	se, eng, _ := stubEngine(t, Config{MaxBatch: 1, CacheSize: 4}, 0)
 	for i := 0; i < 10; i++ {
-		if _, err := eng.PredictSQL(fmt.Sprintf("SELECT a FROM t WHERE a > %d", i)); err != nil {
+		if _, err := se.PredictSQL(fmt.Sprintf("SELECT a FROM t WHERE a > %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -485,14 +492,14 @@ func TestEngineCacheBounded(t *testing.T) {
 // TestEngineClosedFallsBack checks that predictions keep working on the
 // serialised path after Close, and that Close is idempotent.
 func TestEngineClosedFallsBack(t *testing.T) {
-	eng, m := stubEngine(t, Config{MaxBatch: 8}, 0)
-	want, err := eng.PredictSQL("SELECT a FROM t")
+	se, _, m := stubEngine(t, Config{MaxBatch: 8}, 0)
+	want, err := se.PredictSQL("SELECT a FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Close()
-	eng.Close()
-	got, err := eng.PredictSQL("SELECT b FROM t")
+	se.Close()
+	se.Close()
+	got, err := se.PredictSQL("SELECT b FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +515,7 @@ func TestEngineClosedFallsBack(t *testing.T) {
 // deduplicated inside the batch: the model sees one row, every caller gets
 // the same answer.
 func TestEngineSingleFlight(t *testing.T) {
-	eng, m := stubEngine(t, Config{MaxBatch: 16, CacheSize: 8}, 2*time.Millisecond)
+	se, _, m := stubEngine(t, Config{MaxBatch: 16, CacheSize: 8}, 2*time.Millisecond)
 	const clients = 8
 	results := make([]Prediction, clients)
 	var wg sync.WaitGroup
@@ -516,7 +523,7 @@ func TestEngineSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := eng.PredictSQL("SELECT a FROM t WHERE a > 5")
+			p, err := se.PredictSQL("SELECT a FROM t WHERE a > 5")
 			if err != nil {
 				t.Error(err)
 				return

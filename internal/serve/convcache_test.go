@@ -56,10 +56,8 @@ func clonePredictor(t *testing.T, pred *Predictor) *Predictor {
 // (LIMIT is not featurized, so only the sub-tree cache can join them).
 func TestEngineSubtreeCacheByteIdentical(t *testing.T) {
 	pred := newTestPredictor(t)
-	off := NewEngine(clonePredictor(t, pred), Config{MaxBatch: 4, CacheSize: 0})
-	t.Cleanup(off.Close)
-	on := NewEngine(clonePredictor(t, pred), Config{MaxBatch: 4, CacheSize: 0, SubtreeCacheSize: 1024})
-	t.Cleanup(on.Close)
+	off, offShard := oneShard(t, clonePredictor(t, pred), Config{MaxBatch: 4, CacheSize: 0})
+	on, onShard := oneShard(t, clonePredictor(t, pred), Config{MaxBatch: 4, CacheSize: 0, SubtreeCacheSize: 1024})
 
 	sqls := []string{
 		"SELECT a FROM t WHERE a > 5",
@@ -83,7 +81,7 @@ func TestEngineSubtreeCacheByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	onSnap, offSnap := on.Snapshot(), off.Snapshot()
+	onSnap, offSnap := onShard.Snapshot(), offShard.Snapshot()
 	if onSnap.SubtreeHits == 0 || onSnap.SubtreeEntries == 0 || onSnap.SubtreeBytes == 0 {
 		t.Fatalf("sub-tree cache never engaged: %+v", onSnap)
 	}
@@ -108,7 +106,7 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	sql := "SELECT a FROM t WHERE a > 5"
 	for _, sh := range se.shards { // warm every shard's segment
 		for i := 0; i < 2; i++ {
-			if _, err := sh.PredictSQL(sql); err != nil {
+			if _, err := predictOn(sh, sql); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -131,7 +129,7 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	}
 	for si, sh := range se.shards {
 		for i := 0; i < 2; i++ { // miss-then-hit, both on the new weights
-			got, err := sh.PredictSQL(sql)
+			got, err := predictOn(sh, sql)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -125,7 +125,7 @@ func TestFullReloadRollsAllShards(t *testing.T) {
 	}
 	// Every shard — not just the home shard — must serve the new identity.
 	for si, sh := range se.shards {
-		direct, err := sh.PredictSQL(sql)
+		direct, err := predictOn(sh, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

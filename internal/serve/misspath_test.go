@@ -89,6 +89,12 @@ func unstartedEngine(pred *Predictor, cfg Config, queueCap, queued int, serviceM
 	return e
 }
 
+// homeOf serves e alone, as a one-shard engine's home: one look at its
+// prediction cache, the miss path, one deposit.
+func homeOf(e *Engine) *ShardedEngine {
+	return &ShardedEngine{shards: []*Engine{e}, gen: initialGeneration}
+}
+
 // TestMissPathEncodesOnce is the oracle for "one owner per stage": however a
 // query travels the miss path, its plan is encoded at most once — by the
 // handler's frontEnd — and never when a cache, the admission policy or the
@@ -123,8 +129,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		}
 	}
 	started := func(t *testing.T, cfg Config) *Engine {
-		e := NewEngine(pred, cfg)
-		t.Cleanup(e.Close)
+		_, e := oneShard(t, pred, cfg)
 		return e
 	}
 
@@ -139,17 +144,17 @@ func TestMissPathEncodesOnce(t *testing.T) {
 	// second encodes into the entry; from the third on the entry's trees serve.
 	sights := func(t *testing.T, e *Engine) {
 		t.Helper()
-		check(t, q1, 1, e.PredictSQL)
+		check(t, q1, 1, homeOf(e).PredictSQL)
 		if snap := e.Snapshot(); snap.TemplateMisses != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
 			t.Fatalf("first sight left %d entries / %d bytes after %d misses, want 1 entry at the skeleton's %d bytes",
 				snap.TemplateEntries, snap.TemplateBytes, snap.TemplateMisses, skeleton)
 		}
-		check(t, q2, 1, e.PredictSQL)
+		check(t, q2, 1, homeOf(e).PredictSQL)
 		if snap := e.Snapshot(); snap.TemplateEntries != 1 || snap.TemplateBytes <= skeleton {
 			t.Fatalf("second sight left %d entries / %d bytes, want the one entry grown past its skeleton's %d",
 				snap.TemplateEntries, snap.TemplateBytes, skeleton)
 		}
-		check(t, q3, 0, e.PredictSQL)
+		check(t, q3, 0, homeOf(e).PredictSQL)
 		if hits := e.Snapshot().TemplateHits; hits != 2 {
 			t.Fatalf("template hits = %d, want 2", hits)
 		}
@@ -162,8 +167,8 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		cfg := tmplCfg()
 		cfg.TemplateCacheSize = 0
 		e := started(t, cfg)
-		check(t, q1, 1, e.PredictSQL)
-		check(t, q2, 1, e.PredictSQL)
+		check(t, q1, 1, homeOf(e).PredictSQL)
+		check(t, q2, 1, homeOf(e).PredictSQL)
 	})
 	t.Run("skeleton-only hit upgrades the entry", func(t *testing.T) {
 		e := started(t, tmplCfg())
@@ -171,20 +176,20 @@ func TestMissPathEncodesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		skeleton := e.Snapshot().TemplateBytes
-		check(t, q2, 1, e.PredictSQL)
+		check(t, q2, 1, homeOf(e).PredictSQL)
 		snap := e.Snapshot()
 		if snap.TemplateHits != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes <= skeleton {
 			t.Fatalf("hits=%d entries=%d bytes %d -> %d, want one hit on one entry that gained its trees",
 				snap.TemplateHits, snap.TemplateEntries, skeleton, snap.TemplateBytes)
 		}
-		check(t, q1, 0, e.PredictSQL)
+		check(t, q1, 0, homeOf(e).PredictSQL)
 	})
 	t.Run("prediction cache hit", func(t *testing.T) {
 		cfg := tmplCfg()
 		cfg.CacheSize = 8
 		e := started(t, cfg)
-		check(t, q1, 1, e.PredictSQL)
-		check(t, q1, 0, e.PredictSQL)
+		check(t, q1, 1, homeOf(e).PredictSQL)
+		check(t, q1, 0, homeOf(e).PredictSQL)
 	})
 	t.Run("saturated queue fallback", func(t *testing.T) {
 		e := unstartedEngine(pred, tmplCfg(), 1, 1, 0)
@@ -194,8 +199,8 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		}
 	})
 	t.Run("closed engine fallback", func(t *testing.T) {
-		e := NewEngine(pred, tmplCfg())
-		e.Close()
+		se, e := oneShard(t, pred, tmplCfg())
+		se.Close()
 		sights(t, e)
 	})
 	t.Run("shed", func(t *testing.T) {
@@ -231,9 +236,8 @@ func TestMissPathEncodesOnce(t *testing.T) {
 // leaves — and none of the trees that were built to answer them.
 func TestTemplateScanPinsNoTrees(t *testing.T) {
 	pred := newTestPredictor(t)
-	scanned, explained := NewEngine(pred, tmplCfg()), NewEngine(pred, tmplCfg())
-	t.Cleanup(scanned.Close)
-	t.Cleanup(explained.Close)
+	scanned, scannedShard := oneShard(t, pred, tmplCfg())
+	_, explained := oneShard(t, pred, tmplCfg())
 	const n = 64
 	for i := 0; i < n; i++ {
 		sql := fmt.Sprintf("SELECT a, c%d FROM t JOIN u ON t.id = u.id WHERE c%d > %d ORDER BY a LIMIT 3", i, i, i)
@@ -248,7 +252,7 @@ func TestTemplateScanPinsNoTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, want := scanned.Snapshot(), explained.Snapshot()
+	got, want := scannedShard.Snapshot(), explained.Snapshot()
 	if got.TemplateEntries != n || got.TemplateMisses != n || got.TemplateHits != 0 {
 		t.Fatalf("scan left %d entries after %d misses / %d hits, want %d/%d/0",
 			got.TemplateEntries, got.TemplateMisses, got.TemplateHits, n, n)
@@ -272,8 +276,7 @@ func TestTemplateHashedStaysSkeletonOnly(t *testing.T) {
 	hashed := models.NewPrestroid(testModelConfig(), pipe)
 	m := &countingModel{Prestroid: hashed, adopted: map[*workload.Trace]bool{}}
 	pred := &Predictor{Model: m, Pipe: pipe, Norm: base.Norm}
-	e := NewEngine(pred, tmplCfg())
-	t.Cleanup(e.Close)
+	se, e := oneShard(t, pred, tmplCfg())
 
 	variant := func(n int) string {
 		return fmt.Sprintf("SELECT a FROM t WHERE a > %d AND b < %d", n, 1000-n)
@@ -290,7 +293,7 @@ func TestTemplateHashedStaysSkeletonOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.encodes.Store(0)
-		got, err := e.PredictSQL(variant(i))
+		got, err := se.PredictSQL(variant(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,8 +360,7 @@ func TestDispatchSinglePolicy(t *testing.T) {
 			for i, l := range []load{row.home, row.peer} {
 				pred := &Predictor{Model: stubs[i]}
 				if l.started {
-					shards[i] = NewEngine(pred, cfg)
-					t.Cleanup(shards[i].Close)
+					_, shards[i] = oneShard(t, pred, cfg)
 				} else {
 					shards[i] = unstartedEngine(pred, cfg, l.queueCap, l.queued, l.serviceMicros)
 				}

@@ -185,12 +185,8 @@ func (en *ModelEntry) roll() (*ShardedEngine, *stagedRoll) {
 // during a canary, to the staged engine for the deterministic keyspace slice
 // canaryBucket selects; during a shadow, to the live engine with the result
 // mirrored to the staged bundle off the hot path. The query is canonicalised
-// once, here, for both the canary split and the engine's dispatch. A nil ctx
-// means no deadline.
+// once, here, for both the canary split and the engine's dispatch.
 func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	key := CanonicalSQL(sql)
 	eng, st := en.roll()
 	if st != nil && st.mode == api.StateShadow {
@@ -339,16 +335,6 @@ func (en *ModelEntry) State() (string, int) {
 		return api.StateLive, 0
 	}
 	return st.mode, st.percent
-}
-
-// StagedGeneration reports the staged bundle's generation, 0 when no roll
-// is pending.
-func (en *ModelEntry) StagedGeneration() int64 {
-	_, st := en.roll()
-	if st == nil {
-		return 0
-	}
-	return st.eng.Generation()
 }
 
 // Snapshot reads the identity's full telemetry: roll state and counters, the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -63,7 +64,7 @@ func TestCanarySplitDeterministic(t *testing.T) {
 	first := make([]int64, keys)
 	staged := 0
 	for i, q := range qs {
-		_, g, err := en.PredictSQLGenCtx(nil, q)
+		_, g, err := en.PredictSQLGenCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("predict %q: %v", q, err)
 		}
@@ -89,7 +90,7 @@ func TestCanarySplitDeterministic(t *testing.T) {
 	}
 	// Per-key stability: a second pass routes every key identically.
 	for i, q := range qs {
-		_, g, err := en.PredictSQLGenCtx(nil, q)
+		_, g, err := en.PredictSQLGenCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestCanaryRoutingStableUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 20; r++ {
 				i := (seed + r) % len(qs)
-				_, g, err := en.PredictSQLGenCtx(nil, qs[i])
+				_, g, err := en.PredictSQLGenCtx(context.Background(), qs[i])
 				if err != nil {
 					errCh <- err
 					return
@@ -177,7 +178,7 @@ func TestShadowMirrorUnderConcurrentRoll(t *testing.T) {
 					return
 				default:
 				}
-				_, g, err := en.PredictSQLGenCtx(nil, qs[(seed+r)%len(qs)])
+				_, g, err := en.PredictSQLGenCtx(context.Background(), qs[(seed+r)%len(qs)])
 				if err != nil {
 					errCh <- err
 					return
@@ -251,7 +252,7 @@ func TestShadowZeroTrafficImpact(t *testing.T) {
 	raw, _ := retrainedFullBundle(t, pred, 0.8, "shadow_impact_extra")
 	stageBundle(t, en, raw, api.StateShadow, 0)
 	for i := 0; i < 50; i++ {
-		p, g, err := en.PredictSQLGenCtx(nil, "SELECT a FROM t WHERE a > 5")
+		p, g, err := en.PredictSQLGenCtx(context.Background(), "SELECT a FROM t WHERE a > 5")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +388,7 @@ func TestRegistryIsolation(t *testing.T) {
 	if st, _ := betaEn.State(); st != api.StateLive {
 		t.Fatalf("beta state = %s, want live (rolls must not leak across models)", st)
 	}
-	if _, _, err := betaEn.PredictSQLGenCtx(nil, "SELECT a FROM t WHERE a > 1"); err != nil {
+	if _, _, err := betaEn.PredictSQLGenCtx(context.Background(), "SELECT a FROM t WHERE a > 1"); err != nil {
 		t.Fatalf("beta predict under default's canary: %v", err)
 	}
 	if reg.Lookup("beta") != betaEn || reg.Lookup("") != def || reg.Lookup("nope") != nil {

@@ -7,6 +7,7 @@ import (
 
 	"prestroid/internal/models"
 	"prestroid/internal/persist"
+	"prestroid/internal/workload"
 )
 
 // ErrReloadInProgress is returned when a roll of any kind — reload, stage,
@@ -21,9 +22,9 @@ var ErrReloadInProgress = errors.New("serve: a reload is already in progress")
 type stageFunc func(live *ShardedEngine) (*Predictor, error)
 
 // stageWeights stages a weight-only bundle: the next engine keeps the live
-// pipeline and normaliser and runs a clone of the live model with the
-// bundle's tensors applied. The bundle is decoded and shape-validated exactly
-// once, so the feature dimension must be unchanged.
+// pipeline and normaliser and takes the bundle's weights. The bundle is
+// decoded and shape-validated exactly once, so the feature dimension must be
+// unchanged.
 func stageWeights(r io.Reader) stageFunc {
 	return func(live *ShardedEngine) (*Predictor, error) {
 		bundle, err := persist.DecodeBundle(r)
@@ -31,55 +32,44 @@ func stageWeights(r io.Reader) stageFunc {
 			return nil, err
 		}
 		base := live.shards[0].pred
-		cl, ok := base.Model.(models.Cloner)
-		if !ok {
-			return nil, fmt.Errorf("serve: %T does not support cloning; cannot stage a reload", base.Model)
-		}
-		// Clone is a call on a live model like any other: it takes its turn
-		// between batches.
-		base.mu.Lock()
-		staging := cl.Clone()
-		base.mu.Unlock()
-		if err := applyWeights(bundle, staging); err != nil {
-			return nil, err
-		}
-		return &Predictor{Model: staging, Pipe: base.Pipe, Norm: base.Norm}, nil
+		return assemble(base.Model, base.Pipe, base.Norm, bundle)
 	}
 }
 
 // stageFull stages a complete retrained identity — feature pipeline, label
-// normaliser and weights — using the live model only as the architecture
-// base. The weights are applied to a model built off the bundle's own
-// pipeline, so a retrain that grew the table universe or shifted the label
-// range rolls out like any other, and a triple whose weights were trained
-// against a different feature dimension fails here.
+// normaliser and weights — so a retrain that grew the table universe or
+// shifted the label range rolls out like any other, and a triple whose
+// weights were trained against a different feature dimension fails here.
 func stageFull(fb *persist.FullBundle) stageFunc {
 	return func(live *ShardedEngine) (*Predictor, error) {
-		base := live.shards[0].pred.Model
-		rb, ok := base.(models.PipelineRebuilder)
-		if !ok {
-			return nil, fmt.Errorf("serve: %T cannot rebuild off a new pipeline; use a weight-only reload", base)
-		}
-		staging, err := rb.RebuildWithPipeline(fb.Pipeline())
-		if err != nil {
-			return nil, err
-		}
-		if err := applyWeights(fb.Weights(), staging); err != nil {
-			return nil, err
-		}
-		return &Predictor{Model: staging, Pipe: fb.Pipeline(), Norm: fb.Norm()}, nil
+		return assemble(live.shards[0].pred.Model, fb.Pipeline(), fb.Norm(), fb.Weights())
 	}
 }
 
-// applyWeights writes a decoded weight bundle into a staging model. Apply
-// validates every tensor against the staging model's architecture before
-// writing anything.
-func applyWeights(b *persist.Bundle, staging models.Model) error {
-	ws, ok := staging.(persist.WeightStore)
+// assemble builds a seed predictor for the identity (pipe, norm, weights),
+// using base only as the architecture: a fresh model of base's family is
+// rebuilt off pipe, which decides its feature dimension, and the weights are
+// applied to it — Apply validates every tensor before writing any, then
+// writes every parameter and every state tensor. base is read, never called
+// under its lock or written, so a live replica busy with a long flush does
+// not hold the roll up.
+func assemble(base models.Model, pipe *models.Pipeline, norm workload.Normalizer, weights *persist.Bundle) (*Predictor, error) {
+	rb, ok := base.(models.PipelineRebuilder)
 	if !ok {
-		return fmt.Errorf("serve: %T does not expose weights; cannot stage a reload", staging)
+		return nil, fmt.Errorf("serve: %T cannot be rebuilt from a retrain artefact, so it cannot be reloaded", base)
 	}
-	return b.Apply(ws)
+	m, err := rb.RebuildWithPipeline(pipe)
+	if err != nil {
+		return nil, err
+	}
+	ws, ok := m.(persist.WeightStore)
+	if !ok {
+		return nil, fmt.Errorf("serve: %T does not expose weights; cannot stage a reload", m)
+	}
+	if err := weights.Apply(ws); err != nil {
+		return nil, err
+	}
+	return &Predictor{Model: m, Pipe: pipe, Norm: norm}, nil
 }
 
 // The roll: every way of putting a new model behind an identity's traffic —

@@ -152,13 +152,64 @@ func TestReloadRollsAllShards(t *testing.T) {
 	}
 	// Every shard — not just the home shard — must serve the new weights.
 	for si, sh := range se.shards {
-		direct, err := sh.PredictSQL(sql)
+		direct, err := predictOn(sh, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if direct != want {
 			t.Fatalf("shard %d: %+v != new-bundle reference %+v", si, direct, want)
 		}
+	}
+}
+
+// TestWeightRollSkipsTheLiveLock pins that staging a weight-only roll makes
+// no call on a live replica: the roll completes while every live predictor's
+// lock is held, as it is for the whole of a long flush, and the engine it
+// installs serves the bundle's weights.
+func TestWeightRollSkipsTheLiveLock(t *testing.T) {
+	pred := newTestPredictor(t)
+	cfg := DefaultConfig()
+	cfg.Replicas = 2
+	en := newTestEntry(t, pred, cfg)
+	live := en.Live()
+	bundle, reference := perturbedBundle(t, pred, 0.25)
+
+	for _, sh := range live.shards {
+		sh.pred.mu.Lock()
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := en.ReloadWeights(bytes.NewReader(bundle))
+		done <- err
+	}()
+	var err error
+	blocked := false
+	select {
+	case err = <-done:
+	case <-time.After(20 * time.Second):
+		blocked = true
+	}
+	for _, sh := range live.shards {
+		sh.pred.mu.Unlock()
+	}
+	if blocked {
+		t.Fatal("a weight-only roll waited on a live replica's lock")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sql := "SELECT a FROM t WHERE a > 5"
+	want, err := reference.PredictSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, g, err := en.PredictSQLGenCtx(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g != 2 || got != want {
+		t.Fatalf("after the roll: gen %d, %+v; want gen 2 and the bundle's %+v", g, got, want)
 	}
 }
 

@@ -3,15 +3,15 @@
 // and returns the predicted resource demand that the platform uses to
 // provision cluster capacity before the query executes.
 //
-// Three inference paths exist. Predictor.PredictSQL is the serialised
+// Two inference paths exist. Predictor.PredictSQL is the serialised
 // reference path: one query per Model.Predict call under a global mutex.
-// Engine (see batcher.go) is the per-shard unit: handlers plan and encode
-// concurrently while a single batcher goroutine coalesces everything in
-// flight into batched Model.Predict calls, with an LRU over canonicalised
-// SQL absorbing repeated templates. ShardedEngine (see shard.go) is the
-// production path: a dispatcher hashes canonical SQL across N such shards,
-// each owning its own model replica, so predict throughput scales with
-// cores instead of being capped at single-replica speed.
+// ShardedEngine (see shard.go) is the serving path, with one shard or many: a
+// dispatcher hashes canonical SQL across N shards, each an Engine (see
+// batcher.go) owning its own model replica, so predict throughput scales with
+// cores instead of being capped at single-replica speed. In each shard,
+// handlers plan and encode concurrently while a single batcher goroutine
+// coalesces everything in flight into batched Model.Predict calls, with an
+// LRU over canonicalised SQL absorbing repeated templates.
 //
 // Above the engines sits the model registry (see registry.go): one daemon
 // hosts several named predictor identities, each with its own shard set,

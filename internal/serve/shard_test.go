@@ -26,6 +26,13 @@ func stubShards(t *testing.T, n int, cfg Config) (*ShardedEngine, []*stubModel) 
 	return se, stubs
 }
 
+// predictOn computes sql on one shard past every prediction cache — its
+// front end, its batcher, its replica — which is what a detour to that shard
+// answers.
+func predictOn(sh *Engine, sql string) (Prediction, error) {
+	return sh.miss(context.Background(), sql, CanonicalSQL(sql))
+}
+
 // keyForShard returns SQL whose canonical key hashes to the wanted shard.
 func keyForShard(t *testing.T, se *ShardedEngine, shard int) string {
 	t.Helper()
@@ -42,9 +49,7 @@ func keyForShard(t *testing.T, se *ShardedEngine, shard int) string {
 // TestShardedMatchesSerial is the replica-correctness gate: with any
 // replica count, identical SQL yields byte-identical predictions to the
 // serialised single-replica path — through the dispatcher, through every
-// shard queried directly, and on a repeat (cached) lookup. The dispatcher
-// leg runs with both spellings of "no deadline", context.Background() and a
-// nil context.
+// shard queried directly, and on a repeat (cached) lookup.
 func TestShardedMatchesSerial(t *testing.T) {
 	pred := newTestPredictor(t)
 	queries := []string{
@@ -62,54 +67,53 @@ func TestShardedMatchesSerial(t *testing.T) {
 		}
 		serial[i] = p
 	}
-	for _, ctx := range []context.Context{context.Background(), nil} {
-		for _, replicas := range []int{1, 2, 4} {
-			cfg := DefaultConfig()
-			cfg.Replicas = replicas
-			preds := Replicas(pred, replicas)
-			if replicas > 1 {
-				// Sharding must never mutate the caller's predictor: every
-				// shard gets a clone, so pred keeps full-width forward fan-out
-				// on the serialised path after the engine closes.
-				for _, p := range preds {
-					if p == pred || p.Model == pred.Model {
-						t.Fatal("Replicas reused the caller's predictor or model")
-					}
+	ctx := context.Background()
+	for _, replicas := range []int{1, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Replicas = replicas
+		preds := Replicas(pred, replicas)
+		if replicas > 1 {
+			// Sharding must never mutate the caller's predictor: every
+			// shard gets a clone, so pred keeps full-width forward fan-out
+			// on the serialised path after the engine closes.
+			for _, p := range preds {
+				if p == pred || p.Model == pred.Model {
+					t.Fatal("Replicas reused the caller's predictor or model")
 				}
 			}
-			se := NewShardedEngine(preds, cfg)
-			if se.Shards() != replicas {
-				t.Fatalf("built %d shards, want %d (model supports cloning)", se.Shards(), replicas)
-			}
-			for i, sql := range queries {
-				got, _, err := se.PredictSQLGenCtx(ctx, sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != serial[i] {
-					t.Fatalf("replicas=%d query %d: sharded %+v != serial %+v", replicas, i, got, serial[i])
-				}
-				again, _, err := se.PredictSQLGenCtx(ctx, sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if again != serial[i] {
-					t.Fatalf("replicas=%d query %d: cached %+v != serial %+v", replicas, i, again, serial[i])
-				}
-				// Every shard — not just the home shard — must agree byte for
-				// byte, or a saturation detour could change answers.
-				for si, sh := range se.shards {
-					direct, err := sh.PredictSQL(sql)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if direct != serial[i] {
-						t.Fatalf("replicas=%d shard %d query %d: %+v != serial %+v", replicas, si, i, direct, serial[i])
-					}
-				}
-			}
-			se.Close()
 		}
+		se := NewShardedEngine(preds, cfg)
+		if se.Shards() != replicas {
+			t.Fatalf("built %d shards, want %d (model supports cloning)", se.Shards(), replicas)
+		}
+		for i, sql := range queries {
+			got, _, err := se.PredictSQLGenCtx(ctx, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != serial[i] {
+				t.Fatalf("replicas=%d query %d: sharded %+v != serial %+v", replicas, i, got, serial[i])
+			}
+			again, _, err := se.PredictSQLGenCtx(ctx, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != serial[i] {
+				t.Fatalf("replicas=%d query %d: cached %+v != serial %+v", replicas, i, again, serial[i])
+			}
+			// Every shard — not just the home shard — must agree byte for
+			// byte, or a saturation detour could change answers.
+			for si, sh := range se.shards {
+				direct, err := predictOn(sh, sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if direct != serial[i] {
+					t.Fatalf("replicas=%d shard %d query %d: %+v != serial %+v", replicas, si, i, direct, serial[i])
+				}
+			}
+		}
+		se.Close()
 	}
 }
 

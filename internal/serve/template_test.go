@@ -61,8 +61,7 @@ var templateQueryGens = []func(r *rand.Rand) string{
 // uncached reference.
 func assertTemplateByteIdentical(t *testing.T, pred *Predictor) {
 	t.Helper()
-	e := NewEngine(pred, tmplCfg())
-	t.Cleanup(e.Close)
+	se, e := oneShard(t, pred, tmplCfg())
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 25; round++ {
 		for gi, gen := range templateQueryGens {
@@ -71,14 +70,14 @@ func assertTemplateByteIdentical(t *testing.T, pred *Predictor) {
 			if err != nil {
 				t.Fatalf("gen %d: reference failed on %q: %v", gi, sql, err)
 			}
-			first, err := e.PredictSQL(sql)
+			first, err := se.PredictSQL(sql)
 			if err != nil {
 				t.Fatalf("gen %d: engine failed on %q: %v", gi, sql, err)
 			}
 			if first != want {
 				t.Fatalf("gen %d first sight of %q: engine %+v != reference %+v", gi, sql, first, want)
 			}
-			replay, err := e.PredictSQL(sql)
+			replay, err := se.PredictSQL(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,8 +181,7 @@ func TestTemplateRebindSurvivesRoll(t *testing.T) {
 // featurization that later predictions rebind.
 func TestTemplateExplainWarmsPredict(t *testing.T) {
 	pred := newTestPredictor(t)
-	e := NewEngine(pred, tmplCfg())
-	t.Cleanup(e.Close)
+	se, e := oneShard(t, pred, tmplCfg())
 
 	if _, err := e.PlanOnly("SELECT a FROM t WHERE a > 1"); err != nil {
 		t.Fatal(err)
@@ -198,7 +196,7 @@ func TestTemplateExplainWarmsPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.PredictSQL("SELECT a FROM t WHERE a > 42")
+	got, err := se.PredictSQL("SELECT a FROM t WHERE a > 42")
 	if err != nil {
 		t.Fatal(err)
 	}

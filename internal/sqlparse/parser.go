@@ -40,15 +40,14 @@ package sqlparse
 //	number    = digit { digit } [ "." digit { digit } ] .
 //	string    = "'" { any byte but "'" | "''" } "'" .
 //
-// Errors follow the productions. A token that fails a keyword in the
-// grammar reads `expected "KW", got "text" at pos`; a token that fails a
-// kind — ident, number, string, "(", ")" — reads `expected "", got "text"
-// at pos`, naming nothing, because expect prints its text argument and
-// those call sites pass none. predicate reports its own two errors (NOT not
-// followed by IN/BETWEEN/LIKE, no operator) and literal its one; LIMIT
-// reports a number Atoi rejects, and Parse trailing input. One accepted
-// form is wider than it reads: "column NOT IS NULL" parses, as
-// "column IS NULL" — predicate drops the first NOT.
+// Errors follow the productions, each naming the byte offset of the token it
+// stopped at and rendering that token quoted, or as "end of input". A token
+// that fails a keyword reads `expected "KW", got "text" at pos`; one that
+// fails a kind reads `expected identifier` (number, string, "(", ")") the
+// same way. predicate reports its own two errors (NOT not followed by
+// IN/BETWEEN/LIKE — so "column NOT IS NULL" is refused, the form being
+// "column IS NOT NULL" — and no operator) and literal its one; LIMIT reports
+// a number Atoi rejects, and Parse trailing input.
 
 import (
 	"fmt"
@@ -92,13 +91,29 @@ func (p *Parser) accept(kind TokenKind, text string) bool {
 	return false
 }
 
+// kindNames names what a kind-only expect wants.
+var kindNames = [...]string{TokIdent: "identifier", TokNumber: "number", TokString: "string",
+	TokLParen: `"("`, TokRParen: `")"`}
+
 func (p *Parser) expect(kind TokenKind, text string) (Token, error) {
 	t := p.peek()
 	if t.Kind != kind || (text != "" && t.Text != text) {
-		return t, fmt.Errorf("sqlparse: expected %q, got %q at %d", text, t.Text, t.Pos)
+		want := kindNames[kind]
+		if text != "" {
+			want = strconv.Quote(text)
+		}
+		return t, fmt.Errorf("sqlparse: expected %s, got %s at %d", want, found(t), t.Pos)
 	}
 	p.pos++
 	return t, nil
+}
+
+// found renders the token a parse stopped at for an error message.
+func found(t Token) string {
+	if t.Kind == TokEOF {
+		return "end of input"
+	}
+	return strconv.Quote(t.Text)
 }
 
 func (p *Parser) parseSelect() (*SelectStmt, error) {
@@ -417,9 +432,9 @@ func (p *Parser) parsePredicate() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	negate := false
-	if p.accept(TokKeyword, "NOT") {
-		negate = true
+	negate := p.accept(TokKeyword, "NOT")
+	if t := p.peek(); negate && !(t.Kind == TokKeyword && (t.Text == "IN" || t.Text == "BETWEEN" || t.Text == "LIKE")) {
+		return nil, fmt.Errorf("sqlparse: NOT must precede IN/BETWEEN/LIKE at %d", t.Pos)
 	}
 	switch {
 	case p.accept(TokKeyword, "IN"):
@@ -470,12 +485,9 @@ func (p *Parser) parsePredicate() (Expr, error) {
 		}
 		return &IsNullExpr{Col: col, Negate: neg2}, nil
 	default:
-		if negate {
-			return nil, fmt.Errorf("sqlparse: NOT must precede IN/BETWEEN/LIKE at %d", p.peek().Pos)
-		}
 		op := p.peek()
 		if op.Kind != TokOp {
-			return nil, fmt.Errorf("sqlparse: expected comparison operator, got %q at %d", op.Text, op.Pos)
+			return nil, fmt.Errorf("sqlparse: expected comparison operator, got %s at %d", found(op), op.Pos)
 		}
 		p.next()
 		// Right side: literal or column (join-style equality).
@@ -528,5 +540,5 @@ func (p *Parser) parseLiteral() (Literal, error) {
 			return Literal{Value: "-" + n.Text}, nil
 		}
 	}
-	return Literal{}, fmt.Errorf("sqlparse: expected literal, got %q at %d", t.Text, t.Pos)
+	return Literal{}, fmt.Errorf("sqlparse: expected literal, got %s at %d", found(t), t.Pos)
 }

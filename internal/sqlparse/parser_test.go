@@ -227,6 +227,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t LIMIT x",
 		"SELECT a FROM t UNION SELECT a FROM u", // UNION without ALL unsupported
 		"SELECT a FROM t extra garbage here ,,,",
+		"SELECT a FROM t WHERE a NOT IS NULL", // the form is IS NOT NULL
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -240,10 +241,34 @@ func TestParseErrors(t *testing.T) {
 		{"SELECT a FROM t x )", `trailing input ")" at 18`},
 		{"SELECT a FROM t LIMIT 1.5", `bad LIMIT "1.5" at 22`},
 		{"SELECT a FROM t LIMIT 99999999999999999999", `bad LIMIT "99999999999999999999" at 22`},
+		{"SELECT a FROM t WHERE a NOT IS NULL", `NOT must precede IN/BETWEEN/LIKE at 28`},
 	} {
 		_, err := Parse(c.src)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("Parse(%q) error = %v, want it to contain %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestParseErrorTexts pins whole error messages: an expectation names the
+// keyword or the token kind it wanted, and the token it got, or end of input.
+func TestParseErrorTexts(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"SELECT FROM t", `sqlparse: expected identifier, got "FROM" at 7`},
+		{"SELECT a FROM 5", `sqlparse: expected identifier, got "5" at 14`},
+		{"SELECT a FROM t WHERE (a > 1", `sqlparse: expected ")", got end of input at 28`},
+		{"SELECT COUNT a FROM t", `sqlparse: expected "(", got "a" at 13`},
+		{"SELECT a FROM t WHERE a LIKE 5", `sqlparse: expected string, got "5" at 29`},
+		{"SELECT a FROM t LIMIT x", `sqlparse: expected number, got "x" at 22`},
+		{"SELECT a", `sqlparse: expected "FROM", got end of input at 8`},
+		{"SELECT a FROM t GROUP region", `sqlparse: expected "BY", got "region" at 22`},
+		{"SELECT a FROM t WHERE a >", `sqlparse: expected literal, got end of input at 25`},
+		{"SELECT a FROM t WHERE a", `sqlparse: expected comparison operator, got end of input at 23`},
+		{"SELECT a FROM t WHERE a NOT IS NULL", `sqlparse: NOT must precede IN/BETWEEN/LIKE at 28`},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) error = %v, want %s", c.src, err, c.want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"prestroid/internal/logicalplan"
 	"prestroid/internal/otp"
+	"prestroid/internal/workload"
 )
 
 // sampleRef is Algorithm 1 as first written, kept as the reference Sample is
@@ -139,8 +140,22 @@ func checkSampleMatchesReference(t *testing.T, root *otp.Node, cfg Config) {
 // deepest C each allows.
 var referenceConfigs = []Config{{N: 4, C: 1}, {N: 15, C: 2}, {N: 32, C: 3}}
 
+// planCorpus recasts a generated plan sample into O-T-P trees — a few
+// hundred plans spanning chains, balanced shapes and the Pareto tail.
+func planCorpus(t *testing.T) []*otp.Node {
+	t.Helper()
+	plans := workload.GeneratePlanSample(workload.PlanSampleConfig{
+		Count: 200, Seed: 11, MaxNodes: 300, TailFraction: 0.05,
+	})
+	roots := make([]*otp.Node, len(plans))
+	for i, p := range plans {
+		roots[i] = otp.Recast(p)
+	}
+	return roots
+}
+
 func TestSampleMatchesReference(t *testing.T) {
-	roots := hashCorpus(t)
+	roots := planCorpus(t)
 	for _, cfg := range referenceConfigs {
 		for _, root := range roots {
 			checkSampleMatchesReference(t, root, cfg)
