@@ -84,7 +84,7 @@ type (
 
 // PredictSQL parses, plans, encodes and costs a single query on the
 // serialised path. It exists as the correctness reference and fallback; the
-// Engine is the throughput path.
+// ShardedEngine is the throughput path.
 func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
 	plan, err := logicalplan.PlanSQL(sql)
 	if err != nil {
