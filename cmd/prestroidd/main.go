@@ -1,20 +1,20 @@
-// Command prestroidd runs the Fig-1 inference service: it either loads a
-// previously trained bundle (written by `prestroidd -train`) or trains a
+// Command prestroidd runs the Fig-1 inference service: it either loads
+// previously trained full bundles (written by `prestroidd -train`) or trains a
 // fresh model on a synthetic workload, then serves cost predictions over
 // HTTP.
 //
-//	prestroidd -train -bundle model.full                      # train & save full bundle
+//	prestroidd -train -bundle model.full                      # train & save a full bundle
 //	prestroidd -train -bundle beta=model.full                 # train & stamp the bundle for model "beta"
-//	prestroidd -train -pipeline pipe.bin -weights model.bin   # train & save split bundles
+//	prestroidd -train -weights gen2.bin                       # train & save the weights alone
 //	prestroidd -bundle model.full                             # load & serve
 //	prestroidd -bundle model.full -bundle beta=other.full     # serve two identities from one daemon
-//	prestroidd -pipeline pipe.bin -weights model.bin          # load & serve (split)
 //	prestroidd                                                # train in-memory & serve
 //
 // A full bundle carries the whole predictor identity — feature pipeline,
-// label normaliser and weights — in one artefact; the split form keeps the
-// pipeline and weights in separate files and reconstructs the normaliser
-// from the deterministic training workload.
+// label normaliser and weights — in one artefact, and is the only form the
+// daemon serves from. A weight-only artefact (-train -weights) is for POST
+// /v1/reload {"weights": path}, which keeps the live pipeline and
+// normaliser; -weights without -train is refused.
 //
 // -bundle is repeatable and accepts an optional "name=path" form: each named
 // bundle becomes its own serving identity with its own shard set, generation
@@ -135,9 +135,8 @@ func (b *bundleFlags) Set(v string) error {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	doTrain := flag.Bool("train", false, "train and save instead of serving")
-	pipePath := flag.String("pipeline", "", "pipeline bundle path")
-	weightPath := flag.String("weights", "", "weight bundle path")
+	doTrain := flag.Bool("train", false, "train and save instead of serving (to -bundle, -weights or both)")
+	weightPath := flag.String("weights", "", "with -train: also write the weights alone here, for POST /v1/reload {\"weights\": path}")
 	var bundles bundleFlags
 	flag.Var(&bundles, "bundle", "full bundle path (pipeline + normaliser + weights in one artefact); repeatable, optionally as name=path to serve several named identities — the first one is the default model")
 	queries := flag.Int("queries", 600, "synthetic training queries")
@@ -157,7 +156,7 @@ func main() {
 	cfg := serve.Config{MaxBatch: *maxBatch, CacheSize: *cacheSize,
 		SubtreeCacheSize: *subtreeCacheSize, TemplateCacheSize: *templateCacheSize,
 		Replicas: *replicas, MaxEstWait: *maxEstWait}
-	paths := bundlePaths{pipe: *pipePath, weights: *weightPath, bundles: bundles.specs}
+	paths := bundlePaths{weights: *weightPath, bundles: bundles.specs}
 	quota := quotaConfig{qps: *clientQPS, burst: *clientBurst}
 	if err := run(*addr, *doTrain, paths, *queries, *tables, cfg, *reloadToken, quota); err != nil {
 		log.Fatal("prestroidd: ", err)
@@ -171,11 +170,11 @@ type quotaConfig struct {
 }
 
 // bundlePaths names the on-disk artefacts the daemon trains into or serves
-// from: one or more full bundles (each an optional named serving identity),
-// or the split pipeline + weights pair.
+// from: full bundles (each an optional named serving identity), and the
+// weight-only output of a training run.
 type bundlePaths struct {
-	pipe, weights string
-	bundles       []bundleSpec
+	weights string
+	bundles []bundleSpec
 }
 
 // modelConfig is the fixed serving architecture; persisted weights must
@@ -193,9 +192,9 @@ func run(addr string, doTrain bool, paths bundlePaths, queries, tables int, cfg 
 	switch {
 	case doTrain:
 		return trainAndSave(paths, queries, tables)
-	case len(paths.bundles) > 0 && (paths.pipe != "" || paths.weights != ""):
-		// Refuse rather than silently pick one artefact form over the other.
-		return fmt.Errorf("give either -bundle or the -pipeline/-weights pair, not both")
+	case paths.weights != "":
+		// Weights alone carry no pipeline or normaliser to serve with.
+		return fmt.Errorf("-weights is a -train output; serve from a full bundle with -bundle")
 	case len(paths.bundles) > 0:
 		for _, spec := range paths.bundles {
 			p, embedded, err := loadBundlePredictor(spec.path)
@@ -212,12 +211,6 @@ func run(addr string, doTrain bool, paths bundlePaths, queries, tables int, cfg 
 			}
 			preds = append(preds, serve.NamedPredictor{Name: name, Pred: p})
 		}
-	case paths.pipe != "" && paths.weights != "":
-		p, err := loadPredictor(paths.pipe, paths.weights, queries, tables)
-		if err != nil {
-			return err
-		}
-		preds = []serve.NamedPredictor{{Pred: p}}
 	default:
 		log.Printf("no bundle paths given; training a fresh model on %d synthetic queries", queries)
 		p, err := freshPredictor(queries, tables)
@@ -310,18 +303,13 @@ func buildTraining(queries, tables int) (*models.Pipeline, *models.Prestroid, wo
 }
 
 func trainAndSave(paths bundlePaths, queries, tables int) error {
-	split := paths.pipe != "" && paths.weights != ""
-	if len(paths.bundles) == 0 && !split {
-		return fmt.Errorf("-train requires -bundle, or both -pipeline and -weights, as output paths")
+	if len(paths.bundles) == 0 && paths.weights == "" {
+		return fmt.Errorf("-train requires an output: -bundle, -weights or both")
 	}
 	if len(paths.bundles) > 1 {
 		// One training run produces one artefact; a second -bundle is almost
 		// certainly a serve-mode invocation missing the drop of -train.
 		return fmt.Errorf("-train takes at most one -bundle output")
-	}
-	if !split && (paths.pipe != "" || paths.weights != "") {
-		// A lone half of the split pair would be silently dropped otherwise.
-		return fmt.Errorf("-pipeline and -weights must be given together (got one of the two)")
 	}
 	pipe, m, norm, err := buildTraining(queries, tables)
 	if err != nil {
@@ -329,14 +317,11 @@ func trainAndSave(paths bundlePaths, queries, tables int) error {
 	}
 	if len(paths.bundles) == 1 {
 		spec := paths.bundles[0]
-		bf, err := os.Create(spec.path)
-		if err != nil {
-			return err
-		}
-		defer bf.Close()
 		// A named output stamps the identity into the bundle, so reloading it
 		// without a model field routes to that identity.
-		if err := persist.SaveFullBundleNamed(bf, pipe, norm, m, spec.name); err != nil {
+		if err := save(spec.path, func(f *os.File) error {
+			return persist.SaveFullBundle(f, pipe, norm, m, spec.name)
+		}); err != nil {
 			return err
 		}
 		target := "the default model"
@@ -346,34 +331,33 @@ func trainAndSave(paths bundlePaths, queries, tables int) error {
 		log.Printf("saved full bundle for %s to %s (normaliser: logmin=%.4f logmax=%.4f)",
 			target, spec.path, norm.LogMin, norm.LogMax)
 	}
-	if !split {
-		return nil
+	if paths.weights != "" {
+		if err := save(paths.weights, func(f *os.File) error { return persist.SaveWeights(f, m) }); err != nil {
+			return err
+		}
+		log.Printf("saved weights to %s", paths.weights)
 	}
-	pf, err := os.Create(paths.pipe)
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	if err := persist.SavePipeline(pf, pipe); err != nil {
-		return err
-	}
-	wf, err := os.Create(paths.weights)
-	if err != nil {
-		return err
-	}
-	defer wf.Close()
-	if err := persist.SaveWeights(wf, m); err != nil {
-		return err
-	}
-	// The normaliser is tiny; record it next to the weights for operators.
-	log.Printf("saved pipeline to %s and weights to %s (normaliser: logmin=%.4f logmax=%.4f)",
-		paths.pipe, paths.weights, norm.LogMin, norm.LogMax)
 	return nil
 }
 
+// save creates path and writes it with write, reporting a failed close: a
+// short write of a bundle must not pass for a saved one.
+func save(path string, write func(*os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // loadBundlePredictor reconstructs the whole predictor identity from one
-// full bundle: the normaliser ships in the bundle instead of being
-// re-derived from the training workload.
+// full bundle: the model is built off the bundle's own pipeline, which
+// decides its feature dimension, and the weights are shape-validated
+// against it before any is written.
 func loadBundlePredictor(path string) (*serve.Predictor, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -384,57 +368,11 @@ func loadBundlePredictor(path string) (*serve.Predictor, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	p, err := assemble(fb.Pipeline(), fb.Norm(), fb.Weights())
-	return p, fb.Name(), err
-}
-
-func loadPredictor(pipePath, weightPath string, queries, tables int) (*serve.Predictor, error) {
-	pf, err := os.Open(pipePath)
-	if err != nil {
-		return nil, err
+	m := models.NewPrestroid(modelConfig(), fb.Pipeline())
+	if err := fb.Weights().Apply(m); err != nil {
+		return nil, "", err
 	}
-	defer pf.Close()
-	pipe, err := persist.LoadPipeline(pf)
-	if err != nil {
-		return nil, err
-	}
-	wf, err := os.Open(weightPath)
-	if err != nil {
-		return nil, err
-	}
-	defer wf.Close()
-	weights, err := persist.DecodeBundle(wf)
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild the normaliser the same deterministic way training did.
-	return assemble(pipe, rebuildNormalizer(queries, tables), weights)
-}
-
-// assemble builds the serving predictor for one identity: the model is built
-// off the pipeline, which decides its feature dimension, and the weights are
-// shape-validated against it before any is written.
-func assemble(pipe *models.Pipeline, norm workload.Normalizer, weights *persist.Bundle) (*serve.Predictor, error) {
-	m := models.NewPrestroid(modelConfig(), pipe)
-	if err := weights.Apply(m); err != nil {
-		return nil, err
-	}
-	return &serve.Predictor{Model: m, Pipe: pipe, Norm: norm}, nil
-}
-
-// rebuildNormalizer regenerates the training workload's normaliser (the
-// generators are deterministic, so this reproduces training-time bounds —
-// provided the caller passes the same -queries and -tables values training
-// used; a full bundle sidesteps the requirement by shipping the normaliser).
-func rebuildNormalizer(queries, tables int) workload.Normalizer {
-	cfg := workload.DefaultGrabConfig()
-	cfg.Queries = queries
-	if tables > 0 {
-		cfg.InitialTables = tables
-	}
-	traces := workload.NewGrabGenerator(cfg).Generate()
-	split := dataset.SplitRandom(traces, 1)
-	return workload.FitNormalizer(split.Train)
+	return &serve.Predictor{Model: m, Pipe: fb.Pipeline(), Norm: fb.Norm()}, fb.Name(), nil
 }
 
 func freshPredictor(queries, tables int) (*serve.Predictor, error) {

@@ -22,26 +22,12 @@ import (
 // encoding cache, and layer scratch buffers written even during
 // inference-mode forward passes — so callers must serialise every call on a
 // given model. The serving layer (internal/serve) funnels all model calls
-// through a single batcher goroutine for exactly this reason. The only
-// exception is the optional concurrent-encoding split below: EncodeTrace is
-// pure and may run on many goroutines, while AdoptEncoding/Predict remain
-// single-goroutine.
+// through a single batcher goroutine per replica for exactly this reason.
 //
-// Three optional interfaces extend the contract:
-//
-//   - Evict(traces []*workload.Trace): drops the cached encodings of traces
-//     the caller will not reuse, bounding memory in long-running services.
-//     Evicting a trace that was never prepared is a no-op; a later Prepare
-//     (or lazy Predict) re-encodes it deterministically, so evict-then-
-//     predict returns byte-identical results.
-//   - EncodeTrace(tr) any / AdoptEncoding(tr, enc): splits Prepare into a
-//     pure encoding step, safe to fan out across goroutines, and a cheap
-//     cache-install step that must run on the same goroutine as Predict.
-//   - Clone() Model (the Cloner interface below): constructs an independent
-//     replica with identical weights and non-trainable state, sharing only
-//     immutable pre-processing state. Replicas let a sharded serving layer
-//     run N single-goroutine models concurrently without violating this
-//     contract.
+// Model is what training and the experiments need. Serving asks more — an
+// off-lock encode, an arena-backed PredictInto, Evict, a conv cache, Clone
+// and RebuildWithPipeline — and states it as one contract of its own
+// (internal/serve's servedModel), which Prestroid meets.
 type Model interface {
 	// Name identifies the model in experiment output.
 	Name() string
@@ -59,37 +45,10 @@ type Model interface {
 	BatchBytes(batchSize int) int
 }
 
-// Cloner is the optional replica-construction extension. Clone returns an
-// independent model whose Predict output is bit-identical to the source's
-// for any trace: weights and non-trainable state (batch-norm running
-// statistics) are duplicated, mutable scratch (encoding caches, optimizer
-// moments) starts fresh, and only immutable pre-processing state — the
-// Pipeline — is shared. The serving layer uses Clone to fan one trained (or
-// persist-loaded) model out to N shards, each owned by its own batcher
-// goroutine (see internal/serve's ShardedEngine).
-type Cloner interface {
-	Clone() Model
-}
-
-// PipelineRebuilder is the optional full-identity hot-reload extension:
-// RebuildWithPipeline constructs a fresh, freshly-initialised model of the
-// same architecture family and hyperparameters over a different feature
-// pipeline. Because the pipeline
-// decides the per-node feature width, the rebuilt model's parameter shapes
-// follow the new pipeline, not the receiver's — so a retrain that grew the
-// table universe can ship as a (pipeline, weights) pair: rebuild off the new
-// pipeline, then apply the shipped weights to the rebuilt model, whose shape
-// validation is the feature-dim check. The receiver is never mutated. The
-// rebuilt model and its clones share the cores with every other model
-// through tensor.Each's one process-wide helper budget.
-type PipelineRebuilder interface {
-	RebuildWithPipeline(pipe *Pipeline) (Model, error)
-}
-
 // ConvCache memoises pooled tree-convolution outputs keyed by the flattened
 // tree's content hash (treecnn.Tree.Hash). A model consults it on the
-// inference fast path (IntoPredictor): a hit replaces an entire conv stack
-// forward over that sub-tree.
+// inference fast path (Prestroid.PredictInto): a hit replaces an entire conv
+// stack forward over that sub-tree.
 //
 // Concurrency contract: unlike the model itself, a ConvCache MUST be safe
 // for concurrent use — the conv workers of one Predict call invoke it from
@@ -102,16 +61,6 @@ type PipelineRebuilder interface {
 type ConvCache interface {
 	Get(hash uint64) ([]float64, bool)
 	Put(hash uint64, pooled []float64)
-}
-
-// IntoPredictor is the optional zero-copy inference extension: PredictInto
-// writes one prediction per batch element into the caller-owned dst (len ≥
-// len(batch)), byte-identical to Predict, without returning model-owned
-// memory. Serving layers use it so no tensor escapes the model's lock, and
-// implementations back it with scratch arenas so a warmed-up call performs
-// no heap allocation.
-type IntoPredictor interface {
-	PredictInto(batch []*workload.Trace, dst []float64)
 }
 
 // PipelineConfig configures the shared feature pipeline.

@@ -447,8 +447,9 @@ func (m *Prestroid) Predict(batch []*workload.Trace) *tensor.Tensor {
 // shard) and installs it explicitly.
 func (m *Prestroid) SetConvCache(c ConvCache) { m.convCache = c }
 
-// PredictInto implements IntoPredictor: the arena-backed inference fast
-// path. Results are byte-identical to Predict — the conv stages and the
+// PredictInto is the arena-backed inference fast path: one prediction per
+// batch element into the caller-owned dst (len ≥ len(batch)). Results are
+// byte-identical to Predict — the conv stages and the
 // dense head replay the training path's operation order exactly — while all
 // intermediate tensors live in model-owned arenas and the outputs land in
 // the caller's dst, so a warmed-up call performs no heap allocation and no
@@ -539,8 +540,8 @@ func (m *Prestroid) BatchBytes(batchSize int) int {
 // bit-identical to the source model's for any trace, so N clones of one
 // loaded weight bundle can serve concurrently (each on its own goroutine)
 // without ever diverging. Concurrent clones divide the cores through
-// tensor.Each's one process-wide helper budget, which needs no wiring. Clone
-// implements the Cloner extension.
+// tensor.Each's one process-wide helper budget, which needs no wiring. The
+// serving layer builds one replica per shard this way.
 func (m *Prestroid) Clone() Model {
 	c := NewPrestroid(m.cfg, m.pipe)
 	if err := c.CopyWeightsFrom(m); err != nil {
@@ -552,12 +553,14 @@ func (m *Prestroid) Clone() Model {
 	return c
 }
 
-// RebuildWithPipeline implements the PipelineRebuilder extension: it
-// constructs a fresh Prestroid with the receiver's architecture config over
-// pipe, whose feature dimension — not the receiver's — decides the conv
-// parameter shapes. Weights start freshly initialised (the caller installs
-// the retrained bundle's tensors afterwards, which is where a pipeline/weight
-// mismatch is caught) and the encoding cache starts empty.
+// RebuildWithPipeline constructs a fresh Prestroid with the receiver's
+// architecture config over pipe, whose feature dimension — not the
+// receiver's — decides the conv parameter shapes: a retrain that grew the
+// table universe rolls in by rebuilding off its pipeline and applying its
+// weights. Weights start freshly initialised (the caller installs the
+// retrained bundle's tensors afterwards, which is where a pipeline/weight
+// mismatch is caught), the encoding cache starts empty, and the receiver is
+// never mutated.
 func (m *Prestroid) RebuildWithPipeline(pipe *Pipeline) (Model, error) {
 	if pipe == nil || pipe.Enc == nil {
 		return nil, fmt.Errorf("models: rebuild needs a pipeline with an encoder")

@@ -32,17 +32,12 @@ type fullBundle struct {
 }
 
 // SaveFullBundle writes the complete (pipeline, normaliser, weights) triple
-// to w. The three sections are the same representations SavePipeline and
-// SaveWeights produce standalone, plus the pipeline's feature dimension and
-// the normaliser fit on the training labels.
-func SaveFullBundle(w io.Writer, p *models.Pipeline, norm workload.Normalizer, m WeightStore) error {
-	return SaveFullBundleNamed(w, p, norm, m, "")
-}
-
-// SaveFullBundleNamed is SaveFullBundle with the target serving identity
-// stamped into the bundle, so operators can ship per-model artefacts that
-// route themselves without a model field on the reload request.
-func SaveFullBundleNamed(w io.Writer, p *models.Pipeline, norm workload.Normalizer, m WeightStore, name string) error {
+// to w, with the pipeline's feature dimension and the serving identity name
+// ("" = the daemon's default model) stamped in, so operators can ship
+// per-model artefacts that route themselves without a model field on the
+// reload request. The weight section is the representation SaveWeights
+// writes standalone.
+func SaveFullBundle(w io.Writer, p *models.Pipeline, norm workload.Normalizer, m WeightStore, name string) error {
 	b := fullBundle{
 		Version:    formatVersion,
 		FeatureDim: p.Enc.FeatureDim(),
@@ -71,7 +66,9 @@ type FullBundle struct {
 // it anywhere. A truncated stream, a pipeline section that reconstructs to a
 // feature dimension other than the declared one, or a normaliser whose range
 // is inverted (LogMax <= LogMin would make Normalize/Denormalize divide by a
-// non-positive range) all reject the bundle as a whole.
+// non-positive range) all reject the bundle as a whole, and so do sections
+// whose columns disagree in length (see weightBundle.check and
+// checkSnapshot): those are refused before anything is built from them.
 func DecodeFullBundle(r io.Reader) (*FullBundle, error) {
 	var b fullBundle
 	if err := gob.NewDecoder(r).Decode(&b); err != nil {
@@ -83,15 +80,18 @@ func DecodeFullBundle(r io.Reader) (*FullBundle, error) {
 	if !(b.Norm.LogMax > b.Norm.LogMin) {
 		return nil, fmt.Errorf("persist: normaliser range inverted: logmin=%v logmax=%v", b.Norm.LogMin, b.Norm.LogMax)
 	}
+	if b.Weights.Version != formatVersion {
+		return nil, fmt.Errorf("persist: unsupported weight-section version %d", b.Weights.Version)
+	}
+	if err := b.Weights.check(); err != nil {
+		return nil, err
+	}
 	pipe, err := pipelineFromBundle(&b.Pipeline)
 	if err != nil {
 		return nil, err
 	}
 	if got := pipe.Enc.FeatureDim(); got != b.FeatureDim {
 		return nil, fmt.Errorf("persist: pipeline reconstructs to feature dim %d, bundle declares %d", got, b.FeatureDim)
-	}
-	if b.Weights.Version != formatVersion {
-		return nil, fmt.Errorf("persist: unsupported weight-section version %d", b.Weights.Version)
 	}
 	return &FullBundle{pipe: pipe, norm: b.Norm, weights: Bundle{b: b.Weights}, name: b.ModelName}, nil
 }

@@ -22,7 +22,7 @@ func TestFullBundleRoundTrip(t *testing.T) {
 	src.Prepare(split.Train[:32])
 
 	var buf bytes.Buffer
-	if err := SaveFullBundle(&buf, pipe, norm, src); err != nil {
+	if err := SaveFullBundle(&buf, pipe, norm, src, ""); err != nil {
 		t.Fatal(err)
 	}
 	fb, err := DecodeFullBundle(bytes.NewReader(buf.Bytes()))
@@ -55,7 +55,7 @@ func TestFullBundleRejectsTruncated(t *testing.T) {
 	src := newModel(pipe, 1)
 	src.Prepare(split.Train[:16])
 	var buf bytes.Buffer
-	if err := SaveFullBundle(&buf, pipe, norm, src); err != nil {
+	if err := SaveFullBundle(&buf, pipe, norm, src, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, frac := range []int{4, 2} {
@@ -81,7 +81,7 @@ func TestFullBundleRejectsNormInversion(t *testing.T) {
 		{LogMin: 3, LogMax: 3}, // empty range
 	} {
 		var buf bytes.Buffer
-		if err := SaveFullBundle(&buf, pipe, bad, src); err != nil {
+		if err := SaveFullBundle(&buf, pipe, bad, src, ""); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := DecodeFullBundle(&buf); err == nil {

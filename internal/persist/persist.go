@@ -1,8 +1,10 @@
-// Package persist serialises trained pipelines and model weights so that a
-// model trained by the daily-retraining job can be shipped to the inference
-// service of Fig 1 without retraining. The format is a small versioned gob
-// envelope: pipeline (Word2Vec vectors + table universe) and a weight bundle
-// keyed by position with shape validation on load.
+// Package persist serialises trained predictors so that a model trained by
+// the daily-retraining job can be shipped to the inference service of Fig 1
+// without retraining. The format is a small versioned gob envelope: a full
+// bundle carries the whole serving identity — pipeline (Word2Vec vectors +
+// table universe), label normaliser and weights — and a weight bundle
+// carries weights alone, keyed by position with shape validation on load,
+// for a roll that keeps the live pipeline and normaliser.
 package persist
 
 import (
@@ -84,7 +86,20 @@ func DecodeBundle(r io.Reader) (*Bundle, error) {
 	if b.Version != formatVersion {
 		return nil, fmt.Errorf("persist: unsupported format version %d", b.Version)
 	}
+	if err := b.check(); err != nil {
+		return nil, err
+	}
 	return &Bundle{b: b}, nil
+}
+
+// check refuses a weight section whose per-tensor columns differ in length:
+// Validate walks Names, Shapes and Data by one index.
+func (b *weightBundle) check() error {
+	if len(b.Names) != len(b.Data) || len(b.Shapes) != len(b.Data) {
+		return fmt.Errorf("persist: weight section has %d names, %d shapes and %d tensors",
+			len(b.Names), len(b.Shapes), len(b.Data))
+	}
+	return nil
 }
 
 // Validate checks the bundle against the model's parameter count, shapes and

@@ -187,21 +187,30 @@ func TestBundleDecodeOnceApplyMany(t *testing.T) {
 	}
 }
 
-func TestPipelineRoundTrip(t *testing.T) {
-	split, _, pipe := fixture(t)
+// saveFull writes a full bundle of (pipe, norm, m) and decodes it back, the
+// way the daemon loads one in a fresh process.
+func saveFull(t *testing.T, pipe *models.Pipeline, norm workload.Normalizer, m *models.Prestroid) *FullBundle {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := SavePipeline(&buf, pipe); err != nil {
+	if err := SaveFullBundle(&buf, pipe, norm, m, ""); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadPipeline(&buf)
+	fb, err := DecodeFullBundle(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fb
+}
+
+// TestPipelineRoundTrip pins the pipeline section of a full bundle on its
+// own: identical models over the saved and the restored pipeline encode,
+// hence predict, identically.
+func TestPipelineRoundTrip(t *testing.T) {
+	split, norm, pipe := fixture(t)
+	restored := saveFull(t, pipe, norm, newModel(pipe, 1)).Pipeline()
 	if restored.Enc.FeatureDim() != pipe.Enc.FeatureDim() {
 		t.Fatalf("feature dim %d != %d", restored.Enc.FeatureDim(), pipe.Enc.FeatureDim())
 	}
-	// Identical models over both pipelines must produce identical encodings,
-	// hence identical predictions.
 	a := newModel(pipe, 5)
 	b := newModel(restored, 5)
 	a.Prepare(split.Test)
@@ -213,26 +222,21 @@ func TestPipelineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPipelineRoundTripPreservesFlags checks that the encoder's ablation
+// flags survive a full bundle, the one artefact that carries a pipeline.
 func TestPipelineRoundTripPreservesFlags(t *testing.T) {
-	_, _, pipe := fixture(t)
+	_, norm, pipe := fixture(t)
 	pipe.Enc.MeanPooling = true
 	pipe.Enc.HashedPredicates = true
-	var buf bytes.Buffer
-	if err := SavePipeline(&buf, pipe); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadPipeline(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := saveFull(t, pipe, norm, newModel(pipe, 1)).Pipeline()
 	if !restored.Enc.MeanPooling || !restored.Enc.HashedPredicates {
 		t.Fatal("encoder flags lost in round trip")
 	}
 }
 
 func TestFullModelShipment(t *testing.T) {
-	// The deployment story: train, save pipeline+weights, load both in a
-	// fresh process and serve identical predictions.
+	// The deployment story: train, save a full bundle, load it in a fresh
+	// process and serve identical predictions.
 	split, norm, pipe := fixture(t)
 	src := newModel(pipe, 1)
 	src.Prepare(split.Train)
@@ -241,21 +245,10 @@ func TestFullModelShipment(t *testing.T) {
 		src.TrainBatch(split.Train[:32], labels)
 	}
 
-	var pipeBuf, weightBuf bytes.Buffer
-	if err := SavePipeline(&pipeBuf, pipe); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveWeights(&weightBuf, src); err != nil {
-		t.Fatal(err)
-	}
-
 	// "Fresh process".
-	restoredPipe, err := LoadPipeline(&pipeBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := newModel(restoredPipe, 42)
-	if err := mustDecode(t, &weightBuf).Apply(served); err != nil {
+	fb := saveFull(t, pipe, norm, src)
+	served := newModel(fb.Pipeline(), 42)
+	if err := fb.Weights().Apply(served); err != nil {
 		t.Fatal(err)
 	}
 	served.Prepare(split.Test[:4])

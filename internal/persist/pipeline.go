@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"prestroid/internal/models"
@@ -11,7 +9,8 @@ import (
 	"prestroid/internal/word2vec"
 )
 
-// pipelineBundle is the on-disk pipeline representation.
+// pipelineBundle is the on-disk pipeline representation, the pipeline
+// section of a full bundle.
 type pipelineBundle struct {
 	Version          int
 	W2V              *word2vec.Snapshot
@@ -20,8 +19,8 @@ type pipelineBundle struct {
 	HashedPredicates bool
 }
 
-// newPipelineBundle captures a pipeline's persistent state; the full-bundle
-// envelope embeds the same representation SavePipeline writes standalone.
+// newPipelineBundle captures a pipeline's persistent state: the pipeline
+// section of a full bundle.
 func newPipelineBundle(p *models.Pipeline) pipelineBundle {
 	tables := make([]string, 0, len(p.Enc.TableIndex))
 	for t := range p.Enc.TableIndex {
@@ -37,13 +36,16 @@ func newPipelineBundle(p *models.Pipeline) pipelineBundle {
 	}
 }
 
-// pipelineFromBundle reconstructs a pipeline from its persisted form.
+// pipelineFromBundle reconstructs a pipeline from its persisted form. The
+// restored pipeline encodes queries identically to the one saved; its
+// Word2Vec model is frozen. The snapshot is checked before FromSnapshot
+// allocates anything, so hostile bytes are an error, not a panic.
 func pipelineFromBundle(b *pipelineBundle) (*models.Pipeline, error) {
 	if b.Version != formatVersion {
 		return nil, fmt.Errorf("persist: unsupported pipeline version %d", b.Version)
 	}
-	if b.W2V == nil {
-		return nil, fmt.Errorf("persist: pipeline section carries no Word2Vec snapshot")
+	if err := checkSnapshot(b.W2V); err != nil {
+		return nil, err
 	}
 	w2v := word2vec.FromSnapshot(b.W2V)
 	enc := otp.NewEncoder(b.Tables, w2v)
@@ -52,19 +54,27 @@ func pipelineFromBundle(b *pipelineBundle) (*models.Pipeline, error) {
 	return &models.Pipeline{W2V: w2v, Enc: enc}, nil
 }
 
-// SavePipeline writes the shared feature pipeline (Word2Vec vectors, table
-// universe, encoder flags) to w.
-func SavePipeline(w io.Writer, p *models.Pipeline) error {
-	b := newPipelineBundle(p)
-	return gob.NewEncoder(w).Encode(&b)
-}
-
-// LoadPipeline reconstructs a pipeline from r. The restored pipeline encodes
-// queries identically to the one saved; its Word2Vec model is frozen.
-func LoadPipeline(r io.Reader) (*models.Pipeline, error) {
-	var b pipelineBundle
-	if err := gob.NewDecoder(r).Decode(&b); err != nil {
-		return nil, fmt.Errorf("persist: decode pipeline: %w", err)
+// checkSnapshot refuses a Word2Vec snapshot FromSnapshot cannot restore:
+// no dimension, columns of different lengths, or a vector of the wrong
+// width. An empty vocabulary is refused too, since it carries no vector
+// that could vouch for Dim, and FromSnapshot would allocate a Dim-wide row
+// on trust.
+func checkSnapshot(s *word2vec.Snapshot) error {
+	switch {
+	case s == nil:
+		return fmt.Errorf("persist: pipeline section carries no Word2Vec snapshot")
+	case s.Dim <= 0:
+		return fmt.Errorf("persist: Word2Vec snapshot has dimension %d", s.Dim)
+	case len(s.Words) == 0:
+		return fmt.Errorf("persist: Word2Vec snapshot has an empty vocabulary")
+	case len(s.Freq) != len(s.Words) || len(s.Vectors) != len(s.Words):
+		return fmt.Errorf("persist: Word2Vec snapshot has %d words, %d frequencies and %d vectors",
+			len(s.Words), len(s.Freq), len(s.Vectors))
 	}
-	return pipelineFromBundle(&b)
+	for i, v := range s.Vectors {
+		if len(v) != s.Dim {
+			return fmt.Errorf("persist: Word2Vec vector %d has width %d, snapshot dimension is %d", i, len(v), s.Dim)
+		}
+	}
+	return nil
 }

@@ -170,7 +170,7 @@ func TestExpiredDroppedBeforeDispatch(t *testing.T) {
 // row nor stands in as the representative for a live duplicate of its key.
 func TestFlushDropsExpiredJobs(t *testing.T) {
 	m := &stubModel{}
-	eng := &Engine{pred: &Predictor{Model: m}, cfg: Config{MaxBatch: 8}, tel: telemetry.NewShardGroup()}
+	eng := &Engine{pred: &Predictor{Model: m}, model: m, cfg: Config{MaxBatch: 8}, tel: telemetry.NewShardGroup()}
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -224,7 +224,7 @@ func TestFlushDropsExpiredJobs(t *testing.T) {
 // model slot, and leaves no cache entry behind for its key.
 func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	m := &stubModel{}
-	eng := &Engine{pred: &Predictor{Model: m}, cfg: Config{MaxBatch: 8},
+	eng := &Engine{pred: &Predictor{Model: m}, model: m, cfg: Config{MaxBatch: 8},
 		jobs: make(chan *predictJob, 8), tel: telemetry.NewShardGroup()}
 	eng.cache = newPredictionCache(8, &eng.tel.CacheHits, &eng.tel.CacheMisses)
 

@@ -21,7 +21,7 @@ import (
 // encode of a body capped at maxBodyBytes — and a batch nobody is joining
 // flushes at once.
 type Config struct {
-	// MaxBatch caps how many coalesced queries feed one Model.Predict call.
+	// MaxBatch caps how many coalesced queries feed one PredictInto call.
 	// Values <= 1 disable coalescing: every query becomes its own batch and
 	// the coalescer never holds.
 	MaxBatch int
@@ -31,17 +31,14 @@ type Config struct {
 	// segment with its own mutex.
 	CacheSize int
 	// Replicas is the number of shards a ShardedEngine builds, each owning
-	// its own model replica, batcher goroutine and cache segment. Values
-	// <= 1 select a single shard. Sharding beyond one replica requires the
-	// model to implement models.Cloner; otherwise the engine stays
-	// single-shard.
+	// its own model replica (a Clone of the served model), batcher goroutine
+	// and cache segment. Values <= 1 select a single shard.
 	Replicas int
 	// SubtreeCacheSize is the total number of pooled tree-convolution
 	// outputs retained across the engine, keyed by sub-tree content hash; 0
 	// disables the cache. Like CacheSize, a ShardedEngine splits the budget
 	// evenly so each shard's replica owns an independent segment with its own
-	// mutex. It only takes effect when the model consults a conv cache
-	// (models implementing SetConvCache).
+	// mutex.
 	SubtreeCacheSize int
 	// TemplateCacheSize is the total number of prepared-template entries the
 	// front-end cache retains, keyed by the query's literal-stripped template;
@@ -68,19 +65,6 @@ func DefaultConfig() Config {
 		SubtreeCacheSize: 4096, TemplateCacheSize: 4096}
 }
 
-// offLockEncoder is the one optional model interface the miss path encodes
-// through. EncodeTrace and BuildTemplateEncoding are the same pure per-plan
-// encode (safe on any goroutine; the latter wraps the trees as a template
-// entry's encoding, or returns nil when the pipeline's trees are not shared
-// between literal variants); AdoptEncoding installs the result and must run
-// on the goroutine that owns the model. Prestroid implements it. Every other
-// model encodes in Prepare, under the lock.
-type offLockEncoder interface {
-	EncodeTrace(tr *workload.Trace) any
-	BuildTemplateEncoding(plan *logicalplan.Node) *models.TemplateEncoding
-	AdoptEncoding(tr *workload.Trace, enc any)
-}
-
 // predictJob is one in-flight query travelling from an HTTP handler
 // goroutine to the batcher and back.
 type predictJob struct {
@@ -92,8 +76,7 @@ type predictJob struct {
 	key   string // canonical SQL, for single-flight dedup in flush
 	// enc is the trace's feature encoding, built (or taken from the template
 	// segment) by the handler's frontEnd through this engine's own pipeline,
-	// so whoever runs the model adopts it unconditionally. nil only for a
-	// model without an off-lock encode, which Prepare encodes from the plan.
+	// so whoever runs the model adopts it unconditionally.
 	enc  any
 	done chan float64 // buffered; receives the normalised prediction
 }
@@ -117,14 +100,15 @@ type predictJob struct {
 // to the one identity it was built with, and pred.mu has a single job:
 // models are not safe for concurrent use.
 type Engine struct {
-	pred *Predictor
-	cfg  Config
-	gen  int64 // generation of the identity this engine serves
+	pred  *Predictor
+	model servedModel // pred.Model, checked against the contract once
+	cfg   Config
+	gen   int64 // generation of the identity this engine serves
 
 	// The shard's cache segments, each nil when disabled: finished
-	// predictions, the sub-tree partial results installed into the replica
-	// (nil too when the model takes no conv cache), and the prepared-template
-	// front end. All three are born empty with the engine and die with it.
+	// predictions, the sub-tree partial results installed into the replica,
+	// and the prepared-template front end. All three are born empty with the
+	// engine and die with it.
 	cache     *predictionCache
 	convCache *subtreeCache
 	tmplCache *templateCache
@@ -151,12 +135,13 @@ type Engine struct {
 	tel *telemetry.ShardGroup
 }
 
-// newEngineAt starts the batcher goroutine over pred, which the engine owns
-// from here on, at an explicit generation and counter group: the successor a
-// roll builds is born at its predecessor's generation + 1 and, when it
-// replaces the predecessor outright, counts into the same group. A nil tel
-// starts a fresh one. Callers must Close the engine to release it.
-func newEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGroup) *Engine {
+// newEngineAt starts the batcher goroutine over pred, whose model is m and
+// which the engine owns from here on, at an explicit generation and counter
+// group: the successor a roll builds is born at its predecessor's generation
+// + 1 and, when it replaces the predecessor outright, counts into the same
+// group. A nil tel starts a fresh one. Callers must Close the engine to
+// release it.
+func newEngineAt(pred *Predictor, m servedModel, cfg Config, gen int64, tel *telemetry.ShardGroup) *Engine {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1
 	}
@@ -164,26 +149,23 @@ func newEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGro
 		tel = telemetry.NewShardGroup()
 	}
 	e := &Engine{
-		pred: pred,
-		cfg:  cfg,
-		gen:  gen,
-		jobs: make(chan *predictJob, 4*cfg.MaxBatch),
-		quit: make(chan struct{}),
-		wake: make(chan struct{}, 1),
-		tel:  tel,
+		pred:  pred,
+		model: m,
+		cfg:   cfg,
+		gen:   gen,
+		jobs:  make(chan *predictJob, 4*cfg.MaxBatch),
+		quit:  make(chan struct{}),
+		wake:  make(chan struct{}, 1),
+		tel:   tel,
 	}
 	if cfg.CacheSize > 0 {
 		e.cache = newPredictionCache(cfg.CacheSize, &tel.CacheHits, &tel.CacheMisses)
 	}
 	if cfg.SubtreeCacheSize > 0 {
-		if cs, ok := pred.Model.(convCacheSetter); ok {
-			e.convCache = newSubtreeCache(cfg.SubtreeCacheSize, &tel.SubtreeHits, &tel.SubtreeMisses)
-			cs.SetConvCache(e.convCache)
-		}
+		e.convCache = newSubtreeCache(cfg.SubtreeCacheSize, &tel.SubtreeHits, &tel.SubtreeMisses)
+		m.SetConvCache(e.convCache)
 	}
 	if cfg.TemplateCacheSize > 0 {
-		// No model probe: skeleton-only entries already skip lex and parse, so
-		// the cache pays off even for models without shareable encodings.
 		e.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &tel.TemplateHits, &tel.TemplateMisses)
 	}
 	e.wg.Add(1)
@@ -215,7 +197,7 @@ func (e *Engine) Close() {
 // the caller owes the segment once the answer is back.
 type prepared struct {
 	trace *workload.Trace
-	enc   any    // the model's encoding of the plan; nil without an offLockEncoder
+	enc   any    // the model's encoding of the plan; nil for explain
 	tkey  string // the query's template key; "" when it has none
 	// ent is the entry to deposit under tkey — the skeleton plus, when they
 	// are shareable, the trees in enc; nil when the segment lacks nothing.
@@ -275,14 +257,14 @@ func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
 		}
 	}
 	fe.trace = &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-	if m, ok := e.pred.Model.(offLockEncoder); ok && encode {
+	if encode {
 		if hit != nil && te == nil {
-			te = m.BuildTemplateEncoding(plan)
+			te = e.model.BuildTemplateEncoding(plan)
 		}
 		if te != nil {
 			fe.enc = te.Trees()
 		} else {
-			fe.enc = m.EncodeTrace(fe.trace)
+			fe.enc = e.model.EncodeTrace(fe.trace)
 		}
 	}
 	// Deposit only what the segment lacks: a new template's skeleton, or the
@@ -401,7 +383,7 @@ func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc
 		e.tel.Expired.Inc()
 		return 0, &ExpiredError{}
 	}
-	return e.pred.predictTrace(tr, enc), nil
+	return e.pred.predictTrace(e.model, tr, enc), nil
 }
 
 // saturated reports whether a non-blocking submit would fall back to the
@@ -511,7 +493,7 @@ func (e *Engine) flush(batch []*predictJob) {
 	// The outputs land in a batcher-owned slice: no model-owned tensor
 	// escapes the lock, and the next flush may reuse the model's buffers.
 	ys := make([]float64, len(traces))
-	e.pred.predictInto(traces, encs, ys)
+	e.pred.predictInto(e.model, traces, encs, ys)
 
 	e.tel.Batches.Inc()
 	e.tel.Coalesced.Add(int64(len(batch)))

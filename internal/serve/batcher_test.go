@@ -12,16 +12,19 @@ import (
 
 	"prestroid/internal/logicalplan"
 	"prestroid/internal/models"
+	"prestroid/internal/nn"
 	"prestroid/internal/tensor"
 	"prestroid/internal/workload"
 )
 
-// stubModel is a deterministic, instrumented models.Model: predictions are a
-// pure function of the plan, Predict blocks for delay to force queueing, and
-// an in-flight counter catches any violation of the single-goroutine model
-// contract. With entered set, Predict instead announces each call's batch
-// size there and holds the call until release yields, so a test decides what
-// queues behind a running flush.
+// stubModel is a deterministic, instrumented servedModel: predictions are a
+// pure function of the plan, Predict (and PredictInto, which is Predict
+// copied into dst) blocks for delay to force queueing, and an in-flight
+// counter catches any violation of the single-goroutine model contract.
+// With entered set, Predict instead announces each call's batch size there
+// and holds the call until release yields, so a test decides what queues
+// behind a running flush. The stub encodes nothing: its encoding is nil, and
+// it has no weights, so a roll rebuilds it as a fresh stub.
 type stubModel struct {
 	delay   time.Duration
 	entered chan int
@@ -72,10 +75,24 @@ func (m *stubModel) Predict(batch []*workload.Trace) *tensor.Tensor {
 	return out
 }
 
+func (m *stubModel) PredictInto(batch []*workload.Trace, dst []float64) {
+	copy(dst, m.Predict(batch).Data)
+}
+
 func (m *stubModel) Evict(traces []*workload.Trace) {
 	m.enter()
 	defer m.exit()
 	m.evicted.Add(int64(len(traces)))
+}
+
+func (m *stubModel) EncodeTrace(*workload.Trace) any                                  { return nil }
+func (m *stubModel) BuildTemplateEncoding(*logicalplan.Node) *models.TemplateEncoding { return nil }
+func (m *stubModel) AdoptEncoding(*workload.Trace, any)                               {}
+func (m *stubModel) SetConvCache(models.ConvCache)                                    {}
+func (m *stubModel) Weights() []*nn.Param                                             { return nil }
+func (m *stubModel) Clone() models.Model                                              { return &stubModel{} }
+func (m *stubModel) RebuildWithPipeline(*models.Pipeline) (models.Model, error) {
+	return &stubModel{}, nil
 }
 
 // stubScore is the stub's deterministic "prediction" for a trace.
@@ -367,7 +384,7 @@ func TestHoldLiveness(t *testing.T) {
 	}
 }
 
-// panicEncoder is a stub model with an off-lock encode that panics on a marked
+// panicEncoder is a stub model whose off-lock encode panics on a marked
 // query, the way a front end that trips over a bug would.
 type panicEncoder struct{ *stubModel }
 
@@ -379,8 +396,6 @@ func (panicEncoder) EncodeTrace(tr *workload.Trace) any {
 	}
 	return nil
 }
-func (panicEncoder) BuildTemplateEncoding(*logicalplan.Node) *models.TemplateEncoding { return nil }
-func (panicEncoder) AdoptEncoding(*workload.Trace, any)                               {}
 
 // TestHoldSurvivesFrontEndPanic pins that the en-route count cannot leak: a
 // handler that leaves its front end by panic — net/http recovers it and the

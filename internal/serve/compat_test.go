@@ -407,7 +407,7 @@ func TestCompatNamedBundleRouting(t *testing.T) {
 
 	var buf bytes.Buffer
 	m, _ := beta.Model.(persist.WeightStore)
-	if err := persist.SaveFullBundleNamed(&buf, beta.Pipe, beta.Norm, m, "beta"); err != nil {
+	if err := persist.SaveFullBundle(&buf, beta.Pipe, beta.Norm, m, "beta"); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "beta.full")

@@ -1,16 +1,6 @@
 package serve
 
-import (
-	"prestroid/internal/models"
-	"prestroid/internal/telemetry"
-)
-
-// convCacheSetter is the optional model extension the engine probes for when
-// wiring its sub-tree cache: models that take a ConvCache consult it on the
-// inference fast path. Prestroid implements it.
-type convCacheSetter interface {
-	SetConvCache(models.ConvCache)
-}
+import "prestroid/internal/telemetry"
 
 // subtreeCache is the per-shard partial-result segment behind
 // models.ConvCache: pooled tree-convolution outputs keyed by the flattened

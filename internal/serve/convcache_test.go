@@ -41,11 +41,7 @@ func TestSubtreeCacheKeepsAndCopies(t *testing.T) {
 // no two engines (or an engine and a reference) may share one.
 func clonePredictor(t *testing.T, pred *Predictor) *Predictor {
 	t.Helper()
-	cl, ok := pred.Model.(models.Cloner)
-	if !ok {
-		t.Fatalf("%T does not support cloning", pred.Model)
-	}
-	return &Predictor{Model: cl.Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
+	return &Predictor{Model: pred.Model.(*models.Prestroid).Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
 }
 
 // TestEngineSubtreeCacheByteIdentical is the tentpole correctness bar: with

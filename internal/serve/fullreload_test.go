@@ -54,7 +54,7 @@ func retrainedFullBundle(t *testing.T, pred *Predictor, normShift float64, extra
 	m := models.NewPrestroid(testModelConfig(), pipe)
 	norm := workload.Normalizer{LogMin: pred.Norm.LogMin - normShift, LogMax: pred.Norm.LogMax + normShift}
 	var buf bytes.Buffer
-	if err := persist.SaveFullBundle(&buf, pipe, norm, m); err != nil {
+	if err := persist.SaveFullBundle(&buf, pipe, norm, m, ""); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), &Predictor{Model: m, Pipe: pipe, Norm: norm}
@@ -165,7 +165,7 @@ func TestFullReloadRejectionsLeaveServingUntouched(t *testing.T) {
 	grown := grownPipeline(t, pred.Pipe, "rejected_extra")
 	var mismatched bytes.Buffer
 	if err := persist.SaveFullBundle(&mismatched, grown, pred.Norm,
-		pred.Model.(*models.Prestroid)); err != nil {
+		pred.Model.(*models.Prestroid), ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,7 +177,7 @@ func TestFullReloadRejectionsLeaveServingUntouched(t *testing.T) {
 	var inverted bytes.Buffer
 	if err := persist.SaveFullBundle(&inverted, grown,
 		workload.Normalizer{LogMin: 5, LogMax: 1},
-		models.NewPrestroid(testModelConfig(), grown)); err != nil {
+		models.NewPrestroid(testModelConfig(), grown), ""); err != nil {
 		t.Fatal(err)
 	}
 

@@ -79,7 +79,7 @@ func newCountingPredictor(t *testing.T) (*Predictor, *countingModel) {
 // and every submit takes the serialised fallback.
 func unstartedEngine(pred *Predictor, cfg Config, queueCap, queued int, serviceMicros float64) *Engine {
 	e := waitEngine(queueCap, queued, serviceMicros)
-	e.pred, e.cfg = pred, cfg
+	e.pred, e.model, e.cfg = pred, pred.mustServe(), cfg
 	if cfg.CacheSize > 0 {
 		e.cache = newPredictionCache(cfg.CacheSize, &e.tel.CacheHits, &e.tel.CacheMisses)
 	}

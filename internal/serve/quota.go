@@ -57,14 +57,9 @@ func newClientQuota(qps float64, burst int) *clientQuota {
 	return q
 }
 
-// stripeOf hashes a client key onto its stripe (FNV-1a, same as shardOf).
+// stripeOf hashes a client key onto its stripe.
 func (q *clientQuota) stripeOf(key string) *quotaStripe {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &q.strip[h%quotaStripes]
+	return &q.strip[fnv32a(key)%quotaStripes]
 }
 
 // Allow spends one token from key's bucket at time now, reporting whether

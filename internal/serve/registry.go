@@ -218,11 +218,7 @@ func (en *ModelEntry) ExplainSQL(sql string) (*logicalplan.Node, error) {
 // and a canary percentage would drain whole shards instead of sampling the
 // keyspace evenly.
 func canaryBucket(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
+	h := fnv32a(key)
 	h ^= h >> 16
 	h *= 0x7feb352d
 	h ^= h >> 15

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"prestroid/internal/models"
@@ -31,8 +30,8 @@ func stageWeights(r io.Reader) stageFunc {
 		if err != nil {
 			return nil, err
 		}
-		base := live.shards[0].pred
-		return assemble(base.Model, base.Pipe, base.Norm, bundle)
+		base := live.shards[0]
+		return assemble(base.model, base.pred.Pipe, base.pred.Norm, bundle)
 	}
 }
 
@@ -42,7 +41,7 @@ func stageWeights(r io.Reader) stageFunc {
 // weights were trained against a different feature dimension fails here.
 func stageFull(fb *persist.FullBundle) stageFunc {
 	return func(live *ShardedEngine) (*Predictor, error) {
-		return assemble(live.shards[0].pred.Model, fb.Pipeline(), fb.Norm(), fb.Weights())
+		return assemble(live.shards[0].model, fb.Pipeline(), fb.Norm(), fb.Weights())
 	}
 }
 
@@ -53,23 +52,16 @@ func stageFull(fb *persist.FullBundle) stageFunc {
 // writes every parameter and every state tensor. base is read, never called
 // under its lock or written, so a live replica busy with a long flush does
 // not hold the roll up.
-func assemble(base models.Model, pipe *models.Pipeline, norm workload.Normalizer, weights *persist.Bundle) (*Predictor, error) {
-	rb, ok := base.(models.PipelineRebuilder)
-	if !ok {
-		return nil, fmt.Errorf("serve: %T cannot be rebuilt from a retrain artefact, so it cannot be reloaded", base)
-	}
-	m, err := rb.RebuildWithPipeline(pipe)
+func assemble(base servedModel, pipe *models.Pipeline, norm workload.Normalizer, weights *persist.Bundle) (*Predictor, error) {
+	m, err := base.RebuildWithPipeline(pipe)
 	if err != nil {
 		return nil, err
 	}
-	ws, ok := m.(persist.WeightStore)
-	if !ok {
-		return nil, fmt.Errorf("serve: %T does not expose weights; cannot stage a reload", m)
-	}
-	if err := weights.Apply(ws); err != nil {
+	next := &Predictor{Model: m, Pipe: pipe, Norm: norm}
+	if err := weights.Apply(next.mustServe()); err != nil {
 		return nil, err
 	}
-	return &Predictor{Model: m, Pipe: pipe, Norm: norm}, nil
+	return next, nil
 }
 
 // The roll: every way of putting a new model behind an identity's traffic —

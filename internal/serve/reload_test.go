@@ -19,7 +19,6 @@ import (
 
 	"prestroid/internal/api"
 	"prestroid/internal/models"
-	"prestroid/internal/nn"
 	"prestroid/internal/persist"
 )
 
@@ -254,26 +253,6 @@ func TestReloadRejectsBadBundle(t *testing.T) {
 	}
 	if g != 1 || after != before {
 		t.Fatalf("rejected bundle disturbed serving: gen %d, %+v vs %+v", g, after, before)
-	}
-}
-
-// emptyWeightStore lets the test fabricate a syntactically valid (if
-// trivial) bundle without training a model.
-type emptyWeightStore struct{}
-
-func (emptyWeightStore) Weights() []*nn.Param { return nil }
-
-// TestReloadWithoutClonerFails checks graceful degradation for models that
-// cannot stage a reload: the bundle decodes, but the roll is refused.
-func TestReloadWithoutClonerFails(t *testing.T) {
-	se, _ := stubShards(t, 2, Config{MaxBatch: 2})
-	en := entryOver(t, se, Config{MaxBatch: 2})
-	var buf bytes.Buffer
-	if err := persist.SaveWeights(&buf, emptyWeightStore{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := en.ReloadWeights(&buf); err == nil {
-		t.Fatal("reload succeeded on a model without Clone support")
 	}
 }
 

@@ -4,14 +4,15 @@
 // provision cluster capacity before the query executes.
 //
 // Two inference paths exist. Predictor.PredictSQL is the serialised
-// reference path: one query per Model.Predict call under a global mutex.
+// reference path: one query per model call under the predictor's mutex.
 // ShardedEngine (see shard.go) is the serving path, with one shard or many: a
 // dispatcher hashes canonical SQL across N shards, each an Engine (see
 // batcher.go) owning its own model replica, so predict throughput scales with
 // cores instead of being capped at single-replica speed. In each shard,
 // handlers plan and encode concurrently while a single batcher goroutine
-// coalesces everything in flight into batched Model.Predict calls, with an
-// LRU over canonicalised SQL absorbing repeated templates.
+// coalesces everything in flight into batched PredictInto calls, with an
+// LRU over canonicalised SQL absorbing repeated templates. What a served
+// model must do is one contract, servedModel.
 //
 // Above the engines sits the model registry (see registry.go): one daemon
 // hosts several named predictor identities, each with its own shard set,
@@ -51,7 +52,9 @@ import (
 )
 
 // Predictor bundles everything needed to cost one query: the trained model,
-// its feature pipeline and the label normaliser fit on training data.
+// its feature pipeline and the label normaliser fit on training data. The
+// model must meet servedModel, which is checked where the Predictor enters
+// an engine and in PredictSQL.
 //
 // The three fields are one predictor identity and are never reassigned once
 // the predictor is serving: an engine owns its predictor for life, and a
@@ -66,9 +69,48 @@ type Predictor struct {
 	mu sync.Mutex // models are not safe for concurrent use (see models.Model)
 }
 
-// evicter is implemented by models that support dropping per-trace caches.
-type evicter interface {
+// servedModel is the one contract a served model meets; models.Prestroid
+// implements it. EncodeTrace and BuildTemplateEncoding are the same pure
+// per-plan encode, safe on any goroutine — the latter wraps the trees as a
+// template entry's encoding, or returns nil when the pipeline's trees are
+// not shared between literal variants. Everything else runs on the
+// goroutine that owns the model: AdoptEncoding installs an encoding,
+// PredictInto writes one prediction per trace into the caller's slice, Evict
+// drops the adopted encodings, and SetConvCache installs the engine's
+// sub-tree segment. Clone builds a replica with the same weights (one per
+// shard), and a roll builds the next identity with RebuildWithPipeline and
+// overwrites its Weights.
+type servedModel interface {
+	models.Model
+	persist.WeightStore
+	EncodeTrace(tr *workload.Trace) any
+	BuildTemplateEncoding(plan *logicalplan.Node) *models.TemplateEncoding
+	AdoptEncoding(tr *workload.Trace, enc any)
+	PredictInto(batch []*workload.Trace, dst []float64)
 	Evict(traces []*workload.Trace)
+	SetConvCache(models.ConvCache)
+	Clone() models.Model
+	RebuildWithPipeline(pipe *models.Pipeline) (models.Model, error)
+}
+
+// served returns p's model as a servedModel, or an error naming the
+// contract it does not meet.
+func (p *Predictor) served() (servedModel, error) {
+	m, ok := p.Model.(servedModel)
+	if !ok {
+		return nil, fmt.Errorf("serve: %T does not implement the serving contract (serve.servedModel)", p.Model)
+	}
+	return m, nil
+}
+
+// mustServe is served where a Predictor enters an engine: a model that
+// cannot be served there is a programming error.
+func (p *Predictor) mustServe() servedModel {
+	m, err := p.served()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // Prediction is the costing result for one query; the wire shape lives in
@@ -83,15 +125,19 @@ type (
 )
 
 // PredictSQL parses, plans, encodes and costs a single query on the
-// serialised path. It exists as the correctness reference and fallback; the
-// ShardedEngine is the throughput path.
+// serialised path. It exists as the correctness reference; ShardedEngine is
+// the throughput path.
 func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
+	m, err := p.served()
+	if err != nil {
+		return Prediction{}, err
+	}
 	plan, err := logicalplan.PlanSQL(sql)
 	if err != nil {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
 	tr := &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-	return p.prediction(plan, p.predictTrace(tr, nil)), nil
+	return p.prediction(plan, p.predictTrace(m, tr, m.EncodeTrace(tr))), nil
 }
 
 // prediction renders a normalised model output for plan as the wire result,
@@ -107,39 +153,25 @@ func (p *Predictor) prediction(plan *logicalplan.Node, y float64) Prediction {
 }
 
 // predictInto is the one serialised model round trip, shared by the batcher
-// and the per-query fallback: under the lock, adopt every encoding a handler
-// already built (encs[i] belongs to traces[i]; nil = none), predict into ys,
-// evict. A trace without an encoding is encoded by the model from its plan,
-// byte-identically. Models with the arena-backed PredictInto path write
-// straight into ys; the legacy path copies before the unlock — either way no
-// model-owned tensor escapes the lock.
-func (p *Predictor) predictInto(traces []*workload.Trace, encs []any, ys []float64) {
+// and the per-query fallback: under the lock, m (p's model) adopts the
+// encoding a handler built for every trace (encs[i] belongs to traces[i]),
+// predicts straight into ys and evicts, so no model-owned memory escapes the
+// lock.
+func (p *Predictor) predictInto(m servedModel, traces []*workload.Trace, encs []any, ys []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if m, ok := p.Model.(offLockEncoder); ok {
-		for i, enc := range encs {
-			if enc != nil {
-				m.AdoptEncoding(traces[i], enc)
-			}
-		}
+	for i, enc := range encs {
+		m.AdoptEncoding(traces[i], enc)
 	}
-	if ip, ok := p.Model.(models.IntoPredictor); ok {
-		ip.PredictInto(traces, ys)
-	} else {
-		p.Model.Prepare(traces)
-		copy(ys, p.Model.Predict(traces).Data)
-	}
-	if ev, ok := p.Model.(evicter); ok {
-		ev.Evict(traces)
-	}
+	m.PredictInto(traces, ys)
+	m.Evict(traces)
 }
 
-// predictTrace costs one already-planned trace on the serialised path the
-// batcher replaces (and degrades to when closed or saturated), adopting enc
-// when the caller already encoded the trace (nil = encode from the plan).
-func (p *Predictor) predictTrace(tr *workload.Trace, enc any) float64 {
+// predictTrace costs one encoded trace on the serialised path the batcher
+// replaces (and degrades to when closed or saturated).
+func (p *Predictor) predictTrace(m servedModel, tr *workload.Trace, enc any) float64 {
 	var y [1]float64
-	p.predictInto([]*workload.Trace{tr}, []any{enc}, y[:])
+	p.predictInto(m, []*workload.Trace{tr}, []any{enc}, y[:])
 	return y[0]
 }
 
@@ -779,42 +811,43 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	defer f.Close()
 
-	// Resolve the target identity and run the roll. Full bundles are decoded
-	// here — once — so the bundle's embedded model name can take part in the
-	// resolution before an engine is touched.
+	// Resolve the target identity and run the roll. A named identity is
+	// resolved before anything is decoded, so an unknown one answers 404
+	// whatever the artefact holds. A model-less full bundle routes by the
+	// name baked into it, so it is decoded — once — before its identity is
+	// resolved.
 	target := req.Model
-	var gen int64
 	var en *ModelEntry
-	if artefact == "weights" {
+	if target != "" || artefact == "weights" {
 		if en = s.resolveModel(w, target); en == nil {
 			return
 		}
+	}
+	var gen int64
+	if artefact == "weights" {
 		gen, err = en.ReloadWeights(f)
+	} else if fb, derr := persist.DecodeFullBundle(f); derr != nil {
+		// A bundle that cannot be decoded is a rejection with zero serving
+		// impact, counted against the identity the request named, or the
+		// default when none was (the bundle's own name is lost with the
+		// failed decode). Conflict still outranks rejection: if that identity
+		// is mid-roll the caller sees the 409 it would have hit had the
+		// artefact been sound.
+		if en == nil {
+			en = s.reg.Default()
+		}
+		err = en.rejectBundle(derr)
 	} else {
-		fb, derr := persist.DecodeFullBundle(f)
-		if derr != nil {
-			// A bundle that cannot be decoded is a rejection with zero serving
-			// impact, counted against the identity the request designated (the
-			// default when none was named — the bundle's own name is lost with
-			// the failed decode). Conflict still outranks rejection: if that
-			// identity is mid-roll the caller sees the 409 it would have hit
-			// had the artefact been sound.
-			if en = s.reg.Lookup(req.Model); en == nil {
-				en = s.reg.Default()
-			}
-			err = en.rejectBundle(derr)
-		} else {
-			if target == "" {
-				target = fb.Name()
-			}
+		if en == nil {
+			target = fb.Name()
 			if en = s.resolveModel(w, target); en == nil {
 				return
 			}
-			if req.Mode == "" {
-				gen, err = en.ReloadBundle(fb)
-			} else {
-				gen, err = en.Stage(fb, req.Mode, req.Percent)
-			}
+		}
+		if req.Mode == "" {
+			gen, err = en.ReloadBundle(fb)
+		} else {
+			gen, err = en.Stage(fb, req.Mode, req.Percent)
 		}
 	}
 	switch {

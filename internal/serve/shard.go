@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"prestroid/internal/logicalplan"
-	"prestroid/internal/models"
 	"prestroid/internal/telemetry"
 )
 
@@ -33,17 +32,17 @@ func DefaultReplicas() int {
 // through tensor.Each, whose helpers come from one process-wide budget of
 // GOMAXPROCS-1: N concurrent flushes run on their own goroutines plus at most
 // that many helpers between them, while a single busy shard on an otherwise
-// idle engine still gets every core. When n <= 1, or the model does not
-// implement models.Cloner, only pred itself is returned — the caller
-// degrades to one shard.
+// idle engine still gets every core. When n <= 1 only pred itself is
+// returned. Like NewShardedEngine, Replicas panics on a model that does not
+// meet the serving contract.
 func Replicas(pred *Predictor, n int) []*Predictor {
-	cl, ok := pred.Model.(models.Cloner)
-	if !ok || n <= 1 {
+	if n <= 1 {
 		return []*Predictor{pred}
 	}
+	m := pred.mustServe()
 	preds := make([]*Predictor, n)
 	for i := range preds {
-		preds[i] = &Predictor{Model: cl.Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
+		preds[i] = &Predictor{Model: m.Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
 	}
 	return preds
 }
@@ -87,7 +86,8 @@ type ShardedEngine struct {
 // Replicas), which the engine owns from here on. cfg.CacheSize,
 // cfg.SubtreeCacheSize and cfg.TemplateCacheSize are total cache budgets,
 // split evenly across shards; cfg.Replicas is ignored — len(preds) decides
-// the shard count.
+// the shard count. It panics on zero predictors, or on one whose model does
+// not meet the serving contract (servedModel).
 // Callers must Close the engine to release the batcher goroutines.
 func NewShardedEngine(preds []*Predictor, cfg Config) *ShardedEngine {
 	return newShardedEngineAt(preds, cfg, initialGeneration, nil)
@@ -107,6 +107,10 @@ const initialGeneration = 1
 func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, replaces *ShardedEngine) *ShardedEngine {
 	if len(preds) == 0 {
 		panic("serve: NewShardedEngine needs at least one predictor")
+	}
+	served := make([]servedModel, len(preds))
+	for i, p := range preds {
+		served[i] = p.mustServe()
 	}
 	per := cfg
 	if cfg.CacheSize > 0 {
@@ -130,7 +134,7 @@ func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, replaces *Sha
 		if replaces != nil && i < len(replaces.shards) {
 			tel = replaces.shards[i].tel
 		}
-		se.shards[i] = newEngineAt(p, per, gen, tel)
+		se.shards[i] = newEngineAt(p, served[i], per, gen, tel)
 	}
 	return se
 }
@@ -153,16 +157,21 @@ func (se *ShardedEngine) Close() {
 	}
 }
 
-// shardOf returns the home shard index for a canonical key: FNV-1a inlined
-// over the string, since this runs on every request — including cache hits
-// — and hash/fnv would cost two allocations per call.
+// shardOf returns the home shard index for a canonical key.
 func (se *ShardedEngine) shardOf(key string) int {
+	return int(fnv32a(key) % uint32(len(se.shards)))
+}
+
+// fnv32a is 32-bit FNV-1a over s: the one hash behind the home shard, the
+// quota stripe and the canary bucket. It runs on every request — cache hits
+// included — and hash/fnv would cost two allocations per call.
+func fnv32a(s string) uint32 {
 	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
 		h *= 16777619
 	}
-	return int(h % uint32(len(se.shards)))
+	return h
 }
 
 // PredictSQL is PredictSQLGenCtx with no deadline and without the

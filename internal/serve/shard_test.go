@@ -3,11 +3,12 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"prestroid/internal/models"
 	"prestroid/internal/telemetry"
-	"prestroid/internal/tensor"
 	"prestroid/internal/workload"
 )
 
@@ -189,19 +190,20 @@ func TestShardedDetourChecksHomeCache(t *testing.T) {
 	}
 }
 
-// gateModel is a stub whose Predict blocks until released, signalling entry
-// — a deterministic probe that two shards have their models inside Predict
-// at the same instant, which the single-batcher engine can never do.
+// gateModel is a stub whose PredictInto blocks until released, signalling
+// entry — a deterministic probe that two shards have their models inside a
+// prediction at the same instant, which the single-batcher engine can never
+// do.
 type gateModel struct {
 	stubModel
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (g *gateModel) Predict(batch []*workload.Trace) *tensor.Tensor {
+func (g *gateModel) PredictInto(batch []*workload.Trace, dst []float64) {
 	g.entered <- struct{}{}
 	<-g.release
-	return g.stubModel.Predict(batch)
+	g.stubModel.PredictInto(batch, dst)
 }
 
 // TestShardsOverlapModelCalls proves the architecture's point: two queries
@@ -281,14 +283,20 @@ func TestShardedMetricsAggregate(t *testing.T) {
 	}
 }
 
-// TestReplicasWithoutCloner checks graceful degradation: a model that can't
-// clone serves single-shard no matter what was requested.
-func TestReplicasWithoutCloner(t *testing.T) {
-	pred := &Predictor{Model: &stubModel{}}
-	preds := Replicas(pred, 4)
-	if len(preds) != 1 || preds[0] != pred {
-		t.Fatalf("Replicas fabricated %d predictors for a non-Cloner model", len(preds))
+// TestModelOutsideTheContract pins where a model that is only a
+// models.Model is stopped: entering an engine panics naming the serving
+// contract, and the serialised reference answers an error naming it.
+func TestModelOutsideTheContract(t *testing.T) {
+	pred := &Predictor{Model: struct{ models.Model }{&stubModel{}}}
+	if _, err := pred.PredictSQL("SELECT a FROM t"); err == nil || !strings.Contains(err.Error(), "servedModel") {
+		t.Fatalf("PredictSQL = %v, want an error naming servedModel", err)
 	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "servedModel") {
+			t.Fatalf("NewShardedEngine recovered %v, want a panic naming servedModel", r)
+		}
+	}()
+	NewShardedEngine([]*Predictor{pred}, Config{MaxBatch: 1}).Close()
 }
 
 // TestShardedClosedFallsBack mirrors the single-engine contract: Close is

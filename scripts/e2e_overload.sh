@@ -41,12 +41,12 @@ go build -o "$bin" ./cmd/prestroidd
 go build -o "$loadbin" ./cmd/prestroidload
 
 echo "== train a serving bundle"
-"$bin" -train -pipeline "$work/pipe.bin" -weights "$work/weights.bin" -queries 300
+"$bin" -train -bundle "$work/model.full" -queries 300
 
 start_server() {
   local log="$1"
   shift
-  "$bin" -pipeline "$work/pipe.bin" -weights "$work/weights.bin" -queries 300 \
+  "$bin" -bundle "$work/model.full" \
     -addr "$addr" -replicas 2 "$@" >"$work/$log" 2>&1 &
   server_pid=$!
   local i

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the retrain-and-reload loop: train two
-# distinguishable weight bundles, serve the first, hammer /v1/predict with
-# sustained traffic while POST /v1/reload rolls the second bundle through
-# the live shards, then assert the reported weight generation advanced with
-# zero failed requests and that SIGTERM drains the daemon cleanly. Along the
-# way, scrape GET /metrics under load and assert the Prometheus exposition
-# parses line by line and agrees with the /v1/stats JSON on monotone
-# counters (both render one telemetry snapshot).
+# End-to-end smoke of the retrain-and-reload loop: train a full bundle and
+# its weights, then a second, distinguishable set of weights; serve the full
+# bundle, hammer /v1/predict with sustained traffic while POST /v1/reload
+# rolls the second weights through the live shards, then assert the
+# reported weight generation advanced with zero failed requests and that
+# SIGTERM drains the daemon cleanly. Along the way, scrape GET /metrics
+# under load and assert the Prometheus exposition parses line by line and
+# agrees with the /v1/stats JSON on monotone counters (both render one
+# telemetry snapshot).
 #
 # Run from anywhere: ./scripts/e2e_smoke.sh
 set -euo pipefail
@@ -29,18 +30,18 @@ trap cleanup EXIT
 go build -o "$bin" ./cmd/prestroidd
 
 echo "== train generation-1 and generation-2 bundles"
-"$bin" -train -pipeline "$work/pipe.bin" -weights "$work/gen1.bin" -queries 300
+"$bin" -train -bundle "$work/gen1.full" -weights "$work/gen1.bin" -queries 300
 # The second training run sees a larger slice of the synthetic workload:
 # same architecture (so the bundle is shape-compatible with the live
 # pipeline), different trained weights (so generations are distinguishable).
-"$bin" -train -pipeline "$work/pipe-scratch.bin" -weights "$work/gen2.bin" -queries 330
+"$bin" -train -weights "$work/gen2.bin" -queries 330
 if cmp -s "$work/gen1.bin" "$work/gen2.bin"; then
   echo "retrained bundle is byte-identical to the first; smoke cannot distinguish generations" >&2
   exit 1
 fi
 
 echo "== serve generation 1"
-"$bin" -pipeline "$work/pipe.bin" -weights "$work/gen1.bin" -queries 300 \
+"$bin" -bundle "$work/gen1.full" \
   -addr "$addr" -replicas 2 >"$work/server.log" 2>&1 &
 server_pid=$!
 

@@ -44,8 +44,8 @@ go build -o "$work/prestroidd" ./cmd/prestroidd
 go build -o "$work/prestroidload" ./cmd/prestroidload
 
 echo "== train and serve a bundle"
-"$work/prestroidd" -train -pipeline "$work/pipe.bin" -weights "$work/w.bin" -queries 300
-"$work/prestroidd" -pipeline "$work/pipe.bin" -weights "$work/w.bin" -queries 300 \
+"$work/prestroidd" -train -bundle "$work/model.full" -queries 300
+"$work/prestroidd" -bundle "$work/model.full" \
   -addr "$addr" -reload-token "$token" >"$work/server.log" 2>&1 &
 server_pid=$!
 
