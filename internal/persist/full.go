@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"prestroid/internal/models"
 	"prestroid/internal/workload"
@@ -66,7 +67,9 @@ type FullBundle struct {
 // it anywhere. A truncated stream, a pipeline section that reconstructs to a
 // feature dimension other than the declared one, or a normaliser whose range
 // is inverted (LogMax <= LogMin would make Normalize/Denormalize divide by a
-// non-positive range) all reject the bundle as a whole, and so do sections
+// non-positive range) or not finite (an infinite or NaN bound makes every
+// denormalised prediction infinite or NaN, which JSON cannot carry) all
+// reject the bundle as a whole, and so do sections
 // whose columns disagree in length (see weightBundle.check and
 // checkSnapshot): those are refused before anything is built from them.
 func DecodeFullBundle(r io.Reader) (*FullBundle, error) {
@@ -76,6 +79,9 @@ func DecodeFullBundle(r io.Reader) (*FullBundle, error) {
 	}
 	if b.Version != formatVersion {
 		return nil, fmt.Errorf("persist: unsupported full-bundle version %d", b.Version)
+	}
+	if n := b.Norm; math.IsInf(n.LogMin, 0) || math.IsNaN(n.LogMin) || math.IsInf(n.LogMax, 0) || math.IsNaN(n.LogMax) {
+		return nil, fmt.Errorf("persist: normaliser range not finite: logmin=%v logmax=%v", n.LogMin, n.LogMax)
 	}
 	if !(b.Norm.LogMax > b.Norm.LogMin) {
 		return nil, fmt.Errorf("persist: normaliser range inverted: logmin=%v logmax=%v", b.Norm.LogMin, b.Norm.LogMax)

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -31,13 +32,20 @@ func FuzzDecodeBundle(f *testing.F) {
 }
 
 // FuzzDecodeFullBundle feeds arbitrary bytes to DecodeFullBundle. The
-// oracle is no panic: an accepted bundle's weights either apply onto a model
+// oracle is no panic — an accepted bundle's weights either apply onto a model
 // built off its own pipeline, as a roll builds one, or are refused by
-// Validate.
+// Validate — and an accepted normaliser is finite and ordered, so every
+// prediction it denormalises is a number JSON can carry.
 func FuzzDecodeFullBundle(f *testing.F) {
 	tiny := tinyFull()
 	addWithTruncations(f, gobBytes(f, &tiny))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		_ = decodeAndApply(raw, true)
+		if fb, err := DecodeFullBundle(bytes.NewReader(raw)); err == nil {
+			n := fb.Norm()
+			if math.IsInf(n.LogMin, 0) || math.IsInf(n.LogMax, 0) || !(n.LogMax > n.LogMin) {
+				t.Fatalf("accepted normaliser %+v", n)
+			}
+		}
 	})
 }

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -73,7 +74,9 @@ type hostileBundle struct {
 // a weight section with fewer shapes than tensors then panicked in Validate
 // with an index out of range, a snapshot with more words than vectors did
 // so in word2vec.FromSnapshot inside DecodeFullBundle, and an empty
-// vocabulary there asked for a Dim-wide row no process can allocate.
+// vocabulary there asked for a Dim-wide row no process can allocate. An
+// infinite normaliser bound decoded and rolled in, after which every
+// prediction was infinite.
 func hostileBundles(t testing.TB) []hostileBundle {
 	weights := func(name string, corrupt func(*weightBundle)) hostileBundle {
 		b := newWeightBundle(tinyModel(tinyPipeline(), 1))
@@ -100,6 +103,8 @@ func hostileBundles(t testing.TB) []hostileBundle {
 			b.Pipeline.W2V = &word2vec.Snapshot{Dim: 1 << 62}
 		}),
 		full("full: no Word2Vec snapshot", func(b *fullBundle) { b.Pipeline.W2V = nil }),
+		full("full: an infinite normaliser bound", func(b *fullBundle) { b.Norm.LogMax = math.Inf(1) }),
+		full("full: a NaN normaliser bound", func(b *fullBundle) { b.Norm.LogMin = math.NaN() }),
 	}
 }
 

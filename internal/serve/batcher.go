@@ -42,13 +42,15 @@ type Config struct {
 	SubtreeCacheSize int
 	// TemplateCacheSize is the total number of prepared-template entries the
 	// front-end cache retains, keyed by the query's literal-stripped template;
-	// 0 disables it. A hit replaces lex and parse with a literal rebind over
-	// the cached skeleton and — from the template's third sight on — the whole
-	// encode with the entry's trees, producing byte-identical predictions. An
-	// entry is born skeleton-only (a few hundred bytes) and gains its trees
-	// (~110 kB) the first time it is hit, so a template seen once never pins
-	// them. Like the other budgets, a ShardedEngine splits it evenly across
-	// shards.
+	// 0 disables it. From the template's third sight on, a prediction's
+	// front end is the key extraction and a lookup: the entry's trees stand in
+	// for parse, plan and encode, and its plan shape for the response's plan
+	// figures, producing byte-identical predictions. On its second sight a
+	// hit rebinds the cached skeleton with the query's literals in place of
+	// lex and parse, and plans and encodes it. An entry is born skeleton-only
+	// (a few hundred bytes) and gains its trees (~110 kB) the first time it is
+	// hit, so a template seen once never pins them. Like the other budgets, a
+	// ShardedEngine splits it evenly across shards.
 	TemplateCacheSize int
 	// MaxEstWait is the bounded-latency admission target: a query whose
 	// estimated wait (queue depth × EWMA service time) exceeds it on every
@@ -191,13 +193,15 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// prepared is one query past the front end: the planned trace (the plan is
-// always exact — on a template hit it is planned from the rebound statement,
-// carrying the request's own literals), its encoding, and the template entry
-// the caller owes the segment once the answer is back.
+// prepared is one query past the front end: its trace, its encoding, the
+// shape of its plan, and the template entry the caller owes the segment once
+// the answer is back. The trace carries the query's own plan, exact to its
+// literals, except on a lookup — a prediction whose template entry holds
+// trees — where it carries none: the model reads only the encoding.
 type prepared struct {
 	trace *workload.Trace
-	enc   any    // the model's encoding of the plan; nil for explain
+	enc   any // the model's encoding of the plan; nil for explain
+	shape planShape
 	tkey  string // the query's template key; "" when it has none
 	// ent is the entry to deposit under tkey — the skeleton plus, when they
 	// are shareable, the trees in enc; nil when the segment lacks nothing.
@@ -209,10 +213,15 @@ type prepared struct {
 // when encode is set (a prediction; explain stops at the plan) — the model's
 // off-lock encode, at most once.
 //
-// A template hit skips lexing and parsing entirely: the cached skeleton is
-// rebound with the query's literal vector (extracted in the same single lexer
-// pass that produced the key) and replanned, so everything downstream sees a
-// plan byte-identical to what the full parse would have built. Errors are
+// A prediction whose template entry holds trees returns straight after the
+// lookup, with the entry's trees and plan shape and a trace without a plan.
+// Equal template keys mean the query parses and plans to that shape (see
+// sqlparse.ExtractTemplate), and the trees are the encoding of every literal
+// variant, so nothing the query's own plan could add reaches the answer.
+// Any other hit skips lexing and parsing: the cached skeleton is rebound with
+// the query's literal vector (extracted in the same single lexer pass that
+// produced the key) and replanned, so explain and the encode see a plan
+// byte-identical to what the full parse would have built. Errors are
 // byte-identical to the uncached path's: extraction failures and rebind
 // mismatches (impossible for a genuine template match, but handled
 // defensively) fall through to the full parse, which reproduces the exact
@@ -222,11 +231,9 @@ type prepared struct {
 // skeleton alone — what PlanOnly deposits — and the trees are built into the
 // entry only on a hit whose entry has none yet, which Put upgrades in place.
 // "Seen before" is "the key is present": a template met once never pins its
-// ~110 kB of trees, one that recurs pays a second encode, once. A hit on an
-// entry that carries trees reuses them — they are the encoding of every
-// literal variant of the template. Whatever the path, the query is encoded at
-// most once here and never again by the batcher, the serialised fallback or
-// the deposit.
+// ~110 kB of trees, one that recurs pays a second encode, once. Whatever the
+// path, the query is encoded at most once here and never again by the
+// batcher, the serialised fallback or the deposit.
 func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
 	var fe prepared
 	var plan *logicalplan.Node
@@ -235,6 +242,9 @@ func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
 		if tkey, lits, ok := sqlparse.ExtractTemplate(sql); ok {
 			fe.tkey = tkey
 			if ent, ok := e.tmplCache.Get(tkey); ok {
+				if encode && ent.trees != nil {
+					return prepared{trace: &workload.Trace{SQL: sql, Template: -1}, enc: ent.trees, shape: ent.shape}, nil
+				}
 				if stmt, err := ent.stmt.Rebind(lits); err == nil {
 					if plan, err = logicalplan.Plan(stmt); err == nil {
 						hit = ent
@@ -257,6 +267,7 @@ func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
 		}
 	}
 	fe.trace = &workload.Trace{SQL: sql, Plan: plan, Template: -1}
+	fe.shape = shapeOf(plan)
 	if encode {
 		if hit != nil && te == nil {
 			te = e.model.BuildTemplateEncoding(plan)
@@ -270,7 +281,10 @@ func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
 	// Deposit only what the segment lacks: a new template's skeleton, or the
 	// trees a skeleton-only entry was missing.
 	if fe.tkey != "" && (hit == nil || te != hit.enc) {
-		fe.ent = &templateEntry{stmt: skel, enc: te}
+		fe.ent = &templateEntry{stmt: skel, enc: te, shape: fe.shape}
+		if te != nil {
+			fe.ent.trees = fe.enc
+		}
 	}
 	return fe, nil
 }
@@ -323,7 +337,7 @@ func (e *Engine) miss(ctx context.Context, sql, key string) (Prediction, error) 
 	if fe.ent != nil {
 		e.tmplCache.Put(fe.tkey, fe.ent)
 	}
-	return e.pred.prediction(fe.trace.Plan, y), nil
+	return e.pred.prediction(fe.shape, y), nil
 }
 
 // arrive is a prediction's frontEnd, counted en route while it runs. Nothing

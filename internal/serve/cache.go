@@ -78,14 +78,15 @@ func canonicalizeSQL(sql string) string {
 // canonicalAlready reports whether CanonicalSQL would return sql unchanged,
 // so the dominant case — clients sending single-line SQL with single spaces —
 // runs the canonicalisation as a read-only scan with zero allocations. The
-// conditions mirror the rewriter exactly: canonical text has no leading or
-// trailing space, and outside single-quoted strings no tab/newline/CR, no
-// adjacent spaces and no `--` comment opener.
+// conditions mirror the rewriter exactly: canonical text has no leading
+// space, and outside single-quoted strings no tab/newline/CR, no adjacent
+// spaces, no `--` comment opener and no trailing space (an unterminated
+// string keeps its trailing bytes verbatim).
 func canonicalAlready(sql string) bool {
 	if sql == "" {
 		return true
 	}
-	if sql[0] == ' ' || sql[len(sql)-1] == ' ' {
+	if sql[0] == ' ' {
 		return false
 	}
 	inString := false
@@ -112,7 +113,7 @@ func canonicalAlready(sql string) bool {
 			inString = true
 		}
 	}
-	return true
+	return inString || sql[len(sql)-1] != ' '
 }
 
 // predictionCache is the per-shard segment of finished predictions keyed by

@@ -145,3 +145,24 @@ func TestCanonicalSQLZeroAllocs(t *testing.T) {
 		t.Fatalf("CanonicalSQL on canonical input allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// FuzzCanonicalSQL holds CanonicalSQL's fast path to its rewriter on
+// arbitrary text: canonicalAlready claims a query exactly when
+// canonicalizeSQL returns it unchanged, and canonicalising is idempotent. The
+// seeds are the property tests' generated queries plus hand-picked runs of
+// tabs, comment openers and quotes (see testdata/fuzz).
+func FuzzCanonicalSQL(f *testing.F) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 64; i++ {
+		f.Add(genQuery(rng))
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		if got, want := canonicalAlready(sql), canonicalizeSQL(sql) == sql; got != want {
+			t.Fatalf("canonicalAlready(%q) = %v, canonicalizeSQL(%q) == input is %v", sql, got, sql, want)
+		}
+		once := CanonicalSQL(sql)
+		if twice := CanonicalSQL(once); twice != once {
+			t.Fatalf("CanonicalSQL is not idempotent on %q:\nonce:  %q\ntwice: %q", sql, once, twice)
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -94,7 +95,9 @@ func writeArtefact(t *testing.T, name string, raw []byte) string {
 // and counted once in rejected_reloads, and serving stays on generation 1.
 // Before decode checked the sections, the weight-only one and the full one
 // with a short weight section panicked in Validate, and the snapshots with
-// more words than vectors or no vocabulary panicked in decode.
+// more words than vectors or no vocabulary panicked in decode; the infinite
+// normaliser rolled in, and every prediction after it was a 200 with an empty
+// body.
 func TestReloadHostileBundlesAre422(t *testing.T) {
 	srv, pred := newTestServer(t)
 	m := pred.Model.(*models.Prestroid)
@@ -117,6 +120,8 @@ func TestReloadHostileBundlesAre422(t *testing.T) {
 			regob(t, full.Bytes(), func(b *fullFields) { b.Pipeline.W2V.Vectors = b.Pipeline.W2V.Vectors[:1] })},
 		{"snapshot with an empty vocabulary", "bundle",
 			regob(t, full.Bytes(), func(b *fullFields) { b.Pipeline.W2V = &word2vec.Snapshot{Dim: 1 << 62} })},
+		{"normaliser with an infinite bound", "bundle",
+			regob(t, full.Bytes(), func(b *fullFields) { b.Norm.LogMax = math.Inf(1) })},
 	} {
 		path := writeArtefact(t, "hostile.bin", c.raw)
 		w := reloadHTTP(t, srv, fmt.Sprintf(`{%q:%q}`, c.field, path), "127.0.0.1:51515", "")
@@ -153,5 +158,64 @@ func TestReloadUnknownModelIs404(t *testing.T) {
 	}
 	if !strings.Contains(metricsOf(srv), "prestroid_reload_rejected_total{model=\"default\"} 0\n") {
 		t.Fatal("/metrics charges the default identity with a rejection it did not see")
+	}
+}
+
+// TestAdminUnknownModelStaysOutOfServingCounters pins that admin traffic
+// naming an unknown identity — a reload of either artefact, a promote, an
+// abort — answers its 404 without touching the serving counters, while a
+// predict or explain naming one is a served request that failed.
+func TestAdminUnknownModelStaysOutOfServingCounters(t *testing.T) {
+	srv, _ := newTestServer(t)
+	path := writeArtefact(t, "garbage.full", []byte("not a gob stream"))
+	admin := []*httptest.ResponseRecorder{
+		reloadHTTP(t, srv, fmt.Sprintf(`{"bundle":%q,"model":"ghost"}`, path), "127.0.0.1:51515", ""),
+		reloadHTTP(t, srv, fmt.Sprintf(`{"weights":%q,"model":"ghost"}`, path), "127.0.0.1:51515", ""),
+	}
+	for _, action := range []string{"promote", "abort"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/models/ghost/"+action, nil)
+		req.RemoteAddr = "127.0.0.1:51515"
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		admin = append(admin, w)
+	}
+	for i, w := range admin {
+		if w.Code != http.StatusNotFound {
+			t.Fatalf("admin request %d for an unknown model = %d %s, want 404", i, w.Code, w.Body)
+		}
+	}
+	if st := statsOf(t, srv); st.Requests != 0 || st.Errors != 0 {
+		t.Fatalf("after admin 404s: requests %d errors %d, want 0 and 0", st.Requests, st.Errors)
+	}
+	for _, ep := range []string{"/v1/predict", "/v1/explain"} {
+		if w := post(t, srv, ep, `{"sql":"SELECT a FROM t","model":"ghost"}`); w.Code != http.StatusNotFound {
+			t.Fatalf("%s for an unknown model = %d, want 404", ep, w.Code)
+		}
+	}
+	if st := statsOf(t, srv); st.Requests != 2 || st.Errors != 2 {
+		t.Fatalf("after two serving 404s: requests %d errors %d, want 2 and 2", st.Requests, st.Errors)
+	}
+}
+
+// TestPredictNonFiniteIs500 pins that a prediction JSON cannot carry — a
+// non-finite cpu_minutes from a normaliser no bundle can now deliver — is
+// the server's failure, a 500 internal envelope, rather than a 200 whose
+// body the encoder silently dropped.
+func TestPredictNonFiniteIs500(t *testing.T) {
+	pred := newTestPredictor(t)
+	for _, norm := range []workload.Normalizer{
+		{LogMin: math.NaN(), LogMax: 1},
+		{LogMin: math.Inf(1), LogMax: math.Inf(1)},
+	} {
+		srv := NewServerConfig(&Predictor{Model: pred.Model, Pipe: pred.Pipe, Norm: norm}, Config{MaxBatch: 1})
+		w := post(t, srv, "/v1/predict", `{"sql":"SELECT a FROM t WHERE a > 5"}`)
+		srv.Close()
+		var env api.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+			t.Fatalf("normaliser %+v: body %q is no envelope: %v", norm, w.Body, err)
+		}
+		if w.Code != http.StatusInternalServerError || env.Error.Code != api.CodeInternal {
+			t.Fatalf("normaliser %+v: predict = %d %s, want 500 %s", norm, w.Code, w.Body, api.CodeInternal)
+		}
 	}
 }

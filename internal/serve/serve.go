@@ -137,18 +137,26 @@ func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
 	tr := &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-	return p.prediction(plan, p.predictTrace(m, tr, m.EncodeTrace(tr))), nil
+	return p.prediction(shapeOf(plan), p.predictTrace(m, tr, m.EncodeTrace(tr))), nil
 }
 
-// prediction renders a normalised model output for plan as the wire result,
-// denormalised with this identity's own label range.
-func (p *Predictor) prediction(plan *logicalplan.Node, y float64) Prediction {
+// planShape is what a prediction reports of its plan: node count, depth and
+// number of distinct tables. Every literal variant of a template shares it.
+type planShape struct{ nodes, depth, tables int }
+
+func shapeOf(plan *logicalplan.Node) planShape {
+	return planShape{plan.NodeCount(), plan.MaxDepth(), len(plan.Tables())}
+}
+
+// prediction renders a normalised model output for a plan of the given shape
+// as the wire result, denormalised with this identity's own label range.
+func (p *Predictor) prediction(shape planShape, y float64) Prediction {
 	return Prediction{
 		CPUMinutes: p.Norm.Denormalize(y),
 		Normalized: y,
-		PlanNodes:  plan.NodeCount(),
-		PlanDepth:  plan.MaxDepth(),
-		Tables:     len(plan.Tables()),
+		PlanNodes:  shape.nodes,
+		PlanDepth:  shape.depth,
+		Tables:     shape.tables,
 	}
 }
 
@@ -587,11 +595,11 @@ func (s *Server) observe(start time.Time) {
 
 // resolveModel maps a request's model field to its registry entry, writing
 // the 404 itself when the name is unknown. An empty name selects the default
-// identity.
+// identity. It counts nothing: a serving handler counts its own 404 as an
+// error, and admin traffic stays out of the serving counters.
 func (s *Server) resolveModel(w http.ResponseWriter, name string) *ModelEntry {
 	en := s.reg.Lookup(name)
 	if en == nil {
-		s.tel.Errors.Inc()
 		writeError(w, http.StatusNotFound, api.CodeUnknownModel,
 			fmt.Sprintf("unknown model %q", name))
 	}
@@ -620,11 +628,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	en := s.resolveModel(w, req.Model)
 	if en == nil {
+		s.tel.Errors.Inc()
 		return
 	}
 	pred, gen, err := en.PredictSQLGenCtx(ctx, req.SQL)
 	if err != nil {
 		s.failPredict(w, err)
+		return
+	}
+	// JSON has no infinity or NaN: such an answer would be a 200 with an
+	// empty body, so it is the server's failure instead.
+	if c := pred.CPUMinutes; math.IsInf(c, 0) || math.IsNaN(c) {
+		s.fail(w, http.StatusInternalServerError, api.CodeInternal, fmt.Errorf("non-finite cpu_minutes %v", c))
 		return
 	}
 	// Model echoes the identity only when the request named one, keeping
@@ -673,6 +688,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// the default.
 	en := s.resolveModel(w, req.Model)
 	if en == nil {
+		s.tel.Errors.Inc()
 		return
 	}
 	plan, err := en.ExplainSQL(req.SQL)
@@ -931,9 +947,8 @@ func (s *Server) handleModelAction(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name, action := parts[0], parts[1]
-	en := s.reg.Lookup(name)
+	en := s.resolveModel(w, name)
 	if en == nil {
-		writeError(w, http.StatusNotFound, api.CodeUnknownModel, fmt.Sprintf("unknown model %q", name))
 		return
 	}
 	var gen int64

@@ -7,9 +7,10 @@ import (
 )
 
 // templateCache is the per-shard prepared-template segment, keyed by the
-// ExtractTemplate canonical form. A hit turns a front-end pass — lex, parse,
-// plan, recast, sample, flatten, encode — into a literal rebind of the
-// skeleton, a plan, and the cached trees as they stand.
+// ExtractTemplate canonical form. A prediction's hit on an entry with trees
+// turns a front-end pass — lex, parse, plan, recast, sample, flatten, encode —
+// into the lookup itself; a hit on a skeleton-only entry, or an explain's,
+// into a literal rebind of the skeleton and a plan.
 //
 // The skeleton statement is weight-independent (parsing knows nothing about
 // the model), but the encoding is not: its trees were featurized by one
@@ -21,11 +22,15 @@ import (
 // trees (~110 kB each against a skeleton's few hundred bytes).
 type templateCache = lru[string, *templateEntry]
 
-// templateEntry is one cached template: the parsed skeleton and, once a
-// prediction hit it, the trees every literal variant encodes to.
+// templateEntry is one cached template: the parsed skeleton, the shape every
+// literal variant plans to (taken from the plan of the query that deposited
+// the entry), and, once a prediction hit it, the trees every literal variant
+// encodes to.
 type templateEntry struct {
-	stmt *sqlparse.SelectStmt
-	enc  *models.TemplateEncoding // nil until a prediction hits the entry
+	stmt  *sqlparse.SelectStmt
+	shape planShape
+	enc   *models.TemplateEncoding // nil until a prediction hits the entry
+	trees any                      // enc's trees as a job carries them, boxed once
 }
 
 func newTemplateCache(max int, hits, misses *telemetry.Counter) *templateCache {

@@ -10,15 +10,19 @@ import (
 	"prestroid/internal/workload"
 )
 
-// FuzzParse holds the parser to two properties. No input panics Parse or
-// ExtractTemplate (the fuzz engine fails on any panic). And the serve miss
-// path's invariant: whenever a query parses and yields a template, a skeleton
-// of that template rebound with the query's own literals plans exactly as
-// the full parse does — the same Explain text, or an error on both sides.
-// Two skeletons are tried: the query's own parse, and the parse of another
-// literal variant of its template, the one with every number 0 and every
-// string empty, which is how a template cache entry seeded by an earlier
-// query meets a later one.
+// FuzzParse holds the parser to three properties. No input panics Parse or
+// ExtractTemplate (the fuzz engine fails on any panic). Equal template keys
+// mean equal fates: when the query's template has a variant that parses and
+// plans — the one with every number 0 and every string empty, which is how a
+// template cache entry seeded by an earlier query meets a later one — the
+// query parses and plans too, to a plan of the same node count, depth and
+// table count; the serve front end answers a template hit from the entry
+// without parsing the query, so a query the parser would refuse must not
+// share a key with one it accepts. And the miss path's invariant: whenever a
+// query parses and yields a template, a skeleton of that template rebound
+// with the query's own literals plans exactly as the full parse does — the
+// same Explain text, or an error on both sides. Two skeletons are tried: the
+// query's own parse and the variant's.
 func FuzzParse(f *testing.F) {
 	g := workload.DefaultGrabConfig()
 	g.Queries = 40
@@ -42,19 +46,39 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, perr := sqlparse.Parse(src)
 		key, lits, ok := sqlparse.ExtractTemplate(src)
-		if perr != nil || !ok {
+		if !ok {
 			return
 		}
-		want, werr := logicalplan.Plan(stmt)
-		skeletons := []*sqlparse.SelectStmt{stmt}
+		var skeletons []*sqlparse.SelectStmt
 		variant := strings.NewReplacer("?n", "0", "?s", "''").Replace(key)
 		if vkey, _, ok := sqlparse.ExtractTemplate(variant); ok && vkey == key {
-			v, err := sqlparse.Parse(variant)
-			if err != nil {
-				t.Fatalf("%q parses but its template's variant %q does not: %v", src, variant, err)
+			v, verr := sqlparse.Parse(variant)
+			if verr != nil {
+				if perr == nil {
+					t.Fatalf("%q parses but its template's variant %q does not: %v", src, variant, verr)
+				}
+			} else if vplan, err := logicalplan.Plan(v); err == nil {
+				if perr != nil {
+					t.Fatalf("%q shares a template with %q, which plans, yet fails to parse: %v", src, variant, perr)
+				}
+				plan, err := logicalplan.Plan(stmt)
+				if err != nil {
+					t.Fatalf("%q shares a template with %q, which plans, yet fails to plan: %v", src, variant, err)
+				}
+				if plan.NodeCount() != vplan.NodeCount() || plan.MaxDepth() != vplan.MaxDepth() ||
+					len(plan.Tables()) != len(vplan.Tables()) {
+					t.Fatalf("%q plans to %d nodes, depth %d, %d tables; its template's variant %q to %d, %d, %d",
+						src, plan.NodeCount(), plan.MaxDepth(), len(plan.Tables()),
+						variant, vplan.NodeCount(), vplan.MaxDepth(), len(vplan.Tables()))
+				}
 			}
 			skeletons = append(skeletons, v)
 		}
+		if perr != nil {
+			return
+		}
+		want, werr := logicalplan.Plan(stmt)
+		skeletons = append(skeletons, stmt)
 		for _, skel := range skeletons {
 			re, err := skel.Rebind(lits)
 			if err != nil {

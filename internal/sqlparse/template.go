@@ -20,15 +20,18 @@ type TemplateLiteral struct {
 // (keywords upper-cased by the lexer, identifiers verbatim), joined by
 // single spaces. The second result is the literal vector in source order —
 // the values to Rebind into a skeleton parsed from any query with the same
-// template. ok is false when src does not lex or is empty; callers fall back
-// to the full parse path, which reports the error.
+// template. ok is false when src does not lex, is empty, or has a number
+// after LIMIT that the parser's strconv.Atoi rejects; callers fall back to
+// the full parse path, which reports the error.
 //
 // Queries with equal templates tokenize identically up to literal values, so
 // the parser takes identical branches on both: it branches only on token
-// kinds and non-literal token text (the lone exception — LIMIT range-checks
-// its number — is re-validated by Rebind). The placeholders are kind-
-// distinct on purpose: a string where a number stood, or vice versa, changes
-// the template, so a cache hit can never mask a parse error. Neither
+// kinds and non-literal token text. Its one check of a literal's value —
+// LIMIT's Atoi — is made here, so two queries with equal keys either both
+// parse or both fail, and when they parse their plans have the same shape
+// (node count, depth, tables): only literal values differ. The placeholders
+// are kind-distinct on purpose: a string where a number stood, or vice versa,
+// changes the template, so a cache hit can never mask a parse error. Neither
 // placeholder can collide with a real token ('?' does not lex), and string
 // contents never leak into the key.
 func ExtractTemplate(src string) (string, []TemplateLiteral, bool) {
@@ -36,7 +39,7 @@ func ExtractTemplate(src string) (string, []TemplateLiteral, bool) {
 	var b strings.Builder
 	b.Grow(len(src))
 	var lits []TemplateLiteral
-	first := true
+	first, limit := true, false
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -45,6 +48,12 @@ func ExtractTemplate(src string) (string, []TemplateLiteral, bool) {
 		if t.Kind == TokEOF {
 			break
 		}
+		if limit && t.Kind == TokNumber {
+			if _, err := strconv.Atoi(t.Text); err != nil {
+				return "", nil, false
+			}
+		}
+		limit = t.Kind == TokKeyword && t.Text == "LIMIT"
 		if !first {
 			b.WriteByte(' ')
 		}

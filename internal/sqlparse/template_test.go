@@ -78,6 +78,34 @@ func TestExtractTemplateLexError(t *testing.T) {
 	}
 }
 
+// TestExtractTemplateLimit pins the one literal-value check ExtractTemplate
+// shares with the parser: a number after LIMIT that strconv.Atoi rejects
+// (fractional or out of range, in either arm of a UNION ALL) yields no
+// template, so the caller's full parse reports the parser's own error; one
+// Atoi accepts, leading zeros included, templates as usual.
+func TestExtractTemplateLimit(t *testing.T) {
+	for _, c := range []struct {
+		src, key, parseErr string // key "" means ok=false
+	}{
+		{"SELECT a FROM t LIMIT 1.5", "", `sqlparse: bad LIMIT "1.5" at 22`},
+		{"SELECT a FROM t LIMIT 99999999999999999999", "", `sqlparse: bad LIMIT "99999999999999999999" at 22`},
+		{"SELECT a FROM t LIMIT 007", "SELECT a FROM t LIMIT ?n", ""},
+		{"SELECT a FROM t LIMIT 3 UNION ALL SELECT b FROM u LIMIT 7",
+			"SELECT a FROM t LIMIT ?n UNION ALL SELECT b FROM u LIMIT ?n", ""},
+		{"SELECT a FROM t LIMIT 3 UNION ALL SELECT b FROM u LIMIT 2.5", "", `sqlparse: bad LIMIT "2.5" at 56`},
+		{"SELECT a FROM t LIMIT 0.5 UNION ALL SELECT b FROM u LIMIT 2", "", `sqlparse: bad LIMIT "0.5" at 22`},
+	} {
+		key, _, ok := ExtractTemplate(c.src)
+		if ok != (c.key != "") || key != c.key {
+			t.Errorf("ExtractTemplate(%q) = %q, %v; want %q, %v", c.src, key, ok, c.key, c.key != "")
+		}
+		_, err := Parse(c.src)
+		if (err == nil) != (c.parseErr == "") || (err != nil && err.Error() != c.parseErr) {
+			t.Errorf("Parse(%q) error %v, want %q", c.src, err, c.parseErr)
+		}
+	}
+}
+
 // rebindQueries pairs a skeleton query with a literal-variant of the same
 // template, covering every literal grammar position: comparisons, negative
 // numbers, IN lists, BETWEEN / NOT BETWEEN, LIKE, LIMIT, literals inside ON,
