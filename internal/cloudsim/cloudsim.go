@@ -9,7 +9,6 @@ package cloudsim
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -118,22 +117,4 @@ func CheapestFeasible(clusters []Cluster, job TrainingJob) (Cluster, float64, er
 		return Cluster{}, 0, ErrNoFeasibleCluster
 	}
 	return clusters[best], bestCost, nil
-}
-
-// CostRow is one line of the Fig 7 series: the cheapest feasible cluster and
-// price for a model at a given batch size.
-type CostRow struct {
-	ModelName string
-	BatchSize int
-	Cluster   string
-	CostUSD   float64
-	OOM       bool // true when no tier fits
-}
-
-// String renders a cost row.
-func (r CostRow) String() string {
-	if r.OOM {
-		return fmt.Sprintf("%s @%d: OOM on all tiers", r.ModelName, r.BatchSize)
-	}
-	return fmt.Sprintf("%s @%d: $%.2f on %s", r.ModelName, r.BatchSize, r.CostUSD, r.Cluster)
 }

@@ -104,14 +104,3 @@ func TestEpochTimeScaling(t *testing.T) {
 		t.Fatal("scale-out penalty missing")
 	}
 }
-
-func TestCostRowString(t *testing.T) {
-	r := CostRow{ModelName: "m", BatchSize: 32, Cluster: "NC6s_V3", CostUSD: 5.79}
-	if r.String() == "" {
-		t.Fatal("empty string")
-	}
-	oom := CostRow{ModelName: "m", BatchSize: 256, OOM: true}
-	if oom.String() == "" {
-		t.Fatal("empty OOM string")
-	}
-}

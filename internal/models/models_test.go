@@ -21,7 +21,7 @@ type testbed struct {
 
 var shared *testbed
 
-func bed(t *testing.T) *testbed {
+func bed(t testing.TB) *testbed {
 	t.Helper()
 	if shared != nil {
 		return shared

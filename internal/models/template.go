@@ -5,19 +5,21 @@ import (
 	"prestroid/internal/treecnn"
 )
 
-// TemplateEncoding is the featurization half of a prepared-template cache
-// entry: the flattened trees of one query's plan plus their byte count, and
-// nothing else. The encoder strips every literal value before embedding
-// (PredTokens keeps columns and shape keywords only), so the trees of one
-// query are the trees of every query sharing its template (same token stream
-// up to literal values, hence an isomorphic plan and recast tree) — byte for
-// byte: features, structure, votes, hashes. That is what lets the conv cache
-// compose with template hits: equal hashes replay pooled conv outputs.
+// TemplateEncoding is the flattened trees of one query's plan plus their byte
+// count. The serving engine keeps no trees in its template entries (an entry
+// holds the template's answer instead); TemplateEncoding and
+// BuildTemplateEncoding are kept only because benchmark/hand.go's replay of
+// an older miss path still calls them.
+//
+// The encoder strips every literal value before embedding (PredTokens keeps
+// columns and shape keywords only), so the trees of one query are the trees
+// of every query sharing its template (same token stream up to literal
+// values, hence an isomorphic plan and recast tree) — byte for byte:
+// features, structure, votes, hashes. FuzzTemplateEncodingInvariant pins it,
+// and it is what lets a served template answer every literal variant.
 //
 // The one literal-sensitive pipeline mode, the HashedPredicates ablation, has
-// no template encoding at all (BuildTemplateEncoding returns nil): its
-// template entries stay skeleton-only and every query is encoded from its
-// own exact plan.
+// no template encoding at all (BuildTemplateEncoding returns nil).
 type TemplateEncoding struct {
 	trees []*treecnn.Tree
 	bytes int
@@ -32,7 +34,8 @@ func (te *TemplateEncoding) Trees() []*treecnn.Tree { return te.trees }
 
 // BuildTemplateEncoding encodes plan through the model's exact featurization
 // path — the same single encode EncodeTrace runs — and wraps the trees as a
-// template entry's encoding. It returns nil, without encoding anything, for a
+// TemplateEncoding; only benchmark/hand.go calls it. It returns nil, without
+// encoding anything, for a
 // HashedPredicates pipeline, whose trees are not shared between literal
 // variants. It reads only immutable pipeline state, so it is safe to call
 // concurrently with serving; the caller decides where (and whether) to cache

@@ -6,31 +6,6 @@ import (
 	"prestroid/internal/tensor"
 )
 
-// MSELoss is the mean squared error ½(p-t)² averaged over the batch. The
-// paper reports evaluation scores as MSE in minutes².
-type MSELoss struct{}
-
-// Value returns mean((p-t)²).
-func (MSELoss) Value(pred, target *tensor.Tensor) float64 {
-	n := pred.Size()
-	s := 0.0
-	for i := 0; i < n; i++ {
-		d := pred.Data[i] - target.Data[i]
-		s += d * d
-	}
-	return s / float64(n)
-}
-
-// Grad returns 2(p-t)/n.
-func (MSELoss) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
-	n := pred.Size()
-	g := tensor.New(pred.Shape...)
-	for i := 0; i < n; i++ {
-		g.Data[i] = 2 * (pred.Data[i] - target.Data[i]) / float64(n)
-	}
-	return g
-}
-
 // HuberLoss is the smooth L1 loss with threshold Delta: quadratic within
 // |p-t| <= Delta, linear beyond. All deep models in the paper are optimised
 // with Huber loss (δ = 1, the TensorFlow default).

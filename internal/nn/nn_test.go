@@ -325,20 +325,6 @@ func TestSequentialComposition(t *testing.T) {
 	}
 }
 
-func TestMSELossValueAndGrad(t *testing.T) {
-	p := tensor.FromSlice([]float64{1, 2}, 2, 1)
-	y := tensor.FromSlice([]float64{0, 4}, 2, 1)
-	var l MSELoss
-	if got := l.Value(p, y); math.Abs(got-2.5) > 1e-12 { // (1+4)/2
-		t.Fatalf("MSE = %v, want 2.5", got)
-	}
-	g := l.Grad(p, y)
-	want := tensor.FromSlice([]float64{1, -2}, 2, 1) // 2(p-t)/2
-	if !tensor.Equal(g, want, 1e-12) {
-		t.Fatalf("MSE grad = %v, want %v", g, want)
-	}
-}
-
 func TestHuberQuadraticAndLinearRegimes(t *testing.T) {
 	l := NewHuberLoss(1)
 	p := tensor.FromSlice([]float64{0.5}, 1, 1)

@@ -69,8 +69,8 @@ type FullBundle struct {
 // is inverted (LogMax <= LogMin would make Normalize/Denormalize divide by a
 // non-positive range) or not finite (an infinite or NaN bound makes every
 // denormalised prediction infinite or NaN, which JSON cannot carry) all
-// reject the bundle as a whole, and so do sections
-// whose columns disagree in length (see weightBundle.check and
+// reject the bundle as a whole, and so do sections whose columns disagree in
+// length and weights that are not finite (see weightBundle.check and
 // checkSnapshot): those are refused before anything is built from them.
 func DecodeFullBundle(r io.Reader) (*FullBundle, error) {
 	var b fullBundle

@@ -16,8 +16,9 @@ func addWithTruncations(f *testing.F, raw []byte) {
 }
 
 // FuzzDecodeBundle feeds arbitrary bytes to DecodeBundle. The oracle is no
-// panic: a refused stream is an error, and an accepted bundle either applies
-// onto a fresh model or is refused by Validate. The seeds are bundles of
+// panic — a refused stream is an error, and an accepted bundle either applies
+// onto a fresh model or is refused by Validate — and no accepted bundle holds
+// a non-finite weight. The seeds are bundles of
 // tinyModel, a few kilobytes each, and testdata/fuzz holds hand-built
 // hostile ones (see hostileBundles).
 func FuzzDecodeBundle(f *testing.F) {
@@ -28,14 +29,33 @@ func FuzzDecodeBundle(f *testing.F) {
 	addWithTruncations(f, buf.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		_ = decodeAndApply(raw, false)
+		if bd, err := DecodeBundle(bytes.NewReader(raw)); err == nil {
+			requireFinite(t, &bd.b)
+		}
 	})
+}
+
+// requireFinite fails t when an accepted weight section holds a NaN or
+// infinite weight or layer-state value.
+func requireFinite(t *testing.T, b *weightBundle) {
+	t.Helper()
+	for _, sec := range [][][]float64{b.Data, b.State} {
+		for i, data := range sec {
+			for j, v := range data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted a weight section holding %v at tensor %d, index %d", v, i, j)
+				}
+			}
+		}
+	}
 }
 
 // FuzzDecodeFullBundle feeds arbitrary bytes to DecodeFullBundle. The
 // oracle is no panic — an accepted bundle's weights either apply onto a model
 // built off its own pipeline, as a roll builds one, or are refused by
-// Validate — and an accepted normaliser is finite and ordered, so every
-// prediction it denormalises is a number JSON can carry.
+// Validate — and an accepted normaliser is finite and ordered and every
+// accepted weight finite, so every prediction it denormalises is a number
+// JSON can carry.
 func FuzzDecodeFullBundle(f *testing.F) {
 	tiny := tinyFull()
 	addWithTruncations(f, gobBytes(f, &tiny))
@@ -46,6 +66,7 @@ func FuzzDecodeFullBundle(f *testing.F) {
 			if math.IsInf(n.LogMin, 0) || math.IsInf(n.LogMax, 0) || !(n.LogMax > n.LogMin) {
 				t.Fatalf("accepted normaliser %+v", n)
 			}
+			requireFinite(t, &fb.Weights().b)
 		}
 	})
 }

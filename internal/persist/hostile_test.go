@@ -76,7 +76,8 @@ type hostileBundle struct {
 // so in word2vec.FromSnapshot inside DecodeFullBundle, and an empty
 // vocabulary there asked for a Dim-wide row no process can allocate. An
 // infinite normaliser bound decoded and rolled in, after which every
-// prediction was infinite.
+// prediction was infinite, and so did a NaN or infinite weight, after which
+// every prediction was NaN.
 func hostileBundles(t testing.TB) []hostileBundle {
 	weights := func(name string, corrupt func(*weightBundle)) hostileBundle {
 		b := newWeightBundle(tinyModel(tinyPipeline(), 1))
@@ -91,6 +92,8 @@ func hostileBundles(t testing.TB) []hostileBundle {
 	return []hostileBundle{
 		weights("weights: fewer shapes than tensors", func(b *weightBundle) { b.Shapes = b.Shapes[:0] }),
 		weights("weights: fewer names than tensors", func(b *weightBundle) { b.Names = b.Names[:1] }),
+		weights("weights: a NaN weight", func(b *weightBundle) { b.Data[0][0] = math.NaN() }),
+		weights("weights: an infinite weight", func(b *weightBundle) { b.Data[len(b.Data)-1][0] = math.Inf(-1) }),
 		full("full: weight section with fewer shapes than tensors", func(b *fullBundle) { b.Weights.Shapes = nil }),
 		full("full: more words than vectors", func(b *fullBundle) { b.Pipeline.W2V.Vectors = nil }),
 		full("full: fewer frequencies than words", func(b *fullBundle) { b.Pipeline.W2V.Freq = b.Pipeline.W2V.Freq[:1] }),
@@ -105,6 +108,8 @@ func hostileBundles(t testing.TB) []hostileBundle {
 		full("full: no Word2Vec snapshot", func(b *fullBundle) { b.Pipeline.W2V = nil }),
 		full("full: an infinite normaliser bound", func(b *fullBundle) { b.Norm.LogMax = math.Inf(1) }),
 		full("full: a NaN normaliser bound", func(b *fullBundle) { b.Norm.LogMin = math.NaN() }),
+		full("full: a NaN weight", func(b *fullBundle) { b.Weights.Data[1][0] = math.NaN() }),
+		full("full: an infinite weight", func(b *fullBundle) { b.Weights.Data[0][1] = math.Inf(1) }),
 	}
 }
 

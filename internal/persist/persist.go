@@ -11,6 +11,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"prestroid/internal/nn"
 	"prestroid/internal/tensor"
@@ -77,7 +78,9 @@ type Bundle struct {
 	b weightBundle
 }
 
-// DecodeBundle reads a weight bundle from r without applying it anywhere.
+// DecodeBundle reads a weight bundle from r without applying it anywhere. A
+// section whose columns disagree in length or that holds a non-finite weight
+// is refused (see weightBundle.check).
 func DecodeBundle(r io.Reader) (*Bundle, error) {
 	var b weightBundle
 	if err := gob.NewDecoder(r).Decode(&b); err != nil {
@@ -92,14 +95,38 @@ func DecodeBundle(r io.Reader) (*Bundle, error) {
 	return &Bundle{b: b}, nil
 }
 
-// check refuses a weight section whose per-tensor columns differ in length:
-// Validate walks Names, Shapes and Data by one index.
+// check refuses a weight section whose per-tensor columns differ in length
+// (Validate walks Names, Shapes and Data by one index), or that holds a NaN or
+// infinite value: such a weight or layer state would roll in, and one on a
+// path every query takes (the output layer's, say) makes every prediction
+// non-finite, which no JSON answer can carry.
 func (b *weightBundle) check() error {
 	if len(b.Names) != len(b.Data) || len(b.Shapes) != len(b.Data) {
 		return fmt.Errorf("persist: weight section has %d names, %d shapes and %d tensors",
 			len(b.Names), len(b.Shapes), len(b.Data))
 	}
+	for i, data := range b.Data {
+		if j := nonFinite(data); j >= 0 {
+			return fmt.Errorf("persist: tensor %d (%s) holds %v at %d", i, b.Names[i], data[j], j)
+		}
+	}
+	for i, data := range b.State {
+		if j := nonFinite(data); j >= 0 {
+			return fmt.Errorf("persist: state tensor %d holds %v at %d", i, data[j], j)
+		}
+	}
 	return nil
+}
+
+// nonFinite returns the index of the first NaN or infinite value in data, or
+// -1 when every value is finite.
+func nonFinite(data []float64) int {
+	for j, v := range data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return j
+		}
+	}
+	return -1
 }
 
 // Validate checks the bundle against the model's parameter count, shapes and

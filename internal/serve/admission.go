@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -48,6 +49,10 @@ func ceilSeconds(d time.Duration) time.Duration {
 type ExpiredError struct{}
 
 func (e *ExpiredError) Error() string { return "request deadline expired before prediction" }
+
+// errPanicked marks a query whose flush panicked (see Engine.flush). The HTTP
+// layer answers it with 500 internal.
+var errPanicked = errors.New("panic")
 
 // admit is the one dispatch policy: which shard computes a query whose home
 // shard's prediction cache missed. Home keeps its traffic while its estimated
@@ -124,14 +129,19 @@ func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Pred
 // a caller that needed the key itself (the registry's canary split) does not
 // canonicalise twice. The home shard — the one the key hashes to — owns the
 // key: its prediction cache is read once, here, before anything else is
-// decided, and written once, here, after whichever shard admit chose has
-// computed the answer. No other segment ever sees the key.
+// decided, and written once, here, after the answer is known. No other
+// segment ever sees the key.
 //
 // A hit never queues, so it is served before the admission decision: hot
 // queries ride through overload for free, which keeps shed-mode throughput at
 // the unshedded peak, and a saturated home's cached answers are never
-// recomputed on a peer. A refusal surfaces as *OverloadError charged to the
-// home shard's Shed counter (and, like every miss, to its cache_misses — a
+// recomputed on a peer. On an engine that answers templates, a miss then
+// extracts the query's template, once, and reads the template's entry from
+// the segment of the shard the template key hashes to: an answered entry is
+// the answer, served before admission too, with no trace, job, batcher or
+// model. Anything else is computed on the shard admit chooses, which reuses
+// the lookup. A refusal surfaces as *OverloadError charged to the home
+// shard's Shed counter (and, like every miss, to its cache_misses — a
 // detoured or shed query still counts its one lookup at home).
 //
 // Deadlines: work that is already expired is dropped here — before the
@@ -147,12 +157,19 @@ func (se *ShardedEngine) predictKey(ctx context.Context, sql, key string) (Predi
 	if p, ok := home.cache.Get(key); ok {
 		return p, se.gen, nil
 	}
+	var t tmplLookup
+	if home.answers {
+		if t = home.lookupTemplate(sql); t.ent != nil && t.ent.answered {
+			home.cache.Put(key, t.ent.p)
+			return t.ent.p, se.gen, nil
+		}
+	}
 	sh, minWait, shed := se.admit(home)
 	if shed {
 		home.tel.Shed.Inc()
 		return Prediction{}, 0, &OverloadError{EstWaitMicros: minWait, BoundMicros: se.maxEstWaitMicros}
 	}
-	p, err := sh.miss(ctx, sql, key)
+	p, err := sh.miss(ctx, sql, key, t)
 	if err != nil {
 		return Prediction{}, 0, err
 	}

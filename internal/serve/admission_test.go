@@ -231,7 +231,7 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	sql := "SELECT a FROM t WHERE a > 7"
-	_, err := eng.miss(ctx, sql, CanonicalSQL(sql))
+	_, err := eng.miss(ctx, sql, CanonicalSQL(sql), tmplLookup{})
 	var expired *ExpiredError
 	if !errors.As(err, &expired) {
 		t.Fatalf("queued expiry returned %v, want *ExpiredError", err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"prestroid/internal/logicalplan"
-	"prestroid/internal/models"
 	"prestroid/internal/sqlparse"
 	"prestroid/internal/telemetry"
 	"prestroid/internal/workload"
@@ -40,17 +39,18 @@ type Config struct {
 	// evenly so each shard's replica owns an independent segment with its own
 	// mutex.
 	SubtreeCacheSize int
-	// TemplateCacheSize is the total number of prepared-template entries the
-	// front-end cache retains, keyed by the query's literal-stripped template;
-	// 0 disables it. From the template's third sight on, a prediction's
-	// front end is the key extraction and a lookup: the entry's trees stand in
-	// for parse, plan and encode, and its plan shape for the response's plan
-	// figures, producing byte-identical predictions. On its second sight a
-	// hit rebinds the cached skeleton with the query's literals in place of
-	// lex and parse, and plans and encodes it. An entry is born skeleton-only
-	// (a few hundred bytes) and gains its trees (~110 kB) the first time it is
-	// hit, so a template seen once never pins them. Like the other budgets, a
-	// ShardedEngine splits it evenly across shards.
+	// TemplateCacheSize is the total number of template entries the engine
+	// retains, keyed by the query's literal-stripped template; 0 disables it.
+	// The first prediction of a template is computed and leaves its answer
+	// and plan shape in the entry; from then on a prediction of any literal
+	// variant is answered from the entry, with no parse, plan, encode,
+	// batcher or model, byte-identical to computing it. An engine whose
+	// pipeline hashes predicate text (HashedPredicates) never stores an
+	// answer: a hit there rebinds the cached skeleton with the query's
+	// literals in place of lex and parse, then plans and encodes it. Entries
+	// are about a skeleton's size, a few hundred bytes. Like the other
+	// budgets, a ShardedEngine splits it evenly across shards, and a template
+	// lives in the segment of the shard its key hashes to.
 	TemplateCacheSize int
 	// MaxEstWait is the bounded-latency admission target: a query whose
 	// estimated wait (queue depth × EWMA service time) exceeds it on every
@@ -76,27 +76,31 @@ type predictJob struct {
 	ctx   context.Context
 	trace *workload.Trace
 	key   string // canonical SQL, for single-flight dedup in flush
-	// enc is the trace's feature encoding, built (or taken from the template
-	// segment) by the handler's frontEnd through this engine's own pipeline,
-	// so whoever runs the model adopts it unconditionally.
+	// enc is the trace's feature encoding, built by the handler's frontEnd
+	// through this engine's own pipeline, so whoever runs the model adopts it
+	// unconditionally.
 	enc  any
 	done chan float64 // buffered; receives the normalised prediction
+	// err, when set before done is sent, fails the job instead: its flush
+	// panicked (see flush).
+	err error
 }
 
 // Engine is the batched, concurrent inference front end around a Predictor,
 // and every stage of its miss path has one owner. The handler goroutine owns
-// parse → plan → encode (frontEnd: template lookup and rebind or a full
-// parse, then the plan, then the model's off-lock encode, at most once). The
-// batcher goroutine owns the model (flush: one adopt → predict → evict round
-// trip per coalesced group of at most MaxBatch, held open only while enRoute
-// says more work is on its way) — replacing the old
+// parse → plan → encode (frontEnd: a rebind of the template's skeleton or a
+// full parse, then the plan, then the model's off-lock encode, at most
+// once). The batcher goroutine owns the model (flush: one adopt → predict →
+// evict round trip per coalesced group of at most MaxBatch, held open only
+// while enRoute says more work is on its way) — replacing the old
 // predict-one-query-under-a-global-mutex path. The key's home shard owns the
 // finished prediction: an LRU keyed by canonicalised SQL, read once before
 // any of this and written once after it.
 //
 // An Engine is immutable: the predictor (model replica, pipeline,
 // normaliser), the generation and the three cache segments are fixed when
-// newEngineAt returns, and the only field written afterwards is closed. New
+// newEngineAt returns (its shards, by newShardedEngineAt before the engine
+// serves), and the only field written afterwards is closed. New
 // weights never reach a running engine — a roll builds a successor (see
 // ModelEntry) — so everything an engine computes, caches or answers belongs
 // to the one identity it was built with, and pred.mu has a single job:
@@ -109,11 +113,21 @@ type Engine struct {
 
 	// The shard's cache segments, each nil when disabled: finished
 	// predictions, the sub-tree partial results installed into the replica,
-	// and the prepared-template front end. All three are born empty with the
-	// engine and die with it.
+	// and templates. All three are born empty with the engine and die with
+	// it. shards is every shard of the ShardedEngine this one belongs to, in
+	// shard order, itself included: a template lives in the template segment
+	// of the shard its key hashes to (see lookupTemplate).
 	cache     *predictionCache
 	convCache *subtreeCache
 	tmplCache *templateCache
+	shards    []*Engine
+
+	// answers reports whether the engine stores and serves template answers:
+	// its pipeline strips literal values before embedding, so every literal
+	// variant of a template gets one answer. A HashedPredicates pipeline
+	// encodes literals, and a predictor without a pipeline promises nothing.
+	// It is read once, when the engine is built.
+	answers bool
 
 	jobs chan *predictJob
 	quit chan struct{}
@@ -151,14 +165,15 @@ func newEngineAt(pred *Predictor, m servedModel, cfg Config, gen int64, tel *tel
 		tel = telemetry.NewShardGroup()
 	}
 	e := &Engine{
-		pred:  pred,
-		model: m,
-		cfg:   cfg,
-		gen:   gen,
-		jobs:  make(chan *predictJob, 4*cfg.MaxBatch),
-		quit:  make(chan struct{}),
-		wake:  make(chan struct{}, 1),
-		tel:   tel,
+		pred:    pred,
+		model:   m,
+		cfg:     cfg,
+		gen:     gen,
+		answers: pred.Pipe != nil && !pred.Pipe.Enc.HashedPredicates,
+		jobs:    make(chan *predictJob, 4*cfg.MaxBatch),
+		quit:    make(chan struct{}),
+		wake:    make(chan struct{}, 1),
+		tel:     tel,
 	}
 	if cfg.CacheSize > 0 {
 		e.cache = newPredictionCache(cfg.CacheSize, &tel.CacheHits, &tel.CacheMisses)
@@ -170,6 +185,7 @@ func newEngineAt(pred *Predictor, m servedModel, cfg Config, gen int64, tel *tel
 	if cfg.TemplateCacheSize > 0 {
 		e.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &tel.TemplateHits, &tel.TemplateMisses)
 	}
+	e.shards = []*Engine{e}
 	e.wg.Add(1)
 	go e.run()
 	return e
@@ -193,123 +209,87 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// prepared is one query past the front end: its trace, its encoding, the
-// shape of its plan, and the template entry the caller owes the segment once
-// the answer is back. The trace carries the query's own plan, exact to its
-// literals, except on a lookup — a prediction whose template entry holds
-// trees — where it carries none: the model reads only the encoding.
+// prepared is one query past the front end: its trace, which carries the
+// query's own plan, exact to its literals; its encoding; the template lookup
+// it went through, and the statement its plan was built from, the skeleton
+// its template entry keeps.
 type prepared struct {
 	trace *workload.Trace
 	enc   any // the model's encoding of the plan; nil for explain
-	shape planShape
-	tkey  string // the query's template key; "" when it has none
-	// ent is the entry to deposit under tkey — the skeleton plus, when they
-	// are shareable, the trees in enc; nil when the segment lacks nothing.
-	ent *templateEntry
+	tmpl  tmplLookup
+	stmt  *sqlparse.SelectStmt
 }
 
 // frontEnd is the whole front end of a query, run once on the handler's
-// goroutine: template lookup and rebind or lex and parse, then plan, then —
-// when encode is set (a prediction; explain stops at the plan) — the model's
-// off-lock encode, at most once.
+// goroutine: a rebind of the template's skeleton or lex and parse, then plan,
+// then — when encode is set (a prediction; explain stops at the plan) — the
+// model's off-lock encode, at most once. t is the query's template lookup,
+// made by the caller.
 //
-// A prediction whose template entry holds trees returns straight after the
-// lookup, with the entry's trees and plan shape and a trace without a plan.
-// Equal template keys mean the query parses and plans to that shape (see
-// sqlparse.ExtractTemplate), and the trees are the encoding of every literal
-// variant, so nothing the query's own plan could add reaches the answer.
-// Any other hit skips lexing and parsing: the cached skeleton is rebound with
-// the query's literal vector (extracted in the same single lexer pass that
-// produced the key) and replanned, so explain and the encode see a plan
+// A hit rebinds the cached skeleton with the query's literal vector
+// (extracted in the same single lexer pass that produced the key) in place of
+// lexing and parsing, and replans it, so explain and the encode see a plan
 // byte-identical to what the full parse would have built. Errors are
-// byte-identical to the uncached path's: extraction failures and rebind
-// mismatches (impossible for a genuine template match, but handled
-// defensively) fall through to the full parse, which reproduces the exact
-// error the caller would have seen without a cache.
-//
-// The template segment has one deposit rule: a template miss owes it the
-// skeleton alone — what PlanOnly deposits — and the trees are built into the
-// entry only on a hit whose entry has none yet, which Put upgrades in place.
-// "Seen before" is "the key is present": a template met once never pins its
-// ~110 kB of trees, one that recurs pays a second encode, once. Whatever the
-// path, the query is encoded at most once here and never again by the
-// batcher, the serialised fallback or the deposit.
-func (e *Engine) frontEnd(sql string, encode bool) (prepared, error) {
-	var fe prepared
+// byte-identical to the uncached path's: rebind mismatches (impossible for a
+// genuine template match, but handled defensively) fall through to the full
+// parse, which reproduces the exact error the caller would have seen without
+// a cache. The query is encoded at most once here and never again by the
+// batcher or the serialised fallback.
+func (e *Engine) frontEnd(sql string, t tmplLookup, encode bool) (prepared, error) {
+	fe := prepared{tmpl: t}
 	var plan *logicalplan.Node
-	var hit *templateEntry // the segment's entry for this query's template
-	if e.tmplCache != nil {
-		if tkey, lits, ok := sqlparse.ExtractTemplate(sql); ok {
-			fe.tkey = tkey
-			if ent, ok := e.tmplCache.Get(tkey); ok {
-				if encode && ent.trees != nil {
-					return prepared{trace: &workload.Trace{SQL: sql, Template: -1}, enc: ent.trees, shape: ent.shape}, nil
-				}
-				if stmt, err := ent.stmt.Rebind(lits); err == nil {
-					if plan, err = logicalplan.Plan(stmt); err == nil {
-						hit = ent
-					}
-				}
+	if t.ent != nil {
+		if stmt, err := t.ent.stmt.Rebind(t.lits); err == nil {
+			if plan, err = logicalplan.Plan(stmt); err == nil {
+				fe.stmt = t.ent.stmt
 			}
 		}
 	}
-	var skel *sqlparse.SelectStmt
-	var te *models.TemplateEncoding
-	if hit != nil {
-		skel, te = hit.stmt, hit.enc
-	} else {
+	if fe.stmt == nil {
 		var err error
-		if skel, err = sqlparse.Parse(sql); err != nil {
+		if fe.stmt, err = sqlparse.Parse(sql); err != nil {
 			return prepared{}, err
 		}
-		if plan, err = logicalplan.Plan(skel); err != nil {
+		if plan, err = logicalplan.Plan(fe.stmt); err != nil {
 			return prepared{}, err
 		}
 	}
 	fe.trace = &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-	fe.shape = shapeOf(plan)
 	if encode {
-		if hit != nil && te == nil {
-			te = e.model.BuildTemplateEncoding(plan)
-		}
-		if te != nil {
-			fe.enc = te.Trees()
-		} else {
-			fe.enc = e.model.EncodeTrace(fe.trace)
-		}
-	}
-	// Deposit only what the segment lacks: a new template's skeleton, or the
-	// trees a skeleton-only entry was missing.
-	if fe.tkey != "" && (hit == nil || te != hit.enc) {
-		fe.ent = &templateEntry{stmt: skel, enc: te, shape: fe.shape}
-		if te != nil {
-			fe.ent.trees = fe.enc
-		}
+		fe.enc = e.model.EncodeTrace(fe.trace)
 	}
 	return fe, nil
 }
 
+// deposit hands the template segment what fe's lookup found it lacking: a new
+// template's entry, or — when answered, p being the query's computed answer —
+// the answer an unanswered entry was missing. Explain passes answered false.
+func deposit(fe prepared, p Prediction, answered bool) {
+	if t := fe.tmpl; t.seg != nil && (t.ent == nil || answered && !t.ent.answered) {
+		t.seg.Put(t.key, &templateEntry{stmt: fe.stmt, p: p, answered: answered})
+	}
+}
+
 // PlanOnly resolves sql to its logical plan through the same front end as
-// prediction, minus the encode — a hit skips lex and parse — depositing
-// skeleton-only entries on a miss so explain traffic warms the cache for
-// predictions (and vice versa). This is the explain path's entry point; it
-// never touches the batcher or the model.
+// prediction, minus the encode — a hit skips lex and parse — depositing a
+// skeleton on a miss so explain traffic warms the cache for predictions (and
+// vice versa). This is the explain path's entry point; it never touches the
+// batcher or the model.
 func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
-	fe, err := e.frontEnd(sql, false)
+	fe, err := e.frontEnd(sql, e.lookupTemplate(sql), false)
 	if err != nil {
 		return nil, err
 	}
-	if fe.ent != nil {
-		e.tmplCache.Put(fe.tkey, fe.ent)
-	}
+	deposit(fe, Prediction{}, false)
 	return fe.trace.Plan, nil
 }
 
 // miss is the engine's miss path, entered once the key's home shard has
 // looked its prediction cache up and found nothing (the caller deposits the
-// answer there): deadline check, frontEnd on this goroutine, submit to the
-// batcher, and the template deposit frontEnd prepared. The answer belongs to
-// this engine's generation, whichever path produced it.
+// answer there) and, on an engine that answers templates, once t found no
+// answer: deadline check, frontEnd on this goroutine, submit to the batcher,
+// and the template deposit — the answer, on an engine that answers templates.
+// The answer belongs to this engine's generation, whichever path produced it.
 //
 // The handler is counted en route for exactly the span of its frontEnd
 // (arrive), and the count is lowered before the job is offered to the queue,
@@ -321,12 +301,12 @@ func (e *Engine) PlanOnly(sql string) (*logicalplan.Node, error) {
 // before any batcher), and a deadline that expires while the job is queued
 // abandons the wait without occupying a model slot. Both drops count once on
 // this shard's Expired counter and surface as ExpiredError.
-func (e *Engine) miss(ctx context.Context, sql, key string) (Prediction, error) {
+func (e *Engine) miss(ctx context.Context, sql, key string, t tmplLookup) (Prediction, error) {
 	if ctx.Err() != nil {
 		e.tel.Expired.Inc()
 		return Prediction{}, &ExpiredError{}
 	}
-	fe, err := e.arrive(sql)
+	fe, err := e.arrive(sql, t)
 	if err != nil {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
@@ -334,19 +314,20 @@ func (e *Engine) miss(ctx context.Context, sql, key string) (Prediction, error) 
 	if err != nil {
 		return Prediction{}, err
 	}
-	if fe.ent != nil {
-		e.tmplCache.Put(fe.tkey, fe.ent)
-	}
-	return e.pred.prediction(fe.shape, y), nil
+	p := e.pred.prediction(shapeOf(fe.trace.Plan), y)
+	deposit(fe, p, e.answers)
+	return p, nil
 }
 
-// arrive is a prediction's frontEnd, counted en route while it runs. Nothing
+// arrive is a prediction's frontEnd, counted en route while it runs. An
+// engine that answers templates had its caller look the template up before
+// admission; any other looks it up here, as part of the front end. Nothing
 // but the count ends a hold, so the count must come down however the front
 // end leaves — hence the defer: a panic (net/http recovers it and the process
 // lives on) would otherwise leave the shard holding every short batch for
 // ever. An exit with no job to offer, error or panic, also wakes the collector,
 // after the count is lowered, so its re-check sees this handler gone.
-func (e *Engine) arrive(sql string) (fe prepared, err error) {
+func (e *Engine) arrive(sql string, t tmplLookup) (fe prepared, err error) {
 	e.enRoute.Add(1)
 	defer func() {
 		e.enRoute.Add(-1)
@@ -357,7 +338,10 @@ func (e *Engine) arrive(sql string) (fe prepared, err error) {
 			}
 		}
 	}()
-	return e.frontEnd(sql, true)
+	if !e.answers {
+		t = e.lookupTemplate(sql)
+	}
+	return e.frontEnd(sql, t, true)
 }
 
 // submit hands an encoded trace to the batcher, which owns the model, and
@@ -379,11 +363,11 @@ func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc
 			e.mu.RUnlock()
 			select {
 			case y := <-job.done:
-				return y, nil
+				return y, job.err
 			case <-ctx.Done():
 				select {
 				case y := <-job.done:
-					return y, nil
+					return y, job.err
 				default:
 				}
 				e.tel.Expired.Inc()
@@ -439,14 +423,10 @@ func (e *Engine) run() {
 // same way.
 func (e *Engine) collect(first *predictJob) []*predictJob {
 	batch := append(make([]*predictJob, 0, e.cfg.MaxBatch), first)
-	for len(batch) < e.cfg.MaxBatch {
-		select {
-		case j := <-e.jobs:
-			batch = append(batch, j)
-			continue
-		default:
-		}
-		break
+	// The batcher is the queue's only reader, so a non-empty queue never
+	// blocks the receive.
+	for len(batch) < e.cfg.MaxBatch && len(e.jobs) > 0 {
+		batch = append(batch, <-e.jobs)
 	}
 	for len(batch) < e.cfg.MaxBatch && (len(e.jobs) > 0 || e.enRoute.Load() > 0) {
 		select {
@@ -467,23 +447,35 @@ func (e *Engine) collect(first *predictJob) []*predictJob {
 // flight before the first result could reach the cache — are single-flighted:
 // the model sees one row per distinct canonical key and every duplicate job
 // shares its answer.
+//
+// A panic under flush — in the model, say — would end the batcher goroutine
+// and the process with it, every model the daemon serves included. flush
+// recovers it instead: every job of the batch fails with errPanicked, the
+// shard counts it in Panics, and the batcher goes on to the next batch. No
+// job has its answer yet when a panic can happen: the answers are sent last,
+// and a send to a job's buffered done channel, which only its flush sends on,
+// cannot panic.
 func (e *Engine) flush(batch []*predictJob) {
 	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			e.tel.Panics.Inc()
+			err := fmt.Errorf("%w in flush: %v", errPanicked, r)
+			for _, j := range batch {
+				j.err = err
+				j.done <- 0
+			}
+		}
+	}()
 	// Deadline-expired jobs are dropped here, before the single-flight dedup
 	// and before the model sees a row: an expired job must neither occupy a
 	// model slot nor stand in as the representative for live duplicates of
 	// its key. The waiting handler has already unblocked (and counted the
 	// expiry) through its context, so the skip itself is accounting-free.
-	live := batch
+	live := batch[:0]
 	for _, j := range batch {
-		if j.ctx.Err() != nil {
-			live = batch[:0]
-			for _, k := range batch {
-				if k.ctx.Err() == nil {
-					live = append(live, k)
-				}
-			}
-			break
+		if j.ctx.Err() == nil {
+			live = append(live, j)
 		}
 	}
 	if len(live) == 0 {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"prestroid/internal/logicalplan"
 	"prestroid/internal/models"
 	"prestroid/internal/nn"
 	"prestroid/internal/tensor"
@@ -85,12 +84,11 @@ func (m *stubModel) Evict(traces []*workload.Trace) {
 	m.evicted.Add(int64(len(traces)))
 }
 
-func (m *stubModel) EncodeTrace(*workload.Trace) any                                  { return nil }
-func (m *stubModel) BuildTemplateEncoding(*logicalplan.Node) *models.TemplateEncoding { return nil }
-func (m *stubModel) AdoptEncoding(*workload.Trace, any)                               {}
-func (m *stubModel) SetConvCache(models.ConvCache)                                    {}
-func (m *stubModel) Weights() []*nn.Param                                             { return nil }
-func (m *stubModel) Clone() models.Model                                              { return &stubModel{} }
+func (m *stubModel) EncodeTrace(*workload.Trace) any    { return nil }
+func (m *stubModel) AdoptEncoding(*workload.Trace, any) {}
+func (m *stubModel) SetConvCache(models.ConvCache)      {}
+func (m *stubModel) Weights() []*nn.Param               { return nil }
+func (m *stubModel) Clone() models.Model                { return &stubModel{} }
 func (m *stubModel) RebuildWithPipeline(*models.Pipeline) (models.Model, error) {
 	return &stubModel{}, nil
 }
@@ -246,7 +244,7 @@ func holdEngine(t *testing.T) (*ShardedEngine, *Engine, *stubModel) {
 func newJob(t *testing.T, eng *Engine, i int) *predictJob {
 	t.Helper()
 	sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i)
-	fe, err := eng.frontEnd(sql, true)
+	fe, err := eng.frontEnd(sql, tmplLookup{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

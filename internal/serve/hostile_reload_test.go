@@ -97,7 +97,8 @@ func writeArtefact(t *testing.T, name string, raw []byte) string {
 // with a short weight section panicked in Validate, and the snapshots with
 // more words than vectors or no vocabulary panicked in decode; the infinite
 // normaliser rolled in, and every prediction after it was a 200 with an empty
-// body.
+// body; a NaN or infinite weight rolled in too, and one in the output layer
+// made every prediction after it a 500.
 func TestReloadHostileBundlesAre422(t *testing.T) {
 	srv, pred := newTestServer(t)
 	m := pred.Model.(*models.Prestroid)
@@ -122,6 +123,10 @@ func TestReloadHostileBundlesAre422(t *testing.T) {
 			regob(t, full.Bytes(), func(b *fullFields) { b.Pipeline.W2V = &word2vec.Snapshot{Dim: 1 << 62} })},
 		{"normaliser with an infinite bound", "bundle",
 			regob(t, full.Bytes(), func(b *fullFields) { b.Norm.LogMax = math.Inf(1) })},
+		{"weights with a NaN weight", "weights",
+			regob(t, weights.Bytes(), func(b *weightFields) { b.Data[len(b.Data)-1][0] = math.NaN() })},
+		{"full bundle with an infinite weight", "bundle",
+			regob(t, full.Bytes(), func(b *fullFields) { b.Weights.Data[0][0] = math.Inf(-1) })},
 	} {
 		path := writeArtefact(t, "hostile.bin", c.raw)
 		w := reloadHTTP(t, srv, fmt.Sprintf(`{%q:%q}`, c.field, path), "127.0.0.1:51515", "")

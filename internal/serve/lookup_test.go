@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 
 	"prestroid/internal/api"
+	"prestroid/internal/models"
 	"prestroid/internal/sqlparse"
+	"prestroid/internal/workload"
 )
 
 // predictBody is a /v1/predict request body for sql.
@@ -23,8 +27,8 @@ func predictBody(t *testing.T, sql string) string {
 
 // TestTemplateLookupMatchesUncachedServer drives every templateQueryGens
 // template through a server with the template segment on — four sightings
-// each, fresh literals every time, so from the third on the front end is a
-// lookup of the entry's trees and plan shape — and through one with the
+// each, fresh literals every time, so from the second on the answer is a
+// lookup of the entry's answer and plan shape — and through one with the
 // segment off. Every response body, plan figures included, must be the
 // uncached server's byte for byte. A LIMIT the parser refuses (fractional,
 // or past int) in a cached template's slot must answer the uncached server's
@@ -60,8 +64,8 @@ func TestTemplateLookupMatchesUncachedServer(t *testing.T) {
 		if !ok {
 			t.Fatalf("gen %d: no template", gi)
 		}
-		if ent, ok := e.tmplCache.Get(key); !ok || ent.trees == nil {
-			t.Fatalf("gen %d: after four sightings the entry holds no trees; the lookup never ran", gi)
+		if ent, ok := e.tmplCache.Get(key); !ok || !ent.answered {
+			t.Fatalf("gen %d: after four sightings the entry holds no answer; the lookup never ran", gi)
 		}
 	}
 	for _, gi := range []int{0, 3} {
@@ -73,30 +77,73 @@ func TestTemplateLookupMatchesUncachedServer(t *testing.T) {
 	}
 }
 
-// TestTemplateLookupAllocs pins what a prediction's front end costs on a hit
-// whose entry holds trees: ExtractTemplate's allocations and the trace, and
-// nothing else — no rebind, no plan. The trace carries no plan.
+// TestTemplateLookupAllocs pins what a prediction costs once its template
+// holds an answer: no more allocations than ExtractTemplate alone — no trace,
+// job, rebind or plan — and no batch.
 func TestTemplateLookupAllocs(t *testing.T) {
 	pred := newTestPredictor(t)
 	se, e := oneShard(t, pred, tmplCfg())
 	rng := rand.New(rand.NewSource(7))
 	gen := templateQueryGens[0]
-	for i := 0; i < 3; i++ {
-		if _, err := se.PredictSQL(gen(rng)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := se.PredictSQL(gen(rng)); err != nil {
+		t.Fatal(err)
 	}
 	sql := gen(rng)
-	fe, err := e.frontEnd(sql, true)
+	want, err := pred.PredictSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fe.trace.Plan != nil || fe.enc == nil || fe.ent != nil {
-		t.Fatalf("hit on an encoded entry: plan %v, enc %v, deposit %v; want a lookup", fe.trace.Plan, fe.enc, fe.ent)
+	ctx, key := context.Background(), CanonicalSQL(sql)
+	batches := e.tel.Batches.Load()
+	if got, _, err := se.predictKey(ctx, sql, key); err != nil || got != want {
+		t.Fatalf("answered %+v, %v; want the serialised reference %+v", got, err, want)
 	}
 	extract := testing.AllocsPerRun(100, func() { sqlparse.ExtractTemplate(sql) })
-	lookup := testing.AllocsPerRun(100, func() { e.frontEnd(sql, true) })
-	if lookup != extract+1 {
-		t.Fatalf("front end of a lookup: %.0f allocs, want ExtractTemplate's %.0f + 1 for the trace", lookup, extract)
+	answer := testing.AllocsPerRun(100, func() { se.predictKey(ctx, sql, key) })
+	if answer > extract {
+		t.Fatalf("an answered template: %.0f allocs, want no more than ExtractTemplate's %.0f", answer, extract)
+	}
+	if n := e.tel.Batches.Load(); n != batches {
+		t.Fatalf("answered templates flushed %d batches", n-batches)
+	}
+}
+
+// TestTemplateAnsweredOncePerEngine pins where a template lives: in the
+// segment of the shard its template key hashes to, whichever shard a
+// variant's canonical key homes to. Sequential literal variants spread over
+// both shards of a two-shard engine run the model once between them and
+// leave one entry.
+func TestTemplateAnsweredOncePerEngine(t *testing.T) {
+	base := newTestPredictor(t)
+	counting := make([]*countingModel, 2)
+	preds := make([]*Predictor, 2)
+	for i := range preds {
+		clone := base.Model.(*models.Prestroid).Clone().(*models.Prestroid)
+		counting[i] = &countingModel{Prestroid: clone, adopted: map[*workload.Trace]bool{}}
+		preds[i] = &Predictor{Model: counting[i], Pipe: base.Pipe, Norm: base.Norm}
+	}
+	se := NewShardedEngine(preds, tmplCfg())
+	t.Cleanup(se.Close)
+	homes := map[int]bool{}
+	for n := 1; n <= 16; n++ {
+		sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d AND b < %d", n, 100-n)
+		homes[se.shardOf(CanonicalSQL(sql))] = true
+		want, err := base.PredictSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := se.PredictSQL(sql); err != nil || got != want {
+			t.Fatalf("%q: engine %+v, %v; want the serialised reference %+v", sql, got, err, want)
+		}
+	}
+	if len(homes) != 2 {
+		t.Fatalf("the variants' canonical keys home to %d shards, want both", len(homes))
+	}
+	if n := counting[0].encodes.Load() + counting[1].encodes.Load(); n != 1 {
+		t.Fatalf("16 variants of one template encoded %d times across the shards, want 1", n)
+	}
+	if tot := se.Snapshot().Totals(); tot.TemplateEntries != 1 || tot.TemplateMisses != 1 || tot.TemplateHits != 15 {
+		t.Fatalf("template entries/misses/hits = %d/%d/%d, want 1/1/15",
+			tot.TemplateEntries, tot.TemplateMisses, tot.TemplateHits)
 	}
 }

@@ -8,15 +8,14 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"prestroid/internal/logicalplan"
 	"prestroid/internal/models"
 	"prestroid/internal/workload"
 )
 
 // countingModel is a real Prestroid that counts how many times a plan is
-// recast, sampled and flattened on its behalf, whoever asks: the two off-lock
-// entry points count themselves, and a trace that reaches the model without
-// an adopted encoding counts the encode Prepare is about to run for it.
+// recast, sampled and flattened on its behalf, whoever asks: the off-lock
+// encode counts itself, and a trace that reaches the model without an adopted
+// encoding counts the encode Prepare is about to run for it.
 type countingModel struct {
 	*models.Prestroid
 	encodes atomic.Int64
@@ -26,14 +25,6 @@ type countingModel struct {
 func (c *countingModel) EncodeTrace(tr *workload.Trace) any {
 	c.encodes.Add(1)
 	return c.Prestroid.EncodeTrace(tr)
-}
-
-func (c *countingModel) BuildTemplateEncoding(plan *logicalplan.Node) *models.TemplateEncoding {
-	te := c.Prestroid.BuildTemplateEncoding(plan)
-	if te != nil { // a pipeline without shareable trees declines before encoding
-		c.encodes.Add(1)
-	}
-	return te
 }
 
 func (c *countingModel) AdoptEncoding(tr *workload.Trace, enc any) {
@@ -79,7 +70,8 @@ func newCountingPredictor(t *testing.T) (*Predictor, *countingModel) {
 // and every submit takes the serialised fallback.
 func unstartedEngine(pred *Predictor, cfg Config, queueCap, queued int, serviceMicros float64) *Engine {
 	e := waitEngine(queueCap, queued, serviceMicros)
-	e.pred, e.model, e.cfg = pred, pred.mustServe(), cfg
+	e.pred, e.model, e.cfg, e.shards = pred, pred.mustServe(), cfg, []*Engine{e}
+	e.answers = pred.Pipe != nil && !pred.Pipe.Enc.HashedPredicates
 	if cfg.CacheSize > 0 {
 		e.cache = newPredictionCache(cfg.CacheSize, &e.tel.CacheHits, &e.tel.CacheMisses)
 	}
@@ -140,8 +132,9 @@ func TestMissPathEncodesOnce(t *testing.T) {
 	}
 	skeleton := explained.Snapshot().TemplateBytes
 	// sights walks one template's three literal variants through predict: the
-	// first sight encodes and leaves what an explain would — the skeleton; the
-	// second encodes into the entry; from the third on the entry's trees serve.
+	// first sight encodes and leaves an entry the size of what an explain
+	// would, the skeleton, now holding the answer; from the second on the
+	// entry's answer serves and the entry stays that size.
 	sights := func(t *testing.T, e *Engine) {
 		t.Helper()
 		check(t, q1, 1, homeOf(e).PredictSQL)
@@ -149,9 +142,9 @@ func TestMissPathEncodesOnce(t *testing.T) {
 			t.Fatalf("first sight left %d entries / %d bytes after %d misses, want 1 entry at the skeleton's %d bytes",
 				snap.TemplateEntries, snap.TemplateBytes, snap.TemplateMisses, skeleton)
 		}
-		check(t, q2, 1, homeOf(e).PredictSQL)
-		if snap := e.Snapshot(); snap.TemplateEntries != 1 || snap.TemplateBytes <= skeleton {
-			t.Fatalf("second sight left %d entries / %d bytes, want the one entry grown past its skeleton's %d",
+		check(t, q2, 0, homeOf(e).PredictSQL)
+		if snap := e.Snapshot(); snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
+			t.Fatalf("second sight left %d entries / %d bytes, want the one entry at its skeleton's %d",
 				snap.TemplateEntries, snap.TemplateBytes, skeleton)
 		}
 		check(t, q3, 0, homeOf(e).PredictSQL)
@@ -178,11 +171,12 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		skeleton := e.Snapshot().TemplateBytes
 		check(t, q2, 1, homeOf(e).PredictSQL)
 		snap := e.Snapshot()
-		if snap.TemplateHits != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes <= skeleton {
-			t.Fatalf("hits=%d entries=%d bytes %d -> %d, want one hit on one entry that gained its trees",
+		if snap.TemplateHits != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
+			t.Fatalf("hits=%d entries=%d bytes %d -> %d, want one hit on one entry, still skeleton-sized",
 				snap.TemplateHits, snap.TemplateEntries, skeleton, snap.TemplateBytes)
 		}
 		check(t, q1, 0, homeOf(e).PredictSQL)
+		check(t, q3, 0, homeOf(e).PredictSQL)
 	})
 	t.Run("prediction cache hit", func(t *testing.T) {
 		cfg := tmplCfg()
@@ -221,7 +215,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		cancel()
 		m.encodes.Store(0)
 		var expired *ExpiredError
-		if _, err := e.miss(ctx, q1, CanonicalSQL(q1)); !errors.As(err, &expired) {
+		if _, err := e.miss(ctx, q1, CanonicalSQL(q1), tmplLookup{}); !errors.As(err, &expired) {
 			t.Fatalf("expired request returned %v, want *ExpiredError", err)
 		}
 		if n := m.encodes.Load(); n != 0 {

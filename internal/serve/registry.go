@@ -204,12 +204,15 @@ func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Predict
 }
 
 // ExplainSQL resolves a query to its logical plan through the live engine's
-// template front end. Plans are weight-independent, so a staged canary or
-// shadow never changes the answer — explain always warms the live engine's
-// template segments, the ones the bulk of prediction traffic hits.
+// template front end: a cached template skips lex and parse, a miss deposits
+// the skeleton. Plans are weight-independent, so a staged canary or shadow
+// never changes the answer — explain always warms the live engine's template
+// segments, the ones the bulk of prediction traffic hits. Any shard will do:
+// a template lives in the segment its key hashes to whichever shard looks,
+// and planning touches neither a batcher queue nor a model.
 func (en *ModelEntry) ExplainSQL(sql string) (*logicalplan.Node, error) {
 	live, _ := en.roll()
-	return live.ExplainSQL(sql)
+	return live.shards[0].PlanOnly(sql)
 }
 
 // canaryBucket maps a canonical key to a stable bucket in [0,100). The FNV

@@ -70,21 +70,17 @@ type Predictor struct {
 }
 
 // servedModel is the one contract a served model meets; models.Prestroid
-// implements it. EncodeTrace and BuildTemplateEncoding are the same pure
-// per-plan encode, safe on any goroutine — the latter wraps the trees as a
-// template entry's encoding, or returns nil when the pipeline's trees are
-// not shared between literal variants. Everything else runs on the
-// goroutine that owns the model: AdoptEncoding installs an encoding,
-// PredictInto writes one prediction per trace into the caller's slice, Evict
-// drops the adopted encodings, and SetConvCache installs the engine's
-// sub-tree segment. Clone builds a replica with the same weights (one per
-// shard), and a roll builds the next identity with RebuildWithPipeline and
-// overwrites its Weights.
+// implements it. EncodeTrace is the pure per-plan encode, safe on any
+// goroutine. Everything else runs on the goroutine that owns the model:
+// AdoptEncoding installs an encoding, PredictInto writes one prediction per
+// trace into the caller's slice, Evict drops the adopted encodings, and
+// SetConvCache installs the engine's sub-tree segment. Clone builds a replica
+// with the same weights (one per shard), and a roll builds the next identity
+// with RebuildWithPipeline and overwrites its Weights.
 type servedModel interface {
 	models.Model
 	persist.WeightStore
 	EncodeTrace(tr *workload.Trace) any
-	BuildTemplateEncoding(plan *logicalplan.Node) *models.TemplateEncoding
 	AdoptEncoding(tr *workload.Trace, enc any)
 	PredictInto(batch []*workload.Trace, dst []float64)
 	Evict(traces []*workload.Trace)
@@ -164,15 +160,16 @@ func (p *Predictor) prediction(shape planShape, y float64) Prediction {
 // and the per-query fallback: under the lock, m (p's model) adopts the
 // encoding a handler built for every trace (encs[i] belongs to traces[i]),
 // predicts straight into ys and evicts, so no model-owned memory escapes the
-// lock.
+// lock. The evict and the unlock are deferred, so a panic in the model (which
+// flush recovers) leaves neither an adopted encoding nor the lock behind.
 func (p *Predictor) predictInto(m servedModel, traces []*workload.Trace, encs []any, ys []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	defer m.Evict(traces)
 	for i, enc := range encs {
 		m.AdoptEncoding(traces[i], enc)
 	}
 	m.PredictInto(traces, ys)
-	m.Evict(traces)
 }
 
 // predictTrace costs one encoded trace on the serialised path the batcher
@@ -649,10 +646,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // failPredict maps an engine error onto its status: 429 + Retry-After for a
-// shed query, 504 for an expired deadline, 422 for anything the planner
-// refused. Every arm flows through s.fail, so each terminal lands in the
-// error counter and (via the caller's deferred observe and the handle
-// wrapper) the latency histogram and status-class counters exactly once.
+// shed query, 504 for an expired deadline, 500 for a recovered panic, 422 for
+// anything the planner refused. Every arm flows through s.fail, so each
+// terminal lands in the error counter and (via the caller's deferred observe
+// and the handle wrapper) the latency histogram and status-class counters
+// exactly once.
 func (s *Server) failPredict(w http.ResponseWriter, err error) {
 	var over *OverloadError
 	var expired *ExpiredError
@@ -663,6 +661,8 @@ func (s *Server) failPredict(w http.ResponseWriter, err error) {
 		s.failRetry(w, http.StatusTooManyRequests, api.CodeOverloaded, err, retry.Milliseconds())
 	case errors.As(err, &expired):
 		s.fail(w, http.StatusGatewayTimeout, api.CodeDeadlineExpired, err)
+	case errors.Is(err, errPanicked):
+		s.fail(w, http.StatusInternalServerError, api.CodeInternal, err)
 	default:
 		s.fail(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, err)
 	}

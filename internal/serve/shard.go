@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 
-	"prestroid/internal/logicalplan"
 	"prestroid/internal/telemetry"
 )
 
@@ -49,13 +48,15 @@ func Replicas(pred *Predictor, n int) []*Predictor {
 
 // ShardedEngine fans inference out across N independent shards. Each shard
 // is a full Engine — its own batcher goroutine, its own model replica and
-// its own segment of each cache — so shards share no mutable state and no
-// mutex. A dispatcher hashes canonical SQL to a home shard, which owns the
-// key's prediction-cache entry and normally computes its misses, preserving
-// the per-shard single-flight dedup and cache locality of the single-engine
-// design; when the home shard's queue is saturated (or, with MaxEstWait set,
-// its estimated wait is past the bound), the miss is computed on the peer
-// with the shortest estimated wait instead (see admit). Rerouting is safe
+// its own segment of each cache — so shards share no model and no batcher.
+// What they share is the template cache: a template lives in the segment of
+// the shard its template key hashes to, and every shard reads it there (see
+// lookupTemplate). A dispatcher hashes canonical SQL to a home shard, which
+// owns the key's prediction-cache entry and normally computes its misses,
+// preserving the per-shard single-flight dedup and cache locality of the
+// single-engine design; when the home shard's queue is saturated (or, with
+// MaxEstWait set, its estimated wait is past the bound), the miss is computed
+// on the peer with the shortest estimated wait instead (see admit). Rerouting is safe
 // because replicas carry identical weights: every shard returns
 // byte-identical predictions for identical SQL, and the answer is still
 // cached at home, so a detour leaves no duplicate entry behind.
@@ -136,6 +137,12 @@ func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, replaces *Sha
 		}
 		se.shards[i] = newEngineAt(p, served[i], per, gen, tel)
 	}
+	// Every shard reads templates through its siblings' segments (see
+	// lookupTemplate). Batchers never read shards, and handlers reach the
+	// engine only after this returns.
+	for _, sh := range se.shards {
+		sh.shards = se.shards
+	}
 	return se
 }
 
@@ -181,16 +188,6 @@ func fnv32a(s string) uint32 {
 func (se *ShardedEngine) PredictSQL(sql string) (Prediction, error) {
 	p, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	return p, err
-}
-
-// ExplainSQL resolves a query to its logical plan through the home shard's
-// template front end: a cached template skips lex and parse, a miss deposits
-// the skeleton so explain traffic and prediction traffic warm the same
-// per-shard segments. No saturation detour — planning never touches a
-// batcher queue, so there is nothing to route around.
-func (se *ShardedEngine) ExplainSQL(sql string) (*logicalplan.Node, error) {
-	key := CanonicalSQL(sql)
-	return se.shards[se.shardOf(key)].PlanOnly(sql)
 }
 
 // Snapshot returns the engine's full telemetry state in one pass: every

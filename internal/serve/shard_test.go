@@ -31,7 +31,7 @@ func stubShards(t *testing.T, n int, cfg Config) (*ShardedEngine, []*stubModel) 
 // front end, its batcher, its replica — which is what a detour to that shard
 // answers.
 func predictOn(sh *Engine, sql string) (Prediction, error) {
-	return sh.miss(context.Background(), sql, CanonicalSQL(sql))
+	return sh.miss(context.Background(), sql, CanonicalSQL(sql), tmplLookup{})
 }
 
 // keyForShard returns SQL whose canonical key hashes to the wanted shard.

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"prestroid/internal/logicalplan"
 	"prestroid/internal/models"
 	"prestroid/internal/sqlparse"
 	"prestroid/internal/telemetry"
@@ -177,10 +176,10 @@ func TestTemplateRebindSurvivesRoll(t *testing.T) {
 
 // TestTemplateExplainWarmsPredict pins the explain/predict cache sharing:
 // PlanOnly deposits a skeleton that turns the first prediction of the
-// template into a hit, and that prediction upgrades the entry with a
-// featurization that later predictions rebind.
+// template into a hit, and that prediction leaves its answer in the entry,
+// which answers a later literal variant without encoding it.
 func TestTemplateExplainWarmsPredict(t *testing.T) {
-	pred := newTestPredictor(t)
+	pred, m := newCountingPredictor(t)
 	se, e := oneShard(t, pred, tmplCfg())
 
 	if _, err := e.PlanOnly("SELECT a FROM t WHERE a > 1"); err != nil {
@@ -192,66 +191,64 @@ func TestTemplateExplainWarmsPredict(t *testing.T) {
 	}
 	skeletonBytes := snap.TemplateBytes
 
-	want, err := pred.PredictSQL("SELECT a FROM t WHERE a > 42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := se.PredictSQL("SELECT a FROM t WHERE a > 42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("explain-warmed predict %+v != reference %+v", got, want)
+	for i, sql := range []string{"SELECT a FROM t WHERE a > 42", "SELECT a FROM t WHERE a > 7"} {
+		want, err := pred.PredictSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.encodes.Store(0)
+		got, err := se.PredictSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("explain-warmed predict of %q %+v != reference %+v", sql, got, want)
+		}
+		if n, wantN := m.encodes.Load(), int64(1-i); n != wantN {
+			t.Fatalf("prediction %d encoded %d times, want %d", i, n, wantN)
+		}
 	}
 	snap = e.Snapshot()
-	if snap.TemplateHits != 1 {
-		t.Fatalf("explain-warmed predict recorded %d hits, want 1", snap.TemplateHits)
+	if snap.TemplateHits != 2 {
+		t.Fatalf("explain-warmed predictions recorded %d hits, want 2", snap.TemplateHits)
 	}
-	if snap.TemplateBytes <= skeletonBytes {
-		t.Fatalf("prediction did not enrich the skeleton entry: bytes %d -> %d", skeletonBytes, snap.TemplateBytes)
+	if snap.TemplateEntries != 1 || snap.TemplateBytes != skeletonBytes {
+		t.Fatalf("answered entry: %d entries, bytes %d -> %d; want the one entry at its skeleton's size",
+			snap.TemplateEntries, skeletonBytes, snap.TemplateBytes)
 	}
 }
 
-// TestTemplateCacheUpgradeInPlace pins the template segment's own policy on
-// top of the shared LRU (see lru_test.go): a skeleton-only entry is
-// upgraded in place — and re-priced — when a deposit brings an encoding, and
-// an encoded entry is never downgraded or replaced by a later deposit.
+// TestTemplateCacheUpgradeInPlace pins the template segment's one replace
+// rule on top of the shared LRU (see lru_test.go): an answered deposit
+// replaces an unanswered entry, and nothing else replaces a present entry —
+// not an unanswered deposit, and not a second answer.
 func TestTemplateCacheUpgradeInPlace(t *testing.T) {
 	var hits, misses telemetry.Counter
 	c := newTemplateCache(8, &hits, &misses)
-	const sql = "SELECT a FROM t WHERE a > 1"
-	stmt, err := sqlparse.Parse(sql)
+	stmt, err := sqlparse.Parse("SELECT a FROM t WHERE a > 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := logicalplan.Plan(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := newTestPredictor(t).Model.(*models.Prestroid).BuildTemplateEncoding(plan)
-	if enc.Bytes() == 0 {
-		t.Fatal("test encoding accounts no bytes; the re-pricing check would prove nothing")
-	}
+	skeleton := &templateEntry{stmt: stmt}
+	answered := &templateEntry{stmt: stmt, p: Prediction{Normalized: 0.25}, answered: true}
 
-	c.Put("k", &templateEntry{stmt: stmt})
+	c.Put("k", skeleton)
 	_, skeletonBytes := c.Stats()
-	if ent, ok := c.Get("k"); !ok || ent.enc != nil {
-		t.Fatalf("skeleton deposit: ok=%v ent=%+v, want a skeleton-only entry", ok, ent)
+	c.Put("k", &templateEntry{stmt: stmt})
+	if ent, _ := c.Get("k"); ent != skeleton {
+		t.Fatal("an unanswered deposit replaced an unanswered entry")
 	}
-	c.Put("k", &templateEntry{stmt: stmt, enc: enc})
-	if ent, _ := c.Get("k"); ent.enc != enc {
-		t.Fatal("an encoded deposit did not upgrade the skeleton-only entry")
-	}
-	if n, b := c.Stats(); n != 1 || b != skeletonBytes+int64(enc.Bytes()) {
-		t.Fatalf("after upgrade: entries=%d bytes=%d, want 1/%d", n, b, skeletonBytes+int64(enc.Bytes()))
+	c.Put("k", answered)
+	if ent, _ := c.Get("k"); ent != answered {
+		t.Fatal("an answered deposit did not replace the unanswered entry")
 	}
 	c.Put("k", &templateEntry{stmt: stmt})
-	c.Put("k", &templateEntry{stmt: stmt, enc: &models.TemplateEncoding{}})
-	if _, b := c.Stats(); b != skeletonBytes+int64(enc.Bytes()) {
-		t.Fatalf("refused deposits moved the bytes gauge to %d", b)
+	c.Put("k", &templateEntry{stmt: stmt, p: Prediction{Normalized: 0.5}, answered: true})
+	if ent, _ := c.Get("k"); ent != answered {
+		t.Fatal("a later deposit replaced an answered entry")
 	}
-	if ent, _ := c.Get("k"); ent.enc != enc {
-		t.Fatal("a later deposit replaced an already-encoded entry")
+	if n, b := c.Stats(); n != 1 || b != skeletonBytes {
+		t.Fatalf("entries=%d bytes=%d, want 1 entry at the skeleton's %d bytes", n, b, skeletonBytes)
 	}
 }
 

@@ -1,56 +1,81 @@
 package serve
 
 import (
-	"prestroid/internal/models"
 	"prestroid/internal/sqlparse"
 	"prestroid/internal/telemetry"
 )
 
-// templateCache is the per-shard prepared-template segment, keyed by the
-// ExtractTemplate canonical form. A prediction's hit on an entry with trees
-// turns a front-end pass — lex, parse, plan, recast, sample, flatten, encode —
-// into the lookup itself; a hit on a skeleton-only entry, or an explain's,
-// into a literal rebind of the skeleton and a plan.
+// templateCache is one shard's segment of its engine's template cache, keyed
+// by the ExtractTemplate canonical form. An engine's segments form one cache:
+// a template lives in the segment of the shard its key hashes to, whichever
+// shard computed it, so each template is held once per engine.
 //
-// The skeleton statement is weight-independent (parsing knows nothing about
-// the model), but the encoding is not: its trees were featurized by one
-// predictor identity's pipeline. Both are safe to keep for the segment's
-// whole life because the segment belongs to one engine and an engine serves
-// one identity. Every entry is born skeleton-only, whether an explain or a
-// prediction missed on its template; the first prediction to hit it upgrades
-// it in place with the trees it just built, so only templates that recur hold
-// trees (~110 kB each against a skeleton's few hundred bytes).
+// An entry is the parsed skeleton, the plan shape and, once a prediction of
+// the template has been computed, that prediction's normalised answer. The
+// encoder strips every literal value before embedding, so every literal
+// variant of a template encodes to the same trees and the model gives them
+// the same answer: from the second prediction on, a template costs its key
+// extraction and this lookup (see ShardedEngine.predictKey). The answer is
+// weight-dependent, and safe to keep for the segment's whole life because the
+// segment belongs to one engine and an engine serves one identity: no answer
+// crosses a roll. An engine whose pipeline hashes predicate text
+// (HashedPredicates) encodes literals, so it never stores an answer; its
+// entries stay skeletons, which a hit rebinds with the query's literals and
+// replans. Explain deposits skeletons too. Entries are about a skeleton's
+// size, a few hundred bytes.
 type templateCache = lru[string, *templateEntry]
 
-// templateEntry is one cached template: the parsed skeleton, the shape every
-// literal variant plans to (taken from the plan of the query that deposited
-// the entry), and, once a prediction hit it, the trees every literal variant
-// encodes to.
+// templateEntry is one cached template: the parsed skeleton and, when
+// answered, the prediction every literal variant gets — the normalised model
+// output with the plan shape every variant plans to (taken from the plan of
+// the query that deposited it). Entries are immutable once Put.
 type templateEntry struct {
-	stmt  *sqlparse.SelectStmt
-	shape planShape
-	enc   *models.TemplateEncoding // nil until a prediction hits the entry
-	trees any                      // enc's trees as a job carries them, boxed once
+	stmt     *sqlparse.SelectStmt
+	p        Prediction // meaningful only when answered
+	answered bool
 }
 
 func newTemplateCache(max int, hits, misses *telemetry.Counter) *templateCache {
 	return newLRU(max, hits, misses, admitTemplate, templateBytes)
 }
 
-// admitTemplate replaces a present entry only to upgrade it: entries are
-// deposited skeleton-only and the first prediction to hit one enriches it with
-// its featurization.
+// admitTemplate is the segment's one replace rule: an answered deposit
+// replaces an unanswered entry, never the reverse, and a present entry is
+// otherwise kept.
 func admitTemplate(old *templateEntry, present bool, in *templateEntry) (*templateEntry, bool) {
-	return in, !present || (old.enc == nil && in.enc != nil)
+	return in, !present || (!old.answered && in.answered)
 }
 
 // templateBytes approximates an entry's heap footprint for the bytes gauge:
-// the key, a statement estimate proportional to the key (the skeleton's node
-// count tracks its token count), and the encoding's own accounting.
-func templateBytes(key string, ent *templateEntry) int64 {
-	b := int64(2 * len(key))
-	if ent.enc != nil {
-		b += int64(ent.enc.Bytes())
+// the key and a statement estimate proportional to it (the skeleton's node
+// count tracks its token count). The answer adds a few words.
+func templateBytes(key string, _ *templateEntry) int64 {
+	return int64(2 * len(key))
+}
+
+// tmplLookup is a query's place in its engine's template cache: the key and
+// literal vector ExtractTemplate produced, the segment the key homes to, and
+// the entry found there (nil on a miss). The zero value is a query without
+// one: the cache is off, or the query has no template key.
+type tmplLookup struct {
+	key  string
+	lits []sqlparse.TemplateLiteral
+	seg  *templateCache
+	ent  *templateEntry
+}
+
+// lookupTemplate extracts sql's template key and literals in one lexer pass
+// and reads the key's entry from the segment of the shard the key hashes to,
+// whichever shard asks.
+func (e *Engine) lookupTemplate(sql string) tmplLookup {
+	if e.tmplCache == nil {
+		return tmplLookup{}
 	}
-	return b
+	key, lits, ok := sqlparse.ExtractTemplate(sql)
+	if !ok {
+		return tmplLookup{}
+	}
+	seg := e.shards[fnv32a(key)%uint32(len(e.shards))].tmplCache
+	ent, _ := seg.Get(key)
+	return tmplLookup{key: key, lits: lits, seg: seg, ent: ent}
 }

@@ -64,6 +64,15 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	}
 
 	ms := s.Models
+	var flushPanics int64
+	for _, m := range ms {
+		for _, sh := range m.Engine.Shards {
+			flushPanics += sh.Panics
+		}
+	}
+	p.header("prestroid_panics_total", "Panics recovered by the live engines, by where: flush is a batcher's model round trip, whose queries answered 500.", "counter")
+	p.printf("prestroid_panics_total{where=\"flush\"} %d\n", flushPanics)
+
 	p.header("prestroid_model_state", "Roll state of each serving identity (live, shadow or canary); the value is always 1.", "gauge")
 	for _, m := range ms {
 		p.printf("prestroid_model_state{model=%s,state=%s} 1\n", quoteLabel(m.Name), quoteLabel(m.State))

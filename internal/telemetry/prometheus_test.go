@@ -65,7 +65,7 @@ func goldenSnapshot() Snapshot {
 							CacheHits: 7, CacheMisses: 5, CacheEntries: 4,
 							SubtreeHits: 11, SubtreeMisses: 6, SubtreeEntries: 3, SubtreeBytes: 384,
 							TemplateHits: 9, TemplateMisses: 4, TemplateEntries: 2, TemplateBytes: 512,
-							Shed: 3, Expired: 1, ServiceTimeMicros: 1500, EstWaitMicros: 1500,
+							Shed: 3, Expired: 1, Panics: 1, ServiceTimeMicros: 1500, EstWaitMicros: 1500,
 							Queued: 1, Generation: 2},
 						{Shard: 1, Batches: 2, Coalesced: 2, BatchSizes: bs1.Snapshot(),
 							CacheMisses: 2, CacheEntries: 2,
@@ -137,6 +137,9 @@ prestroid_request_latency_seconds_count 3
 prestroid_http_responses_total{endpoint="/v1/predict",status="2xx"} 40
 prestroid_http_responses_total{endpoint="/v1/predict",status="4xx"} 2
 prestroid_http_responses_total{endpoint="/v1/stats",status="2xx"} 1
+# HELP prestroid_panics_total Panics recovered by the live engines, by where: flush is a batcher's model round trip, whose queries answered 500.
+# TYPE prestroid_panics_total counter
+prestroid_panics_total{where="flush"} 1
 # HELP prestroid_model_state Roll state of each serving identity (live, shadow or canary); the value is always 1.
 # TYPE prestroid_model_state gauge
 prestroid_model_state{model="default",state="live"} 1

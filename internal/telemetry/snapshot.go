@@ -16,6 +16,7 @@ type ShardGroup struct {
 	TemplateMisses Counter    // full lex/parse/plan/featurize passes
 	Shed           Counter    // queries refused by bounded-wait admission
 	Expired        Counter    // queries dropped because their deadline passed
+	Panics         Counter    // flushes that panicked and failed their batch
 	BatchSizes     *Histogram // deduplicated rows per flushed batch
 	ServiceTime    EWMA       // per-query drain time through the batcher, microseconds
 }
@@ -66,6 +67,7 @@ func (g *ShardGroup) Snapshot(gauges ShardGauges) ShardSnapshot {
 		TemplateBytes:     gauges.TemplateBytes,
 		Shed:              g.Shed.Load(),
 		Expired:           g.Expired.Load(),
+		Panics:            g.Panics.Load(),
 		ServiceTimeMicros: g.ServiceTime.Load(),
 		EstWaitMicros:     g.EstWaitMicros(gauges.Queued),
 		Queued:            gauges.Queued,
@@ -91,11 +93,13 @@ type ShardSnapshot struct {
 	TemplateEntries int
 	TemplateBytes   int64
 	// Shed and Expired count admission refusals and deadline drops charged
-	// to this shard; ServiceTimeMicros and EstWaitMicros are the live EWMA
-	// per-query service time and the queue-depth × service-time wait
-	// estimate admission control decides on (0 = no samples yet).
+	// to this shard, Panics the flushes that panicked; ServiceTimeMicros and
+	// EstWaitMicros are the live EWMA per-query service time and the
+	// queue-depth × service-time wait estimate admission control decides on
+	// (0 = no samples yet).
 	Shed              int64
 	Expired           int64
+	Panics            int64
 	ServiceTimeMicros float64
 	EstWaitMicros     float64
 	Queued            int

@@ -101,21 +101,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view with a new shape sharing the same data.
-// It panics if the element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != t.Size() {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: t.Data}
-}
-
 // Set writes the element at the given multi-index.
 func (t *Tensor) Set(v float64, idx ...int) {
 	t.Data[t.offset(idx)] = v

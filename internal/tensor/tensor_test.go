@@ -54,18 +54,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Reshape(3, 2)
-	y.Data[0] = 42
-	if x.Data[0] != 42 {
-		t.Fatal("Reshape must share data")
-	}
-	if y.Data[5] != 6 {
-		t.Fatalf("reshape indexing wrong: %v", y)
-	}
-}
-
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3}, 3)
 	b := FromSlice([]float64{10, 20, 30}, 3)
