@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"prestroid/internal/dataset"
 	"prestroid/internal/logicalplan"
@@ -88,6 +89,15 @@ type Prestroid struct {
 
 	// step is TrainBatch's memory, reused from one step to the next.
 	step trainStep
+
+	// feats[n] pools released (n, featDim) feature slabs of sub-trees for
+	// encodePlan to flatten into (see Recycle); nil for a full-tree model.
+	// The pools live in their own array, apart from the model: the runtime's
+	// pool registry points at a pool once it is used, and a pool inside the
+	// struct would keep a finished model and its training encodings alive
+	// across collections. The pools are deleted together with Tree's dense
+	// Feats (ROADMAP item 4).
+	feats []sync.Pool
 }
 
 // trainStep is the step-scoped state of TrainBatch: the batch's trees in
@@ -164,6 +174,9 @@ func NewPrestroid(cfg PrestroidConfig, pipe *Pipeline) *Prestroid {
 		params = append(params, l.Params()...)
 	}
 	m.slab = nn.NewSlab(params)
+	if cfg.K > 0 {
+		m.feats = make([]sync.Pool, cfg.N+1)
+	}
 	if cfg.K > 0 && cfg.Sampling == SamplingAlgorithm1 {
 		if err := m.samplingConfig().Validate(); err != nil {
 			panic(fmt.Sprintf("models: Prestroid N=%d cannot be sampled by Algorithm 1: %v", cfg.N, err))
@@ -226,8 +239,10 @@ func (m *Prestroid) Prepare(traces []*workload.Trace) {
 
 // encodePlan is the single recast/sample/flatten path behind Prepare,
 // EncodeTrace and the prepared-template front end. It reads only immutable
-// state (config, encoder tables, Word2Vec vectors) and allocates fresh trees,
-// so it is safe to call from many goroutines at once.
+// state (config, encoder tables, Word2Vec vectors) and the slab pools, which
+// are safe for concurrent use, and returns trees the caller owns, so it is
+// safe to call from many goroutines at once. A sub-tree's feature rows come
+// from the pool of its row count, or a fresh slab when that pool is empty.
 func (m *Prestroid) encodePlan(plan *logicalplan.Node) []*treecnn.Tree {
 	root := otp.Recast(plan)
 	qctx := m.pipe.Enc.NewQueryContext(root)
@@ -252,7 +267,11 @@ func (m *Prestroid) encodePlan(plan *logicalplan.Node) []*treecnn.Tree {
 	}
 	trees := make([]*treecnn.Tree, 0, len(samples))
 	for _, st := range samples {
-		ft := treecnn.FlattenSubTree(st, m.pipe.Enc, qctx)
+		var slab *tensor.Tensor
+		if n := len(st.Nodes); n < len(m.feats) {
+			slab, _ = m.feats[n].Get().(*tensor.Tensor)
+		}
+		ft := treecnn.FlattenSubTreeInto(slab, st, m.pipe.Enc, qctx)
 		if m.cfg.DisableVotes {
 			for i := range ft.Votes {
 				ft.Votes[i] = 1
@@ -285,8 +304,22 @@ func (m *Prestroid) adopt(tr *workload.Trace, trees []*treecnn.Tree) {
 // EncodeTrace implements the serving layer's off-lock encoding split: it
 // computes a trace's encodings without touching the shared cache, so a
 // request's own goroutine does the expensive recast/sample/flatten work
-// before the serialised Predict call.
+// before the serialised Predict call. The caller owns the encoding: it may
+// hand it to AdoptEncoding and, once the trace is evicted, to Recycle, or
+// keep it for as long as it likes.
 func (m *Prestroid) EncodeTrace(tr *workload.Trace) any { return m.encodePlan(tr.Plan) }
+
+// Recycle releases the feature slabs of an encoding EncodeTrace made into the
+// model's pools, for later encodes to flatten into. The caller must be done
+// with every tree of enc: not adopted, or evicted since. Full-tree trees are
+// left to the garbage collector.
+func (m *Prestroid) Recycle(enc any) {
+	for _, t := range enc.([]*treecnn.Tree) {
+		if n := t.Len(); n < len(m.feats) {
+			m.feats[n].Put(t.Release())
+		}
+	}
+}
 
 // AdoptEncoding installs an encoding produced by EncodeTrace. It mutates the
 // cache and must run on the goroutine that owns the model, before Predict.

@@ -50,7 +50,8 @@ type ExpiredError struct{}
 
 func (e *ExpiredError) Error() string { return "request deadline expired before prediction" }
 
-// errPanicked marks a query whose flush panicked (see Engine.flush). The HTTP
+// errPanicked marks a query whose model round trip panicked, in a flush or in
+// submit's serialised fallback (see Engine.flush and Engine.submit). The HTTP
 // layer answers it with 500 internal.
 var errPanicked = errors.New("panic")
 

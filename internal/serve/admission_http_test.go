@@ -169,3 +169,16 @@ func TestThrottleCoversExplain(t *testing.T) {
 		t.Fatalf("explain after exhausted bucket = %d, want 429", w.Code)
 	}
 }
+
+// TestPastDeadlineExpires pins that an absolute deadline already behind us
+// answers 504, the zero instant included: it once read as "no deadline" and
+// ran the query unbounded.
+func TestPastDeadlineExpires(t *testing.T) {
+	srv, _ := newTestServer(t)
+	const q = `{"sql":"SELECT a FROM t WHERE a > 5"}`
+	for _, v := range []string{"0001-01-01T00:00:00Z", "0001-01-01T01:00:00+01:00", "2000-01-01T00:00:00Z"} {
+		if w := postWith(t, srv, "/v1/predict", q, map[string]string{"X-Request-Deadline": v}); w.Code != http.StatusGatewayTimeout {
+			t.Errorf("X-Request-Deadline %s answered %d %s, want 504", v, w.Code, w.Body)
+		}
+	}
+}

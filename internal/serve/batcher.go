@@ -353,8 +353,11 @@ func (e *Engine) arrive(sql string, t tmplLookup) (fe prepared, err error) {
 // When the queue is saturated or the engine is closed, submit degrades to the
 // serialised single-query path (one model round trip under the predictor
 // lock) instead of blocking or failing; that path adopts the same enc, so the
-// overloaded shard does not encode the query again.
-func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc any) (float64, error) {
+// overloaded shard does not encode the query again. It runs the model on the
+// handler's goroutine, outside flush's recover, so it recovers a panic the
+// same way: the query fails with errPanicked and the shard counts it in
+// SubmitPanics.
+func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc any) (y float64, err error) {
 	e.mu.RLock()
 	if !e.closed {
 		job := &predictJob{ctx: ctx, trace: tr, key: key, enc: enc, done: make(chan float64, 1)}
@@ -381,6 +384,12 @@ func (e *Engine) submit(ctx context.Context, tr *workload.Trace, key string, enc
 		e.tel.Expired.Inc()
 		return 0, &ExpiredError{}
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			e.tel.SubmitPanics.Inc()
+			y, err = 0, fmt.Errorf("%w in submit: %v", errPanicked, r)
+		}
+	}()
 	return e.pred.predictTrace(e.model, tr, enc), nil
 }
 

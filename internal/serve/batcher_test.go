@@ -33,6 +33,7 @@ type stubModel struct {
 	violations atomic.Int32
 	predicts   atomic.Int64
 	evicted    atomic.Int64
+	recycled   atomic.Int64
 
 	mu         sync.Mutex
 	batchSizes []int
@@ -86,6 +87,7 @@ func (m *stubModel) Evict(traces []*workload.Trace) {
 
 func (m *stubModel) EncodeTrace(*workload.Trace) any    { return nil }
 func (m *stubModel) AdoptEncoding(*workload.Trace, any) {}
+func (m *stubModel) Recycle(any)                        { m.recycled.Add(1) }
 func (m *stubModel) SetConvCache(models.ConvCache)      {}
 func (m *stubModel) Weights() []*nn.Param               { return nil }
 func (m *stubModel) Clone() models.Model                { return &stubModel{} }

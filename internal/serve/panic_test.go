@@ -118,3 +118,46 @@ func TestFlushPanicFailsItsBatch(t *testing.T) {
 		t.Fatalf("%d concurrent model calls", v)
 	}
 }
+
+// TestSubmitPanicIs500 pins the containment of the serialised fallback: on a
+// closed shard a query runs the model on its handler's goroutine, outside any
+// flush, and a panic there answers 500 in the internal envelope, is counted
+// under where="submit" on /metrics, leaves its encoding unrecycled, and the
+// shard answers the next query.
+func TestSubmitPanicIs500(t *testing.T) {
+	m := &stubModel{}
+	srv := NewServerConfig(&Predictor{Model: panicModel{m}}, Config{MaxBatch: 8})
+	t.Cleanup(srv.Close)
+	srv.Engine().Close()
+
+	w := post(t, srv, "/v1/predict", `{"sql":"SELECT `+panicMark+` FROM t"}`)
+	var env api.ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatalf("body %q is no envelope: %v", w.Body, err)
+	}
+	if w.Code != http.StatusInternalServerError || env.Error.Code != api.CodeInternal {
+		t.Fatalf("a panicking fallback answered %d %s, want 500 %s", w.Code, w.Body, api.CodeInternal)
+	}
+	metrics := metricsOf(srv)
+	for _, series := range []string{`prestroid_panics_total{where="submit"} 1`, `prestroid_panics_total{where="flush"} 0`} {
+		if !strings.Contains(metrics, series+"\n") {
+			t.Fatalf("/metrics lacks %s", series)
+		}
+	}
+	if n := m.recycled.Load(); n != 0 {
+		t.Fatalf("the panicking round trip recycled %d encodings, want 0", n)
+	}
+	const sql = "SELECT a FROM t WHERE a > 5"
+	want, err := (&Predictor{Model: &stubModel{}}).PredictSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = post(t, srv, "/v1/predict", `{"sql":"`+sql+`"}`)
+	var got api.PredictResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != http.StatusOK || got.Prediction != want {
+		t.Fatalf("the query after the panic answered %d %s, want 200 with %+v", w.Code, w.Body, want)
+	}
+	if n := m.recycled.Load(); n != 1 {
+		t.Fatalf("the round trip after the panic recycled %d encodings, want 1", n)
+	}
+}

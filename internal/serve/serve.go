@@ -73,10 +73,17 @@ type Predictor struct {
 // implements it. EncodeTrace is the pure per-plan encode, safe on any
 // goroutine. Everything else runs on the goroutine that owns the model:
 // AdoptEncoding installs an encoding, PredictInto writes one prediction per
-// trace into the caller's slice, Evict drops the adopted encodings, and
+// trace into the caller's slice, Evict drops the adopted encodings, Recycle
+// takes an evicted encoding back for later encodes to reuse, and
 // SetConvCache installs the engine's sub-tree segment. Clone builds a replica
 // with the same weights (one per shard), and a roll builds the next identity
 // with RebuildWithPipeline and overwrites its Weights.
+//
+// An encoding belongs to the handler that encoded it until it is queued,
+// then to whoever runs the model, and it lives for one round trip: after the
+// predict and the evict return, predictInto recycles it. An encoding no model
+// adopts (a single-flight duplicate, an expired job) or whose predict
+// panicked is left to the garbage collector.
 type servedModel interface {
 	models.Model
 	persist.WeightStore
@@ -84,6 +91,7 @@ type servedModel interface {
 	AdoptEncoding(tr *workload.Trace, enc any)
 	PredictInto(batch []*workload.Trace, dst []float64)
 	Evict(traces []*workload.Trace)
+	Recycle(enc any)
 	SetConvCache(models.ConvCache)
 	Clone() models.Model
 	RebuildWithPipeline(pipe *models.Pipeline) (models.Model, error)
@@ -159,17 +167,23 @@ func (p *Predictor) prediction(shape planShape, y float64) Prediction {
 // predictInto is the one serialised model round trip, shared by the batcher
 // and the per-query fallback: under the lock, m (p's model) adopts the
 // encoding a handler built for every trace (encs[i] belongs to traces[i]),
-// predicts straight into ys and evicts, so no model-owned memory escapes the
-// lock. The evict and the unlock are deferred, so a panic in the model (which
-// flush recovers) leaves neither an adopted encoding nor the lock behind.
+// predicts straight into ys, evicts and recycles the encodings, so no
+// model-owned memory escapes the lock. The evict and the unlock are deferred,
+// so a panic in the model (which flush and submit recover) leaves neither an
+// adopted encoding nor the lock behind; it skips the recycle.
 func (p *Predictor) predictInto(m servedModel, traces []*workload.Trace, encs []any, ys []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	defer m.Evict(traces)
-	for i, enc := range encs {
-		m.AdoptEncoding(traces[i], enc)
+	func() {
+		defer m.Evict(traces)
+		for i, enc := range encs {
+			m.AdoptEncoding(traces[i], enc)
+		}
+		m.PredictInto(traces, ys)
+	}()
+	for _, enc := range encs {
+		m.Recycle(enc)
 	}
-	m.PredictInto(traces, ys)
 }
 
 // predictTrace costs one encoded trace on the serialised path the batcher
@@ -510,7 +524,9 @@ const maxTimeoutSeconds = float64(math.MaxInt64 / int64(time.Second))
 // so a client that hangs up cancels its queued work the same way an expiry
 // would.
 func requestDeadline(r *http.Request) (context.Context, context.CancelFunc, error) {
+	// set, not deadline.IsZero: the zero instant is a deadline long past.
 	var deadline time.Time
+	set := false
 	if v := r.Header.Get("Request-Timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
@@ -525,18 +541,18 @@ func requestDeadline(r *http.Request) (context.Context, context.CancelFunc, erro
 		if d <= 0 {
 			return nil, nil, fmt.Errorf("bad Request-Timeout header: %q (want a positive duration)", v)
 		}
-		deadline = time.Now().Add(d)
+		deadline, set = time.Now().Add(d), true
 	}
 	if v := r.Header.Get("X-Request-Deadline"); v != "" {
 		t, err := time.Parse(time.RFC3339Nano, v)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bad X-Request-Deadline header: %q (want RFC 3339)", v)
 		}
-		if deadline.IsZero() || t.Before(deadline) {
-			deadline = t
+		if !set || t.Before(deadline) {
+			deadline, set = t, true
 		}
 	}
-	if deadline.IsZero() {
+	if !set {
 		return context.Background(), func() {}, nil
 	}
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)

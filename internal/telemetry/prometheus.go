@@ -64,14 +64,16 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	}
 
 	ms := s.Models
-	var flushPanics int64
+	var flushPanics, submitPanics int64
 	for _, m := range ms {
 		for _, sh := range m.Engine.Shards {
 			flushPanics += sh.Panics
+			submitPanics += sh.SubmitPanics
 		}
 	}
-	p.header("prestroid_panics_total", "Panics recovered by the live engines, by where: flush is a batcher's model round trip, whose queries answered 500.", "counter")
+	p.header("prestroid_panics_total", "Panics recovered by the live engines, by where: flush is a batcher's model round trip, whose queries answered 500; submit is the serialised fallback's, whose query answered 500.", "counter")
 	p.printf("prestroid_panics_total{where=\"flush\"} %d\n", flushPanics)
+	p.printf("prestroid_panics_total{where=\"submit\"} %d\n", submitPanics)
 
 	p.header("prestroid_model_state", "Roll state of each serving identity (live, shadow or canary); the value is always 1.", "gauge")
 	for _, m := range ms {

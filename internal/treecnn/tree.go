@@ -28,6 +28,12 @@ import (
 // needs one (the Tree itself is never written by a reader). Feats stays the
 // dense source of the values; code that writes to it after flattening must
 // call Rehash before the tree is convolved or cached again.
+//
+// Whoever flattened a tree owns it, Feats included, until it hands it on.
+// An owner that is done with a tree may Release it to reuse its Feats as
+// the slab of a later flatten (FlattenSubTreeInto); the released tree is
+// dead, and a later read of its Feats panics. Trees nobody releases are
+// left to the garbage collector.
 type Tree struct {
 	Feats *tensor.Tensor // (n, featDim)
 	Left  []int          // index of left child, -1 if none
@@ -205,20 +211,36 @@ func rootHash(n int, hs []uint64) uint64 {
 	return root
 }
 
+// Release clears the tree's feature slab to +0 in every bit, detaches it
+// and returns it: the caller may flatten another tree of the same shape into
+// it. It clears the whole slab, not just the entries the index lists — the
+// index omits a −0, which would otherwise leak into the next tree's rows. The
+// tree must not be used again; its Feats is nil.
+func (t *Tree) Release() *tensor.Tensor {
+	f := t.Feats
+	clear(f.Data)
+	t.Feats = nil
+	return f
+}
+
 // flatten is the single tree builder behind FlattenSubTree and FlattenFull:
-// it encodes each node's features straight into its tensor row and indexes
-// only the span of the row the encoder wrote (the rest of a fresh row is
-// zero), resolves child pointers to indices (-1 when the child is absent or
-// outside the node slice), installs the vote mask (nil votes = every node
-// votes) and hashes the result.
-func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.QueryContext) *Tree {
+// it encodes each node's features straight into its row of feats — a
+// (len(nodes), featDim) tensor that must be all zero, or nil for a fresh one
+// — and indexes only the span of the row the encoder wrote (the rest of the
+// row is zero), resolves child pointers to indices (-1 when the child is
+// absent or outside the node slice), installs the vote mask (nil votes =
+// every node votes) and hashes the result.
+func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.QueryContext, feats *tensor.Tensor) *Tree {
 	n := len(nodes)
 	index := make(map[*otp.Node]int, n)
 	for i, node := range nodes {
 		index[node] = i
 	}
+	if feats == nil {
+		feats = tensor.New(n, enc.FeatureDim())
+	}
 	tree := &Tree{
-		Feats: tensor.New(n, enc.FeatureDim()),
+		Feats: feats,
 		Left:  make([]int, n),
 		Right: make([]int, n),
 	}
@@ -255,7 +277,14 @@ func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.Quer
 // become -1 (their contribution to convolution is zero — exactly the
 // boundary information loss the vote mask guards against).
 func FlattenSubTree(st subtree.SubTree, enc *otp.Encoder, ctx *otp.QueryContext) *Tree {
-	return flatten(st.Nodes, st.Votes, enc, ctx)
+	return flatten(st.Nodes, st.Votes, enc, ctx, nil)
+}
+
+// FlattenSubTreeInto is FlattenSubTree writing its feature rows into feats, an
+// all-zero (len(st.Nodes), enc.FeatureDim()) slab such as Release returns;
+// nil allocates one.
+func FlattenSubTreeInto(feats *tensor.Tensor, st subtree.SubTree, enc *otp.Encoder, ctx *otp.QueryContext) *Tree {
+	return flatten(st.Nodes, st.Votes, enc, ctx, feats)
 }
 
 // bfsNodes enumerates a whole O-T-P tree in breadth-first order — the row
@@ -284,7 +313,7 @@ func bfsNodes(root *otp.Node) []*otp.Node {
 // voting — the representation used by the Prestroid-Full baseline (the tree
 // convolution segment of Neo).
 func FlattenFull(root *otp.Node, enc *otp.Encoder, ctx *otp.QueryContext) *Tree {
-	return flatten(bfsNodes(root), nil, enc, ctx)
+	return flatten(bfsNodes(root), nil, enc, ctx, nil)
 }
 
 func childIndex(index map[*otp.Node]int, child *otp.Node) int {

@@ -14,7 +14,7 @@
 # ns/op; and the
 # BenchmarkAccumRows simd/go pair from internal/tensor, also at -cpu 1, with
 # simd gated at >= 2x go), record median
-# throughput and minimum allocations per benchmark to a
+# throughput and minimum allocations and allocated bytes per benchmark to a
 # JSON artifact, and — when a baseline file exists — fail if any benchmark's
 # allocs/op rose past the allocation slack over its baseline. Every gate is
 # host-independent: ratios between two legs of the same run, and allocation
@@ -94,29 +94,34 @@ for line in open(raw):
     if not m:
         continue
     name, ns = m.group(1), float(m.group(3) or m.group(2))
-    allocs = m.group(5)
-    runs.setdefault(name, {"ns": [], "allocs": []})
+    nbytes, allocs = m.group(4), m.group(5)
+    runs.setdefault(name, {"ns": [], "allocs": [], "bytes": []})
     runs[name]["ns"].append(ns)
     if allocs is not None:
         runs[name]["allocs"].append(float(allocs))
+        runs[name]["bytes"].append(float(nbytes))
 
 if not runs:
     sys.exit("bench_record: no benchmark results parsed from go test output")
 
 # Median throughput across repeats: robust against one lucky or one
 # disturbed repeat, either of which poisons a min/max aggregate. Allocations
-# take the minimum — they are deterministic in steady state, and the floor
-# ignores one repeat's warm-up growth.
+# and allocated bytes take the minimum — they are deterministic in steady
+# state, and the floor ignores one repeat's warm-up growth. Bytes are
+# recorded, not gated: an allocation count cannot show how large the
+# allocations of a miss are.
 best = {}
 for name, v in runs.items():
     best[name] = {"ns": statistics.median(v["ns"])}
     if v["allocs"]:
         best[name]["allocs"] = min(v["allocs"])
+        best[name]["bytes"] = min(v["bytes"])
 
 def entry(v):
     e = {"ns_per_op": v["ns"], "qps": 1e9 / v["ns"]}
     if "allocs" in v:
         e["allocs_per_op"] = v["allocs"]
+        e["bytes_per_op"] = v["bytes"]
     return e
 
 record = {
