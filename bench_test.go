@@ -437,10 +437,11 @@ func serveClients(b *testing.B, predict func(sql string) (serve.Prediction, erro
 	})
 }
 
-// BenchmarkServePredict drives a one-shard batched engine with 16
-// concurrent clients on a repeated-template workload, after checking that it
-// and the serialised Predictor.PredictSQL reference return byte-identical
-// predictions for identical SQL.
+// BenchmarkServePredict drives a one-shard engine with 16 concurrent clients
+// on a repeated-template workload, after checking that it and the serialised
+// Predictor.PredictSQL reference return byte-identical predictions for
+// identical SQL. The legs keep the names they had when a batcher coalesced
+// misses, so their recorded baselines still match.
 func BenchmarkServePredict(b *testing.B) {
 	pred := servePredictor(b)
 	check := serve.NewShardedEngine([]*serve.Predictor{pred}, serve.DefaultConfig())
@@ -449,12 +450,12 @@ func BenchmarkServePredict(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		coalesced, err := check.PredictSQL(sql)
+		sharded, err := check.PredictSQL(sql)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if serial != coalesced {
-			b.Fatalf("paths diverge for %q: serial %+v vs coalesced %+v", sql, serial, coalesced)
+		if serial != sharded {
+			b.Fatalf("paths diverge for %q: serial %+v vs engine %+v", sql, serial, sharded)
 		}
 	}
 	check.Close()
@@ -464,10 +465,9 @@ func BenchmarkServePredict(b *testing.B) {
 		defer eng.Close()
 		serveClients(b, eng.PredictSQL)
 	})
-	// Prediction cache disabled: every request takes the miss path and the
-	// coalescer, holding batches open for en-route work as the daemon does.
-	// The batch-level wins (handler-side encode, conv fan-out across cores)
-	// need GOMAXPROCS > 1.
+	// Prediction cache disabled: every request takes the miss path, answered
+	// by the template cache or by a model call on the one replica, which the
+	// 16 clients take turns on.
 	b.Run("coalesced-nocache", func(b *testing.B) {
 		cfg := serve.DefaultConfig()
 		cfg.CacheSize = 0
@@ -477,31 +477,21 @@ func BenchmarkServePredict(b *testing.B) {
 	})
 }
 
-// BenchmarkLoneMiss guards the coalescer's hold rule: one closed-loop client,
-// prediction cache off, so every request is a miss with nobody behind it. A
-// batch is held open only for work known to be en route, which a lone request
-// never has — so the shipped configuration (default) must cost what a
-// coalescer that never holds (max-batch-1: MaxBatch <= 1 disables coalescing)
-// costs. scripts/bench_record.sh gates default at 1.5x max-batch-1.
+// BenchmarkLoneMiss times the miss path with nobody else in flight: one
+// closed-loop client, prediction and template caches off, so every request
+// parses, plans, encodes and runs its model call on its own goroutine.
 func BenchmarkLoneMiss(b *testing.B) {
 	pred := servePredictor(b)
-	for _, leg := range []struct {
-		name     string
-		maxBatch int
-	}{{"default", serve.DefaultConfig().MaxBatch}, {"max-batch-1", 1}} {
-		b.Run(leg.name, func(b *testing.B) {
-			cfg := serve.DefaultConfig()
-			cfg.CacheSize = 0
-			cfg.MaxBatch = leg.maxBatch
-			eng := serve.NewShardedEngine(serve.Replicas(pred, cfg.Replicas), cfg)
-			defer eng.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.PredictSQL(distinctSQL(int64(i))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := serve.DefaultConfig()
+	cfg.CacheSize = 0
+	cfg.TemplateCacheSize = 0 // every distinctSQL query shares one template
+	eng := serve.NewShardedEngine(serve.Replicas(pred, cfg.Replicas), cfg)
+	defer eng.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.PredictSQL(distinctSQL(int64(i))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -517,9 +507,9 @@ func distinctSQL(i int64) string {
 // BenchmarkShardedDistinctTemplates sweeps replica counts over the
 // all-distinct-template workload — the hard case where the prediction cache
 // absorbs nothing and every query runs the full model. With one replica,
-// throughput is capped at single-batcher speed no matter how many cores the
-// host has; with N replicas the dispatcher hashes queries across N cloned
-// models, each on its own batcher goroutine, so cache-miss-heavy QPS scales
+// throughput is capped at one model call at a time no matter how many cores
+// the host has; with N replicas the dispatcher hashes queries across N cloned
+// models, each running its own calls, so cache-miss-heavy QPS scales
 // with cores. On a single-core host the sweep degrades gracefully to
 // replicas=1 throughput.
 func BenchmarkShardedDistinctTemplates(b *testing.B) {

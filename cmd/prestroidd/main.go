@@ -37,12 +37,10 @@
 // stages the bundle next to the live engine instead, to be resolved by the
 // promote/abort actions (see the README Multi-model & deployments section).
 //
-// Inference runs through the sharded batched engine: -replicas sets how
-// many model replicas (each with its own batcher goroutine and cache
-// segment) the dispatcher fans coalesced batches out to, -max-batch caps a
-// shard's coalesced batch (a short batch stays open only while requests are
-// still in their front end on the way to it; a request nobody is behind is
-// never held), -cache-size the
+// Inference runs through the sharded engine: -replicas sets how many model
+// replicas (each with its own cache segment) the dispatcher hashes queries
+// across — a miss runs its plan, encode and model call on its own handler
+// goroutine, on its home shard's replica — -cache-size the
 // total LRU budget over canonicalized SQL, -subtree-cache-size the total
 // budget of pooled sub-tree convolution outputs reused across structurally
 // overlapping plans, and -template-cache-size the total budget of prepared
@@ -52,7 +50,8 @@
 //
 // Overload protection is opt-in: -max-est-wait bounds the queue wait the
 // service will accept before shedding with 429 + Retry-After (estimated as
-// queue depth × EWMA service time, after saturation detours are exhausted),
+// the handlers waiting for or holding a shard's replica × EWMA per-call
+// service time, after detours to peers are exhausted),
 // -client-qps/-client-burst rate-limit each client (bearer token or remote
 // IP), and clients can cap their own waits with a Request-Timeout duration
 // or X-Request-Deadline RFC 3339 header — expired work is dropped without a
@@ -64,8 +63,7 @@
 // bearer credential when set, loopback-only otherwise.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the HTTP server stops
-// accepting work, in-flight handlers finish, then the engine quiesces and
-// drains its shards.
+// accepting work and in-flight handlers finish.
 package main
 
 import (
@@ -142,18 +140,17 @@ func main() {
 	queries := flag.Int("queries", 600, "synthetic training queries")
 	tables := flag.Int("tables", 0, "initial tables in the synthetic training catalog (0 = generator default); larger values grow the feature-table universe")
 	defaults := serve.DefaultConfig()
-	maxBatch := flag.Int("max-batch", defaults.MaxBatch, "max queries coalesced into one model batch (<=1 disables batching)")
 	cacheSize := flag.Int("cache-size", defaults.CacheSize, "prediction-cache entries keyed by canonicalized SQL, split across shards (0 disables)")
 	subtreeCacheSize := flag.Int("subtree-cache-size", defaults.SubtreeCacheSize, "pooled sub-tree convolution outputs cached per content hash, split across shards (0 disables)")
 	templateCacheSize := flag.Int("template-cache-size", defaults.TemplateCacheSize, "prepared query templates cached for literal rebinding, split across shards (0 disables)")
 	replicas := flag.Int("replicas", defaults.Replicas, "model replicas / engine shards the dispatcher hashes canonical SQL across (<=1 disables sharding)")
-	maxEstWait := flag.Duration("max-est-wait", 0, "bounded-latency admission target: shed with 429 once every candidate shard's estimated queue wait (depth × EWMA service time) exceeds this (0 disables shedding)")
+	maxEstWait := flag.Duration("max-est-wait", 0, "bounded-latency admission target: shed with 429 once every shard's estimated wait for its replica (handlers waiting for or holding it × EWMA service time) exceeds this (0 disables shedding)")
 	clientQPS := flag.Float64("client-qps", 0, "per-client request rate on the serving endpoints, keyed by bearer token or remote IP (0 disables quotas)")
 	clientBurst := flag.Int("client-burst", 10, "per-client token-bucket burst allowance (only meaningful with -client-qps)")
 	reloadToken := flag.String("reload-token", "", "bearer token required on the admin surfaces (POST /v1/reload, /debug/pprof/); when empty, they are loopback-only")
 	flag.Parse()
 
-	cfg := serve.Config{MaxBatch: *maxBatch, CacheSize: *cacheSize,
+	cfg := serve.Config{CacheSize: *cacheSize,
 		SubtreeCacheSize: *subtreeCacheSize, TemplateCacheSize: *templateCacheSize,
 		Replicas: *replicas, MaxEstWait: *maxEstWait}
 	paths := bundlePaths{weights: *weightPath, bundles: bundles.specs}
@@ -237,8 +234,8 @@ func run(addr string, doTrain bool, paths bundlePaths, queries, tables int, cfg 
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	log.Printf("serving %s on %s (replicas %d, max-batch %d, cache %d, subtree cache %d, template cache %d)",
-		preds[0].Pred.Model.Name(), addr, srv.Engine().Shards(), cfg.MaxBatch, cfg.CacheSize, cfg.SubtreeCacheSize, cfg.TemplateCacheSize)
+	log.Printf("serving %s on %s (replicas %d, cache %d, subtree cache %d, template cache %d)",
+		preds[0].Pred.Model.Name(), addr, srv.Engine().Shards(), cfg.CacheSize, cfg.SubtreeCacheSize, cfg.TemplateCacheSize)
 	for i, en := range srv.Models().Entries() {
 		role := ""
 		if i == 0 {
@@ -267,8 +264,8 @@ func run(addr string, doTrain bool, paths bundlePaths, queries, tables int, cfg 
 		if err := hs.Shutdown(ctx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
-		// The deferred srv.Close quiesces and drains the engine shards; by
-		// now no handler can submit new work, so the drain is final.
+		// Every model call runs on its handler's goroutine, so once Shutdown
+		// has waited the handlers out no work is left anywhere.
 		log.Printf("drained; exiting")
 		return nil
 	}

@@ -62,9 +62,9 @@ func main() {
 			tr.ID, tr.CPUMinutes(), norm.Denormalize(preds.Data[i]))
 	}
 
-	// 7. Serve ad-hoc SQL through the batched inference engine — the
-	//    deployment path of Fig 1. Concurrent callers are coalesced into
-	//    batched model calls, and repeated templates are answered from the
+	// 7. Serve ad-hoc SQL through the sharded inference engine — the
+	//    deployment path of Fig 1. Concurrent identical misses share one
+	//    model call, and repeated queries are answered from the
 	//    canonicalized-SQL cache without touching the model at all.
 	scfg := serve.DefaultConfig()
 	eng := serve.NewShardedEngine(serve.Replicas(&serve.Predictor{Model: model, Pipe: pipe, Norm: norm}, scfg.Replicas), scfg)
@@ -88,6 +88,6 @@ func main() {
 	}
 	em := eng.Snapshot().Totals()
 	fmt.Printf("\nserving engine: %q -> %.2f CPU minutes (%d plan nodes)\n", sql, p.CPUMinutes, p.PlanNodes)
-	fmt.Printf("  %d queries served in %d model batches, %d cache hits\n",
+	fmt.Printf("  %d queries served by %d model calls, %d cache hits\n",
 		em.Coalesced+em.CacheHits, em.Batches, em.CacheHits)
 }

@@ -167,8 +167,10 @@ type ModelsResponse struct {
 	Models []ModelInfo `json:"models"`
 }
 
-// EngineStats is the engine-level slice of the stats view: the batching,
-// caching, admission and roll counters of one sharded engine. It appears
+// EngineStats is the engine-level slice of the stats view: the model-call,
+// caching, admission and roll counters of one sharded engine. Batches counts
+// model calls, one row each, and AvgBatchSize is the queries they answered
+// (single-flight followers included) per call. It appears
 // twice — embedded (flattened) at the top level of Stats for the default
 // model's live engine, preserving the historical field set, and embedded in
 // each ModelStats section.
@@ -229,8 +231,10 @@ type EngineStats struct {
 }
 
 // ShardStats is the per-shard slice of the stats view: each entry reports
-// one shard's batch and cache counters plus its queue depth at snapshot
-// time, so operators can see skew across the dispatcher's hash space.
+// one shard's model-call and cache counters plus its busy handlers at
+// snapshot time, so operators can see skew across the dispatcher's hash
+// space. Batches counts model calls, one row each; Coalesced the queries
+// they answered, single-flight followers included.
 type ShardStats struct {
 	Shard           int     `json:"shard"`
 	Batches         int64   `json:"batches"`
@@ -249,8 +253,9 @@ type ShardStats struct {
 	TemplateBytes   int64   `json:"template_cache_bytes"`
 	Shed            int64   `json:"shed"`
 	Expired         int64   `json:"expired"`
-	// ServiceTimeMillis is the EWMA per-query drain time of the shard's
-	// batcher; EstWaitMillis is queue depth × that EWMA — the admission
+	// ServiceTimeMillis is the EWMA per-call model round trip of the shard,
+	// wait excluded; Queued is the handlers waiting for or holding its
+	// replica, and EstWaitMillis is Queued × that EWMA — the admission
 	// controller's live signal, sampled at snapshot time.
 	ServiceTimeMillis float64 `json:"service_time_millis"`
 	EstWaitMillis     float64 `json:"est_wait_millis"`

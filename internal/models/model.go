@@ -21,8 +21,8 @@ import (
 // Prepare, TrainBatch and Predict all mutate internal state — the per-trace
 // encoding cache, and layer scratch buffers written even during
 // inference-mode forward passes — so callers must serialise every call on a
-// given model. The serving layer (internal/serve) funnels all model calls
-// through a single batcher goroutine per replica for exactly this reason.
+// given model. The serving layer (internal/serve) holds a per-replica lock
+// around every model call for exactly this reason.
 //
 // Model is what training and the experiments need. Serving asks more — an
 // off-lock encode, an arena-backed PredictInto, Evict, a conv cache, Clone

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -44,70 +43,47 @@ func ceilSeconds(d time.Duration) time.Duration {
 }
 
 // ExpiredError reports a query dropped because its deadline passed before a
-// model could run it — at dispatch, before planning, or while queued. The
-// HTTP layer answers it with 504 Gateway Timeout.
+// model could run it — at dispatch, before planning, while it waited for the
+// replica, or while it waited on an identical query's flight. The HTTP layer
+// answers it with 504 Gateway Timeout.
 type ExpiredError struct{}
 
 func (e *ExpiredError) Error() string { return "request deadline expired before prediction" }
 
-// errPanicked marks a query whose model round trip panicked, in a flush or in
-// submit's serialised fallback (see Engine.flush and Engine.submit). The HTTP
-// layer answers it with 500 internal.
+// errPanicked marks a query whose model round trip panicked (see
+// Engine.predict). The HTTP layer answers it with 500 internal.
 var errPanicked = errors.New("panic")
 
 // admit is the one dispatch policy: which shard computes a query whose home
 // shard's prediction cache missed. Home keeps its traffic while its estimated
-// wait is inside the bound and its queue has room. Otherwise detour first — a
-// hot hash bucket must spill onto idle replicas before anything is refused —
-// to the unsaturated peer with the smallest estimate, if that is inside the
-// bound; failing that home again if its own estimate is (a saturated home
-// still answers, through the serialised fallback); and shed only when every
-// candidate, home included, estimates a wait past the bound. Every shard of
-// an engine carries the same weights, so any peer is a valid detour. The
-// returned minWaitMicros is the smallest estimate seen across candidates,
-// which prices the Retry-After hint when shed is true.
+// wait is inside the bound; otherwise the query detours — a hot hash bucket
+// spills onto idle replicas before anything is refused — to the peer with the
+// smallest estimate, if that is inside the bound; failing both, it is shed.
+// Every shard of an engine carries the same weights, so any peer is a valid
+// detour. The returned minWaitMicros is the smallest estimate seen across
+// candidates, which prices the Retry-After hint when shed is true.
 //
-// MaxEstWait <= 0 makes the bound infinite: nothing is ever shed, and the
-// policy reduces to "home unless its queue is saturated and a peer's is not".
+// MaxEstWait <= 0 makes the bound infinite: nothing is ever shed, and every
+// miss runs at home.
 //
 // A shard with no service-time evidence yet estimates 0 and is always
 // admitted: admission control needs observations to refuse work, so a cold
-// engine never sheds until its first flush lands.
+// engine never sheds until its first model call lands.
 func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64, shed bool) {
-	bound := se.maxEstWaitMicros
-	if bound <= 0 {
-		bound = math.Inf(1)
+	if se.maxEstWaitMicros <= 0 {
+		return home, 0, false
 	}
-	hw := home.estWaitMicros()
-	if hw <= bound && !home.saturated() {
-		return home, hw, false
-	}
-	// Peers are ranked by wait estimate rather than raw queue depth: two
-	// equal-depth queues drain at different rates once their service times
-	// diverge.
-	minWaitMicros = hw
-	var best *Engine
-	bestWait := 0.0
-	for _, s := range se.shards {
-		if s == home {
-			continue
-		}
-		w := s.estWaitMicros()
-		if w < minWaitMicros {
-			minWaitMicros = w
-		}
-		if s.saturated() {
-			continue
-		}
-		if best == nil || w < bestWait {
-			best, bestWait = s, w
-		}
-	}
-	if best != nil && bestWait <= bound {
-		return best, minWaitMicros, false
-	}
-	if hw <= bound {
+	minWaitMicros = home.estWaitMicros()
+	if minWaitMicros <= se.maxEstWaitMicros {
 		return home, minWaitMicros, false
+	}
+	for _, s := range se.shards {
+		if w := s.estWaitMicros(); s != home && w < minWaitMicros {
+			sh, minWaitMicros = s, w
+		}
+	}
+	if sh != nil && minWaitMicros <= se.maxEstWaitMicros {
+		return sh, minWaitMicros, false
 	}
 	return nil, minWaitMicros, true
 }
@@ -117,11 +93,11 @@ func (se *ShardedEngine) admit(home *Engine) (sh *Engine, minWaitMicros float64,
 // per-request deadline and (when MaxEstWait is set) bounded-wait admission.
 //
 // The generation is a constant of the engine, so the pair is truthful by
-// construction: whatever path answered — a cache segment, a batcher, the
-// serialised fallback of an engine a roll has since closed — ran on this
-// engine's one set of weights. Per-key monotonicity across rolls is the
-// caller's pointer discipline (see ModelEntry): a request started after a
-// roll returned reads the successor engine.
+// construction: whatever path answered — a cache segment, a template entry,
+// the model of an engine a roll has since retired — ran on this engine's one
+// set of weights. Per-key monotonicity across rolls is the caller's pointer
+// discipline (see ModelEntry): a request started after a roll returned reads
+// the successor engine.
 func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Prediction, int64, error) {
 	return se.predictKey(ctx, sql, CanonicalSQL(sql))
 }
@@ -133,20 +109,28 @@ func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Pred
 // decided, and written once, here, after the answer is known. No other
 // segment ever sees the key.
 //
-// A hit never queues, so it is served before the admission decision: hot
-// queries ride through overload for free, which keeps shed-mode throughput at
-// the unshedded peak, and a saturated home's cached answers are never
-// recomputed on a peer. On an engine that answers templates, a miss then
-// extracts the query's template, once, and reads the template's entry from
-// the segment of the shard the template key hashes to: an answered entry is
-// the answer, served before admission too, with no trace, job, batcher or
-// model. Anything else is computed on the shard admit chooses, which reuses
-// the lookup. A refusal surfaces as *OverloadError charged to the home
-// shard's Shed counter (and, like every miss, to its cache_misses — a
-// detoured or shed query still counts its one lookup at home).
+// A hit costs no model call, so it is served before the admission decision:
+// hot queries ride through overload for free, which keeps shed-mode
+// throughput at the unshedded peak, and a busy home's cached answers are
+// never recomputed on a peer. On an engine that answers templates, a miss
+// then extracts the query's template, once, and reads the template's entry
+// from the segment of the shard the template key hashes to: an answered entry
+// is the answer, served before admission too, with no trace or model.
+// Anything else is computed on the shard admit chooses, which reuses the
+// lookup. A refusal surfaces as *OverloadError charged to the home shard's
+// Shed counter (and, like every miss, to its cache_misses — a detoured or
+// shed query still counts its one lookup at home).
+//
+// An admitted miss is single-flighted on its home shard: the first runs it on
+// this goroutine (Engine.miss), and identical misses arriving before its
+// answer is cached wait for that answer instead of costing a model row of
+// their own. A follower gives the wait up when its deadline passes, and takes
+// only an answer: when the leader fails — a parse error, an expired deadline,
+// a panic — the follower runs its own miss, so every error a caller sees is
+// its own query's.
 //
 // Deadlines: work that is already expired is dropped here — before the
-// lookup and before dispatch picks a batcher — and counted against the home
+// lookup and before dispatch picks a shard — and counted against the home
 // shard; expiry deeper in the pipeline is handled by Engine.miss. Both
 // surface as *ExpiredError.
 func (se *ShardedEngine) predictKey(ctx context.Context, sql, key string) (Prediction, int64, error) {
@@ -170,10 +154,26 @@ func (se *ShardedEngine) predictKey(ctx context.Context, sql, key string) (Predi
 		home.tel.Shed.Inc()
 		return Prediction{}, 0, &OverloadError{EstWaitMicros: minWait, BoundMicros: se.maxEstWaitMicros}
 	}
+	f, lead := home.join(key)
+	for !lead {
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			home.tel.Expired.Inc()
+			return Prediction{}, 0, &ExpiredError{}
+		}
+		if f.ok {
+			f.by.tel.Coalesced.Inc()
+			return f.p, se.gen, nil
+		}
+		f, lead = home.join(key)
+	}
+	defer home.land(key, f)
 	p, err := sh.miss(ctx, sql, key, t)
 	if err != nil {
 		return Prediction{}, 0, err
 	}
 	home.cache.Put(key, p)
+	f.p, f.ok, f.by = p, true, sh
 	return p, se.gen, nil
 }

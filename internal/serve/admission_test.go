@@ -9,19 +9,14 @@ import (
 	"testing"
 	"time"
 
-	"prestroid/internal/logicalplan"
 	"prestroid/internal/telemetry"
-	"prestroid/internal/workload"
 )
 
-// waitEngine builds an unstarted engine whose admission inputs — queue
-// depth and EWMA service time — are fully controlled: no batcher goroutine
-// runs, so whatever the test enqueues stays queued.
-func waitEngine(queueCap, queued int, serviceMicros float64) *Engine {
-	e := &Engine{jobs: make(chan *predictJob, queueCap), tel: telemetry.NewShardGroup()}
-	for i := 0; i < queued; i++ {
-		e.jobs <- &predictJob{}
-	}
+// waitEngine builds a model-less engine whose admission inputs — handlers
+// busy on its replica and EWMA service time — are fully controlled.
+func waitEngine(busy int, serviceMicros float64) *Engine {
+	e := &Engine{tel: telemetry.NewShardGroup()}
+	e.busy.Store(int64(busy))
 	if serviceMicros > 0 {
 		e.tel.ServiceTime.Observe(serviceMicros)
 	}
@@ -32,21 +27,19 @@ func waitEngine(queueCap, queued int, serviceMicros float64) *Engine {
 // tentpole names: home while it is inside the bound, detour to the best
 // peer when home exceeds it, and shed only when every candidate does.
 func TestAdmitDetourFirstShedLast(t *testing.T) {
-	// Bound 10ms. Home: 20 queued × 1ms = 20ms, over. Peer A: 5 × 1ms =
+	// Bound 10ms. Home: 20 busy × 1ms = 20ms, over. Peer A: 5 × 1ms =
 	// 5ms, inside. Peer B: 15 × 1ms = 15ms, over.
-	home := waitEngine(64, 20, 1000)
-	peerA := waitEngine(64, 5, 1000)
-	peerB := waitEngine(64, 15, 1000)
+	home := waitEngine(20, 1000)
+	peerA := waitEngine(5, 1000)
+	peerB := waitEngine(15, 1000)
 	se := &ShardedEngine{shards: []*Engine{home, peerA, peerB}, maxEstWaitMicros: 10_000}
 
 	if sh, _, shed := se.admit(home); shed || sh != peerA {
 		t.Fatalf("overloaded home did not detour to the in-bound peer (got shed=%v)", shed)
 	}
 
-	// Drain peer A past the bound too: now every candidate exceeds it.
-	for i := 0; i < 15; i++ {
-		peerA.jobs <- &predictJob{}
-	}
+	// Load peer A past the bound too: now every candidate exceeds it.
+	peerA.busy.Add(15)
 	sh, minWait, shed := se.admit(home)
 	if !shed || sh != nil {
 		t.Fatalf("all candidates over bound: admit returned %v, shed=%v", sh, shed)
@@ -57,7 +50,7 @@ func TestAdmitDetourFirstShedLast(t *testing.T) {
 	}
 
 	// A home inside the bound keeps its traffic without scanning peers.
-	calm := waitEngine(64, 2, 1000)
+	calm := waitEngine(2, 1000)
 	se2 := &ShardedEngine{shards: []*Engine{calm, peerB}, maxEstWaitMicros: 10_000}
 	if sh, _, shed := se2.admit(calm); shed || sh != calm {
 		t.Fatal("in-bound home lost its traffic")
@@ -65,10 +58,10 @@ func TestAdmitDetourFirstShedLast(t *testing.T) {
 }
 
 // TestAdmitColdShardAdmits pins the cold-start contract: with no
-// service-time samples the estimate is 0, so a deep queue alone never
-// sheds — admission control needs evidence to refuse work.
+// service-time samples the estimate is 0, so a crowd at the replica alone
+// never sheds — admission control needs evidence to refuse work.
 func TestAdmitColdShardAdmits(t *testing.T) {
-	home := waitEngine(64, 50, 0) // deep queue, no samples
+	home := waitEngine(50, 0) // a crowd, no samples
 	se := &ShardedEngine{shards: []*Engine{home}, maxEstWaitMicros: 1}
 	if _, _, shed := se.admit(home); shed {
 		t.Fatal("cold shard shed work with zero service-time evidence")
@@ -78,10 +71,10 @@ func TestAdmitColdShardAdmits(t *testing.T) {
 // TestShedSurfacesOverloadError checks the dispatcher's refusal: every
 // shard over the bound yields an *OverloadError pricing a Retry-After of
 // at least a second, charged to the home shard's Shed counter — and a
-// home-cached template is still served, because a cache hit never queues.
+// home-cached template is still served, because a cache hit runs no model.
 func TestShedSurfacesOverloadError(t *testing.T) {
-	sh0 := waitEngine(64, 20, 1000)
-	sh1 := waitEngine(64, 20, 1000)
+	sh0 := waitEngine(20, 1000)
+	sh1 := waitEngine(20, 1000)
 	for _, e := range []*Engine{sh0, sh1} {
 		e.cache = newPredictionCache(4, &e.tel.CacheHits, &e.tel.CacheMisses)
 	}
@@ -104,7 +97,7 @@ func TestShedSurfacesOverloadError(t *testing.T) {
 	}
 
 	// A cached answer rides through the same overload untouched: the
-	// engines are unstarted, so any path but the home cache would hang.
+	// engines have no model, so any path but the home cache would panic.
 	want := Prediction{CPUMinutes: 42, Normalized: 0.5, PlanNodes: 3}
 	sh0.cache.Put(CanonicalSQL(sql), want)
 	got, _, err := se.PredictSQLGenCtx(context.Background(), sql)
@@ -140,10 +133,10 @@ func TestOverloadRetryAfterRoundsUp(t *testing.T) {
 
 // TestExpiredDroppedBeforeDispatch checks the earliest deadline gate: work
 // that arrives already expired is refused before canonical-key dispatch
-// picks a batcher — the model never runs, nothing queues, and the expiry
-// is charged to the home shard.
+// picks a shard — the model never runs, and the expiry is charged to the
+// home shard.
 func TestExpiredDroppedBeforeDispatch(t *testing.T) {
-	se, stubs := stubShards(t, 2, Config{MaxBatch: 4})
+	se, stubs := stubShards(t, 2, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sql := keyForShard(t, se, 0)
@@ -160,95 +153,116 @@ func TestExpiredDroppedBeforeDispatch(t *testing.T) {
 	if got := se.shards[0].tel.Expired.Load(); got != 1 {
 		t.Fatalf("home Expired = %d, want 1", got)
 	}
-	if q := len(se.shards[0].jobs); q != 0 {
-		t.Fatalf("expired work reached the batcher queue (depth %d)", q)
-	}
 }
 
-// TestFlushDropsExpiredJobs pins the flush-side filter: an expired job is
-// removed before the single-flight dedup, so it neither occupies a model
-// row nor stands in as the representative for a live duplicate of its key.
-func TestFlushDropsExpiredJobs(t *testing.T) {
-	m := &stubModel{}
-	eng := &Engine{pred: &Predictor{Model: m}, model: m, cfg: Config{MaxBatch: 8}, tel: telemetry.NewShardGroup()}
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	mk := func(ctx context.Context, sql string) *predictJob {
-		plan, err := logicalplan.PlanSQL(sql)
-		if err != nil {
-			t.Fatal(err)
+// keysForShard returns n distinct queries whose canonical keys hash to the
+// wanted shard.
+func keysForShard(t *testing.T, se *ShardedEngine, shard, n int) []string {
+	t.Helper()
+	var out []string
+	for i := 0; len(out) < n; i++ {
+		if i == 10000 {
+			t.Fatalf("fewer than %d keys found for shard %d", n, shard)
 		}
-		tr := &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-		return &predictJob{ctx: ctx, trace: tr, key: CanonicalSQL(sql), done: make(chan float64, 1)}
-	}
-	expiredDup := mk(dead, "SELECT a FROM t WHERE a > 1") // same key as live
-	live := mk(context.Background(), "SELECT a FROM t WHERE a > 1")
-	expiredOnly := mk(dead, "SELECT b FROM t WHERE b > 2")
-
-	eng.flush([]*predictJob{expiredDup, live, expiredOnly})
-
-	select {
-	case y := <-live.done:
-		if want := stubScore(live.trace); y != want {
-			t.Fatalf("live duplicate of an expired job got %v, want %v", y, want)
+		if sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i); se.shardOf(CanonicalSQL(sql)) == shard {
+			out = append(out, sql)
 		}
-	default:
-		t.Fatal("live job starved: expired duplicate poisoned the dedup")
 	}
-	select {
-	case <-expiredOnly.done:
-		t.Fatal("expired job received a result")
-	default:
-	}
-	if n := m.predicts.Load(); n != 1 {
-		t.Fatalf("model ran %d times, want 1 (expired rows dropped)", n)
-	}
-	if got := eng.tel.Coalesced.Load(); got != 1 {
-		t.Fatalf("coalesced = %d, want only the live job", got)
-	}
-
-	// An all-expired batch never reaches the model and flushes nothing.
-	eng.flush([]*predictJob{mk(dead, "SELECT c FROM t")})
-	if n := m.predicts.Load(); n != 1 {
-		t.Fatal("all-expired batch still ran the model")
-	}
-	if got := eng.tel.Batches.Load(); got != 1 {
-		t.Fatalf("batches = %d, want 1 (empty flush uncounted)", got)
-	}
+	return out
 }
 
-// TestDeadlineExpiresWhileQueued is the mid-queue half of the deadline
-// contract: a request that expires while waiting in the batcher queue
-// unblocks with *ExpiredError, is dropped by the eventual flush without a
-// model slot, and leaves no cache entry behind for its key.
-func TestDeadlineExpiresWhileQueued(t *testing.T) {
-	m := &stubModel{}
-	eng := &Engine{pred: &Predictor{Model: m}, model: m, cfg: Config{MaxBatch: 8},
-		jobs: make(chan *predictJob, 8), tel: telemetry.NewShardGroup()}
-	eng.cache = newPredictionCache(8, &eng.tel.CacheHits, &eng.tel.CacheMisses)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	sql := "SELECT a FROM t WHERE a > 7"
-	_, err := eng.miss(ctx, sql, CanonicalSQL(sql), tmplLookup{})
-	var expired *ExpiredError
-	if !errors.As(err, &expired) {
-		t.Fatalf("queued expiry returned %v, want *ExpiredError", err)
-	}
-	if got := eng.tel.Expired.Load(); got != 1 {
-		t.Fatalf("Expired = %d, want exactly 1", got)
-	}
-
-	// The dead job is still queued (no batcher runs); flushing it now must
-	// not touch the model or the cache.
-	j := <-eng.jobs
-	eng.flush([]*predictJob{j})
-	if n := m.predicts.Load(); n != 0 {
-		t.Fatalf("expired job occupied a model slot (%d calls)", n)
-	}
-	if n, _ := eng.cache.Stats(); n != 0 {
-		t.Fatalf("expired request left %d cache entries", n)
+// TestOverloadDecisions is admission under real overload, decided in
+// process without a clock: two shards over gated stub models, each shard's
+// per-call service time seeded at 1 ms, and misses all homed to shard 0
+// arriving one at a time while every model call is held. No call finishes
+// before the last decision, so the estimates are exactly busy × 1 ms. With a
+// 2.5 ms bound, the first three misses run at home (estimates 0, 1 and
+// 2 ms), the next three detour to the peer (home 3 ms, peer 0, 1 and 2 ms),
+// and the seventh is shed, priced at the smallest estimate, 3 ms. With the
+// default bound, 0, all seven run at home. Once the calls are let through,
+// every admitted miss answers the serialised reference's prediction.
+func TestOverloadDecisions(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		bound       time.Duration
+		home, peers int // misses expected to run on shard 0, on shard 1
+		shed        bool
+	}{
+		{"bound 2.5ms", 2500 * time.Microsecond, 3, 3, true},
+		{"no bound", 0, 7, 0, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			se, stubs := stubShards(t, 2, Config{CacheSize: 64, MaxEstWait: c.bound})
+			release := make(chan struct{})
+			t.Cleanup(func() {
+				select {
+				case <-release:
+				default:
+					close(release)
+				}
+			})
+			for i, m := range stubs {
+				m.entered, m.release = make(chan int, 8), release
+				se.shards[i].tel.ServiceTime.Observe(1000)
+			}
+			home, peer := se.shards[0], se.shards[1]
+			type answer struct {
+				sql string
+				p   Prediction
+				err error
+			}
+			answers := make(chan answer, 7)
+			keys := keysForShard(t, se, 0, 7)
+			for i, sql := range keys {
+				wantHome, wantPeer := min(i, c.home), max(0, min(i-c.home, c.peers))
+				if int(home.busy.Load()) != wantHome || int(peer.busy.Load()) != wantPeer {
+					t.Fatalf("before miss %d: busy %d at home and %d on the peer, want %d and %d",
+						i, home.busy.Load(), peer.busy.Load(), wantHome, wantPeer)
+				}
+				if c.shed && i == c.home+c.peers {
+					_, _, err := se.PredictSQLGenCtx(context.Background(), sql)
+					var over *OverloadError
+					if !errors.As(err, &over) || over.EstWaitMicros != 3000 || over.BoundMicros != 2500 {
+						t.Fatalf("miss %d with both shards past the bound returned %v, want a shed priced 3000/2500 µs", i, err)
+					}
+					continue
+				}
+				go func() {
+					p, err := se.PredictSQL(sql)
+					answers <- answer{sql, p, err}
+				}()
+				// The miss's call is on its shard's model, or it waits for
+				// the replica behind one that is: every earlier miss but the
+				// two on a model waits.
+				switch {
+				case i == 0:
+					<-stubs[0].entered
+				case i == c.home:
+					<-stubs[1].entered
+				case i < c.home:
+					awaitParked(t, replicaWait, i)
+				default:
+					awaitParked(t, replicaWait, i-1)
+				}
+			}
+			wantShed := int64(0)
+			if c.shed {
+				wantShed = 1
+			}
+			if home.tel.Shed.Load() != wantShed || peer.tel.Shed.Load() != 0 {
+				t.Fatalf("shed counted %d at home and %d on the peer", home.tel.Shed.Load(), peer.tel.Shed.Load())
+			}
+			close(release)
+			for i := 0; i < c.home+c.peers; i++ {
+				a := <-answers
+				if a.err != nil || a.p != reference(t, a.sql) {
+					t.Fatalf("%q answered %+v, %v; want %+v", a.sql, a.p, a.err, reference(t, a.sql))
+				}
+			}
+			if h, p := stubs[0].predicts.Load(), stubs[1].predicts.Load(); h != int64(c.home) || p != int64(c.peers) {
+				t.Fatalf("model calls: %d at home and %d on the peer, want %d and %d", h, p, c.home, c.peers)
+			}
+		})
 	}
 }
 
@@ -262,7 +276,6 @@ func TestDeadlinesUnderConcurrentReloadRolls(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
-	cfg.MaxBatch = 4
 	en := newTestEntry(t, pred, cfg)
 
 	const clients, perClient = 8, 60
@@ -277,7 +290,7 @@ func TestDeadlinesUnderConcurrentReloadRolls(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i%10)
 				// Budgets straddle the real service time, so some expire at
-				// dispatch, some in the queue, and some are served.
+				// dispatch, some in the replica wait, and some are served.
 				budget := time.Duration(50+137*((c+i)%7)) * time.Microsecond
 				ctx, cancel := context.WithTimeout(context.Background(), budget)
 				_, gen, err := en.PredictSQLGenCtx(ctx, sql)

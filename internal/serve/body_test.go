@@ -133,7 +133,7 @@ func TestMalformedBodyEnvelopes(t *testing.T) {
 		{"{\"sql\":\"a\\x\"}", 400, "{\"error\":{\"code\":\"bad_request\",\"message\":\"bad request body: invalid character 'x' in string escape code\"}}\n"},
 		{"{\"sql\":\"a\nb\"}", 400, "{\"error\":{\"code\":\"bad_request\",\"message\":\"bad request body: invalid character '\\\\n' in string literal\"}}\n"},
 		{"{\"sql\":\"a\tb\"}", 400, "{\"error\":{\"code\":\"bad_request\",\"message\":\"bad request body: invalid character '\\\\t' in string literal\"}}\n"},
-		{"{\"sql\":\"\\ud800\"}", 422, "{\"error\":{\"code\":\"unprocessable\",\"message\":\"parse: sqlparse: unexpected character '¿' at 1\"}}\n"},
+		{"{\"sql\":\"\\ud800\"}", 422, "{\"error\":{\"code\":\"unprocessable\",\"message\":\"parse: sqlparse: expected \\\"SELECT\\\", got \\\"\ufffd\\\" at 0\"}}\n"},
 		{"\ufeff{\"sql\":\"SELECT a FROM t\"}", 400, "{\"error\":{\"code\":\"bad_request\",\"message\":\"bad request body: invalid character 'ï' looking for beginning of value\"}}\n"},
 		{"{\"model\":5,\"sql\":\"SELECT a FROM t\"}", 400, "{\"error\":{\"code\":\"bad_request\",\"message\":\"bad request body: json: cannot unmarshal number into Go struct field PredictRequest.model of type string\"}}\n"},
 		{"{'sql':'x'}", 400, "{\"error\":{\"code\":\"bad_request\",\"message\":\"bad request body: invalid character '\\\\'' looking for beginning of object key string\"}}\n"},

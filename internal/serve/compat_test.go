@@ -297,7 +297,7 @@ func TestCompatErrorEnvelope(t *testing.T) {
 func TestCompatMultiModelServing(t *testing.T) {
 	pred := newTestPredictor(t)
 	_, beta := retrainedFullBundle(t, pred, 0.4, "beta_serving_extra")
-	srv, err := NewMultiServer(Config{MaxBatch: 4, Replicas: 1},
+	srv, err := NewMultiServer(Config{Replicas: 1},
 		NamedPredictor{Pred: pred}, NamedPredictor{Name: "beta", Pred: beta})
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestCompatMultiModelServing(t *testing.T) {
 func TestCompatNamedBundleRouting(t *testing.T) {
 	pred := newTestPredictor(t)
 	_, beta := retrainedFullBundle(t, pred, 0.4, "named_bundle_extra")
-	srv, err := NewMultiServer(Config{MaxBatch: 4, Replicas: 1},
+	srv, err := NewMultiServer(Config{Replicas: 1},
 		NamedPredictor{Pred: pred}, NamedPredictor{Name: "beta", Pred: beta})
 	if err != nil {
 		t.Fatal(err)

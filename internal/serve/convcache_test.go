@@ -52,8 +52,8 @@ func clonePredictor(t *testing.T, pred *Predictor) *Predictor {
 // (LIMIT is not featurized, so only the sub-tree cache can join them).
 func TestEngineSubtreeCacheByteIdentical(t *testing.T) {
 	pred := newTestPredictor(t)
-	off, offShard := oneShard(t, clonePredictor(t, pred), Config{MaxBatch: 4, CacheSize: 0})
-	on, onShard := oneShard(t, clonePredictor(t, pred), Config{MaxBatch: 4, CacheSize: 0, SubtreeCacheSize: 1024})
+	off, offShard := oneShard(t, clonePredictor(t, pred), Config{CacheSize: 0})
+	on, onShard := oneShard(t, clonePredictor(t, pred), Config{CacheSize: 0, SubtreeCacheSize: 1024})
 
 	sqls := []string{
 		"SELECT a FROM t WHERE a > 5",

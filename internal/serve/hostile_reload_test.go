@@ -212,7 +212,7 @@ func TestPredictNonFiniteIs500(t *testing.T) {
 		{LogMin: math.NaN(), LogMax: 1},
 		{LogMin: math.Inf(1), LogMax: math.Inf(1)},
 	} {
-		srv := NewServerConfig(&Predictor{Model: pred.Model, Pipe: pred.Pipe, Norm: norm}, Config{MaxBatch: 1})
+		srv := NewServerConfig(&Predictor{Model: pred.Model, Pipe: pred.Pipe, Norm: norm}, Config{})
 		w := post(t, srv, "/v1/predict", `{"sql":"SELECT a FROM t WHERE a > 5"}`)
 		srv.Close()
 		var env api.ErrorResponse

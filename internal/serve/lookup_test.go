@@ -35,10 +35,10 @@ func predictBody(t *testing.T, sql string) string {
 // 422, not the entry's prediction.
 func TestTemplateLookupMatchesUncachedServer(t *testing.T) {
 	pred := newTestPredictor(t)
-	cached := NewServerConfig(pred, Config{MaxBatch: 8, TemplateCacheSize: 256})
+	cached := NewServerConfig(pred, Config{TemplateCacheSize: 256})
 	t.Cleanup(cached.Close)
 	twin := &Predictor{Model: pred.mustServe().Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
-	uncached := NewServerConfig(twin, Config{MaxBatch: 8})
+	uncached := NewServerConfig(twin, Config{})
 	t.Cleanup(uncached.Close)
 
 	same := func(sql string, wantCode int) {

@@ -65,18 +65,15 @@ func newCountingPredictor(t *testing.T) (*Predictor, *countingModel) {
 	return &Predictor{Model: m, Pipe: base.Pipe, Norm: base.Norm}, m
 }
 
-// unstartedEngine is an engine without a batcher goroutine, so its queue
-// holds whatever a test puts there: with queued == queueCap it is saturated
-// and every submit takes the serialised fallback.
-func unstartedEngine(pred *Predictor, cfg Config, queueCap, queued int, serviceMicros float64) *Engine {
-	e := waitEngine(queueCap, queued, serviceMicros)
-	e.pred, e.model, e.cfg, e.shards = pred, pred.mustServe(), cfg, []*Engine{e}
-	e.answers = pred.Pipe != nil && !pred.Pipe.Enc.HashedPredicates
-	if cfg.CacheSize > 0 {
-		e.cache = newPredictionCache(cfg.CacheSize, &e.tel.CacheHits, &e.tel.CacheMisses)
-	}
-	if cfg.TemplateCacheSize > 0 {
-		e.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &e.tel.TemplateHits, &e.tel.TemplateMisses)
+// loadedEngine is a shard over pred that counts busy handlers already on its
+// replica and has seen the given per-call service time, so its admission
+// estimate is exactly busy × serviceMicros until it runs a model call of its
+// own; the replica itself is free.
+func loadedEngine(pred *Predictor, cfg Config, busy int, serviceMicros float64) *Engine {
+	e := newEngineAt(pred, pred.mustServe(), cfg, initialGeneration, nil)
+	e.busy.Store(int64(busy))
+	if serviceMicros > 0 {
+		e.tel.ServiceTime.Observe(serviceMicros)
 	}
 	return e
 }
@@ -185,11 +182,13 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		check(t, q1, 1, homeOf(e).PredictSQL)
 		check(t, q1, 0, homeOf(e).PredictSQL)
 	})
+	// There is one path: a shard with handlers already busy on its replica
+	// (here only counted), or one that was closed, takes it like any other.
 	t.Run("saturated queue fallback", func(t *testing.T) {
-		e := unstartedEngine(pred, tmplCfg(), 1, 1, 0)
+		e := loadedEngine(pred, tmplCfg(), 4, 1000)
 		sights(t, e)
-		if n := e.tel.Batches.Load(); n != 0 {
-			t.Fatalf("a saturated, unstarted engine flushed %d batches", n)
+		if n := e.busy.Load(); n != 4 {
+			t.Fatalf("a loaded shard counts %d busy after its misses returned, want its 4", n)
 		}
 	})
 	t.Run("closed engine fallback", func(t *testing.T) {
@@ -198,7 +197,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		sights(t, e)
 	})
 	t.Run("shed", func(t *testing.T) {
-		sh := unstartedEngine(pred, tmplCfg(), 64, 20, 1000)
+		sh := loadedEngine(pred, tmplCfg(), 20, 1000)
 		se := &ShardedEngine{shards: []*Engine{sh}, maxEstWaitMicros: 10_000}
 		m.encodes.Store(0)
 		var over *OverloadError
@@ -313,24 +312,24 @@ func TestTemplateHashedStaysSkeletonOnly(t *testing.T) {
 }
 
 // TestDispatchSinglePolicy walks the one dispatch policy (admit) through its
-// table on two-shard engines whose load is fully controlled: a started shard
-// is idle, an unstarted one holds exactly the queue the row gives it (and, when
-// that queue is full, answers through the serialised fallback). Whatever the
-// row decides, the key is looked up once — at home — and a computed answer
-// lands in the home segment only.
+// table on two-shard engines whose load is fully controlled: each shard
+// counts the busy handlers the row gives it, at the row's per-call service
+// time, while its replica is free. Without a bound, no load — however
+// saturated a shard's replica — detours or sheds a miss. Whatever the row
+// decides, the key is looked up once — at home — and a computed answer lands
+// in the home segment only.
 func TestDispatchSinglePolicy(t *testing.T) {
 	type load struct {
-		started          bool
-		queueCap, queued int
-		serviceMicros    float64
+		busy          int
+		serviceMicros float64
 	}
-	idle := load{started: true}
-	full := load{queueCap: 1, queued: 1}                           // saturated, no evidence: estimates 0
-	fullSlow := load{queueCap: 4, queued: 4, serviceMicros: 1e6}   // saturated, estimates 4 s
-	deep := load{queueCap: 64, queued: 20, serviceMicros: 1000}    // 20 ms, room in the queue
-	deeper := load{queueCap: 64, queued: 30, serviceMicros: 1000}  // 30 ms
-	fullQuick := load{queueCap: 1, queued: 1, serviceMicros: 1000} // saturated, estimates 1 ms
-	const bound = 10_000                                           // µs
+	idle := load{}
+	slow := load{busy: 4, serviceMicros: 1e6}   // saturated: 4 s
+	quick := load{busy: 1, serviceMicros: 1000} // 1 ms
+	atBound := load{busy: 10, serviceMicros: 1000}
+	deep := load{busy: 20, serviceMicros: 1000}   // 20 ms
+	deeper := load{busy: 30, serviceMicros: 1000} // 30 ms
+	const bound = 10_000                          // µs
 	for _, row := range []struct {
 		name       string
 		home, peer load
@@ -339,25 +338,21 @@ func TestDispatchSinglePolicy(t *testing.T) {
 		minWait    float64
 	}{
 		{name: "home idle", home: idle, peer: idle, want: "home"},
-		{name: "home saturated, idle peer", home: full, peer: idle, want: "peer"},
-		{name: "every shard saturated", home: full, peer: full, want: "home"},
-		{name: "unbounded never sheds at any load", home: fullSlow, peer: fullSlow, want: "home"},
+		{name: "home saturated, idle peer", home: slow, peer: idle, want: "home"},
+		{name: "every shard saturated", home: slow, peer: slow, want: "home"},
+		{name: "unbounded never sheds at any load", home: deeper, peer: deep, want: "home"},
 		{name: "bounded, home idle", home: idle, peer: idle, bound: bound, want: "home"},
+		{name: "bounded, home at the bound", home: atBound, peer: idle, bound: bound, want: "home"},
 		{name: "bounded, home over the bound, idle peer", home: deep, peer: idle, bound: bound, want: "peer"},
-		{name: "bounded, saturated home inside the bound, peer over it", home: fullQuick, peer: deep, bound: bound, want: "home"},
+		{name: "bounded, saturated home inside the bound, peer over it", home: quick, peer: deep, bound: bound, want: "home"},
 		{name: "bounded, over the bound everywhere", home: deeper, peer: deep, bound: bound, want: "shed", minWait: 20_000},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := Config{MaxBatch: 4, CacheSize: 8}
+			cfg := Config{CacheSize: 8}
 			stubs := [2]*stubModel{{}, {}}
 			shards := make([]*Engine, 2)
 			for i, l := range []load{row.home, row.peer} {
-				pred := &Predictor{Model: stubs[i]}
-				if l.started {
-					_, shards[i] = oneShard(t, pred, cfg)
-				} else {
-					shards[i] = unstartedEngine(pred, cfg, l.queueCap, l.queued, l.serviceMicros)
-				}
+				shards[i] = loadedEngine(&Predictor{Model: stubs[i]}, cfg, l.busy, l.serviceMicros)
 			}
 			se := &ShardedEngine{shards: shards, gen: 1, maxEstWaitMicros: row.bound}
 			sql := keyForShard(t, se, 0)

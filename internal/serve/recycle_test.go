@@ -58,7 +58,7 @@ func (w *slabWatch) Clone() models.Model {
 // clients send structurally distinct queries — each its own template, so each
 // misses every cache on its way to the model and is encoded — through a
 // two-shard server with every cache on, whose replicas flatten into slabs
-// that earlier flushes recycled. Every response body must be byte-identical to
+// that earlier model calls recycled. Every response body must be byte-identical to
 // one rendered from a fresh clone's reference Predict, which never recycles;
 // slabs must have been reused many times over, and every tree flattened into
 // one must be Identical to a fresh encode, dense rows included — which the
@@ -103,7 +103,7 @@ func TestRecycledSlabsAnswerByteIdentical(t *testing.T) {
 	watch := &slabWatch{Prestroid: base, fresh: base.Clone().(*models.Prestroid),
 		mu: &sync.Mutex{}, seen: map[*float64]bool{}, reused: &reused, differ: &differ}
 	srv := NewServerConfig(&Predictor{Model: watch, Pipe: pred.Pipe, Norm: pred.Norm}, Config{
-		MaxBatch: 8, Replicas: 2, CacheSize: 1024, SubtreeCacheSize: 1024, TemplateCacheSize: 1024})
+		Replicas: 2, CacheSize: 1024, SubtreeCacheSize: 1024, TemplateCacheSize: 1024})
 	t.Cleanup(srv.Close)
 	const clients = 6
 	var wg sync.WaitGroup

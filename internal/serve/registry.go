@@ -97,20 +97,6 @@ func (r *Registry) Snapshot() []telemetry.ModelSnapshot {
 	return out
 }
 
-// Close shuts down every identity's live engine and any staged roll.
-func (r *Registry) Close() {
-	for _, en := range r.Entries() {
-		en.mu.Lock()
-		live, st := en.live, en.staged
-		en.staged = nil
-		en.mu.Unlock()
-		if st != nil {
-			st.eng.Close()
-		}
-		live.Close()
-	}
-}
-
 // ModelEntry is one named serving identity, and the only mutable thing in
 // the serve layer's model path: engines are immutable, so everything that
 // changes when a model is redeployed changes here. It owns
@@ -209,7 +195,7 @@ func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Predict
 // never changes the answer — explain always warms the live engine's template
 // segments, the ones the bulk of prediction traffic hits. Any shard will do:
 // a template lives in the segment its key hashes to whichever shard looks,
-// and planning touches neither a batcher queue nor a model.
+// and planning touches no model.
 func (en *ModelEntry) ExplainSQL(sql string) (*logicalplan.Node, error) {
 	live, _ := en.roll()
 	return live.shards[0].PlanOnly(sql)
@@ -314,15 +300,13 @@ func (en *ModelEntry) Abort() error {
 		return ErrReloadInProgress
 	}
 	defer en.rollMu.Unlock()
-	_, st := en.roll()
-	if st == nil {
+	if _, st := en.roll(); st == nil {
 		return ErrNoStagedRoll
 	}
 	en.mu.Lock()
 	en.staged = nil
 	en.mu.Unlock()
 	en.aborts.Inc()
-	st.eng.Close()
 	return nil
 }
 

@@ -45,8 +45,7 @@ func canaryQueries(n int) []string {
 // keys routed to the staged engine is within tolerance of P.
 func TestCanarySplitDeterministic(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, CacheSize: 64, Replicas: 2})
-	t.Cleanup(reg.Close)
+	reg := NewRegistry(Config{CacheSize: 64, Replicas: 2})
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +104,7 @@ func TestCanarySplitDeterministic(t *testing.T) {
 // and every response for a key must report the same generation every time.
 func TestCanaryRoutingStableUnderConcurrency(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, CacheSize: 64, Replicas: 2})
-	t.Cleanup(reg.Close)
+	reg := NewRegistry(Config{CacheSize: 64, Replicas: 2})
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +152,7 @@ func TestCanaryRoutingStableUnderConcurrency(t *testing.T) {
 // promotion the generation must move strictly forward.
 func TestShadowMirrorUnderConcurrentRoll(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, CacheSize: 64, Replicas: 2})
-	t.Cleanup(reg.Close)
+	reg := NewRegistry(Config{CacheSize: 64, Replicas: 2})
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +236,7 @@ func TestShadowMirrorUnderConcurrentRoll(t *testing.T) {
 // the staged engine still sees mirrored work.
 func TestShadowZeroTrafficImpact(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, Replicas: 1})
-	t.Cleanup(reg.Close)
+	reg := NewRegistry(Config{Replicas: 1})
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
 		t.Fatal(err)
@@ -290,8 +286,7 @@ func TestShadowZeroTrafficImpact(t *testing.T) {
 // reloads counter keeps counting across the engine swap.
 func TestPromoteGenerationMonotone(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, Replicas: 1})
-	t.Cleanup(reg.Close)
+	reg := NewRegistry(Config{Replicas: 1})
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +325,7 @@ func TestPromoteGenerationMonotone(t *testing.T) {
 // refuse with their sentinel errors, without touching the live engine.
 func TestRollGuards(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, Replicas: 1})
-	t.Cleanup(reg.Close)
+	reg := NewRegistry(Config{Replicas: 1})
 	en, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
 		t.Fatal(err)
@@ -366,8 +360,7 @@ func TestRollGuards(t *testing.T) {
 // roll staged on one model leaves the other serving and reloadable.
 func TestRegistryIsolation(t *testing.T) {
 	pred := newTestPredictor(t)
-	reg := NewRegistry(Config{MaxBatch: 4, Replicas: 1})
-	t.Cleanup(reg.Close)
+	reg := NewRegistry(Config{Replicas: 1})
 	def, err := reg.Add(api.DefaultModel, pred)
 	if err != nil {
 		t.Fatal(err)

@@ -50,8 +50,8 @@ func stageFull(fb *persist.FullBundle) stageFunc {
 // rebuilt off pipe, which decides its feature dimension, and the weights are
 // applied to it — Apply validates every tensor before writing any, then
 // writes every parameter and every state tensor. base is read, never called
-// under its lock or written, so a live replica busy with a long flush does
-// not hold the roll up.
+// under its lock or written, so a live replica busy with a long model call
+// does not hold the roll up.
 func assemble(base servedModel, pipe *models.Pipeline, norm workload.Normalizer, weights *persist.Bundle) (*Predictor, error) {
 	m, err := base.RebuildWithPipeline(pipe)
 	if err != nil {
@@ -68,14 +68,13 @@ func assemble(base servedModel, pipe *models.Pipeline, norm workload.Normalizer,
 // weight-only reload, full-bundle reload, shadow/canary stage then promote —
 // is the same four steps under rollMu. beginRoll claims the control plane,
 // successor stages the artefact off to the side and builds a complete engine
-// one generation up, install swaps the live pointer and closes the engine it
+// one generation up, install swaps the live pointer and drops the engine it
 // replaced. Nothing is ever changed in place, so there is no instant at
 // which an engine serves anything but the identity it was built with:
 //
 //   - a request that read the live pointer before the swap finishes on the
-//     old engine and reports the old generation — through its batcher while
-//     that is still draining, through the closed-engine serialised fallback
-//     after;
+//     old engine and reports the old generation: an engine answers the same
+//     way after it is retired as before;
 //   - a request that reads it after the swap gets the new engine, whose
 //     caches were born empty, and reports the new generation;
 //   - so once a client has seen generation g for a key, every request it
@@ -115,18 +114,16 @@ func (en *ModelEntry) successor(live *ShardedEngine, stage stageFunc, replaces *
 	return newShardedEngineAt(Replicas(pred, en.cfg.Replicas), en.cfg, live.gen+1, replaces), nil
 }
 
-// install makes next the identity's live engine, clears the roll slot,
-// counts the completed roll and retires the engine next replaces. Close
-// returns once the old batchers have flushed their queues and exited, so a
-// finished roll leaves no goroutine behind. Callers hold rollMu. Returns the
-// new live generation.
+// install makes next the identity's live engine, clears the roll slot and
+// counts the completed roll. The engine next replaces needs no stopping:
+// nothing runs behind an engine, so a finished roll leaves no goroutine
+// behind, and stragglers still holding it are answered. Callers hold rollMu.
+// Returns the new live generation.
 func (en *ModelEntry) install(next *ShardedEngine) int64 {
 	en.mu.Lock()
-	old := en.live
 	en.live, en.staged = next, nil
 	en.mu.Unlock()
 	en.reloads.Inc()
-	old.Close()
 	return next.gen
 }
 

@@ -27,8 +27,8 @@ import (
 // lost race for the roll lock, or a roll slot already taken, is a conflict,
 // no rejection — and must not even run the staging step.
 func TestRejectedCounterSemantics(t *testing.T) {
-	se, _ := stubShards(t, 1, Config{MaxBatch: 2})
-	en := entryOver(t, se, Config{MaxBatch: 2})
+	se, _ := stubShards(t, 1, Config{})
+	en := entryOver(t, se, Config{})
 	bad := errors.New("serve: bundle failed validation")
 	staged := 0
 	stage := func(*ShardedEngine) (*Predictor, error) { staged++; return nil, bad }
@@ -259,8 +259,8 @@ func TestReloadRejectsBadBundle(t *testing.T) {
 // TestReloadInProgressConflict checks that overlapping rolls are refused
 // rather than interleaved.
 func TestReloadInProgressConflict(t *testing.T) {
-	se, _ := stubShards(t, 2, Config{MaxBatch: 2})
-	en := entryOver(t, se, Config{MaxBatch: 2})
+	se, _ := stubShards(t, 2, Config{})
+	en := entryOver(t, se, Config{})
 	en.rollMu.Lock()
 	defer en.rollMu.Unlock()
 	if _, err := en.ReloadWeights(strings.NewReader("")); err != ErrReloadInProgress {

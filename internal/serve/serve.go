@@ -4,15 +4,15 @@
 // provision cluster capacity before the query executes.
 //
 // Two inference paths exist. Predictor.PredictSQL is the serialised
-// reference path: one query per model call under the predictor's mutex.
+// reference path: one query per model call on the predictor's replica.
 // ShardedEngine (see shard.go) is the serving path, with one shard or many: a
 // dispatcher hashes canonical SQL across N shards, each an Engine (see
-// batcher.go) owning its own model replica, so predict throughput scales with
-// cores instead of being capped at single-replica speed. In each shard,
-// handlers plan and encode concurrently while a single batcher goroutine
-// coalesces everything in flight into batched PredictInto calls, with an
-// LRU over canonicalised SQL absorbing repeated templates. What a served
-// model must do is one contract, servedModel.
+// engine.go) owning its own model replica, so predict throughput scales with
+// cores instead of being capped at single-replica speed. A miss runs on the
+// handler goroutine that took it, end to end — plan, encode, then one model
+// call on its shard's replica — with an LRU over canonicalised SQL absorbing
+// repeated queries and a template cache answering their literal variants.
+// What a served model must do is one contract, servedModel.
 //
 // Above the engines sits the model registry (see registry.go): one daemon
 // hosts several named predictor identities, each with its own shard set,
@@ -59,14 +59,51 @@ import (
 // The three fields are one predictor identity and are never reassigned once
 // the predictor is serving: an engine owns its predictor for life, and a
 // reload builds new predictors for a new engine (see ModelEntry) instead of
-// touching this one. mu therefore only serialises model calls; reading the
-// fields needs no lock.
+// touching this one. The replica lock therefore only serialises model calls;
+// reading the fields needs no lock.
 type Predictor struct {
 	Model models.Model
 	Pipe  *models.Pipeline
 	Norm  workload.Normalizer
 
-	mu sync.Mutex // models are not safe for concurrent use (see models.Model)
+	mu replicaLock // models are not safe for concurrent use (see models.Model)
+}
+
+// replicaLock is a predictor's replica lock: a one-slot channel rather than a
+// mutex, so that a wait for it can be given up when a request's deadline
+// passes (acquire). Its zero value is unlocked; the channel is made on first
+// use.
+type replicaLock struct {
+	once sync.Once
+	slot chan struct{}
+}
+
+func (l *replicaLock) ch() chan struct{} {
+	l.once.Do(func() { l.slot = make(chan struct{}, 1) })
+	return l.slot
+}
+
+// Lock waits for the replica for as long as it takes.
+func (l *replicaLock) Lock() { l.ch() <- struct{}{} }
+
+// Unlock gives the replica back.
+func (l *replicaLock) Unlock() { <-l.slot }
+
+// acquire waits for the replica and reports whether the caller now holds it,
+// to give back with Unlock. It reports false, holding nothing, when ctx
+// ended first: while the caller waited or as the replica came free, so an
+// expired request never reaches the model.
+func (l *replicaLock) acquire(ctx context.Context) bool {
+	select {
+	case l.ch() <- struct{}{}:
+	case <-ctx.Done():
+		return false
+	}
+	if ctx.Err() != nil {
+		l.Unlock()
+		return false
+	}
+	return true
 }
 
 // servedModel is the one contract a served model meets; models.Prestroid
@@ -79,11 +116,10 @@ type Predictor struct {
 // with the same weights (one per shard), and a roll builds the next identity
 // with RebuildWithPipeline and overwrites its Weights.
 //
-// An encoding belongs to the handler that encoded it until it is queued,
-// then to whoever runs the model, and it lives for one round trip: after the
-// predict and the evict return, predictInto recycles it. An encoding no model
-// adopts (a single-flight duplicate, an expired job) or whose predict
-// panicked is left to the garbage collector.
+// An encoding belongs to the handler that encoded it, and it lives for one
+// round trip: after the predict and the evict return, predictInto recycles
+// it. An encoding no model adopts (its request expired while it waited for
+// the replica) or whose predict panicked is left to the garbage collector.
 type servedModel interface {
 	models.Model
 	persist.WeightStore
@@ -141,7 +177,10 @@ func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
 	tr := &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-	return p.prediction(shapeOf(plan), p.predictTrace(m, tr, m.EncodeTrace(tr))), nil
+	enc := m.EncodeTrace(tr)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.prediction(shapeOf(plan), p.predictInto(m, tr, enc)), nil
 }
 
 // planShape is what a prediction reports of its plan: node count, depth and
@@ -164,33 +203,21 @@ func (p *Predictor) prediction(shape planShape, y float64) Prediction {
 	}
 }
 
-// predictInto is the one serialised model round trip, shared by the batcher
-// and the per-query fallback: under the lock, m (p's model) adopts the
-// encoding a handler built for every trace (encs[i] belongs to traces[i]),
-// predicts straight into ys, evicts and recycles the encodings, so no
-// model-owned memory escapes the lock. The evict and the unlock are deferred,
-// so a panic in the model (which flush and submit recover) leaves neither an
-// adopted encoding nor the lock behind; it skips the recycle.
-func (p *Predictor) predictInto(m servedModel, traces []*workload.Trace, encs []any, ys []float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// predictInto is the one model round trip, run by a caller holding p's
+// replica lock: m (p's model) adopts the encoding the caller built for
+// tr, predicts it, evicts and recycles it, so no model-owned memory outlives
+// the call. The evict is deferred, so a panic in the model (which
+// Engine.predict recovers) leaves no adopted encoding behind; it skips the
+// recycle.
+func (p *Predictor) predictInto(m servedModel, tr *workload.Trace, enc any) float64 {
+	traces := []*workload.Trace{tr}
+	var y [1]float64
 	func() {
 		defer m.Evict(traces)
-		for i, enc := range encs {
-			m.AdoptEncoding(traces[i], enc)
-		}
-		m.PredictInto(traces, ys)
+		m.AdoptEncoding(tr, enc)
+		m.PredictInto(traces, y[:])
 	}()
-	for _, enc := range encs {
-		m.Recycle(enc)
-	}
-}
-
-// predictTrace costs one encoded trace on the serialised path the batcher
-// replaces (and degrades to when closed or saturated).
-func (p *Predictor) predictTrace(m servedModel, tr *workload.Trace, enc any) float64 {
-	var y [1]float64
-	p.predictInto(m, []*workload.Trace{tr}, []any{enc}, y[:])
+	m.Recycle(enc)
 	return y[0]
 }
 
@@ -271,7 +298,6 @@ func NewMultiServer(cfg Config, preds ...NamedPredictor) (*Server, error) {
 			name = api.DefaultModel
 		}
 		if _, err := s.reg.Add(name, np.Pred); err != nil {
-			s.reg.Close()
 			return nil, err
 		}
 	}
@@ -343,9 +369,10 @@ func (s *Server) Engine() *ShardedEngine { return s.reg.Default().Live() }
 // Models exposes the model registry, e.g. for tests driving rolls directly.
 func (s *Server) Models() *Registry { return s.reg }
 
-// Close stops every identity's engines (live and staged), flushing queued
-// work first.
-func (s *Server) Close() { s.reg.Close() }
+// Close ends the server's service life. Its engines run nothing of their own
+// — every model call runs on the handler that asked for it — so once the HTTP
+// server in front has stopped its handlers there is nothing left to stop.
+func (s *Server) Close() {}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -521,7 +548,7 @@ const maxTimeoutSeconds = float64(math.MaxInt64 / int64(time.Second))
 // wins. With neither header set the context is context.Background(), not the
 // request's: a client hang-up must not start cancelling work that never asked
 // for a deadline. A deadline context does descend from the request context,
-// so a client that hangs up cancels its queued work the same way an expiry
+// so a client that hangs up cancels its waiting work the same way an expiry
 // would.
 func requestDeadline(r *http.Request) (context.Context, context.CancelFunc, error) {
 	// set, not deadline.IsZero: the zero instant is a deadline long past.

@@ -161,7 +161,7 @@ func TestPredictBadBody(t *testing.T) {
 // maxBodyBytes is answered with 413, not buffered without limit, and does
 // not disturb later well-formed requests.
 func TestPredictBodyTooLarge(t *testing.T) {
-	srv := NewServerConfig(&Predictor{Model: &stubModel{}}, Config{MaxBatch: 1})
+	srv := NewServerConfig(&Predictor{Model: &stubModel{}}, Config{})
 	t.Cleanup(srv.Close)
 	big := `{"sql":"SELECT a FROM t WHERE a > ` + strings.Repeat("9", maxBodyBytes) + `"}`
 	for _, path := range []string{"/v1/predict", "/v1/explain"} {
@@ -267,8 +267,8 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("runtime metadata missing: uptime=%v goroutines=%d go=%q version=%q",
 			st.UptimeSeconds, st.Goroutines, st.GoVersion, st.Version)
 	}
-	// Engine counters: one model batch (the miss), one cache hit, and the
-	// batch-size histogram accounts for every flushed batch.
+	// Engine counters: one model call (the miss), one cache hit, and the
+	// batch-size histogram accounts for every call.
 	if st.Batches < 1 || st.AvgBatchSize < 1 {
 		t.Fatalf("batch counters missing: %+v", st)
 	}
@@ -395,7 +395,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // instrumentation must tolerate concurrent observe + snapshot, and scraped
 // counters must never exceed a later JSON read of the same counter.
 func TestMetricsUnderConcurrentTraffic(t *testing.T) {
-	srv := NewServerConfig(&Predictor{Model: &stubModel{}}, Config{MaxBatch: 4, CacheSize: 32})
+	srv := NewServerConfig(&Predictor{Model: &stubModel{}}, Config{CacheSize: 32})
 	t.Cleanup(srv.Close)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -444,7 +444,7 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 // millisecond accumulator reported zero total/average latency under exactly
 // the traffic the cache accelerates.
 func TestLatencyAccountingSubMillisecond(t *testing.T) {
-	srv := NewServerConfig(&Predictor{Model: &stubModel{}}, Config{MaxBatch: 1, CacheSize: 8})
+	srv := NewServerConfig(&Predictor{Model: &stubModel{}}, Config{CacheSize: 8})
 	t.Cleanup(srv.Close)
 	for i := 0; i < 20; i++ {
 		if w := post(t, srv, "/v1/predict", `{"sql":"SELECT a FROM t WHERE a > 5"}`); w.Code != http.StatusOK {
@@ -466,10 +466,10 @@ func TestLatencyAccountingSubMillisecond(t *testing.T) {
 	}
 }
 
-// TestConcurrentPredictions hammers the coalescer from 48 goroutines over a
+// TestConcurrentPredictions hammers the engine from 48 goroutines over a
 // handful of repeated templates (run under -race) and checks that identical
-// SQL yields byte-identical response bodies regardless of which batch each
-// request landed in.
+// SQL yields byte-identical response bodies whichever request computed the
+// answer.
 func TestConcurrentPredictions(t *testing.T) {
 	srv, _ := newTestServer(t)
 	queries := []string{

@@ -25,15 +25,14 @@ func DefaultReplicas() int {
 // Replicas builds n serving replicas of pred. For n > 1 every replica —
 // including shard 0 — wraps a fresh model clone sharing pred's pipeline and
 // normaliser, so the caller's model is never mutated and stays usable on
-// the serialised path after the engine closes. Each replica gets its own
-// Predictor (and thus its own serialisation mutex), so N batcher goroutines
-// can run their models truly concurrently. Each flush fans its traces out
-// through tensor.Each, whose helpers come from one process-wide budget of
-// GOMAXPROCS-1: N concurrent flushes run on their own goroutines plus at most
-// that many helpers between them, while a single busy shard on an otherwise
-// idle engine still gets every core. When n <= 1 only pred itself is
-// returned. Like NewShardedEngine, Replicas panics on a model that does not
-// meet the serving contract.
+// the serialised path. Each replica gets its own Predictor (and thus its own
+// replica lock), so N shards can run their models truly concurrently. Each
+// model call fans its trees out through tensor.Each, whose helpers come from
+// one process-wide budget of GOMAXPROCS-1: N concurrent calls run on their
+// handlers' goroutines plus at most that many helpers between them, while a
+// single busy shard on an otherwise idle engine still gets every core. When
+// n <= 1 only pred itself is returned. Like NewShardedEngine, Replicas panics
+// on a model that does not meet the serving contract.
 func Replicas(pred *Predictor, n int) []*Predictor {
 	if n <= 1 {
 		return []*Predictor{pred}
@@ -47,27 +46,24 @@ func Replicas(pred *Predictor, n int) []*Predictor {
 }
 
 // ShardedEngine fans inference out across N independent shards. Each shard
-// is a full Engine — its own batcher goroutine, its own model replica and
-// its own segment of each cache — so shards share no model and no batcher.
-// What they share is the template cache: a template lives in the segment of
-// the shard its template key hashes to, and every shard reads it there (see
-// lookupTemplate). A dispatcher hashes canonical SQL to a home shard, which
-// owns the key's prediction-cache entry and normally computes its misses,
-// preserving the per-shard single-flight dedup and cache locality of the
-// single-engine design; when the home shard's queue is saturated (or, with
-// MaxEstWait set, its estimated wait is past the bound), the miss is computed
-// on the peer with the shortest estimated wait instead (see admit). Rerouting is safe
-// because replicas carry identical weights: every shard returns
+// is a full Engine — its own model replica and its own segment of each
+// cache — so shards share no model. What they share is the template cache: a
+// template lives in the segment of the shard its template key hashes to, and
+// every shard reads it there (see lookupTemplate). A dispatcher hashes
+// canonical SQL to a home shard, which owns the key's prediction-cache entry
+// and its single-flight, and computes its misses; only with MaxEstWait set,
+// and a home whose estimated wait is past the bound, is a miss computed on
+// the peer with the shortest estimated wait instead (see admit). Rerouting is
+// safe because replicas carry identical weights: every shard returns
 // byte-identical predictions for identical SQL, and the answer is still
 // cached at home, so a detour leaves no duplicate entry behind.
 //
 // A ShardedEngine is one generation of one serving identity, and immutable:
 // replicas, pipeline, normaliser, generation and cache segments are fixed by
-// newShardedEngineAt, and no field is written afterwards (Close flips each
-// shard's closed flag, nothing else). "Which generation answered" is
-// therefore a property of which engine value a request was handed — a
-// response can no more mix two generations than one pointer can be two
-// pointers. Rolling new weights in means building the next engine and
+// newShardedEngineAt, and no field is written afterwards. "Which generation
+// answered" is therefore a property of which engine value a request was
+// handed — a response can no more mix two generations than one pointer can be
+// two pointers. Rolling new weights in means building the next engine and
 // swapping the identity's live pointer; that protocol, the generation
 // sequence and the roll counters belong to ModelEntry.
 type ShardedEngine struct {
@@ -83,13 +79,12 @@ type ShardedEngine struct {
 	params int
 }
 
-// NewShardedEngine starts one batcher per predictor (typically built with
+// NewShardedEngine builds one shard per predictor (typically built with
 // Replicas), which the engine owns from here on. cfg.CacheSize,
 // cfg.SubtreeCacheSize and cfg.TemplateCacheSize are total cache budgets,
 // split evenly across shards; cfg.Replicas is ignored — len(preds) decides
 // the shard count. It panics on zero predictors, or on one whose model does
 // not meet the serving contract (servedModel).
-// Callers must Close the engine to release the batcher goroutines.
 func NewShardedEngine(preds []*Predictor, cfg Config) *ShardedEngine {
 	return newShardedEngineAt(preds, cfg, initialGeneration, nil)
 }
@@ -138,8 +133,7 @@ func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, replaces *Sha
 		se.shards[i] = newEngineAt(p, served[i], per, gen, tel)
 	}
 	// Every shard reads templates through its siblings' segments (see
-	// lookupTemplate). Batchers never read shards, and handlers reach the
-	// engine only after this returns.
+	// lookupTemplate). Handlers reach the engine only after this returns.
 	for _, sh := range se.shards {
 		sh.shards = se.shards
 	}
@@ -153,16 +147,13 @@ func (se *ShardedEngine) Generation() int64 { return se.gen }
 // Shards reports the live shard count (the effective replica count).
 func (se *ShardedEngine) Shards() int { return len(se.shards) }
 
-// Close flushes and stops every shard's batcher. Like Engine.Close it is
-// idempotent, and queries arriving afterwards fall back to each shard's
-// serialised path — which is how a request that read the identity's live
-// pointer just before a roll still gets its answer, under this engine's
-// generation, after the roll retired it.
-func (se *ShardedEngine) Close() {
-	for _, sh := range se.shards {
-		sh.Close()
-	}
-}
+// Close ends the engine's service life. Nothing runs behind an engine —
+// every model call runs on the goroutine that asked for it — so there is
+// nothing to stop or drain, and a query arriving afterwards is answered as
+// before: that is how a request that read the identity's live pointer just
+// before a roll still gets its answer, under this engine's generation, after
+// the roll retired it.
+func (se *ShardedEngine) Close() {}
 
 // shardOf returns the home shard index for a canonical key.
 func (se *ShardedEngine) shardOf(key string) int {

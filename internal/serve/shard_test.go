@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"prestroid/internal/models"
-	"prestroid/internal/telemetry"
 	"prestroid/internal/workload"
 )
 
@@ -28,7 +27,7 @@ func stubShards(t *testing.T, n int, cfg Config) (*ShardedEngine, []*stubModel) 
 }
 
 // predictOn computes sql on one shard past every prediction cache — its
-// front end, its batcher, its replica — which is what a detour to that shard
+// front end, its replica — which is what a detour to that shard
 // answers.
 func predictOn(sh *Engine, sql string) (Prediction, error) {
 	return sh.miss(context.Background(), sql, CanonicalSQL(sql), tmplLookup{})
@@ -103,7 +102,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 				t.Fatalf("replicas=%d query %d: cached %+v != serial %+v", replicas, i, again, serial[i])
 			}
 			// Every shard — not just the home shard — must agree byte for
-			// byte, or a saturation detour could change answers.
+			// byte, or an admission detour could change answers.
 			for si, sh := range se.shards {
 				direct, err := predictOn(sh, sql)
 				if err != nil {
@@ -122,7 +121,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 // home shard, every time — the property per-shard caching and single-flight
 // dedup rest on.
 func TestShardedDispatchStable(t *testing.T) {
-	se, stubs := stubShards(t, 3, Config{MaxBatch: 4})
+	se, stubs := stubShards(t, 3, Config{})
 	sql := "SELECT a FROM t WHERE a > 5"
 	for i := 0; i < 10; i++ {
 		if _, err := se.PredictSQL(sql); err != nil {
@@ -143,40 +142,44 @@ func TestShardedDispatchStable(t *testing.T) {
 	}
 }
 
-// TestShardedSaturationFallback exercises the unbounded policy (MaxEstWait
-// 0) directly on unstarted engines, where queue depth is fully controlled: a
-// saturated home shard diverts to an unsaturated peer, an unsaturated one
-// keeps its traffic. TestDispatchSinglePolicy walks the whole table.
+// TestShardedSaturationFallback exercises the detour directly on model-less
+// engines whose load is fully controlled: under a 10 ms bound, a home shard
+// saturated past it diverts to an idle peer, and keeps its traffic once its
+// load drops inside it; without a bound (MaxEstWait 0) the same saturated
+// home keeps its traffic. TestDispatchSinglePolicy walks the whole table.
 func TestShardedSaturationFallback(t *testing.T) {
-	full := waitEngine(1, 1, 0)
-	idle := waitEngine(1, 0, 0)
-	se := &ShardedEngine{shards: []*Engine{full, idle}}
+	full := waitEngine(20, 1000) // 20 ms
+	idle := waitEngine(0, 0)
+	se := &ShardedEngine{shards: []*Engine{full, idle}, maxEstWaitMicros: 10_000}
 
 	if got, _, shed := se.admit(full); shed || got != idle {
-		t.Fatal("saturated home shard did not divert to the unsaturated shard")
+		t.Fatal("saturated home shard did not divert to the idle shard")
 	}
-	<-full.jobs
+	full.busy.Store(1)
 	if got, _, shed := se.admit(full); shed || got != full {
-		t.Fatal("unsaturated home shard lost its traffic")
+		t.Fatal("home shard inside the bound lost its traffic")
+	}
+	full.busy.Store(20)
+	se.maxEstWaitMicros = 0
+	if got, _, shed := se.admit(full); shed || got != full {
+		t.Fatal("without a bound, a saturated home shard lost its traffic")
 	}
 }
 
 // TestShardedDetourChecksHomeCache pins overload behaviour: a query whose
-// saturated home shard already holds its cached answer is served from that
-// cache, not recomputed on another shard. The engines here are unstarted
-// and have no model, so any path other than the home cache hit would hang
-// or panic.
+// home shard is past the admission bound but already holds its cached answer
+// is served from that cache, not recomputed on the idle peer. The engines
+// here have no model, so any path other than the home cache hit would panic.
 func TestShardedDetourChecksHomeCache(t *testing.T) {
-	home := &Engine{jobs: make(chan *predictJob, 1), tel: telemetry.NewShardGroup()}
+	home := waitEngine(20, 1000)
 	home.cache = newPredictionCache(4, &home.tel.CacheHits, &home.tel.CacheMisses)
-	other := &Engine{jobs: make(chan *predictJob, 1), tel: telemetry.NewShardGroup()}
+	other := waitEngine(0, 0)
 	other.cache = newPredictionCache(4, &other.tel.CacheHits, &other.tel.CacheMisses)
-	se := &ShardedEngine{shards: []*Engine{home, other}}
+	se := &ShardedEngine{shards: []*Engine{home, other}, maxEstWaitMicros: 10_000}
 
 	sql := keyForShard(t, se, 0)
 	want := Prediction{CPUMinutes: 42, Normalized: 0.5, PlanNodes: 3}
 	home.cache.Put(CanonicalSQL(sql), want)
-	home.jobs <- &predictJob{} // saturate the home shard
 
 	got, err := se.PredictSQL(sql)
 	if err != nil {
@@ -192,8 +195,7 @@ func TestShardedDetourChecksHomeCache(t *testing.T) {
 
 // gateModel is a stub whose PredictInto blocks until released, signalling
 // entry — a deterministic probe that two shards have their models inside a
-// prediction at the same instant, which the single-batcher engine can never
-// do.
+// prediction at the same instant, which one replica can never do.
 type gateModel struct {
 	stubModel
 	entered chan struct{}
@@ -215,7 +217,7 @@ func TestShardsOverlapModelCalls(t *testing.T) {
 		{Model: &gateModel{entered: entered, release: release}},
 		{Model: &gateModel{entered: entered, release: release}},
 	}
-	se := NewShardedEngine(preds, Config{MaxBatch: 1})
+	se := NewShardedEngine(preds, Config{})
 	t.Cleanup(se.Close)
 
 	done := make(chan error, 2)
@@ -247,7 +249,7 @@ func TestShardsOverlapModelCalls(t *testing.T) {
 func TestShardedMetricsAggregate(t *testing.T) {
 	// Cache sized so each shard's segment (48/4 = 12) holds every key that
 	// could land on it: no evictions, so the second round is all hits.
-	se, _ := stubShards(t, 4, Config{MaxBatch: 2, CacheSize: 48})
+	se, _ := stubShards(t, 4, Config{CacheSize: 48})
 	for i := 0; i < 24; i++ {
 		if _, err := se.PredictSQL(fmt.Sprintf("SELECT a FROM t WHERE a > %d", i%12)); err != nil {
 			t.Fatal(err)
@@ -272,9 +274,9 @@ func TestShardedMetricsAggregate(t *testing.T) {
 		agg.CacheHits != hits || agg.CacheMisses != misses || agg.CacheEntries != entries {
 		t.Fatalf("aggregate %+v != sum of shards", agg)
 	}
-	// Only misses reach a batcher: 12 distinct templates, queried twice.
+	// Only misses reach a model: 12 distinct templates, queried twice.
 	if agg.Coalesced != 12 {
-		t.Fatalf("coalesced = %d, want 12 (cache hits bypass the batchers)", agg.Coalesced)
+		t.Fatalf("coalesced = %d, want 12 (cache hits bypass the models)", agg.Coalesced)
 	}
 	// 12 distinct templates queried twice: every repeat hits its home
 	// shard's cache segment.
@@ -296,13 +298,13 @@ func TestModelOutsideTheContract(t *testing.T) {
 			t.Fatalf("NewShardedEngine recovered %v, want a panic naming servedModel", r)
 		}
 	}()
-	NewShardedEngine([]*Predictor{pred}, Config{MaxBatch: 1}).Close()
+	NewShardedEngine([]*Predictor{pred}, Config{}).Close()
 }
 
 // TestShardedClosedFallsBack mirrors the single-engine contract: Close is
 // idempotent and later queries degrade to the serialised path.
 func TestShardedClosedFallsBack(t *testing.T) {
-	se, stubs := stubShards(t, 2, Config{MaxBatch: 4})
+	se, stubs := stubShards(t, 2, Config{})
 	want, err := se.PredictSQL("SELECT a FROM t")
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 // template rebind path instead of short-circuiting on a cached answer.
 func tmplCfg() Config {
 	return Config{
-		MaxBatch:          8,
 		CacheSize:         0,
 		SubtreeCacheSize:  0,
 		TemplateCacheSize: 256,

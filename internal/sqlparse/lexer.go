@@ -9,7 +9,6 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokenKind classifies lexical tokens.
@@ -48,9 +47,9 @@ var keywordsByShape [maxKeywordLen + 1][26][]string
 const maxKeywordLen = 8
 
 // identStart and identPart classify a byte as it may begin or continue an
-// identifier. A byte is read as the Latin-1 code point of its value, so
-// 0xC3 ('Ã') is a letter and 0xA9 ('©') is not — the tables are built from
-// exactly those predicates.
+// identifier: '_', an ASCII letter, and (identPart) a digit, plus every byte
+// at or above 0x80, so a UTF-8 identifier such as café lexes whole, whatever
+// its code points are.
 var identStart, identPart [256]bool
 
 func init() {
@@ -69,7 +68,8 @@ func init() {
 	}
 	for i := range identStart {
 		c := byte(i)
-		identStart[i] = c == '_' || unicode.IsLetter(rune(c))
+		lower := c | 0x20 // ASCII letters to lower case
+		identStart[i] = c == '_' || 'a' <= lower && lower <= 'z' || c >= 0x80
 		identPart[i] = identStart[i] || isDigit(c)
 	}
 }
@@ -225,12 +225,11 @@ func (l *Lexer) lexIdent() (Token, error) {
 }
 
 // keyword reports whether ident upper-cases to a keyword, and returns the
-// keyword's text. Only an all-ASCII identifier can: the only non-ASCII
-// letters strings.ToUpper maps into ASCII are 'ı' and 'ſ', whose second
-// UTF-8 bytes (0xB1, 0xBF) are not identifier bytes, so neither can sit
-// inside an identifier — and a byte at or above 0x80 never equals a
-// keyword's. Candidates share the identifier's length and first letter; the
-// comparison upper-cases ASCII letters as it goes.
+// keyword's text. Only an all-ASCII identifier can: a byte at or above 0x80
+// never equals a keyword's, so 'ſ' and 'ı', which strings.ToUpper would map
+// to 'S' and 'I', keep ſelect and ıs identifiers. Candidates share the
+// identifier's length and first letter; the comparison upper-cases ASCII
+// letters as it goes.
 func keyword(ident string) (string, bool) {
 	if len(ident) > maxKeywordLen {
 		return "", false

@@ -14,9 +14,12 @@ import (
 // The lexer as it stood before the table-driven rewrite, kept verbatim
 // (identifiers renamed, package names qualified) as the oracle the rewrite is
 // held to: the same tokens — Kind, Text, Pos — and the same error strings on
-// every input, bytes it reads as Latin-1 included. It sits in the external
-// test package because the workload generators it is checked on import
-// sqlparse.
+// every input, non-ASCII bytes included. It sits in the external test package
+// because the workload generators it is checked on import sqlparse. One
+// change since: it read each byte as Latin-1, so SELECT café FROM t failed at
+// '©' (0xA9); now, like the lexer, it takes every byte at or above 0x80 as an
+// identifier byte, and only an all-ASCII identifier can be a keyword, so
+// ſelect stays an identifier though strings.ToUpper maps it to SELECT.
 
 var refKeywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "JOIN": true, "INNER": true,
@@ -154,7 +157,7 @@ func (l *refLexer) refLexIdent() (sqlparse.Token, error) {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	if refKeywords[strings.ToUpper(text)] {
+	if refIsASCII(text) && refKeywords[strings.ToUpper(text)] {
 		return sqlparse.Token{Kind: sqlparse.TokKeyword, Text: strings.ToUpper(text), Pos: start}, nil
 	}
 	return sqlparse.Token{Kind: sqlparse.TokIdent, Text: text, Pos: start}, nil
@@ -176,8 +179,17 @@ func (l *refLexer) refLexOp() (sqlparse.Token, error) {
 }
 
 func refIsDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func refIsIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
-func refIsIdentPart(c byte) bool  { return c == '_' || unicode.IsLetter(rune(c)) || refIsDigit(c) }
+func refIsIdentStart(c byte) bool { return c == '_' || c >= 0x80 || unicode.IsLetter(rune(c)) }
+func refIsIdentPart(c byte) bool  { return refIsIdentStart(c) || refIsDigit(c) }
+
+func refIsASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
 
 // checkMatchesReference fails t when Tokenize and refTokenize disagree on
 // src: a different token in any field, or a different error string.
@@ -268,6 +280,8 @@ func FuzzTokenizeMatchesReference(f *testing.F) {
 	for _, src := range adversarialSQL()[:60] {
 		f.Add(src)
 	}
+	f.Add("SELECT café, ſelect FROM t WHERE ıs > 1")
+	f.Add("ſelect café")
 	f.Fuzz(func(t *testing.T, src string) {
 		checkMatchesReference(t, src)
 	})

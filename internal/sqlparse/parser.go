@@ -35,8 +35,8 @@ package sqlparse
 // comments are skipped:
 //
 //	ident     = identStart { identStart | digit } .  (not a keyword; identStart
-//	                                                 is '_' or a letter, each
-//	                                                 byte read as Latin-1)
+//	                                                 is '_', an ASCII letter or
+//	                                                 any byte >= 0x80)
 //	number    = digit { digit } [ "." digit { digit } ] .
 //	string    = "'" { any byte but "'" | "''" } "'" .
 //

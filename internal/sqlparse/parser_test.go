@@ -65,6 +65,30 @@ func TestLexerUnterminatedString(t *testing.T) {
 	}
 }
 
+// TestLexerUTF8Identifiers pins that a UTF-8 identifier lexes whole, whatever
+// its code points — café's 0xA9 byte is no Latin-1 letter — and that only an
+// all-ASCII identifier is a keyword: ſelect and ıs upper-case to SELECT and IS
+// under strings.ToUpper, and stay identifiers.
+func TestLexerUTF8Identifiers(t *testing.T) {
+	toks, err := Tokenize("SELECT café, ſelect FROM t WHERE ıs > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tk := range toks {
+		if tk.Kind == TokIdent {
+			got = append(got, tk.Text)
+		}
+	}
+	if want := "café ſelect t ıs"; strings.Join(got, " ") != want {
+		t.Fatalf("identifiers = %q, want %q", got, want)
+	}
+	stmt := mustParse(t, "SELECT café FROM t")
+	if len(stmt.Columns) != 1 || ExprString(stmt.Columns[0].Expr) != "café" {
+		t.Fatalf("SELECT café FROM t parsed to columns %#v", stmt.Columns)
+	}
+}
+
 func TestParseSimpleSelect(t *testing.T) {
 	stmt := mustParse(t, "SELECT a, b FROM orders WHERE a > 10")
 	if len(stmt.Columns) != 2 {

@@ -64,16 +64,14 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	}
 
 	ms := s.Models
-	var flushPanics, submitPanics int64
+	var panics int64
 	for _, m := range ms {
 		for _, sh := range m.Engine.Shards {
-			flushPanics += sh.Panics
-			submitPanics += sh.SubmitPanics
+			panics += sh.Panics
 		}
 	}
-	p.header("prestroid_panics_total", "Panics recovered by the live engines, by where: flush is a batcher's model round trip, whose queries answered 500; submit is the serialised fallback's, whose query answered 500.", "counter")
-	p.printf("prestroid_panics_total{where=\"flush\"} %d\n", flushPanics)
-	p.printf("prestroid_panics_total{where=\"submit\"} %d\n", submitPanics)
+	p.header("prestroid_panics_total", "Panics recovered by the live engines, by where: model is a query's model call, and the query answered 500.", "counter")
+	p.printf("prestroid_panics_total{where=\"model\"} %d\n", panics)
 
 	p.header("prestroid_model_state", "Roll state of each serving identity (live, shadow or canary); the value is always 1.", "gauge")
 	for _, m := range ms {
@@ -121,11 +119,11 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		p.printf("prestroid_shards{model=%s} %d\n", quoteLabel(m.Name), len(m.Engine.Shards))
 	}
 
-	p.shardSeries("prestroid_shard_batches_total", "Coalesced batches flushed, per shard.", "counter",
+	p.shardSeries("prestroid_shard_batches_total", "Model calls, per shard.", "counter",
 		ms, func(s ShardSnapshot) int64 { return s.Batches })
-	p.shardSeries("prestroid_shard_coalesced_total", "Queries served through flushed batches, per shard.", "counter",
+	p.shardSeries("prestroid_shard_coalesced_total", "Queries answered by model calls, single-flight followers included, per shard.", "counter",
 		ms, func(s ShardSnapshot) int64 { return s.Coalesced })
-	p.header("prestroid_shard_batch_size", "Deduplicated rows per flushed batch, per shard.", "histogram")
+	p.header("prestroid_shard_batch_size", "Rows per model call, per shard.", "histogram")
 	for _, m := range ms {
 		for _, sh := range m.Engine.Shards {
 			p.histogram("prestroid_shard_batch_size",
@@ -154,7 +152,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		ms, func(s ShardSnapshot) int64 { return int64(s.TemplateEntries) })
 	p.shardSeries("prestroid_shard_template_cache_bytes", "Payload bytes held by the prepared-template cache, per shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return s.TemplateBytes })
-	p.shardSeries("prestroid_shard_queue_depth", "Jobs waiting in the batcher queue, per shard.", "gauge",
+	p.shardSeries("prestroid_shard_queue_depth", "Handlers waiting for or holding the shard's model replica, per shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return int64(s.Queued) })
 	p.shardSeries("prestroid_shard_generation", "Predictor-identity generation serving on each shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return s.Generation })
@@ -162,9 +160,9 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		ms, func(s ShardSnapshot) int64 { return s.Shed })
 	p.shardSeries("prestroid_shard_expired_total", "Queries dropped because their deadline passed, per shard.", "counter",
 		ms, func(s ShardSnapshot) int64 { return s.Expired })
-	p.shardFloatSeries("prestroid_shard_service_time_seconds", "EWMA per-query drain time through the shard's batcher (0 until the first flush).", "gauge",
+	p.shardFloatSeries("prestroid_shard_service_time_seconds", "EWMA per-call model round trip, wait excluded, per shard (0 until the first call).", "gauge",
 		ms, func(s ShardSnapshot) float64 { return s.ServiceTimeMicros / 1e6 })
-	p.shardFloatSeries("prestroid_shard_est_wait_seconds", "Estimated wait for new work: queue depth times EWMA service time, per shard.", "gauge",
+	p.shardFloatSeries("prestroid_shard_est_wait_seconds", "Estimated wait for the replica: handlers waiting for or holding it times EWMA service time, per shard.", "gauge",
 		ms, func(s ShardSnapshot) float64 { return s.EstWaitMicros / 1e6 })
 
 	p.header("prestroid_shadow_mirrored_total", "Live requests the staged shadow bundle re-predicted off the hot path.", "counter")

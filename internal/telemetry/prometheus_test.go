@@ -65,7 +65,7 @@ func goldenSnapshot() Snapshot {
 							CacheHits: 7, CacheMisses: 5, CacheEntries: 4,
 							SubtreeHits: 11, SubtreeMisses: 6, SubtreeEntries: 3, SubtreeBytes: 384,
 							TemplateHits: 9, TemplateMisses: 4, TemplateEntries: 2, TemplateBytes: 512,
-							Shed: 3, Expired: 1, Panics: 1, SubmitPanics: 2, ServiceTimeMicros: 1500, EstWaitMicros: 1500,
+							Shed: 3, Expired: 1, Panics: 1, ServiceTimeMicros: 1500, EstWaitMicros: 1500,
 							Queued: 1, Generation: 2},
 						{Shard: 1, Batches: 2, Coalesced: 2, BatchSizes: bs1.Snapshot(),
 							CacheMisses: 2, CacheEntries: 2,
@@ -137,10 +137,9 @@ prestroid_request_latency_seconds_count 3
 prestroid_http_responses_total{endpoint="/v1/predict",status="2xx"} 40
 prestroid_http_responses_total{endpoint="/v1/predict",status="4xx"} 2
 prestroid_http_responses_total{endpoint="/v1/stats",status="2xx"} 1
-# HELP prestroid_panics_total Panics recovered by the live engines, by where: flush is a batcher's model round trip, whose queries answered 500; submit is the serialised fallback's, whose query answered 500.
+# HELP prestroid_panics_total Panics recovered by the live engines, by where: model is a query's model call, and the query answered 500.
 # TYPE prestroid_panics_total counter
-prestroid_panics_total{where="flush"} 1
-prestroid_panics_total{where="submit"} 2
+prestroid_panics_total{where="model"} 1
 # HELP prestroid_model_state Roll state of each serving identity (live, shadow or canary); the value is always 1.
 # TYPE prestroid_model_state gauge
 prestroid_model_state{model="default",state="live"} 1
@@ -178,17 +177,17 @@ prestroid_model_parameters{model="beta",architecture="prestroid"} 12345
 # TYPE prestroid_shards gauge
 prestroid_shards{model="default"} 2
 prestroid_shards{model="beta"} 1
-# HELP prestroid_shard_batches_total Coalesced batches flushed, per shard.
+# HELP prestroid_shard_batches_total Model calls, per shard.
 # TYPE prestroid_shard_batches_total counter
 prestroid_shard_batches_total{model="default",shard="0"} 5
 prestroid_shard_batches_total{model="default",shard="1"} 2
 prestroid_shard_batches_total{model="beta",shard="0"} 0
-# HELP prestroid_shard_coalesced_total Queries served through flushed batches, per shard.
+# HELP prestroid_shard_coalesced_total Queries answered by model calls, single-flight followers included, per shard.
 # TYPE prestroid_shard_coalesced_total counter
 prestroid_shard_coalesced_total{model="default",shard="0"} 9
 prestroid_shard_coalesced_total{model="default",shard="1"} 2
 prestroid_shard_coalesced_total{model="beta",shard="0"} 0
-# HELP prestroid_shard_batch_size Deduplicated rows per flushed batch, per shard.
+# HELP prestroid_shard_batch_size Rows per model call, per shard.
 # TYPE prestroid_shard_batch_size histogram
 prestroid_shard_batch_size_bucket{model="default",shard="0",le="1"} 3
 prestroid_shard_batch_size_bucket{model="default",shard="0",le="2"} 4
@@ -272,7 +271,7 @@ prestroid_shard_template_cache_entries{model="beta",shard="0"} 0
 prestroid_shard_template_cache_bytes{model="default",shard="0"} 512
 prestroid_shard_template_cache_bytes{model="default",shard="1"} 128
 prestroid_shard_template_cache_bytes{model="beta",shard="0"} 0
-# HELP prestroid_shard_queue_depth Jobs waiting in the batcher queue, per shard.
+# HELP prestroid_shard_queue_depth Handlers waiting for or holding the shard's model replica, per shard.
 # TYPE prestroid_shard_queue_depth gauge
 prestroid_shard_queue_depth{model="default",shard="0"} 1
 prestroid_shard_queue_depth{model="default",shard="1"} 0
@@ -292,12 +291,12 @@ prestroid_shard_shed_total{model="beta",shard="0"} 0
 prestroid_shard_expired_total{model="default",shard="0"} 1
 prestroid_shard_expired_total{model="default",shard="1"} 0
 prestroid_shard_expired_total{model="beta",shard="0"} 0
-# HELP prestroid_shard_service_time_seconds EWMA per-query drain time through the shard's batcher (0 until the first flush).
+# HELP prestroid_shard_service_time_seconds EWMA per-call model round trip, wait excluded, per shard (0 until the first call).
 # TYPE prestroid_shard_service_time_seconds gauge
 prestroid_shard_service_time_seconds{model="default",shard="0"} 0.0015
 prestroid_shard_service_time_seconds{model="default",shard="1"} 0
 prestroid_shard_service_time_seconds{model="beta",shard="0"} 0
-# HELP prestroid_shard_est_wait_seconds Estimated wait for new work: queue depth times EWMA service time, per shard.
+# HELP prestroid_shard_est_wait_seconds Estimated wait for the replica: handlers waiting for or holding it times EWMA service time, per shard.
 # TYPE prestroid_shard_est_wait_seconds gauge
 prestroid_shard_est_wait_seconds{model="default",shard="0"} 0.0015
 prestroid_shard_est_wait_seconds{model="default",shard="1"} 0

@@ -1,13 +1,13 @@
 package telemetry
 
 // ShardGroup is the per-shard counter group: one per engine shard, written
-// by that shard's batcher and cache with atomic adds only. Gauges that are
-// properties of other structures (queue depth, cache entries, weight
-// generation) are sampled by the owner at snapshot time rather than
-// mirrored on every change.
+// by the handlers running that shard's misses and by its caches with atomic
+// adds only. Gauges that are properties of other structures (busy handlers,
+// cache entries, weight generation) are sampled by the owner at snapshot
+// time rather than mirrored on every change.
 type ShardGroup struct {
-	Batches        Counter // coalesced groups flushed
-	Coalesced      Counter // queries served through those groups
+	Batches        Counter // model calls, one row each
+	Coalesced      Counter // queries those calls answered, single-flight followers included
 	CacheHits      Counter
 	CacheMisses    Counter
 	SubtreeHits    Counter    // pooled-conv partial results served from cache
@@ -16,10 +16,9 @@ type ShardGroup struct {
 	TemplateMisses Counter    // full lex/parse/plan/featurize passes
 	Shed           Counter    // queries refused by bounded-wait admission
 	Expired        Counter    // queries dropped because their deadline passed
-	Panics         Counter    // flushes that panicked and failed their batch
-	SubmitPanics   Counter    // serialised fallbacks that panicked and failed their query
-	BatchSizes     *Histogram // deduplicated rows per flushed batch
-	ServiceTime    EWMA       // per-query drain time through the batcher, microseconds
+	Panics         Counter    // model calls that panicked and failed their query
+	BatchSizes     *Histogram // rows per model call
+	ServiceTime    EWMA       // per-call model round trip, wait excluded, microseconds
 }
 
 // NewShardGroup builds a shard group with the standard batch-size buckets.
@@ -28,18 +27,18 @@ func NewShardGroup() *ShardGroup {
 }
 
 // EstWaitMicros is the admission controller's wait estimate for a shard
-// with `queued` jobs ahead: queue depth times the EWMA per-query service
-// time. 0 means no estimate yet (cold shard) — admission treats that as
-// "no evidence of overload" and admits.
-func (g *ShardGroup) EstWaitMicros(queued int) float64 {
-	return float64(queued) * g.ServiceTime.Load()
+// with `busy` handlers waiting for or holding its replica: busy times the
+// EWMA per-call service time. 0 means no estimate yet (cold shard) —
+// admission treats that as "no evidence of overload" and admits.
+func (g *ShardGroup) EstWaitMicros(busy int) float64 {
+	return float64(busy) * g.ServiceTime.Load()
 }
 
 // ShardGauges carries the point-in-time gauges a shard's owner samples at
-// snapshot time — state that lives in other structures (queue, caches,
-// weight generation) rather than in the counter group.
+// snapshot time — state that lives in other structures (the replica's busy
+// count, caches, weight generation) rather than in the counter group.
 type ShardGauges struct {
-	Queued          int
+	Queued          int // handlers waiting for or holding the replica
 	CacheEntries    int
 	SubtreeEntries  int
 	SubtreeBytes    int64
@@ -69,7 +68,6 @@ func (g *ShardGroup) Snapshot(gauges ShardGauges) ShardSnapshot {
 		Shed:              g.Shed.Load(),
 		Expired:           g.Expired.Load(),
 		Panics:            g.Panics.Load(),
-		SubmitPanics:      g.SubmitPanics.Load(),
 		ServiceTimeMicros: g.ServiceTime.Load(),
 		EstWaitMicros:     g.EstWaitMicros(gauges.Queued),
 		Queued:            gauges.Queued,
@@ -95,15 +93,13 @@ type ShardSnapshot struct {
 	TemplateEntries int
 	TemplateBytes   int64
 	// Shed and Expired count admission refusals and deadline drops charged
-	// to this shard, Panics the flushes and SubmitPanics the serialised
-	// fallbacks that panicked; ServiceTimeMicros and
-	// EstWaitMicros are the live EWMA per-query service time and the
-	// queue-depth × service-time wait estimate admission control decides on
-	// (0 = no samples yet).
+	// to this shard, Panics the model calls that panicked; ServiceTimeMicros
+	// and EstWaitMicros are the live EWMA per-call service time and the
+	// busy × service-time wait estimate admission control decides on (0 = no
+	// samples yet); Queued is the busy count.
 	Shed              int64
 	Expired           int64
 	Panics            int64
-	SubmitPanics      int64
 	ServiceTimeMicros float64
 	EstWaitMicros     float64
 	Queued            int

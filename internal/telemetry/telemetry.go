@@ -1,13 +1,13 @@
 // Package telemetry is the lock-free instrumentation core of the serving
 // stack. Every hot-path observation — a request latency, a cache hit, a
-// flushed batch — is a handful of atomic adds with no mutex anywhere, so
+// model call — is a handful of atomic adds with no mutex anywhere, so
 // instrumentation never contends with the traffic it measures. All state
 // rolls up into one Snapshot that every presenter (the /v1/stats JSON view
 // and the Prometheus /metrics exposition) derives from, so the two views can
 // never drift: they are two renderings of the same numbers.
 //
 // The package deliberately owns no clock and no HTTP handler. Owners sample
-// their gauges (queue depth, cache entries, generation) at snapshot time and
+// their gauges (busy handlers, cache entries, generation) at snapshot time and
 // pass them in; presenters live with their endpoints in the serve layer.
 package telemetry
 
@@ -63,8 +63,8 @@ func (g *MaxGauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // ewmaAlpha weights each new observation of an EWMA. 0.2 reaches ~90% of a
 // step change in ~10 observations — fast enough to track a service-time
-// shift within one or two flushed batches, slow enough that a single
-// outlier batch cannot triple the admission controller's wait estimate.
+// shift within ten model calls, slow enough that a single outlier call
+// cannot triple the admission controller's wait estimate.
 const ewmaAlpha = 0.2
 
 // EWMA is a lock-free exponentially weighted moving average over positive

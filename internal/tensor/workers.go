@@ -7,13 +7,13 @@ import (
 )
 
 // Every parallel loop in the program — the kernels' row blocks, a training
-// step's fan-outs over traces and gradient tasks, a serving flush's traces —
+// step's fan-outs over traces and gradient tasks, a serving model call's trees —
 // runs through Each, and every Each draws its helper goroutines from one
 // process-wide budget: GOMAXPROCS-1 live helpers, counted by helpers and read
 // on every claim, so the budget follows GOMAXPROCS when it changes. The
 // caller of Each is always a worker and holds no share of the budget, so
 // progress never waits on it: a lone loop on an idle host gets every core,
-// concurrent loops (replica flushes, or a kernel inside a training item)
+// concurrent loops (replicas' model calls, or a kernel inside a training item)
 // divide the budget and degrade toward serial instead of oversubscribing.
 var (
 	helpers    atomic.Int64 // live helpers across all Each calls

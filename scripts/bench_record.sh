@@ -2,8 +2,7 @@
 # Benchmark-regression gate for the serve layer: run the serving benchmarks
 # (BenchmarkServePredict, BenchmarkSharded{Distinct,Overlapping}Templates and
 # BenchmarkPrestroidPredictSteady, the BenchmarkShardedTemplateCache off/on
-# pair with its >= 1.5x speedup gate, the BenchmarkLoneMiss
-# default/max-batch-1 pair with its <= 1.5x cost gate, plus the
+# pair with its >= 1.5x speedup gate, BenchmarkLoneMiss, plus the
 # BenchmarkFrontEnd microbenchmark, 5 repeats of 100ms each with -benchmem —
 # time-based so iteration counts auto-scale from the ~300ns steady
 # micro-benchmark to the ~200µs 16-client fan-outs, whose fixed-count runs
@@ -164,12 +163,9 @@ for fast, slow, want in RATIO_GATES:
 # reports ns/tree, so one tree is compared with one tree. On a 2-core Xeon
 # the forest backward reads 1.8x its forward, against 2.2x for the
 # tree-by-tree backward it replaced on the same box (1.0-1.5x and 1.3-1.8x
-# there on earlier days, 2.1-2.7x on other boxes). A lone miss has nobody en
-# route behind it, so the shipped coalescer must not hold its batch open: it
-# costs what a coalescer that never holds — MaxBatch 1 — costs.
+# there on earlier days, 2.1-2.7x on other boxes).
 COST_GATES = [
     ("BenchmarkTreeConvBackward", "BenchmarkTreeConvForward", 2.5),
-    ("BenchmarkLoneMiss/default", "BenchmarkLoneMiss/max-batch-1", 1.5),
 ]
 for costly, ref, limit in COST_GATES:
     if costly not in best or ref not in best:

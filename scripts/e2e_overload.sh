@@ -13,7 +13,8 @@
 #            admitted p99 stays within 2x the wait bound, and goodput holds
 #            within 10% of the unshedded peak.
 #   phase C  per-request deadlines under the same overload: a 5ms budget
-#            expires while queued and answers 504, never 500; a generous
+#            expires while it waits for a replica and answers 504, never
+#            500; a generous
 #            budget still answers 200.
 #   phase D  per-client quotas: a tenant past its burst gets 429 +
 #            Retry-After while a different bearer token sails through.
@@ -73,12 +74,13 @@ stop_server() {
 # multiple of that measured goodput (see overload_rate below), so they are
 # past capacity on any host — a constant stopped saturating the moment the
 # template cache made the daemon faster than it. The rate alone is not
-# enough, though: admission can only shed once queue depth x per-query
-# service time exceeds the bound, the queue holds 128 jobs per shard, and
-# with every request a template and sub-tree cache hit a small plan drains
-# in ~0.1ms — a backlog of 13ms at most, never the 50ms bound. joins=100
-# makes each query's plan large enough (service time ~0.5ms at saturation)
-# that a full queue is worth more than the bound again.
+# enough, though: admission can only shed once the handlers busy on a
+# replica x per-call service time exceeds the bound, and with every request
+# a template and sub-tree cache hit a small plan runs in ~0.1ms, so even the
+# load generator's 256 in-flight requests are a backlog short of the 50ms
+# bound. joins=100 makes each query's plan large enough (service time
+# ~0.5ms at saturation) that a crowd at the replica is worth more than the
+# bound again.
 rate=4000
 dur=12s
 joins=100
@@ -90,11 +92,10 @@ start_server server_baseline.log
 curl -fsS "$base/v1/stats" >"$work/stats_baseline.json"
 stop_server
 
-# Calibrate the admission bound off the measured per-query service time:
-# the queue cap is 4x the max batch (128 entries per shard), so a bound of
-# 16 service times sheds when a queue is only fraction-full — overload is
-# refused well before the saturation fallback would absorb it, even though
-# the per-query EWMA drifts once shedding changes the achieved batch sizes.
+# Calibrate the admission bound off the measured per-call service time: a
+# bound of 16 service times sheds once about 16 queries are ahead on every
+# shard, a small part of the load generator's 256 in flight, so overload is
+# refused well before it piles up behind the replicas.
 # Clamped to [50ms, 150ms] so the p99 assertion keeps headroom over
 # scheduling noise.
 bound_ms=$(python3 - "$work/baseline.json" "$work/stats_baseline.json" <<'PY'
