@@ -437,7 +437,7 @@ func serveClients(b *testing.B, predict func(sql string) (serve.Prediction, erro
 	})
 }
 
-// BenchmarkServePredict drives a one-shard engine with 16 concurrent clients
+// BenchmarkServePredict drives a one-replica engine with 16 concurrent clients
 // on a repeated-template workload, after checking that it and the serialised
 // Predictor.PredictSQL reference return byte-identical predictions for
 // identical SQL. The legs keep the names they had when a batcher coalesced
@@ -508,10 +508,11 @@ func distinctSQL(i int64) string {
 // all-distinct-template workload — the hard case where the prediction cache
 // absorbs nothing and every query runs the full model. With one replica,
 // throughput is capped at one model call at a time no matter how many cores
-// the host has; with N replicas the dispatcher hashes queries across N cloned
-// models, each running its own calls, so cache-miss-heavy QPS scales
+// the host has; with N replicas a miss runs on whichever of N cloned models
+// is free, so up to N calls run at once and cache-miss-heavy QPS scales
 // with cores. On a single-core host the sweep degrades gracefully to
-// replicas=1 throughput.
+// replicas=1 throughput. The Sharded* names are historical: the legs keep
+// them so their recorded baselines still match.
 func BenchmarkShardedDistinctTemplates(b *testing.B) {
 	pred := servePredictor(b)
 	for _, replicas := range []int{1, 2, 4, 8} {

@@ -17,7 +17,7 @@
 // normaliser; -weights without -train is refused.
 //
 // -bundle is repeatable and accepts an optional "name=path" form: each named
-// bundle becomes its own serving identity with its own shard set, generation
+// bundle becomes its own serving identity with its own engine, generation
 // sequence and telemetry, addressed by the model field of /v1/predict. The
 // first -bundle is the default model (the one a model-less request routes
 // to); a bare path serves under the conventional name "default".
@@ -37,21 +37,19 @@
 // stages the bundle next to the live engine instead, to be resolved by the
 // promote/abort actions (see the README Multi-model & deployments section).
 //
-// Inference runs through the sharded engine: -replicas sets how many model
-// replicas (each with its own cache segment) the dispatcher hashes queries
-// across — a miss runs its plan, encode and model call on its own handler
-// goroutine, on its home shard's replica — -cache-size the
-// total LRU budget over canonicalized SQL, -subtree-cache-size the total
+// Inference runs through one engine per identity: -replicas sets how many
+// model replicas it runs misses on — a miss runs its plan, encode and model
+// call on its own handler goroutine, on whichever replica is free —
+// -cache-size the LRU budget over canonicalized SQL, -subtree-cache-size the
 // budget of pooled sub-tree convolution outputs reused across structurally
-// overlapping plans, and -template-cache-size the total budget of prepared
-// templates whose parse and featurization are rebound per request instead
-// of recomputed (see the serve-layer, performance and operations sections
-// of the README).
+// overlapping plans, and -template-cache-size the budget of prepared
+// templates whose answers serve every literal variant (see the serve-layer,
+// performance and operations sections of the README).
 //
 // Overload protection is opt-in: -max-est-wait bounds the queue wait the
 // service will accept before shedding with 429 + Retry-After (estimated as
-// the handlers waiting for or holding a shard's replica × EWMA per-call
-// service time, after detours to peers are exhausted),
+// the handlers waiting for or holding a replica × EWMA per-call service
+// time ÷ replicas),
 // -client-qps/-client-burst rate-limit each client (bearer token or remote
 // IP), and clients can cap their own waits with a Request-Timeout duration
 // or X-Request-Deadline RFC 3339 header — expired work is dropped without a
@@ -140,11 +138,11 @@ func main() {
 	queries := flag.Int("queries", 600, "synthetic training queries")
 	tables := flag.Int("tables", 0, "initial tables in the synthetic training catalog (0 = generator default); larger values grow the feature-table universe")
 	defaults := serve.DefaultConfig()
-	cacheSize := flag.Int("cache-size", defaults.CacheSize, "prediction-cache entries keyed by canonicalized SQL, split across shards (0 disables)")
-	subtreeCacheSize := flag.Int("subtree-cache-size", defaults.SubtreeCacheSize, "pooled sub-tree convolution outputs cached per content hash, split across shards (0 disables)")
-	templateCacheSize := flag.Int("template-cache-size", defaults.TemplateCacheSize, "prepared query templates cached for literal rebinding, split across shards (0 disables)")
-	replicas := flag.Int("replicas", defaults.Replicas, "model replicas / engine shards the dispatcher hashes canonical SQL across (<=1 disables sharding)")
-	maxEstWait := flag.Duration("max-est-wait", 0, "bounded-latency admission target: shed with 429 once every shard's estimated wait for its replica (handlers waiting for or holding it × EWMA service time) exceeds this (0 disables shedding)")
+	cacheSize := flag.Int("cache-size", defaults.CacheSize, "prediction-cache entries keyed by canonicalized SQL (0 disables)")
+	subtreeCacheSize := flag.Int("subtree-cache-size", defaults.SubtreeCacheSize, "pooled sub-tree convolution outputs cached per content hash, shared by every replica (0 disables)")
+	templateCacheSize := flag.Int("template-cache-size", defaults.TemplateCacheSize, "prepared query templates cached for literal rebinding (0 disables)")
+	replicas := flag.Int("replicas", defaults.Replicas, "model replicas a miss runs on, whichever is free (<=1: the served model alone)")
+	maxEstWait := flag.Duration("max-est-wait", 0, "bounded-latency admission target: shed with 429 once the estimated wait for a replica (handlers waiting for or holding one × EWMA service time ÷ replicas) exceeds this (0 disables shedding)")
 	clientQPS := flag.Float64("client-qps", 0, "per-client request rate on the serving endpoints, keyed by bearer token or remote IP (0 disables quotas)")
 	clientBurst := flag.Int("client-burst", 10, "per-client token-bucket burst allowance (only meaningful with -client-qps)")
 	reloadToken := flag.String("reload-token", "", "bearer token required on the admin surfaces (POST /v1/reload, /debug/pprof/); when empty, they are loopback-only")
@@ -241,7 +239,7 @@ func run(addr string, doTrain bool, paths bundlePaths, queries, tables int, cfg 
 		if i == 0 {
 			role = " (default)"
 		}
-		log.Printf("model %s%s: generation %d, %d shards", en.Name(), role, en.Live().Generation(), en.Live().Shards())
+		log.Printf("model %s%s: generation %d, %d replicas", en.Name(), role, en.Live().Generation(), en.Live().Shards())
 	}
 	if cfg.MaxEstWait > 0 {
 		log.Printf("admission control: shedding past %s estimated wait", cfg.MaxEstWait)

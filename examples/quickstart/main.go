@@ -62,7 +62,7 @@ func main() {
 			tr.ID, tr.CPUMinutes(), norm.Denormalize(preds.Data[i]))
 	}
 
-	// 7. Serve ad-hoc SQL through the sharded inference engine — the
+	// 7. Serve ad-hoc SQL through the inference engine — the
 	//    deployment path of Fig 1. Concurrent identical misses share one
 	//    model call, and repeated queries are answered from the
 	//    canonicalized-SQL cache without touching the model at all.

@@ -118,7 +118,8 @@ type ReloadRequest struct {
 // generation now serving (direct roll) or staged (shadow/canary). Mode is
 // the artefact kind ("weights" or "bundle" — the historical field). Roll
 // reports the deployment mode when the bundle was staged rather than swapped
-// in, and Percent the canary share.
+// in, and Percent the canary share. Shards is the new engine's replica
+// count (the name is historical).
 type ReloadResponse struct {
 	Generation int64   `json:"generation"`
 	Shards     int     `json:"shards"`
@@ -168,36 +169,35 @@ type ModelsResponse struct {
 }
 
 // EngineStats is the engine-level slice of the stats view: the model-call,
-// caching, admission and roll counters of one sharded engine. Batches counts
+// caching, admission and roll counters of one engine. Batches counts
 // model calls, one row each, and AvgBatchSize is the queries they answered
 // (single-flight followers included) per call. It appears
 // twice — embedded (flattened) at the top level of Stats for the default
 // model's live engine, preserving the historical field set, and embedded in
 // each ModelStats section.
 type EngineStats struct {
-	Batches      int64            `json:"batches"`
-	AvgBatchSize float64          `json:"avg_batch_size"`
-	BatchHist    map[string]int64 `json:"batch_hist"`
+	Batches      int64   `json:"batches"`
+	AvgBatchSize float64 `json:"avg_batch_size"`
 
 	CacheHits    int64   `json:"cache_hits"`
 	CacheMisses  int64   `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	CacheEntries int     `json:"cache_entries"`
 
-	// The subtree_cache_* block covers the per-shard sub-tree convolution
-	// caches: hits are pooled conv outputs served without a forward pass,
+	// The subtree_cache_* block covers the engine's sub-tree convolution
+	// cache: hits are pooled conv outputs served without a forward pass,
 	// misses are sub-tree convolutions actually computed. Entries and bytes
-	// are sampled gauges summed across shards.
+	// are sampled gauges.
 	SubtreeHits    int64   `json:"subtree_cache_hits"`
 	SubtreeMisses  int64   `json:"subtree_cache_misses"`
 	SubtreeHitRate float64 `json:"subtree_cache_hit_rate"`
 	SubtreeEntries int     `json:"subtree_cache_entries"`
 	SubtreeBytes   int64   `json:"subtree_cache_bytes"`
 
-	// The template_cache_* block covers the per-shard prepared-template front
+	// The template_cache_* block covers the engine's prepared-template front
 	// end: hits are requests whose lex/parse/plan/featurize pass was replaced
-	// by a literal rebind over a cached template, misses are full front-end
-	// passes. Entries and bytes are sampled gauges summed across shards.
+	// by a cached template, misses are full front-end passes. Entries and
+	// bytes are sampled gauges.
 	TemplateHits    int64   `json:"template_cache_hits"`
 	TemplateMisses  int64   `json:"template_cache_misses"`
 	TemplateHitRate float64 `json:"template_cache_hit_rate"`
@@ -206,22 +206,22 @@ type EngineStats struct {
 
 	// Shed counts queries refused by bounded-wait admission (429), Expired
 	// counts queries dropped because their deadline passed (504), and
-	// MaxEstWaitMillis is the worst per-shard wait estimate at snapshot time
-	// — the number to compare against -max-est-wait, since admission sheds
-	// on the best candidate shard, not a fleet average.
+	// MaxEstWaitMillis is the engine's wait estimate at snapshot time — the
+	// number to compare against -max-est-wait, which admission sheds on.
 	Shed             int64   `json:"shed"`
 	Expired          int64   `json:"expired"`
 	MaxEstWaitMillis float64 `json:"max_est_wait_millis"`
 
-	// WeightGeneration is the generation of the last reload — weight-only or
-	// full-bundle — that completed on every shard; the counter covers the
-	// full predictor identity (pipeline, normaliser, weights). Reloads
-	// counts completed rolls of either kind. During a roll, per-shard
-	// generations briefly run one ahead of the aggregate.
+	// WeightGeneration is the generation the engine serves, set by the last
+	// reload — weight-only or full-bundle — that completed; the counter
+	// covers the full predictor identity (pipeline, normaliser, weights).
+	// Reloads counts completed rolls of either kind.
 	WeightGeneration int64 `json:"weight_generation"`
 	Reloads          int64 `json:"reloads"`
 	RejectedReloads  int64 `json:"rejected_reloads"`
 
+	// Replicas is the number of model replicas the engine runs misses on;
+	// Shards holds one row, the engine-wide counters.
 	Replicas int          `json:"replicas"`
 	Shards   []ShardStats `json:"shards"`
 
@@ -230,11 +230,10 @@ type EngineStats struct {
 	Kernel    string `json:"kernel"` // always KernelFloat
 }
 
-// ShardStats is the per-shard slice of the stats view: each entry reports
-// one shard's model-call and cache counters plus its busy handlers at
-// snapshot time, so operators can see skew across the dispatcher's hash
-// space. Batches counts model calls, one row each; Coalesced the queries
-// they answered, single-flight followers included.
+// ShardStats is the one row of the stats view's shards list: the engine's
+// model-call and cache counters plus its busy handlers at snapshot time.
+// Batches counts model calls, one row each; Coalesced the queries they
+// answered, single-flight followers included.
 type ShardStats struct {
 	Shard           int     `json:"shard"`
 	Batches         int64   `json:"batches"`
@@ -253,10 +252,10 @@ type ShardStats struct {
 	TemplateBytes   int64   `json:"template_cache_bytes"`
 	Shed            int64   `json:"shed"`
 	Expired         int64   `json:"expired"`
-	// ServiceTimeMillis is the EWMA per-call model round trip of the shard,
-	// wait excluded; Queued is the handlers waiting for or holding its
-	// replica, and EstWaitMillis is Queued × that EWMA — the admission
-	// controller's live signal, sampled at snapshot time.
+	// ServiceTimeMillis is the EWMA per-call model round trip, wait
+	// excluded; Queued is the handlers waiting for or holding a replica, and
+	// EstWaitMillis is Queued × that EWMA ÷ the replica count — the
+	// admission controller's live signal, sampled at snapshot time.
 	ServiceTimeMillis float64 `json:"service_time_millis"`
 	EstWaitMillis     float64 `json:"est_wait_millis"`
 	Queued            int     `json:"queued"`

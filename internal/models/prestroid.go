@@ -477,7 +477,7 @@ func (m *Prestroid) Predict(batch []*workload.Trace) *tensor.Tensor {
 // ConvCache concurrency contract. It is not synchronised against concurrent
 // Predict calls — install it while the model is quiescent. Clone does not
 // carry the cache over: the serving layer owns cache placement (one per
-// shard) and installs it explicitly.
+// engine, shared by its replicas) and installs it explicitly.
 func (m *Prestroid) SetConvCache(c ConvCache) { m.convCache = c }
 
 // PredictInto is the arena-backed inference fast path: one prediction per

@@ -12,48 +12,53 @@ import (
 	"prestroid/internal/telemetry"
 )
 
-// waitEngine builds a model-less engine whose admission inputs — handlers
-// busy on its replica and EWMA service time — are fully controlled.
-func waitEngine(busy int, serviceMicros float64) *Engine {
-	e := &Engine{tel: telemetry.NewShardGroup()}
-	e.busy.Store(int64(busy))
+// waitEngine builds a model-less engine of the given replica count whose
+// admission inputs — handlers waiting for or holding a replica, and EWMA
+// service time — are fully controlled.
+func waitEngine(busy int, serviceMicros float64, replicas int) *ShardedEngine {
+	se := &ShardedEngine{tel: telemetry.NewShardGroup(), free: make(chan *Predictor, replicas), gen: initialGeneration}
+	se.busy.Store(int64(busy))
 	if serviceMicros > 0 {
-		e.tel.ServiceTime.Observe(serviceMicros)
+		se.tel.ServiceTime.Observe(serviceMicros)
 	}
-	return e
+	return se
 }
 
-// TestAdmitDetourFirstShedLast drives admit() through the contract the
-// tentpole names: home while it is inside the bound, detour to the best
-// peer when home exceeds it, and shed only when every candidate does.
+// TestAdmitDetourFirstShedLast drives admit() through the pool's rule: a
+// miss is admitted while a replica is free, and while busy × service time ÷
+// replicas is inside the bound — every replica counts, so load one replica
+// could not carry spills onto the others before anything is refused — and
+// shed, priced at that estimate, once it is past.
 func TestAdmitDetourFirstShedLast(t *testing.T) {
-	// Bound 10ms. Home: 20 busy × 1ms = 20ms, over. Peer A: 5 × 1ms =
-	// 5ms, inside. Peer B: 15 × 1ms = 15ms, over.
-	home := waitEngine(20, 1000)
-	peerA := waitEngine(5, 1000)
-	peerB := waitEngine(15, 1000)
-	se := &ShardedEngine{shards: []*Engine{home, peerA, peerB}, maxEstWaitMicros: 10_000}
-
-	if sh, _, shed := se.admit(home); shed || sh != peerA {
-		t.Fatalf("overloaded home did not detour to the in-bound peer (got shed=%v)", shed)
+	// Bound 10 ms, 1 ms a call. 15 busy handlers are 15 ms on one replica,
+	// over; 5 ms over three, inside.
+	one, three := waitEngine(15, 1000, 1), waitEngine(15, 1000, 3)
+	one.maxEstWaitMicros, three.maxEstWaitMicros = 10_000, 10_000
+	if wait, shed := one.admit(); !shed || wait != 15_000 {
+		t.Fatalf("15 ms on one replica: admit = %v µs, shed %v; want a shed at 15000", wait, shed)
 	}
-
-	// Load peer A past the bound too: now every candidate exceeds it.
-	peerA.busy.Add(15)
-	sh, minWait, shed := se.admit(home)
-	if !shed || sh != nil {
-		t.Fatalf("all candidates over bound: admit returned %v, shed=%v", sh, shed)
+	if wait, shed := three.admit(); shed || wait != 5_000 {
+		t.Fatalf("the same load over three replicas: admit = %v µs, shed %v; want admitted at 5000", wait, shed)
 	}
-	// min est-wait across candidates = peer B's 15ms, the Retry-After basis.
-	if minWait != 15_000 {
-		t.Fatalf("shed minWait = %v µs, want best candidate 15000", minWait)
+	// At the bound a miss is still admitted; past it, every replica is.
+	three.busy.Store(30)
+	if wait, shed := three.admit(); shed || wait != 10_000 {
+		t.Fatalf("at the bound: admit = %v µs, shed %v; want admitted at 10000", wait, shed)
 	}
-
-	// A home inside the bound keeps its traffic without scanning peers.
-	calm := waitEngine(2, 1000)
-	se2 := &ShardedEngine{shards: []*Engine{calm, peerB}, maxEstWaitMicros: 10_000}
-	if sh, _, shed := se2.admit(calm); shed || sh != calm {
-		t.Fatal("in-bound home lost its traffic")
+	three.busy.Store(45)
+	if wait, shed := three.admit(); !shed || wait != 15_000 {
+		t.Fatalf("every replica past the bound: admit = %v µs, shed %v; want a shed at 15000", wait, shed)
+	}
+	// A bound below one service time: a free replica still admits, and the
+	// miss that finds every replica held is shed.
+	four := waitEngine(3, 10_000, 4)
+	four.maxEstWaitMicros = 5_000
+	if wait, shed := four.admit(); shed || wait != 0 {
+		t.Fatalf("3 of 4 replicas held: admit = %v µs, shed %v; want admitted at 0", wait, shed)
+	}
+	four.busy.Store(4)
+	if wait, shed := four.admit(); !shed || wait != 10_000 {
+		t.Fatalf("every replica held: admit = %v µs, shed %v; want a shed at 10000", wait, shed)
 	}
 }
 
@@ -61,26 +66,23 @@ func TestAdmitDetourFirstShedLast(t *testing.T) {
 // service-time samples the estimate is 0, so a crowd at the replica alone
 // never sheds — admission control needs evidence to refuse work.
 func TestAdmitColdShardAdmits(t *testing.T) {
-	home := waitEngine(50, 0) // a crowd, no samples
-	se := &ShardedEngine{shards: []*Engine{home}, maxEstWaitMicros: 1}
-	if _, _, shed := se.admit(home); shed {
-		t.Fatal("cold shard shed work with zero service-time evidence")
+	se := waitEngine(50, 0, 1) // a crowd, no samples
+	se.maxEstWaitMicros = 1
+	if _, shed := se.admit(); shed {
+		t.Fatal("cold engine shed work with zero service-time evidence")
 	}
 }
 
-// TestShedSurfacesOverloadError checks the dispatcher's refusal: every
-// shard over the bound yields an *OverloadError pricing a Retry-After of
-// at least a second, charged to the home shard's Shed counter — and a
-// home-cached template is still served, because a cache hit runs no model.
+// TestShedSurfacesOverloadError checks the engine's refusal: an estimate
+// over the bound yields an *OverloadError pricing a Retry-After of at least
+// a second, counted once in Shed — and a cached answer is still served,
+// because a cache hit runs no model.
 func TestShedSurfacesOverloadError(t *testing.T) {
-	sh0 := waitEngine(20, 1000)
-	sh1 := waitEngine(20, 1000)
-	for _, e := range []*Engine{sh0, sh1} {
-		e.cache = newPredictionCache(4, &e.tel.CacheHits, &e.tel.CacheMisses)
-	}
-	se := &ShardedEngine{shards: []*Engine{sh0, sh1}, maxEstWaitMicros: 10_000}
+	se := waitEngine(40, 1000, 2) // 20 ms
+	se.maxEstWaitMicros = 10_000
+	se.cache = newPredictionCache(4, &se.tel.CacheHits, &se.tel.CacheMisses)
 
-	sql := keyForShard(t, se, 0)
+	sql := "SELECT a FROM t WHERE a > 5"
 	_, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	var over *OverloadError
 	if !errors.As(err, &over) {
@@ -89,17 +91,14 @@ func TestShedSurfacesOverloadError(t *testing.T) {
 	if over.RetryAfter() < time.Second {
 		t.Fatalf("Retry-After %v below the 1s floor", over.RetryAfter())
 	}
-	if got := sh0.tel.Shed.Load(); got != 1 {
-		t.Fatalf("home shard Shed = %d, want 1", got)
-	}
-	if got := sh1.tel.Shed.Load(); got != 0 {
-		t.Fatalf("peer shard charged a shed it did not decide: %d", got)
+	if got := se.tel.Shed.Load(); got != 1 {
+		t.Fatalf("Shed = %d, want 1", got)
 	}
 
 	// A cached answer rides through the same overload untouched: the
-	// engines have no model, so any path but the home cache would panic.
+	// engine has no model, so any path but the cache would panic.
 	want := Prediction{CPUMinutes: 42, Normalized: 0.5, PlanNodes: 3}
-	sh0.cache.Put(CanonicalSQL(sql), want)
+	se.cache.Put(CanonicalSQL(sql), want)
 	got, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	if err != nil || got != want {
 		t.Fatalf("cache hit shed under overload: %+v, %v", got, err)
@@ -132,68 +131,51 @@ func TestOverloadRetryAfterRoundsUp(t *testing.T) {
 }
 
 // TestExpiredDroppedBeforeDispatch checks the earliest deadline gate: work
-// that arrives already expired is refused before canonical-key dispatch
-// picks a shard — the model never runs, and the expiry is charged to the
-// home shard.
+// that arrives already expired is refused before the cache lookup — the
+// model never runs, and the expiry is counted once.
 func TestExpiredDroppedBeforeDispatch(t *testing.T) {
 	se, stubs := stubShards(t, 2, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sql := keyForShard(t, se, 0)
-	_, _, err := se.PredictSQLGenCtx(ctx, sql)
+	_, _, err := se.PredictSQLGenCtx(ctx, "SELECT a FROM t WHERE a > 5")
 	var expired *ExpiredError
 	if !errors.As(err, &expired) {
 		t.Fatalf("expired request returned %v, want *ExpiredError", err)
 	}
 	for i, st := range stubs {
 		if n := st.predicts.Load(); n != 0 {
-			t.Fatalf("shard %d ran %d model calls for already-expired work", i, n)
+			t.Fatalf("replica %d ran %d model calls for already-expired work", i, n)
 		}
 	}
-	if got := se.shards[0].tel.Expired.Load(); got != 1 {
-		t.Fatalf("home Expired = %d, want 1", got)
+	if got := se.tel.Expired.Load(); got != 1 {
+		t.Fatalf("Expired = %d, want 1", got)
 	}
-}
-
-// keysForShard returns n distinct queries whose canonical keys hash to the
-// wanted shard.
-func keysForShard(t *testing.T, se *ShardedEngine, shard, n int) []string {
-	t.Helper()
-	var out []string
-	for i := 0; len(out) < n; i++ {
-		if i == 10000 {
-			t.Fatalf("fewer than %d keys found for shard %d", n, shard)
-		}
-		if sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i); se.shardOf(CanonicalSQL(sql)) == shard {
-			out = append(out, sql)
-		}
-	}
-	return out
 }
 
 // TestOverloadDecisions is admission under real overload, decided in
-// process without a clock: two shards over gated stub models, each shard's
-// per-call service time seeded at 1 ms, and misses all homed to shard 0
-// arriving one at a time while every model call is held. No call finishes
-// before the last decision, so the estimates are exactly busy × 1 ms. With a
-// 2.5 ms bound, the first three misses run at home (estimates 0, 1 and
-// 2 ms), the next three detour to the peer (home 3 ms, peer 0, 1 and 2 ms),
-// and the seventh is shed, priced at the smallest estimate, 3 ms. With the
-// default bound, 0, all seven run at home. Once the calls are let through,
-// every admitted miss answers the serialised reference's prediction.
+// process without a clock: an engine over two gated stub replicas, its
+// per-call service time seeded at 1 ms, and distinct misses arriving one at
+// a time while every model call is held. No call finishes before the last
+// decision, so the estimate is exactly busy × 1 ms ÷ 2 once both replicas
+// are held, and 0 before. With a 2.5 ms bound, misses 0–5 are admitted
+// (estimates 0, 0, then 1 to 2.5 ms in steps of 0.5) — the first two on
+// the two replicas, the rest waiting for one — and miss 6 is
+// shed, priced at 3 ms. With the default bound, 0, all seven are admitted.
+// Once the calls are let through, every admitted miss answers the
+// serialised reference's prediction.
 func TestOverloadDecisions(t *testing.T) {
 	for _, c := range []struct {
-		name        string
-		bound       time.Duration
-		home, peers int // misses expected to run on shard 0, on shard 1
-		shed        bool
+		name     string
+		bound    time.Duration
+		admitted int
+		shed     bool
 	}{
-		{"bound 2.5ms", 2500 * time.Microsecond, 3, 3, true},
-		{"no bound", 0, 7, 0, false},
+		{"bound 2.5ms", 2500 * time.Microsecond, 6, true},
+		{"no bound", 0, 7, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			se, stubs := stubShards(t, 2, Config{CacheSize: 64, MaxEstWait: c.bound})
-			release := make(chan struct{})
+			entered, release := make(chan int, 8), make(chan struct{})
 			t.Cleanup(func() {
 				select {
 				case <-release:
@@ -201,29 +183,26 @@ func TestOverloadDecisions(t *testing.T) {
 					close(release)
 				}
 			})
-			for i, m := range stubs {
-				m.entered, m.release = make(chan int, 8), release
-				se.shards[i].tel.ServiceTime.Observe(1000)
+			for _, m := range stubs {
+				m.entered, m.release = entered, release
 			}
-			home, peer := se.shards[0], se.shards[1]
+			se.tel.ServiceTime.Observe(1000)
 			type answer struct {
 				sql string
 				p   Prediction
 				err error
 			}
 			answers := make(chan answer, 7)
-			keys := keysForShard(t, se, 0, 7)
-			for i, sql := range keys {
-				wantHome, wantPeer := min(i, c.home), max(0, min(i-c.home, c.peers))
-				if int(home.busy.Load()) != wantHome || int(peer.busy.Load()) != wantPeer {
-					t.Fatalf("before miss %d: busy %d at home and %d on the peer, want %d and %d",
-						i, home.busy.Load(), peer.busy.Load(), wantHome, wantPeer)
+			for i := 0; i < 7; i++ {
+				sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i)
+				if want := min(i, c.admitted); int(se.busy.Load()) != want {
+					t.Fatalf("before miss %d: %d busy, want %d", i, se.busy.Load(), want)
 				}
-				if c.shed && i == c.home+c.peers {
+				if c.shed && i == c.admitted {
 					_, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 					var over *OverloadError
 					if !errors.As(err, &over) || over.EstWaitMicros != 3000 || over.BoundMicros != 2500 {
-						t.Fatalf("miss %d with both shards past the bound returned %v, want a shed priced 3000/2500 µs", i, err)
+						t.Fatalf("miss %d past the bound returned %v, want a shed priced 3000/2500 µs", i, err)
 					}
 					continue
 				}
@@ -231,17 +210,11 @@ func TestOverloadDecisions(t *testing.T) {
 					p, err := se.PredictSQL(sql)
 					answers <- answer{sql, p, err}
 				}()
-				// The miss's call is on its shard's model, or it waits for
-				// the replica behind one that is: every earlier miss but the
-				// two on a model waits.
-				switch {
-				case i == 0:
-					<-stubs[0].entered
-				case i == c.home:
-					<-stubs[1].entered
-				case i < c.home:
-					awaitParked(t, replicaWait, i)
-				default:
+				// The first two misses are on the two models; every later one
+				// waits for a replica.
+				if i < 2 {
+					<-entered
+				} else {
 					awaitParked(t, replicaWait, i-1)
 				}
 			}
@@ -249,18 +222,18 @@ func TestOverloadDecisions(t *testing.T) {
 			if c.shed {
 				wantShed = 1
 			}
-			if home.tel.Shed.Load() != wantShed || peer.tel.Shed.Load() != 0 {
-				t.Fatalf("shed counted %d at home and %d on the peer", home.tel.Shed.Load(), peer.tel.Shed.Load())
+			if n := se.tel.Shed.Load(); n != wantShed {
+				t.Fatalf("shed counted %d, want %d", n, wantShed)
 			}
 			close(release)
-			for i := 0; i < c.home+c.peers; i++ {
+			for i := 0; i < c.admitted; i++ {
 				a := <-answers
 				if a.err != nil || a.p != reference(t, a.sql) {
 					t.Fatalf("%q answered %+v, %v; want %+v", a.sql, a.p, a.err, reference(t, a.sql))
 				}
 			}
-			if h, p := stubs[0].predicts.Load(), stubs[1].predicts.Load(); h != int64(c.home) || p != int64(c.peers) {
-				t.Fatalf("model calls: %d at home and %d on the peer, want %d and %d", h, p, c.home, c.peers)
+			if a, b := stubs[0].predicts.Load(), stubs[1].predicts.Load(); a+b != int64(c.admitted) || a == 0 || b == 0 {
+				t.Fatalf("model calls: %d and %d on the two replicas, want %d between them and some on each", a, b, c.admitted)
 			}
 		})
 	}

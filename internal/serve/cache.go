@@ -116,7 +116,7 @@ func canonicalAlready(sql string) bool {
 	return inString || sql[len(sql)-1] != ' '
 }
 
-// predictionCache is the per-shard segment of finished predictions keyed by
+// predictionCache is the engine's cache of finished predictions keyed by
 // canonicalised SQL. Repeated templates — the dominant case in the paper's
 // Grab workload — skip parse, encode and model inference entirely. A present
 // key is overwritten (one engine's answer for a key is byte-identical every

@@ -2,17 +2,19 @@ package serve
 
 import "prestroid/internal/telemetry"
 
-// subtreeCache is the per-shard partial-result segment behind
+// subtreeCache is the engine's partial-result cache behind
 // models.ConvCache: pooled tree-convolution outputs keyed by the flattened
 // sub-tree's content hash (treecnn.Tree.Hash). A hit replaces an entire conv
 // stack forward over that sub-tree, which is what makes structurally
 // overlapping workloads cheaper than their distinct-template cost.
 //
-// The segment is installed into exactly one replica, at engine construction,
-// and only that replica's model calls ever read or deposit — so every entry
-// was computed under the one set of weights the engine serves for its whole
-// life. Get's returned slice is owned by the cache and never mutated after
-// admission, satisfying the ConvCache immutability contract.
+// The cache is installed into every replica of one engine, at engine
+// construction, and only those replicas' model calls ever read or deposit.
+// They carry the same weights, so every entry was computed under the one set
+// of weights the engine serves for its whole life, and any replica's deposit
+// is byte-identical to what another would compute. Get's returned slice is
+// owned by the cache and never mutated after admission, satisfying the
+// ConvCache immutability contract.
 type subtreeCache = lru[uint64, []float64]
 
 func newSubtreeCache(max int, hits, misses *telemetry.Counter) *subtreeCache {

@@ -87,10 +87,11 @@ func TestEngineSubtreeCacheByteIdentical(t *testing.T) {
 }
 
 // TestSubtreeCacheAcrossReloadRoll pins generation safety: the engine a
-// weight roll installs starts every shard on an empty sub-tree segment, so
+// weight roll installs starts its replicas on an empty sub-tree cache, so
 // post-roll predictions are byte-identical to a cache-free serialised
 // reference over the new weights — both the recomputation that repopulates
-// the cache and the replay that follows it.
+// a cache and the replay that follows it, on each replica's own conv stack
+// and through the one cache the replicas share.
 func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
@@ -100,9 +101,9 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	se := en.Live()
 
 	sql := "SELECT a FROM t WHERE a > 5"
-	for _, sh := range se.shards { // warm every shard's segment
+	for _, r := range replicasOf(se) { // every replica reads and fills the one cache
 		for i := 0; i < 2; i++ {
-			if _, err := predictOn(sh, sql); err != nil {
+			if _, err := predictOn(se, r, se.convCache, sql); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,15 +124,41 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	if tot := se.Snapshot().Totals(); tot.SubtreeEntries != 0 || tot.SubtreeBytes != 0 {
 		t.Fatalf("roll left stale sub-tree entries: %+v", tot)
 	}
-	for si, sh := range se.shards {
+	// Each replica on a sub-tree cache of its own, so its own conv stack
+	// computes the miss; then every replica through the engine's one cache,
+	// which the first repopulates and the rest replay.
+	for si, r := range replicasOf(se) {
+		var hits, misses telemetry.Counter
+		own := newSubtreeCache(cfg.SubtreeCacheSize, &hits, &misses)
+		var computed, replayed int64
 		for i := 0; i < 2; i++ { // miss-then-hit, both on the new weights
-			got, err := predictOn(sh, sql)
+			got, err := predictOn(se, r, own, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Float64bits(got.Normalized) != math.Float64bits(want.Normalized) {
-				t.Fatalf("shard %d call %d: %v != new-weight reference %v", si, i, got.Normalized, want.Normalized)
+				t.Fatalf("replica %d call %d: %v != new-weight reference %v", si, i, got.Normalized, want.Normalized)
+			}
+			if i == 0 {
+				computed, replayed = misses.Load(), hits.Load()
 			}
 		}
+		if computed == 0 || misses.Load() != computed || hits.Load() == replayed {
+			t.Fatalf("replica %d: %d sub-trees computed, then %d more and %d replayed; want its own conv stack to compute, then a replay",
+				si, computed, misses.Load()-computed, hits.Load()-replayed)
+		}
+	}
+	sharedHits := se.Snapshot().Totals().SubtreeHits
+	for si, r := range replicasOf(se) {
+		got, err := predictOn(se, r, se.convCache, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Normalized) != math.Float64bits(want.Normalized) {
+			t.Fatalf("replica %d through the shared cache: %v != new-weight reference %v", si, got.Normalized, want.Normalized)
+		}
+	}
+	if tot := se.Snapshot().Totals(); tot.SubtreeHits == sharedHits || tot.SubtreeEntries == 0 {
+		t.Fatalf("the shared cache was never repopulated and replayed: %+v", tot)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"prestroid/internal/api"
 	"prestroid/internal/models"
 	"prestroid/internal/nn"
+	"prestroid/internal/telemetry"
 	"prestroid/internal/tensor"
 	"prestroid/internal/workload"
 )
@@ -105,16 +106,22 @@ func stubScore(tr *workload.Trace) float64 {
 	return float64(tr.Plan.NodeCount()) / 100
 }
 
-// oneShard starts a one-shard engine over pred, closed when the test ends,
-// and returns it with its shard, for tests that reach into the shard.
-func oneShard(t *testing.T, pred *Predictor, cfg Config) (*ShardedEngine, *Engine) {
+// engineRow is an engine seen through its one telemetry row: Snapshot
+// returns the row, so a test reads the engine's counters off it directly.
+type engineRow struct{ *ShardedEngine }
+
+func (e engineRow) Snapshot() telemetry.ShardSnapshot { return e.ShardedEngine.Snapshot().Shards[0] }
+
+// oneShard starts a one-replica engine over pred, closed when the test ends,
+// and returns it with its row view, for tests that reach into the engine.
+func oneShard(t *testing.T, pred *Predictor, cfg Config) (*ShardedEngine, engineRow) {
 	t.Helper()
 	se := NewShardedEngine([]*Predictor{pred}, cfg)
 	t.Cleanup(se.Close)
-	return se, se.shards[0]
+	return se, engineRow{se}
 }
 
-func stubEngine(t *testing.T, cfg Config, delay time.Duration) (*ShardedEngine, *Engine, *stubModel) {
+func stubEngine(t *testing.T, cfg Config, delay time.Duration) (*ShardedEngine, engineRow, *stubModel) {
 	t.Helper()
 	m := &stubModel{delay: delay}
 	se, eng := oneShard(t, &Predictor{Model: m}, cfg)
@@ -139,7 +146,7 @@ func parked(fn string) int {
 }
 
 // awaitParked returns once n goroutines are parked in fn's select: a replica
-// wait is "serve.(*replicaLock).acquire", a single-flight follower's wait
+// wait is "serve.(*ShardedEngine).take", a single-flight follower's wait
 // "serve.(*ShardedEngine).predictKey". The clock only bounds a wait that
 // would otherwise hang the test when the goroutines park somewhere else.
 func awaitParked(t *testing.T, fn string, n int) {
@@ -152,7 +159,7 @@ func awaitParked(t *testing.T, fn string, n int) {
 }
 
 const (
-	replicaWait  = "serve.(*replicaLock).acquire"
+	replicaWait  = "serve.(*ShardedEngine).take"
 	followerWait = "serve.(*ShardedEngine).predictKey"
 )
 
@@ -160,7 +167,7 @@ const (
 // entered and then wait until the test calls let, which lets every call
 // through from then on, so the test decides what happens while a query holds
 // the replica. The cleanup lets them through for a test that failed mid-way.
-func gatedStub(t *testing.T, cfg Config) (se *ShardedEngine, eng *Engine, m *stubModel, let func()) {
+func gatedStub(t *testing.T, cfg Config) (se *ShardedEngine, eng engineRow, m *stubModel, let func()) {
 	t.Helper()
 	se, eng, m = stubEngine(t, cfg, 0)
 	// entered has room for every call a test makes, so announcing one never
@@ -182,20 +189,20 @@ func reference(t *testing.T, sql string) Prediction {
 	return p
 }
 
-// flying reports whether key has a flight in the air on its home shard e: a
-// leader has joined and not yet landed it.
-func flying(e *Engine, key string) bool {
+// flying reports whether key has a flight in the air on e: a leader has
+// joined and not yet landed it.
+func flying(e engineRow, key string) bool {
 	e.flightMu.Lock()
 	defer e.flightMu.Unlock()
 	return e.inflight[key] != nil
 }
 
-// TestEngineCoalesces drives 32 concurrent distinct misses through one
-// shard: each runs its own model call, one at a time on the one replica,
-// answers what the serialised reference answers, and evicts and recycles its
-// encoding; the telemetry counts one single-row model call per query, each
-// call answering (coalescing) its one query, and nobody busy once all have
-// returned. Identical misses share a call: TestBatchIsWhatQueuedDuringTheFlush.
+// TestEngineCoalesces drives 32 concurrent distinct misses through a
+// one-replica engine: each runs its own model call, one at a time on the one
+// replica, answers what the serialised reference answers, and evicts and
+// recycles its encoding; the model sees one single-row call per query, the
+// telemetry counts each call answering (coalescing) its one query, and
+// nobody is busy once all have returned. Identical misses share a call: TestBatchIsWhatQueuedDuringTheFlush.
 func TestEngineCoalesces(t *testing.T) {
 	se, eng, m := stubEngine(t, Config{}, 0)
 	const clients = 32
@@ -218,8 +225,13 @@ func TestEngineCoalesces(t *testing.T) {
 	}
 	wg.Wait()
 	snap := eng.Snapshot()
-	if snap.Batches != clients || snap.Coalesced != clients || snap.BatchSizes.Count() != clients {
-		t.Fatalf("batches/coalesced/observed = %d/%d/%d, want %d each", snap.Batches, snap.Coalesced, snap.BatchSizes.Count(), clients)
+	if snap.Batches != clients || snap.Coalesced != clients || len(m.batchSizes) != clients {
+		t.Fatalf("batches/coalesced/model calls = %d/%d/%d, want %d each", snap.Batches, snap.Coalesced, len(m.batchSizes), clients)
+	}
+	for _, n := range m.batchSizes {
+		if n != 1 {
+			t.Fatalf("a model call predicted %d rows, want 1", n)
+		}
 	}
 	if e, r := m.evicted.Load(), m.recycled.Load(); e != clients || r != clients {
 		t.Fatalf("evicted %d and recycled %d encodings, want %d each", e, r, clients)
@@ -280,7 +292,7 @@ func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
 }
 
 // TestHoldIsForEnRouteWork pins, without a clock, that a miss is held only
-// for work already en route: behind a model call that holds its shard's
+// for work already en route: behind a model call that holds the engine's
 // replica, or on the flight of an identical miss that is computing. A miss
 // that finds neither runs at once; a miss whose leader fails is released and
 // runs its own query; and when a failed leader wakes several followers, one
@@ -417,7 +429,7 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 	})
 }
 
-// TestHoldLiveness floods one shard with 64 goroutines of 20 misses each,
+// TestHoldLiveness floods a one-replica engine with 64 goroutines of 20 misses each,
 // every key asked by four of them at once and one query in three SQL that
 // never reaches the model, so replica waits and flights end every way they
 // can — by an answer, by a parse error, by a follower leading after its
@@ -548,8 +560,8 @@ func TestCloseEndsAHold(t *testing.T) {
 }
 
 // TestDeadlineExpiresWhileQueued pins the deadline rule of the replica wait
-// over HTTP: a request whose deadline passes while another query holds its
-// shard's replica gives the wait up, answers 504 deadline_expired, counts one
+// over HTTP: a request whose deadline passes while another query holds the
+// engine's replica gives the wait up, answers 504 deadline_expired, counts one
 // expiry, never reaches the model and leaves no cache entry; the query
 // holding the replica answers as usual. The deadline is the request
 // context's, cancelled by the test: a Request-Timeout header derives the
@@ -558,7 +570,7 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	m := &stubModel{entered: make(chan int, 1), release: make(chan struct{})}
 	srv := NewServerConfig(&Predictor{Model: m}, Config{CacheSize: 8})
 	t.Cleanup(srv.Close)
-	eng := srv.Engine().shards[0]
+	eng := engineRow{srv.Engine()}
 
 	const held = "SELECT a FROM t WHERE a > 1"
 	holder := make(chan error, 1)

@@ -123,9 +123,10 @@ func TestFullReloadRollsAllShards(t *testing.T) {
 	if after != want {
 		t.Fatalf("post-reload prediction %+v != serialised reference %+v", after, want)
 	}
-	// Every shard — not just the home shard — must serve the new identity.
-	for si, sh := range se.shards {
-		direct, err := predictOn(sh, sql)
+	// Every replica must serve the new identity, each through its own conv
+	// stack.
+	for si, sh := range replicasOf(se) {
+		direct, err := predictOn(se, sh, nil, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,18 +6,18 @@ import (
 	"prestroid/internal/telemetry"
 )
 
-// lru is the one LRU behind every per-shard cache segment (predictions,
-// pooled sub-tree outputs, prepared templates). The segments differ only in
+// lru is the one LRU behind every engine cache (predictions, pooled
+// sub-tree outputs, prepared templates). The caches differ only in
 // key/value types and the two policy hooks below; the mutex, recency order,
 // eviction, byte accounting and hit/miss counters live here once.
 //
-// A segment knows nothing about generations: it is built empty with the
+// A cache knows nothing about generations: it is built empty with the
 // engine that owns it, every entry it ever holds was computed by that
 // engine's one (pipeline, normaliser, weights) identity, and it is dropped
 // with the engine when a roll retires it. There is nothing to invalidate and
 // no deposit to refuse.
 //
-// A nil *lru is the disabled segment: lookups miss without counting,
+// A nil *lru is the disabled cache: lookups miss without counting,
 // deposits are dropped, Stats reports zero.
 type lru[K comparable, V any] struct {
 	mu    sync.Mutex
@@ -35,8 +35,8 @@ type lru[K comparable, V any] struct {
 	// unaccounted.
 	size func(K, V) int64
 
-	// hits/misses live in the identity's per-shard telemetry group, which
-	// outlives the segment: cache accounting feeds the same snapshot as every
+	// hits/misses live in the identity's telemetry group, which outlives
+	// the cache: cache accounting feeds the same snapshot as every
 	// other counter and stays monotone across rolls.
 	hits, misses *telemetry.Counter
 }

@@ -65,23 +65,17 @@ func newCountingPredictor(t *testing.T) (*Predictor, *countingModel) {
 	return &Predictor{Model: m, Pipe: base.Pipe, Norm: base.Norm}, m
 }
 
-// loadedEngine is a shard over pred that counts busy handlers already on its
-// replica and has seen the given per-call service time, so its admission
-// estimate is exactly busy × serviceMicros until it runs a model call of its
-// own; the replica itself is free.
-func loadedEngine(pred *Predictor, cfg Config, busy int, serviceMicros float64) *Engine {
-	e := newEngineAt(pred, pred.mustServe(), cfg, initialGeneration, nil)
-	e.busy.Store(int64(busy))
+// loadedEngine is an engine over preds that counts busy handlers already on
+// its replicas and has seen the given per-call service time, so its
+// admission estimate is exactly busy × serviceMicros ÷ len(preds) until it
+// runs a model call of its own; the replicas themselves are free.
+func loadedEngine(cfg Config, busy int, serviceMicros float64, preds ...*Predictor) engineRow {
+	se := NewShardedEngine(preds, cfg)
+	se.busy.Store(int64(busy))
 	if serviceMicros > 0 {
-		e.tel.ServiceTime.Observe(serviceMicros)
+		se.tel.ServiceTime.Observe(serviceMicros)
 	}
-	return e
-}
-
-// homeOf serves e alone, as a one-shard engine's home: one look at its
-// prediction cache, the miss path, one deposit.
-func homeOf(e *Engine) *ShardedEngine {
-	return &ShardedEngine{shards: []*Engine{e}, gen: initialGeneration}
+	return engineRow{se}
 }
 
 // TestMissPathEncodesOnce is the oracle for "one owner per stage": however a
@@ -117,7 +111,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 			t.Fatalf("%q encoded %d times, want %d", sql, n, want)
 		}
 	}
-	started := func(t *testing.T, cfg Config) *Engine {
+	started := func(t *testing.T, cfg Config) engineRow {
 		_, e := oneShard(t, pred, cfg)
 		return e
 	}
@@ -132,19 +126,19 @@ func TestMissPathEncodesOnce(t *testing.T) {
 	// first sight encodes and leaves an entry the size of what an explain
 	// would, the skeleton, now holding the answer; from the second on the
 	// entry's answer serves and the entry stays that size.
-	sights := func(t *testing.T, e *Engine) {
+	sights := func(t *testing.T, e engineRow) {
 		t.Helper()
-		check(t, q1, 1, homeOf(e).PredictSQL)
+		check(t, q1, 1, e.PredictSQL)
 		if snap := e.Snapshot(); snap.TemplateMisses != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
 			t.Fatalf("first sight left %d entries / %d bytes after %d misses, want 1 entry at the skeleton's %d bytes",
 				snap.TemplateEntries, snap.TemplateBytes, snap.TemplateMisses, skeleton)
 		}
-		check(t, q2, 0, homeOf(e).PredictSQL)
+		check(t, q2, 0, e.PredictSQL)
 		if snap := e.Snapshot(); snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
 			t.Fatalf("second sight left %d entries / %d bytes, want the one entry at its skeleton's %d",
 				snap.TemplateEntries, snap.TemplateBytes, skeleton)
 		}
-		check(t, q3, 0, homeOf(e).PredictSQL)
+		check(t, q3, 0, e.PredictSQL)
 		if hits := e.Snapshot().TemplateHits; hits != 2 {
 			t.Fatalf("template hits = %d, want 2", hits)
 		}
@@ -157,8 +151,8 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		cfg := tmplCfg()
 		cfg.TemplateCacheSize = 0
 		e := started(t, cfg)
-		check(t, q1, 1, homeOf(e).PredictSQL)
-		check(t, q2, 1, homeOf(e).PredictSQL)
+		check(t, q1, 1, e.PredictSQL)
+		check(t, q2, 1, e.PredictSQL)
 	})
 	t.Run("skeleton-only hit upgrades the entry", func(t *testing.T) {
 		e := started(t, tmplCfg())
@@ -166,29 +160,30 @@ func TestMissPathEncodesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		skeleton := e.Snapshot().TemplateBytes
-		check(t, q2, 1, homeOf(e).PredictSQL)
+		check(t, q2, 1, e.PredictSQL)
 		snap := e.Snapshot()
 		if snap.TemplateHits != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
 			t.Fatalf("hits=%d entries=%d bytes %d -> %d, want one hit on one entry, still skeleton-sized",
 				snap.TemplateHits, snap.TemplateEntries, skeleton, snap.TemplateBytes)
 		}
-		check(t, q1, 0, homeOf(e).PredictSQL)
-		check(t, q3, 0, homeOf(e).PredictSQL)
+		check(t, q1, 0, e.PredictSQL)
+		check(t, q3, 0, e.PredictSQL)
 	})
 	t.Run("prediction cache hit", func(t *testing.T) {
 		cfg := tmplCfg()
 		cfg.CacheSize = 8
 		e := started(t, cfg)
-		check(t, q1, 1, homeOf(e).PredictSQL)
-		check(t, q1, 0, homeOf(e).PredictSQL)
+		check(t, q1, 1, e.PredictSQL)
+		check(t, q1, 0, e.PredictSQL)
 	})
-	// There is one path: a shard with handlers already busy on its replica
-	// (here only counted), or one that was closed, takes it like any other.
+	// There is one path: an engine with handlers already busy on its
+	// replica (here only counted), or one that was closed, takes it like any
+	// other.
 	t.Run("saturated queue fallback", func(t *testing.T) {
-		e := loadedEngine(pred, tmplCfg(), 4, 1000)
+		e := loadedEngine(tmplCfg(), 4, 1000, pred)
 		sights(t, e)
 		if n := e.busy.Load(); n != 4 {
-			t.Fatalf("a loaded shard counts %d busy after its misses returned, want its 4", n)
+			t.Fatalf("a loaded engine counts %d busy after its misses returned, want its 4", n)
 		}
 	})
 	t.Run("closed engine fallback", func(t *testing.T) {
@@ -197,8 +192,8 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		sights(t, e)
 	})
 	t.Run("shed", func(t *testing.T) {
-		sh := loadedEngine(pred, tmplCfg(), 20, 1000)
-		se := &ShardedEngine{shards: []*Engine{sh}, maxEstWaitMicros: 10_000}
+		se := loadedEngine(tmplCfg(), 20, 1000, pred)
+		se.maxEstWaitMicros = 10_000
 		m.encodes.Store(0)
 		var over *OverloadError
 		if _, _, err := se.PredictSQLGenCtx(context.Background(), q1); !errors.As(err, &over) {
@@ -214,7 +209,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		cancel()
 		m.encodes.Store(0)
 		var expired *ExpiredError
-		if _, err := e.miss(ctx, q1, CanonicalSQL(q1), tmplLookup{}); !errors.As(err, &expired) {
+		if _, err := e.miss(ctx, q1, tmplLookup{}); !errors.As(err, &expired) {
 			t.Fatalf("expired request returned %v, want *ExpiredError", err)
 		}
 		if n := m.encodes.Load(); n != 0 {
@@ -225,7 +220,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 
 // TestTemplateScanPinsNoTrees is the one-off regime as a unit test: a scan of
 // N structurally distinct queries, each predicted once, leaves the template
-// segment holding N skeletons — exactly what explaining the same N queries
+// cache holding N skeletons — exactly what explaining the same N queries
 // leaves — and none of the trees that were built to answer them.
 func TestTemplateScanPinsNoTrees(t *testing.T) {
 	pred := newTestPredictor(t)
@@ -311,13 +306,15 @@ func TestTemplateHashedStaysSkeletonOnly(t *testing.T) {
 	}
 }
 
-// TestDispatchSinglePolicy walks the one dispatch policy (admit) through its
-// table on two-shard engines whose load is fully controlled: each shard
-// counts the busy handlers the row gives it, at the row's per-call service
-// time, while its replica is free. Without a bound, no load — however
-// saturated a shard's replica — detours or sheds a miss. Whatever the row
-// decides, the key is looked up once — at home — and a computed answer lands
-// in the home segment only.
+// TestDispatchSinglePolicy walks the one admission policy (admit) through
+// its table on two-replica engines whose load is fully controlled. Each row
+// keeps the two loads it gave a home and a peer shard when keys were bound
+// to one replica each; the pool carries both: its busy count is their sum,
+// at the per-call service time of whichever saw calls, while its replicas
+// are free. Without a bound, no load — however saturated the replicas —
+// sheds a miss; with one, a miss is shed once the pooled estimate passes it.
+// Whatever the row decides, the key is looked up once per request, and a
+// computed answer is one model call and one cache entry.
 func TestDispatchSinglePolicy(t *testing.T) {
 	type load struct {
 		busy          int
@@ -334,44 +331,35 @@ func TestDispatchSinglePolicy(t *testing.T) {
 		name       string
 		home, peer load
 		bound      float64
-		want       string // "home", "peer" or "shed"
+		shed       bool
 		minWait    float64
 	}{
-		{name: "home idle", home: idle, peer: idle, want: "home"},
-		{name: "home saturated, idle peer", home: slow, peer: idle, want: "home"},
-		{name: "every shard saturated", home: slow, peer: slow, want: "home"},
-		{name: "unbounded never sheds at any load", home: deeper, peer: deep, want: "home"},
-		{name: "bounded, home idle", home: idle, peer: idle, bound: bound, want: "home"},
-		{name: "bounded, home at the bound", home: atBound, peer: idle, bound: bound, want: "home"},
-		{name: "bounded, home over the bound, idle peer", home: deep, peer: idle, bound: bound, want: "peer"},
-		{name: "bounded, saturated home inside the bound, peer over it", home: quick, peer: deep, bound: bound, want: "home"},
-		{name: "bounded, over the bound everywhere", home: deeper, peer: deep, bound: bound, want: "shed", minWait: 20_000},
+		{name: "home idle", home: idle, peer: idle},
+		{name: "home saturated, idle peer", home: slow, peer: idle},
+		{name: "every shard saturated", home: slow, peer: slow},
+		{name: "unbounded never sheds at any load", home: deeper, peer: deep},
+		{name: "bounded, home idle", home: idle, peer: idle, bound: bound},
+		{name: "bounded, home at the bound", home: atBound, peer: idle, bound: bound},           // 5 ms
+		{name: "bounded, home over the bound, idle peer", home: deep, peer: idle, bound: bound}, // 10 ms
+		{name: "bounded, saturated home inside the bound, peer over it", home: quick, peer: deep, bound: bound, shed: true, minWait: 10_500},
+		{name: "bounded, over the bound everywhere", home: deeper, peer: deep, bound: bound, shed: true, minWait: 25_000},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := Config{CacheSize: 8}
 			stubs := [2]*stubModel{{}, {}}
-			shards := make([]*Engine, 2)
-			for i, l := range []load{row.home, row.peer} {
-				shards[i] = loadedEngine(&Predictor{Model: stubs[i]}, cfg, l.busy, l.serviceMicros)
-			}
-			se := &ShardedEngine{shards: shards, gen: 1, maxEstWaitMicros: row.bound}
-			sql := keyForShard(t, se, 0)
+			se := loadedEngine(Config{CacheSize: 8}, row.home.busy+row.peer.busy,
+				max(row.home.serviceMicros, row.peer.serviceMicros),
+				&Predictor{Model: stubs[0]}, &Predictor{Model: stubs[1]})
+			se.maxEstWaitMicros = row.bound
+			sql := "SELECT a FROM t WHERE a > 5"
 			ref, err := (&Predictor{Model: &stubModel{}}).PredictSQL(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lookups := func() (n int64) {
-				for _, sh := range shards {
-					n += sh.tel.CacheHits.Load() + sh.tel.CacheMisses.Load()
-				}
-				return n
-			}
-			entries := func(sh *Engine) int { n, _ := sh.cache.Stats(); return n }
 
 			// Twice: the second request finds what the first left behind.
 			for req := int64(1); req <= 2; req++ {
 				got, _, err := se.PredictSQLGenCtx(context.Background(), sql)
-				if row.want == "shed" {
+				if row.shed {
 					var over *OverloadError
 					if !errors.As(err, &over) {
 						t.Fatalf("request %d returned %v, want *OverloadError", req, err)
@@ -379,32 +367,25 @@ func TestDispatchSinglePolicy(t *testing.T) {
 					if over.EstWaitMicros != row.minWait || over.BoundMicros != row.bound {
 						t.Fatalf("shed priced at %v/%v µs, want %v/%v", over.EstWaitMicros, over.BoundMicros, row.minWait, row.bound)
 					}
-					if shed := shards[0].tel.Shed.Load(); shed != req {
-						t.Fatalf("home Shed = %d after %d refusals", shed, req)
+					if shed := se.tel.Shed.Load(); shed != req {
+						t.Fatalf("Shed = %d after %d refusals", shed, req)
 					}
 				} else if err != nil || got != ref {
 					t.Fatalf("request %d: %+v, %v; want the serial reference %+v", req, got, err, ref)
 				}
-				if n := lookups(); n != req {
+				if n := se.tel.CacheHits.Load() + se.tel.CacheMisses.Load(); n != req {
 					t.Fatalf("%d counted cache lookups after %d requests, want one per request", n, req)
 				}
 			}
-			wantCalls := map[string][2]int64{"home": {1, 0}, "peer": {0, 1}, "shed": {0, 0}}[row.want]
-			for i, st := range stubs {
-				if n := st.predicts.Load(); n != wantCalls[i] {
-					t.Fatalf("shard %d ran the model %d times, want %d", i, n, wantCalls[i])
-				}
+			wantCalls, wantEntries := int64(1), 1
+			if row.shed {
+				wantCalls, wantEntries = 0, 0
 			}
-			wantHome := 1
-			if row.want == "shed" {
-				wantHome = 0
+			if n := stubs[0].predicts.Load() + stubs[1].predicts.Load(); n != wantCalls {
+				t.Fatalf("the replicas ran the model %d times, want %d", n, wantCalls)
 			}
-			if entries(shards[0]) != wantHome || entries(shards[1]) != 0 {
-				t.Fatalf("prediction cache entries home/peer = %d/%d, want %d/0 (the answer lives at home only)",
-					entries(shards[0]), entries(shards[1]), wantHome)
-			}
-			if peerLookups := shards[1].tel.CacheHits.Load() + shards[1].tel.CacheMisses.Load(); peerLookups != 0 {
-				t.Fatalf("the peer's segment was consulted %d times for a key it does not own", peerLookups)
+			if n, _ := se.cache.Stats(); n != wantEntries {
+				t.Fatalf("prediction cache entries = %d, want %d", n, wantEntries)
 			}
 		})
 	}

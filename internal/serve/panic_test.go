@@ -29,7 +29,7 @@ func (m panicModel) PredictInto(batch []*workload.Trace, dst []float64) {
 
 // TestSubmitPanicIs500 pins the containment of the one model call: a query
 // whose model call panics — on its handler's goroutine, where nothing but
-// Engine.predict's recover stands between the panic and net/http — answers
+// ShardedEngine.predict's recover stands between the panic and net/http — answers
 // 500 in the internal envelope, is counted under where="model" on /metrics,
 // leaves its encoding unrecycled and nobody counted busy, and gives the
 // replica back: the next query answers 200 with the serialised reference's
@@ -51,7 +51,7 @@ func TestSubmitPanicIs500(t *testing.T) {
 	if !strings.Contains(metricsOf(srv), `prestroid_panics_total{where="model"} 1`+"\n") {
 		t.Fatal(`/metrics does not count the panic under where="model"`)
 	}
-	eng := srv.Engine().shards[0]
+	eng := srv.Engine()
 	if n := m.recycled.Load(); n != 0 {
 		t.Fatalf("the panicking round trip recycled %d encodings, want 0", n)
 	}

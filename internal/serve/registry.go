@@ -108,7 +108,7 @@ func (r *Registry) Snapshot() []telemetry.ModelSnapshot {
 //   - the control plane (rollMu) and the roll protocol (see reload.go);
 //   - the counters that outlive any one engine — reloads, rejected bundles,
 //     promotions, aborts — and, by lending them from each engine to the one
-//     that replaces it, the per-shard telemetry groups.
+//     that replaces it, the engine's telemetry group.
 type ModelEntry struct {
 	name string
 	cfg  Config
@@ -193,19 +193,17 @@ func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Predict
 // template front end: a cached template skips lex and parse, a miss deposits
 // the skeleton. Plans are weight-independent, so a staged canary or shadow
 // never changes the answer — explain always warms the live engine's template
-// segments, the ones the bulk of prediction traffic hits. Any shard will do:
-// a template lives in the segment its key hashes to whichever shard looks,
-// and planning touches no model.
+// cache, the one the bulk of prediction traffic hits. Planning touches no
+// model.
 func (en *ModelEntry) ExplainSQL(sql string) (*logicalplan.Node, error) {
 	live, _ := en.roll()
-	return live.shards[0].PlanOnly(sql)
+	return live.PlanOnly(sql)
 }
 
 // canaryBucket maps a canonical key to a stable bucket in [0,100). The FNV
-// hash is remixed through an avalanche finalizer so the split is independent
-// of shardOf's modulo — without it, bucket and home shard would correlate
-// and a canary percentage would drain whole shards instead of sampling the
-// keyspace evenly.
+// hash is remixed through an avalanche finalizer so every bit of it reaches
+// the bucket, which samples the keyspace evenly; a key's bucket never moves,
+// so neither does which requests a running canary serves.
 func canaryBucket(key string) int {
 	h := fnv32a(key)
 	h ^= h >> 16
@@ -249,7 +247,7 @@ func (st *stagedRoll) mirror(sql string, live Prediction, liveLat time.Duration)
 // next to live — serving no traffic yet beyond what mode routes to it:
 // nothing for shadow (mirrors only), a deterministic percent of the keyspace
 // for canary. It is the first half of a roll: the successor is built exactly
-// as a reload builds it (on its own counter groups, since it serves beside
+// as a reload builds it (on a counter group of its own, since it serves beside
 // live rather than instead of it) and parked in the roll slot for Promote or
 // Abort. Returns the staged generation, the one the identity will report once
 // promoted.

@@ -6,6 +6,7 @@ import (
 
 	"prestroid/internal/models"
 	"prestroid/internal/persist"
+	"prestroid/internal/telemetry"
 	"prestroid/internal/workload"
 )
 
@@ -30,8 +31,7 @@ func stageWeights(r io.Reader) stageFunc {
 		if err != nil {
 			return nil, err
 		}
-		base := live.shards[0]
-		return assemble(base.model, base.pred.Pipe, base.pred.Norm, bundle)
+		return assemble(live.model, live.pred.Pipe, live.pred.Norm, bundle)
 	}
 }
 
@@ -41,7 +41,7 @@ func stageWeights(r io.Reader) stageFunc {
 // weights were trained against a different feature dimension fails here.
 func stageFull(fb *persist.FullBundle) stageFunc {
 	return func(live *ShardedEngine) (*Predictor, error) {
-		return assemble(live.shards[0].model, fb.Pipeline(), fb.Norm(), fb.Weights())
+		return assemble(live.model, fb.Pipeline(), fb.Norm(), fb.Weights())
 	}
 }
 
@@ -99,19 +99,19 @@ func (en *ModelEntry) beginRoll() (*ShardedEngine, error) {
 }
 
 // successor stages an artefact and builds the engine that follows live:
-// same Config, generation live+1, fresh replicas and empty caches. replaces is
-// live when the successor will take its place at once, and so counts into its
-// shards' groups, nil when it will serve beside live on groups of its own. A
+// same Config, generation live+1, fresh replicas and empty caches. tel is
+// live's counter group when the successor will take its place at once, nil
+// when it will serve beside live on a group of its own. A
 // staging failure is a rejection — counted on the surface operators alert on
 // when a retraining job starts emitting bad bundles — and by construction has
 // zero serving impact. Callers hold rollMu.
-func (en *ModelEntry) successor(live *ShardedEngine, stage stageFunc, replaces *ShardedEngine) (*ShardedEngine, error) {
+func (en *ModelEntry) successor(live *ShardedEngine, stage stageFunc, tel *telemetry.ShardGroup) (*ShardedEngine, error) {
 	pred, err := stage(live)
 	if err != nil {
 		en.rejected.Inc()
 		return nil, err
 	}
-	return newShardedEngineAt(Replicas(pred, en.cfg.Replicas), en.cfg, live.gen+1, replaces), nil
+	return newShardedEngineAt(Replicas(pred, en.cfg.Replicas), en.cfg, live.gen+1, tel), nil
 }
 
 // install makes next the identity's live engine, clears the roll slot and
@@ -128,7 +128,7 @@ func (en *ModelEntry) install(next *ShardedEngine) int64 {
 }
 
 // reload is the direct roll: stage, build the successor on the live engine's
-// own counter groups (it replaces live outright, so /v1/stats, /metrics and
+// own counter group (it replaces live outright, so /v1/stats, /metrics and
 // the admission EWMA carry on where they were) and install it.
 func (en *ModelEntry) reload(stage stageFunc) (int64, error) {
 	live, err := en.beginRoll()
@@ -136,7 +136,7 @@ func (en *ModelEntry) reload(stage stageFunc) (int64, error) {
 		return 0, err
 	}
 	defer en.rollMu.Unlock()
-	next, err := en.successor(live, stage, live)
+	next, err := en.successor(live, stage, live.tel)
 	if err != nil {
 		return 0, err
 	}

@@ -149,9 +149,10 @@ func TestReloadRollsAllShards(t *testing.T) {
 	if after != want {
 		t.Fatalf("post-reload prediction %+v != serialised reference %+v", after, want)
 	}
-	// Every shard — not just the home shard — must serve the new weights.
-	for si, sh := range se.shards {
-		direct, err := predictOn(sh, sql)
+	// Every replica must serve the new weights, each through its own conv
+	// stack.
+	for si, sh := range replicasOf(se) {
+		direct, err := predictOn(se, sh, nil, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +174,10 @@ func TestWeightRollSkipsTheLiveLock(t *testing.T) {
 	live := en.Live()
 	bundle, reference := perturbedBundle(t, pred, 0.25)
 
-	for _, sh := range live.shards {
-		sh.pred.mu.Lock()
+	held := make([]*Predictor, live.Shards())
+	for i := range held {
+		held[i] = <-live.free // as a miss takes it
+		held[i].mu.Lock()
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -188,8 +191,9 @@ func TestWeightRollSkipsTheLiveLock(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		blocked = true
 	}
-	for _, sh := range live.shards {
-		sh.pred.mu.Unlock()
+	for _, r := range held {
+		r.mu.Unlock()
+		live.free <- r
 	}
 	if blocked {
 		t.Fatal("a weight-only roll waited on a live replica's lock")

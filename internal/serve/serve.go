@@ -5,17 +5,16 @@
 //
 // Two inference paths exist. Predictor.PredictSQL is the serialised
 // reference path: one query per model call on the predictor's replica.
-// ShardedEngine (see shard.go) is the serving path, with one shard or many: a
-// dispatcher hashes canonical SQL across N shards, each an Engine (see
-// engine.go) owning its own model replica, so predict throughput scales with
-// cores instead of being capped at single-replica speed. A miss runs on the
-// handler goroutine that took it, end to end — plan, encode, then one model
-// call on its shard's replica — with an LRU over canonicalised SQL absorbing
+// ShardedEngine (see shard.go and engine.go) is the serving path: a miss
+// runs on the handler goroutine that took it, end to end — plan, encode,
+// then one model call on whichever of the engine's N model replicas is free,
+// so predict throughput scales with cores instead of being capped at
+// single-replica speed — with an LRU over canonicalised SQL absorbing
 // repeated queries and a template cache answering their literal variants.
 // What a served model must do is one contract, servedModel.
 //
 // Above the engines sits the model registry (see registry.go): one daemon
-// hosts several named predictor identities, each with its own shard set,
+// hosts several named predictor identities, each with its own engine,
 // generation sequence and roll slot, routed by the model field of
 // /v1/predict. A request without a model field routes to the default
 // identity, byte-identical to a single-model daemon. Engines are immutable —
@@ -59,67 +58,32 @@ import (
 // The three fields are one predictor identity and are never reassigned once
 // the predictor is serving: an engine owns its predictor for life, and a
 // reload builds new predictors for a new engine (see ModelEntry) instead of
-// touching this one. The replica lock therefore only serialises model calls;
+// touching this one. The lock therefore only serialises model calls;
 // reading the fields needs no lock.
 type Predictor struct {
 	Model models.Model
 	Pipe  *models.Pipeline
 	Norm  workload.Normalizer
 
-	mu replicaLock // models are not safe for concurrent use (see models.Model)
-}
-
-// replicaLock is a predictor's replica lock: a one-slot channel rather than a
-// mutex, so that a wait for it can be given up when a request's deadline
-// passes (acquire). Its zero value is unlocked; the channel is made on first
-// use.
-type replicaLock struct {
-	once sync.Once
-	slot chan struct{}
-}
-
-func (l *replicaLock) ch() chan struct{} {
-	l.once.Do(func() { l.slot = make(chan struct{}, 1) })
-	return l.slot
-}
-
-// Lock waits for the replica for as long as it takes.
-func (l *replicaLock) Lock() { l.ch() <- struct{}{} }
-
-// Unlock gives the replica back.
-func (l *replicaLock) Unlock() { <-l.slot }
-
-// acquire waits for the replica and reports whether the caller now holds it,
-// to give back with Unlock. It reports false, holding nothing, when ctx
-// ended first: while the caller waited or as the replica came free, so an
-// expired request never reaches the model.
-func (l *replicaLock) acquire(ctx context.Context) bool {
-	select {
-	case l.ch() <- struct{}{}:
-	case <-ctx.Done():
-		return false
-	}
-	if ctx.Err() != nil {
-		l.Unlock()
-		return false
-	}
-	return true
+	mu sync.Mutex // models are not safe for concurrent use (see models.Model)
 }
 
 // servedModel is the one contract a served model meets; models.Prestroid
-// implements it. EncodeTrace is the pure per-plan encode, safe on any
+// implements it. EncodeTrace is the pure per-plan encode, and Recycle takes
+// an evicted encoding back for later encodes to reuse; both are safe on any
 // goroutine. Everything else runs on the goroutine that owns the model:
 // AdoptEncoding installs an encoding, PredictInto writes one prediction per
-// trace into the caller's slice, Evict drops the adopted encodings, Recycle
-// takes an evicted encoding back for later encodes to reuse, and
-// SetConvCache installs the engine's sub-tree segment. Clone builds a replica
-// with the same weights (one per shard), and a roll builds the next identity
-// with RebuildWithPipeline and overwrites its Weights.
+// trace into the caller's slice, Evict drops the adopted encodings, and
+// SetConvCache installs the engine's sub-tree cache. Clone builds a replica
+// with the same weights, which may adopt an encoding another replica's model
+// made, and a roll builds the next identity with RebuildWithPipeline and
+// overwrites its Weights.
 //
 // An encoding belongs to the handler that encoded it, and it lives for one
-// round trip: after the predict and the evict return, predictInto recycles
-// it. An encoding no model adopts (its request expired while it waited for
-// the replica) or whose predict panicked is left to the garbage collector.
+// round trip: after the predict and the evict return, the model that encoded
+// it recycles it. An encoding no model adopts (its request expired while it
+// waited for a replica) or whose predict panicked is left to the garbage
+// collector.
 type servedModel interface {
 	models.Model
 	persist.WeightStore
@@ -180,7 +144,9 @@ func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
 	enc := m.EncodeTrace(tr)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.prediction(shapeOf(plan), p.predictInto(m, tr, enc)), nil
+	y := predictInto(m, tr, enc)
+	m.Recycle(enc)
+	return p.prediction(shapeOf(plan), y), nil
 }
 
 // planShape is what a prediction reports of its plan: node count, depth and
@@ -203,21 +169,17 @@ func (p *Predictor) prediction(shape planShape, y float64) Prediction {
 	}
 }
 
-// predictInto is the one model round trip, run by a caller holding p's
-// replica lock: m (p's model) adopts the encoding the caller built for
-// tr, predicts it, evicts and recycles it, so no model-owned memory outlives
-// the call. The evict is deferred, so a panic in the model (which
-// Engine.predict recovers) leaves no adopted encoding behind; it skips the
-// recycle.
-func (p *Predictor) predictInto(m servedModel, tr *workload.Trace, enc any) float64 {
+// predictInto is the one model round trip, run by a caller that owns m: m
+// adopts the encoding the caller built for tr, predicts it and evicts it, so
+// no model-owned memory outlives the call; the caller then recycles the
+// encoding. The evict is deferred, so a panic in the model (which
+// ShardedEngine.predict recovers) leaves no adopted encoding behind.
+func predictInto(m servedModel, tr *workload.Trace, enc any) float64 {
 	traces := []*workload.Trace{tr}
 	var y [1]float64
-	func() {
-		defer m.Evict(traces)
-		m.AdoptEncoding(tr, enc)
-		m.PredictInto(traces, y[:])
-	}()
-	m.Recycle(enc)
+	defer m.Evict(traces)
+	m.AdoptEncoding(tr, enc)
+	m.PredictInto(traces, y[:])
 	return y[0]
 }
 
@@ -259,10 +221,9 @@ type Server struct {
 }
 
 // NewServerConfig wires the routes over a registry tuned by cfg, with pred
-// registered as the default model. When cfg.Replicas > 1 and the model
-// supports cloning, each identity's inference is sharded across that many
-// model replicas; otherwise it runs single-shard. NewMultiServer hosts
-// several identities.
+// registered as the default model. When cfg.Replicas > 1, each identity's
+// engine runs misses on that many model replicas; otherwise on pred's model
+// alone. NewMultiServer hosts several identities.
 func NewServerConfig(pred *Predictor, cfg Config) *Server {
 	s, err := NewMultiServer(cfg, NamedPredictor{Name: api.DefaultModel, Pred: pred})
 	if err != nil {
@@ -726,7 +687,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// Explain never runs the model, but it routes through the identity's
 	// engine anyway: the template front end turns repeated explain shapes
 	// into cached rebinds, and the skeletons it deposits pre-warm the same
-	// per-shard segments predictions hit. A named identity is also validated
+	// template cache predictions hit. A named identity is also validated
 	// this way, so a typo fails loudly instead of silently explaining under
 	// the default.
 	en := s.resolveModel(w, req.Model)
@@ -952,7 +913,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Percent:      ms.Percent,
 			Generation:   ms.Engine.Generation,
 			Kernel:       api.KernelFloat,
-			Replicas:     len(ms.Engine.Shards),
+			Replicas:     ms.Engine.Replicas,
 			Architecture: ms.Engine.ModelName,
 			Parameters:   ms.Engine.Params,
 			Reloads:      ms.Engine.Reloads,
@@ -1023,7 +984,7 @@ func (s *Server) handleModelAction(w http.ResponseWriter, r *http.Request) {
 
 // Snapshot assembles the one telemetry snapshot both operator surfaces
 // render: process runtime state, front-end counters and every identity's
-// per-shard groups, each counter read exactly once per call.
+// engine counters, each counter read exactly once per call.
 func (s *Server) Snapshot() telemetry.Snapshot {
 	goVersion, version := telemetry.BuildInfo()
 	return telemetry.Snapshot{
@@ -1040,14 +1001,13 @@ func (s *Server) Snapshot() telemetry.Snapshot {
 	}
 }
 
-// engineStatsFrom renders one engine's slice of the stats view. Totals and
-// per-shard rows derive from the same per-shard reads, so the aggregate can
-// never disagree with the breakdown it sits next to.
+// engineStatsFrom renders one engine's slice of the stats view. The totals
+// and the shards rows derive from the same reads, so the aggregate can
+// never disagree with the row it sits next to.
 func engineStatsFrom(e telemetry.EngineSnapshot) api.EngineStats {
 	tot := e.Totals()
 	st := api.EngineStats{
 		Batches:          tot.Batches,
-		BatchHist:        batchHistLabels(tot.BatchSizes),
 		CacheHits:        tot.CacheHits,
 		CacheMisses:      tot.CacheMisses,
 		CacheEntries:     tot.CacheEntries,
@@ -1065,7 +1025,7 @@ func engineStatsFrom(e telemetry.EngineSnapshot) api.EngineStats {
 		WeightGeneration: e.Generation,
 		Reloads:          e.Reloads,
 		RejectedReloads:  e.RejectedBundles,
-		Replicas:         len(e.Shards),
+		Replicas:         e.Replicas,
 		ModelName:        e.ModelName,
 		Params:           e.Params,
 		Kernel:           api.KernelFloat,
@@ -1174,32 +1134,6 @@ func statsFromSnapshot(snap telemetry.Snapshot) Stats {
 		st.Models[i] = ms
 	}
 	return st
-}
-
-// batchHistLabels renders a batch-size histogram snapshot with the
-// /v1/stats label scheme ("1", "2", "3-4", ..., "17-32", "33+"), keeping
-// only non-empty buckets as the JSON view always has.
-func batchHistLabels(h telemetry.HistogramSnapshot) map[string]int64 {
-	out := make(map[string]int64, len(h.Counts))
-	lo := int64(1)
-	for i, c := range h.Counts {
-		var label string
-		switch {
-		case i >= len(h.Bounds):
-			label = strconv.FormatInt(lo, 10) + "+"
-		case h.Bounds[i] == lo:
-			label = strconv.FormatInt(lo, 10)
-		default:
-			label = strconv.FormatInt(lo, 10) + "-" + strconv.FormatInt(h.Bounds[i], 10)
-		}
-		if c > 0 {
-			out[label] = int64(c)
-		}
-		if i < len(h.Bounds) {
-			lo = h.Bounds[i] + 1
-		}
-	}
-	return out
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -267,8 +267,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("runtime metadata missing: uptime=%v goroutines=%d go=%q version=%q",
 			st.UptimeSeconds, st.Goroutines, st.GoVersion, st.Version)
 	}
-	// Engine counters: one model call (the miss), one cache hit, and the
-	// batch-size histogram accounts for every call.
+	// Engine counters: one model call (the miss) and one cache hit.
 	if st.Batches < 1 || st.AvgBatchSize < 1 {
 		t.Fatalf("batch counters missing: %+v", st)
 	}
@@ -279,21 +278,18 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.CacheHitRate <= 0.3 || st.CacheHitRate >= 0.4 {
 		t.Fatalf("cache hit rate = %v, want 1/3", st.CacheHitRate)
 	}
-	var histTotal int64
-	for _, n := range st.BatchHist {
-		histTotal += n
-	}
-	if histTotal != st.Batches {
-		t.Fatalf("batch_hist sums to %d, batches = %d", histTotal, st.Batches)
-	}
 	// Latency covers every terminal path, including the 422 — three samples.
 	if st.P50Millis < 0 || st.P99Millis < st.P50Millis {
 		t.Fatalf("latency percentiles inconsistent: %+v", st)
 	}
-	// The sharded engine reports its replica count and one entry per shard,
-	// and per-shard counters sum to the aggregates.
-	if st.Replicas < 1 || len(st.Shards) != st.Replicas {
+	// The engine reports its replica count and one row of engine-wide
+	// counters, which the aggregates sum; every model call answers one
+	// query at least, and avg_batch_size is queries answered per call.
+	if st.Replicas < 1 || len(st.Shards) != 1 {
 		t.Fatalf("replica stats inconsistent: replicas=%d shards=%d", st.Replicas, len(st.Shards))
+	}
+	if sh := st.Shards[0]; sh.Coalesced < sh.Batches || st.AvgBatchSize != float64(sh.Coalesced)/float64(sh.Batches) {
+		t.Fatalf("avg_batch_size %v over %d calls answering %d queries", st.AvgBatchSize, sh.Batches, sh.Coalesced)
 	}
 	var shardBatches, shardHits int64
 	for _, sh := range st.Shards {
@@ -301,7 +297,7 @@ func TestStatsEndpoint(t *testing.T) {
 		shardHits += sh.CacheHits
 	}
 	if shardBatches != st.Batches || shardHits != st.CacheHits {
-		t.Fatalf("per-shard counters don't sum to aggregate: %+v", st)
+		t.Fatalf("the engine's row does not sum to the aggregate: %+v", st)
 	}
 }
 
@@ -322,7 +318,7 @@ func metricValue(t *testing.T, exposition, series string) float64 {
 }
 
 // TestMetricsEndpoint checks the Prometheus view end to end: the exposition
-// parses line by line, carries the shard labels, and — because both
+// parses line by line, carries the shard label, and — because both
 // endpoints render one telemetry snapshot — agrees with a back-to-back
 // /v1/stats on every monotone counter.
 func TestMetricsEndpoint(t *testing.T) {
@@ -371,7 +367,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metricValue(t, exposition, `prestroid_shards{model="default"}`); int(got) != st.Replicas {
 		t.Fatalf("shards: metrics %v vs stats %d", got, st.Replicas)
 	}
-	// Per-shard series sum to the stats aggregates (one snapshot each side).
+	// The shard series sum to the stats aggregates (one snapshot each side).
 	var hits float64
 	for _, sh := range st.Shards {
 		hits += metricValue(t, exposition,

@@ -3,13 +3,15 @@ package serve
 import (
 	"context"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"prestroid/internal/telemetry"
 )
 
-// DefaultReplicas is the prestroidd default shard count: one per core,
+// DefaultReplicas is the prestroidd default replica count: one per core,
 // capped at 4 — each replica duplicates the model's weights, and past a
-// handful of CPU-bound shards dispatch overhead outweighs the extra
+// handful of CPU-bound model calls at once the extra replicas buy no
 // parallelism on typical hosts.
 func DefaultReplicas() int {
 	n := runtime.GOMAXPROCS(0)
@@ -22,17 +24,16 @@ func DefaultReplicas() int {
 	return n
 }
 
-// Replicas builds n serving replicas of pred. For n > 1 every replica —
-// including shard 0 — wraps a fresh model clone sharing pred's pipeline and
-// normaliser, so the caller's model is never mutated and stays usable on
-// the serialised path. Each replica gets its own Predictor (and thus its own
-// replica lock), so N shards can run their models truly concurrently. Each
-// model call fans its trees out through tensor.Each, whose helpers come from
-// one process-wide budget of GOMAXPROCS-1: N concurrent calls run on their
-// handlers' goroutines plus at most that many helpers between them, while a
-// single busy shard on an otherwise idle engine still gets every core. When
-// n <= 1 only pred itself is returned. Like NewShardedEngine, Replicas panics
-// on a model that does not meet the serving contract.
+// Replicas builds n serving replicas of pred. For n > 1 every replica wraps
+// a fresh model clone sharing pred's pipeline and normaliser, so the caller's
+// model is never mutated and stays usable on the serialised path, and n
+// misses can run their models truly concurrently. Each model call fans its
+// trees out through tensor.Each, whose helpers come from one process-wide
+// budget of GOMAXPROCS-1: N concurrent calls run on their handlers'
+// goroutines plus at most that many helpers between them, while a single
+// call on an otherwise idle engine still gets every core. When n <= 1 only
+// pred itself is returned. Like NewShardedEngine, Replicas panics on a model
+// that does not meet the serving contract.
 func Replicas(pred *Predictor, n int) []*Predictor {
 	if n <= 1 {
 		return []*Predictor{pred}
@@ -45,30 +46,68 @@ func Replicas(pred *Predictor, n int) []*Predictor {
 	return preds
 }
 
-// ShardedEngine fans inference out across N independent shards. Each shard
-// is a full Engine — its own model replica and its own segment of each
-// cache — so shards share no model. What they share is the template cache: a
-// template lives in the segment of the shard its template key hashes to, and
-// every shard reads it there (see lookupTemplate). A dispatcher hashes
-// canonical SQL to a home shard, which owns the key's prediction-cache entry
-// and its single-flight, and computes its misses; only with MaxEstWait set,
-// and a home whose estimated wait is past the bound, is a miss computed on
-// the peer with the shortest estimated wait instead (see admit). Rerouting is
-// safe because replicas carry identical weights: every shard returns
-// byte-identical predictions for identical SQL, and the answer is still
-// cached at home, so a detour leaves no duplicate entry behind.
+// ShardedEngine is the inference engine: one prediction cache, one sub-tree
+// cache and one template cache, a single-flight map, and a pool of model
+// replicas that carry the same weights, so every replica returns
+// byte-identical predictions for identical SQL. The name is historical: the
+// engine once split its caches and replicas into hash-addressed shards.
+//
+// There is one way through it: the handler goroutine that takes a miss runs
+// every stage itself — parse → plan → encode (frontEnd), then the model on
+// whichever replica is free (predict). The prediction cache, keyed by
+// canonicalised SQL, is read once before any of this and written once after
+// it, and concurrent misses of one key share one flight (see predictKey).
 //
 // A ShardedEngine is one generation of one serving identity, and immutable:
-// replicas, pipeline, normaliser, generation and cache segments are fixed by
-// newShardedEngineAt, and no field is written afterwards. "Which generation
-// answered" is therefore a property of which engine value a request was
-// handed — a response can no more mix two generations than one pointer can be
-// two pointers. Rolling new weights in means building the next engine and
-// swapping the identity's live pointer; that protocol, the generation
-// sequence and the roll counters belong to ModelEntry.
+// replicas, pipeline, normaliser, generation and caches are fixed by
+// newShardedEngineAt, and no field is written afterwards. New weights never
+// reach a running engine. "Which generation answered" is therefore a
+// property of which engine value a request was handed — a response can no
+// more mix two generations than one pointer can be two pointers. Rolling new
+// weights in means building the next engine and swapping the identity's live
+// pointer; that protocol, the generation sequence and the roll counters
+// belong to ModelEntry.
 type ShardedEngine struct {
-	shards []*Engine
-	gen    int64
+	// pred is the first replica. Its pipeline and normaliser are every
+	// replica's, and model (pred.Model, checked against the contract once)
+	// encodes every miss, off any replica, and takes every encoding back
+	// for recycling, so one pool of feature slabs serves the engine.
+	pred  *Predictor
+	model servedModel
+	gen   int64
+
+	// free holds the replicas no miss is running the model on; its capacity
+	// is the replica count.
+	free chan *Predictor
+
+	// The engine's caches, each nil when disabled: finished predictions,
+	// the sub-tree partial results installed into every replica, and
+	// templates. All three are born empty with the engine and die with it.
+	cache     *predictionCache
+	convCache *subtreeCache
+	tmplCache *templateCache
+
+	// answers reports whether the engine stores and serves template answers:
+	// its pipeline strips literal values before embedding, so every literal
+	// variant of a template gets one answer. A HashedPredicates pipeline
+	// encodes literals, and a predictor without a pipeline promises nothing.
+	answers bool
+
+	// busy counts the handlers waiting for or holding a replica: the
+	// admission signal (estWaitMicros) and the queue-depth gauge.
+	busy atomic.Int64
+
+	// inflight maps each canonical key some handler is computing to that
+	// handler's flight (see join).
+	flightMu sync.Mutex
+	inflight map[string]*flight
+
+	// tel is the engine's counter group: model-call and cache counters land
+	// here as atomic adds, and Snapshot folds them with the sampled gauges.
+	// The group is lent, not owned: a serving identity hands the group of
+	// the engine a roll retires to its successor, so counters and the
+	// admission EWMA carry across rolls.
+	tel *telemetry.ShardGroup
 
 	// maxEstWaitMicros is the bounded-wait admission target in microseconds
 	// (Config.MaxEstWait). <= 0 means an infinite bound: admit never sheds.
@@ -79,12 +118,12 @@ type ShardedEngine struct {
 	params int
 }
 
-// NewShardedEngine builds one shard per predictor (typically built with
-// Replicas), which the engine owns from here on. cfg.CacheSize,
-// cfg.SubtreeCacheSize and cfg.TemplateCacheSize are total cache budgets,
-// split evenly across shards; cfg.Replicas is ignored — len(preds) decides
-// the shard count. It panics on zero predictors, or on one whose model does
-// not meet the serving contract (servedModel).
+// NewShardedEngine builds an engine over preds (typically built with
+// Replicas), which it owns from here on. cfg.CacheSize, cfg.SubtreeCacheSize
+// and cfg.TemplateCacheSize size its caches; cfg.Replicas is ignored —
+// len(preds) is the replica count. Every predictor must carry the same
+// weights, pipeline and normaliser. It panics on zero predictors, or on one
+// whose model does not meet the serving contract (servedModel).
 func NewShardedEngine(preds []*Predictor, cfg Config) *ShardedEngine {
 	return newShardedEngineAt(preds, cfg, initialGeneration, nil)
 }
@@ -96,11 +135,13 @@ func NewShardedEngine(preds []*Predictor, cfg Config) *ShardedEngine {
 // normaliser, weights) triple.
 const initialGeneration = 1
 
-// newShardedEngineAt is NewShardedEngine with an explicit generation and,
-// when the engine replaces a predecessor outright, that predecessor: shard i
-// then counts into replaces' shard i's group (see Engine.tel). nil, or a
-// shard replaces does not have, starts a fresh group.
-func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, replaces *ShardedEngine) *ShardedEngine {
+// newShardedEngineAt is NewShardedEngine with an explicit generation and
+// counter group: the successor a roll builds is born at its predecessor's
+// generation + 1 and, when it replaces the predecessor outright, counts into
+// the same group. A nil tel starts a fresh one. Nothing runs behind an
+// engine, so there is nothing to stop: a retired engine keeps answering
+// under its own generation for whoever still holds it.
+func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, tel *telemetry.ShardGroup) *ShardedEngine {
 	if len(preds) == 0 {
 		panic("serve: NewShardedEngine needs at least one predictor")
 	}
@@ -108,34 +149,34 @@ func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, replaces *Sha
 	for i, p := range preds {
 		served[i] = p.mustServe()
 	}
-	per := cfg
-	if cfg.CacheSize > 0 {
-		per.CacheSize = (cfg.CacheSize + len(preds) - 1) / len(preds)
-	}
-	if cfg.SubtreeCacheSize > 0 {
-		per.SubtreeCacheSize = (cfg.SubtreeCacheSize + len(preds) - 1) / len(preds)
-	}
-	if cfg.TemplateCacheSize > 0 {
-		per.TemplateCacheSize = (cfg.TemplateCacheSize + len(preds) - 1) / len(preds)
+	if tel == nil {
+		tel = telemetry.NewShardGroup()
 	}
 	se := &ShardedEngine{
-		shards:           make([]*Engine, len(preds)),
+		pred:             preds[0],
+		model:            served[0],
 		gen:              gen,
+		free:             make(chan *Predictor, len(preds)),
+		answers:          preds[0].Pipe != nil && !preds[0].Pipe.Enc.HashedPredicates,
+		tel:              tel,
 		maxEstWaitMicros: float64(cfg.MaxEstWait.Microseconds()),
 		name:             preds[0].Model.Name(),
 		params:           preds[0].Model.ParamCount(),
 	}
-	for i, p := range preds {
-		var tel *telemetry.ShardGroup
-		if replaces != nil && i < len(replaces.shards) {
-			tel = replaces.shards[i].tel
-		}
-		se.shards[i] = newEngineAt(p, served[i], per, gen, tel)
+	if cfg.CacheSize > 0 {
+		se.cache = newPredictionCache(cfg.CacheSize, &tel.CacheHits, &tel.CacheMisses)
 	}
-	// Every shard reads templates through its siblings' segments (see
-	// lookupTemplate). Handlers reach the engine only after this returns.
-	for _, sh := range se.shards {
-		sh.shards = se.shards
+	if cfg.SubtreeCacheSize > 0 {
+		se.convCache = newSubtreeCache(cfg.SubtreeCacheSize, &tel.SubtreeHits, &tel.SubtreeMisses)
+		for _, m := range served {
+			m.SetConvCache(se.convCache)
+		}
+	}
+	if cfg.TemplateCacheSize > 0 {
+		se.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &tel.TemplateHits, &tel.TemplateMisses)
+	}
+	for _, p := range preds {
+		se.free <- p
 	}
 	return se
 }
@@ -144,8 +185,9 @@ func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, replaces *Sha
 // the one its ModelEntry, or a bare NewShardedEngine, started with).
 func (se *ShardedEngine) Generation() int64 { return se.gen }
 
-// Shards reports the live shard count (the effective replica count).
-func (se *ShardedEngine) Shards() int { return len(se.shards) }
+// Shards reports the engine's replica count: how many model calls it runs
+// at once. The name is historical.
+func (se *ShardedEngine) Shards() int { return cap(se.free) }
 
 // Close ends the engine's service life. Nothing runs behind an engine —
 // every model call runs on the goroutine that asked for it — so there is
@@ -155,14 +197,8 @@ func (se *ShardedEngine) Shards() int { return len(se.shards) }
 // the roll retired it.
 func (se *ShardedEngine) Close() {}
 
-// shardOf returns the home shard index for a canonical key.
-func (se *ShardedEngine) shardOf(key string) int {
-	return int(fnv32a(key) % uint32(len(se.shards)))
-}
-
-// fnv32a is 32-bit FNV-1a over s: the one hash behind the home shard, the
-// quota stripe and the canary bucket. It runs on every request — cache hits
-// included — and hash/fnv would cost two allocations per call.
+// fnv32a is 32-bit FNV-1a over s: the one hash behind the quota stripe and
+// the canary bucket. hash/fnv would cost two allocations per call.
 func fnv32a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -173,32 +209,36 @@ func fnv32a(s string) uint32 {
 }
 
 // PredictSQL is PredictSQLGenCtx with no deadline and without the
-// generation tag. The single-engine guarantee carries over: identical SQL
-// yields byte-identical predictions regardless of replica count or which
-// shard answered.
+// generation tag. Identical SQL yields byte-identical predictions whatever
+// the replica count and whichever replica answered.
 func (se *ShardedEngine) PredictSQL(sql string) (Prediction, error) {
 	p, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	return p, err
 }
 
-// Snapshot returns the engine's full telemetry state in one pass: every
-// shard's counter group plus the generation and model identity. The roll
-// counters (Reloads, RejectedBundles) belong to the serving identity, not to
-// any one engine; ModelEntry.Snapshot fills them in. Presenters that show aggregates next to the per-shard breakdown must
-// derive both from one Snapshot (see telemetry.EngineSnapshot.Totals)
-// rather than snapshotting twice, or the two views drift under live
-// traffic.
+// Snapshot returns the engine's full telemetry state in one pass: its
+// counter group as the one row of Shards, the sampled gauges (busy handlers,
+// cache entries), the replica count, and the generation and model identity.
+// The roll counters (Reloads, RejectedBundles) belong to the serving
+// identity, not to any one engine; ModelEntry.Snapshot fills them in.
 func (se *ShardedEngine) Snapshot() telemetry.EngineSnapshot {
-	es := telemetry.EngineSnapshot{
+	entries, _ := se.cache.Stats()
+	subEntries, subBytes := se.convCache.Stats()
+	tmplEntries, tmplBytes := se.tmplCache.Stats()
+	return telemetry.EngineSnapshot{
 		Generation: se.gen,
 		ModelName:  se.name,
 		Params:     se.params,
-		Shards:     make([]telemetry.ShardSnapshot, len(se.shards)),
+		Replicas:   se.Shards(),
+		Shards: []telemetry.ShardSnapshot{se.tel.Snapshot(telemetry.ShardGauges{
+			Queued:          int(se.busy.Load()),
+			Replicas:        se.Shards(),
+			CacheEntries:    entries,
+			SubtreeEntries:  subEntries,
+			SubtreeBytes:    subBytes,
+			TemplateEntries: tmplEntries,
+			TemplateBytes:   tmplBytes,
+			Generation:      se.gen,
+		})},
 	}
-	for i, sh := range se.shards {
-		snap := sh.Snapshot()
-		snap.Shard = i
-		es.Shards[i] = snap
-	}
-	return es
 }

@@ -11,8 +11,8 @@ import (
 	"prestroid/internal/workload"
 )
 
-// stubShards builds a sharded engine over n independent stub models so
-// tests can see exactly which replica served which query.
+// stubShards builds an engine over n independent stub replicas so tests can
+// see exactly which replica served which query.
 func stubShards(t *testing.T, n int, cfg Config) (*ShardedEngine, []*stubModel) {
 	t.Helper()
 	stubs := make([]*stubModel, n)
@@ -26,30 +26,69 @@ func stubShards(t *testing.T, n int, cfg Config) (*ShardedEngine, []*stubModel) 
 	return se, stubs
 }
 
-// predictOn computes sql on one shard past every prediction cache — its
-// front end, its replica — which is what a detour to that shard
-// answers.
-func predictOn(sh *Engine, sql string) (Prediction, error) {
-	return sh.miss(context.Background(), sql, CanonicalSQL(sql), tmplLookup{})
+// replicasOf lists se's replicas, in the order the pool hands them out.
+func replicasOf(se *ShardedEngine) []*Predictor {
+	out := make([]*Predictor, se.Shards())
+	for i := range out {
+		out[i] = <-se.free
+	}
+	for _, r := range out {
+		se.free <- r
+	}
+	return out
 }
 
-// keyForShard returns SQL whose canonical key hashes to the wanted shard.
-func keyForShard(t *testing.T, se *ShardedEngine, shard int) string {
+// predictOn computes sql past the prediction cache — its front end, then
+// the model — on replica r alone: every other replica is held out of the
+// pool while it runs. For the call, r reads and fills the sub-tree cache
+// own instead of the engine's shared one, and nil runs r's whole conv
+// stack: through the shared cache, r could copy every pooled conv output
+// another replica computed and run only its own dense head.
+func predictOn(se *ShardedEngine, r *Predictor, own models.ConvCache, sql string) (Prediction, error) {
+	held := make([]*Predictor, se.Shards())
+	for i := range held {
+		held[i] = <-se.free
+	}
+	m := r.mustServe()
+	m.SetConvCache(own)
+	se.free <- r
+	p, err := se.miss(context.Background(), sql, tmplLookup{})
+	<-se.free // r, back from the call
+	if se.convCache != nil {
+		m.SetConvCache(se.convCache)
+	} else {
+		m.SetConvCache(nil)
+	}
+	for _, h := range held {
+		se.free <- h
+	}
+	return p, err
+}
+
+// sameParentHome returns two distinct queries whose canonical keys FNV-1a
+// homed to the same one of two shards when the engine bound each key to one
+// replica, so those two misses could never run at once.
+func sameParentHome(t *testing.T) (string, string) {
 	t.Helper()
+	var first string
 	for i := 0; i < 10000; i++ {
 		sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d", i)
-		if se.shardOf(CanonicalSQL(sql)) == shard {
-			return sql
+		if fnv32a(CanonicalSQL(sql))%2 != 0 {
+			continue
 		}
+		if first != "" {
+			return first, sql
+		}
+		first = sql
 	}
-	t.Fatalf("no key found for shard %d", shard)
-	return ""
+	t.Fatal("no two keys share a home")
+	return "", ""
 }
 
 // TestShardedMatchesSerial is the replica-correctness gate: with any
 // replica count, identical SQL yields byte-identical predictions to the
-// serialised single-replica path — through the dispatcher, through every
-// shard queried directly, and on a repeat (cached) lookup.
+// serialised single-replica path — through the engine, on every replica
+// alone, and on a repeat (cached) lookup.
 func TestShardedMatchesSerial(t *testing.T) {
 	pred := newTestPredictor(t)
 	queries := []string{
@@ -73,8 +112,8 @@ func TestShardedMatchesSerial(t *testing.T) {
 		cfg.Replicas = replicas
 		preds := Replicas(pred, replicas)
 		if replicas > 1 {
-			// Sharding must never mutate the caller's predictor: every
-			// shard gets a clone, so pred keeps full-width forward fan-out
+			// Replicas must never mutate the caller's predictor: every
+			// replica is a clone, so pred keeps full-width forward fan-out
 			// on the serialised path after the engine closes.
 			for _, p := range preds {
 				if p == pred || p.Model == pred.Model {
@@ -84,7 +123,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		}
 		se := NewShardedEngine(preds, cfg)
 		if se.Shards() != replicas {
-			t.Fatalf("built %d shards, want %d (model supports cloning)", se.Shards(), replicas)
+			t.Fatalf("built %d replicas, want %d (model supports cloning)", se.Shards(), replicas)
 		}
 		for i, sql := range queries {
 			got, _, err := se.PredictSQLGenCtx(ctx, sql)
@@ -101,15 +140,15 @@ func TestShardedMatchesSerial(t *testing.T) {
 			if again != serial[i] {
 				t.Fatalf("replicas=%d query %d: cached %+v != serial %+v", replicas, i, again, serial[i])
 			}
-			// Every shard — not just the home shard — must agree byte for
-			// byte, or an admission detour could change answers.
-			for si, sh := range se.shards {
-				direct, err := predictOn(sh, sql)
+			// Every replica must agree byte for byte, or which one was free
+			// could change answers. Each runs its own conv stack.
+			for ri, r := range replicasOf(se) {
+				direct, err := predictOn(se, r, nil, sql)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if direct != serial[i] {
-					t.Fatalf("replicas=%d shard %d query %d: %+v != serial %+v", replicas, si, i, direct, serial[i])
+					t.Fatalf("replicas=%d replica %d query %d: %+v != serial %+v", replicas, ri, i, direct, serial[i])
 				}
 			}
 		}
@@ -117,84 +156,87 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedDispatchStable checks the dispatcher sends a template to one
-// home shard, every time — the property per-shard caching and single-flight
-// dedup rest on.
+// TestShardedDispatchStable checks what a miss costs on a pool of three
+// replicas: one model call each time, whichever replica is free, with the
+// prediction cache off; with it on, one call and one cache entry per key.
 func TestShardedDispatchStable(t *testing.T) {
-	se, stubs := stubShards(t, 3, Config{})
 	sql := "SELECT a FROM t WHERE a > 5"
+	calls := func(stubs []*stubModel) (n int64) {
+		for _, st := range stubs {
+			n += st.predicts.Load()
+		}
+		return n
+	}
+	se, stubs := stubShards(t, 3, Config{})
+	cached, cachedStubs := stubShards(t, 3, Config{CacheSize: 8})
 	for i := 0; i < 10; i++ {
 		if _, err := se.PredictSQL(sql); err != nil {
 			t.Fatal(err)
 		}
-	}
-	served := 0
-	for _, st := range stubs {
-		if n := st.predicts.Load(); n > 0 {
-			served++
-			if n != 10 {
-				t.Fatalf("home shard predicted %d times, want 10 (cache disabled)", n)
-			}
+		if _, err := cached.PredictSQL(sql); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if served != 1 {
-		t.Fatalf("one template touched %d shards, want exactly 1", served)
+	if n := calls(stubs); n != 10 {
+		t.Fatalf("10 misses ran %d model calls, want 10 (cache disabled)", n)
+	}
+	if n := calls(cachedStubs); n != 1 {
+		t.Fatalf("one key ran %d model calls with the cache on, want 1", n)
+	}
+	if n, _ := cached.cache.Stats(); n != 1 {
+		t.Fatalf("one key left %d cache entries, want 1", n)
 	}
 }
 
-// TestShardedSaturationFallback exercises the detour directly on model-less
-// engines whose load is fully controlled: under a 10 ms bound, a home shard
-// saturated past it diverts to an idle peer, and keeps its traffic once its
-// load drops inside it; without a bound (MaxEstWait 0) the same saturated
-// home keeps its traffic. TestDispatchSinglePolicy walks the whole table.
+// TestShardedSaturationFallback pins the pool's admit/shed rule on a
+// model-less engine whose load is fully controlled: under a 10 ms bound, 40
+// handlers on two replicas at 1 ms a call (20 ms) are shed, and admitted once
+// the load drops inside the bound; without a bound (MaxEstWait 0) the same
+// load is admitted. TestDispatchSinglePolicy walks the whole table.
 func TestShardedSaturationFallback(t *testing.T) {
-	full := waitEngine(20, 1000) // 20 ms
-	idle := waitEngine(0, 0)
-	se := &ShardedEngine{shards: []*Engine{full, idle}, maxEstWaitMicros: 10_000}
-
-	if got, _, shed := se.admit(full); shed || got != idle {
-		t.Fatal("saturated home shard did not divert to the idle shard")
+	se := waitEngine(40, 1000, 2)
+	se.maxEstWaitMicros = 10_000
+	if wait, shed := se.admit(); !shed || wait != 20_000 {
+		t.Fatalf("a saturated pool: admit = %v µs, shed %v; want a shed at 20000", wait, shed)
 	}
-	full.busy.Store(1)
-	if got, _, shed := se.admit(full); shed || got != full {
-		t.Fatal("home shard inside the bound lost its traffic")
+	se.busy.Store(2)
+	if wait, shed := se.admit(); shed || wait != 1000 {
+		t.Fatalf("a pool inside the bound: admit = %v µs, shed %v; want admitted at 1000", wait, shed)
 	}
-	full.busy.Store(20)
+	se.busy.Store(40)
 	se.maxEstWaitMicros = 0
-	if got, _, shed := se.admit(full); shed || got != full {
-		t.Fatal("without a bound, a saturated home shard lost its traffic")
+	if _, shed := se.admit(); shed {
+		t.Fatal("without a bound, a saturated pool shed a miss")
 	}
 }
 
 // TestShardedDetourChecksHomeCache pins overload behaviour: a query whose
-// home shard is past the admission bound but already holds its cached answer
-// is served from that cache, not recomputed on the idle peer. The engines
-// here have no model, so any path other than the home cache hit would panic.
+// estimated wait is past the admission bound but whose answer is cached is
+// served from the cache, not shed. The engine has no model, so any path
+// other than the cache hit would panic.
 func TestShardedDetourChecksHomeCache(t *testing.T) {
-	home := waitEngine(20, 1000)
-	home.cache = newPredictionCache(4, &home.tel.CacheHits, &home.tel.CacheMisses)
-	other := waitEngine(0, 0)
-	other.cache = newPredictionCache(4, &other.tel.CacheHits, &other.tel.CacheMisses)
-	se := &ShardedEngine{shards: []*Engine{home, other}, maxEstWaitMicros: 10_000}
+	se := waitEngine(40, 1000, 2)
+	se.maxEstWaitMicros = 10_000
+	se.cache = newPredictionCache(4, &se.tel.CacheHits, &se.tel.CacheMisses)
 
-	sql := keyForShard(t, se, 0)
+	sql := "SELECT a FROM t WHERE a > 5"
 	want := Prediction{CPUMinutes: 42, Normalized: 0.5, PlanNodes: 3}
-	home.cache.Put(CanonicalSQL(sql), want)
+	se.cache.Put(CanonicalSQL(sql), want)
 
 	got, err := se.PredictSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("detour returned %+v, want home-cached %+v", got, want)
+		t.Fatalf("overloaded engine returned %+v, want the cached %+v", got, want)
 	}
-	if hits, misses := other.tel.CacheHits.Load(), other.tel.CacheMisses.Load(); hits != 0 || misses != 0 {
-		t.Fatalf("detour shard cache touched (%d/%d) for a home-cached answer", hits, misses)
+	if shed := se.tel.Shed.Load(); shed != 0 {
+		t.Fatalf("a cached answer was counted shed %d times", shed)
 	}
 }
 
 // gateModel is a stub whose PredictInto blocks until released, signalling
-// entry — a deterministic probe that two shards have their models inside a
+// entry — a deterministic probe that two replicas have their models inside a
 // prediction at the same instant, which one replica can never do.
 type gateModel struct {
 	stubModel
@@ -208,8 +250,9 @@ func (g *gateModel) PredictInto(batch []*workload.Trace, dst []float64) {
 	g.stubModel.PredictInto(batch, dst)
 }
 
-// TestShardsOverlapModelCalls proves the architecture's point: two queries
-// homed to different shards execute their model calls concurrently.
+// TestShardsOverlapModelCalls proves the pool's point: two misses run their
+// model calls at once on two replicas, even when their keys hashed to the
+// same shard back when each key was bound to one replica and waited for it.
 func TestShardsOverlapModelCalls(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
@@ -221,8 +264,8 @@ func TestShardsOverlapModelCalls(t *testing.T) {
 	t.Cleanup(se.Close)
 
 	done := make(chan error, 2)
-	for shard := 0; shard < 2; shard++ {
-		sql := keyForShard(t, se, shard)
+	a, b := sameParentHome(t)
+	for _, sql := range []string{a, b} {
 		go func() {
 			_, err := se.PredictSQL(sql)
 			done <- err
@@ -232,7 +275,7 @@ func TestShardsOverlapModelCalls(t *testing.T) {
 		select {
 		case <-entered:
 		case <-time.After(10 * time.Second):
-			t.Fatal("shards never overlapped: only one model call in flight")
+			t.Fatal("replicas never overlapped: only one model call in flight")
 		}
 	}
 	close(release)
@@ -244,12 +287,10 @@ func TestShardsOverlapModelCalls(t *testing.T) {
 }
 
 // TestShardedMetricsAggregate checks the totals of one engine snapshot are
-// the exact sum of its per-shard groups and that the cache budget is
-// segmented.
+// its one row, and that the cache budget is the engine's whole: 12 entries
+// hold 12 keys, whatever the replica count.
 func TestShardedMetricsAggregate(t *testing.T) {
-	// Cache sized so each shard's segment (48/4 = 12) holds every key that
-	// could land on it: no evictions, so the second round is all hits.
-	se, _ := stubShards(t, 4, Config{CacheSize: 48})
+	se, _ := stubShards(t, 4, Config{CacheSize: 12})
 	for i := 0; i < 24; i++ {
 		if _, err := se.PredictSQL(fmt.Sprintf("SELECT a FROM t WHERE a > %d", i%12)); err != nil {
 			t.Fatal(err)
@@ -257,31 +298,22 @@ func TestShardedMetricsAggregate(t *testing.T) {
 	}
 	snap := se.Snapshot()
 	agg := snap.Totals()
-	per := snap.Shards
-	if len(per) != 4 {
-		t.Fatalf("shard metrics = %d entries, want 4", len(per))
+	if len(snap.Shards) != 1 || snap.Replicas != 4 {
+		t.Fatalf("snapshot has %d rows over %d replicas, want 1 over 4", len(snap.Shards), snap.Replicas)
 	}
-	var batches, coalesced, hits, misses int64
-	var entries int
-	for _, m := range per {
-		batches += m.Batches
-		coalesced += m.Coalesced
-		hits += m.CacheHits
-		misses += m.CacheMisses
-		entries += m.CacheEntries
-	}
-	if agg.Batches != batches || agg.Coalesced != coalesced ||
-		agg.CacheHits != hits || agg.CacheMisses != misses || agg.CacheEntries != entries {
-		t.Fatalf("aggregate %+v != sum of shards", agg)
+	m := snap.Shards[0]
+	if agg.Batches != m.Batches || agg.Coalesced != m.Coalesced ||
+		agg.CacheHits != m.CacheHits || agg.CacheMisses != m.CacheMisses || agg.CacheEntries != m.CacheEntries {
+		t.Fatalf("aggregate %+v != the engine's row %+v", agg, m)
 	}
 	// Only misses reach a model: 12 distinct templates, queried twice.
 	if agg.Coalesced != 12 {
 		t.Fatalf("coalesced = %d, want 12 (cache hits bypass the models)", agg.Coalesced)
 	}
-	// 12 distinct templates queried twice: every repeat hits its home
-	// shard's cache segment.
-	if agg.CacheHits != 12 || agg.CacheMisses != 12 {
-		t.Fatalf("cache counters = %d/%d, want 12/12", agg.CacheHits, agg.CacheMisses)
+	// 12 distinct templates queried twice: the whole budget holds all 12,
+	// so every repeat hits.
+	if agg.CacheHits != 12 || agg.CacheMisses != 12 || agg.CacheEntries != 12 {
+		t.Fatalf("cache hits/misses/entries = %d/%d/%d, want 12/12/12", agg.CacheHits, agg.CacheMisses, agg.CacheEntries)
 	}
 }
 

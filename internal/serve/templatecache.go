@@ -5,10 +5,8 @@ import (
 	"prestroid/internal/telemetry"
 )
 
-// templateCache is one shard's segment of its engine's template cache, keyed
-// by the ExtractTemplate canonical form. An engine's segments form one cache:
-// a template lives in the segment of the shard its key hashes to, whichever
-// shard computed it, so each template is held once per engine.
+// templateCache is the engine's template cache, keyed by the
+// ExtractTemplate canonical form, holding each template once.
 //
 // An entry is the parsed skeleton, the plan shape and, once a prediction of
 // the template has been computed, that prediction's normalised answer. The
@@ -16,8 +14,8 @@ import (
 // variant of a template encodes to the same trees and the model gives them
 // the same answer: from the second prediction on, a template costs its key
 // extraction and this lookup (see ShardedEngine.predictKey). The answer is
-// weight-dependent, and safe to keep for the segment's whole life because the
-// segment belongs to one engine and an engine serves one identity: no answer
+// weight-dependent, and safe to keep for the cache's whole life because the
+// cache belongs to one engine and an engine serves one identity: no answer
 // crosses a roll. An engine whose pipeline hashes predicate text
 // (HashedPredicates) encodes literals, so it never stores an answer; its
 // entries stay skeletons, which a hit rebinds with the query's literals and
@@ -39,7 +37,7 @@ func newTemplateCache(max int, hits, misses *telemetry.Counter) *templateCache {
 	return newLRU(max, hits, misses, admitTemplate, templateBytes)
 }
 
-// admitTemplate is the segment's one replace rule: an answered deposit
+// admitTemplate is the cache's one replace rule: an answered deposit
 // replaces an unanswered entry, never the reverse, and a present entry is
 // otherwise kept.
 func admitTemplate(old *templateEntry, present bool, in *templateEntry) (*templateEntry, bool) {
@@ -54,28 +52,25 @@ func templateBytes(key string, _ *templateEntry) int64 {
 }
 
 // tmplLookup is a query's place in its engine's template cache: the key and
-// literal vector ExtractTemplate produced, the segment the key homes to, and
-// the entry found there (nil on a miss). The zero value is a query without
+// literal vector ExtractTemplate produced, and the entry found under the key
+// (nil on a miss). The zero value, with an empty key, is a query without
 // one: the cache is off, or the query has no template key.
 type tmplLookup struct {
 	key  string
 	lits []sqlparse.TemplateLiteral
-	seg  *templateCache
 	ent  *templateEntry
 }
 
 // lookupTemplate extracts sql's template key and literals in one lexer pass
-// and reads the key's entry from the segment of the shard the key hashes to,
-// whichever shard asks.
-func (e *Engine) lookupTemplate(sql string) tmplLookup {
-	if e.tmplCache == nil {
+// and reads the key's entry.
+func (se *ShardedEngine) lookupTemplate(sql string) tmplLookup {
+	if se.tmplCache == nil {
 		return tmplLookup{}
 	}
 	key, lits, ok := sqlparse.ExtractTemplate(sql)
 	if !ok {
 		return tmplLookup{}
 	}
-	seg := e.shards[fnv32a(key)%uint32(len(e.shards))].tmplCache
-	ent, _ := seg.Get(key)
-	return tmplLookup{key: key, lits: lits, seg: seg, ent: ent}
+	ent, _ := se.tmplCache.Get(key)
+	return tmplLookup{key: key, lits: lits, ent: ent}
 }

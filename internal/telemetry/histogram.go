@@ -165,7 +165,3 @@ func ExponentialBuckets(start, factor float64, n int) []int64 {
 // factor bounds the relative error of bucket-derived quantiles at one bucket
 // width (~50%); in practice linear interpolation lands much closer.
 func LatencyBuckets() []int64 { return ExponentialBuckets(25, 1.5, 37) }
-
-// BatchBuckets returns the batch-size bucket bounds, matching the
-// /v1/stats histogram labels ("1", "2", "3-4", ..., "17-32", "33+").
-func BatchBuckets() []int64 { return []int64{1, 2, 4, 8, 16, 32} }

@@ -34,7 +34,6 @@ func TestExponentialBucketsStrictlyIncreasing(t *testing.T) {
 	for _, bounds := range [][]int64{
 		ExponentialBuckets(1, 1.1, 50), // rounding collisions forced at the low end
 		LatencyBuckets(),
-		BatchBuckets(),
 	} {
 		for i := 1; i < len(bounds); i++ {
 			if bounds[i] <= bounds[i-1] {
@@ -94,7 +93,7 @@ func TestQuantileAccuracy(t *testing.T) {
 }
 
 func TestQuantileEdgeCases(t *testing.T) {
-	h := NewHistogram(BatchBuckets())
+	h := NewHistogram([]int64{1, 2, 4, 8, 16, 32})
 	if got := h.Snapshot().Quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
@@ -111,8 +110,8 @@ func TestQuantileEdgeCases(t *testing.T) {
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(BatchBuckets())
-	b := NewHistogram(BatchBuckets())
+	a := NewHistogram([]int64{1, 2, 4, 8, 16, 32})
+	b := NewHistogram([]int64{1, 2, 4, 8, 16, 32})
 	a.Observe(1)
 	a.Observe(3)
 	b.Observe(100)
@@ -175,7 +174,7 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 				h.Observe(int64(w*perWriter + i))
 				g.Batches.Inc()
 				g.Coalesced.Add(2)
-				g.BatchSizes.Observe(int64(i%40 + 1))
+				g.ServiceTime.Observe(float64(i%40 + 1))
 				g.CacheHits.Inc()
 				rc.Observe("/a", 200)
 				rc.Observe("/b", 404)

@@ -114,22 +114,15 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		p.printf("prestroid_model_parameters{model=%s,architecture=%s} %d\n",
 			quoteLabel(m.Name), quoteLabel(m.Engine.ModelName), m.Engine.Params)
 	}
-	p.header("prestroid_shards", "Live shard (model replica) count, per model.", "gauge")
+	p.header("prestroid_shards", "Model replica count, per model.", "gauge")
 	for _, m := range ms {
-		p.printf("prestroid_shards{model=%s} %d\n", quoteLabel(m.Name), len(m.Engine.Shards))
+		p.printf("prestroid_shards{model=%s} %d\n", quoteLabel(m.Name), m.Engine.Replicas)
 	}
 
 	p.shardSeries("prestroid_shard_batches_total", "Model calls, per shard.", "counter",
 		ms, func(s ShardSnapshot) int64 { return s.Batches })
 	p.shardSeries("prestroid_shard_coalesced_total", "Queries answered by model calls, single-flight followers included, per shard.", "counter",
 		ms, func(s ShardSnapshot) int64 { return s.Coalesced })
-	p.header("prestroid_shard_batch_size", "Rows per model call, per shard.", "histogram")
-	for _, m := range ms {
-		for _, sh := range m.Engine.Shards {
-			p.histogram("prestroid_shard_batch_size",
-				fmt.Sprintf(`model=%s,shard="%d"`, quoteLabel(m.Name), sh.Shard), sh.BatchSizes, 1)
-		}
-	}
 	p.shardSeries("prestroid_shard_cache_hits_total", "Prediction-cache hits, per shard.", "counter",
 		ms, func(s ShardSnapshot) int64 { return s.CacheHits })
 	p.shardSeries("prestroid_shard_cache_misses_total", "Prediction-cache misses, per shard.", "counter",
@@ -152,7 +145,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		ms, func(s ShardSnapshot) int64 { return int64(s.TemplateEntries) })
 	p.shardSeries("prestroid_shard_template_cache_bytes", "Payload bytes held by the prepared-template cache, per shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return s.TemplateBytes })
-	p.shardSeries("prestroid_shard_queue_depth", "Handlers waiting for or holding the shard's model replica, per shard.", "gauge",
+	p.shardSeries("prestroid_shard_queue_depth", "Handlers waiting for or holding a model replica, per shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return int64(s.Queued) })
 	p.shardSeries("prestroid_shard_generation", "Predictor-identity generation serving on each shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return s.Generation })
@@ -162,7 +155,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		ms, func(s ShardSnapshot) int64 { return s.Expired })
 	p.shardFloatSeries("prestroid_shard_service_time_seconds", "EWMA per-call model round trip, wait excluded, per shard (0 until the first call).", "gauge",
 		ms, func(s ShardSnapshot) float64 { return s.ServiceTimeMicros / 1e6 })
-	p.shardFloatSeries("prestroid_shard_est_wait_seconds", "Estimated wait for the replica: handlers waiting for or holding it times EWMA service time, per shard.", "gauge",
+	p.shardFloatSeries("prestroid_shard_est_wait_seconds", "Estimated wait for a replica: 0 while one is free, else handlers waiting for or holding one times EWMA service time over the replica count, per shard.", "gauge",
 		ms, func(s ShardSnapshot) float64 { return s.EstWaitMicros / 1e6 })
 
 	p.header("prestroid_shadow_mirrored_total", "Live requests the staged shadow bundle re-predicted off the hot path.", "counter")

@@ -9,22 +9,12 @@ import (
 // live state plus a second identity mid-shadow-roll, so the golden text pins
 // the model labelling, the staged-roll series and the shadow-delta series in
 // one place. The latency and delta histograms use small bucket sets so the
-// golden text stays readable; the shard histograms use the real batch
-// buckets.
+// golden text stays readable.
 func goldenSnapshot() Snapshot {
 	lat := NewHistogram([]int64{1000, 10000, 100000})
 	lat.Observe(500)
 	lat.Observe(2000)
 	lat.Observe(2_000_000)
-
-	bs0 := NewHistogram(BatchBuckets())
-	for _, v := range []int64{1, 1, 1, 2, 5} {
-		bs0.Observe(v)
-	}
-	bs1 := NewHistogram(BatchBuckets())
-	bs1.Observe(1)
-	bs1.Observe(1)
-	bsBeta := NewHistogram(BatchBuckets())
 
 	delta := NewHistogram([]int64{1000, 1000000})
 	delta.Observe(500)
@@ -60,14 +50,15 @@ func goldenSnapshot() Snapshot {
 					RejectedBundles: 1,
 					ModelName:       "prestroid",
 					Params:          12345,
+					Replicas:        2,
 					Shards: []ShardSnapshot{
-						{Shard: 0, Batches: 5, Coalesced: 9, BatchSizes: bs0.Snapshot(),
+						{Shard: 0, Batches: 5, Coalesced: 9,
 							CacheHits: 7, CacheMisses: 5, CacheEntries: 4,
 							SubtreeHits: 11, SubtreeMisses: 6, SubtreeEntries: 3, SubtreeBytes: 384,
 							TemplateHits: 9, TemplateMisses: 4, TemplateEntries: 2, TemplateBytes: 512,
 							Shed: 3, Expired: 1, Panics: 1, ServiceTimeMicros: 1500, EstWaitMicros: 1500,
 							Queued: 1, Generation: 2},
-						{Shard: 1, Batches: 2, Coalesced: 2, BatchSizes: bs1.Snapshot(),
+						{Shard: 1, Batches: 2, Coalesced: 2,
 							CacheMisses: 2, CacheEntries: 2,
 							SubtreeMisses: 2, SubtreeEntries: 2, SubtreeBytes: 256,
 							TemplateMisses: 1, TemplateEntries: 1, TemplateBytes: 128,
@@ -83,8 +74,9 @@ func goldenSnapshot() Snapshot {
 					Generation: 1,
 					ModelName:  "prestroid",
 					Params:     12345,
+					Replicas:   1,
 					Shards: []ShardSnapshot{
-						{Shard: 0, BatchSizes: bsBeta.Snapshot(), Generation: 1},
+						{Shard: 0, Generation: 1},
 					},
 				},
 				Staged: &EngineSnapshot{Generation: 2},
@@ -173,7 +165,7 @@ prestroid_model_aborts_total{model="beta"} 1
 # TYPE prestroid_model_parameters gauge
 prestroid_model_parameters{model="default",architecture="prestroid"} 12345
 prestroid_model_parameters{model="beta",architecture="prestroid"} 12345
-# HELP prestroid_shards Live shard (model replica) count, per model.
+# HELP prestroid_shards Model replica count, per model.
 # TYPE prestroid_shards gauge
 prestroid_shards{model="default"} 2
 prestroid_shards{model="beta"} 1
@@ -187,35 +179,6 @@ prestroid_shard_batches_total{model="beta",shard="0"} 0
 prestroid_shard_coalesced_total{model="default",shard="0"} 9
 prestroid_shard_coalesced_total{model="default",shard="1"} 2
 prestroid_shard_coalesced_total{model="beta",shard="0"} 0
-# HELP prestroid_shard_batch_size Rows per model call, per shard.
-# TYPE prestroid_shard_batch_size histogram
-prestroid_shard_batch_size_bucket{model="default",shard="0",le="1"} 3
-prestroid_shard_batch_size_bucket{model="default",shard="0",le="2"} 4
-prestroid_shard_batch_size_bucket{model="default",shard="0",le="4"} 4
-prestroid_shard_batch_size_bucket{model="default",shard="0",le="8"} 5
-prestroid_shard_batch_size_bucket{model="default",shard="0",le="16"} 5
-prestroid_shard_batch_size_bucket{model="default",shard="0",le="32"} 5
-prestroid_shard_batch_size_bucket{model="default",shard="0",le="+Inf"} 5
-prestroid_shard_batch_size_sum{model="default",shard="0"} 10
-prestroid_shard_batch_size_count{model="default",shard="0"} 5
-prestroid_shard_batch_size_bucket{model="default",shard="1",le="1"} 2
-prestroid_shard_batch_size_bucket{model="default",shard="1",le="2"} 2
-prestroid_shard_batch_size_bucket{model="default",shard="1",le="4"} 2
-prestroid_shard_batch_size_bucket{model="default",shard="1",le="8"} 2
-prestroid_shard_batch_size_bucket{model="default",shard="1",le="16"} 2
-prestroid_shard_batch_size_bucket{model="default",shard="1",le="32"} 2
-prestroid_shard_batch_size_bucket{model="default",shard="1",le="+Inf"} 2
-prestroid_shard_batch_size_sum{model="default",shard="1"} 2
-prestroid_shard_batch_size_count{model="default",shard="1"} 2
-prestroid_shard_batch_size_bucket{model="beta",shard="0",le="1"} 0
-prestroid_shard_batch_size_bucket{model="beta",shard="0",le="2"} 0
-prestroid_shard_batch_size_bucket{model="beta",shard="0",le="4"} 0
-prestroid_shard_batch_size_bucket{model="beta",shard="0",le="8"} 0
-prestroid_shard_batch_size_bucket{model="beta",shard="0",le="16"} 0
-prestroid_shard_batch_size_bucket{model="beta",shard="0",le="32"} 0
-prestroid_shard_batch_size_bucket{model="beta",shard="0",le="+Inf"} 0
-prestroid_shard_batch_size_sum{model="beta",shard="0"} 0
-prestroid_shard_batch_size_count{model="beta",shard="0"} 0
 # HELP prestroid_shard_cache_hits_total Prediction-cache hits, per shard.
 # TYPE prestroid_shard_cache_hits_total counter
 prestroid_shard_cache_hits_total{model="default",shard="0"} 7
@@ -271,7 +234,7 @@ prestroid_shard_template_cache_entries{model="beta",shard="0"} 0
 prestroid_shard_template_cache_bytes{model="default",shard="0"} 512
 prestroid_shard_template_cache_bytes{model="default",shard="1"} 128
 prestroid_shard_template_cache_bytes{model="beta",shard="0"} 0
-# HELP prestroid_shard_queue_depth Handlers waiting for or holding the shard's model replica, per shard.
+# HELP prestroid_shard_queue_depth Handlers waiting for or holding a model replica, per shard.
 # TYPE prestroid_shard_queue_depth gauge
 prestroid_shard_queue_depth{model="default",shard="0"} 1
 prestroid_shard_queue_depth{model="default",shard="1"} 0
@@ -296,7 +259,7 @@ prestroid_shard_expired_total{model="beta",shard="0"} 0
 prestroid_shard_service_time_seconds{model="default",shard="0"} 0.0015
 prestroid_shard_service_time_seconds{model="default",shard="1"} 0
 prestroid_shard_service_time_seconds{model="beta",shard="0"} 0
-# HELP prestroid_shard_est_wait_seconds Estimated wait for the replica: handlers waiting for or holding it times EWMA service time, per shard.
+# HELP prestroid_shard_est_wait_seconds Estimated wait for a replica: 0 while one is free, else handlers waiting for or holding one times EWMA service time over the replica count, per shard.
 # TYPE prestroid_shard_est_wait_seconds gauge
 prestroid_shard_est_wait_seconds{model="default",shard="0"} 0.0015
 prestroid_shard_est_wait_seconds{model="default",shard="1"} 0

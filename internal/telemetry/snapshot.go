@@ -1,44 +1,49 @@
 package telemetry
 
-// ShardGroup is the per-shard counter group: one per engine shard, written
-// by the handlers running that shard's misses and by its caches with atomic
-// adds only. Gauges that are properties of other structures (busy handlers,
-// cache entries, weight generation) are sampled by the owner at snapshot
-// time rather than mirrored on every change.
+// ShardGroup is an engine's counter group, written by the handlers running
+// its misses and by its caches with atomic adds only. Gauges that are
+// properties of other structures (busy handlers, cache entries, weight
+// generation) are sampled by the owner at snapshot time rather than
+// mirrored on every change.
 type ShardGroup struct {
 	Batches        Counter // model calls, one row each
 	Coalesced      Counter // queries those calls answered, single-flight followers included
 	CacheHits      Counter
 	CacheMisses    Counter
-	SubtreeHits    Counter    // pooled-conv partial results served from cache
-	SubtreeMisses  Counter    // sub-tree convolutions actually computed
-	TemplateHits   Counter    // front-end passes replaced by a template rebind
-	TemplateMisses Counter    // full lex/parse/plan/featurize passes
-	Shed           Counter    // queries refused by bounded-wait admission
-	Expired        Counter    // queries dropped because their deadline passed
-	Panics         Counter    // model calls that panicked and failed their query
-	BatchSizes     *Histogram // rows per model call
-	ServiceTime    EWMA       // per-call model round trip, wait excluded, microseconds
+	SubtreeHits    Counter // pooled-conv partial results served from cache
+	SubtreeMisses  Counter // sub-tree convolutions actually computed
+	TemplateHits   Counter // front-end passes replaced by a template rebind
+	TemplateMisses Counter // full lex/parse/plan/featurize passes
+	Shed           Counter // queries refused by bounded-wait admission
+	Expired        Counter // queries dropped because their deadline passed
+	Panics         Counter // model calls that panicked and failed their query
+	ServiceTime    EWMA    // per-call model round trip, wait excluded, microseconds
 }
 
-// NewShardGroup builds a shard group with the standard batch-size buckets.
-func NewShardGroup() *ShardGroup {
-	return &ShardGroup{BatchSizes: NewHistogram(BatchBuckets())}
-}
+// NewShardGroup builds an empty counter group.
+func NewShardGroup() *ShardGroup { return &ShardGroup{} }
 
-// EstWaitMicros is the admission controller's wait estimate for a shard
-// with `busy` handlers waiting for or holding its replica: busy times the
-// EWMA per-call service time. 0 means no estimate yet (cold shard) —
-// admission treats that as "no evidence of overload" and admits.
-func (g *ShardGroup) EstWaitMicros(busy int) float64 {
-	return float64(busy) * g.ServiceTime.Load()
+// EstWaitMicros is the admission controller's wait estimate for an engine
+// with `busy` handlers waiting for or holding one of its `replicas` model
+// replicas: 0 while fewer handlers than replicas are busy, so a free
+// replica is never priced as a wait, and otherwise busy times the EWMA
+// per-call service time, over the replica count. 0 is also the answer with
+// no samples yet (cold engine) — admission treats that as "no evidence of
+// overload" and admits.
+func (g *ShardGroup) EstWaitMicros(busy, replicas int) float64 {
+	replicas = max(replicas, 1)
+	if busy < replicas {
+		return 0
+	}
+	return float64(busy) * g.ServiceTime.Load() / float64(replicas)
 }
 
 // ShardGauges carries the point-in-time gauges a shard's owner samples at
 // snapshot time — state that lives in other structures (the replica's busy
 // count, caches, weight generation) rather than in the counter group.
 type ShardGauges struct {
-	Queued          int // handlers waiting for or holding the replica
+	Queued          int // handlers waiting for or holding a replica
+	Replicas        int // model replicas the handlers share
 	CacheEntries    int
 	SubtreeEntries  int
 	SubtreeBytes    int64
@@ -53,7 +58,6 @@ func (g *ShardGroup) Snapshot(gauges ShardGauges) ShardSnapshot {
 	return ShardSnapshot{
 		Batches:           g.Batches.Load(),
 		Coalesced:         g.Coalesced.Load(),
-		BatchSizes:        g.BatchSizes.Snapshot(),
 		CacheHits:         g.CacheHits.Load(),
 		CacheMisses:       g.CacheMisses.Load(),
 		CacheEntries:      gauges.CacheEntries,
@@ -69,7 +73,7 @@ func (g *ShardGroup) Snapshot(gauges ShardGauges) ShardSnapshot {
 		Expired:           g.Expired.Load(),
 		Panics:            g.Panics.Load(),
 		ServiceTimeMicros: g.ServiceTime.Load(),
-		EstWaitMicros:     g.EstWaitMicros(gauges.Queued),
+		EstWaitMicros:     g.EstWaitMicros(gauges.Queued, gauges.Replicas),
 		Queued:            gauges.Queued,
 		Generation:        gauges.Generation,
 	}
@@ -80,7 +84,6 @@ type ShardSnapshot struct {
 	Shard           int
 	Batches         int64
 	Coalesced       int64
-	BatchSizes      HistogramSnapshot
 	CacheHits       int64
 	CacheMisses     int64
 	CacheEntries    int
@@ -95,8 +98,8 @@ type ShardSnapshot struct {
 	// Shed and Expired count admission refusals and deadline drops charged
 	// to this shard, Panics the model calls that panicked; ServiceTimeMicros
 	// and EstWaitMicros are the live EWMA per-call service time and the
-	// busy × service-time wait estimate admission control decides on (0 = no
-	// samples yet); Queued is the busy count.
+	// busy × service-time ÷ replicas wait estimate admission control decides
+	// on (0 = no samples yet); Queued is the busy count.
 	Shed              int64
 	Expired           int64
 	Panics            int64
@@ -106,8 +109,9 @@ type ShardSnapshot struct {
 	Generation        int64
 }
 
-// EngineSnapshot is the sharded engine's full telemetry state: per-shard
-// groups plus the roll counters and the live model identity.
+// EngineSnapshot is an engine's full telemetry state: its counter group as
+// the one row of Shards, plus the roll counters, the replica count and the
+// live model identity.
 type EngineSnapshot struct {
 	// Generation is the generation of the (pipeline, normaliser, weights)
 	// identity the engine serves, the same on every shard.
@@ -121,16 +125,16 @@ type EngineSnapshot struct {
 	RejectedBundles int64
 	ModelName       string
 	Params          int
+	Replicas        int // model replicas the engine runs misses on
 	Shards          []ShardSnapshot
 }
 
-// ShardTotals is the cross-shard sum of one EngineSnapshot — derived from
-// the same per-shard numbers a presenter shows next to it, so the aggregate
-// and the breakdown can never disagree.
+// ShardTotals is the sum of one EngineSnapshot's rows — derived from the
+// same numbers a presenter shows next to it, so the aggregate and the rows
+// can never disagree.
 type ShardTotals struct {
 	Batches         int64
 	Coalesced       int64
-	BatchSizes      HistogramSnapshot
 	CacheHits       int64
 	CacheMisses     int64
 	CacheEntries    int
@@ -144,20 +148,18 @@ type ShardTotals struct {
 	TemplateBytes   int64
 	Shed            int64
 	Expired         int64
-	// MaxEstWaitMicros is the worst per-shard wait estimate — the number an
-	// operator compares against -max-est-wait, since admission sheds on the
-	// best candidate shard, not on a fleet average.
+	// MaxEstWaitMicros is the worst row's wait estimate — the number an
+	// operator compares against -max-est-wait, which admission sheds on.
 	MaxEstWaitMicros float64
 	Queued           int
 }
 
-// Totals sums the snapshot's per-shard groups.
+// Totals sums the snapshot's rows.
 func (e EngineSnapshot) Totals() ShardTotals {
 	var t ShardTotals
 	for _, s := range e.Shards {
 		t.Batches += s.Batches
 		t.Coalesced += s.Coalesced
-		t.BatchSizes = t.BatchSizes.Merge(s.BatchSizes)
 		t.CacheHits += s.CacheHits
 		t.CacheMisses += s.CacheMisses
 		t.CacheEntries += s.CacheEntries

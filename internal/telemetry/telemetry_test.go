@@ -73,22 +73,29 @@ func TestEWMAConcurrent(t *testing.T) {
 }
 
 // TestEstWaitMicros checks the admission estimate is queue depth times the
-// EWMA service time, with 0 as the no-evidence cold-shard answer.
+// EWMA service time over the replica count, with 0 as the no-evidence
+// cold-engine answer and while a replica is free.
 func TestEstWaitMicros(t *testing.T) {
 	g := NewShardGroup()
-	if got := g.EstWaitMicros(50); got != 0 {
-		t.Fatalf("cold shard estimate = %v, want 0 (no samples)", got)
+	if got := g.EstWaitMicros(50, 1); got != 0 {
+		t.Fatalf("cold estimate = %v, want 0 (no samples)", got)
 	}
 	g.ServiceTime.Observe(2000)
-	if got := g.EstWaitMicros(5); got != 10000 {
+	if got := g.EstWaitMicros(5, 1); got != 10000 {
 		t.Fatalf("estimate = %v, want 5×2000", got)
 	}
-	if got := g.EstWaitMicros(0); got != 0 {
+	if got := g.EstWaitMicros(5, 2); got != 5000 {
+		t.Fatalf("estimate over two replicas = %v, want 5×2000÷2", got)
+	}
+	if got := g.EstWaitMicros(0, 1); got != 0 {
 		t.Fatalf("empty queue estimate = %v, want 0", got)
 	}
-	snap := g.Snapshot(ShardGauges{Queued: 5})
-	if snap.ServiceTimeMicros != 2000 || snap.EstWaitMicros != 10000 {
-		t.Fatalf("snapshot carries %v/%v, want 2000/10000", snap.ServiceTimeMicros, snap.EstWaitMicros)
+	if got := g.EstWaitMicros(3, 4); got != 0 {
+		t.Fatalf("estimate with a replica free = %v, want 0", got)
+	}
+	snap := g.Snapshot(ShardGauges{Queued: 5, Replicas: 2})
+	if snap.ServiceTimeMicros != 2000 || snap.EstWaitMicros != 5000 {
+		t.Fatalf("snapshot carries %v/%v, want 2000/5000", snap.ServiceTimeMicros, snap.EstWaitMicros)
 	}
 }
 

@@ -92,10 +92,11 @@ start_server server_baseline.log
 curl -fsS "$base/v1/stats" >"$work/stats_baseline.json"
 stop_server
 
-# Calibrate the admission bound off the measured per-call service time: a
-# bound of 16 service times sheds once about 16 queries are ahead on every
-# shard, a small part of the load generator's 256 in flight, so overload is
-# refused well before it piles up behind the replicas.
+# Calibrate the admission bound off the measured per-call service time: the
+# wait estimate is the handlers waiting for or holding a replica × service
+# time ÷ replicas, so a bound of 16 service times sheds once about 16 queries
+# are ahead of each replica, a small part of the load generator's 256 in
+# flight, so overload is refused well before it piles up behind the replicas.
 # Clamped to [50ms, 150ms] so the p99 assertion keeps headroom over
 # scheduling noise.
 bound_ms=$(python3 - "$work/baseline.json" "$work/stats_baseline.json" <<'PY'
@@ -120,7 +121,7 @@ echo "baseline goodput ${baseline_goodput}/s; admission bound ${bound_ms}ms; ove
 
 echo "== phase B: shedding at $overload_rate req/s with -max-est-wait=${bound_ms}ms"
 start_server server_shed.log -max-est-wait "${bound_ms}ms"
-# Warm the service-time EWMA first: a cold shard estimates zero wait and
+# Warm the service-time EWMA first: a cold engine estimates zero wait and
 # admits everything, and the resulting pre-calibration queue spike would
 # pollute the measured run's percentiles.
 "$loadbin" -addr "$base" -rate 500 -duration 1s -joins "$joins" \
@@ -171,8 +172,7 @@ assert shed["retry_after_present"] == shed["count"], \
 # connection and scheduling noise of an oversubscribed test box.
 assert stats["p99_millis"] <= 2 * bound_ms, \
     f"server p99 {stats['p99_millis']}ms exceeds 2x bound {bound_ms}ms"
-# Every request does exactly one cache lookup, at its key's home shard,
-# before admission is decided — a hit is served whatever the load, a miss
+# Every request does exactly one cache lookup before admission is decided — a hit is served whatever the load, a miss
 # is then computed (2xx) or shed (429) — so the lookup total equals the 2xx
 # total plus the shed count across warmup + run: no request is looked up
 # twice, and none is answered without having been counted.
