@@ -9,6 +9,7 @@ package prestroid
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -437,14 +438,16 @@ func serveClients(b *testing.B, predict func(sql string) (serve.Prediction, erro
 	})
 }
 
-// BenchmarkServePredict drives a one-replica engine with 16 concurrent clients
+// BenchmarkServePredict drives a one-slot engine with 16 concurrent clients
 // on a repeated-template workload, after checking that it and the serialised
 // Predictor.PredictSQL reference return byte-identical predictions for
 // identical SQL. The legs keep the names they had when a batcher coalesced
 // misses, so their recorded baselines still match.
 func BenchmarkServePredict(b *testing.B) {
 	pred := servePredictor(b)
-	check := serve.NewShardedEngine([]*serve.Predictor{pred}, serve.DefaultConfig())
+	cfg := serve.DefaultConfig()
+	cfg.Replicas = 1
+	check := serve.NewShardedEngine(pred, cfg)
 	for _, sql := range serveTemplates {
 		serial, err := pred.PredictSQL(sql)
 		if err != nil {
@@ -461,17 +464,17 @@ func BenchmarkServePredict(b *testing.B) {
 	check.Close()
 
 	b.Run("coalesced", func(b *testing.B) {
-		eng := serve.NewShardedEngine([]*serve.Predictor{pred}, serve.DefaultConfig())
+		eng := serve.NewShardedEngine(pred, cfg)
 		defer eng.Close()
 		serveClients(b, eng.PredictSQL)
 	})
 	// Prediction cache disabled: every request takes the miss path, answered
-	// by the template cache or by a model call on the one replica, which the
-	// 16 clients take turns on.
+	// by the template cache or by a model call in the one slot, which the 16
+	// clients take turns on.
 	b.Run("coalesced-nocache", func(b *testing.B) {
-		cfg := serve.DefaultConfig()
-		cfg.CacheSize = 0
-		eng := serve.NewShardedEngine([]*serve.Predictor{pred}, cfg)
+		nocache := cfg
+		nocache.CacheSize = 0
+		eng := serve.NewShardedEngine(pred, nocache)
 		defer eng.Close()
 		serveClients(b, eng.PredictSQL)
 	})
@@ -485,7 +488,7 @@ func BenchmarkLoneMiss(b *testing.B) {
 	cfg := serve.DefaultConfig()
 	cfg.CacheSize = 0
 	cfg.TemplateCacheSize = 0 // every distinctSQL query shares one template
-	eng := serve.NewShardedEngine(serve.Replicas(pred, cfg.Replicas), cfg)
+	eng := serve.NewShardedEngine(pred, cfg)
 	defer eng.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -504,15 +507,15 @@ func distinctSQL(i int64) string {
 		i, i%97+1, i%19+1)
 }
 
-// BenchmarkShardedDistinctTemplates sweeps replica counts over the
-// all-distinct-template workload — the hard case where the prediction cache
-// absorbs nothing and every query runs the full model. With one replica,
-// throughput is capped at one model call at a time no matter how many cores
-// the host has; with N replicas a miss runs on whichever of N cloned models
-// is free, so up to N calls run at once and cache-miss-heavy QPS scales
-// with cores. On a single-core host the sweep degrades gracefully to
-// replicas=1 throughput. The Sharded* names are historical: the legs keep
-// them so their recorded baselines still match.
+// BenchmarkShardedDistinctTemplates sweeps slot counts (Config.Replicas)
+// over the all-distinct-template workload — the hard case where the
+// prediction cache absorbs nothing and every query runs the full model. With
+// one slot, throughput is capped at one model call at a time no matter how
+// many cores the host has; with N slots up to N calls run at once on the one
+// model, so cache-miss-heavy QPS scales with cores. On a single-core host
+// the sweep degrades gracefully to replicas=1 throughput. The Sharded* names
+// are historical: the legs keep them so their recorded baselines still
+// match.
 func BenchmarkShardedDistinctTemplates(b *testing.B) {
 	pred := servePredictor(b)
 	for _, replicas := range []int{1, 2, 4, 8} {
@@ -527,7 +530,7 @@ func BenchmarkShardedDistinctTemplates(b *testing.B) {
 			// the parse+encode this benchmark exists to measure.
 			cfg.SubtreeCacheSize = 0
 			cfg.TemplateCacheSize = 0
-			eng := serve.NewShardedEngine(serve.Replicas(pred, replicas), cfg)
+			eng := serve.NewShardedEngine(pred, cfg)
 			defer eng.Close()
 			driveClients(b, eng.PredictSQL, distinctSQL)
 		})
@@ -559,7 +562,7 @@ func BenchmarkShardedOverlappingTemplates(b *testing.B) {
 			// The shared template would also hit the prepared-template cache;
 			// off, so the win measured here is the sub-tree cache's alone.
 			cfg.TemplateCacheSize = 0
-			eng := serve.NewShardedEngine(serve.Replicas(pred, replicas), cfg)
+			eng := serve.NewShardedEngine(pred, cfg)
 			defer eng.Close()
 			driveClients(b, eng.PredictSQL, overlappingSQL)
 		})
@@ -619,6 +622,33 @@ func BenchmarkFrontEnd(b *testing.B) {
 	})
 }
 
+// BenchmarkServeEnginePaperWidth is the footprint of serving at the paper's
+// width (conv 512/512/512, dense 128/64, over the fixture's pipeline): a
+// Replicas: 4 engine, caches off, serves distinct misses from 16 clients,
+// and retained-MB is the heap still live after a collection with the model
+// and the warm engine alive, above what was live before the model was
+// built. Its ns/op is a paper-width miss at four calls at once.
+func BenchmarkServeEnginePaperWidth(b *testing.B) {
+	fix := servePredictor(b)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mcfg := models.DefaultPrestroidConfig(15, 5)
+	mcfg.ConvWidths = []int{512, 512, 512}
+	mcfg.DenseWidths = []int{128, 64}
+	pred := &serve.Predictor{Model: models.NewPrestroid(mcfg, fix.Pipe), Pipe: fix.Pipe, Norm: fix.Norm}
+	cfg := serve.Config{Replicas: 4}
+	eng := serve.NewShardedEngine(pred, cfg)
+	driveClients(b, eng.PredictSQL, distinctSQL)
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pred)
+	runtime.KeepAlive(eng)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/(1<<20), "retained-MB")
+	b.ReportMetric(float64(pred.Model.ParamCount()), "params")
+}
+
 // analyticSQL returns the i-th query of a unique-literal shared-template
 // workload shaped like the paper's analytic traces: a 3-way join with a
 // predicate list and GROUP BY, where only the constants vary request to
@@ -652,7 +682,7 @@ func BenchmarkShardedTemplateCache(b *testing.B) {
 			cfg.Replicas = 4
 			cfg.CacheSize = 0 // keys never repeat; skip cache bookkeeping
 			cfg.TemplateCacheSize = leg.size
-			eng := serve.NewShardedEngine(serve.Replicas(pred, cfg.Replicas), cfg)
+			eng := serve.NewShardedEngine(pred, cfg)
 			defer eng.Close()
 			driveClients(b, eng.PredictSQL, analyticSQL)
 		})
@@ -662,16 +692,15 @@ func BenchmarkShardedTemplateCache(b *testing.B) {
 // BenchmarkPrestroidPredictSteady measures the steady-state arena-backed
 // inference path on a single prepared trace: after warm-up the scratch
 // arenas are at their high-water mark and PredictInto must report 0
-// allocs/op (gated by scripts/bench_record.sh). It runs on a clone: engine
-// benches install their sub-tree caches on the shared fixture model, and a
-// stale cache would turn this forward into a memo replay (cloning drops it).
+// allocs/op (gated by scripts/bench_record.sh). Engines hand their sub-tree
+// caches to each call and never install one, so the fixture model has none
+// and every call runs the whole conv stack.
 func BenchmarkPrestroidPredictSteady(b *testing.B) {
 	pred := servePredictor(b)
-	src, ok := pred.Model.(*models.Prestroid)
+	m, ok := pred.Model.(*models.Prestroid)
 	if !ok {
 		b.Fatalf("serve predictor wraps %T, want *models.Prestroid", pred.Model)
 	}
-	m := src.Clone().(*models.Prestroid)
 	plan, err := logicalplan.PlanSQL("SELECT a FROM t WHERE a > 5 AND b < 9")
 	if err != nil {
 		b.Fatal(err)

@@ -30,7 +30,7 @@
 // admin endpoints POST /v1/reload and POST /v1/models/{name}/promote|abort
 // (guarded by -reload-token, or loopback-only when unset). /v1/reload
 // hot-swaps a retrained bundle in without dropping traffic, always by
-// swapping in fresh replicas: {"weights": path} rolls new weights under the
+// swapping in a fresh engine: {"weights": path} rolls new weights under the
 // live pipeline and normaliser, {"bundle": path} rolls a full bundle —
 // including a pipeline with a different feature-table universe — and
 // {"bundle": path, "mode": "shadow"} / {"mode": "canary", "percent": N}
@@ -38,8 +38,8 @@
 // promote/abort actions (see the README Multi-model & deployments section).
 //
 // Inference runs through one engine per identity: -replicas sets how many
-// model replicas it runs misses on — a miss runs its plan, encode and model
-// call on its own handler goroutine, on whichever replica is free —
+// model calls it runs at once, all on the one model — a miss runs its plan,
+// encode and model call on its own handler goroutine once a slot is free —
 // -cache-size the LRU budget over canonicalized SQL, -subtree-cache-size the
 // budget of pooled sub-tree convolution outputs reused across structurally
 // overlapping plans, and -template-cache-size the budget of prepared
@@ -48,8 +48,8 @@
 //
 // Overload protection is opt-in: -max-est-wait bounds the queue wait the
 // service will accept before shedding with 429 + Retry-After (estimated as
-// the handlers waiting for or holding a replica × EWMA per-call service
-// time ÷ replicas),
+// the handlers waiting for or holding a slot × EWMA per-call service
+// time ÷ slots),
 // -client-qps/-client-burst rate-limit each client (bearer token or remote
 // IP), and clients can cap their own waits with a Request-Timeout duration
 // or X-Request-Deadline RFC 3339 header — expired work is dropped without a
@@ -139,10 +139,10 @@ func main() {
 	tables := flag.Int("tables", 0, "initial tables in the synthetic training catalog (0 = generator default); larger values grow the feature-table universe")
 	defaults := serve.DefaultConfig()
 	cacheSize := flag.Int("cache-size", defaults.CacheSize, "prediction-cache entries keyed by canonicalized SQL (0 disables)")
-	subtreeCacheSize := flag.Int("subtree-cache-size", defaults.SubtreeCacheSize, "pooled sub-tree convolution outputs cached per content hash, shared by every replica (0 disables)")
+	subtreeCacheSize := flag.Int("subtree-cache-size", defaults.SubtreeCacheSize, "pooled sub-tree convolution outputs cached per content hash, shared by every model call (0 disables)")
 	templateCacheSize := flag.Int("template-cache-size", defaults.TemplateCacheSize, "prepared query templates cached for literal rebinding (0 disables)")
-	replicas := flag.Int("replicas", defaults.Replicas, "model replicas a miss runs on, whichever is free (<=1: the served model alone)")
-	maxEstWait := flag.Duration("max-est-wait", 0, "bounded-latency admission target: shed with 429 once the estimated wait for a replica (handlers waiting for or holding one × EWMA service time ÷ replicas) exceeds this (0 disables shedding)")
+	replicas := flag.Int("replicas", defaults.Replicas, "model calls run at once on the one served model (<=1: one at a time)")
+	maxEstWait := flag.Duration("max-est-wait", 0, "bounded-latency admission target: shed with 429 once the estimated wait for a model slot (handlers waiting for or holding one × EWMA service time ÷ replicas) exceeds this (0 disables shedding)")
 	clientQPS := flag.Float64("client-qps", 0, "per-client request rate on the serving endpoints, keyed by bearer token or remote IP (0 disables quotas)")
 	clientBurst := flag.Int("client-burst", 10, "per-client token-bucket burst allowance (only meaningful with -client-qps)")
 	reloadToken := flag.String("reload-token", "", "bearer token required on the admin surfaces (POST /v1/reload, /debug/pprof/); when empty, they are loopback-only")

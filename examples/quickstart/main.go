@@ -67,7 +67,7 @@ func main() {
 	//    model call, and repeated queries are answered from the
 	//    canonicalized-SQL cache without touching the model at all.
 	scfg := serve.DefaultConfig()
-	eng := serve.NewShardedEngine(serve.Replicas(&serve.Predictor{Model: model, Pipe: pipe, Norm: norm}, scfg.Replicas), scfg)
+	eng := serve.NewShardedEngine(&serve.Predictor{Model: model, Pipe: pipe, Norm: norm}, scfg)
 	defer eng.Close()
 	sql := "SELECT a FROM t WHERE a > 5"
 	var wg sync.WaitGroup

@@ -118,8 +118,8 @@ type ReloadRequest struct {
 // generation now serving (direct roll) or staged (shadow/canary). Mode is
 // the artefact kind ("weights" or "bundle" — the historical field). Roll
 // reports the deployment mode when the bundle was staged rather than swapped
-// in, and Percent the canary share. Shards is the new engine's replica
-// count (the name is historical).
+// in, and Percent the canary share. Shards is the new engine's slot count
+// (Config.Replicas; the name is historical).
 type ReloadResponse struct {
 	Generation int64   `json:"generation"`
 	Shards     int     `json:"shards"`
@@ -220,8 +220,8 @@ type EngineStats struct {
 	Reloads          int64 `json:"reloads"`
 	RejectedReloads  int64 `json:"rejected_reloads"`
 
-	// Replicas is the number of model replicas the engine runs misses on;
-	// Shards holds one row, the engine-wide counters.
+	// Replicas is how many model calls the engine runs at once, all on its
+	// one model; Shards holds one row, the engine-wide counters.
 	Replicas int          `json:"replicas"`
 	Shards   []ShardStats `json:"shards"`
 
@@ -253,8 +253,8 @@ type ShardStats struct {
 	Shed            int64   `json:"shed"`
 	Expired         int64   `json:"expired"`
 	// ServiceTimeMillis is the EWMA per-call model round trip, wait
-	// excluded; Queued is the handlers waiting for or holding a replica, and
-	// EstWaitMillis is Queued × that EWMA ÷ the replica count — the
+	// excluded; Queued is the handlers waiting for or holding a model slot,
+	// and EstWaitMillis is Queued × that EWMA ÷ the slot count — the
 	// admission controller's live signal, sampled at snapshot time.
 	ServiceTimeMillis float64 `json:"service_time_millis"`
 	EstWaitMillis     float64 `json:"est_wait_millis"`

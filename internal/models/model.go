@@ -21,13 +21,13 @@ import (
 // Prepare, TrainBatch and Predict all mutate internal state — the per-trace
 // encoding cache, and layer scratch buffers written even during
 // inference-mode forward passes — so callers must serialise every call on a
-// given model. The serving layer (internal/serve) holds a per-replica lock
-// around every model call for exactly this reason.
+// given model.
 //
 // Model is what training and the experiments need. Serving asks more — an
-// off-lock encode, an arena-backed PredictInto, Evict, a conv cache, Clone
-// and RebuildWithPipeline — and states it as one contract of its own
-// (internal/serve's servedModel), which Prestroid meets.
+// encode and a predict of that encoding that any number of goroutines may
+// call on one model at once, recycling, and RebuildWithPipeline — and states
+// it as one contract of its own (internal/serve's servedModel), which
+// Prestroid meets with EncodeTrace and PredictEncoded.
 type Model interface {
 	// Name identifies the model in experiment output.
 	Name() string
@@ -47,17 +47,17 @@ type Model interface {
 
 // ConvCache memoises pooled tree-convolution outputs keyed by the flattened
 // tree's content hash (treecnn.Tree.Hash). A model consults it on the
-// inference fast path (Prestroid.PredictInto): a hit replaces an entire conv
-// stack forward over that sub-tree.
+// inference fast paths (Prestroid.PredictInto, PredictEncoded): a hit
+// replaces an entire conv stack forward over that sub-tree.
 //
 // Concurrency contract: unlike the model itself, a ConvCache MUST be safe
-// for concurrent use — the conv workers of one Predict call invoke it from
-// several goroutines at once. Get's returned slice must stay immutable and
+// for concurrent use — the conv workers of one call, and concurrent
+// PredictEncoded calls, invoke it from several goroutines at once. Get's returned slice must stay immutable and
 // valid indefinitely; Put must copy the values, whose backing slice is only
 // valid for the duration of the call. Entries are only valid for the weights
 // they were computed under — whoever swaps a model's weights must invalidate
 // the cache before the next prediction (internal/serve never does either: a
-// roll builds new replicas over new, empty caches).
+// roll builds a new model and a new engine over new, empty caches).
 type ConvCache interface {
 	Get(hash uint64) ([]float64, bool)
 	Put(hash uint64, pooled []float64)

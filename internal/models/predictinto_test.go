@@ -112,7 +112,7 @@ func TestCloneSharesNoInferenceScratch(t *testing.T) {
 	defer m.SetConvCache(nil)
 
 	c := m.Clone().(*Prestroid)
-	if c.arenas == m.arenas || c.headArena == m.headArena {
+	if c.arenas == m.arenas {
 		t.Fatal("clone shares inference arenas with its source")
 	}
 	if c.convCache != nil {
@@ -126,5 +126,36 @@ func TestCloneSharesNoInferenceScratch(t *testing.T) {
 		if math.Float64bits(dst[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("row %d: clone PredictInto %v, source Predict %v", i, dst[i], want.Data[i])
 		}
+	}
+}
+
+// TestPredictEncodedConcurrent is the oracle for serving's one model: eight
+// goroutines encode and predict the same traces on one model at once,
+// through no conv cache and through one they share, and every answer must be
+// Predict's bit for bit. Run under -race, it also catches any model state
+// the calls write.
+func TestPredictEncodedConcurrent(t *testing.T) {
+	m, test := predictIntoBed(t)
+	want := m.Predict(test)
+	for _, cache := range []ConvCache{nil, newMapConvCache()} {
+		const workers = 8
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range test {
+					tr := test[(i+w)%len(test)]
+					enc := m.EncodeTrace(tr)
+					got := m.PredictEncoded(enc, cache)
+					m.Recycle(enc)
+					if want := want.Data[(i+w)%len(test)]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("cache %v, worker %d, trace %d: PredictEncoded %v, Predict %v", cache != nil, w, (i+w)%len(test), got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

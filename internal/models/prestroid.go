@@ -83,9 +83,8 @@ type Prestroid struct {
 	convCache ConvCache
 
 	// Inference scratch, never shared between models: arenas backs the
-	// per-worker conv scratch and headArena the batch features + dense head.
-	arenas    *tensor.ArenaPool
-	headArena *tensor.Arena
+	// per-worker conv scratch and each call's batch features + dense head.
+	arenas *tensor.ArenaPool
 
 	// step is TrainBatch's memory, reused from one step to the next.
 	step trainStep
@@ -159,15 +158,14 @@ func NewPrestroid(cfg PrestroidConfig, pipe *Pipeline) *Prestroid {
 	head = append(head, nn.NewDense(in, 1, rng), nn.NewSigmoid())
 
 	m := &Prestroid{
-		cfg:       cfg,
-		pipe:      pipe,
-		conv:      conv,
-		head:      head,
-		loss:      nn.NewHuberLoss(1),
-		opt:       nn.NewAdam(cfg.LR),
-		cache:     make(map[*workload.Trace][]*treecnn.Tree),
-		arenas:    tensor.NewArenaPool(0),
-		headArena: tensor.NewArena(0),
+		cfg:    cfg,
+		pipe:   pipe,
+		conv:   conv,
+		head:   head,
+		loss:   nn.NewHuberLoss(1),
+		opt:    nn.NewAdam(cfg.LR),
+		cache:  make(map[*workload.Trace][]*treecnn.Tree),
+		arenas: tensor.NewArenaPool(0),
 	}
 	params := conv.Params()
 	for _, l := range head {
@@ -301,12 +299,10 @@ func (m *Prestroid) adopt(tr *workload.Trace, trees []*treecnn.Tree) {
 	}
 }
 
-// EncodeTrace implements the serving layer's off-lock encoding split: it
-// computes a trace's encodings without touching the shared cache, so a
-// request's own goroutine does the expensive recast/sample/flatten work
-// before the serialised Predict call. The caller owns the encoding: it may
-// hand it to AdoptEncoding and, once the trace is evicted, to Recycle, or
-// keep it for as long as it likes.
+// EncodeTrace computes a trace's encodings without touching the per-trace
+// cache, so any goroutine may call it. The caller owns the encoding: it may
+// hand it to PredictEncoded, or to AdoptEncoding and, once the trace is
+// evicted, to Recycle, or keep it for as long as it likes.
 func (m *Prestroid) EncodeTrace(tr *workload.Trace) any { return m.encodePlan(tr.Plan) }
 
 // Recycle releases the feature slabs of an encoding EncodeTrace made into the
@@ -345,10 +341,9 @@ func (m *Prestroid) slots() int {
 	return 1
 }
 
-// convTrees returns the trees of a prepared trace that the model convolves:
-// at most one per slot.
-func (m *Prestroid) convTrees(tr *workload.Trace) []*treecnn.Tree {
-	trees := m.cache[tr]
+// convTrees returns the trees of an encoding that the model convolves: at
+// most one per slot.
+func (m *Prestroid) convTrees(trees []*treecnn.Tree) []*treecnn.Tree {
 	if k := m.slots(); len(trees) > k {
 		trees = trees[:k]
 	}
@@ -383,7 +378,7 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	st.trees, st.first = st.trees[:0], st.first[:0]
 	for _, tr := range batch {
 		st.first = append(st.first, len(st.trees))
-		st.trees = append(st.trees, m.convTrees(tr)...)
+		st.trees = append(st.trees, m.convTrees(m.cache[tr])...)
 	}
 	st.forest.Reset(m.conv, st.trees)
 	parts := runtime.GOMAXPROCS(0)
@@ -400,7 +395,7 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	}
 	tensor.Each(len(batch), func(bi, w int) {
 		row := st.feats.Row(bi)
-		for ti := range m.convTrees(batch[bi]) {
+		for ti := range m.convTrees(m.cache[batch[bi]]) {
 			m.conv.ForwardTrain(&st.forest, st.first[bi]+ti, row[ti*od:(ti+1)*od], st.scratch[w])
 			st.scratch[w].Reset()
 		}
@@ -421,7 +416,7 @@ func (m *Prestroid) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) f
 	st.wT = m.conv.Transpose(st.wT)
 	tensor.Each(len(batch), func(bi, _ int) {
 		row := g.Row(bi)
-		for ti := range m.convTrees(batch[bi]) {
+		for ti := range m.convTrees(m.cache[batch[bi]]) {
 			m.conv.BackwardInputs(&st.forest, st.first[bi]+ti, row[ti*od:(ti+1)*od], st.wT)
 		}
 	})
@@ -464,7 +459,7 @@ func (m *Prestroid) updateTasks(parts int) []updateTask {
 func (m *Prestroid) Predict(batch []*workload.Trace) *tensor.Tensor {
 	m.Prepare(batch)
 	feats := tensor.New(len(batch), m.slots()*m.conv.OutDim())
-	m.inferConv(batch, feats, false)
+	m.inferConv(batch, feats, nil)
 	x := feats
 	for _, l := range m.head {
 		x = l.Forward(x, false)
@@ -476,8 +471,8 @@ func (m *Prestroid) Predict(batch []*workload.Trace) *tensor.Tensor {
 // PredictInto fast path; nil removes it. The cache must satisfy the
 // ConvCache concurrency contract. It is not synchronised against concurrent
 // Predict calls — install it while the model is quiescent. Clone does not
-// carry the cache over: the serving layer owns cache placement (one per
-// engine, shared by its replicas) and installs it explicitly.
+// carry the cache over. Serving does not install one: it hands its cache to
+// each PredictEncoded call.
 func (m *Prestroid) SetConvCache(c ConvCache) { m.convCache = c }
 
 // PredictInto is the arena-backed inference fast path: one prediction per
@@ -492,44 +487,55 @@ func (m *Prestroid) PredictInto(batch []*workload.Trace, dst []float64) {
 		panic("models: PredictInto dst shorter than batch")
 	}
 	m.Prepare(batch)
-	feats := m.headArena.Get(len(batch), m.slots()*m.conv.OutDim())
-	m.inferConv(batch, feats, true)
-	x := nn.ForwardInference(m.head, feats, m.headArena)
-	copy(dst[:len(batch)], x.Data)
-	m.headArena.Reset()
+	a := m.arenas.Get()
+	defer m.arenas.Put(a)
+	feats := a.Get(len(batch), m.slots()*m.conv.OutDim())
+	m.inferConv(batch, feats, m.convCache)
+	copy(dst[:len(batch)], nn.ForwardInference(m.head, feats, a).Data)
 }
 
-// inferConv fills out (batch, slots*convOut) with pooled conv features,
-// fanning traces out through tensor.Each. serving selects PredictInto's
-// configuration, which consults the conv cache; without it every tree is
-// convolved. The conv stack is pure at inference and each row is computed in
-// the serial loop's operation order, so outputs do not depend on batch
-// composition. out must not live in the conv workers' arenas.
-func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor, serving bool) {
+// PredictEncoded predicts one query from an encoding EncodeTrace made,
+// byte-identical to Predict on its trace. It reads and fills cache (nil
+// convolves every tree) and writes nothing of the model's: no encoding is
+// adopted, and its scratch comes from the model's arena pool. So any number
+// of goroutines may call it on one model at once, as long as nothing trains
+// the model or swaps its weights meanwhile. The caller keeps enc and may
+// Recycle it once the call returns.
+func (m *Prestroid) PredictEncoded(enc any, cache ConvCache) float64 {
+	a := m.arenas.Get()
+	defer m.arenas.Put(a)
+	feats := a.Get(1, m.slots()*m.conv.OutDim())
+	m.inferOne(0, m.convTrees(enc.([]*treecnn.Tree)), feats, cache)
+	return nn.ForwardInference(m.head, feats, a).Data[0]
+}
+
+// inferConv fills out (batch, slots*convOut) with pooled conv features of
+// the batch's prepared traces, fanning traces out through tensor.Each, and
+// reads and fills cache (nil convolves every tree). The conv stack is pure at
+// inference and each row is computed in the serial loop's operation order,
+// so outputs do not depend on batch composition. out must not live in the
+// conv workers' arenas.
+func (m *Prestroid) inferConv(batch []*workload.Trace, out *tensor.Tensor, cache ConvCache) {
 	if len(batch) == 1 {
 		// No closure for the lone trace: Each's work func escapes to its
 		// helpers, and steady single-query PredictInto allocates nothing.
-		m.inferOne(0, batch[0], out, serving)
+		m.inferOne(0, m.convTrees(m.cache[batch[0]]), out, cache)
 		return
 	}
-	tensor.Each(len(batch), func(bi, _ int) { m.inferOne(bi, batch[bi], out, serving) })
+	tensor.Each(len(batch), func(bi, _ int) { m.inferOne(bi, m.convTrees(m.cache[batch[bi]]), out, cache) })
 }
 
-// inferOne convolves one trace's trees into row bi of out, inside a pooled
-// arena. When serving, each sub-tree is answered from the conv cache if its
-// pooled output is already known and deposited there otherwise. Safe to call
-// from multiple goroutines for distinct bi (the arena pool and the cache are
-// concurrency-safe by contract).
-func (m *Prestroid) inferOne(bi int, tr *workload.Trace, out *tensor.Tensor, serving bool) {
-	cache := m.convCache
-	if !serving {
-		cache = nil
-	}
+// inferOne convolves trees into row bi of out, inside a pooled arena, each
+// sub-tree answered from cache if its pooled output is already known and
+// deposited there otherwise. Safe to call from multiple goroutines for
+// distinct bi (the arena pool and the cache are concurrency-safe by
+// contract).
+func (m *Prestroid) inferOne(bi int, trees []*treecnn.Tree, out *tensor.Tensor, cache ConvCache) {
 	a := m.arenas.Get()
 	defer m.arenas.Put(a)
 	od := m.conv.OutDim()
 	row := out.Row(bi)
-	for ti, tree := range m.convTrees(tr) {
+	for ti, tree := range trees {
 		slot := row[ti*od : (ti+1)*od]
 		if cache != nil && tree.Hash != 0 {
 			if v, ok := cache.Get(tree.Hash); ok {
@@ -565,16 +571,15 @@ func (m *Prestroid) BatchBytes(batchSize int) int {
 	return dataset.PaddedTreeBatchBytes(batchSize, n, featDim)
 }
 
-// Clone returns an independent serving replica: a fresh Prestroid with the
-// same architecture, sharing the read-only Pipeline (Word2Vec vectors and
-// O-T-P encoder) and duplicating only mutable state — trainable weights and
+// Clone returns an independent copy: a fresh Prestroid with the same
+// architecture, sharing the read-only Pipeline (Word2Vec vectors and O-T-P
+// encoder) and duplicating only mutable state — trainable weights and
 // batch-norm running statistics. The per-trace encoding cache starts empty,
-// optimizer moments are reset, and the replica's Predict output is
-// bit-identical to the source model's for any trace, so N clones of one
-// loaded weight bundle can serve concurrently (each on its own goroutine)
-// without ever diverging. Concurrent clones divide the cores through
-// tensor.Each's one process-wide helper budget, which needs no wiring. The
-// serving layer builds one replica per shard this way.
+// optimizer moments are reset, and the copy's Predict output is
+// bit-identical to the source model's for any trace. Serving never clones:
+// its concurrent calls share one model through PredictEncoded. The
+// repository benchmark and tests clone, to keep a reference or a hand-driven
+// model apart from a served one.
 func (m *Prestroid) Clone() Model {
 	c := NewPrestroid(m.cfg, m.pipe)
 	if err := c.CopyWeightsFrom(m); err != nil {
@@ -603,11 +608,9 @@ func (m *Prestroid) RebuildWithPipeline(pipe *Pipeline) (Model, error) {
 
 // CopyWeightsFrom overwrites the model's trainable parameters and
 // non-trainable layer state with src's, validating tensor count and shapes
-// the same way persist.Bundle.Apply validates an on-disk bundle. It is the
-// in-memory half of the weight-shipment story: a bundle loaded once fans out
-// to N replicas via Clone, which copies through this method. Both models'
-// parameters live in one slab each, laid out alike once the shapes match,
-// so the weights copy as one slice.
+// the same way persist.Bundle.Apply validates an on-disk bundle; Clone
+// copies through it. Both models' parameters live in one slab each, laid out
+// alike once the shapes match, so the weights copy as one slice.
 func (m *Prestroid) CopyWeightsFrom(src *Prestroid) error {
 	dst, from := m.slab.Params, src.slab.Params
 	if len(from) != len(dst) {
@@ -647,8 +650,8 @@ func (m *Prestroid) Weights() []*nn.Param { return m.slab.Params }
 // statistics) for persistence and replica synchronisation.
 func (m *Prestroid) StateTensors() []*tensor.Tensor { return nn.CollectState(m.head) }
 
-// Evict drops cached encodings for traces the caller no longer needs —
-// long-running inference services evict after each request to bound memory.
+// Evict drops cached encodings for traces the caller no longer needs, to
+// bound the memory of a model that predicts trace after trace.
 // Evicting a trace that was never prepared is a no-op, and a later Prepare
 // (or lazy Predict) re-encodes evicted traces deterministically, so
 // evict-then-predict returns byte-identical results.

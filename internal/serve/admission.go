@@ -8,7 +8,7 @@ import (
 )
 
 // OverloadError reports a query refused by bounded-wait admission: the
-// engine's estimated wait for a replica exceeded the configured bound. It
+// engine's estimated wait for a model slot exceeded the configured bound. It
 // carries the numbers the refusal was decided on so the HTTP layer can
 // answer 429 with an honest Retry-After.
 type OverloadError struct {
@@ -42,7 +42,7 @@ func ceilSeconds(d time.Duration) time.Duration {
 
 // ExpiredError reports a query dropped because its deadline passed before a
 // model could run it — on arrival, before planning, while it waited for a
-// replica, or while it waited on an identical query's flight. The HTTP layer
+// slot, or while it waited on an identical query's flight. The HTTP layer
 // answers it with 504 Gateway Timeout.
 type ExpiredError struct{}
 
@@ -53,7 +53,7 @@ func (e *ExpiredError) Error() string { return "request deadline expired before 
 var errPanicked = errors.New("panic")
 
 // admit is the one admission policy: a query the caches could not answer is
-// shed when its estimated wait for a replica (estWaitMicros) is past the
+// shed when its estimated wait for a slot (estWaitMicros) is past the
 // bound, and computed otherwise. The estimate prices the Retry-After hint.
 //
 // MaxEstWait <= 0 makes the bound infinite: nothing is ever shed.

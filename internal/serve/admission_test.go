@@ -12,11 +12,11 @@ import (
 	"prestroid/internal/telemetry"
 )
 
-// waitEngine builds a model-less engine of the given replica count whose
-// admission inputs — handlers waiting for or holding a replica, and EWMA
+// waitEngine builds a model-less engine of the given slot count whose
+// admission inputs — handlers waiting for or holding a slot, and EWMA
 // service time — are fully controlled.
 func waitEngine(busy int, serviceMicros float64, replicas int) *ShardedEngine {
-	se := &ShardedEngine{tel: telemetry.NewShardGroup(), free: make(chan *Predictor, replicas), gen: initialGeneration}
+	se := &ShardedEngine{tel: telemetry.NewShardGroup(), slots: make(chan struct{}, replicas), gen: initialGeneration}
 	se.busy.Store(int64(busy))
 	if serviceMicros > 0 {
 		se.tel.ServiceTime.Observe(serviceMicros)
@@ -134,7 +134,7 @@ func TestOverloadRetryAfterRoundsUp(t *testing.T) {
 // that arrives already expired is refused before the cache lookup — the
 // model never runs, and the expiry is counted once.
 func TestExpiredDroppedBeforeDispatch(t *testing.T) {
-	se, stubs := stubShards(t, 2, Config{})
+	se, stub := stubShards(t, 2, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err := se.PredictSQLGenCtx(ctx, "SELECT a FROM t WHERE a > 5")
@@ -142,10 +142,8 @@ func TestExpiredDroppedBeforeDispatch(t *testing.T) {
 	if !errors.As(err, &expired) {
 		t.Fatalf("expired request returned %v, want *ExpiredError", err)
 	}
-	for i, st := range stubs {
-		if n := st.predicts.Load(); n != 0 {
-			t.Fatalf("replica %d ran %d model calls for already-expired work", i, n)
-		}
+	if n := stub.predicts.Load(); n != 0 {
+		t.Fatalf("the model ran %d calls for already-expired work", n)
 	}
 	if got := se.tel.Expired.Load(); got != 1 {
 		t.Fatalf("Expired = %d, want 1", got)
@@ -153,13 +151,13 @@ func TestExpiredDroppedBeforeDispatch(t *testing.T) {
 }
 
 // TestOverloadDecisions is admission under real overload, decided in
-// process without a clock: an engine over two gated stub replicas, its
+// process without a clock: a two-slot engine over a gated stub model, its
 // per-call service time seeded at 1 ms, and distinct misses arriving one at
 // a time while every model call is held. No call finishes before the last
-// decision, so the estimate is exactly busy × 1 ms ÷ 2 once both replicas
+// decision, so the estimate is exactly busy × 1 ms ÷ 2 once both slots
 // are held, and 0 before. With a 2.5 ms bound, misses 0–5 are admitted
-// (estimates 0, 0, then 1 to 2.5 ms in steps of 0.5) — the first two on
-// the two replicas, the rest waiting for one — and miss 6 is
+// (estimates 0, 0, then 1 to 2.5 ms in steps of 0.5) — the first two in
+// the two slots, the rest waiting for one — and miss 6 is
 // shed, priced at 3 ms. With the default bound, 0, all seven are admitted.
 // Once the calls are let through, every admitted miss answers the
 // serialised reference's prediction.
@@ -174,7 +172,7 @@ func TestOverloadDecisions(t *testing.T) {
 		{"no bound", 0, 7, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			se, stubs := stubShards(t, 2, Config{CacheSize: 64, MaxEstWait: c.bound})
+			se, m := stubShards(t, 2, Config{CacheSize: 64, MaxEstWait: c.bound})
 			entered, release := make(chan int, 8), make(chan struct{})
 			t.Cleanup(func() {
 				select {
@@ -183,9 +181,7 @@ func TestOverloadDecisions(t *testing.T) {
 					close(release)
 				}
 			})
-			for _, m := range stubs {
-				m.entered, m.release = entered, release
-			}
+			m.entered, m.release = entered, release
 			se.tel.ServiceTime.Observe(1000)
 			type answer struct {
 				sql string
@@ -210,8 +206,8 @@ func TestOverloadDecisions(t *testing.T) {
 					p, err := se.PredictSQL(sql)
 					answers <- answer{sql, p, err}
 				}()
-				// The first two misses are on the two models; every later one
-				// waits for a replica.
+				// The first two misses hold the two slots; every later one
+				// waits for a slot.
 				if i < 2 {
 					<-entered
 				} else {
@@ -232,8 +228,8 @@ func TestOverloadDecisions(t *testing.T) {
 					t.Fatalf("%q answered %+v, %v; want %+v", a.sql, a.p, a.err, reference(t, a.sql))
 				}
 			}
-			if a, b := stubs[0].predicts.Load(), stubs[1].predicts.Load(); a+b != int64(c.admitted) || a == 0 || b == 0 {
-				t.Fatalf("model calls: %d and %d on the two replicas, want %d between them and some on each", a, b, c.admitted)
+			if n := m.predicts.Load(); n != int64(c.admitted) {
+				t.Fatalf("%d model calls, want %d", n, c.admitted)
 			}
 		})
 	}

@@ -8,11 +8,11 @@ import "prestroid/internal/telemetry"
 // stack forward over that sub-tree, which is what makes structurally
 // overlapping workloads cheaper than their distinct-template cost.
 //
-// The cache is installed into every replica of one engine, at engine
-// construction, and only those replicas' model calls ever read or deposit.
-// They carry the same weights, so every entry was computed under the one set
-// of weights the engine serves for its whole life, and any replica's deposit
-// is byte-identical to what another would compute. Get's returned slice is
+// One engine owns the cache and hands it to each of its model calls; no
+// other call reads or deposits. Every call runs on the engine's one model,
+// so every entry was computed under the one set of weights the engine
+// serves for its whole life, and any call's deposit is byte-identical to
+// what another would compute. Get's returned slice is
 // owned by the cache and never mutated after admission, satisfying the
 // ConvCache immutability contract.
 type subtreeCache = lru[uint64, []float64]

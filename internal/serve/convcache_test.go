@@ -36,14 +36,6 @@ func TestSubtreeCacheKeepsAndCopies(t *testing.T) {
 	}
 }
 
-// clonePredictor wraps an independent replica of pred for use as a second
-// engine or a serialised reference — engines own their predictor's model, so
-// no two engines (or an engine and a reference) may share one.
-func clonePredictor(t *testing.T, pred *Predictor) *Predictor {
-	t.Helper()
-	return &Predictor{Model: pred.Model.(*models.Prestroid).Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
-}
-
 // TestEngineSubtreeCacheByteIdentical is the tentpole correctness bar: with
 // the prediction cache off (every request reaches the model), an engine
 // serving through the sub-tree cache must answer bit-identically to one
@@ -52,8 +44,8 @@ func clonePredictor(t *testing.T, pred *Predictor) *Predictor {
 // (LIMIT is not featurized, so only the sub-tree cache can join them).
 func TestEngineSubtreeCacheByteIdentical(t *testing.T) {
 	pred := newTestPredictor(t)
-	off, offShard := oneShard(t, clonePredictor(t, pred), Config{CacheSize: 0})
-	on, onShard := oneShard(t, clonePredictor(t, pred), Config{CacheSize: 0, SubtreeCacheSize: 1024})
+	off, offShard := oneShard(t, pred, Config{CacheSize: 0})
+	on, onShard := oneShard(t, pred, Config{CacheSize: 0, SubtreeCacheSize: 1024})
 
 	sqls := []string{
 		"SELECT a FROM t WHERE a > 5",
@@ -87,11 +79,11 @@ func TestEngineSubtreeCacheByteIdentical(t *testing.T) {
 }
 
 // TestSubtreeCacheAcrossReloadRoll pins generation safety: the engine a
-// weight roll installs starts its replicas on an empty sub-tree cache, so
+// weight roll installs starts its model calls on an empty sub-tree cache, so
 // post-roll predictions are byte-identical to a cache-free serialised
 // reference over the new weights — both the recomputation that repopulates
-// a cache and the replay that follows it, on each replica's own conv stack
-// and through the one cache the replicas share.
+// a cache and the replay that follows it, on a cache of the test's own and
+// through the engine's one cache.
 func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
@@ -101,7 +93,7 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	se := en.Live()
 
 	sql := "SELECT a FROM t WHERE a > 5"
-	for _, r := range replicasOf(se) { // every replica reads and fills the one cache
+	for _, r := range replicasOf(se) { // every model call reads and fills the one cache
 		for i := 0; i < 2; i++ {
 			if _, err := predictOn(se, r, se.convCache, sql); err != nil {
 				t.Fatal(err)
@@ -124,9 +116,9 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	if tot := se.Snapshot().Totals(); tot.SubtreeEntries != 0 || tot.SubtreeBytes != 0 {
 		t.Fatalf("roll left stale sub-tree entries: %+v", tot)
 	}
-	// Each replica on a sub-tree cache of its own, so its own conv stack
-	// computes the miss; then every replica through the engine's one cache,
-	// which the first repopulates and the rest replay.
+	// The model on a sub-tree cache of its own, so its conv stack computes
+	// the miss; then through the engine's one cache, which the first call
+	// repopulates and the second replays.
 	for si, r := range replicasOf(se) {
 		var hits, misses telemetry.Counter
 		own := newSubtreeCache(cfg.SubtreeCacheSize, &hits, &misses)
@@ -150,12 +142,14 @@ func TestSubtreeCacheAcrossReloadRoll(t *testing.T) {
 	}
 	sharedHits := se.Snapshot().Totals().SubtreeHits
 	for si, r := range replicasOf(se) {
-		got, err := predictOn(se, r, se.convCache, sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got.Normalized) != math.Float64bits(want.Normalized) {
-			t.Fatalf("replica %d through the shared cache: %v != new-weight reference %v", si, got.Normalized, want.Normalized)
+		for i := 0; i < 2; i++ {
+			got, err := predictOn(se, r, se.convCache, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Normalized) != math.Float64bits(want.Normalized) {
+				t.Fatalf("replica %d call %d through the shared cache: %v != new-weight reference %v", si, i, got.Normalized, want.Normalized)
+			}
 		}
 	}
 	if tot := se.Snapshot().Totals(); tot.SubtreeHits == sharedHits || tot.SubtreeEntries == 0 {

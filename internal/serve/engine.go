@@ -15,13 +15,12 @@ type Config struct {
 	// CacheSize is the number of canonicalised-SQL entries the prediction
 	// cache retains; 0 disables caching.
 	CacheSize int
-	// Replicas is the number of model replicas (Clones of the served model)
-	// an engine runs misses on, at most one model call on each at a time.
-	// Values <= 1 select one replica: the served predictor itself.
+	// Replicas is the engine's slot count: how many model calls may run at
+	// once, every one on the served model. Values <= 1 select one slot.
 	Replicas int
 	// SubtreeCacheSize is the number of pooled tree-convolution outputs the
 	// engine retains, keyed by sub-tree content hash; 0 disables the cache.
-	// Every replica of the engine reads and fills the one cache.
+	// Every model call of the engine reads and fills the one cache.
 	SubtreeCacheSize int
 	// TemplateCacheSize is the number of template entries the engine
 	// retains, keyed by the query's literal-stripped template; 0 disables it.
@@ -35,9 +34,9 @@ type Config struct {
 	// are about a skeleton's size, a few hundred bytes.
 	TemplateCacheSize int
 	// MaxEstWait is the bounded-latency admission target: a query whose
-	// estimated wait for a model replica (0 while one is free, else
+	// estimated wait for a model slot (0 while one is free, else
 	// handlers waiting for or holding one × EWMA per-call service time ÷
-	// replicas) exceeds it is shed instead of computed. 0 (the default) =
+	// slots) exceeds it is shed instead of computed. 0 (the default) =
 	// the bound is infinite: nothing is shed. admit is its one reader.
 	MaxEstWait time.Duration
 }
@@ -62,8 +61,7 @@ type prepared struct {
 // frontEnd is the whole front end of a query, run once on the handler's
 // goroutine: a rebind of the template's skeleton or lex and parse, then plan,
 // then — when encode is set (a prediction; explain stops at the plan) — the
-// encode, at most once, on the engine's first model, whichever replica then
-// runs the query. t is the query's template lookup, made by the caller.
+// encode, at most once. t is the query's template lookup, made by the caller.
 //
 // A hit rebinds the cached skeleton with the query's literal vector
 // (extracted in the same single lexer pass that produced the key) in place of
@@ -131,7 +129,7 @@ func (se *ShardedEngine) PlanOnly(sql string) (*logicalplan.Node, error) {
 // any other looks it up here, as part of the front end.
 //
 // Work whose deadline has already passed is dropped before planning, and a
-// deadline that passes while the query waits for a replica abandons the
+// deadline that passes while the query waits for a slot abandons the
 // wait without reaching the model. Both drops count once on the Expired
 // counter and surface as ExpiredError.
 func (se *ShardedEngine) miss(ctx context.Context, sql string, t tmplLookup) (Prediction, error) {
@@ -146,7 +144,7 @@ func (se *ShardedEngine) miss(ctx context.Context, sql string, t tmplLookup) (Pr
 	if err != nil {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
-	y, err := se.predict(ctx, fe.trace, fe.enc)
+	y, err := se.predict(ctx, fe.enc)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -155,29 +153,25 @@ func (se *ShardedEngine) miss(ctx context.Context, sql string, t tmplLookup) (Pr
 	return p, nil
 }
 
-// predict runs the model for one encoded trace on whichever replica is free,
-// on the caller's goroutine. The caller counts as busy while it waits for a
-// replica and while it holds one (estWaitMicros). A deadline that passes
-// during the wait gives the wait up, so an expired request never reaches the
-// model. The replica's own lock is taken too, uncontended unless a caller
-// runs PredictSQL on a predictor it handed the engine (Replicas(pred, 1) is
-// pred itself). A panic in the model is recovered here — it would otherwise
-// reach net/http's handler recovery with no answer in the standard envelope
-// — and the query fails with errPanicked, the engine counts it in Panics,
-// and the replica goes back to the pool. Every model call counts one batch
-// of one row; the service time it observes is the round trip alone, without
-// the wait. The encoding goes back to the model that made it.
-func (se *ShardedEngine) predict(ctx context.Context, tr *workload.Trace, enc any) (y float64, err error) {
+// predict runs the model for one encoding once a slot is free, on the
+// caller's goroutine. The caller counts as busy while it waits for a slot
+// and while it holds one (estWaitMicros). A deadline that passes during the
+// wait gives the wait up, so an expired request never reaches the model. The
+// call reads and fills the engine's sub-tree cache; a disabled (nil) cache
+// misses uncounted and drops deposits. A panic in the model is recovered
+// here — it would otherwise reach net/http's handler recovery with no answer
+// in the standard envelope — and the query fails with errPanicked, the
+// engine counts it in Panics, and the slot is given back. Every model call
+// counts one batch of one row; the service time it observes is the call
+// alone, without the wait. The encoding goes back to the model that made it.
+func (se *ShardedEngine) predict(ctx context.Context, enc any) (y float64, err error) {
 	se.busy.Add(1)
 	defer se.busy.Add(-1)
-	r := se.take(ctx)
-	if r == nil {
+	if !se.take(ctx) {
 		se.tel.Expired.Inc()
 		return 0, &ExpiredError{}
 	}
-	defer func() { se.free <- r }()
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer func() { <-se.slots }()
 	defer func() {
 		if v := recover(); v != nil {
 			se.tel.Panics.Inc()
@@ -185,7 +179,7 @@ func (se *ShardedEngine) predict(ctx context.Context, tr *workload.Trace, enc an
 		}
 	}()
 	start := time.Now()
-	y = predictInto(r.Model.(servedModel), tr, enc)
+	y = se.model.PredictEncoded(enc, se.convCache)
 	se.tel.ServiceTime.Observe(float64(time.Since(start).Nanoseconds()) / 1e3)
 	se.tel.Batches.Inc()
 	se.tel.Coalesced.Inc()
@@ -193,22 +187,21 @@ func (se *ShardedEngine) predict(ctx context.Context, tr *workload.Trace, enc an
 	return y, nil
 }
 
-// take waits for a free replica and returns it, to give back to se.free. It
-// returns nil, holding nothing, when ctx ended first: while the caller
-// waited or as a replica came free, so an expired request never reaches the
-// model.
-func (se *ShardedEngine) take(ctx context.Context) *Predictor {
-	var r *Predictor
+// take waits for a free slot and reports whether it holds one, to give back
+// by receiving from se.slots. It holds nothing and reports false when ctx
+// ended first: while the caller waited or as a slot came free, so an expired
+// request never reaches the model.
+func (se *ShardedEngine) take(ctx context.Context) bool {
 	select {
-	case r = <-se.free:
+	case se.slots <- struct{}{}:
 	case <-ctx.Done():
-		return nil
+		return false
 	}
 	if ctx.Err() != nil {
-		se.free <- r
-		return nil
+		<-se.slots
+		return false
 	}
-	return r
+	return true
 }
 
 // flight is one handler's computation of a key the engine has no answer
@@ -246,9 +239,9 @@ func (se *ShardedEngine) land(key string, f *flight) {
 }
 
 // estWaitMicros is the engine's live admission signal: the estimated wait
-// for a replica of a query admitted now — 0 while a replica is free, else
-// the handlers waiting for or holding one times the EWMA per-call service
-// time, over the replica count. 0 also means the engine has no service-time
+// for a slot of a query admitted now — 0 while a slot is free, else the
+// handlers waiting for or holding one times the EWMA per-call service time,
+// over the slot count. 0 also means the engine has no service-time
 // evidence yet; either way it admits.
 func (se *ShardedEngine) estWaitMicros() float64 {
 	return se.tel.EstWaitMicros(int(se.busy.Load()), se.Shards())

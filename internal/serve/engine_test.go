@@ -22,14 +22,14 @@ import (
 	"prestroid/internal/workload"
 )
 
-// stubModel is a deterministic, instrumented servedModel: predictions are a
-// pure function of the plan, Predict (and PredictInto, which is Predict
-// copied into dst) blocks for delay to force waiting, and an in-flight
-// counter catches any violation of the single-goroutine model contract.
-// With entered set, Predict also announces each call's batch size there
-// and holds the call until release yields, so a test decides what happens
-// while a query holds the replica. The stub encodes nothing: its encoding is nil, and
-// it has no weights, so a roll rebuilds it as a fresh stub.
+// stubModel is a deterministic, instrumented servedModel: its encoding is
+// the trace itself, predictions are a pure function of the plan, and
+// PredictEncoded blocks for delay to force waiting. An in-flight counter
+// counts every call that overlaps another: on a one-slot engine, a breach of
+// the slot bound. With entered set, PredictEncoded also announces each call's
+// row count (always 1) there and holds the call until release yields, so a
+// test decides what happens while a query holds a slot. It has no weights,
+// so a roll rebuilds it as a fresh stub.
 type stubModel struct {
 	delay   time.Duration
 	entered chan int
@@ -38,42 +38,18 @@ type stubModel struct {
 	inFlight   atomic.Int32
 	violations atomic.Int32
 	predicts   atomic.Int64
-	evicted    atomic.Int64
 	recycled   atomic.Int64
-
-	mu         sync.Mutex
-	batchSizes []int
 }
-
-func (m *stubModel) enter() {
-	if m.inFlight.Add(1) > 1 {
-		m.violations.Add(1)
-	}
-}
-func (m *stubModel) exit() { m.inFlight.Add(-1) }
 
 func (m *stubModel) Name() string                     { return "stub" }
 func (m *stubModel) ParamCount() int                  { return 1 }
 func (m *stubModel) BatchBytes(batchSize int) int     { return batchSize }
-func (m *stubModel) Prepare(traces []*workload.Trace) { m.enter(); defer m.exit() }
+func (m *stubModel) Prepare(traces []*workload.Trace) {}
 func (m *stubModel) TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) float64 {
 	return 0
 }
 
 func (m *stubModel) Predict(batch []*workload.Trace) *tensor.Tensor {
-	m.enter()
-	defer m.exit()
-	if m.delay > 0 {
-		time.Sleep(m.delay)
-	}
-	if m.entered != nil {
-		m.entered <- len(batch)
-		<-m.release
-	}
-	m.predicts.Add(1)
-	m.mu.Lock()
-	m.batchSizes = append(m.batchSizes, len(batch))
-	m.mu.Unlock()
 	out := tensor.New(len(batch), 1)
 	for i, tr := range batch {
 		out.Data[i] = stubScore(tr)
@@ -81,22 +57,25 @@ func (m *stubModel) Predict(batch []*workload.Trace) *tensor.Tensor {
 	return out
 }
 
-func (m *stubModel) PredictInto(batch []*workload.Trace, dst []float64) {
-	copy(dst, m.Predict(batch).Data)
+func (m *stubModel) PredictEncoded(enc any, _ models.ConvCache) float64 {
+	if m.inFlight.Add(1) > 1 {
+		m.violations.Add(1)
+	}
+	defer m.inFlight.Add(-1)
+	if m.delay > 0 {
+		time.Sleep(m.delay)
+	}
+	if m.entered != nil {
+		m.entered <- 1
+		<-m.release
+	}
+	m.predicts.Add(1)
+	return stubScore(enc.(*workload.Trace))
 }
 
-func (m *stubModel) Evict(traces []*workload.Trace) {
-	m.enter()
-	defer m.exit()
-	m.evicted.Add(int64(len(traces)))
-}
-
-func (m *stubModel) EncodeTrace(*workload.Trace) any    { return nil }
-func (m *stubModel) AdoptEncoding(*workload.Trace, any) {}
+func (m *stubModel) EncodeTrace(tr *workload.Trace) any { return tr }
 func (m *stubModel) Recycle(any)                        { m.recycled.Add(1) }
-func (m *stubModel) SetConvCache(models.ConvCache)      {}
 func (m *stubModel) Weights() []*nn.Param               { return nil }
-func (m *stubModel) Clone() models.Model                { return &stubModel{} }
 func (m *stubModel) RebuildWithPipeline(*models.Pipeline) (models.Model, error) {
 	return &stubModel{}, nil
 }
@@ -112,11 +91,12 @@ type engineRow struct{ *ShardedEngine }
 
 func (e engineRow) Snapshot() telemetry.ShardSnapshot { return e.ShardedEngine.Snapshot().Shards[0] }
 
-// oneShard starts a one-replica engine over pred, closed when the test ends,
+// oneShard starts a one-slot engine over pred, closed when the test ends,
 // and returns it with its row view, for tests that reach into the engine.
 func oneShard(t *testing.T, pred *Predictor, cfg Config) (*ShardedEngine, engineRow) {
 	t.Helper()
-	se := NewShardedEngine([]*Predictor{pred}, cfg)
+	cfg.Replicas = 1
+	se := NewShardedEngine(pred, cfg)
 	t.Cleanup(se.Close)
 	return se, engineRow{se}
 }
@@ -145,7 +125,7 @@ func parked(fn string) int {
 	return n
 }
 
-// awaitParked returns once n goroutines are parked in fn's select: a replica
+// awaitParked returns once n goroutines are parked in fn's select: a slot
 // wait is "serve.(*ShardedEngine).take", a single-flight follower's wait
 // "serve.(*ShardedEngine).predictKey". The clock only bounds a wait that
 // would otherwise hang the test when the goroutines park somewhere else.
@@ -166,7 +146,7 @@ const (
 // gatedStub is a stub engine whose model calls each announce themselves on
 // entered and then wait until the test calls let, which lets every call
 // through from then on, so the test decides what happens while a query holds
-// the replica. The cleanup lets them through for a test that failed mid-way.
+// the slot. The cleanup lets them through for a test that failed mid-way.
 func gatedStub(t *testing.T, cfg Config) (se *ShardedEngine, eng engineRow, m *stubModel, let func()) {
 	t.Helper()
 	se, eng, m = stubEngine(t, cfg, 0)
@@ -198,9 +178,9 @@ func flying(e engineRow, key string) bool {
 }
 
 // TestEngineCoalesces drives 32 concurrent distinct misses through a
-// one-replica engine: each runs its own model call, one at a time on the one
-// replica, answers what the serialised reference answers, and evicts and
-// recycles its encoding; the model sees one single-row call per query, the
+// one-slot engine: each runs its own model call, one at a time, answers what
+// the serialised reference answers, and recycles its encoding; the model
+// sees one call per query, the
 // telemetry counts each call answering (coalescing) its one query, and
 // nobody is busy once all have returned. Identical misses share a call: TestBatchIsWhatQueuedDuringTheFlush.
 func TestEngineCoalesces(t *testing.T) {
@@ -225,16 +205,11 @@ func TestEngineCoalesces(t *testing.T) {
 	}
 	wg.Wait()
 	snap := eng.Snapshot()
-	if snap.Batches != clients || snap.Coalesced != clients || len(m.batchSizes) != clients {
-		t.Fatalf("batches/coalesced/model calls = %d/%d/%d, want %d each", snap.Batches, snap.Coalesced, len(m.batchSizes), clients)
+	if snap.Batches != clients || snap.Coalesced != clients || m.predicts.Load() != clients {
+		t.Fatalf("batches/coalesced/model calls = %d/%d/%d, want %d each", snap.Batches, snap.Coalesced, m.predicts.Load(), clients)
 	}
-	for _, n := range m.batchSizes {
-		if n != 1 {
-			t.Fatalf("a model call predicted %d rows, want 1", n)
-		}
-	}
-	if e, r := m.evicted.Load(), m.recycled.Load(); e != clients || r != clients {
-		t.Fatalf("evicted %d and recycled %d encodings, want %d each", e, r, clients)
+	if r := m.recycled.Load(); r != clients {
+		t.Fatalf("recycled %d encodings, want %d", r, clients)
 	}
 	if v := m.violations.Load(); v != 0 {
 		t.Fatalf("%d concurrent model calls observed; the contract requires serialisation", v)
@@ -293,7 +268,7 @@ func TestBatchIsWhatQueuedDuringTheFlush(t *testing.T) {
 
 // TestHoldIsForEnRouteWork pins, without a clock, that a miss is held only
 // for work already en route: behind a model call that holds the engine's
-// replica, or on the flight of an identical miss that is computing. A miss
+// slot, or on the flight of an identical miss that is computing. A miss
 // that finds neither runs at once; a miss whose leader fails is released and
 // runs its own query; and when a failed leader wakes several followers, one
 // of them leads and the rest follow it, so the key still costs one call.
@@ -314,7 +289,7 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 			t.Fatalf("the lone miss reached the model in a batch of %d", n)
 		}
 		if r, f, b := parked(replicaWait), parked(followerWait), eng.busy.Load(); r != 0 || f != 0 || b != 1 {
-			t.Fatalf("with one miss on the model: %d replica waits, %d follower waits, %d busy; want 0, 0, 1", r, f, b)
+			t.Fatalf("with one miss on the model: %d slot waits, %d follower waits, %d busy; want 0, 0, 1", r, f, b)
 		}
 		let()
 		if p := <-answer; p != reference(t, sql) {
@@ -339,7 +314,7 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 		go ask(sql)
 		awaitParked(t, replicaWait, 1)
 		if n, b := m.predicts.Load(), eng.busy.Load(); n != 0 || b != 2 {
-			t.Fatalf("with a miss held behind the replica: %d model calls done, %d busy; want 0 and 2", n, b)
+			t.Fatalf("with a miss held behind the slot: %d model calls done, %d busy; want 0 and 2", n, b)
 		}
 		let()
 		got := map[Prediction]bool{<-answers: true, <-answers: true}
@@ -429,9 +404,9 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 	})
 }
 
-// TestHoldLiveness floods a one-replica engine with 64 goroutines of 20 misses each,
+// TestHoldLiveness floods a one-slot engine with 64 goroutines of 20 misses each,
 // every key asked by four of them at once and one query in three SQL that
-// never reaches the model, so replica waits and flights end every way they
+// never reaches the model, so slot waits and flights end every way they
 // can — by an answer, by a parse error, by a follower leading after its
 // leader failed — and requires every request to return as it should, nobody
 // counted busy and no flight left in the air.
@@ -477,7 +452,7 @@ func (panicEncoder) EncodeTrace(tr *workload.Trace) any {
 	if strings.Contains(tr.SQL, panicMark) {
 		panic("front end blew up")
 	}
-	return nil
+	return tr
 }
 
 // TestHoldSurvivesFrontEndPanic pins that a flight cannot leak: a leader that
@@ -525,7 +500,7 @@ func TestHoldSurvivesFrontEndPanic(t *testing.T) {
 }
 
 // TestCloseEndsAHold pins that Close never waits on a query in flight, nor
-// cuts one short: closing an engine while one miss holds its replica and
+// cuts one short: closing an engine while one miss holds its slot and
 // another waits for it returns at once, and the hold ends as it would have —
 // both answer when the model call finishes — and a query after the close
 // answers too.
@@ -559,11 +534,11 @@ func TestCloseEndsAHold(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiresWhileQueued pins the deadline rule of the replica wait
+// TestDeadlineExpiresWhileQueued pins the deadline rule of the slot wait
 // over HTTP: a request whose deadline passes while another query holds the
-// engine's replica gives the wait up, answers 504 deadline_expired, counts one
+// engine's slot gives the wait up, answers 504 deadline_expired, counts one
 // expiry, never reaches the model and leaves no cache entry; the query
-// holding the replica answers as usual. The deadline is the request
+// holding the slot answers as usual. The deadline is the request
 // context's, cancelled by the test: a Request-Timeout header derives the
 // request's deadline from it.
 func TestDeadlineExpiresWhileQueued(t *testing.T) {
@@ -591,13 +566,13 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	}()
 	awaitParked(t, replicaWait, 1)
 	if snap := eng.Snapshot(); snap.Queued != 2 {
-		t.Fatalf("busy gauge = %d with one query on the replica and one waiting, want 2", snap.Queued)
+		t.Fatalf("busy gauge = %d with one query on the slot and one waiting, want 2", snap.Queued)
 	}
 	cancel()
 	<-served
 	var env api.ErrorResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusGatewayTimeout || env.Error.Code != api.CodeDeadlineExpired {
-		t.Fatalf("a request expiring in the replica wait answered %d %s, want 504 %s", w.Code, w.Body, api.CodeDeadlineExpired)
+		t.Fatalf("a request expiring in the slot wait answered %d %s, want 504 %s", w.Code, w.Body, api.CodeDeadlineExpired)
 	}
 
 	close(m.release)
@@ -653,7 +628,7 @@ func TestFollowerWaitIsAbandonable(t *testing.T) {
 
 // TestFlushDropsExpiredJobs pins that expired work is dropped before the
 // model and never stands in for live work: a leader whose deadline passes in
-// the replica wait answers *ExpiredError without a model call, and its live
+// the slot wait answers *ExpiredError without a model call, and its live
 // follower does not inherit that expiry but leads the key itself and answers.
 func TestFlushDropsExpiredJobs(t *testing.T) {
 	const held = "SELECT a FROM t WHERE a > 1"
@@ -791,13 +766,7 @@ func TestEngineSingleFlight(t *testing.T) {
 			t.Fatalf("result %d diverged: %+v vs %+v", i, results[i], results[0])
 		}
 	}
-	var rows int
-	m.mu.Lock()
-	for _, sz := range m.batchSizes {
-		rows += sz
-	}
-	m.mu.Unlock()
-	if rows >= clients {
+	if rows := m.predicts.Load(); rows >= clients {
 		t.Fatalf("model predicted %d rows for %d identical in-flight queries; single-flight should dedup", rows, clients)
 	}
 }

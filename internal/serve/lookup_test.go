@@ -12,7 +12,6 @@ import (
 	"prestroid/internal/api"
 	"prestroid/internal/models"
 	"prestroid/internal/sqlparse"
-	"prestroid/internal/workload"
 )
 
 // predictBody is a /v1/predict request body for sql.
@@ -37,8 +36,7 @@ func TestTemplateLookupMatchesUncachedServer(t *testing.T) {
 	pred := newTestPredictor(t)
 	cached := NewServerConfig(pred, Config{TemplateCacheSize: 256})
 	t.Cleanup(cached.Close)
-	twin := &Predictor{Model: pred.mustServe().Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
-	uncached := NewServerConfig(twin, Config{})
+	uncached := NewServerConfig(pred, Config{})
 	t.Cleanup(uncached.Close)
 
 	same := func(sql string, wantCode int) {
@@ -109,19 +107,14 @@ func TestTemplateLookupAllocs(t *testing.T) {
 }
 
 // TestTemplateAnsweredOncePerEngine pins where a template lives: once, in
-// the engine's template cache, whichever replica computed it. Sequential
-// literal variants on a two-replica engine run the model once between them
-// and leave one entry.
+// the engine's template cache. Sequential literal variants on a two-slot
+// engine run the model once between them and leave one entry.
 func TestTemplateAnsweredOncePerEngine(t *testing.T) {
 	base := newTestPredictor(t)
-	counting := make([]*countingModel, 2)
-	preds := make([]*Predictor, 2)
-	for i := range preds {
-		clone := base.Model.(*models.Prestroid).Clone().(*models.Prestroid)
-		counting[i] = &countingModel{Prestroid: clone, adopted: map[*workload.Trace]bool{}}
-		preds[i] = &Predictor{Model: counting[i], Pipe: base.Pipe, Norm: base.Norm}
-	}
-	se := NewShardedEngine(preds, tmplCfg())
+	counting := &countingModel{Prestroid: base.Model.(*models.Prestroid)}
+	cfg := tmplCfg()
+	cfg.Replicas = 2
+	se := NewShardedEngine(&Predictor{Model: counting, Pipe: base.Pipe, Norm: base.Norm}, cfg)
 	t.Cleanup(se.Close)
 	for n := 1; n <= 16; n++ {
 		sql := fmt.Sprintf("SELECT a FROM t WHERE a > %d AND b < %d", n, 100-n)
@@ -133,8 +126,8 @@ func TestTemplateAnsweredOncePerEngine(t *testing.T) {
 			t.Fatalf("%q: engine %+v, %v; want the serialised reference %+v", sql, got, err, want)
 		}
 	}
-	if n := counting[0].encodes.Load() + counting[1].encodes.Load(); n != 1 {
-		t.Fatalf("16 variants of one template encoded %d times across the replicas, want 1", n)
+	if n := counting.encodes.Load(); n != 1 {
+		t.Fatalf("16 variants of one template encoded %d times, want 1", n)
 	}
 	if tot := se.Snapshot().Totals(); tot.TemplateEntries != 1 || tot.TemplateMisses != 1 || tot.TemplateHits != 15 {
 		t.Fatalf("template entries/misses/hits = %d/%d/%d, want 1/1/15",

@@ -13,13 +13,12 @@ import (
 )
 
 // countingModel is a real Prestroid that counts how many times a plan is
-// recast, sampled and flattened on its behalf, whoever asks: the off-lock
-// encode counts itself, and a trace that reaches the model without an adopted
-// encoding counts the encode Prepare is about to run for it.
+// recast, sampled and flattened on its behalf, whoever asks. A model call
+// reads the encoding it is handed and never encodes, so EncodeTrace is the
+// one place to count.
 type countingModel struct {
 	*models.Prestroid
 	encodes atomic.Int64
-	adopted map[*workload.Trace]bool // model-goroutine state, like the model's own cache
 }
 
 func (c *countingModel) EncodeTrace(tr *workload.Trace) any {
@@ -27,50 +26,20 @@ func (c *countingModel) EncodeTrace(tr *workload.Trace) any {
 	return c.Prestroid.EncodeTrace(tr)
 }
 
-func (c *countingModel) AdoptEncoding(tr *workload.Trace, enc any) {
-	c.adopted[tr] = true
-	c.Prestroid.AdoptEncoding(tr, enc)
-}
-
-func (c *countingModel) countUnadopted(traces []*workload.Trace) {
-	for _, tr := range traces {
-		if !c.adopted[tr] {
-			c.adopted[tr] = true
-			c.encodes.Add(1)
-		}
-	}
-}
-
-func (c *countingModel) Prepare(traces []*workload.Trace) {
-	c.countUnadopted(traces)
-	c.Prestroid.Prepare(traces)
-}
-
-func (c *countingModel) PredictInto(traces []*workload.Trace, dst []float64) {
-	c.countUnadopted(traces)
-	c.Prestroid.PredictInto(traces, dst)
-}
-
-func (c *countingModel) Evict(traces []*workload.Trace) {
-	for _, tr := range traces {
-		delete(c.adopted, tr)
-	}
-	c.Prestroid.Evict(traces)
-}
-
 func newCountingPredictor(t *testing.T) (*Predictor, *countingModel) {
 	t.Helper()
 	base := newTestPredictor(t)
-	m := &countingModel{Prestroid: base.Model.(*models.Prestroid), adopted: map[*workload.Trace]bool{}}
+	m := &countingModel{Prestroid: base.Model.(*models.Prestroid)}
 	return &Predictor{Model: m, Pipe: base.Pipe, Norm: base.Norm}, m
 }
 
-// loadedEngine is an engine over preds that counts busy handlers already on
-// its replicas and has seen the given per-call service time, so its
-// admission estimate is exactly busy × serviceMicros ÷ len(preds) until it
-// runs a model call of its own; the replicas themselves are free.
-func loadedEngine(cfg Config, busy int, serviceMicros float64, preds ...*Predictor) engineRow {
-	se := NewShardedEngine(preds, cfg)
+// loadedEngine is an engine over pred that counts busy handlers already in
+// its slots and has seen the given per-call service time, so its admission
+// estimate is exactly busy × serviceMicros ÷ cfg.Replicas (at least one
+// slot) until it runs a model call of its own; the slots themselves are
+// free.
+func loadedEngine(cfg Config, busy int, serviceMicros float64, pred *Predictor) engineRow {
+	se := NewShardedEngine(pred, cfg)
 	se.busy.Store(int64(busy))
 	if serviceMicros > 0 {
 		se.tel.ServiceTime.Observe(serviceMicros)
@@ -91,7 +60,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 	)
 	pred, m := newCountingPredictor(t)
 	// check runs one request, compares it with the serialised reference (which
-	// itself encodes once, under the lock — not counted against the engine)
+	// itself encodes once — not counted against the engine)
 	// and reports how often the engine's request encoded.
 	check := func(t *testing.T, sql string, want int64, predict func(string) (Prediction, error)) {
 		t.Helper()
@@ -262,7 +231,7 @@ func TestTemplateHashedStaysSkeletonOnly(t *testing.T) {
 	enc.HashedPredicates = true
 	pipe := &models.Pipeline{W2V: base.Pipe.W2V, Enc: &enc}
 	hashed := models.NewPrestroid(testModelConfig(), pipe)
-	m := &countingModel{Prestroid: hashed, adopted: map[*workload.Trace]bool{}}
+	m := &countingModel{Prestroid: hashed}
 	pred := &Predictor{Model: m, Pipe: pipe, Norm: base.Norm}
 	se, e := oneShard(t, pred, tmplCfg())
 
@@ -307,11 +276,11 @@ func TestTemplateHashedStaysSkeletonOnly(t *testing.T) {
 }
 
 // TestDispatchSinglePolicy walks the one admission policy (admit) through
-// its table on two-replica engines whose load is fully controlled. Each row
+// its table on two-slot engines whose load is fully controlled. Each row
 // keeps the two loads it gave a home and a peer shard when keys were bound
-// to one replica each; the pool carries both: its busy count is their sum,
-// at the per-call service time of whichever saw calls, while its replicas
-// are free. Without a bound, no load — however saturated the replicas —
+// to one replica each; the engine carries both: its busy count is their sum,
+// at the per-call service time of whichever saw calls, while its slots
+// are free. Without a bound, no load — however saturated the slots —
 // sheds a miss; with one, a miss is shed once the pooled estimate passes it.
 // Whatever the row decides, the key is looked up once per request, and a
 // computed answer is one model call and one cache entry.
@@ -345,10 +314,9 @@ func TestDispatchSinglePolicy(t *testing.T) {
 		{name: "bounded, over the bound everywhere", home: deeper, peer: deep, bound: bound, shed: true, minWait: 25_000},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			stubs := [2]*stubModel{{}, {}}
-			se := loadedEngine(Config{CacheSize: 8}, row.home.busy+row.peer.busy,
-				max(row.home.serviceMicros, row.peer.serviceMicros),
-				&Predictor{Model: stubs[0]}, &Predictor{Model: stubs[1]})
+			stub := &stubModel{}
+			se := loadedEngine(Config{CacheSize: 8, Replicas: 2}, row.home.busy+row.peer.busy,
+				max(row.home.serviceMicros, row.peer.serviceMicros), &Predictor{Model: stub})
 			se.maxEstWaitMicros = row.bound
 			sql := "SELECT a FROM t WHERE a > 5"
 			ref, err := (&Predictor{Model: &stubModel{}}).PredictSQL(sql)
@@ -381,8 +349,8 @@ func TestDispatchSinglePolicy(t *testing.T) {
 			if row.shed {
 				wantCalls, wantEntries = 0, 0
 			}
-			if n := stubs[0].predicts.Load() + stubs[1].predicts.Load(); n != wantCalls {
-				t.Fatalf("the replicas ran the model %d times, want %d", n, wantCalls)
+			if n := stub.predicts.Load(); n != wantCalls {
+				t.Fatalf("the model ran %d times, want %d", n, wantCalls)
 			}
 			if n, _ := se.cache.Stats(); n != wantEntries {
 				t.Fatalf("prediction cache entries = %d, want %d", n, wantEntries)

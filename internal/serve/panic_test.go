@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"prestroid/internal/api"
+	"prestroid/internal/models"
 	"prestroid/internal/workload"
 )
 
@@ -18,13 +19,11 @@ type panicModel struct{ *stubModel }
 
 const panicMark = "panic_here"
 
-func (m panicModel) PredictInto(batch []*workload.Trace, dst []float64) {
-	for _, tr := range batch {
-		if strings.Contains(tr.SQL, panicMark) {
-			panic("model blew up")
-		}
+func (m panicModel) PredictEncoded(enc any, cache models.ConvCache) float64 {
+	if strings.Contains(enc.(*workload.Trace).SQL, panicMark) {
+		panic("model blew up")
 	}
-	m.stubModel.PredictInto(batch, dst)
+	return m.stubModel.PredictEncoded(enc, cache)
 }
 
 // TestSubmitPanicIs500 pins the containment of the one model call: a query
@@ -32,7 +31,7 @@ func (m panicModel) PredictInto(batch []*workload.Trace, dst []float64) {
 // ShardedEngine.predict's recover stands between the panic and net/http — answers
 // 500 in the internal envelope, is counted under where="model" on /metrics,
 // leaves its encoding unrecycled and nobody counted busy, and gives the
-// replica back: the next query answers 200 with the serialised reference's
+// slot back: the next query answers 200 with the serialised reference's
 // prediction, recycling its encoding. With the recover removed, the panic
 // reaches this test's goroutine and the test binary dies.
 func TestSubmitPanicIs500(t *testing.T) {
@@ -75,10 +74,10 @@ func TestSubmitPanicIs500(t *testing.T) {
 }
 
 // TestFlushPanicIs500 pins containment over HTTP when the panicking call
-// has company: a marked query that waited for the replica behind another
+// has company: a marked query that waited for the slot behind another
 // query's call answers 500 in the internal envelope when its own call
 // panics, the panic is counted once under where="model" on /metrics, and
-// the replica passes on to the request that waited behind it, which answers
+// the slot passes on to the request that waited behind it, which answers
 // 200 with the serialised reference's prediction.
 func TestFlushPanicIs500(t *testing.T) {
 	m := &stubModel{entered: make(chan int, 8), release: make(chan struct{})}
@@ -124,7 +123,7 @@ func TestFlushPanicIs500(t *testing.T) {
 // its key — the marked query, and the identical miss that waited on its
 // flight, which takes only an answer and so runs, and fails in, a call of its
 // own — and strands no waiter: the call before it answers, so does the
-// distinct query that waited for the replica alongside it, and so does the
+// distinct query that waited for the slot alongside it, and so does the
 // next query.
 func TestFlushPanicFailsItsBatch(t *testing.T) {
 	m := &stubModel{entered: make(chan int, 64), release: make(chan struct{})}
@@ -140,7 +139,7 @@ func TestFlushPanicFailsItsBatch(t *testing.T) {
 		results <- result{sql, p, err}
 	}
 
-	// The first call holds the replica while the rest queue behind it.
+	// The first call holds the slot while the rest queue behind it.
 	first := "SELECT a FROM t WHERE a > 1"
 	go predict(first)
 	if n := <-m.entered; n != 1 {

@@ -20,8 +20,7 @@ import (
 // slabWatch is a real Prestroid that notes the feature slab of every tree it
 // encodes, counting an encode into a slab it has seen before — a slab some
 // earlier encoding released — and a tree that is not Identical to the one
-// fresh, a model that never recycles, encodes for the same trace. Its clones
-// share the counts.
+// fresh, a model that never recycles, encodes for the same trace.
 type slabWatch struct {
 	*models.Prestroid
 	fresh          *models.Prestroid
@@ -48,16 +47,10 @@ func (w *slabWatch) EncodeTrace(tr *workload.Trace) any {
 	return enc
 }
 
-func (w *slabWatch) Clone() models.Model {
-	c := *w
-	c.Prestroid = w.Prestroid.Clone().(*models.Prestroid)
-	return &c
-}
-
 // TestRecycledSlabsAnswerByteIdentical pins slab recycling end to end: six
 // clients send structurally distinct queries — each its own template, so each
 // misses every cache on its way to the model and is encoded — through a
-// two-shard server with every cache on, whose replicas flatten into slabs
+// two-slot server with every cache on, whose encodes flatten into slabs
 // that earlier model calls recycled. Every response body must be byte-identical to
 // one rendered from a fresh clone's reference Predict, which never recycles;
 // slabs must have been reused many times over, and every tree flattened into

@@ -42,8 +42,8 @@ func NewRegistry(cfg Config) *Registry {
 }
 
 // Add registers a serving identity under name and starts its engine off
-// pred (replicated per cfg.Replicas). The first identity added becomes the
-// default.
+// pred (up to cfg.Replicas model calls at once). The first identity added
+// becomes the default.
 func (r *Registry) Add(name string, pred *Predictor) (*ModelEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -53,7 +53,7 @@ func (r *Registry) Add(name string, pred *Predictor) (*ModelEntry, error) {
 	en := &ModelEntry{
 		name: name,
 		cfg:  r.cfg,
-		live: NewShardedEngine(Replicas(pred, r.cfg.Replicas), r.cfg),
+		live: NewShardedEngine(pred, r.cfg),
 	}
 	r.entries[name] = en
 	r.order = append(r.order, en)

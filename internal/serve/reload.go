@@ -15,10 +15,9 @@ import (
 // control plane.
 var ErrReloadInProgress = errors.New("serve: a reload is already in progress")
 
-// stageFunc decodes and validates a retrain artefact into a seed predictor
-// for the next engine, reading whatever it needs off the live one (never
+// stageFunc decodes and validates a retrain artefact into the predictor the
+// next engine serves, reading whatever it needs off the live one (never
 // writing: the live engine keeps serving, untouched, whatever stage returns).
-// The predictor must own its model exclusively.
 type stageFunc func(live *ShardedEngine) (*Predictor, error)
 
 // stageWeights stages a weight-only bundle: the next engine keeps the live
@@ -45,13 +44,12 @@ func stageFull(fb *persist.FullBundle) stageFunc {
 	}
 }
 
-// assemble builds a seed predictor for the identity (pipe, norm, weights),
+// assemble builds the one model of the identity (pipe, norm, weights),
 // using base only as the architecture: a fresh model of base's family is
 // rebuilt off pipe, which decides its feature dimension, and the weights are
 // applied to it — Apply validates every tensor before writing any, then
-// writes every parameter and every state tensor. base is read, never called
-// under its lock or written, so a live replica busy with a long model call
-// does not hold the roll up.
+// writes every parameter and every state tensor. base is only read, so live
+// model calls, however long, do not hold the roll up.
 func assemble(base servedModel, pipe *models.Pipeline, norm workload.Normalizer, weights *persist.Bundle) (*Predictor, error) {
 	m, err := base.RebuildWithPipeline(pipe)
 	if err != nil {
@@ -99,7 +97,7 @@ func (en *ModelEntry) beginRoll() (*ShardedEngine, error) {
 }
 
 // successor stages an artefact and builds the engine that follows live:
-// same Config, generation live+1, fresh replicas and empty caches. tel is
+// same Config, generation live+1, one fresh model and empty caches. tel is
 // live's counter group when the successor will take its place at once, nil
 // when it will serve beside live on a group of its own. A
 // staging failure is a rejection — counted on the surface operators alert on
@@ -111,7 +109,7 @@ func (en *ModelEntry) successor(live *ShardedEngine, stage stageFunc, tel *telem
 		en.rejected.Inc()
 		return nil, err
 	}
-	return newShardedEngineAt(Replicas(pred, en.cfg.Replicas), en.cfg, live.gen+1, tel), nil
+	return newShardedEngineAt(pred, en.cfg, live.gen+1, tel), nil
 }
 
 // install makes next the identity's live engine, clears the roll slot and

@@ -163,9 +163,9 @@ func TestReloadRollsAllShards(t *testing.T) {
 }
 
 // TestWeightRollSkipsTheLiveLock pins that staging a weight-only roll makes
-// no call on a live replica: the roll completes while every live predictor's
-// lock is held, as it is for the whole of a long flush, and the engine it
-// installs serves the bundle's weights.
+// no call on the live model and waits for none: the roll completes while
+// every slot of the live engine is held, as it is while that many misses run
+// long model calls, and the engine it installs serves the bundle's weights.
 func TestWeightRollSkipsTheLiveLock(t *testing.T) {
 	pred := newTestPredictor(t)
 	cfg := DefaultConfig()
@@ -174,10 +174,8 @@ func TestWeightRollSkipsTheLiveLock(t *testing.T) {
 	live := en.Live()
 	bundle, reference := perturbedBundle(t, pred, 0.25)
 
-	held := make([]*Predictor, live.Shards())
-	for i := range held {
-		held[i] = <-live.free // as a miss takes it
-		held[i].mu.Lock()
+	for i := 0; i < live.Shards(); i++ {
+		live.slots <- struct{}{} // as a miss takes it
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -191,12 +189,11 @@ func TestWeightRollSkipsTheLiveLock(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		blocked = true
 	}
-	for _, r := range held {
-		r.mu.Unlock()
-		live.free <- r
+	for i := 0; i < live.Shards(); i++ {
+		<-live.slots
 	}
 	if blocked {
-		t.Fatal("a weight-only roll waited on a live replica's lock")
+		t.Fatal("a weight-only roll waited for a live slot")
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -3,15 +3,16 @@
 // and returns the predicted resource demand that the platform uses to
 // provision cluster capacity before the query executes.
 //
-// Two inference paths exist. Predictor.PredictSQL is the serialised
-// reference path: one query per model call on the predictor's replica.
-// ShardedEngine (see shard.go and engine.go) is the serving path: a miss
-// runs on the handler goroutine that took it, end to end — plan, encode,
-// then one model call on whichever of the engine's N model replicas is free,
-// so predict throughput scales with cores instead of being capped at
-// single-replica speed — with an LRU over canonicalised SQL absorbing
-// repeated queries and a template cache answering their literal variants.
-// What a served model must do is one contract, servedModel.
+// Two inference paths exist, over one model. Predictor.PredictSQL is the
+// reference path: parse, plan, encode and one model call that reads no
+// cache. ShardedEngine (see shard.go and engine.go) is the serving path: a
+// miss runs on the handler goroutine that took it, end to end — plan,
+// encode, then one model call once one of the engine's N slots is free, so N
+// misses run the one model at once and predict throughput scales with cores
+// — with an LRU over canonicalised SQL absorbing repeated queries and a
+// template cache answering their literal variants. What a served model must
+// do is one contract, servedModel: above all, a predict any number of
+// goroutines may run on it at once.
 //
 // Above the engines sits the model registry (see registry.go): one daemon
 // hosts several named predictor identities, each with its own engine,
@@ -56,44 +57,34 @@ import (
 // an engine and in PredictSQL.
 //
 // The three fields are one predictor identity and are never reassigned once
-// the predictor is serving: an engine owns its predictor for life, and a
-// reload builds new predictors for a new engine (see ModelEntry) instead of
-// touching this one. The lock therefore only serialises model calls;
-// reading the fields needs no lock.
+// the predictor is serving: engines only read their predictor, and a reload
+// builds a new predictor for a new engine (see ModelEntry) instead of
+// touching this one.
 type Predictor struct {
 	Model models.Model
 	Pipe  *models.Pipeline
 	Norm  workload.Normalizer
-
-	mu sync.Mutex // models are not safe for concurrent use (see models.Model)
 }
 
 // servedModel is the one contract a served model meets; models.Prestroid
-// implements it. EncodeTrace is the pure per-plan encode, and Recycle takes
-// an evicted encoding back for later encodes to reuse; both are safe on any
-// goroutine. Everything else runs on the goroutine that owns the model:
-// AdoptEncoding installs an encoding, PredictInto writes one prediction per
-// trace into the caller's slice, Evict drops the adopted encodings, and
-// SetConvCache installs the engine's sub-tree cache. Clone builds a replica
-// with the same weights, which may adopt an encoding another replica's model
-// made, and a roll builds the next identity with RebuildWithPipeline and
-// overwrites its Weights.
+// implements it. Per request, serving calls three methods, each safe on
+// any number of goroutines at once and none writing the weights:
+// EncodeTrace is the pure per-plan encode, PredictEncoded predicts one
+// encoding through the caller's sub-tree cache (nil reads none), and Recycle
+// takes an encoding back for later encodes to reuse. A roll builds the next
+// identity with RebuildWithPipeline and overwrites its Weights before
+// anything serves it.
 //
 // An encoding belongs to the handler that encoded it, and it lives for one
-// round trip: after the predict and the evict return, the model that encoded
-// it recycles it. An encoding no model adopts (its request expired while it
-// waited for a replica) or whose predict panicked is left to the garbage
-// collector.
+// round trip: after the predict returns, the model that encoded it recycles
+// it. An encoding no model call reads (its request expired while it waited
+// for a slot) or whose predict panicked is left to the garbage collector.
 type servedModel interface {
 	models.Model
 	persist.WeightStore
 	EncodeTrace(tr *workload.Trace) any
-	AdoptEncoding(tr *workload.Trace, enc any)
-	PredictInto(batch []*workload.Trace, dst []float64)
-	Evict(traces []*workload.Trace)
+	PredictEncoded(enc any, cache models.ConvCache) float64
 	Recycle(enc any)
-	SetConvCache(models.ConvCache)
-	Clone() models.Model
 	RebuildWithPipeline(pipe *models.Pipeline) (models.Model, error)
 }
 
@@ -128,9 +119,9 @@ type (
 	ShardStats = api.ShardStats
 )
 
-// PredictSQL parses, plans, encodes and costs a single query on the
-// serialised path. It exists as the correctness reference; ShardedEngine is
-// the throughput path.
+// PredictSQL parses, plans, encodes and costs a single query with no cache.
+// It exists as the correctness reference; ShardedEngine is the throughput
+// path. It may run on a model an engine serves, at the same time.
 func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
 	m, err := p.served()
 	if err != nil {
@@ -142,9 +133,7 @@ func (p *Predictor) PredictSQL(sql string) (Prediction, error) {
 	}
 	tr := &workload.Trace{SQL: sql, Plan: plan, Template: -1}
 	enc := m.EncodeTrace(tr)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	y := predictInto(m, tr, enc)
+	y := m.PredictEncoded(enc, nil)
 	m.Recycle(enc)
 	return p.prediction(shapeOf(plan), y), nil
 }
@@ -167,20 +156,6 @@ func (p *Predictor) prediction(shape planShape, y float64) Prediction {
 		PlanDepth:  shape.depth,
 		Tables:     shape.tables,
 	}
-}
-
-// predictInto is the one model round trip, run by a caller that owns m: m
-// adopts the encoding the caller built for tr, predicts it and evicts it, so
-// no model-owned memory outlives the call; the caller then recycles the
-// encoding. The evict is deferred, so a panic in the model (which
-// ShardedEngine.predict recovers) leaves no adopted encoding behind.
-func predictInto(m servedModel, tr *workload.Trace, enc any) float64 {
-	traces := []*workload.Trace{tr}
-	var y [1]float64
-	defer m.Evict(traces)
-	m.AdoptEncoding(tr, enc)
-	m.PredictInto(traces, y[:])
-	return y[0]
 }
 
 // endpoints is the server's fixed route table, which doubles as the label
@@ -221,9 +196,9 @@ type Server struct {
 }
 
 // NewServerConfig wires the routes over a registry tuned by cfg, with pred
-// registered as the default model. When cfg.Replicas > 1, each identity's
-// engine runs misses on that many model replicas; otherwise on pred's model
-// alone. NewMultiServer hosts several identities.
+// registered as the default model. Each identity's engine runs up to
+// cfg.Replicas misses on its model at once. NewMultiServer hosts several
+// identities.
 func NewServerConfig(pred *Predictor, cfg Config) *Server {
 	s, err := NewMultiServer(cfg, NamedPredictor{Name: api.DefaultModel, Pred: pred})
 	if err != nil {

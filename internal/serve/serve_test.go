@@ -50,16 +50,16 @@ func newTestPredictor(t *testing.T) *Predictor {
 	return &Predictor{Model: m, Pipe: pipe, Norm: norm}
 }
 
-// newTestEntry starts a serving identity over pred, replicated per
-// cfg.Replicas — what Registry.Add builds — and closes whichever engine is
-// live when the test ends.
+// newTestEntry starts a serving identity over pred with cfg.Replicas slots —
+// what Registry.Add builds — and closes whichever engine is live when the
+// test ends.
 func newTestEntry(t *testing.T, pred *Predictor, cfg Config) *ModelEntry {
 	t.Helper()
-	return entryOver(t, NewShardedEngine(Replicas(pred, cfg.Replicas), cfg), cfg)
+	return entryOver(t, NewShardedEngine(pred, cfg), cfg)
 }
 
 // entryOver wraps an already-built engine as a serving identity, for tests
-// that need to choose the replicas themselves.
+// that need to build the engine themselves.
 func entryOver(t *testing.T, se *ShardedEngine, cfg Config) *ModelEntry {
 	t.Helper()
 	en := &ModelEntry{name: api.DefaultModel, cfg: cfg, live: se}
@@ -505,10 +505,11 @@ func TestPredictorEvictsCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The Prestroid cache is private; rely on Evict being exercised — a
-	// regression here would show as unbounded growth under profiling. As a
-	// proxy, predict deterministically returns the same value every time,
-	// proving the per-request trace is independent of cache state.
+	// The Prestroid cache is private, and PredictSQL's PredictEncoded never
+	// adopts an encoding into it — a regression here would show as
+	// unbounded growth under profiling. As a proxy, predict deterministically
+	// returns the same value every time, proving the per-request trace is
+	// independent of cache state.
 	a, _ := pred.PredictSQL("SELECT a FROM t WHERE a > 5")
 	b, _ := pred.PredictSQL("SELECT a FROM t WHERE a > 5")
 	if a != b {

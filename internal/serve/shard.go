@@ -9,10 +9,11 @@ import (
 	"prestroid/internal/telemetry"
 )
 
-// DefaultReplicas is the prestroidd default replica count: one per core,
-// capped at 4 — each replica duplicates the model's weights, and past a
-// handful of CPU-bound model calls at once the extra replicas buy no
-// parallelism on typical hosts.
+// DefaultReplicas is the prestroidd default slot count (Config.Replicas):
+// one per core, capped at 4 — every model call fans its trees out over the
+// cores through one process-wide helper budget, so past a handful of
+// CPU-bound calls at once more slots buy no parallelism on typical hosts.
+// A slot costs no model memory: every call runs on the one model.
 func DefaultReplicas() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 4 {
@@ -24,42 +25,25 @@ func DefaultReplicas() int {
 	return n
 }
 
-// Replicas builds n serving replicas of pred. For n > 1 every replica wraps
-// a fresh model clone sharing pred's pipeline and normaliser, so the caller's
-// model is never mutated and stays usable on the serialised path, and n
-// misses can run their models truly concurrently. Each model call fans its
-// trees out through tensor.Each, whose helpers come from one process-wide
-// budget of GOMAXPROCS-1: N concurrent calls run on their handlers'
-// goroutines plus at most that many helpers between them, while a single
-// call on an otherwise idle engine still gets every core. When n <= 1 only
-// pred itself is returned. Like NewShardedEngine, Replicas panics on a model
-// that does not meet the serving contract.
-func Replicas(pred *Predictor, n int) []*Predictor {
-	if n <= 1 {
-		return []*Predictor{pred}
-	}
-	m := pred.mustServe()
-	preds := make([]*Predictor, n)
-	for i := range preds {
-		preds[i] = &Predictor{Model: m.Clone(), Pipe: pred.Pipe, Norm: pred.Norm}
-	}
-	return preds
-}
-
 // ShardedEngine is the inference engine: one prediction cache, one sub-tree
-// cache and one template cache, a single-flight map, and a pool of model
-// replicas that carry the same weights, so every replica returns
-// byte-identical predictions for identical SQL. The name is historical: the
-// engine once split its caches and replicas into hash-addressed shards.
+// cache and one template cache, a single-flight map, and one model that
+// every miss runs on, at most cfg.Replicas calls at a time. The name is
+// historical: the engine once split its caches and model replicas into
+// hash-addressed shards.
 //
 // There is one way through it: the handler goroutine that takes a miss runs
-// every stage itself — parse → plan → encode (frontEnd), then the model on
-// whichever replica is free (predict). The prediction cache, keyed by
-// canonicalised SQL, is read once before any of this and written once after
-// it, and concurrent misses of one key share one flight (see predictKey).
+// every stage itself — parse → plan → encode (frontEnd), then the model once
+// a slot is free (predict). The prediction cache, keyed by canonicalised
+// SQL, is read once before any of this and written once after it, and
+// concurrent misses of one key share one flight (see predictKey).
+//
+// The engine never writes its model: a call reads the weights, takes its
+// scratch from the model's arena pool and hands the model the engine's
+// sub-tree cache as an argument (servedModel.PredictEncoded). Any number of
+// engines, and Predictor.PredictSQL, may therefore share one model.
 //
 // A ShardedEngine is one generation of one serving identity, and immutable:
-// replicas, pipeline, normaliser, generation and caches are fixed by
+// model, pipeline, normaliser, generation and caches are fixed by
 // newShardedEngineAt, and no field is written afterwards. New weights never
 // reach a running engine. "Which generation answered" is therefore a
 // property of which engine value a request was handed — a response can no
@@ -68,20 +52,19 @@ func Replicas(pred *Predictor, n int) []*Predictor {
 // pointer; that protocol, the generation sequence and the roll counters
 // belong to ModelEntry.
 type ShardedEngine struct {
-	// pred is the first replica. Its pipeline and normaliser are every
-	// replica's, and model (pred.Model, checked against the contract once)
-	// encodes every miss, off any replica, and takes every encoding back
-	// for recycling, so one pool of feature slabs serves the engine.
+	// pred is the served identity: model (pred.Model, checked against the
+	// contract once) encodes and predicts every miss and takes every
+	// encoding back for recycling, and pred's normaliser renders answers.
 	pred  *Predictor
 	model servedModel
 	gen   int64
 
-	// free holds the replicas no miss is running the model on; its capacity
-	// is the replica count.
-	free chan *Predictor
+	// slots holds one token per model call in flight; its capacity is the
+	// slot count (Config.Replicas).
+	slots chan struct{}
 
 	// The engine's caches, each nil when disabled: finished predictions,
-	// the sub-tree partial results installed into every replica, and
+	// the sub-tree partial results every model call reads and fills, and
 	// templates. All three are born empty with the engine and die with it.
 	cache     *predictionCache
 	convCache *subtreeCache
@@ -93,8 +76,8 @@ type ShardedEngine struct {
 	// encodes literals, and a predictor without a pipeline promises nothing.
 	answers bool
 
-	// busy counts the handlers waiting for or holding a replica: the
-	// admission signal (estWaitMicros) and the queue-depth gauge.
+	// busy counts the handlers waiting for or holding a slot: the admission
+	// signal (estWaitMicros) and the queue-depth gauge.
 	busy atomic.Int64
 
 	// inflight maps each canonical key some handler is computing to that
@@ -118,14 +101,14 @@ type ShardedEngine struct {
 	params int
 }
 
-// NewShardedEngine builds an engine over preds (typically built with
-// Replicas), which it owns from here on. cfg.CacheSize, cfg.SubtreeCacheSize
-// and cfg.TemplateCacheSize size its caches; cfg.Replicas is ignored —
-// len(preds) is the replica count. Every predictor must carry the same
-// weights, pipeline and normaliser. It panics on zero predictors, or on one
-// whose model does not meet the serving contract (servedModel).
-func NewShardedEngine(preds []*Predictor, cfg Config) *ShardedEngine {
-	return newShardedEngineAt(preds, cfg, initialGeneration, nil)
+// NewShardedEngine builds an engine serving pred. cfg.CacheSize,
+// cfg.SubtreeCacheSize and cfg.TemplateCacheSize size its caches, and
+// cfg.Replicas bounds its model calls in flight (at least one). The engine
+// reads pred's model and never writes it, so the caller may go on using pred.
+// It panics on a model that does not meet the serving contract
+// (servedModel).
+func NewShardedEngine(pred *Predictor, cfg Config) *ShardedEngine {
+	return newShardedEngineAt(pred, cfg, initialGeneration, nil)
 }
 
 // initialGeneration is the generation an identity's first engine serves: the
@@ -141,42 +124,29 @@ const initialGeneration = 1
 // the same group. A nil tel starts a fresh one. Nothing runs behind an
 // engine, so there is nothing to stop: a retired engine keeps answering
 // under its own generation for whoever still holds it.
-func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, tel *telemetry.ShardGroup) *ShardedEngine {
-	if len(preds) == 0 {
-		panic("serve: NewShardedEngine needs at least one predictor")
-	}
-	served := make([]servedModel, len(preds))
-	for i, p := range preds {
-		served[i] = p.mustServe()
-	}
+func newShardedEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.ShardGroup) *ShardedEngine {
 	if tel == nil {
 		tel = telemetry.NewShardGroup()
 	}
 	se := &ShardedEngine{
-		pred:             preds[0],
-		model:            served[0],
+		pred:             pred,
+		model:            pred.mustServe(),
 		gen:              gen,
-		free:             make(chan *Predictor, len(preds)),
-		answers:          preds[0].Pipe != nil && !preds[0].Pipe.Enc.HashedPredicates,
+		slots:            make(chan struct{}, max(1, cfg.Replicas)),
+		answers:          pred.Pipe != nil && !pred.Pipe.Enc.HashedPredicates,
 		tel:              tel,
 		maxEstWaitMicros: float64(cfg.MaxEstWait.Microseconds()),
-		name:             preds[0].Model.Name(),
-		params:           preds[0].Model.ParamCount(),
+		name:             pred.Model.Name(),
+		params:           pred.Model.ParamCount(),
 	}
 	if cfg.CacheSize > 0 {
 		se.cache = newPredictionCache(cfg.CacheSize, &tel.CacheHits, &tel.CacheMisses)
 	}
 	if cfg.SubtreeCacheSize > 0 {
 		se.convCache = newSubtreeCache(cfg.SubtreeCacheSize, &tel.SubtreeHits, &tel.SubtreeMisses)
-		for _, m := range served {
-			m.SetConvCache(se.convCache)
-		}
 	}
 	if cfg.TemplateCacheSize > 0 {
 		se.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &tel.TemplateHits, &tel.TemplateMisses)
-	}
-	for _, p := range preds {
-		se.free <- p
 	}
 	return se
 }
@@ -185,9 +155,9 @@ func newShardedEngineAt(preds []*Predictor, cfg Config, gen int64, tel *telemetr
 // the one its ModelEntry, or a bare NewShardedEngine, started with).
 func (se *ShardedEngine) Generation() int64 { return se.gen }
 
-// Shards reports the engine's replica count: how many model calls it runs
-// at once. The name is historical.
-func (se *ShardedEngine) Shards() int { return cap(se.free) }
+// Shards reports the engine's slot count (Config.Replicas): how many model
+// calls it runs at once. The name is historical.
+func (se *ShardedEngine) Shards() int { return cap(se.slots) }
 
 // Close ends the engine's service life. Nothing runs behind an engine —
 // every model call runs on the goroutine that asked for it — so there is
@@ -210,7 +180,7 @@ func fnv32a(s string) uint32 {
 
 // PredictSQL is PredictSQLGenCtx with no deadline and without the
 // generation tag. Identical SQL yields byte-identical predictions whatever
-// the replica count and whichever replica answered.
+// the slot count and however many calls ran at once.
 func (se *ShardedEngine) PredictSQL(sql string) (Prediction, error) {
 	p, _, err := se.PredictSQLGenCtx(context.Background(), sql)
 	return p, err
@@ -218,7 +188,7 @@ func (se *ShardedEngine) PredictSQL(sql string) (Prediction, error) {
 
 // Snapshot returns the engine's full telemetry state in one pass: its
 // counter group as the one row of Shards, the sampled gauges (busy handlers,
-// cache entries), the replica count, and the generation and model identity.
+// cache entries), the slot count, and the generation and model identity.
 // The roll counters (Reloads, RejectedBundles) belong to the serving
 // identity, not to any one engine; ModelEntry.Snapshot fills them in.
 func (se *ShardedEngine) Snapshot() telemetry.EngineSnapshot {

@@ -3,66 +3,62 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"prestroid/internal/models"
-	"prestroid/internal/workload"
 )
 
-// stubShards builds an engine over n independent stub replicas so tests can
-// see exactly which replica served which query.
-func stubShards(t *testing.T, n int, cfg Config) (*ShardedEngine, []*stubModel) {
+// stubShards builds an n-slot engine over one stub model, whose counters
+// see every model call the engine makes.
+func stubShards(t *testing.T, n int, cfg Config) (*ShardedEngine, *stubModel) {
 	t.Helper()
-	stubs := make([]*stubModel, n)
-	preds := make([]*Predictor, n)
-	for i := range stubs {
-		stubs[i] = &stubModel{}
-		preds[i] = &Predictor{Model: stubs[i]}
-	}
-	se := NewShardedEngine(preds, cfg)
+	stub := &stubModel{}
+	cfg.Replicas = n
+	se := NewShardedEngine(&Predictor{Model: stub}, cfg)
 	t.Cleanup(se.Close)
-	return se, stubs
+	return se, stub
 }
 
-// replicasOf lists se's replicas, in the order the pool hands them out.
-func replicasOf(se *ShardedEngine) []*Predictor {
-	out := make([]*Predictor, se.Shards())
-	for i := range out {
-		out[i] = <-se.free
-	}
-	for _, r := range out {
-		se.free <- r
-	}
-	return out
-}
+// replicasOf lists the predictors se runs model calls on: its one served
+// predictor, whatever its slot count.
+func replicasOf(se *ShardedEngine) []*Predictor { return []*Predictor{se.pred} }
 
-// predictOn computes sql past the prediction cache — its front end, then
-// the model — on replica r alone: every other replica is held out of the
-// pool while it runs. For the call, r reads and fills the sub-tree cache
-// own instead of the engine's shared one, and nil runs r's whole conv
-// stack: through the shared cache, r could copy every pooled conv output
-// another replica computed and run only its own dense head.
+// predictOn computes sql past the prediction cache — se's front end, then
+// one model call — on r's model, reading and filling the sub-tree cache own
+// in place of the engine's; nil runs the whole conv stack, where through the
+// engine's cache the call could copy every pooled conv output an earlier
+// call computed and run only the dense head.
 func predictOn(se *ShardedEngine, r *Predictor, own models.ConvCache, sql string) (Prediction, error) {
-	held := make([]*Predictor, se.Shards())
-	for i := range held {
-		held[i] = <-se.free
+	fe, err := se.frontEnd(sql, tmplLookup{}, true)
+	if err != nil {
+		return Prediction{}, err
 	}
 	m := r.mustServe()
-	m.SetConvCache(own)
-	se.free <- r
-	p, err := se.miss(context.Background(), sql, tmplLookup{})
-	<-se.free // r, back from the call
-	if se.convCache != nil {
-		m.SetConvCache(se.convCache)
-	} else {
-		m.SetConvCache(nil)
+	y := m.PredictEncoded(fe.enc, own)
+	m.Recycle(fe.enc)
+	return r.prediction(shapeOf(fe.trace.Plan), y), nil
+}
+
+// weightBits is every weight and state value of m, bit for bit: what a
+// caller checks to see that nothing wrote the model.
+func weightBits(m models.Model) []uint64 {
+	p := m.(*models.Prestroid)
+	var bits []uint64
+	for _, w := range p.Weights() {
+		for _, v := range w.W.Data {
+			bits = append(bits, math.Float64bits(v))
+		}
 	}
-	for _, h := range held {
-		se.free <- h
+	for _, st := range p.StateTensors() {
+		for _, v := range st.Data {
+			bits = append(bits, math.Float64bits(v))
+		}
 	}
-	return p, err
+	return bits
 }
 
 // sameParentHome returns two distinct queries whose canonical keys FNV-1a
@@ -85,10 +81,12 @@ func sameParentHome(t *testing.T) (string, string) {
 	return "", ""
 }
 
-// TestShardedMatchesSerial is the replica-correctness gate: with any
-// replica count, identical SQL yields byte-identical predictions to the
-// serialised single-replica path — through the engine, on every replica
-// alone, and on a repeat (cached) lookup.
+// TestShardedMatchesSerial is the slot-correctness gate: with any slot
+// count, identical SQL yields byte-identical predictions to the serialised
+// reference path — through the engine, on the model alone with no sub-tree
+// cache, and on a repeat (cached) lookup — and the engine never writes the
+// model it is handed: its weights keep their bits, and the reference still
+// answers as before on the same predictor.
 func TestShardedMatchesSerial(t *testing.T) {
 	pred := newTestPredictor(t)
 	queries := []string{
@@ -106,24 +104,14 @@ func TestShardedMatchesSerial(t *testing.T) {
 		}
 		serial[i] = p
 	}
+	weights := weightBits(pred.Model)
 	ctx := context.Background()
 	for _, replicas := range []int{1, 2, 4} {
 		cfg := DefaultConfig()
 		cfg.Replicas = replicas
-		preds := Replicas(pred, replicas)
-		if replicas > 1 {
-			// Replicas must never mutate the caller's predictor: every
-			// replica is a clone, so pred keeps full-width forward fan-out
-			// on the serialised path after the engine closes.
-			for _, p := range preds {
-				if p == pred || p.Model == pred.Model {
-					t.Fatal("Replicas reused the caller's predictor or model")
-				}
-			}
-		}
-		se := NewShardedEngine(preds, cfg)
+		se := NewShardedEngine(pred, cfg)
 		if se.Shards() != replicas {
-			t.Fatalf("built %d replicas, want %d (model supports cloning)", se.Shards(), replicas)
+			t.Fatalf("built %d slots, want %d", se.Shards(), replicas)
 		}
 		for i, sql := range queries {
 			got, _, err := se.PredictSQLGenCtx(ctx, sql)
@@ -140,8 +128,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 			if again != serial[i] {
 				t.Fatalf("replicas=%d query %d: cached %+v != serial %+v", replicas, i, again, serial[i])
 			}
-			// Every replica must agree byte for byte, or which one was free
-			// could change answers. Each runs its own conv stack.
+			// The model on its own conv stack, past the shared cache.
 			for ri, r := range replicasOf(se) {
 				direct, err := predictOn(se, r, nil, sql)
 				if err != nil {
@@ -153,22 +140,24 @@ func TestShardedMatchesSerial(t *testing.T) {
 			}
 		}
 		se.Close()
+		if !slices.Equal(weightBits(pred.Model), weights) {
+			t.Fatalf("replicas=%d: the engine wrote the model it was handed", replicas)
+		}
+		for i, sql := range queries {
+			if p, err := pred.PredictSQL(sql); err != nil || p != serial[i] {
+				t.Fatalf("replicas=%d query %d: the reference now answers %+v, %v; want %+v", replicas, i, p, err, serial[i])
+			}
+		}
 	}
 }
 
-// TestShardedDispatchStable checks what a miss costs on a pool of three
-// replicas: one model call each time, whichever replica is free, with the
-// prediction cache off; with it on, one call and one cache entry per key.
+// TestShardedDispatchStable checks what a miss costs on a three-slot
+// engine: one model call each time with the prediction cache off; with it
+// on, one call and one cache entry per key.
 func TestShardedDispatchStable(t *testing.T) {
 	sql := "SELECT a FROM t WHERE a > 5"
-	calls := func(stubs []*stubModel) (n int64) {
-		for _, st := range stubs {
-			n += st.predicts.Load()
-		}
-		return n
-	}
-	se, stubs := stubShards(t, 3, Config{})
-	cached, cachedStubs := stubShards(t, 3, Config{CacheSize: 8})
+	se, stub := stubShards(t, 3, Config{})
+	cached, cachedStub := stubShards(t, 3, Config{CacheSize: 8})
 	for i := 0; i < 10; i++ {
 		if _, err := se.PredictSQL(sql); err != nil {
 			t.Fatal(err)
@@ -177,10 +166,10 @@ func TestShardedDispatchStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := calls(stubs); n != 10 {
+	if n := stub.predicts.Load(); n != 10 {
 		t.Fatalf("10 misses ran %d model calls, want 10 (cache disabled)", n)
 	}
-	if n := calls(cachedStubs); n != 1 {
+	if n := cachedStub.predicts.Load(); n != 1 {
 		t.Fatalf("one key ran %d model calls with the cache on, want 1", n)
 	}
 	if n, _ := cached.cache.Stats(); n != 1 {
@@ -235,32 +224,28 @@ func TestShardedDetourChecksHomeCache(t *testing.T) {
 	}
 }
 
-// gateModel is a stub whose PredictInto blocks until released, signalling
-// entry — a deterministic probe that two replicas have their models inside a
-// prediction at the same instant, which one replica can never do.
+// gateModel is a stub whose PredictEncoded blocks until released, signalling
+// entry — a deterministic probe that two calls are inside the one model at
+// the same instant, which one slot can never allow.
 type gateModel struct {
 	stubModel
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (g *gateModel) PredictInto(batch []*workload.Trace, dst []float64) {
+func (g *gateModel) PredictEncoded(enc any, cache models.ConvCache) float64 {
 	g.entered <- struct{}{}
 	<-g.release
-	g.stubModel.PredictInto(batch, dst)
+	return g.stubModel.PredictEncoded(enc, cache)
 }
 
-// TestShardsOverlapModelCalls proves the pool's point: two misses run their
-// model calls at once on two replicas, even when their keys hashed to the
+// TestShardsOverlapModelCalls proves the slots' point: two misses run their
+// model calls at once on the one model, even when their keys hashed to the
 // same shard back when each key was bound to one replica and waited for it.
 func TestShardsOverlapModelCalls(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
-	preds := []*Predictor{
-		{Model: &gateModel{entered: entered, release: release}},
-		{Model: &gateModel{entered: entered, release: release}},
-	}
-	se := NewShardedEngine(preds, Config{})
+	se := NewShardedEngine(&Predictor{Model: &gateModel{entered: entered, release: release}}, Config{Replicas: 2})
 	t.Cleanup(se.Close)
 
 	done := make(chan error, 2)
@@ -275,7 +260,7 @@ func TestShardsOverlapModelCalls(t *testing.T) {
 		select {
 		case <-entered:
 		case <-time.After(10 * time.Second):
-			t.Fatal("replicas never overlapped: only one model call in flight")
+			t.Fatal("slots never overlapped: only one model call in flight")
 		}
 	}
 	close(release)
@@ -288,7 +273,7 @@ func TestShardsOverlapModelCalls(t *testing.T) {
 
 // TestShardedMetricsAggregate checks the totals of one engine snapshot are
 // its one row, and that the cache budget is the engine's whole: 12 entries
-// hold 12 keys, whatever the replica count.
+// hold 12 keys, whatever the slot count.
 func TestShardedMetricsAggregate(t *testing.T) {
 	se, _ := stubShards(t, 4, Config{CacheSize: 12})
 	for i := 0; i < 24; i++ {
@@ -330,13 +315,13 @@ func TestModelOutsideTheContract(t *testing.T) {
 			t.Fatalf("NewShardedEngine recovered %v, want a panic naming servedModel", r)
 		}
 	}()
-	NewShardedEngine([]*Predictor{pred}, Config{}).Close()
+	NewShardedEngine(pred, Config{}).Close()
 }
 
 // TestShardedClosedFallsBack mirrors the single-engine contract: Close is
 // idempotent and later queries degrade to the serialised path.
 func TestShardedClosedFallsBack(t *testing.T) {
-	se, stubs := stubShards(t, 2, Config{})
+	se, stub := stubShards(t, 2, Config{})
 	want, err := se.PredictSQL("SELECT a FROM t")
 	if err != nil {
 		t.Fatal(err)
@@ -350,9 +335,7 @@ func TestShardedClosedFallsBack(t *testing.T) {
 	if got.Normalized != want.Normalized {
 		t.Fatalf("post-close prediction diverged: %v vs %v", got.Normalized, want.Normalized)
 	}
-	for i, st := range stubs {
-		if v := st.violations.Load(); v != 0 {
-			t.Fatalf("shard %d: %d concurrent model calls", i, v)
-		}
+	if v := stub.violations.Load(); v != 0 {
+		t.Fatalf("%d overlapping model calls from serial queries", v)
 	}
 }

@@ -97,7 +97,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	for _, m := range ms {
 		p.printf("prestroid_reloads_total{model=%s} %d\n", quoteLabel(m.Name), m.Engine.Reloads)
 	}
-	p.header("prestroid_reload_rejected_total", "Reload attempts rejected before touching any replica, per model.", "counter")
+	p.header("prestroid_reload_rejected_total", "Reload attempts rejected before touching the live engine, per model.", "counter")
 	for _, m := range ms {
 		p.printf("prestroid_reload_rejected_total{model=%s} %d\n", quoteLabel(m.Name), m.Engine.RejectedBundles)
 	}
@@ -114,7 +114,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		p.printf("prestroid_model_parameters{model=%s,architecture=%s} %d\n",
 			quoteLabel(m.Name), quoteLabel(m.Engine.ModelName), m.Engine.Params)
 	}
-	p.header("prestroid_shards", "Model replica count, per model.", "gauge")
+	p.header("prestroid_shards", "Model calls the engine runs at once, per model.", "gauge")
 	for _, m := range ms {
 		p.printf("prestroid_shards{model=%s} %d\n", quoteLabel(m.Name), m.Engine.Replicas)
 	}
@@ -145,7 +145,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		ms, func(s ShardSnapshot) int64 { return int64(s.TemplateEntries) })
 	p.shardSeries("prestroid_shard_template_cache_bytes", "Payload bytes held by the prepared-template cache, per shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return s.TemplateBytes })
-	p.shardSeries("prestroid_shard_queue_depth", "Handlers waiting for or holding a model replica, per shard.", "gauge",
+	p.shardSeries("prestroid_shard_queue_depth", "Handlers waiting for or holding a model slot, per shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return int64(s.Queued) })
 	p.shardSeries("prestroid_shard_generation", "Predictor-identity generation serving on each shard.", "gauge",
 		ms, func(s ShardSnapshot) int64 { return s.Generation })
@@ -155,7 +155,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		ms, func(s ShardSnapshot) int64 { return s.Expired })
 	p.shardFloatSeries("prestroid_shard_service_time_seconds", "EWMA per-call model round trip, wait excluded, per shard (0 until the first call).", "gauge",
 		ms, func(s ShardSnapshot) float64 { return s.ServiceTimeMicros / 1e6 })
-	p.shardFloatSeries("prestroid_shard_est_wait_seconds", "Estimated wait for a replica: 0 while one is free, else handlers waiting for or holding one times EWMA service time over the replica count, per shard.", "gauge",
+	p.shardFloatSeries("prestroid_shard_est_wait_seconds", "Estimated wait for a model slot: 0 while one is free, else handlers waiting for or holding one times EWMA service time over the slot count, per shard.", "gauge",
 		ms, func(s ShardSnapshot) float64 { return s.EstWaitMicros / 1e6 })
 
 	p.header("prestroid_shadow_mirrored_total", "Live requests the staged shadow bundle re-predicted off the hot path.", "counter")

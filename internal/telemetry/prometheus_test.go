@@ -149,7 +149,7 @@ prestroid_staged_generation{model="beta"} 2
 # TYPE prestroid_reloads_total counter
 prestroid_reloads_total{model="default"} 1
 prestroid_reloads_total{model="beta"} 0
-# HELP prestroid_reload_rejected_total Reload attempts rejected before touching any replica, per model.
+# HELP prestroid_reload_rejected_total Reload attempts rejected before touching the live engine, per model.
 # TYPE prestroid_reload_rejected_total counter
 prestroid_reload_rejected_total{model="default"} 1
 prestroid_reload_rejected_total{model="beta"} 0
@@ -165,7 +165,7 @@ prestroid_model_aborts_total{model="beta"} 1
 # TYPE prestroid_model_parameters gauge
 prestroid_model_parameters{model="default",architecture="prestroid"} 12345
 prestroid_model_parameters{model="beta",architecture="prestroid"} 12345
-# HELP prestroid_shards Model replica count, per model.
+# HELP prestroid_shards Model calls the engine runs at once, per model.
 # TYPE prestroid_shards gauge
 prestroid_shards{model="default"} 2
 prestroid_shards{model="beta"} 1
@@ -234,7 +234,7 @@ prestroid_shard_template_cache_entries{model="beta",shard="0"} 0
 prestroid_shard_template_cache_bytes{model="default",shard="0"} 512
 prestroid_shard_template_cache_bytes{model="default",shard="1"} 128
 prestroid_shard_template_cache_bytes{model="beta",shard="0"} 0
-# HELP prestroid_shard_queue_depth Handlers waiting for or holding a model replica, per shard.
+# HELP prestroid_shard_queue_depth Handlers waiting for or holding a model slot, per shard.
 # TYPE prestroid_shard_queue_depth gauge
 prestroid_shard_queue_depth{model="default",shard="0"} 1
 prestroid_shard_queue_depth{model="default",shard="1"} 0
@@ -259,7 +259,7 @@ prestroid_shard_expired_total{model="beta",shard="0"} 0
 prestroid_shard_service_time_seconds{model="default",shard="0"} 0.0015
 prestroid_shard_service_time_seconds{model="default",shard="1"} 0
 prestroid_shard_service_time_seconds{model="beta",shard="0"} 0
-# HELP prestroid_shard_est_wait_seconds Estimated wait for a replica: 0 while one is free, else handlers waiting for or holding one times EWMA service time over the replica count, per shard.
+# HELP prestroid_shard_est_wait_seconds Estimated wait for a model slot: 0 while one is free, else handlers waiting for or holding one times EWMA service time over the slot count, per shard.
 # TYPE prestroid_shard_est_wait_seconds gauge
 prestroid_shard_est_wait_seconds{model="default",shard="0"} 0.0015
 prestroid_shard_est_wait_seconds{model="default",shard="1"} 0

@@ -25,9 +25,9 @@ func NewShardGroup() *ShardGroup { return &ShardGroup{} }
 
 // EstWaitMicros is the admission controller's wait estimate for an engine
 // with `busy` handlers waiting for or holding one of its `replicas` model
-// replicas: 0 while fewer handlers than replicas are busy, so a free
-// replica is never priced as a wait, and otherwise busy times the EWMA
-// per-call service time, over the replica count. 0 is also the answer with
+// slots: 0 while fewer handlers than slots are busy, so a free slot is
+// never priced as a wait, and otherwise busy times the EWMA per-call
+// service time, over the slot count. 0 is also the answer with
 // no samples yet (cold engine) — admission treats that as "no evidence of
 // overload" and admits.
 func (g *ShardGroup) EstWaitMicros(busy, replicas int) float64 {
@@ -39,11 +39,11 @@ func (g *ShardGroup) EstWaitMicros(busy, replicas int) float64 {
 }
 
 // ShardGauges carries the point-in-time gauges a shard's owner samples at
-// snapshot time — state that lives in other structures (the replica's busy
+// snapshot time — state that lives in other structures (the engine's busy
 // count, caches, weight generation) rather than in the counter group.
 type ShardGauges struct {
-	Queued          int // handlers waiting for or holding a replica
-	Replicas        int // model replicas the handlers share
+	Queued          int // handlers waiting for or holding a model slot
+	Replicas        int // model slots: calls the engine runs at once
 	CacheEntries    int
 	SubtreeEntries  int
 	SubtreeBytes    int64
@@ -110,7 +110,7 @@ type ShardSnapshot struct {
 }
 
 // EngineSnapshot is an engine's full telemetry state: its counter group as
-// the one row of Shards, plus the roll counters, the replica count and the
+// the one row of Shards, plus the roll counters, the slot count and the
 // live model identity.
 type EngineSnapshot struct {
 	// Generation is the generation of the (pipeline, normaliser, weights)
@@ -125,7 +125,7 @@ type EngineSnapshot struct {
 	RejectedBundles int64
 	ModelName       string
 	Params          int
-	Replicas        int // model replicas the engine runs misses on
+	Replicas        int // model calls the engine runs at once
 	Shards          []ShardSnapshot
 }
 

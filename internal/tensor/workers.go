@@ -13,7 +13,7 @@ import (
 // on every claim, so the budget follows GOMAXPROCS when it changes. The
 // caller of Each is always a worker and holds no share of the budget, so
 // progress never waits on it: a lone loop on an idle host gets every core,
-// concurrent loops (replicas' model calls, or a kernel inside a training item)
+// concurrent loops (concurrent model calls, or a kernel inside a training item)
 // divide the budget and degrade toward serial instead of oversubscribing.
 var (
 	helpers    atomic.Int64 // live helpers across all Each calls
