@@ -10,6 +10,9 @@ import (
 var (
 	suiteOnce sync.Once
 	suite     *Suite
+
+	table4Once sync.Once
+	table4     *Table
 )
 
 // sharedSuite builds one test-scale suite for all experiment tests (model
@@ -18,6 +21,15 @@ func sharedSuite(t *testing.T) *Suite {
 	t.Helper()
 	suiteOnce.Do(func() { suite = NewSuite(TestScale()) })
 	return suite
+}
+
+// sharedTable4 is Table 4 of the shared suite, built once: it trains its own
+// rounds, and two tests read it.
+func sharedTable4(t *testing.T) *Table {
+	t.Helper()
+	s := sharedSuite(t)
+	table4Once.Do(func() { table4 = Table4(s) })
+	return table4
 }
 
 func cellF(tb testing.TB, t *Table, row, col int) float64 {
@@ -112,8 +124,7 @@ func TestTable3InferenceTimings(t *testing.T) {
 }
 
 func TestTable4StdNonNegative(t *testing.T) {
-	s := sharedSuite(t)
-	tbl := Table4(s)
+	tbl := sharedTable4(t)
 	for i := range tbl.Rows {
 		if cellF(t, tbl, i, 1) <= 0 {
 			t.Fatalf("mean MSE missing in row %d", i)

@@ -75,8 +75,8 @@ type Prestroid struct {
 	opt  *nn.Adam
 	loss nn.HuberLoss
 
-	cache    map[*workload.Trace][]*treecnn.Tree
-	maxNodes int // full-tree padding target, set during Prepare
+	cache    map[*workload.Trace][]*treecnn.Tree // index-only trees (see Prepare)
+	maxNodes int                                 // full-tree padding target, set during Prepare
 
 	// convCache, when set, memoises pooled conv outputs by tree hash on the
 	// PredictInto fast path. It must be concurrency-safe (see ConvCache).
@@ -91,11 +91,11 @@ type Prestroid struct {
 
 	// feats[n] pools released (n, featDim) feature slabs of sub-trees for
 	// encodePlan to flatten into (see Recycle); nil for a full-tree model.
-	// The pools live in their own array, apart from the model: the runtime's
-	// pool registry points at a pool once it is used, and a pool inside the
-	// struct would keep a finished model and its training encodings alive
-	// across collections. The pools are deleted together with Tree's dense
-	// Feats (ROADMAP item 4).
+	// Prepare's workers and serving's miss path both draw from and return to
+	// them, so a slab's life is one encode. The pools live in their own
+	// array, apart from the model: the runtime's pool registry points at a
+	// pool once it is used, and a pool inside the struct would keep a
+	// finished model alive across collections.
 	feats []sync.Pool
 }
 
@@ -215,7 +215,9 @@ func (m *Prestroid) samplingConfig() subtree.Config {
 // Prepare recasts, samples and flattens each trace's plan once. The traces
 // not yet cached are encoded in parallel through tensor.Each (encodePlan
 // reads only immutable state) and adopted serially in input order, so the
-// cache ends the same at any core count.
+// cache ends the same at any core count. Each worker releases a trace's
+// dense feature rows as soon as it is encoded (recycle), so the cache holds
+// index-only trees and the dense slabs in flight are a few per worker.
 func (m *Prestroid) Prepare(traces []*workload.Trace) {
 	var todo []*workload.Trace
 	for _, tr := range traces {
@@ -229,7 +231,10 @@ func (m *Prestroid) Prepare(traces []*workload.Trace) {
 		return
 	}
 	encs := make([][]*treecnn.Tree, len(todo))
-	tensor.Each(len(todo), func(i, _ int) { encs[i] = m.encodePlan(todo[i].Plan) })
+	tensor.Each(len(todo), func(i, _ int) {
+		encs[i] = m.encodePlan(todo[i].Plan)
+		m.recycle(encs[i])
+	})
 	for i, tr := range todo {
 		m.adopt(tr, encs[i])
 	}
@@ -300,19 +305,26 @@ func (m *Prestroid) adopt(tr *workload.Trace, trees []*treecnn.Tree) {
 }
 
 // EncodeTrace computes a trace's encodings without touching the per-trace
-// cache, so any goroutine may call it. The caller owns the encoding: it may
-// hand it to PredictEncoded, or to AdoptEncoding and, once the trace is
-// evicted, to Recycle, or keep it for as long as it likes.
+// cache, so any goroutine may call it. The caller owns the encoding, dense
+// feature rows included: it may hand it to PredictEncoded, or to
+// AdoptEncoding, or to Recycle, or keep it for as long as it likes.
 func (m *Prestroid) EncodeTrace(tr *workload.Trace) any { return m.encodePlan(tr.Plan) }
 
-// Recycle releases the feature slabs of an encoding EncodeTrace made into the
-// model's pools, for later encodes to flatten into. The caller must be done
-// with every tree of enc: not adopted, or evicted since. Full-tree trees are
-// left to the garbage collector.
-func (m *Prestroid) Recycle(enc any) {
-	for _, t := range enc.([]*treecnn.Tree) {
+// Recycle releases the dense feature rows of an encoding EncodeTrace made:
+// a sub-tree's slab goes to the model's pools, for later encodes to flatten
+// into, and a full tree's to the garbage collector. The trees stay valid on
+// their index — they predict, hash and cache as before — but the caller must
+// not read their Feats again.
+func (m *Prestroid) Recycle(enc any) { m.recycle(enc.([]*treecnn.Tree)) }
+
+// recycle is Recycle on the trees themselves, with no interface conversion
+// for Prepare's workers to allocate.
+func (m *Prestroid) recycle(trees []*treecnn.Tree) {
+	for _, t := range trees {
 		if n := t.Len(); n < len(m.feats) {
 			m.feats[n].Put(t.Release())
+		} else {
+			t.Feats = nil // no pool takes it: clearing it would be wasted work
 		}
 	}
 }

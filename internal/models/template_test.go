@@ -36,12 +36,17 @@ func assertTreesIdentical(t *testing.T, label string, got, want []*treecnn.Tree)
 		if g.Hash != w.Hash {
 			t.Fatalf("%s: tree %d hash %x, want %x", label, i, g.Hash, w.Hash)
 		}
-		if len(g.Feats.Data) != len(w.Feats.Data) {
-			t.Fatalf("%s: tree %d feature size mismatch", label, i)
+		if (g.Feats == nil) != (w.Feats == nil) {
+			t.Fatalf("%s: tree %d holds dense features on one side only", label, i)
 		}
-		for j := range w.Feats.Data {
-			if g.Feats.Data[j] != w.Feats.Data[j] {
-				t.Fatalf("%s: tree %d feature %d = %v, want %v", label, i, j, g.Feats.Data[j], w.Feats.Data[j])
+		if w.Feats != nil {
+			if len(g.Feats.Data) != len(w.Feats.Data) {
+				t.Fatalf("%s: tree %d feature size mismatch", label, i)
+			}
+			for j := range w.Feats.Data {
+				if g.Feats.Data[j] != w.Feats.Data[j] {
+					t.Fatalf("%s: tree %d feature %d = %v, want %v", label, i, j, g.Feats.Data[j], w.Feats.Data[j])
+				}
 			}
 		}
 		for j := range w.Left {
@@ -55,7 +60,7 @@ func assertTreesIdentical(t *testing.T, label string, got, want []*treecnn.Tree)
 			}
 		}
 		// What the loops above do not reach: bit patterns (±0) and the
-		// non-zero index.
+		// non-zero index with its values.
 		if !g.Identical(w) {
 			t.Fatalf("%s: tree %d is not bit-identical (feature bits or non-zero index)", label, i)
 		}
@@ -170,8 +175,9 @@ func TestTemplateEncodingSharedTreesStable(t *testing.T) {
 
 // TestTemplateEncodingBytesCountsIndex: the cache's byte accounting covers
 // the trees' non-zero index — one start word per row plus one, and one column
-// word per non-zero feature — on top of the dense features, structure and
-// votes, so the template cache's byte gauge tracks what an entry really holds.
+// word and one value per non-zero feature — on top of the dense features,
+// structure and votes, so the template cache's byte gauge tracks what an
+// entry really holds.
 func TestTemplateEncodingBytesCountsIndex(t *testing.T) {
 	b := bed(t)
 	cfg := DefaultPrestroidConfig(15, 5)
@@ -196,7 +202,7 @@ func TestTemplateEncodingBytesCountsIndex(t *testing.T) {
 	if nnz == 0 {
 		t.Fatal("featurized trees have no non-zero feature")
 	}
-	want += 4 * nnz
+	want += (4 + 8) * nnz
 	if te.Bytes() != want {
 		t.Fatalf("Bytes() = %d, want %d (dense + structure + index)", te.Bytes(), want)
 	}

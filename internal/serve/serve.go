@@ -71,7 +71,7 @@ type Predictor struct {
 // any number of goroutines at once and none writing the weights:
 // EncodeTrace is the pure per-plan encode, PredictEncoded predicts one
 // encoding through the caller's sub-tree cache (nil reads none), and Recycle
-// takes an encoding back for later encodes to reuse. A roll builds the next
+// takes an encoding's dense feature slabs back for later encodes to reuse. A roll builds the next
 // identity with RebuildWithPipeline and overwrites its Weights before
 // anything serves it.
 //

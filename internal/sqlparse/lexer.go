@@ -9,6 +9,7 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // TokenKind classifies lexical tokens.
@@ -122,17 +123,26 @@ func (l *Lexer) Next() (Token, error) {
 	}
 }
 
-// Tokenize lexes the whole input eagerly. The slice is presized to one token
-// per three bytes: the densest generated workload query runs 3.25 bytes a
-// token, and one in five outgrows a four-byte estimate. Denser text (one-
-// letter names) costs one regrowth.
+// Tokenize lexes the whole input eagerly into a slice the caller owns. The
+// slice is presized to one token per three bytes: the densest generated
+// workload query runs 3.25 bytes a token, and one in five outgrows a
+// four-byte estimate. Denser text (one-letter names) costs one regrowth.
 func Tokenize(src string) ([]Token, error) {
+	toks, err := appendTokens(make([]Token, 0, len(src)/3+1), src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// appendTokens lexes the whole input onto toks. It returns toks as grown so
+// far even on an error, so a pooled buffer is never lost.
+func appendTokens(toks []Token, src string) ([]Token, error) {
 	lx := NewLexer(src)
-	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		toks = append(toks, t)
 		if t.Kind == TokEOF {
@@ -140,6 +150,16 @@ func Tokenize(src string) ([]Token, error) {
 		}
 	}
 }
+
+// maxPooledTokens bounds the token buffers Parse keeps for reuse: a
+// pathological query's buffer goes to the garbage collector instead of
+// staying in the pool.
+const maxPooledTokens = 4096
+
+// tokenBufs recycles Parse's token buffers. A parse reads its tokens only
+// while it runs — the AST keeps copies of their texts, which are slices of
+// the source, never the buffer — so the buffer goes back as Parse returns.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
 
 func (l *Lexer) skipSpace() {
 	for l.pos < len(l.src) {

@@ -60,13 +60,27 @@ type Parser struct {
 	pos  int
 }
 
-// Parse parses a single SELECT statement (with optional UNION ALL chain).
+// Parse parses a single SELECT statement (with optional UNION ALL chain). It
+// lexes into a pooled token buffer and hands it back, cleared, when it
+// returns.
 func Parse(src string) (*SelectStmt, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+	buf := tokenBufs.Get().(*[]Token)
+	toks, err := appendTokens((*buf)[:0], src)
+	var stmt *SelectStmt
+	if err == nil {
+		stmt, err = parseTokens(toks)
 	}
-	p := &Parser{toks: toks}
+	if cap(toks) <= maxPooledTokens {
+		clear(toks) // drop the source's strings
+		*buf = toks[:0]
+		tokenBufs.Put(buf)
+	}
+	return stmt, err
+}
+
+// parseTokens parses a lexed statement.
+func parseTokens(toks []Token) (*SelectStmt, error) {
+	p := Parser{toks: toks}
 	stmt, err := p.parseSelect()
 	if err != nil {
 		return nil, err

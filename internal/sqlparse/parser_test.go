@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -304,5 +305,35 @@ func TestExprStringRoundTripTokens(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("ExprString = %q missing %q", s, frag)
 		}
+	}
+}
+
+// TestParseKeepsNoPooledTokens: Parse lexes into a pooled buffer that it
+// clears and the next parse overwrites, so no AST may point into it. A
+// statement parsed before a run of other parses — erroring ones included —
+// must still equal, field for field, one parsed from tokens Tokenize made,
+// which nothing reuses.
+func TestParseKeepsNoPooledTokens(t *testing.T) {
+	const src = "SELECT d.name AS n, COUNT(*) FROM drivers d JOIN (SELECT id FROM cars WHERE x IN (1, 'a''b')) c ON d.id = c.id " +
+		"WHERE d.rating BETWEEN 1 AND 3 AND d.city LIKE 'sg%' GROUP BY d.name ORDER BY d.name DESC LIMIT 7"
+	first := mustParse(t, src)
+	for _, other := range []string{
+		"SELECT zz FROM qq WHERE yy = 'overwritten' UNION ALL SELECT ww FROM vv",
+		"SELECT a FROM",
+		"SELECT 'unterminated FROM t",
+		strings.Repeat("SELECT x FROM t UNION ALL ", 40) + "SELECT y FROM u",
+	} {
+		Parse(other)
+	}
+	toks, err := Tokenize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := parseTokens(toks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("a statement changed after later parses:\n%#v\nwant\n%#v", first, want)
 	}
 }

@@ -14,12 +14,13 @@ import (
 // with missing children contributing zero. The (Wt, Wl, Wr) triple is the
 // triangular kernel slid breadth-first across the tree.
 //
-// What the layer's input is decides how it is computed, in both directions.
-// The first layer reads the tree's feature rows, which are indexed once at
-// featurization and almost entirely zero: forward gathers rows of Wt/Wl/Wr
-// through the index, backward sorts the forest's index entries by weight row
-// and scatters dWt/dWl/dWr through them, and computes no input gradient
-// (nothing is upstream of the features). Every later layer reads rectified
+// Where the layer sits in the stack decides how it is computed, in both
+// directions. The first layer reads the tree's feature rows, which are
+// almost entirely zero and indexed once at featurization, values included,
+// so it reads the index alone: forward gathers rows of Wt/Wl/Wr through it,
+// backward sorts the forest's index entries by weight row and scatters
+// dWt/dWl/dWr through them, and computes no input gradient (nothing is
+// upstream of the features). Every later layer reads rectified
 // activations, about half dense, and every product there is one tensor
 // kernel call that adds its sum, formed on its own from +0, straight into its
 // destination row: forward adds each node's parent and child products into
@@ -80,14 +81,14 @@ func addRow(dst, src []float64) {
 	}
 }
 
-// gatherRows sets orow to Σ_c xrow[c]·w[c,:] over the listed columns, in
-// column order from +0 — tensor.AccumRows with the zero tests already
-// answered by the index.
-func gatherRows(orow, xrow []float64, cols []int32, w *tensor.Tensor) {
+// gatherRows sets orow to Σ_k vals[k]·w[cols[k],:] over one row's index
+// entries, in column order from +0 — tensor.AccumRows over the dense row
+// with the zero tests already answered by the index.
+func gatherRows(orow []float64, cols []int32, vals []float64, w *tensor.Tensor) {
 	n := len(orow)
 	clear(orow)
-	for _, c := range cols {
-		av := xrow[c]
+	for k, c := range cols {
+		av := vals[k]
 		wrow := w.Data[int(c)*n : (int(c)+1)*n]
 		for j, wv := range wrow {
 			orow[j] += av * wv
@@ -239,17 +240,18 @@ func (l *ConvLayer) forwardArenaInt8(tree *Tree, x *tensor.Tensor, a *tensor.Are
 }
 
 // forward writes the layer's output for tree into out's rows [off, off+n),
-// clearing them first; scratch (nil for the heap) serves the call. x being
-// the tree's own feature tensor is what selects products gathered through
-// nz, each formed in an Out-wide scratch row and then added; any other input
-// is an activation matrix whose rows [off, off+n) are the tree's, and each
-// product is one tensor.AccumRows call.
+// clearing them first; scratch (nil for the heap) serves the call. A nil x
+// is the first layer's input, the tree's features, read through their index
+// nz alone: each product is gathered in an Out-wide scratch row and then
+// added. Any other x is an activation matrix whose rows [off, off+n) are the
+// tree's, and each product is one tensor.AccumRows call.
 func (l *ConvLayer) forward(out *tensor.Tensor, off int, tree *Tree, nz rowIndex, x *tensor.Tensor, scratch *tensor.Arena) {
 	clear(out.Data[off*l.Out : (off+tree.Len())*l.Out])
-	if x == tree.Feats {
+	if x == nil {
 		tmp := scratch.Get(l.Out).Data
 		l.project(out, off, tree, func(dst []float64, i int, w *tensor.Tensor) {
-			gatherRows(tmp, x.Row(i), nz.row(i), w)
+			cols, vals := nz.row(i)
+			gatherRows(tmp, cols, vals, w)
 			addRow(dst, tmp)
 		})
 	} else {
@@ -350,8 +352,9 @@ func accumDense(g, x *tensor.Tensor, ctx *Context, param int, gz *tensor.Tensor,
 	}
 }
 
-// accumSparse is the accumulator for the indexed feature rows: only weight
-// rows some node's index lists are touched. A counting sort lays the
+// accumSparse is the accumulator for the indexed feature rows, which it
+// reads from the index alone: only weight rows some node's index lists are
+// touched. A counting sort lays the
 // forest's index entries in [lo,hi) out by weight row, each row's in node
 // order; then per row each tree's run of entries is summed from +0 in an
 // Out-wide scratch row and added into G when the tree changes.
@@ -365,7 +368,8 @@ func accumSparse(g *tensor.Tensor, ctx *Context, param int, gz *tensor.Tensor, l
 		child := children(t, param)
 		for p := range t.Left {
 			if q := inputRow(child, p); q >= 0 {
-				for _, c := range ctx.nz[ti].row(q) {
+				cols, _ := ctx.nz[ti].row(q)
+				for _, c := range cols {
 					if r := int(c) - lo; r >= 0 && r < hi-lo {
 						at[r+1]++
 					}
@@ -384,11 +388,11 @@ func accumSparse(g *tensor.Tensor, ctx *Context, param int, gz *tensor.Tensor, l
 		child := children(t, param)
 		for p := range t.Left {
 			if q := inputRow(child, p); q >= 0 {
-				xrow := t.Feats.Row(q)
-				for _, c := range ctx.nz[ti].row(q) {
+				cols, vals := ctx.nz[ti].row(q)
+				for e, c := range cols {
 					if r := int(c) - lo; r >= 0 && r < hi-lo {
 						k := at[r]
-						node[k], tree[k], val[k] = int32(off+p), int32(ti), xrow[c]
+						node[k], tree[k], val[k] = int32(off+p), int32(ti), vals[e]
 						at[r]++
 					}
 				}
@@ -599,7 +603,7 @@ func (n *Network) Forward(t *Tree) (*tensor.Tensor, *Context) {
 // returns. Values are byte-identical to ForwardInference's.
 func (n *Network) ForwardTrain(ctx *Context, ti int, pooled []float64, scratch *tensor.Arena) {
 	t, off := ctx.trees[ti], ctx.start(ti)
-	x := t.Feats
+	var x *tensor.Tensor // the first layer reads the tree's index
 	for k, l := range n.Layers {
 		l.forward(&ctx.acts[k], off, t, ctx.nz[ti], x, scratch)
 		x = &ctx.acts[k]
@@ -615,7 +619,7 @@ func (n *Network) ForwardTrain(ctx *Context, ti int, pooled []float64, scratch *
 // arena Reset.
 func (n *Network) ForwardInference(t *Tree, a *tensor.Arena) *tensor.Tensor {
 	nz := t.index(a)
-	x := t.Feats
+	var x *tensor.Tensor // the first layer reads the tree's index
 	for _, l := range n.Layers {
 		out := a.Get(t.Len(), l.Out)
 		l.forward(out, 0, t, nz, x, a)
@@ -643,6 +647,7 @@ func (n *Network) PackInt8() float64 {
 // inside the arena, returning the pooled vector and the max activation
 // quantisation error observed across the layers. Outputs carry a bounded
 // quantisation error relative to ForwardInference; pooling itself is exact.
+// It reads the dense feature rows, so t must still hold its Feats.
 //
 // Nothing in the daemon calls it: serving runs ForwardInference only. It and
 // PackInt8, the layers' int8Kernel and tensor's int8 kernels stay for one

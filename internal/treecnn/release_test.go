@@ -2,6 +2,7 @@ package treecnn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"prestroid/internal/subtree"
@@ -46,4 +47,62 @@ func TestReleaseClearsEverySoiledBit(t *testing.T) {
 			t.Fatalf("sample %d: the tree flattened into the released slab differs from a fresh one", si)
 		}
 	}
+}
+
+// TestReleasedTreeConvolvesLikeDense: a released tree lives on its index.
+// Every generated Grab tree — sub-tree samples, whole plans, and one plan
+// past the digest's stack buffer — is deep-copied and the copy released; it
+// must stay Identical to its dense twin, and give ForwardInference's pooled
+// vector, ForwardTrain's pooled vector and, after BackwardInputs over the
+// forest, every parameter gradient AccumulateGrad adds, bit for bit as the
+// dense tree does on a network with the same weights.
+func TestReleasedTreeConvolvesLikeDense(t *testing.T) {
+	dense := grabTrees(t)
+	released := make([]*Tree, len(dense))
+	for i, d := range dense {
+		r := Tree{Feats: d.Feats.Clone(), Left: slices.Clone(d.Left), Right: slices.Clone(d.Right),
+			Votes: slices.Clone(d.Votes), nz: rowIndex{ix: slices.Clone(d.nz.ix), val: slices.Clone(d.nz.val)}, Hash: d.Hash}
+		r.Release()
+		if r.Feats != nil || !r.Identical(d) {
+			t.Fatalf("tree %d: released tree holds Feats %v or is not Identical to its dense twin", i, r.Feats != nil)
+		}
+		released[i] = &r
+	}
+	nets := diffNets(dense[0].Feats.Shape[1], []int{8, 6, 5}, 11)
+	dn, rn := nets[0], nets[1]
+	od := dn.OutDim()
+	scratch := tensor.NewArena(0)
+	for i := range dense {
+		want := append([]float64(nil), dn.ForwardInference(dense[i], scratch).Data...)
+		scratch.Reset()
+		requireSame(t, "ForwardInference pooled", rn.ForwardInference(released[i], scratch).Data, want)
+		scratch.Reset()
+	}
+
+	var dctx, rctx Context
+	dctx.Reset(dn, dense)
+	rctx.Reset(rn, released)
+	for ti := range dense {
+		want, got := make([]float64, od), make([]float64, od)
+		dn.ForwardTrain(&dctx, ti, want, scratch)
+		scratch.Reset()
+		rn.ForwardTrain(&rctx, ti, got, scratch)
+		scratch.Reset()
+		requireSame(t, "ForwardTrain pooled", got, want)
+	}
+	rng := tensor.NewRNG(12)
+	grad := tensor.New(1, od)
+	dT, rT := dn.Transpose(nil), rn.Transpose(nil)
+	for ti := range dense {
+		rng.FillNorm(grad, 0, 1)
+		dn.BackwardInputs(&dctx, ti, grad.Data, dT)
+		rn.BackwardInputs(&rctx, ti, grad.Data, rT)
+	}
+	for _, task := range dn.GradTasks(3) {
+		dn.AccumulateGrad(task, &dctx, scratch)
+		scratch.Reset()
+		rn.AccumulateGrad(task, &rctx, scratch)
+		scratch.Reset()
+	}
+	requireSameGrads(t, "AccumulateGrad", rn, dn)
 }

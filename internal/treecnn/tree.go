@@ -20,27 +20,28 @@ import (
 //
 // O-T-P feature rows are a 1-hot or one predicate block wide — well under 1%
 // dense — so a Tree is indexed once, where it is featurized, and everything
-// downstream works from the index: layer 0 of the convolution gathers weight
-// rows through it going forward and scatters weight gradients through it
-// going backward, and the content hash digests exactly the entries it lists.
-// The flatteners and Rehash build it; a Tree assembled as a
-// struct literal has none and is indexed into scratch by each pass that
-// needs one (the Tree itself is never written by a reader). Feats stays the
-// dense source of the values; code that writes to it after flattening must
-// call Rehash before the tree is convolved or cached again.
+// downstream works from the index, which lists each non-zero entry's column
+// and value: layer 0 of the convolution gathers weight rows through it going
+// forward and scatters weight gradients through it going backward, and the
+// content hash digests exactly the entries it lists. The flatteners and
+// Rehash build it; a Tree assembled as a struct literal has none and is
+// indexed into scratch by each pass that needs one (the Tree itself is never
+// written by a reader). Code that writes to Feats after flattening must call
+// Rehash before the tree is convolved or cached again.
 //
 // Whoever flattened a tree owns it, Feats included, until it hands it on.
-// An owner that is done with a tree may Release it to reuse its Feats as
-// the slab of a later flatten (FlattenSubTreeInto); the released tree is
-// dead, and a later read of its Feats panics. Trees nobody releases are
-// left to the garbage collector.
+// An owner that no longer needs the dense rows may Release the tree, to
+// reuse its Feats as the slab of a later flatten (FlattenSubTreeInto). The
+// released tree is live: it holds only its index, structure, votes and hash,
+// and convolves, hashes and caches exactly as before; only Feats is nil.
+// Slabs nobody releases are left to the garbage collector.
 type Tree struct {
-	Feats *tensor.Tensor // (n, featDim)
+	Feats *tensor.Tensor // (n, featDim); nil once released
 	Left  []int          // index of left child, -1 if none
 	Right []int          // index of right child, -1 if none
 	Votes []float64      // 1 = participates in pooling
 
-	nz rowIndex // Feats' non-zero pattern; nil = not indexed
+	nz rowIndex // Feats' non-zero entries; nz.ix nil = not indexed
 
 	// Hash is a Merkle-style digest of the tree's exact convolution input —
 	// feature rows, votes and child structure — set by the flatteners (or
@@ -53,18 +54,28 @@ type Tree struct {
 // Len returns the number of nodes.
 func (t *Tree) Len() int { return len(t.Left) }
 
-// Bytes reports the approximate heap footprint of the tree — features,
-// structure, votes and the non-zero index — for cache accounting.
+// Bytes reports the approximate heap footprint of the tree — features while
+// it holds them, structure, votes and the non-zero index with its values —
+// for cache accounting.
 func (t *Tree) Bytes() int {
-	return t.Feats.Bytes() + 8*(len(t.Left)+len(t.Right)+len(t.Votes)) + 4*len(t.nz)
+	b := 8*(len(t.Left)+len(t.Right)+len(t.Votes)) + 4*len(t.nz.ix) + 8*len(t.nz.val)
+	if t.Feats != nil {
+		b += t.Feats.Bytes()
+	}
+	return b
 }
 
 // Identical reports whether t and u are the same convolution input bit for
-// bit: feature rows, child structure, votes, non-zero index and hash.
+// bit: child structure, votes, non-zero index with its values, hash, and the
+// feature rows where both still hold them — a released tree is Identical to
+// the tree it was before Release.
 func (t *Tree) Identical(u *Tree) bool {
-	return slices.Equal(t.Feats.Shape, u.Feats.Shape) && sameBits(t.Feats.Data, u.Feats.Data) &&
-		slices.Equal(t.Left, u.Left) && slices.Equal(t.Right, u.Right) && sameBits(t.Votes, u.Votes) &&
-		slices.Equal(t.nz, u.nz) && t.Hash == u.Hash
+	if t.Feats != nil && u.Feats != nil &&
+		!(slices.Equal(t.Feats.Shape, u.Feats.Shape) && sameBits(t.Feats.Data, u.Feats.Data)) {
+		return false
+	}
+	return slices.Equal(t.Left, u.Left) && slices.Equal(t.Right, u.Right) && sameBits(t.Votes, u.Votes) &&
+		slices.Equal(t.nz.ix, u.nz.ix) && sameBits(t.nz.val, u.nz.val) && t.Hash == u.Hash
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns.
@@ -72,39 +83,49 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// rowIndex is the sparsity pattern of an n-row feature tensor in CSR form,
-// in one slice: ix[0..n] are offsets into ix itself, and the columns of row
-// i's non-zero entries (NaN counts as non-zero, ±0 do not), ascending, are
-// ix[ix[i]:ix[i+1]].
-type rowIndex []int32
-
-// newRowIndex returns the index of n rows, none listed yet, built in buf.
-func newRowIndex(buf []int32, n int) rowIndex {
-	ix := rowIndex(buf[:n+1])
-	ix[0] = int32(n + 1)
-	return ix
+// rowIndex is the non-zero entries of an n-row feature tensor in CSR form.
+// ix[0..n] are offsets into ix itself, and the columns of row i's non-zero
+// entries (NaN counts as non-zero, ±0 do not), ascending, are
+// ix[ix[i]:ix[i+1]]. val holds the entries' values in the same order, from
+// ix[0] on, so the whole convolution input of the rows is in the index.
+type rowIndex struct {
+	ix  []int32
+	val []float64
 }
 
-func (ix rowIndex) row(i int) []int32 { return ix[ix[i]:ix[i+1]] }
+// newRowIndex returns the index of n rows, none listed yet, built in buf
+// (columns) and vbuf (values).
+func newRowIndex(buf []int32, vbuf []float64, n int) rowIndex {
+	ix := buf[:n+1]
+	ix[0] = int32(n + 1)
+	return rowIndex{ix: ix, val: vbuf[:0]}
+}
 
-// appendSpan lists the non-zero columns of row[lo:hi] as row i, for a row
+// row returns the columns of row i's non-zero entries and their values.
+func (x rowIndex) row(i int) ([]int32, []float64) {
+	lo, hi, base := x.ix[i], x.ix[i+1], x.ix[0]
+	return x.ix[lo:hi], x.val[lo-base : hi-base]
+}
+
+// appendSpan lists the non-zero entries of row[lo:hi] as row i, for a row
 // known to be zero outside that span (the whole row when that is not
 // known); rows go in order.
-func (ix rowIndex) appendSpan(i int, row []float64, lo, hi int) rowIndex {
+func (x rowIndex) appendSpan(i int, row []float64, lo, hi int) rowIndex {
 	for c, f := range row[lo:hi] {
 		if f != 0 {
-			ix = append(ix, int32(lo+c))
+			x.ix = append(x.ix, int32(lo+c))
+			x.val = append(x.val, f)
 		}
 	}
-	ix[i+1] = int32(len(ix))
-	return ix
+	x.ix[i+1] = int32(len(x.ix))
+	return x
 }
 
 // indexRows indexes every row of x, building in buf (which must hold at
-// least x's row count plus one).
-func indexRows(x *tensor.Tensor, buf []int32) rowIndex {
+// least x's row count plus one) and vbuf.
+func indexRows(x *tensor.Tensor, buf []int32, vbuf []float64) rowIndex {
 	n := x.Shape[0]
-	ix := newRowIndex(buf, n)
+	ix := newRowIndex(buf, vbuf, n)
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
 		ix = ix.appendSpan(i, row, 0, len(row))
@@ -116,10 +137,11 @@ func indexRows(x *tensor.Tensor, buf []int32) rowIndex {
 // or for a literal Tree one built here in a (nil = heap) without touching
 // the tree.
 func (t *Tree) index(a *tensor.Arena) rowIndex {
-	if t.nz != nil {
+	if t.nz.ix != nil {
 		return t.nz
 	}
-	return indexRows(t.Feats, a.GetI32(t.Feats.Shape[0]+1+t.Feats.Size()))
+	size := t.Feats.Size()
+	return indexRows(t.Feats, a.GetI32(t.Feats.Shape[0]+1+size), a.Get(size).Data)
 }
 
 // Digest parameters: a seed, a multiply-xorshift round constant (the
@@ -146,7 +168,7 @@ func hashMix(h, v uint64) uint64 {
 const rehashBuf = 64
 
 // Rehash re-indexes the feature rows and recomputes t.Hash from the current
-// features, votes and structure. Per node it digests the (position,
+// features, votes and structure; t must still hold its Feats. Per node it digests the (position,
 // bit-pattern) pairs of the feature row's nonzero entries, the vote, and the
 // child digests (bottom-up: every flattener places children at higher indices
 // than their parents, so a reverse index sweep visits children first). The
@@ -157,7 +179,7 @@ const rehashBuf = 64
 // tree (e.g. the DisableVotes ablation) must Rehash before handing it to the
 // convolution or a cache.
 func (t *Tree) Rehash() {
-	t.nz = indexRows(t.Feats, make([]int32, t.Len()+1))
+	t.nz = indexRows(t.Feats, make([]int32, t.Len()+1), nil)
 	t.hash()
 }
 
@@ -182,10 +204,10 @@ func (t *Tree) hash() {
 // indexed.
 func nodeDigest(t *Tree, i int, hs []uint64) uint64 {
 	h := uint64(hashSeed)
-	row := t.Feats.Row(i)
-	for _, c := range t.nz.row(i) {
+	cols, vals := t.nz.row(i)
+	for k, c := range cols {
 		h = hashMix(h, uint64(c)+1)
-		h = hashMix(h, math.Float64bits(row[c]))
+		h = hashMix(h, math.Float64bits(vals[k]))
 	}
 	h = hashMix(h, math.Float64bits(t.Votes[i]))
 	if li := t.Left[i]; li >= 0 {
@@ -214,8 +236,9 @@ func rootHash(n int, hs []uint64) uint64 {
 // Release clears the tree's feature slab to +0 in every bit, detaches it
 // and returns it: the caller may flatten another tree of the same shape into
 // it. It clears the whole slab, not just the entries the index lists — the
-// index omits a −0, which would otherwise leak into the next tree's rows. The
-// tree must not be used again; its Feats is nil.
+// index omits a −0, which would otherwise leak into the next tree's rows.
+// The tree, which must be indexed (flattened or Rehashed), stays live on its
+// index; its Feats is nil.
 func (t *Tree) Release() *tensor.Tensor {
 	f := t.Feats
 	clear(f.Data)
@@ -244,22 +267,15 @@ func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.Quer
 		Left:  make([]int, n),
 		Right: make([]int, n),
 	}
-	// The index of a sampled sub-tree fits the stack buffer; the tree keeps
-	// an exact-size copy.
+	// The index of a sampled sub-tree fits the stack buffers; the tree keeps
+	// exact-size copies, its values behind its votes in one allocation.
 	var ixbuf [256]int32
+	var valbuf [256]float64
 	buf := ixbuf[:]
 	if n+1 > len(buf) {
 		buf = make([]int32, n+1)
 	}
-	ix := newRowIndex(buf, n)
-	if votes == nil {
-		tree.Votes = make([]float64, n)
-		for i := range tree.Votes {
-			tree.Votes[i] = 1
-		}
-	} else {
-		tree.Votes = append([]float64(nil), votes...)
-	}
+	ix := newRowIndex(buf, valbuf[:], n)
 	for i, node := range nodes {
 		row := tree.Feats.Row(i)
 		lo, hi := enc.NodeFeatureInto(row, node, ctx)
@@ -267,7 +283,17 @@ func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.Quer
 		tree.Left[i] = childIndex(index, node.Left)
 		tree.Right[i] = childIndex(index, node.Right)
 	}
-	tree.nz = append(rowIndex(nil), ix...)
+	fs := make([]float64, n+len(ix.val))
+	tree.Votes = fs[:n:n]
+	if votes == nil {
+		for i := range tree.Votes {
+			tree.Votes[i] = 1
+		}
+	} else {
+		copy(tree.Votes, votes)
+	}
+	tree.nz = rowIndex{ix: append([]int32(nil), ix.ix...), val: fs[n:]}
+	copy(tree.nz.val, ix.val)
 	tree.hash()
 	return tree
 }

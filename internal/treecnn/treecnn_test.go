@@ -38,7 +38,7 @@ func TestConvLayerSingleNodeKnown(t *testing.T) {
 		Votes: []float64{1},
 	}
 	out := tensor.New(1, 1)
-	l.forward(out, 0, tree, tree.index(nil), tree.Feats, nil)
+	l.forward(out, 0, tree, tree.index(nil), nil, nil)
 	// 1*3 + 2*4 + 0.5 = 11.5
 	if math.Abs(out.Data[0]-11.5) > 1e-12 {
 		t.Fatalf("conv = %v, want 11.5", out.Data[0])
@@ -59,7 +59,7 @@ func TestConvLayerUsesChildren(t *testing.T) {
 		Votes: []float64{1, 1, 1},
 	}
 	out := tensor.New(3, 1)
-	l.forward(out, 0, tree, tree.index(nil), tree.Feats, nil)
+	l.forward(out, 0, tree, tree.index(nil), nil, nil)
 	// root: 1 + 10*2 + 100*3 = 321; leaves: just themselves.
 	if out.Data[0] != 321 || out.Data[1] != 2 || out.Data[2] != 3 {
 		t.Fatalf("conv out = %v", out.Data)
