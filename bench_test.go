@@ -315,6 +315,57 @@ func BenchmarkPrestroidTrainBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperWidthTrainBatch is BenchmarkPrestroidTrainBatch at the
+// paper's width and batch size: conv 512/512/512, dense 128/64, a 64-query
+// batch. ns/op is one step; rows is the step forest's node count; held-MB is
+// the heap still live after a collection with the trained model alive, above
+// what was live before it was built; released-MB is the same after
+// Release, which drops the step memory and the prepared encodings (two
+// collections each, so the slab pools' victim caches are gone too). A step
+// takes about a second, so scripts/bench_record.sh's pattern leaves it out.
+func BenchmarkPaperWidthTrainBatch(b *testing.B) {
+	s := benchSuite(b)
+	cfg := s.PrestroidCfg(15, 9, 1)
+	cfg.ConvWidths = []int{512, 512, 512}
+	cfg.DenseWidths = []int{128, 64}
+	batch := s.GrabSplit.Train[:64]
+	labels := dataset.Labels(batch, s.GrabNorm)
+	var base, held, released runtime.MemStats
+	collect := func(ms *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(ms)
+	}
+	collect(&base)
+	m := models.NewPrestroid(cfg, s.GrabPipe)
+	rows := 0
+	for _, tr := range batch {
+		trees := m.EncodeTrace(tr).([]*treecnn.Tree)
+		for _, t := range trees[:min(len(trees), cfg.K)] {
+			rows += t.Len()
+		}
+		m.Recycle(trees)
+	}
+	m.TrainBatch(batch, labels)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrainBatch(batch, labels)
+	}
+	b.StopTimer()
+	mb := func(ms runtime.MemStats) float64 {
+		return float64(int64(ms.HeapAlloc)-int64(base.HeapAlloc)) / (1 << 20)
+	}
+	collect(&held)
+	m.Release()
+	collect(&released)
+	runtime.KeepAlive(m)
+	b.ReportMetric(float64(m.ParamCount()), "params")
+	b.ReportMetric(float64(rows), "rows")
+	b.ReportMetric(mb(held), "held-MB")
+	b.ReportMetric(mb(released), "released-MB")
+}
+
 // BenchmarkDenseForward measures the plain dense-layer pipeline for
 // reference against the tree convolution path.
 func BenchmarkDenseForward(b *testing.B) {

@@ -130,6 +130,10 @@ func Table3(s *Suite) *Table {
 	test := s.GrabSplit.Test
 	for _, key := range GrabModelKeys() {
 		m, _ := s.TrainedGrab(key)
+		// train.Run leaves a Prestroid without its encodings, and Predict
+		// would re-encode the test set inside the first timed sweep: prepare
+		// first, so every batch size times prepared inference alone.
+		m.Prepare(test)
 		bestBatch, bestTime := 0, time.Duration(0)
 		for _, b := range []int{32, 64, 128, 256, 512} {
 			if b > len(test) {

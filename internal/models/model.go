@@ -32,7 +32,9 @@ type Model interface {
 	// Name identifies the model in experiment output.
 	Name() string
 	// Prepare caches per-trace encodings; it must be called with every
-	// trace the model will ever see (train, validation and test).
+	// trace of one training run (train, validation and test) before the
+	// run's first TrainBatch. A model may drop its encodings once the run
+	// is over (Prestroid.Release) and encode a trace again when asked for it.
 	Prepare(traces []*workload.Trace)
 	// TrainBatch runs one optimisation step and returns the batch loss.
 	TrainBatch(batch []*workload.Trace, labels *tensor.Tensor) float64

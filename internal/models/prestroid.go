@@ -662,6 +662,18 @@ func (m *Prestroid) Weights() []*nn.Param { return m.slab.Params }
 // statistics) for persistence and replica synchronisation.
 func (m *Prestroid) StateTensors() []*tensor.Tensor { return nn.CollectState(m.head) }
 
+// Release drops what only training needs: the last step's forest, worker
+// arenas and transposed weights, and every encoding Prepare cached (the map
+// is made anew, so its buckets go too). The model keeps its weights, its
+// layer state, its Adam moments and the full-tree padding target BatchBytes
+// reads, so a later Prepare, TrainBatch or Predict rebuilds what it needs
+// and computes the same bits as a model never released. train.Run calls it
+// when it returns.
+func (m *Prestroid) Release() {
+	m.step = trainStep{}
+	m.cache = make(map[*workload.Trace][]*treecnn.Tree)
+}
+
 // Evict drops cached encodings for traces the caller no longer needs, to
 // bound the memory of a model that predicts trace after trace.
 // Evicting a trace that was never prepared is a no-op, and a later Prepare

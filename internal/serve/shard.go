@@ -10,10 +10,11 @@ import (
 )
 
 // DefaultReplicas is the prestroidd default slot count (Config.Replicas):
-// one per core, capped at 4 — every model call fans its trees out over the
-// cores through one process-wide helper budget, so past a handful of
-// CPU-bound calls at once more slots buy no parallelism on typical hosts.
-// A slot costs no model memory: every call runs on the one model.
+// one per core, capped at 4. A model call convolves its query's trees on the
+// caller's goroutine (PredictEncoded), so a slot is one core's worth of
+// CPU-bound work, and past a handful of calls at once more slots buy no
+// parallelism on typical hosts. A slot costs no model memory: every call
+// runs on the one model.
 func DefaultReplicas() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 4 {

@@ -40,10 +40,19 @@ type Result struct {
 	TrainLosses   []float64     // per-epoch mean Huber loss
 }
 
+// releaser is a model that can drop its training-only memory once a run is
+// over (models.Prestroid.Release).
+type releaser interface{ Release() }
+
 // Run trains m on the split with early stopping. Test MSE is evaluated at
 // every validation improvement, so the reported figure corresponds to the
-// early-stopped model exactly as if its weights had been checkpointed.
+// early-stopped model exactly as if its weights had been checkpointed. When
+// it returns, a model that can release its training memory has done so: it
+// keeps what it predicts with and re-prepares traces lazily.
 func Run(m models.Model, split dataset.Split, norm workload.Normalizer, cfg Config) Result {
+	if r, ok := m.(releaser); ok {
+		defer r.Release()
+	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}

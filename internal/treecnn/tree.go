@@ -251,14 +251,10 @@ func (t *Tree) Release() *tensor.Tensor {
 // (len(nodes), featDim) tensor that must be all zero, or nil for a fresh one
 // — and indexes only the span of the row the encoder wrote (the rest of the
 // row is zero), resolves child pointers to indices (-1 when the child is
-// absent or outside the node slice), installs the vote mask (nil votes =
-// every node votes) and hashes the result.
+// absent or outside the node slice; childIndex, with no map), installs the
+// vote mask (nil votes = every node votes) and hashes the result.
 func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.QueryContext, feats *tensor.Tensor) *Tree {
 	n := len(nodes)
-	index := make(map[*otp.Node]int, n)
-	for i, node := range nodes {
-		index[node] = i
-	}
 	if feats == nil {
 		feats = tensor.New(n, enc.FeatureDim())
 	}
@@ -276,12 +272,13 @@ func flatten(nodes []*otp.Node, votes []float64, enc *otp.Encoder, ctx *otp.Quer
 		buf = make([]int32, n+1)
 	}
 	ix := newRowIndex(buf, valbuf[:], n)
+	next := 1 // where the next child sits when nodes are in BFS order
 	for i, node := range nodes {
 		row := tree.Feats.Row(i)
 		lo, hi := enc.NodeFeatureInto(row, node, ctx)
 		ix = ix.appendSpan(i, row, lo, hi)
-		tree.Left[i] = childIndex(index, node.Left)
-		tree.Right[i] = childIndex(index, node.Right)
+		tree.Left[i], next = childIndex(nodes, node.Left, next)
+		tree.Right[i], next = childIndex(nodes, node.Right, next)
 	}
 	fs := make([]float64, n+len(ix.val))
 	tree.Votes = fs[:n:n]
@@ -342,12 +339,22 @@ func FlattenFull(root *otp.Node, enc *otp.Encoder, ctx *otp.QueryContext) *Tree 
 	return flatten(bfsNodes(root), nil, enc, ctx, nil)
 }
 
-func childIndex(index map[*otp.Node]int, child *otp.Node) int {
+// childIndex returns child's index in nodes (-1 when it is nil or not
+// there) and where the cursor goes next. It checks the cursor's slot first:
+// a whole tree or a sampled sub-tree lists its nodes in BFS order, so each
+// child present is the node at the cursor. Only a miss scans the slice — a
+// child cut off at a sub-tree's boundary, or a naive chunk's node order.
+func childIndex(nodes []*otp.Node, child *otp.Node, next int) (int, int) {
 	if child == nil {
-		return -1
+		return -1, next
 	}
-	if i, ok := index[child]; ok {
-		return i
+	if next < len(nodes) && nodes[next] == child {
+		return next, next + 1
 	}
-	return -1
+	for i, node := range nodes {
+		if node == child {
+			return i, i + 1
+		}
+	}
+	return -1, next
 }

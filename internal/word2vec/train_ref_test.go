@@ -118,10 +118,15 @@ func (m *Model) trainPairRef(center, context int, lr float64, neg int, rng *tens
 }
 
 // checkTrainMatchesReference trains the corpus with Train and trainRef and
-// requires both tables, input and output vectors, to agree bit for bit.
+// requires both tables, input and output vectors, to agree bit for bit, and
+// Train's model to hold no negative-sampling table: only training draws from
+// it, and the reference keeps its own to the end.
 func checkTrainMatchesReference(t *testing.T, corpus [][]string, cfg Config) {
 	t.Helper()
 	got, want := Train(corpus, cfg), trainRef(corpus, cfg)
+	if got.table != nil {
+		t.Fatalf("%+v: the trained model keeps a %d-entry negative table", cfg, len(got.table))
+	}
 	for _, tab := range []struct {
 		name      string
 		got, want *tensor.Tensor

@@ -44,7 +44,7 @@ type Model struct {
 	freq  []int
 	in    *tensor.Tensor // input vectors (vocab, dim) — the embeddings
 	out   *tensor.Tensor // output vectors (vocab, dim)
-	table []int32        // unigram^0.75 negative-sampling table
+	table []int32        // unigram^0.75 negative-sampling table; nil once Train returns
 }
 
 // Train builds a vocabulary from the corpus (dropping tokens rarer than
@@ -71,6 +71,9 @@ func Train(corpus [][]string, cfg Config) *Model {
 		return m
 	}
 	m.buildNegTable()
+	// Only trainPair draws from the table: a trained model needs no 400 kB
+	// of it.
+	defer func() { m.table = nil }()
 
 	rng := tensor.NewRNG(cfg.Seed)
 	rng.FillUniform(m.in, -0.5/float64(cfg.Dim), 0.5/float64(cfg.Dim))
