@@ -149,6 +149,17 @@ func BenchmarkSQLParse(b *testing.B) {
 	}
 }
 
+// BenchmarkGrabGenerateOne measures one unfiltered Grab draw — SQL text,
+// plan and cost-model profile — cycling through the days the way the
+// serving benchmark's request pools draw theirs.
+func BenchmarkGrabGenerateOne(b *testing.B) {
+	g := workload.NewGrabGenerator(workload.DefaultGrabConfig())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.GenerateOne(i % 61)
+	}
+}
+
 // BenchmarkOTPRecast measures the §4.1 plan-to-binary-tree rewrite.
 func BenchmarkOTPRecast(b *testing.B) {
 	p := benchPlan(b)

@@ -206,7 +206,10 @@ func (e *Estimator) eval(n *logicalplan.Node) nodeResult {
 	if n == nil {
 		return nodeResult{}
 	}
-	var children []nodeResult
+	// Planned operators have at most two children, whose results then stay
+	// on the stack; more spill to the heap, summed in the same order.
+	var buf [2]nodeResult
+	children := buf[:0]
 	for _, c := range n.Children {
 		children = append(children, e.eval(c))
 	}

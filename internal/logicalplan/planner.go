@@ -2,6 +2,7 @@ package logicalplan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"prestroid/internal/sqlparse"
@@ -45,7 +46,7 @@ func planQuery(stmt *sqlparse.SelectStmt) (*Node, error) {
 	case len(stmt.OrderBy) > 0:
 		node = &Node{Op: OpSort, Detail: orderDetail(stmt), Children: []*Node{node}}
 	case stmt.Limit >= 0:
-		node = &Node{Op: OpLimit, Detail: fmt.Sprintf("%d", stmt.Limit), Children: []*Node{node}}
+		node = &Node{Op: OpLimit, Detail: strconv.Itoa(stmt.Limit), Children: []*Node{node}}
 	}
 	node = &Node{Op: OpProject, Detail: projectDetail(stmt), Children: []*Node{node}}
 
@@ -117,7 +118,7 @@ func orderDetail(stmt *sqlparse.SelectStmt) string {
 	}
 	s := strings.Join(keys, ", ")
 	if stmt.Limit >= 0 {
-		s += fmt.Sprintf(" limit %d", stmt.Limit)
+		s += " limit " + strconv.Itoa(stmt.Limit)
 	}
 	return s
 }

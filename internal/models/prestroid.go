@@ -663,7 +663,8 @@ func (m *Prestroid) Weights() []*nn.Param { return m.slab.Params }
 func (m *Prestroid) StateTensors() []*tensor.Tensor { return nn.CollectState(m.head) }
 
 // Release drops what only training needs: the last step's forest, worker
-// arenas and transposed weights, and every encoding Prepare cached (the map
+// arenas and transposed weights, the buffers the dense head's layers keep
+// from step to step (nn.Releaser), and every encoding Prepare cached (the map
 // is made anew, so its buckets go too). The model keeps its weights, its
 // layer state, its Adam moments and the full-tree padding target BatchBytes
 // reads, so a later Prepare, TrainBatch or Predict rebuilds what it needs
@@ -671,6 +672,11 @@ func (m *Prestroid) StateTensors() []*tensor.Tensor { return nn.CollectState(m.h
 // when it returns.
 func (m *Prestroid) Release() {
 	m.step = trainStep{}
+	for _, l := range m.head {
+		if r, ok := l.(nn.Releaser); ok {
+			r.Release()
+		}
+	}
 	m.cache = make(map[*workload.Trace][]*treecnn.Tree)
 }
 

@@ -55,6 +55,9 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return g
 }
 
+// Release drops the mask a training Forward keeps for Backward.
+func (r *ReLU) Release() { r.mask = nil }
+
 // Params returns nil; ReLU has no trainable parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
@@ -94,6 +97,9 @@ func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	return g
 }
+
+// Release drops the output a training Forward keeps for Backward.
+func (s *Sigmoid) Release() { s.lastOut = nil }
 
 // Params returns nil; Sigmoid has no trainable parameters.
 func (s *Sigmoid) Params() []*Param { return nil }

@@ -134,6 +134,10 @@ func (bn *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gx
 }
 
+// Release drops the normalised input and inverse deviations a training
+// Forward keeps for Backward.
+func (bn *BatchNorm) Release() { bn.xHat, bn.stdInv = nil, nil }
+
 // Params returns gamma and beta.
 func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 

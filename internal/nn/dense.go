@@ -77,5 +77,8 @@ func sized(buf *tensor.Tensor, rows, cols int) *tensor.Tensor {
 	return buf
 }
 
+// Release drops the input Forward kept and Backward's transposes and result.
+func (d *Dense) Release() { d.lastInput, d.xT, d.wT, d.dx = nil, nil, nil, nil }
+
 // Params returns the weight and bias.
 func (d *Dense) Params() []*Param { return []*Param{d.Weight, d.Bias} }

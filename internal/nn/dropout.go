@@ -64,5 +64,8 @@ func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return g
 }
 
+// Release drops the mask a training Forward keeps for Backward.
+func (d *Dropout) Release() { d.keep = nil }
+
 // Params returns nil; Dropout has no trainable parameters.
 func (d *Dropout) Params() []*Param { return nil }

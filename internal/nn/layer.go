@@ -128,6 +128,13 @@ func ForwardInference(layers []Layer, x *tensor.Tensor, a *tensor.Arena) *tensor
 	return x
 }
 
+// Releaser is implemented by layers that keep buffers from one training
+// step to the next. Release drops them; the layer's next training Forward
+// and Backward make them anew, with the same bits.
+type Releaser interface {
+	Release()
+}
+
 // Stateful is implemented by layers carrying non-trainable state that must
 // be persisted and synchronised alongside the weights (batch-norm running
 // statistics).

@@ -12,9 +12,10 @@
 # rather than core count, with backward's ns/tree gated at 2.5x forward's
 # ns/op; and the
 # BenchmarkAccumRows simd/go pair from internal/tensor, also at -cpu 1, with
-# simd gated at >= 2x go), record median
-# throughput and minimum allocations and allocated bytes per benchmark to a
-# JSON artifact, and — when a baseline file exists — fail if any benchmark's
+# simd gated at >= 2x go; and BenchmarkGrabGenerateOne, one Grab workload
+# draw — SQL, plan and profile — whose allocs/op the baseline holds), record
+# median throughput and minimum allocations and allocated bytes per benchmark
+# to a JSON artifact, and — when a baseline file exists — fail if any benchmark's
 # allocs/op rose past the allocation slack over its baseline. Every gate is
 # host-independent: ratios between two legs of the same run, and allocation
 # counts. Absolute throughput is recorded, never compared — a baseline is
@@ -51,7 +52,7 @@ trap 'rm -f "$raw"' EXIT
 loc="$(scripts/loc.sh)"
 
 GOMAXPROCS=4 GOGC=100 go test -run '^$' \
-  -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkLoneMiss|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkPrestroidTrainBatch' \
+  -bench 'BenchmarkServePredict|BenchmarkShardedDistinctTemplates|BenchmarkShardedOverlappingTemplates|BenchmarkShardedTemplateCache|BenchmarkLoneMiss|BenchmarkFrontEnd|BenchmarkPrestroidPredictSteady|BenchmarkPrestroidTrainBatch|BenchmarkGrabGenerateOne' \
   -benchtime 100ms -count 5 -benchmem . | tee "$raw"
 # The conv forward/backward pair feeds a ratio gate: one core, so the ratio
 # compares the work the two passes do, not how many cores the forward's
