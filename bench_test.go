@@ -633,11 +633,10 @@ func BenchmarkShardedOverlappingTemplates(b *testing.B) {
 
 // BenchmarkFrontEnd isolates the request front end, model forward excluded.
 // full is the miss path (lex, parse, plan, recast, sub-tree sample, flatten,
-// encode); rebind is a template hit on a skeleton entry — what explain and
-// an engine that never answers templates (HashedPredicates) run before their
-// plan-dependent work: one template-extract lexer pass, a literal rebind of
-// the cached skeleton statement and plan construction. An engine that
-// answers templates stops after the lexer pass.
+// encode); rebind is what a prediction costs once its template holds an
+// answer — the canonical key, the template key scan and the template cache
+// read on an engine whose prediction cache is off — with no parse, plan,
+// encode or model. The name is the one the allocation baseline keeps.
 func BenchmarkFrontEnd(b *testing.B) {
 	pred := servePredictor(b)
 	m, ok := pred.Model.(*models.Prestroid)
@@ -662,24 +661,22 @@ func BenchmarkFrontEnd(b *testing.B) {
 		}
 	})
 	b.Run("rebind", func(b *testing.B) {
-		stmt, err := sqlparse.Parse(pool[0])
-		if err != nil {
+		// Every distinctSQL query shares one template, answered by the first.
+		eng := serve.NewShardedEngine(pred, serve.Config{TemplateCacheSize: 16})
+		defer eng.Close()
+		if _, err := eng.PredictSQL(pool[0]); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, lits, ok := sqlparse.ExtractTemplate(pool[i%len(pool)])
-			if !ok {
-				b.Fatal("template extraction failed")
-			}
-			bound, err := stmt.Rebind(lits)
-			if err != nil {
+			if _, err := eng.PredictSQL(pool[i%len(pool)]); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := logicalplan.Plan(bound); err != nil {
-				b.Fatal(err)
-			}
+		}
+		b.StopTimer()
+		if n := eng.Snapshot().Totals().Batches; n != 1 {
+			b.Fatalf("%d model calls; every query after the first should be answered by its template", n)
 		}
 	})
 }

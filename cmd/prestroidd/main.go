@@ -42,8 +42,8 @@
 // encode and model call on its own handler goroutine once a slot is free —
 // -cache-size the LRU budget over canonicalized SQL, -subtree-cache-size the
 // budget of pooled sub-tree convolution outputs reused across structurally
-// overlapping plans, and -template-cache-size the budget of prepared
-// templates whose answers serve every literal variant (see the serve-layer,
+// overlapping plans, and -template-cache-size the budget of template
+// answers that serve every literal variant (see the serve-layer,
 // performance and operations sections of the README).
 //
 // Overload protection is opt-in: -max-est-wait bounds the queue wait the
@@ -140,7 +140,7 @@ func main() {
 	defaults := serve.DefaultConfig()
 	cacheSize := flag.Int("cache-size", defaults.CacheSize, "prediction-cache entries keyed by canonicalized SQL (0 disables)")
 	subtreeCacheSize := flag.Int("subtree-cache-size", defaults.SubtreeCacheSize, "pooled sub-tree convolution outputs cached per content hash, shared by every model call (0 disables)")
-	templateCacheSize := flag.Int("template-cache-size", defaults.TemplateCacheSize, "prepared query templates cached for literal rebinding (0 disables)")
+	templateCacheSize := flag.Int("template-cache-size", defaults.TemplateCacheSize, "query templates cached with their answers (0 disables)")
 	replicas := flag.Int("replicas", defaults.Replicas, "model calls run at once on the one served model (<=1: one at a time)")
 	maxEstWait := flag.Duration("max-est-wait", 0, "bounded-latency admission target: shed with 429 once the estimated wait for a model slot (handlers waiting for or holding one × EWMA service time ÷ replicas) exceeds this (0 disables shedding)")
 	clientQPS := flag.Float64("client-qps", 0, "per-client request rate on the serving endpoints, keyed by bearer token or remote IP (0 disables quotas)")

@@ -194,10 +194,10 @@ type EngineStats struct {
 	SubtreeEntries int     `json:"subtree_cache_entries"`
 	SubtreeBytes   int64   `json:"subtree_cache_bytes"`
 
-	// The template_cache_* block covers the engine's prepared-template front
-	// end: hits are requests whose lex/parse/plan/featurize pass was replaced
-	// by a cached template, misses are full front-end passes. Entries and
-	// bytes are sampled gauges.
+	// The template_cache_* block covers the engine's template answers: hits
+	// are requests answered from their template's entry, with no parse, plan,
+	// encode or model; misses are template lookups that found none. Entries
+	// and bytes are sampled gauges.
 	TemplateHits    int64   `json:"template_cache_hits"`
 	TemplateMisses  int64   `json:"template_cache_misses"`
 	TemplateHitRate float64 `json:"template_cache_hit_rate"`

@@ -207,9 +207,10 @@ func maxSamplingC(n int) int {
 }
 
 // samplingConfig is Algorithm 1's configuration for the model: the node
-// limit N, and C the conv depth capped at the legal maximum for N.
+// limit N, C the conv depth capped at the legal maximum for N, and K the
+// sub-trees the model keeps, past which sampling stops.
 func (m *Prestroid) samplingConfig() subtree.Config {
-	return subtree.Config{N: m.cfg.N, C: min(len(m.cfg.ConvWidths), maxSamplingC(m.cfg.N))}
+	return subtree.Config{N: m.cfg.N, C: min(len(m.cfg.ConvWidths), maxSamplingC(m.cfg.N)), K: m.cfg.K}
 }
 
 // Prepare recasts, samples and flattens each trace's plan once. The traces
@@ -266,7 +267,6 @@ func (m *Prestroid) encodePlan(plan *logicalplan.Node) []*treecnn.Tree {
 			// Unreachable: NewPrestroid validated the configuration.
 			panic(fmt.Sprintf("models: %v", err))
 		}
-		samples = subtree.Select(samples, m.cfg.K)
 	}
 	trees := make([]*treecnn.Tree, 0, len(samples))
 	for _, st := range samples {

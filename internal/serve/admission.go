@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"prestroid/internal/sqlparse"
 )
 
 // OverloadError reports a query refused by bounded-wait admission: the
@@ -92,18 +94,23 @@ func (se *ShardedEngine) PredictSQLGenCtx(ctx context.Context, sql string) (Pred
 // A hit costs no model call, so it is served before the admission decision:
 // hot queries ride through overload for free, which keeps shed-mode
 // throughput at the unshedded peak. On an engine that answers templates, a
-// miss then extracts the query's template, once, and reads its entry: an
-// answered entry is the answer, served before admission too, with no trace
-// or model. Anything else goes to admit, and an admitted miss reuses the
-// lookup. A refusal surfaces as *OverloadError counted in Shed (and, like
-// every miss, in cache_misses).
+// miss then scans the query's template key, once, and reads its entry: an
+// entry is the answer, served before admission too, with no parse, trace or
+// model. Anything else goes to admit. A refusal surfaces as *OverloadError
+// counted in Shed (and, like every miss, in cache_misses).
 //
 // An admitted miss is single-flighted: the first runs it on this goroutine
-// (miss), and identical misses arriving before its answer is cached wait for
-// that answer instead of costing a model call of their own. A follower gives
-// the wait up when its deadline passes, and takes only an answer: when the
-// leader fails — a parse error, an expired deadline, a panic — the follower
-// runs its own miss, so every error a caller sees is its own query's.
+// (miss), and misses of the same flight key arriving before its answer is
+// cached wait for that answer instead of costing a model call of their own.
+// The flight key is the template key on an engine that answers templates —
+// concurrent first variants of a new template share one model call, and each
+// caller writes the answer under its own canonical key — and the canonical
+// key otherwise. A query without a template key on such an engine — it
+// does not lex, is empty or has a LIMIT the parser refuses — flies alone, so
+// no template's flight can hand it an answer. A follower gives the wait up
+// when its deadline passes, and takes only an answer: when the leader fails —
+// a parse error, an expired deadline, a panic — the follower runs its own
+// miss, so every error a caller sees is its own query's.
 //
 // Deadlines: work that is already expired is dropped here, before the
 // lookup; expiry deeper in the pipeline is handled by miss. Both surface as
@@ -116,37 +123,46 @@ func (se *ShardedEngine) predictKey(ctx context.Context, sql, key string) (Predi
 	if p, ok := se.cache.Get(key); ok {
 		return p, se.gen, nil
 	}
-	var t tmplLookup
-	if se.answers {
-		if t = se.lookupTemplate(sql); t.ent != nil && t.ent.answered {
-			se.cache.Put(key, t.ent.p)
-			return t.ent.p, se.gen, nil
+	fkey, tkey := key, ""
+	if se.tmplCache != nil {
+		var ok bool
+		if tkey, ok = sqlparse.TemplateKey(sql); ok {
+			if p, hit := se.tmplCache.Get(tkey); hit {
+				se.cache.Put(key, p)
+				return p, se.gen, nil
+			}
 		}
+		fkey = tkey
 	}
 	if wait, shed := se.admit(); shed {
 		se.tel.Shed.Inc()
 		return Prediction{}, 0, &OverloadError{EstWaitMicros: wait, BoundMicros: se.maxEstWaitMicros}
 	}
-	f, lead := se.join(key)
-	for !lead {
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			se.tel.Expired.Inc()
-			return Prediction{}, 0, &ExpiredError{}
+	var f *flight
+	if fkey != "" {
+		lead := false
+		for f, lead = se.join(fkey); !lead; f, lead = se.join(fkey) {
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				se.tel.Expired.Inc()
+				return Prediction{}, 0, &ExpiredError{}
+			}
+			if f.ok {
+				se.tel.Coalesced.Inc()
+				se.cache.Put(key, f.p)
+				return f.p, se.gen, nil
+			}
 		}
-		if f.ok {
-			se.tel.Coalesced.Inc()
-			return f.p, se.gen, nil
-		}
-		f, lead = se.join(key)
+		defer se.land(fkey, f)
 	}
-	defer se.land(key, f)
-	p, err := se.miss(ctx, sql, t)
+	p, err := se.miss(ctx, sql, tkey)
 	if err != nil {
 		return Prediction{}, 0, err
 	}
 	se.cache.Put(key, p)
-	f.p, f.ok = p, true
+	if f != nil {
+		f.p, f.ok = p, true
+	}
 	return p, se.gen, nil
 }

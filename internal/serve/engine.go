@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"prestroid/internal/logicalplan"
-	"prestroid/internal/sqlparse"
 	"prestroid/internal/workload"
 )
 
@@ -22,16 +21,16 @@ type Config struct {
 	// engine retains, keyed by sub-tree content hash; 0 disables the cache.
 	// Every model call of the engine reads and fills the one cache.
 	SubtreeCacheSize int
-	// TemplateCacheSize is the number of template entries the engine
-	// retains, keyed by the query's literal-stripped template; 0 disables it.
-	// The first prediction of a template is computed and leaves its answer
-	// and plan shape in the entry; from then on a prediction of any literal
-	// variant is answered from the entry, with no parse, plan, encode or
-	// model, byte-identical to computing it. An engine whose
-	// pipeline hashes predicate text (HashedPredicates) never stores an
-	// answer: a hit there rebinds the cached skeleton with the query's
-	// literals in place of lex and parse, then plans and encodes it. Entries
-	// are about a skeleton's size, a few hundred bytes.
+	// TemplateCacheSize is the number of template answers the engine
+	// retains, keyed by the query's literal-stripped template key; 0
+	// disables it. The first prediction of a template is computed and leaves
+	// its answer, plan shape included, in the entry; from then on a
+	// prediction of any literal variant is answered from the entry, with no
+	// parse, plan, encode or model, byte-identical to computing it. Only an
+	// engine whose pipeline strips literals keeps one: a pipeline that
+	// hashes predicate text (HashedPredicates) encodes literals, so its
+	// engine runs with no template cache whatever this says. An entry is its
+	// key and one Prediction.
 	TemplateCacheSize int
 	// MaxEstWait is the bounded-latency admission target: a query whose
 	// estimated wait for a model slot (0 while one is free, else
@@ -47,109 +46,50 @@ func DefaultConfig() Config {
 		SubtreeCacheSize: 4096, TemplateCacheSize: 4096}
 }
 
-// prepared is one query past the front end: its trace, which carries the
-// query's own plan, exact to its literals; its encoding; the template lookup
-// it went through, and the statement its plan was built from, the skeleton
-// its template entry keeps.
-type prepared struct {
-	trace *workload.Trace
-	enc   any // the model's encoding of the plan; nil for explain
-	tmpl  tmplLookup
-	stmt  *sqlparse.SelectStmt
-}
-
-// frontEnd is the whole front end of a query, run once on the handler's
-// goroutine: a rebind of the template's skeleton or lex and parse, then plan,
-// then — when encode is set (a prediction; explain stops at the plan) — the
-// encode, at most once. t is the query's template lookup, made by the caller.
-//
-// A hit rebinds the cached skeleton with the query's literal vector
-// (extracted in the same single lexer pass that produced the key) in place of
-// lexing and parsing, and replans it, so explain and the encode see a plan
-// byte-identical to what the full parse would have built. Errors are
-// byte-identical to the uncached path's: rebind mismatches (impossible for a
-// genuine template match, but handled defensively) fall through to the full
-// parse, which reproduces the exact error the caller would have seen without
-// a cache. The query is encoded at most once here and never again.
-func (se *ShardedEngine) frontEnd(sql string, t tmplLookup, encode bool) (prepared, error) {
-	fe := prepared{tmpl: t}
-	var plan *logicalplan.Node
-	if t.ent != nil {
-		if stmt, err := t.ent.stmt.Rebind(t.lits); err == nil {
-			if plan, err = logicalplan.Plan(stmt); err == nil {
-				fe.stmt = t.ent.stmt
-			}
-		}
-	}
-	if fe.stmt == nil {
-		var err error
-		if fe.stmt, err = sqlparse.Parse(sql); err != nil {
-			return prepared{}, err
-		}
-		if plan, err = logicalplan.Plan(fe.stmt); err != nil {
-			return prepared{}, err
-		}
-	}
-	fe.trace = &workload.Trace{SQL: sql, Plan: plan, Template: -1}
-	if encode {
-		fe.enc = se.model.EncodeTrace(fe.trace)
-	}
-	return fe, nil
-}
-
-// deposit hands the template cache what fe's lookup found it lacking: a new
-// template's entry, or — when answered, p being the query's computed answer —
-// the answer an unanswered entry was missing. Explain passes answered false.
-func (se *ShardedEngine) deposit(fe prepared, p Prediction, answered bool) {
-	if t := fe.tmpl; t.key != "" && (t.ent == nil || answered && !t.ent.answered) {
-		se.tmplCache.Put(t.key, &templateEntry{stmt: fe.stmt, p: p, answered: answered})
-	}
-}
-
-// PlanOnly resolves sql to its logical plan through the same front end as
-// prediction, minus the encode — a hit skips lex and parse — depositing a
-// skeleton on a miss so explain traffic warms the cache for predictions (and
-// vice versa). This is the explain path's entry point; it never touches the
-// model.
-func (se *ShardedEngine) PlanOnly(sql string) (*logicalplan.Node, error) {
-	fe, err := se.frontEnd(sql, se.lookupTemplate(sql), false)
+// frontEnd is the whole front end of a query: lex, parse and plan, into the
+// trace an encode reads, its plan exact to the query's literals.
+func frontEnd(sql string) (*workload.Trace, error) {
+	plan, err := logicalplan.PlanSQL(sql)
 	if err != nil {
 		return nil, err
 	}
-	se.deposit(fe, Prediction{}, false)
-	return fe.trace.Plan, nil
+	return &workload.Trace{SQL: sql, Plan: plan, Template: -1}, nil
 }
 
-// miss is the engine's miss path, entered once the prediction cache has been
-// looked up and found nothing (the caller deposits the answer there) and, on
-// an engine that answers templates, once t found no answer: deadline check,
-// frontEnd, predict, and the template deposit — the answer, on an engine
-// that answers templates — all on the caller's goroutine. An engine that
-// answers templates had its caller look the template up before admission;
-// any other looks it up here, as part of the front end.
+// PlanOnly resolves sql to its logical plan: the full parse and plan,
+// which touch neither the model nor any cache. This is the explain path's
+// entry point.
+func (se *ShardedEngine) PlanOnly(sql string) (*logicalplan.Node, error) {
+	return logicalplan.PlanSQL(sql)
+}
+
+// miss is the engine's miss path, entered once the caches have been looked
+// up and found nothing (the caller deposits the answer in the prediction
+// cache): deadline check, frontEnd, one encode, predict and, when tkey is
+// the query's template key, the template's answer deposited under it — all
+// on the caller's goroutine.
 //
 // Work whose deadline has already passed is dropped before planning, and a
 // deadline that passes while the query waits for a slot abandons the
 // wait without reaching the model. Both drops count once on the Expired
 // counter and surface as ExpiredError.
-func (se *ShardedEngine) miss(ctx context.Context, sql string, t tmplLookup) (Prediction, error) {
+func (se *ShardedEngine) miss(ctx context.Context, sql, tkey string) (Prediction, error) {
 	if ctx.Err() != nil {
 		se.tel.Expired.Inc()
 		return Prediction{}, &ExpiredError{}
 	}
-	if !se.answers {
-		t = se.lookupTemplate(sql)
-	}
-	fe, err := se.frontEnd(sql, t, true)
+	tr, err := frontEnd(sql)
 	if err != nil {
 		return Prediction{}, fmt.Errorf("parse: %w", err)
 	}
-	y, err := se.predict(ctx, fe.enc)
+	y, err := se.predict(ctx, se.model.EncodeTrace(tr))
 	if err != nil {
 		return Prediction{}, err
 	}
-	p := se.pred.prediction(shapeOf(fe.trace.Plan), y)
-	se.deposit(fe, p, se.answers)
+	p := se.pred.prediction(shapeOf(tr.Plan), y)
+	if tkey != "" {
+		se.tmplCache.Put(tkey, p)
+	}
 	return p, nil
 }
 
@@ -204,9 +144,10 @@ func (se *ShardedEngine) take(ctx context.Context) bool {
 	return true
 }
 
-// flight is one handler's computation of a key the engine has no answer
-// for, which identical misses arriving meanwhile wait on instead of running
-// the model again. The leader fills p and ok before done is closed.
+// flight is one handler's computation of a flight key the engine has no
+// answer for, which misses of the same key arriving meanwhile wait on
+// instead of running the model again. The leader fills p and ok before done
+// is closed.
 type flight struct {
 	done chan struct{}
 	p    Prediction

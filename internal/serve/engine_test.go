@@ -326,23 +326,24 @@ func TestHoldIsForEnRouteWork(t *testing.T) {
 		}
 	})
 	t.Run("released when the en-route query fails to parse", func(t *testing.T) {
-		se, eng, m, _ := gatedStub(t, Config{TemplateCacheSize: 8})
+		se, eng, m, _ := gatedStub(t, Config{})
 		const bad = "SELEC ((("
-		// The template segment's mutex gates the leader inside its front end:
-		// it has joined the key's flight and cannot leave until the test lets it.
-		eng.tmplCache.mu.Lock()
+		// The test holds the key's flight as the en-route leader would, so
+		// the misses it starts park on it; it then lands the flight with no
+		// answer, as a leader whose query failed does.
+		f, lead := se.join(CanonicalSQL(bad))
+		if !lead {
+			t.Fatal("the test did not lead the key's flight")
+		}
 		errs := make(chan error, 2)
 		ask := func() {
 			_, err := se.PredictSQL(bad)
 			errs <- err
 		}
 		go ask()
-		for !flying(eng, CanonicalSQL(bad)) {
-			runtime.Gosched()
-		}
 		go ask()
-		awaitParked(t, followerWait, 1)
-		eng.tmplCache.mu.Unlock()
+		awaitParked(t, followerWait, 2)
+		se.land(CanonicalSQL(bad), f)
 		for i := 0; i < 2; i++ {
 			var expired *ExpiredError
 			if err := <-errs; err == nil || errors.As(err, &expired) || !strings.HasPrefix(err.Error(), "parse: ") {
@@ -444,12 +445,16 @@ func TestHoldLiveness(t *testing.T) {
 	}
 }
 
-// panicEncoder is a stub model whose off-lock encode panics on a marked
-// query, the way a front end that trips over a bug would.
-type panicEncoder struct{ *stubModel }
+// panicEncoder is a stub model whose encode panics on a marked query, the
+// way a front end that trips over a bug would, once gate is closed.
+type panicEncoder struct {
+	*stubModel
+	gate chan struct{}
+}
 
-func (panicEncoder) EncodeTrace(tr *workload.Trace) any {
+func (p panicEncoder) EncodeTrace(tr *workload.Trace) any {
 	if strings.Contains(tr.SQL, panicMark) {
+		<-p.gate
 		panic("front end blew up")
 	}
 	return tr
@@ -462,23 +467,23 @@ func (panicEncoder) EncodeTrace(tr *workload.Trace) any {
 // and the next miss of the key computes afresh instead of waiting forever.
 func TestHoldSurvivesFrontEndPanic(t *testing.T) {
 	m := &stubModel{}
-	se, eng := oneShard(t, &Predictor{Model: panicEncoder{m}}, Config{TemplateCacheSize: 8})
+	gate := make(chan struct{})
+	se, eng := oneShard(t, &Predictor{Model: panicEncoder{m, gate}}, Config{TemplateCacheSize: 8})
 	sql := "SELECT " + panicMark + " FROM t"
 	recovered := make(chan any, 3)
 	ask := func() {
 		defer func() { recovered <- recover() }()
 		se.PredictSQL(sql)
 	}
-	// As in TestHoldIsForEnRouteWork, the template segment's mutex keeps the
-	// doomed leader inside its front end until the test lets it go.
-	eng.tmplCache.mu.Lock()
+	// The gate keeps the doomed leader inside its encode until the test lets
+	// it go.
 	go ask()
 	for !flying(eng, CanonicalSQL(sql)) {
 		runtime.Gosched()
 	}
 	go ask()
 	awaitParked(t, followerWait, 1)
-	eng.tmplCache.mu.Unlock()
+	close(gate)
 	for i := 0; i < 2; i++ {
 		if r := <-recovered; r == nil {
 			t.Fatal("a marked query's front end did not panic")

@@ -58,12 +58,12 @@ func TestTemplateLookupMatchesUncachedServer(t *testing.T) {
 	}
 	e := cached.Engine()
 	for gi, gen := range templateQueryGens {
-		key, _, ok := sqlparse.ExtractTemplate(gen(rng))
+		key, ok := sqlparse.TemplateKey(gen(rng))
 		if !ok {
 			t.Fatalf("gen %d: no template", gi)
 		}
-		if ent, ok := e.tmplCache.Get(key); !ok || !ent.answered {
-			t.Fatalf("gen %d: after four sightings the entry holds no answer; the lookup never ran", gi)
+		if _, ok := e.tmplCache.Get(key); !ok {
+			t.Fatalf("gen %d: after four sightings the template holds no answer; the lookup never ran", gi)
 		}
 	}
 	for _, gi := range []int{0, 3} {
@@ -76,8 +76,9 @@ func TestTemplateLookupMatchesUncachedServer(t *testing.T) {
 }
 
 // TestTemplateLookupAllocs pins what a prediction costs once its template
-// holds an answer: no more allocations than ExtractTemplate alone — no trace,
-// job, rebind or plan — and no batch.
+// holds an answer: no more allocations than the key scan alone, whose one
+// allocation is the key — no literal vector, trace, parse or plan — and no
+// batch.
 func TestTemplateLookupAllocs(t *testing.T) {
 	pred := newTestPredictor(t)
 	se, e := oneShard(t, pred, tmplCfg())
@@ -96,10 +97,13 @@ func TestTemplateLookupAllocs(t *testing.T) {
 	if got, _, err := se.predictKey(ctx, sql, key); err != nil || got != want {
 		t.Fatalf("answered %+v, %v; want the serialised reference %+v", got, err, want)
 	}
-	extract := testing.AllocsPerRun(100, func() { sqlparse.ExtractTemplate(sql) })
+	scan := testing.AllocsPerRun(100, func() { sqlparse.TemplateKey(sql) })
+	if scan > 1 {
+		t.Fatalf("the key scan of %q: %.0f allocs, want the key's one", sql, scan)
+	}
 	answer := testing.AllocsPerRun(100, func() { se.predictKey(ctx, sql, key) })
-	if answer > extract {
-		t.Fatalf("an answered template: %.0f allocs, want no more than ExtractTemplate's %.0f", answer, extract)
+	if answer > scan {
+		t.Fatalf("an answered template: %.0f allocs, want no more than the key scan's %.0f", answer, scan)
 	}
 	if n := e.tel.Batches.Load(); n != batches {
 		t.Fatalf("answered templates flushed %d batches", n-batches)

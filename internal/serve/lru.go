@@ -7,7 +7,7 @@ import (
 )
 
 // lru is the one LRU behind every engine cache (predictions, pooled
-// sub-tree outputs, prepared templates). The caches differ only in
+// sub-tree outputs, template answers). The caches differ only in
 // key/value types and the two policy hooks below; the mutex, recency order,
 // eviction, byte accounting and hit/miss counters live here once.
 //
@@ -42,8 +42,7 @@ type lru[K comparable, V any] struct {
 }
 
 // lruNode is one entry, linked intrusively into the recency ring. An evicted
-// node is unlinked and left to the collector at once — values can pin
-// megabytes (template encodings), so nothing is pooled.
+// node is unlinked and left to the collector at once; nothing is pooled.
 type lruNode[K comparable, V any] struct {
 	key        K
 	val        V

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"prestroid/internal/models"
+	"prestroid/internal/sqlparse"
 	"prestroid/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func loadedEngine(cfg Config, busy int, serviceMicros float64, pred *Predictor) 
 
 // TestMissPathEncodesOnce is the oracle for "one owner per stage": however a
 // query travels the miss path, its plan is encoded at most once — by the
-// handler's frontEnd — and never when a cache, the admission policy or the
+// handler's miss — and never when a cache, the admission policy or the
 // deadline answers instead. Every answer is bit-identical to the serialised
 // reference.
 func TestMissPathEncodesOnce(t *testing.T) {
@@ -85,27 +86,26 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		return e
 	}
 
-	// skeleton is what an explain of the template deposits.
-	explained := started(t, tmplCfg())
-	if _, err := explained.PlanOnly(q1); err != nil {
-		t.Fatal(err)
+	// answer is what one template's entry holds: its key and its answer.
+	key, ok := sqlparse.TemplateKey(q1)
+	if !ok {
+		t.Fatalf("%q has no template key", q1)
 	}
-	skeleton := explained.Snapshot().TemplateBytes
+	answer := templateBytes(key, Prediction{})
 	// sights walks one template's three literal variants through predict: the
-	// first sight encodes and leaves an entry the size of what an explain
-	// would, the skeleton, now holding the answer; from the second on the
-	// entry's answer serves and the entry stays that size.
+	// first sight encodes and leaves the template's answer in its entry; from
+	// the second on the entry's answer serves and the entry stays as it was.
 	sights := func(t *testing.T, e engineRow) {
 		t.Helper()
 		check(t, q1, 1, e.PredictSQL)
-		if snap := e.Snapshot(); snap.TemplateMisses != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
-			t.Fatalf("first sight left %d entries / %d bytes after %d misses, want 1 entry at the skeleton's %d bytes",
-				snap.TemplateEntries, snap.TemplateBytes, snap.TemplateMisses, skeleton)
+		if snap := e.Snapshot(); snap.TemplateMisses != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes != answer {
+			t.Fatalf("first sight left %d entries / %d bytes after %d misses, want 1 entry at the answer's %d bytes",
+				snap.TemplateEntries, snap.TemplateBytes, snap.TemplateMisses, answer)
 		}
 		check(t, q2, 0, e.PredictSQL)
-		if snap := e.Snapshot(); snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
-			t.Fatalf("second sight left %d entries / %d bytes, want the one entry at its skeleton's %d",
-				snap.TemplateEntries, snap.TemplateBytes, skeleton)
+		if snap := e.Snapshot(); snap.TemplateEntries != 1 || snap.TemplateBytes != answer {
+			t.Fatalf("second sight left %d entries / %d bytes, want the one entry at the answer's %d",
+				snap.TemplateEntries, snap.TemplateBytes, answer)
 		}
 		check(t, q3, 0, e.PredictSQL)
 		if hits := e.Snapshot().TemplateHits; hits != 2 {
@@ -123,20 +123,17 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		check(t, q1, 1, e.PredictSQL)
 		check(t, q2, 1, e.PredictSQL)
 	})
-	t.Run("skeleton-only hit upgrades the entry", func(t *testing.T) {
+	t.Run("explain leaves no entry", func(t *testing.T) {
 		e := started(t, tmplCfg())
+		m.encodes.Store(0)
 		if _, err := e.PlanOnly(q1); err != nil {
 			t.Fatal(err)
 		}
-		skeleton := e.Snapshot().TemplateBytes
-		check(t, q2, 1, e.PredictSQL)
-		snap := e.Snapshot()
-		if snap.TemplateHits != 1 || snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
-			t.Fatalf("hits=%d entries=%d bytes %d -> %d, want one hit on one entry, still skeleton-sized",
-				snap.TemplateHits, snap.TemplateEntries, skeleton, snap.TemplateBytes)
+		if snap := e.Snapshot(); snap.TemplateMisses != 0 || snap.TemplateEntries != 0 || m.encodes.Load() != 0 {
+			t.Fatalf("explain looked the template up %d times, left %d entries and encoded %d times; want none of it",
+				snap.TemplateMisses, snap.TemplateEntries, m.encodes.Load())
 		}
-		check(t, q1, 0, e.PredictSQL)
-		check(t, q3, 0, e.PredictSQL)
+		sights(t, e)
 	})
 	t.Run("prediction cache hit", func(t *testing.T) {
 		cfg := tmplCfg()
@@ -178,7 +175,7 @@ func TestMissPathEncodesOnce(t *testing.T) {
 		cancel()
 		m.encodes.Store(0)
 		var expired *ExpiredError
-		if _, err := e.miss(ctx, q1, tmplLookup{}); !errors.As(err, &expired) {
+		if _, err := e.miss(ctx, q1, ""); !errors.As(err, &expired) {
 			t.Fatalf("expired request returned %v, want *ExpiredError", err)
 		}
 		if n := m.encodes.Load(); n != 0 {
@@ -189,13 +186,15 @@ func TestMissPathEncodesOnce(t *testing.T) {
 
 // TestTemplateScanPinsNoTrees is the one-off regime as a unit test: a scan of
 // N structurally distinct queries, each predicted once, leaves the template
-// cache holding N skeletons — exactly what explaining the same N queries
-// leaves — and none of the trees that were built to answer them.
+// cache holding N answers — each its key and one Prediction — and none of the
+// statements or trees that were built to answer them; explaining the same N
+// queries leaves nothing at all.
 func TestTemplateScanPinsNoTrees(t *testing.T) {
 	pred := newTestPredictor(t)
 	scanned, scannedShard := oneShard(t, pred, tmplCfg())
 	_, explained := oneShard(t, pred, tmplCfg())
 	const n = 64
+	var answers int64
 	for i := 0; i < n; i++ {
 		sql := fmt.Sprintf("SELECT a, c%d FROM t JOIN u ON t.id = u.id WHERE c%d > %d ORDER BY a LIMIT 3", i, i, i)
 		want, err := pred.PredictSQL(sql)
@@ -208,70 +207,20 @@ func TestTemplateScanPinsNoTrees(t *testing.T) {
 		if _, err := explained.PlanOnly(sql); err != nil {
 			t.Fatal(err)
 		}
+		key, _ := sqlparse.TemplateKey(sql)
+		answers += templateBytes(key, Prediction{})
 	}
-	got, want := scannedShard.Snapshot(), explained.Snapshot()
+	got, ex := scannedShard.Snapshot(), explained.Snapshot()
 	if got.TemplateEntries != n || got.TemplateMisses != n || got.TemplateHits != 0 {
 		t.Fatalf("scan left %d entries after %d misses / %d hits, want %d/%d/0",
 			got.TemplateEntries, got.TemplateMisses, got.TemplateHits, n, n)
 	}
-	if got.TemplateBytes != want.TemplateBytes {
-		t.Fatalf("scan pins %d template bytes, want the %d skeletons' %d", got.TemplateBytes, n, want.TemplateBytes)
+	if got.TemplateBytes != answers {
+		t.Fatalf("scan pins %d template bytes, want the %d answers' %d", got.TemplateBytes, n, answers)
 	}
-}
-
-// TestTemplateHashedStaysSkeletonOnly serves the one literal-sensitive
-// pipeline mode through the template cache. Its trees differ between literal
-// variants, so the model offers no template encoding: the entry stays the
-// skeleton an explain (or the first prediction) deposited, every hit still
-// skips lex and parse, and each query is encoded exactly once, from its own
-// rebound plan — byte-identical to the serialised reference.
-func TestTemplateHashedStaysSkeletonOnly(t *testing.T) {
-	base := newTestPredictor(t)
-	enc := *base.Pipe.Enc
-	enc.HashedPredicates = true
-	pipe := &models.Pipeline{W2V: base.Pipe.W2V, Enc: &enc}
-	hashed := models.NewPrestroid(testModelConfig(), pipe)
-	m := &countingModel{Prestroid: hashed}
-	pred := &Predictor{Model: m, Pipe: pipe, Norm: base.Norm}
-	se, e := oneShard(t, pred, tmplCfg())
-
-	variant := func(n int) string {
-		return fmt.Sprintf("SELECT a FROM t WHERE a > %d AND b < %d", n, 1000-n)
-	}
-	if _, err := e.PlanOnly(variant(0)); err != nil {
-		t.Fatal(err)
-	}
-	skeleton := e.Snapshot().TemplateBytes
-	const n = 12
-	seen := map[uint64]bool{}
-	for i := 1; i <= n; i++ {
-		want, err := pred.PredictSQL(variant(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.encodes.Store(0)
-		got, err := se.PredictSQL(variant(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%q: engine %+v != serialised reference %+v", variant(i), got, want)
-		}
-		if c := m.encodes.Load(); c != 1 {
-			t.Fatalf("%q encoded %d times, want 1", variant(i), c)
-		}
-		seen[math.Float64bits(got.Normalized)] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("every literal variant predicted alike; the hashed pipeline is not literal-sensitive here")
-	}
-	snap := e.Snapshot()
-	if snap.TemplateHits != n || snap.TemplateMisses != 1 {
-		t.Fatalf("template hits/misses = %d/%d, want %d/1", snap.TemplateHits, snap.TemplateMisses, n)
-	}
-	if snap.TemplateEntries != 1 || snap.TemplateBytes != skeleton {
-		t.Fatalf("entries=%d bytes %d -> %d: a hashed-predicate entry must stay its skeleton",
-			snap.TemplateEntries, skeleton, snap.TemplateBytes)
+	if ex.TemplateEntries != 0 || ex.TemplateMisses != 0 || ex.TemplateBytes != 0 {
+		t.Fatalf("explaining left %d entries / %d bytes after %d lookups, want nothing",
+			ex.TemplateEntries, ex.TemplateBytes, ex.TemplateMisses)
 	}
 }
 

@@ -189,12 +189,10 @@ func (en *ModelEntry) PredictSQLGenCtx(ctx context.Context, sql string) (Predict
 	return eng.predictKey(ctx, sql, key)
 }
 
-// ExplainSQL resolves a query to its logical plan through the live engine's
-// template front end: a cached template skips lex and parse, a miss deposits
-// the skeleton. Plans are weight-independent, so a staged canary or shadow
-// never changes the answer — explain always warms the live engine's template
-// cache, the one the bulk of prediction traffic hits. Planning touches no
-// model.
+// ExplainSQL resolves a query to its logical plan through the live engine
+// (PlanOnly): a full parse and plan, which touch no model and no cache.
+// Plans are weight-independent, so a staged canary or shadow never changes
+// the answer.
 func (en *ModelEntry) ExplainSQL(sql string) (*logicalplan.Node, error) {
 	live, _ := en.roll()
 	return live.PlanOnly(sql)

@@ -659,12 +659,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, codeForStatus(code), err)
 		return
 	}
-	// Explain never runs the model, but it routes through the identity's
-	// engine anyway: the template front end turns repeated explain shapes
-	// into cached rebinds, and the skeletons it deposits pre-warm the same
-	// template cache predictions hit. A named identity is also validated
-	// this way, so a typo fails loudly instead of silently explaining under
-	// the default.
+	// Explain never runs the model, but it resolves the identity anyway: a
+	// named identity is validated this way, so a typo fails loudly instead
+	// of silently explaining under the default.
 	en := s.resolveModel(w, req.Model)
 	if en == nil {
 		s.tel.Errors.Inc()

@@ -33,10 +33,14 @@ func DefaultReplicas() int {
 // hash-addressed shards.
 //
 // There is one way through it: the handler goroutine that takes a miss runs
-// every stage itself — parse → plan → encode (frontEnd), then the model once
+// every stage itself — parse → plan (frontEnd) → encode, then the model once
 // a slot is free (predict). The prediction cache, keyed by canonicalised
-// SQL, is read once before any of this and written once after it, and
-// concurrent misses of one key share one flight (see predictKey).
+// SQL, is read once before any of this and written once after it; on an
+// engine that answers templates the template cache is read between the two,
+// by template key. Concurrent misses share one flight: keyed on the template
+// key where the engine answers templates, so every first variant of a new
+// template waits on one model call, and on the canonical key elsewhere (see
+// predictKey).
 //
 // The engine never writes its model: a call reads the weights, takes its
 // scratch from the model's arena pool and hands the model the engine's
@@ -66,23 +70,22 @@ type ShardedEngine struct {
 
 	// The engine's caches, each nil when disabled: finished predictions,
 	// the sub-tree partial results every model call reads and fills, and
-	// templates. All three are born empty with the engine and die with it.
-	cache     *predictionCache
-	convCache *subtreeCache
-	tmplCache *templateCache
-
-	// answers reports whether the engine stores and serves template answers:
+	// template answers. All three are born empty with the engine and die
+	// with it. Only an engine that answers templates has a template cache:
 	// its pipeline strips literal values before embedding, so every literal
 	// variant of a template gets one answer. A HashedPredicates pipeline
 	// encodes literals, and a predictor without a pipeline promises nothing.
-	answers bool
+	cache     *predictionCache
+	convCache *subtreeCache
+	tmplCache *templateCache
 
 	// busy counts the handlers waiting for or holding a slot: the admission
 	// signal (estWaitMicros) and the queue-depth gauge.
 	busy atomic.Int64
 
-	// inflight maps each canonical key some handler is computing to that
-	// handler's flight (see join).
+	// inflight maps each flight key some handler is computing — the
+	// template key on an engine that answers templates, the canonical key
+	// otherwise — to that handler's flight (see join).
 	flightMu sync.Mutex
 	inflight map[string]*flight
 
@@ -134,7 +137,6 @@ func newShardedEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.S
 		model:            pred.mustServe(),
 		gen:              gen,
 		slots:            make(chan struct{}, max(1, cfg.Replicas)),
-		answers:          pred.Pipe != nil && !pred.Pipe.Enc.HashedPredicates,
 		tel:              tel,
 		maxEstWaitMicros: float64(cfg.MaxEstWait.Microseconds()),
 		name:             pred.Model.Name(),
@@ -146,7 +148,7 @@ func newShardedEngineAt(pred *Predictor, cfg Config, gen int64, tel *telemetry.S
 	if cfg.SubtreeCacheSize > 0 {
 		se.convCache = newSubtreeCache(cfg.SubtreeCacheSize, &tel.SubtreeHits, &tel.SubtreeMisses)
 	}
-	if cfg.TemplateCacheSize > 0 {
+	if cfg.TemplateCacheSize > 0 && pred.Pipe != nil && !pred.Pipe.Enc.HashedPredicates {
 		se.tmplCache = newTemplateCache(cfg.TemplateCacheSize, &tel.TemplateHits, &tel.TemplateMisses)
 	}
 	return se

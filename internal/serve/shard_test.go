@@ -33,14 +33,15 @@ func replicasOf(se *ShardedEngine) []*Predictor { return []*Predictor{se.pred} }
 // engine's cache the call could copy every pooled conv output an earlier
 // call computed and run only the dense head.
 func predictOn(se *ShardedEngine, r *Predictor, own models.ConvCache, sql string) (Prediction, error) {
-	fe, err := se.frontEnd(sql, tmplLookup{}, true)
+	tr, err := frontEnd(sql)
 	if err != nil {
 		return Prediction{}, err
 	}
 	m := r.mustServe()
-	y := m.PredictEncoded(fe.enc, own)
-	m.Recycle(fe.enc)
-	return r.prediction(shapeOf(fe.trace.Plan), y), nil
+	enc := se.model.EncodeTrace(tr)
+	y := m.PredictEncoded(enc, own)
+	m.Recycle(enc)
+	return r.prediction(shapeOf(tr.Plan), y), nil
 }
 
 // weightBits is every weight and state value of m, bit for bit: what a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -11,13 +12,11 @@ import (
 	"time"
 
 	"prestroid/internal/models"
-	"prestroid/internal/sqlparse"
-	"prestroid/internal/telemetry"
 )
 
 // tmplCfg is the engine configuration every template front-end test uses:
-// prediction and sub-tree caches off, so a repeated query exercises the
-// template rebind path instead of short-circuiting on a cached answer.
+// prediction and sub-tree caches off, so a repeated query reaches the
+// template cache instead of short-circuiting on a cached answer.
 func tmplCfg() Config {
 	return Config{
 		CacheSize:         0,
@@ -54,9 +53,10 @@ var templateQueryGens = []func(r *rand.Rand) string{
 
 // assertTemplateByteIdentical drives one predictor through an engine with
 // the template cache on and asserts every answer — first sight (the miss
-// that deposits), immediate replay (the rebind hit) and fresh literal
+// that deposits), immediate replay (the template hit) and fresh literal
 // variants of the now-cached template — is byte-identical to the serialised
-// uncached reference.
+// uncached reference. An engine that answers templates must have hit its
+// template cache; a HashedPredicates engine must keep none.
 func assertTemplateByteIdentical(t *testing.T, pred *Predictor) {
 	t.Helper()
 	se, e := oneShard(t, pred, tmplCfg())
@@ -85,6 +85,13 @@ func assertTemplateByteIdentical(t *testing.T, pred *Predictor) {
 		}
 	}
 	snap := e.Snapshot()
+	if pred.Pipe.Enc.HashedPredicates {
+		if e.tmplCache != nil || snap.TemplateHits != 0 || snap.TemplateMisses != 0 || snap.TemplateEntries != 0 {
+			t.Fatalf("a hashed-predicate engine keeps a template cache: hits=%d misses=%d entries=%d",
+				snap.TemplateHits, snap.TemplateMisses, snap.TemplateEntries)
+		}
+		return
+	}
 	if snap.TemplateHits == 0 {
 		t.Fatal("no template hits recorded: the rebind path was never exercised")
 	}
@@ -102,9 +109,8 @@ func TestTemplatePredictByteIdentical(t *testing.T) {
 }
 
 // TestTemplatePredictByteIdenticalHashed repeats the property under hashed
-// predicate featurization — the one literal-sensitive encoder mode, where a
-// template hit must re-featurize the predicate rows instead of replaying
-// cached ones.
+// predicate featurization — the one literal-sensitive encoder mode, whose
+// engine keeps no template cache and computes every literal variant.
 func TestTemplatePredictByteIdenticalHashed(t *testing.T) {
 	base := newTestPredictor(t)
 	enc := *base.Pipe.Enc
@@ -170,84 +176,6 @@ func TestTemplateRebindSurvivesRoll(t *testing.T) {
 		if got != want {
 			t.Fatalf("post-roll %q: engine %+v != new-bundle reference %+v", variant(n), got, want)
 		}
-	}
-}
-
-// TestTemplateExplainWarmsPredict pins the explain/predict cache sharing:
-// PlanOnly deposits a skeleton that turns the first prediction of the
-// template into a hit, and that prediction leaves its answer in the entry,
-// which answers a later literal variant without encoding it.
-func TestTemplateExplainWarmsPredict(t *testing.T) {
-	pred, m := newCountingPredictor(t)
-	se, e := oneShard(t, pred, tmplCfg())
-
-	if _, err := e.PlanOnly("SELECT a FROM t WHERE a > 1"); err != nil {
-		t.Fatal(err)
-	}
-	snap := e.Snapshot()
-	if snap.TemplateMisses != 1 || snap.TemplateEntries != 1 {
-		t.Fatalf("after explain: misses=%d entries=%d, want 1/1", snap.TemplateMisses, snap.TemplateEntries)
-	}
-	skeletonBytes := snap.TemplateBytes
-
-	for i, sql := range []string{"SELECT a FROM t WHERE a > 42", "SELECT a FROM t WHERE a > 7"} {
-		want, err := pred.PredictSQL(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.encodes.Store(0)
-		got, err := se.PredictSQL(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("explain-warmed predict of %q %+v != reference %+v", sql, got, want)
-		}
-		if n, wantN := m.encodes.Load(), int64(1-i); n != wantN {
-			t.Fatalf("prediction %d encoded %d times, want %d", i, n, wantN)
-		}
-	}
-	snap = e.Snapshot()
-	if snap.TemplateHits != 2 {
-		t.Fatalf("explain-warmed predictions recorded %d hits, want 2", snap.TemplateHits)
-	}
-	if snap.TemplateEntries != 1 || snap.TemplateBytes != skeletonBytes {
-		t.Fatalf("answered entry: %d entries, bytes %d -> %d; want the one entry at its skeleton's size",
-			snap.TemplateEntries, skeletonBytes, snap.TemplateBytes)
-	}
-}
-
-// TestTemplateCacheUpgradeInPlace pins the template segment's one replace
-// rule on top of the shared LRU (see lru_test.go): an answered deposit
-// replaces an unanswered entry, and nothing else replaces a present entry —
-// not an unanswered deposit, and not a second answer.
-func TestTemplateCacheUpgradeInPlace(t *testing.T) {
-	var hits, misses telemetry.Counter
-	c := newTemplateCache(8, &hits, &misses)
-	stmt, err := sqlparse.Parse("SELECT a FROM t WHERE a > 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	skeleton := &templateEntry{stmt: stmt}
-	answered := &templateEntry{stmt: stmt, p: Prediction{Normalized: 0.25}, answered: true}
-
-	c.Put("k", skeleton)
-	_, skeletonBytes := c.Stats()
-	c.Put("k", &templateEntry{stmt: stmt})
-	if ent, _ := c.Get("k"); ent != skeleton {
-		t.Fatal("an unanswered deposit replaced an unanswered entry")
-	}
-	c.Put("k", answered)
-	if ent, _ := c.Get("k"); ent != answered {
-		t.Fatal("an answered deposit did not replace the unanswered entry")
-	}
-	c.Put("k", &templateEntry{stmt: stmt})
-	c.Put("k", &templateEntry{stmt: stmt, p: Prediction{Normalized: 0.5}, answered: true})
-	if ent, _ := c.Get("k"); ent != answered {
-		t.Fatal("a later deposit replaced an answered entry")
-	}
-	if n, b := c.Stats(); n != 1 || b != skeletonBytes {
-		t.Fatalf("entries=%d bytes=%d, want 1 entry at the skeleton's %d bytes", n, b, skeletonBytes)
 	}
 }
 
@@ -334,5 +262,83 @@ func TestTemplateCacheConcurrentReloadRoll(t *testing.T) {
 	}
 	if g := en.Live().Generation(); g != lastGen {
 		t.Fatalf("final generation = %d, want %d", g, lastGen)
+	}
+}
+
+// gatedModel is a real model whose calls each announce themselves on entered
+// and then wait for release, so a test decides what arrives while a call is
+// in flight.
+type gatedModel struct {
+	*countingModel
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedModel) PredictEncoded(enc any, cache models.ConvCache) float64 {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.countingModel.PredictEncoded(enc, cache)
+}
+
+// TestTemplateFliesOnce pins single-flight by template key: 8 concurrent
+// first variants of one new template — 8 canonical keys — make exactly one
+// model call, the first variant's, which the other 7 wait on. Every answer
+// is byte-identical to the serialised reference, and each caller writes it
+// under its own canonical key.
+func TestTemplateFliesOnce(t *testing.T) {
+	base := newTestPredictor(t)
+	counting := &countingModel{Prestroid: base.Model.(*models.Prestroid)}
+	m := &gatedModel{countingModel: counting, entered: make(chan struct{}, 8), release: make(chan struct{})}
+	cfg := tmplCfg()
+	cfg.CacheSize = 16
+	cfg.Replicas = 2
+	se := NewShardedEngine(&Predictor{Model: m, Pipe: base.Pipe, Norm: base.Norm}, cfg)
+	t.Cleanup(se.Close)
+
+	const variants = 8
+	sqls := make([]string, variants)
+	for i := range sqls {
+		sqls[i] = fmt.Sprintf("SELECT a, b FROM t JOIN u ON t.id = u.id WHERE a > %d AND b < %d", i, 100-i)
+	}
+	got := make([]Prediction, variants)
+	var wg sync.WaitGroup
+	ask := func(i int) {
+		defer wg.Done()
+		p, err := se.PredictSQL(sqls[i])
+		if err != nil {
+			t.Error(err)
+		}
+		got[i] = p
+	}
+	wg.Add(variants)
+	go ask(0)
+	<-m.entered
+	for i := 1; i < variants; i++ {
+		go ask(i)
+	}
+	awaitParked(t, followerWait, variants-1)
+	close(m.release)
+	wg.Wait()
+	for i, sql := range sqls {
+		want, err := base.PredictSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got[i].Normalized) != math.Float64bits(want.Normalized) || got[i] != want {
+			t.Fatalf("%q: engine %+v != serialised reference %+v", sql, got[i], want)
+		}
+	}
+	if n := counting.encodes.Load(); n != 1 {
+		t.Fatalf("%d first variants of one template encoded %d times, want 1", variants, n)
+	}
+	snap := se.Snapshot().Totals()
+	if snap.Batches != 1 || snap.Coalesced != variants {
+		t.Fatalf("model calls/coalesced = %d/%d, want 1/%d", snap.Batches, snap.Coalesced, variants)
+	}
+	if n, _ := se.cache.Stats(); n != variants {
+		t.Fatalf("prediction cache holds %d entries, want each variant's %d", n, variants)
+	}
+	if snap.TemplateEntries != 1 {
+		t.Fatalf("template entries = %d, want 1", snap.TemplateEntries)
 	}
 }

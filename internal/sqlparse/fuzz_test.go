@@ -1,6 +1,9 @@
 package sqlparse_test
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,25 +27,7 @@ import (
 // same Explain text, or an error on both sides. Two skeletons are tried: the
 // query's own parse and the variant's.
 func FuzzParse(f *testing.F) {
-	g := workload.DefaultGrabConfig()
-	g.Queries = 40
-	d := workload.DefaultTPCDSConfig()
-	d.Queries = 40
-	h := workload.DefaultTPCHConfig()
-	h.Queries = 22
-	for _, set := range [][]*workload.Trace{
-		workload.NewGrabGenerator(g).Generate(),
-		workload.NewTPCDSGenerator(d).Generate(),
-		workload.NewTPCHGenerator(h).Generate(),
-	} {
-		for _, tr := range set {
-			f.Add(tr.SQL)
-		}
-	}
-	rng := tensor.NewRNG(5)
-	for i := 0; i < 40; i++ {
-		f.Add(sqlparse.RandQuery(rng))
-	}
+	addQuerySeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, perr := sqlparse.Parse(src)
 		key, lits, ok := sqlparse.ExtractTemplate(src)
@@ -91,6 +76,64 @@ func FuzzParse(f *testing.F) {
 			if werr == nil && got.Explain() != want.Explain() {
 				t.Fatalf("%q: rebound plan\n%s\nfull parse plan\n%s", src, got.Explain(), want.Explain())
 			}
+		}
+	})
+}
+
+// addQuerySeeds seeds a string fuzz target with every workload generator's
+// SQL and the property tests' random queries.
+func addQuerySeeds(f *testing.F) {
+	g := workload.DefaultGrabConfig()
+	g.Queries = 40
+	d := workload.DefaultTPCDSConfig()
+	d.Queries = 40
+	h := workload.DefaultTPCHConfig()
+	h.Queries = 22
+	for _, set := range [][]*workload.Trace{
+		workload.NewGrabGenerator(g).Generate(),
+		workload.NewTPCDSGenerator(d).Generate(),
+		workload.NewTPCHGenerator(h).Generate(),
+	} {
+		for _, tr := range set {
+			f.Add(tr.SQL)
+		}
+	}
+	rng := tensor.NewRNG(5)
+	for i := 0; i < 40; i++ {
+		f.Add(sqlparse.RandQuery(rng))
+	}
+}
+
+// FuzzTemplateKey holds the key-only scan to ExtractTemplate: on every input
+// TemplateKey returns the same key and ok. It is seeded with FuzzParse's
+// seeds and with the committed corpora of this package's other string
+// targets, whose inputs were kept for tripping the lexer or the parser.
+func FuzzTemplateKey(f *testing.F) {
+	addQuerySeeds(f)
+	for _, target := range []string{"FuzzParse", "FuzzTokenizeMatchesReference"} {
+		files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, file := range files {
+			b, err := os.ReadFile(file)
+			if err != nil {
+				f.Fatal(err)
+			}
+			// A corpus file is a header line and one string(...) argument.
+			_, arg, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+			src, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "string("), ")"))
+			if err != nil {
+				f.Fatalf("%s: %v", file, err)
+			}
+			f.Add(src)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		want, _, wantOK := sqlparse.ExtractTemplate(src)
+		got, ok := sqlparse.TemplateKey(src)
+		if got != want || ok != wantOK {
+			t.Fatalf("%q: TemplateKey = %q, %v; ExtractTemplate's key = %q, %v", src, got, ok, want, wantOK)
 		}
 	})
 }

@@ -76,8 +76,9 @@ func init() {
 }
 
 // Lexer splits SQL text into tokens. Every token's Text is a slice of the
-// source or an interned constant — only a string literal with an escaped
-// (doubled) quote allocates — so lexing costs no allocation per token.
+// source or an interned constant — only Next's unescape of a string literal
+// with an escaped (doubled) quote allocates — so lexing costs no allocation
+// per token.
 type Lexer struct {
 	src string
 	pos int
@@ -88,6 +89,17 @@ func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
 // Next returns the next token, or a TokEOF token at end of input.
 func (l *Lexer) Next() (Token, error) {
+	t, err := l.scan()
+	if t.Kind == TokString && strings.Contains(t.Text, "''") {
+		t.Text = strings.ReplaceAll(t.Text, "''", "'")
+	}
+	return t, err
+}
+
+// scan is Next without the unescape: a string literal's Text is its raw body
+// between the quotes, each escaped quote still doubled, so scan never
+// allocates. Template scans, which need no literal's value, read tokens here.
+func (l *Lexer) scan() (Token, error) {
 	l.skipSpace()
 	if l.pos >= len(l.src) {
 		return Token{Kind: TokEOF, Pos: l.pos}, nil
@@ -179,40 +191,25 @@ func (l *Lexer) skipSpace() {
 	}
 }
 
-// lexString returns a string literal's contents. Without an escaped
-// (doubled) quote the contents are a slice of the source; with one, they are
-// unescaped through a builder.
+// lexString returns a string literal's raw body, a slice of the source
+// between its quotes: inside it a quote only ever appears doubled, as an
+// escaped quote, which Next unescapes.
 func (l *Lexer) lexString() (Token, error) {
 	start := l.pos
-	body := l.src[start+1:]
-	n := strings.IndexByte(body, '\'')
-	if n < 0 {
-		l.pos = len(l.src)
-		return Token{}, fmt.Errorf("sqlparse: unterminated string at %d", start)
-	}
-	if n+1 >= len(body) || body[n+1] != '\'' {
-		l.pos = start + 1 + n + 1
-		return Token{Kind: TokString, Text: body[:n], Pos: start}, nil
-	}
-	var b strings.Builder
-	b.WriteString(body[:n])
-	l.pos = start + 1 + n
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			// Doubled quote is an escaped quote.
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return Token{Kind: TokString, Text: b.String(), Pos: start}, nil
+	for i := start + 1; ; {
+		n := strings.IndexByte(l.src[i:], '\'')
+		if n < 0 {
+			l.pos = len(l.src)
+			return Token{}, fmt.Errorf("sqlparse: unterminated string at %d", start)
 		}
-		b.WriteByte(c)
-		l.pos++
+		i += n + 1
+		if i < len(l.src) && l.src[i] == '\'' {
+			i++ // doubled quote is an escaped quote
+			continue
+		}
+		l.pos = i
+		return Token{Kind: TokString, Text: l.src[start+1 : i-1], Pos: start}, nil
 	}
-	return Token{}, fmt.Errorf("sqlparse: unterminated string at %d", start)
 }
 
 func (l *Lexer) lexNumber() (Token, error) {

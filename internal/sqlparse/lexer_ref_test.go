@@ -289,8 +289,8 @@ func FuzzTokenizeMatchesReference(f *testing.F) {
 
 // TestExtractTemplateAllocs pins that lexing allocates nothing per token:
 // ExtractTemplate on a Grab query repeated 16 times (16x the tokens) may
-// allocate only what its two growing buffers — the template key and the
-// literal vector — add by doubling, never an allocation per token; and
+// allocate only what its growing buffers — the template key's, sized from
+// the source, and the literal vector — add, never an allocation per token; and
 // Tokenize allocates its presized token slice and nothing else. The lexer
 // before the rewrite allocated twice per identifier.
 func TestExtractTemplateAllocs(t *testing.T) {

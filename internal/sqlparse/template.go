@@ -35,44 +35,70 @@ type TemplateLiteral struct {
 // placeholder can collide with a real token ('?' does not lex), and string
 // contents never leak into the key.
 func ExtractTemplate(src string) (string, []TemplateLiteral, bool) {
-	lx := NewLexer(src)
-	var b strings.Builder
-	b.Grow(len(src))
 	var lits []TemplateLiteral
-	first, limit := true, false
+	key, ok := scanTemplate(src, &lits)
+	if !ok {
+		return "", nil, false
+	}
+	return key, lits, true
+}
+
+// TemplateKey is ExtractTemplate's key alone: the same scan, building no
+// literal vector and unescaping no string, so its one allocation is the key.
+func TemplateKey(src string) (string, bool) {
+	return scanTemplate(src, nil)
+}
+
+// scanTemplate is the one template scan behind ExtractTemplate and
+// TemplateKey: it returns src's template key and, when lits is not nil,
+// appends each literal to it in source order. The key is assembled in a
+// stack buffer — on the heap for a source too long for it, sized so that
+// placeholders and separators rarely outgrow it — and copied out once, at
+// its own length, so a cached key holds no slack.
+func scanTemplate(src string, lits *[]TemplateLiteral) (string, bool) {
+	lx := Lexer{src: src}
+	var buf [512]byte
+	key := buf[:0]
+	if n := len(src) + len(src)/2; n > len(buf) {
+		key = make([]byte, 0, n)
+	}
+	limit := false
 	for {
-		t, err := lx.Next()
+		t, err := lx.scan()
 		if err != nil {
-			return "", nil, false
+			return "", false
 		}
 		if t.Kind == TokEOF {
 			break
 		}
 		if limit && t.Kind == TokNumber {
 			if _, err := strconv.Atoi(t.Text); err != nil {
-				return "", nil, false
+				return "", false
 			}
 		}
 		limit = t.Kind == TokKeyword && t.Text == "LIMIT"
-		if !first {
-			b.WriteByte(' ')
+		if len(key) > 0 {
+			key = append(key, ' ')
 		}
-		first = false
 		switch t.Kind {
 		case TokNumber:
-			b.WriteString("?n")
-			lits = append(lits, TemplateLiteral{Text: t.Text})
+			key = append(key, "?n"...)
+			if lits != nil {
+				*lits = append(*lits, TemplateLiteral{Text: t.Text})
+			}
 		case TokString:
-			b.WriteString("?s")
-			lits = append(lits, TemplateLiteral{Text: t.Text, IsString: true})
+			key = append(key, "?s"...)
+			if lits != nil {
+				*lits = append(*lits, TemplateLiteral{Text: strings.ReplaceAll(t.Text, "''", "'"), IsString: true})
+			}
 		default:
-			b.WriteString(t.Text)
+			key = append(key, t.Text...)
 		}
 	}
-	if first {
-		return "", nil, false
+	if len(key) == 0 {
+		return "", false
 	}
-	return b.String(), lits, true
+	return string(key), true
 }
 
 // Rebind returns a copy of s with every literal slot replaced by the

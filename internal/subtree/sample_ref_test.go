@@ -112,6 +112,13 @@ func checkSampleMatchesReference(t *testing.T, root *otp.Node, cfg Config) {
 	if err != nil {
 		t.Fatalf("%+v: reference: %v", cfg, err)
 	}
+	checkSameSubTrees(t, cfg, got, want)
+}
+
+// checkSameSubTrees requires got and want to be the same sub-trees: the same
+// roots, node pointers in the same order, vote bits and depths.
+func checkSameSubTrees(t *testing.T, cfg Config, got, want []SubTree) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%+v: %d sub-trees, reference %d", cfg, len(got), len(want))
 	}
@@ -162,6 +169,35 @@ func TestSampleMatchesReference(t *testing.T) {
 		}
 		checkSampleMatchesReference(t, buildChain(60), cfg)
 		checkSampleMatchesReference(t, buildComplete(7), cfg)
+	}
+}
+
+// TestSampleStopsAfterK holds Sample with a K to Select of every sub-tree
+// Sample finds without one, on the reference check's trees and on generated
+// Grab plans, at K = 1, the paper's 5, 9 and a K past every plan's count.
+func TestSampleStopsAfterK(t *testing.T) {
+	roots := append(planCorpus(t), buildChain(60), buildComplete(7))
+	g := workload.DefaultGrabConfig()
+	g.Queries = 300
+	for _, tr := range workload.NewGrabGenerator(g).Generate() {
+		roots = append(roots, otp.Recast(tr.Plan))
+	}
+	for _, cfg := range referenceConfigs {
+		for _, root := range roots {
+			all, err := Sample(root, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 5, 9, 1000} {
+				kcfg := cfg
+				kcfg.K = k
+				got, err := Sample(root, kcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSameSubTrees(t, kcfg, got, Select(all, k))
+			}
+		}
 	}
 }
 

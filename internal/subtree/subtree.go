@@ -37,6 +37,7 @@ func (s *SubTree) VoteCount() int {
 type Config struct {
 	N int // node limit per sub-tree
 	C int // convolution layers whose receptive field must be preserved
+	K int // sub-trees to keep: Sample stops after the first K; 0 keeps every one
 }
 
 // Validate enforces the paper's constraint N > 2^(C+1) − 1, which guarantees
@@ -83,8 +84,9 @@ func bfsToDepth(root *otp.Node, limit int) []*otp.Node {
 }
 
 // Sample runs Algorithm 1 over the O-T-P tree rooted at root and returns
-// every sub-tree in discovery (BFS) order together with its votes. Callers
-// keep the first K sub-trees as the query's representative features.
+// its sub-trees in discovery (BFS) order together with their votes: every
+// one, or with cfg.K > 0 the first K — the query's representative features,
+// what Select would keep of every one — without sampling the rest.
 //
 // Each sub-tree root is walked once, a BFS level at a time: the nodes of
 // depth <= d are a prefix of the nodes of depth <= d+1 in BFS order, so one
@@ -112,7 +114,7 @@ func Sample(root *otp.Node, cfg Config) ([]SubTree, error) {
 	// (cannot happen in a tree, but cheap insurance against cycles in
 	// hand-built inputs).
 	seen := map[*otp.Node]bool{}
-	for len(queue) > 0 {
+	for len(queue) > 0 && (cfg.K <= 0 || len(samples) < cfg.K) {
 		node := queue[0]
 		queue = queue[1:]
 		if seen[node] {
